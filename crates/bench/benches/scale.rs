@@ -15,16 +15,8 @@
 //! 3. `sweep` — the fig11-shaped workload (SE with a strided chain
 //!    budget, sparse DP, greedy) per size. **Gated**: every point must
 //!    finish within its per-size wall-clock budget (chosen with ≥ 2×
-//!    headroom over the fast-path numbers on the 1-core CI host).
-//! 4. `se_fast_path` — the `SeSampler::RankSelect` fast path against the
-//!    frozen `RejectionScan` reference at the gate size, same instance
-//!    and seed. **Differential**: the two runs must produce identical
-//!    trajectories and solutions (the fast path only replaces the
-//!    sampler's `O(|I|)` fallback with a Fenwick select, bit-identically).
-//!    **Gated** ≥ 4× single-thread speedup on `se_secs` in full mode;
-//!    the `--threads 4` replica fan-out is reported alongside and gated
-//!    ≥ 2× only when the host exposes ≥ 4 cores.
-//! 5. `epoch_threads` — `ElasticoSim::run_epoch` at `--threads 1` vs 4
+//!    headroom over the numbers measured on the 1-core CI host).
+//! 4. `epoch_threads` — `ElasticoSim::run_epoch` at `--threads 1` vs 4
 //!    on a many-committee epoch, with a differential check that the two
 //!    reports are identical. **Gated** ≥ 2× when the host exposes ≥ 4
 //!    cores; annotated (not failed) on smaller hosts, where the fan-out
@@ -39,14 +31,14 @@ use std::time::Instant;
 use mvcom_baselines::dp::DpConfig;
 use mvcom_baselines::{DpSolver, GreedySolver, Solver, SparseDpSolver};
 use mvcom_bench::harness::streamed_instance;
-use mvcom_core::se::{SeConfig, SeEngine, SeSampler};
+use mvcom_core::se::{SeConfig, SeEngine};
 use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim};
 
 /// Per-size wall-clock budgets for the sweep (release build, full mode):
-/// every point is gated, with the budgets set at ≥ 2× the fast-path
-/// totals measured on the 1-core CI host (≈2.2s / 3.6s / 5.2s at
-/// 10k/50k/100k) — and all far below the legacy sampler's 7.1s / 32.4s /
-/// 64.9s, so a budget pass is itself evidence the fast path is active.
+/// every point is gated, with the budgets set at ≥ 2× the totals
+/// measured on the 1-core CI host (≈2.2s / 3.6s / 5.2s at 10k/50k/100k).
+/// An `O(|I|)`-per-proposal sampler took 7.1s / 32.4s / 64.9s here, so a
+/// budget pass is itself evidence the `O(log |I|)` rank-select is intact.
 fn wall_clock_budget_secs(committees: usize) -> f64 {
     match committees {
         0..=10_000 => 5.0,
@@ -55,10 +47,6 @@ fn wall_clock_budget_secs(committees: usize) -> f64 {
         _ => 40.0,
     }
 }
-
-/// Single-thread `se_secs` speedup the fast path must reach over the
-/// frozen `RejectionScan` reference at the gate size (full mode).
-const SE_FAST_PATH_GATE: f64 = 4.0;
 
 /// Sparse-DP bucket budget at scale (matches `experiments::fig_scale`).
 const SCALE_BUCKETS: usize = 4_096;
@@ -104,31 +92,6 @@ struct SweepPoint {
 }
 
 #[derive(serde::Serialize)]
-struct SeFastPath {
-    committees: usize,
-    se_iterations: u64,
-    /// The frozen `SeSampler::RejectionScan` reference (HEAD behavior:
-    /// 64 rejection draws, then an `O(|I|)` `iter_*().nth()` scan).
-    legacy_secs: f64,
-    /// `SeSampler::RankSelect` (Fenwick select fallback), single thread.
-    fast_secs: f64,
-    speedup: f64,
-    speedup_gate: f64,
-    /// Whether the ≥ `speedup_gate` check applies (full mode only).
-    gated: bool,
-    /// The two samplers produced identical trajectories and solutions —
-    /// the measurement doubles as the bit-identity differential.
-    outputs_identical: bool,
-    /// The same fast-path run under the `--threads 4` replica fan-out.
-    fast_threads4_secs: f64,
-    thread_speedup: f64,
-    cores_available: usize,
-    /// Spells out how `thread_speedup` relates to the detected core
-    /// count, so a ~1× reading on a 1-core CI host is self-explanatory.
-    thread_speedup_note: String,
-}
-
-#[derive(serde::Serialize)]
 struct EpochThreads {
     committees: usize,
     threads: usize,
@@ -146,9 +109,6 @@ struct EpochThreads {
 struct Acceptance {
     criterion: String,
     sweep_within_budgets: bool,
-    se_fast_path_speedup: f64,
-    se_fast_path_gate: f64,
-    se_fast_path_gated: bool,
     thread_speedup: f64,
     thread_speedup_gated: bool,
     pass: bool,
@@ -162,7 +122,6 @@ struct Report {
     dp: DpComparison,
     sparse_dp: Vec<SparseDpTiming>,
     sweep: Vec<SweepPoint>,
-    se_fast_path: SeFastPath,
     epoch_threads: EpochThreads,
     acceptance: Acceptance,
 }
@@ -238,8 +197,7 @@ fn measure_sparse_dp(sizes: &[usize]) -> Vec<SparseDpTiming> {
         .collect()
 }
 
-/// The sweep's SE configuration at one size (shared with the fast-path
-/// section so the differential times exactly the sweep workload).
+/// The sweep's SE configuration at one size.
 fn sweep_se_config(iters: u64) -> SeConfig {
     SeConfig {
         gamma: 10,
@@ -278,64 +236,6 @@ fn measure_sweep_point(n: usize, iters: u64) -> SweepPoint {
         total_secs: build_secs + se_secs + sparse_dp_secs + greedy_secs,
         budget_secs: wall_clock_budget_secs(n),
         gated: true,
-    }
-}
-
-/// The tentpole measurement: `RejectionScan` (frozen HEAD sampler) vs
-/// `RankSelect` on the gate-size sweep workload, single thread, plus the
-/// `--threads 4` replica fan-out. Doubles as the bit-identity
-/// differential — all three runs must agree exactly.
-fn measure_se_fast_path(n: usize, iters: u64, gated: bool) -> SeFastPath {
-    let instance = streamed_instance(n, 1_000 * n as u64, 1.5, 31_300).unwrap();
-    let config = sweep_se_config(iters);
-    let (legacy_secs, legacy) = timed_once(|| {
-        SeEngine::new(&instance, config)
-            .unwrap()
-            .with_sampler(SeSampler::RejectionScan)
-            .run()
-    });
-    let (fast_secs, fast) = timed_once(|| {
-        SeEngine::new(&instance, config)
-            .unwrap()
-            .with_sampler(SeSampler::RankSelect)
-            .run()
-    });
-    let (fast_threads4_secs, fanned) = timed_once(|| {
-        SeEngine::new(&instance, config)
-            .unwrap()
-            .with_threads(4)
-            .run()
-    });
-    let outputs_identical = legacy.best_solution == fast.best_solution
-        && legacy.best_utility == fast.best_utility
-        && legacy.trajectory == fast.trajectory
-        && fanned.best_solution == fast.best_solution
-        && fanned.best_utility == fast.best_utility
-        && fanned.trajectory == fast.trajectory;
-    let cores_available = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let thread_speedup = fast_secs / fast_threads4_secs.max(1e-9);
-    let thread_speedup_note = if cores_available < 4 {
-        format!(
-            "{thread_speedup:.2}x from --threads 4 on a {cores_available}-core host: \
-             the replica fan-out is core-bound, so the >=2x gate is waived here \
-             (not a regression)"
-        )
-    } else {
-        format!("{thread_speedup:.2}x from --threads 4 on a {cores_available}-core host")
-    };
-    SeFastPath {
-        committees: n,
-        se_iterations: iters,
-        legacy_secs,
-        fast_secs,
-        speedup: legacy_secs / fast_secs.max(1e-9),
-        speedup_gate: SE_FAST_PATH_GATE,
-        gated,
-        outputs_identical,
-        fast_threads4_secs,
-        thread_speedup,
-        cores_available,
-        thread_speedup_note,
     }
 }
 
@@ -397,10 +297,10 @@ fn measure_epoch_threads(n_nodes: u32, threads: usize) -> EpochThreads {
 
 fn main() {
     let quick = std::env::var("MVCOM_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
-    let (sizes, gate_size, iters): (Vec<usize>, usize, u64) = if quick {
-        (vec![5_000, 20_000], 20_000, 300)
+    let (sizes, iters): (Vec<usize>, u64) = if quick {
+        (vec![5_000, 20_000], 300)
     } else {
-        (vec![10_000, 50_000, 100_000], 50_000, 3_000)
+        (vec![10_000, 50_000, 100_000], 3_000)
     };
 
     let streaming_build = measure_builds(&sizes);
@@ -450,25 +350,6 @@ fn main() {
         .collect();
     let sweep_within_budgets = sweep.iter().all(|p| p.total_secs <= p.budget_secs);
 
-    let se_fast_path = measure_se_fast_path(gate_size, iters, !quick);
-    assert!(
-        se_fast_path.outputs_identical,
-        "SE output diverged across samplers/threads at |I|={gate_size} — the fast path \
-         must be bit-identical to the RejectionScan reference"
-    );
-    eprintln!(
-        "  scale/se_fast_path |I|={}: legacy {:.2}s, fast {:.2}s ({:.1}x, gate {:.0}x{}), \
-         --threads 4 {:.2}s ({})",
-        se_fast_path.committees,
-        se_fast_path.legacy_secs,
-        se_fast_path.fast_secs,
-        se_fast_path.speedup,
-        se_fast_path.speedup_gate,
-        if se_fast_path.gated { "" } else { ", ungated" },
-        se_fast_path.fast_threads4_secs,
-        se_fast_path.thread_speedup_note,
-    );
-
     let epoch_threads = measure_epoch_threads(if quick { 512 } else { 1_024 }, 4);
     assert!(
         epoch_threads.reports_identical,
@@ -485,7 +366,6 @@ fn main() {
     );
 
     let thread_speedup_gated = epoch_threads.cores_available >= 4;
-    let fast_path_ok = !se_fast_path.gated || se_fast_path.speedup >= SE_FAST_PATH_GATE;
     let threads_ok = !thread_speedup_gated || epoch_threads.thread_speedup >= 2.0;
     let report = Report {
         bench: "scale".into(),
@@ -498,22 +378,15 @@ fn main() {
             criterion: format!(
                 "every fig11-shaped sweep point (streamed build + SE with a 4-chain \
                  budget x {iters} iters + sparse DP + greedy) completes within its \
-                 per-size wall-clock budget; the RankSelect SE fast path reaches \
-                 >={SE_FAST_PATH_GATE}x over the frozen RejectionScan reference at \
-                 |I|={gate_size} on a single thread (full mode) while producing \
-                 bit-identical output; run_epoch --threads 4 reproduces the serial \
+                 per-size wall-clock budget; run_epoch --threads 4 reproduces the serial \
                  epoch exactly and reaches >=2x when >=4 cores are detected \
                  (annotated, not gated, on smaller hosts)"
             ),
             sweep_within_budgets,
-            se_fast_path_speedup: se_fast_path.speedup,
-            se_fast_path_gate: SE_FAST_PATH_GATE,
-            se_fast_path_gated: se_fast_path.gated,
             thread_speedup: epoch_threads.thread_speedup,
             thread_speedup_gated,
-            pass: sweep_within_budgets && fast_path_ok && threads_ok,
+            pass: sweep_within_budgets && threads_ok,
         },
-        se_fast_path,
         epoch_threads,
     };
 
@@ -528,8 +401,7 @@ fn main() {
     let text = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, text).expect("writing bench report");
     eprintln!(
-        "  scale report: {} (acceptance {}: budgets {}, fast path {:.1}x/{:.0}x{}, \
-         threads {:.2}x{})",
+        "  scale report: {} (acceptance {}: budgets {}, threads {:.2}x{})",
         out.display(),
         if report.acceptance.pass {
             "PASS"
@@ -537,13 +409,6 @@ fn main() {
             "FAIL"
         },
         if sweep_within_budgets { "met" } else { "BLOWN" },
-        report.acceptance.se_fast_path_speedup,
-        SE_FAST_PATH_GATE,
-        if report.acceptance.se_fast_path_gated {
-            " [gated]"
-        } else {
-            " [ungated]"
-        },
         report.acceptance.thread_speedup,
         if thread_speedup_gated {
             " [gated]"
@@ -553,11 +418,8 @@ fn main() {
     );
     assert!(
         report.acceptance.pass,
-        "acceptance: budgets met: {sweep_within_budgets}, fast path {:.2}x \
-         (gate {SE_FAST_PATH_GATE}x, gated: {}), thread speedup {:.2}x (gated: \
-         {thread_speedup_gated})",
-        report.acceptance.se_fast_path_speedup,
-        report.acceptance.se_fast_path_gated,
+        "acceptance: budgets met: {sweep_within_budgets}, thread speedup {:.2}x \
+         (gated: {thread_speedup_gated})",
         report.acceptance.thread_speedup
     );
 }

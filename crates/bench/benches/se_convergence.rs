@@ -6,11 +6,6 @@
 //! readable `BENCH_se_convergence.json` report (workspace root by default;
 //! override with `MVCOM_BENCH_OUT`) so CI can archive a perf trail. Set
 //! `MVCOM_BENCH_QUICK=1` for a reduced-size smoke run.
-//!
-//! The report's acceptance doubles as a differential check on the SE fast
-//! path (DESIGN.md §14): at the largest measured size, a seeded
-//! `SeSampler::RejectionScan` run and a `SeSampler::RankSelect` run must
-//! produce identical solutions, utilities, and trajectories.
 
 // Test/example code: unwrap is fine here (the workspace-level
 // `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
@@ -22,7 +17,7 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion};
 
 use mvcom_bench::harness::paper_instance;
 use mvcom_core::problem::{DdlPolicy, InstanceBuilder};
-use mvcom_core::se::{SeConfig, SeEngine, SeSampler};
+use mvcom_core::se::{SeConfig, SeEngine};
 
 fn bench_se(c: &mut Criterion) {
     let mut group = c.benchmark_group("se");
@@ -122,9 +117,6 @@ struct DdlPoint {
 #[derive(serde::Serialize)]
 struct Acceptance {
     criterion: String,
-    /// RejectionScan vs RankSelect at the largest measured size: same
-    /// solution, utility, and trajectory (the fast-path differential).
-    samplers_identical: bool,
     utilities_finite: bool,
     pass: bool,
 }
@@ -233,29 +225,12 @@ fn write_report() {
         })
         .collect();
 
-    // Fast-path differential at the largest measured size: both samplers
-    // on the same seed must agree bit-for-bit (DESIGN.md §14).
-    let n = *sizes.last().unwrap();
-    let instance = paper_instance(n, 1_000 * n as u64, 1.5, 7).unwrap();
-    let slow = SeEngine::new(&instance, report_config(iters, 10, 1))
-        .unwrap()
-        .with_sampler(SeSampler::RejectionScan)
-        .run();
-    let fast = SeEngine::new(&instance, report_config(iters, 10, 1))
-        .unwrap()
-        .with_sampler(SeSampler::RankSelect)
-        .run();
-    let samplers_identical = slow.best_solution == fast.best_solution
-        && slow.best_utility == fast.best_utility
-        && slow.trajectory == fast.trajectory;
-
     let utilities_finite = iteration_cost
         .iter()
         .map(|p| p.best_utility)
         .chain(gamma_ablation.iter().map(|p| p.best_utility))
         .chain(ddl_ablation.iter().map(|p| p.best_utility))
         .all(f64::is_finite);
-    let pass = samplers_identical && utilities_finite;
 
     let report = Report {
         bench: "se_convergence".into(),
@@ -264,13 +239,9 @@ fn write_report() {
         gamma_ablation,
         ddl_ablation,
         acceptance: Acceptance {
-            criterion: format!(
-                "RejectionScan and RankSelect produce identical output at |I|={n} \
-                 (seeded, {iters} iters); every recorded utility is finite"
-            ),
-            samplers_identical,
+            criterion: "every recorded utility is finite".into(),
             utilities_finite,
-            pass,
+            pass: utilities_finite,
         },
     };
 
@@ -285,15 +256,13 @@ fn write_report() {
     let text = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, text).expect("writing bench report");
     eprintln!(
-        "  se_convergence report: {} (acceptance {}: samplers identical: {samplers_identical}, \
-         utilities finite: {utilities_finite})",
+        "  se_convergence report: {} (acceptance {}: utilities finite: {utilities_finite})",
         out.display(),
-        if pass { "PASS" } else { "FAIL" },
+        if utilities_finite { "PASS" } else { "FAIL" },
     );
     assert!(
-        pass,
-        "acceptance: samplers identical: {samplers_identical}, utilities finite: \
-         {utilities_finite}"
+        utilities_finite,
+        "acceptance: a recorded utility is not finite"
     );
 }
 

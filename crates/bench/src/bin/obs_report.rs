@@ -10,9 +10,6 @@
 //!   improvement, the improvement count, and the area under the
 //!   best-so-far curve (from `se_point`). A `last_improvement_iter` close
 //!   to the budget means the run was cut off while still improving.
-//! * **resets** — RESET-bus churn: publish/apply/stale counts overall and
-//!   per replica, plus the highest version observed. Many stale drops
-//!   mean replicas are fighting over the bus.
 //! * **flat chains** — `se_chain_point` series whose utility never moved:
 //!   chains stuck in an infeasible region from their seed solution.
 //! * **recovery** — suspicion samples, declared failures, and submission
@@ -86,14 +83,6 @@ fn as_str(v: Option<&Value>) -> Option<&str> {
     }
 }
 
-#[derive(Default)]
-struct PerReplica {
-    published: u64,
-    applied: u64,
-    stale: u64,
-    improvements: u64,
-}
-
 fn report(text: &str) {
     let mut lines = 0u64;
     let mut unparseable = 0u64;
@@ -103,15 +92,7 @@ fn report(text: &str) {
     let mut last_improvement_iter = 0u64;
     let mut improvements = 0u64;
     let mut best_curve: Vec<(u64, f64)> = Vec::new();
-    let mut improve_curve: Vec<(u64, f64)> = Vec::new();
     let mut converged: Option<(u64, f64, bool)> = None;
-
-    // RESET churn.
-    let mut publish = 0u64;
-    let mut applied = 0u64;
-    let mut stale = 0u64;
-    let mut max_version = 0u64;
-    let mut replicas: BTreeMap<u64, PerReplica> = BTreeMap::new();
 
     // Chain flatness: (replica, chain) -> (cardinality, first utility,
     // sample count, has the utility ever moved).
@@ -144,12 +125,6 @@ fn report(text: &str) {
                 improvements += 1;
                 if let Some(iter) = as_u64(field(&line, "iter")) {
                     last_improvement_iter = last_improvement_iter.max(iter);
-                    if let Some(u) = as_f64(field(&line, "utility")) {
-                        improve_curve.push((iter, u));
-                    }
-                }
-                if let Some(g) = as_u64(field(&line, "replica")) {
-                    replicas.entry(g).or_default().improvements += 1;
                 }
             }
             "se_point" => {
@@ -166,28 +141,6 @@ fn report(text: &str) {
                     as_f64(field(&line, "best")).unwrap_or(f64::NAN),
                     matches!(field(&line, "converged"), Some(Value::Bool(true))),
                 ));
-            }
-            "reset_publish" | "reset_apply" | "reset_stale" => {
-                if let Some(v) = as_u64(field(&line, "version")) {
-                    max_version = max_version.max(v);
-                }
-                let per = replicas
-                    .entry(as_u64(field(&line, "replica")).unwrap_or(0))
-                    .or_default();
-                match kind {
-                    "reset_publish" => {
-                        publish += 1;
-                        per.published += 1;
-                    }
-                    "reset_apply" => {
-                        applied += 1;
-                        per.applied += 1;
-                    }
-                    _ => {
-                        stale += 1;
-                        per.stale += 1;
-                    }
-                }
             }
             "se_chain_point" => {
                 if let (Some(g), Some(c), Some(u)) = (
@@ -232,29 +185,10 @@ fn report(text: &str) {
         if let Some((iter, best, conv)) = converged {
             print!(" final_iter={iter} best={best} converged={conv}");
         }
-        // Prefer the dense `se_point` samples (sequential engine); the
-        // lockstep runner only reports improvements, which still trace the
-        // best-so-far staircase.
-        let curve = if best_curve.is_empty() {
-            &improve_curve
-        } else {
-            &best_curve
-        };
-        if let Some(auc) = area_under_curve(curve) {
+        if let Some(auc) = area_under_curve(&best_curve) {
             print!(" auc={auc:.1}");
         }
         println!();
-    }
-    if publish + applied + stale > 0 {
-        println!(
-            "resets: broadcast={publish} applied={applied} stale={stale} max_version={max_version}"
-        );
-        for (g, per) in &replicas {
-            println!(
-                "  replica {g}: improvements={} published={} applied={} stale={}",
-                per.improvements, per.published, per.applied, per.stale
-            );
-        }
     }
     let flat: Vec<_> = chains
         .iter()

@@ -37,10 +37,7 @@ pub mod chain;
 pub mod checkpoint;
 pub mod config;
 pub mod engine;
-pub mod parallel;
 
-pub use chain::SeSampler;
 pub use checkpoint::{ChainSnapshot, SeCheckpoint};
 pub use config::SeConfig;
 pub use engine::{SeEngine, SeOutcome, Trajectory, TrajectoryPoint};
-pub use parallel::{ParallelRunner, ResetStats};

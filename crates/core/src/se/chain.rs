@@ -10,29 +10,6 @@ use crate::problem::Instance;
 use crate::se::config::SeConfig;
 use crate::solution::Solution;
 
-/// Strategy for drawing the random swap endpoints in [`Chain::propose`].
-///
-/// Both strategies consume the *same* RNG draw sequence and return the
-/// same index for the same RNG state, bit for bit:
-/// [`SeSampler::RankSelect`] only replaces the `O(|I|)`
-/// `iter_*().nth()` fallback of the 64-draw rejection loop with an
-/// `O(log |I|)` Fenwick select over the chain's [`EvalCache`], so every
-/// seeded trajectory, figure CSV, and events file is byte-identical
-/// across samplers. At 10⁴–10⁵ committees the fallback fires on ≈94% of
-/// proposals (density `n/|I|` ≈ 0.1%), which made `RejectionScan`
-/// `O(|I|)` per proposal; it is kept as the frozen reference that the
-/// scale benchmark differentials the fast path against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeSampler {
-    /// The legacy sampler: 64 rejection draws, then a full bitset scan
-    /// ([`Solution::random_selected`]/[`Solution::random_unselected`]).
-    RejectionScan,
-    /// 64 rejection draws, then a Fenwick select-kth-one/zero
-    /// ([`EvalCache::random_selected`]/[`EvalCache::random_unselected`]).
-    #[default]
-    RankSelect,
-}
-
 /// The Algorithm 3 output: the chosen swap pair, its utility change, and
 /// the armed timer in log-space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +39,6 @@ pub struct Chain {
     cardinality: usize,
     utility: f64,
     cache: EvalCache,
-    sampler: SeSampler,
     /// `ln(|I| − n)` — the proposal-pool term of the Algorithm 3 timer.
     /// The chain's cardinality `n` is fixed, so this is a per-chain
     /// constant hoisted out of the per-proposal hot loop; it is exactly
@@ -134,7 +110,6 @@ impl Chain {
             solution,
             utility,
             cache,
-            sampler: SeSampler::default(),
         }
     }
 
@@ -146,19 +121,6 @@ impl Chain {
         } else {
             0.0
         }
-    }
-
-    /// Selects the swap-endpoint sampling strategy (see [`SeSampler`]).
-    /// Both strategies produce bit-identical output; this exists so the
-    /// scale benchmark can measure the frozen `RejectionScan` reference
-    /// against the `RankSelect` fast path on the same host.
-    pub fn set_sampler(&mut self, sampler: SeSampler) {
-        self.sampler = sampler;
-    }
-
-    /// The active swap-endpoint sampling strategy.
-    pub fn sampler(&self) -> SeSampler {
-        self.sampler
     }
 
     /// The chain's current solution.
@@ -195,16 +157,8 @@ impl Chain {
             return None;
         }
         for _ in 0..config.swap_attempts {
-            let (out, inc) = match self.sampler {
-                SeSampler::RejectionScan => (
-                    self.solution.random_selected(rng)?,
-                    self.solution.random_unselected(rng)?,
-                ),
-                SeSampler::RankSelect => (
-                    self.cache.random_selected(&self.solution, rng)?,
-                    self.cache.random_unselected(&self.solution, rng)?,
-                ),
-            };
+            let out = self.cache.random_selected(&self.solution, rng)?;
+            let inc = self.cache.random_unselected(&self.solution, rng)?;
             let new_total = self.solution.tx_total() - instance.shards()[out].tx_count()
                 + instance.shards()[inc].tx_count();
             if new_total > instance.capacity() {

@@ -7,7 +7,7 @@ use mvcom_types::{Error, Result, ShardInfo};
 
 use crate::dynamics::DynamicsPolicy;
 use crate::problem::Instance;
-use crate::se::chain::{Chain, Proposal, SeSampler};
+use crate::se::chain::{Chain, Proposal};
 use crate::se::checkpoint::{ChainSnapshot, SeCheckpoint};
 use crate::se::config::SeConfig;
 use crate::solution::Solution;
@@ -115,9 +115,6 @@ pub struct SeEngine {
     /// checkpoint identity, or daemon history headers. Output is
     /// byte-identical at any value.
     threads: usize,
-    /// Which sampler the chains use for swap-pair draws (DESIGN.md §14).
-    /// Also an execution knob: both variants are bit-identical.
-    sampler: SeSampler,
 }
 
 impl SeEngine {
@@ -145,7 +142,6 @@ impl SeEngine {
             restored_chains: 0,
             obs: Obs::off(),
             threads: 1,
-            sampler: SeSampler::default(),
         };
         engine.build_replicas(None)?;
         engine.seed_best();
@@ -187,28 +183,6 @@ impl SeEngine {
     pub fn with_threads(mut self, threads: usize) -> SeEngine {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Selects the swap-pair sampler for every chain (DESIGN.md §14).
-    /// [`SeSampler::RankSelect`] (the default) and
-    /// [`SeSampler::RejectionScan`] are bit-identical; the frozen scan
-    /// exists as a benchmark reference.
-    #[must_use]
-    pub fn with_sampler(mut self, sampler: SeSampler) -> SeEngine {
-        self.sampler = sampler;
-        self.apply_sampler();
-        self
-    }
-
-    /// Pushes the engine's sampler choice down to every chain (chains are
-    /// rebuilt on dynamic events, so this re-runs after every
-    /// [`SeEngine::build_replicas`]).
-    fn apply_sampler(&mut self) {
-        for replica in &mut self.replicas {
-            for chain in &mut replica.chains {
-                chain.set_sampler(self.sampler);
-            }
-        }
     }
 
     /// The engine's current view of the epoch (changes on dynamic events).
@@ -360,7 +334,6 @@ impl SeEngine {
             restored_chains,
             obs: Obs::off(),
             threads: 1,
-            sampler: SeSampler::default(),
         };
         engine.seed_best();
         engine.record_point();
@@ -653,12 +626,11 @@ impl SeEngine {
         lo..=hi
     }
 
-    fn build_replicas(&mut self, warm: Option<Vec<Solution>>) -> Result<SeReplicaStats> {
+    fn build_replicas(&mut self, warm: Option<Vec<Solution>>) -> Result<()> {
         let cards = stride_cardinalities(self.cardinality_range(), self.config.max_chains);
         let mut master = mvcom_simnet::rng::master(self.config.seed ^ self.iteration);
         let mut replicas = Vec::with_capacity(self.config.gamma);
         let warm_pool = warm.unwrap_or_default();
-        let mut skipped = 0usize;
         for g in 0..self.config.gamma {
             let mut rng = mvcom_simnet::rng::fork(&mut master, &format!("replica-{g}"));
             let mut chains = Vec::new();
@@ -671,10 +643,8 @@ impl SeEngine {
                     Some(s) => Chain::from_solution(&self.instance, s.clone()),
                     None => match Chain::init(&self.instance, n, &self.config, &mut rng) {
                         Ok(c) => c,
-                        Err(Error::Infeasible { .. }) => {
-                            skipped += 1;
-                            continue;
-                        }
+                        // No n-subset fits the capacity: skip this cardinality.
+                        Err(Error::Infeasible { .. }) => continue,
                         Err(e) => return Err(e),
                     },
                 };
@@ -690,9 +660,7 @@ impl SeEngine {
             ));
         }
         self.replicas = replicas;
-        // Rebuilt chains start on the default sampler; re-apply the knob.
-        self.apply_sampler();
-        Ok(SeReplicaStats { skipped })
+        Ok(())
     }
 
     /// Seeds the best-so-far tracker from the freshly built chains (and the
@@ -780,13 +748,6 @@ impl SeEngine {
             }
         }
     }
-}
-
-/// Bookkeeping from replica construction (how many cardinalities had to be
-/// skipped as capacity-infeasible).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SeReplicaStats {
-    skipped: usize,
 }
 
 /// One committed proposal from the race phase of [`SeEngine::step`]:

@@ -1,4 +1,4 @@
-//! The SE fast-path sampler against the frozen reference (DESIGN.md §14).
+//! The SE sampler against its naive reference (DESIGN.md §14).
 //!
 //! [`EvalCache::random_selected`]/[`EvalCache::random_unselected`] promise
 //! a *bit-identical* contract with [`Solution::random_selected`]/
@@ -10,14 +10,15 @@
 //! arbitrary bitsets), the sampler outputs under shared seeds across
 //! density regimes (dense, sparse, empty-adjacent, full-adjacent — the
 //! sparse regimes are where the fallback actually fires), and whole
-//! seeded [`SeEngine`] runs across samplers and thread counts.
+//! seeded [`SeEngine`] runs against pinned outcomes of the scan sampler
+//! and across thread counts.
 
 // Test/example code: unwrap is fine here (the workspace-level
 // `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
 #![allow(clippy::unwrap_used)]
 use mvcom_core::eval::EvalCache;
 use mvcom_core::problem::{Instance, InstanceBuilder};
-use mvcom_core::se::{SeConfig, SeEngine, SeSampler};
+use mvcom_core::se::{SeConfig, SeEngine};
 use mvcom_core::Solution;
 use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
 use proptest::prelude::*;
@@ -214,22 +215,78 @@ fn engine_instance() -> Instance {
         .unwrap()
 }
 
+/// One pinned [`SeEngine`] outcome on [`engine_instance`] at 300 iterations.
+struct Golden {
+    seed: u64,
+    best_utility_bits: u64,
+    iterations: u64,
+    /// `(iteration, vtime bits, current_best bits, best_so_far bits)` of
+    /// the last trajectory point.
+    last_point: (u64, u64, u64, u64),
+}
+
+/// Both seeds land on the same best selection; the trajectories differ.
+const GOLDEN_SELECTED: [usize; 15] = [5, 6, 7, 12, 13, 14, 19, 20, 21, 26, 27, 28, 33, 34, 35];
+
+/// Produced at the parent of the commit that deleted the sampler knob
+/// (10040b4), by the *deleted* rejection-then-scan sampler arm — chains
+/// drawing through `Solution::random_*` with its `O(|I|)` scan fallback.
+/// The surviving `EvalCache::random_*` path must reproduce them bit for
+/// bit; this replaces the old run-both-and-compare test.
+const GOLDEN: [Golden; 2] = [
+    Golden {
+        seed: 3,
+        best_utility_bits: 0x409b_a800_0000_0000,
+        iterations: 300,
+        last_point: (
+            300,
+            0x2f5c_aae0_4113_ac99,
+            0x409b_6c00_0000_0000,
+            0x409b_a800_0000_0000,
+        ),
+    },
+    Golden {
+        seed: 17,
+        best_utility_bits: 0x409b_a800_0000_0000,
+        iterations: 300,
+        last_point: (
+            300,
+            0x2f64_8e9f_681d_4729,
+            0x409b_a800_0000_0000,
+            0x409b_a800_0000_0000,
+        ),
+    },
+];
+
 #[test]
-fn engine_output_is_identical_across_samplers() {
+fn engine_output_matches_the_scan_sampler_goldens() {
     let inst = engine_instance();
-    for seed in [3, 17] {
-        let cfg = SeConfig::paper(seed).with_max_iterations(300);
-        let slow = SeEngine::new(&inst, cfg)
-            .unwrap()
-            .with_sampler(SeSampler::RejectionScan)
-            .run();
-        let fast = SeEngine::new(&inst, cfg)
-            .unwrap()
-            .with_sampler(SeSampler::RankSelect)
-            .run();
-        assert_eq!(slow.best_solution, fast.best_solution);
-        assert_eq!(slow.best_utility, fast.best_utility);
-        assert_eq!(slow.trajectory, fast.trajectory);
+    for golden in &GOLDEN {
+        let cfg = SeConfig::paper(golden.seed).with_max_iterations(300);
+        let outcome = SeEngine::new(&inst, cfg).unwrap().run();
+        let seed = golden.seed;
+        assert_eq!(
+            outcome.best_utility.to_bits(),
+            golden.best_utility_bits,
+            "seed {seed}"
+        );
+        assert_eq!(
+            outcome.best_solution.iter_selected().collect::<Vec<_>>(),
+            GOLDEN_SELECTED,
+            "seed {seed}"
+        );
+        assert_eq!(outcome.iterations, golden.iterations, "seed {seed}");
+        let last = outcome.trajectory.last().unwrap();
+        assert_eq!(
+            (
+                last.iteration,
+                last.vtime.to_bits(),
+                last.current_best.to_bits(),
+                last.best_so_far.to_bits(),
+            ),
+            golden.last_point,
+            "seed {seed}"
+        );
     }
 }
 

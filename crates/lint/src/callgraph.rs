@@ -4,9 +4,10 @@
 //! thread.
 //!
 //! The workspace has exactly one sanctioned fan-out idiom (three
-//! instances of it: `mvcom_core::se::ParallelRunner`, elastico's stage-3
-//! committee pool, and `mvcom_bench::harness::run_tasks`): tasks are
-//! claimed off a shared counter and results land in per-task slots. The
+//! instances of it: `mvcom_core::se::SeEngine::race_replicas`, elastico's
+//! stage-3 committee pool, and `mvcom_bench::harness::run_tasks`): tasks
+//! are claimed off a shared counter — or, for the SE replicas, split into
+//! contiguous chunks up front — and results land in per-task slots. The
 //! C-rules only make sense *inside* that region — `Ordering::Relaxed` on
 //! a caller-side cached value is fine, the same token inside a spawned
 //! closure needs a justification. So the region is computed, not guessed:
@@ -19,7 +20,7 @@
 //! 2. **Reachability.** From each root, called names are resolved
 //!    *within the crate*: direct calls (`execute_pbft(…)`) to every
 //!    same-name `fn`, calls to `let`-bound closures in the same file, and
-//!    method calls (`resets.poll(…)`) to every same-name `fn` — except
+//!    method calls (`chain.race(…)`) to every same-name `fn` — except
 //!    `AMBIENT_METHODS`, ubiquitous names (`new`, `run`, `len`, …)
 //!    whose name-only resolution would connect unrelated code. The
 //!    closure of that relation is the parallel region.

@@ -16,11 +16,9 @@
 //!   concurrency rules, W1 stale-allow / U1 forbid-unsafe hygiene, and
 //!   the `// lint: allow(P1, reason)` annotation grammar;
 //! * [`model`] — a reusable interleaving-model DSL (states, atomic steps,
-//!   memoized exhaustive exploration, invariant closures) with three
-//!   models: the RESET bus, the `run_tasks` partition/merge protocol, and
-//!   the `Obs` deferred replay buffer;
-//! * [`interleave`] — the original RESET-bus checker API, now a port
-//!   onto [`model`];
+//!   memoized exhaustive exploration, invariant closures) with two
+//!   models: the `run_tasks` partition/merge protocol and the `Obs`
+//!   deferred replay buffer;
 //! * [`lint_workspace`] — walks every `.rs` file under `crates/`, `src/`,
 //!   `tests/`, and `examples/`, groups them per crate, and applies the
 //!   rules.
@@ -32,7 +30,6 @@
 // `mvcom-lint` and the workspace `clippy::unwrap_used` deny set instead.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod callgraph;
-pub mod interleave;
 pub mod lexer;
 pub mod model;
 pub mod rules;
@@ -42,7 +39,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use interleave::{explore, BusModel, InterleaveConfig, InterleaveReport};
 pub use model::{Exploration, Violation};
 pub use rules::{lint_crate, lint_source, Finding, Rule, RuleSelection};
 

@@ -6,11 +6,10 @@
 //! mvcom-lint lint  [--root PATH] [--rules LIST]
 //!                                  # lexical + region lints only
 //! mvcom-lint model [--model NAME]  # interleaving proofs only
-//! mvcom-lint interleave            # RESET-bus proof only (alias)
 //! ```
 //!
 //! `--rules` takes `all` or a comma list (`C1,C3,W1`); `--model` takes
-//! `all`, `none`, or one of `reset-bus`, `merge`, `deferred`. Every model
+//! `all`, `none`, or one of `merge`, `deferred`. Every model
 //! run also explores its deliberately broken twin and fails if the twin
 //! is *not* caught — a proof is only trusted while the prover still has
 //! teeth.
@@ -25,10 +24,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mvcom_lint::model::{deferred, merge};
-use mvcom_lint::{explore, lint_workspace, InterleaveConfig, RuleSelection};
+use mvcom_lint::{lint_workspace, RuleSelection};
 
 /// The shipped interleaving models, as `--model` understands them.
-const MODEL_NAMES: [&str; 3] = ["reset-bus", "merge", "deferred"];
+const MODEL_NAMES: [&str; 2] = ["merge", "deferred"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +38,7 @@ fn main() -> ExitCode {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "check" | "lint" | "model" | "interleave" if command.is_none() => {
+            "check" | "lint" | "model" if command.is_none() => {
                 command = Some(arg.clone());
             }
             "--root" => match iter.next() {
@@ -94,7 +93,6 @@ fn main() -> ExitCode {
         }
     }
     let run_models: &[&str] = match command.as_str() {
-        "interleave" => &["reset-bus"],
         "check" | "model" => match &models {
             Some(list) => list,
             None => &MODEL_NAMES,
@@ -133,24 +131,6 @@ fn parse_models(name: &str) -> Result<Vec<&'static str>, String> {
 /// shipped protocol has a bad schedule *or* the twin goes uncaught.
 fn run_model(name: &str) -> bool {
     match name {
-        "reset-bus" => {
-            let config = InterleaveConfig::default();
-            let report = explore(&config);
-            if let Some(violation) = &report.violation {
-                println!("mvcom-lint: RESET-bus violation: {violation}");
-                return false;
-            }
-            println!(
-                "mvcom-lint: model reset-bus proven safe \
-                 ({} threads x {} resets, {} states)",
-                report.config_threads, report.config_rounds, report.states_explored
-            );
-            let twin = explore(&InterleaveConfig {
-                model: mvcom_lint::BusModel::SplitRmw,
-                ..config
-            });
-            twin_caught("reset-bus", "split-rmw", twin.violation.as_ref())
-        }
         "merge" => {
             let config = merge::MergeConfig::default();
             let result = merge::explore(&config);
@@ -233,17 +213,16 @@ const HELP: &str = "\
 mvcom-lint: workspace-native static analysis for MVCom
 
 USAGE:
-    mvcom-lint <check|lint|model|interleave> [OPTIONS]
+    mvcom-lint <check|lint|model> [OPTIONS]
 
 SUBCOMMANDS:
     check       lints (token + parallel-region rules) + interleaving proofs
     lint        lints only
     model       interleaving proofs only (each model + its broken twin)
-    interleave  RESET-bus proof only (back-compat alias for --model reset-bus)
 
 OPTIONS:
     --root PATH   workspace root to scan (default: the enclosing checkout)
     --rules LIST  `all` (default) or comma list, e.g. C1,C2,C3,C4,W1,U1
-    --model NAME  `all` (default), `none`, reset-bus, merge, or deferred
+    --model NAME  `all` (default), `none`, merge, or deferred
     -h, --help    this help
 ";

@@ -8,6 +8,16 @@
 //! **the merged output order equals task-index order for every
 //! interleaving** — no matter which worker finishes which task when.
 //!
+//! `SeEngine::race_replicas` (`mvcom-core`) is the static-partition
+//! instance of the same protocol: replicas are split into contiguous
+//! chunks before the workers start instead of being claimed off a
+//! counter, each worker writes only the commit slots of its own chunk
+//! (disjoint `chunks_mut` borrows), and the serial merge replays the
+//! slots in replica order after the join. The two facts the proof below
+//! rests on — a slot's payload depends only on its index, and every slot
+//! is written exactly once before the index-order read — hold there by
+//! construction, so no separate model is kept for it.
+//!
 //! [`MergeModel::IndexedSlots`] is the shipped protocol. The model makes
 //! the design argument mechanical: a task's payload is a function of its
 //! index, a slot is written exactly once (per-step invariant), and the

@@ -1,7 +1,6 @@
 //! `lint::model` — a reusable interleaving-model DSL.
 //!
-//! PR 4 shipped a one-off exhaustive checker for the RESET bus; this
-//! module generalizes its engine so every parallel protocol in the
+//! One exhaustive-exploration engine so every parallel protocol in the
 //! workspace gets the same treatment. A [`Model`] is:
 //!
 //! * a **state** type `S` (anything `Clone + Ord`; `Ord` feeds the memo
@@ -21,9 +20,8 @@
 //! spaces here in milliseconds. A violation comes back with the exact
 //! schedule (thread id per step) that reaches it.
 //!
-//! Three models ship on this engine:
+//! Two models ship on this engine:
 //!
-//! * the RESET bus ([`crate::interleave`], ported unchanged),
 //! * the `run_tasks` partition/merge protocol ([`merge`]),
 //! * the `Obs` deferred replay buffer ([`deferred`]).
 //!

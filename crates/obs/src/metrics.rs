@@ -3,7 +3,7 @@
 //!
 //! Naming convention (checked by a test here and documented in
 //! OBSERVABILITY.md): `area.noun` or `area.noun_unit`, all lowercase,
-//! e.g. `se.resets_broadcast`, `epoch.final_latency_s`, `chaos.dropped`.
+//! e.g. `se.improvements`, `epoch.final_latency_s`, `chaos.dropped`.
 //!
 //! The registry is shared behind the [`Obs`](crate::Obs) handle; updates
 //! take one uncontended `Mutex` acquisition and a `BTreeMap` probe — cheap
@@ -312,9 +312,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_read_back() {
         let m = MetricsRegistry::new();
-        m.incr("se.resets_broadcast");
-        m.add("se.resets_broadcast", 4);
-        assert_eq!(m.counter("se.resets_broadcast"), 5);
+        m.incr("se.improvements");
+        m.add("se.improvements", 4);
+        assert_eq!(m.counter("se.improvements"), 5);
         assert_eq!(m.counter("never.touched"), 0);
     }
 

@@ -55,28 +55,12 @@ pub struct FieldSpec {
     pub name: &'static str,
     /// Wire type.
     pub ty: FieldType,
-    /// `false` for fields that may be omitted.
-    pub required: bool,
     /// Unit or domain, for the schema document ("s", "iterations", …).
     pub unit: &'static str,
 }
 
 const fn req(name: &'static str, ty: FieldType, unit: &'static str) -> FieldSpec {
-    FieldSpec {
-        name,
-        ty,
-        required: true,
-        unit,
-    }
-}
-
-const fn opt(name: &'static str, ty: FieldType, unit: &'static str) -> FieldSpec {
-    FieldSpec {
-        name,
-        ty,
-        required: false,
-        unit,
-    }
+    FieldSpec { name, ty, unit }
 }
 
 /// One documented event kind.
@@ -174,13 +158,13 @@ pub const KINDS: &[KindSpec] = &[
     KindSpec {
         kind: "se_chain_point",
         level: ObsLevel::Events,
-        clock: "virtual seconds (engine) / round (lockstep)",
-        site: "mvcom-core::se::{engine,parallel}",
+        clock: "virtual seconds",
+        site: "mvcom-core::se::engine",
         fields: &[
             req("replica", U64, "replica index g"),
             req("chain", U64, "chain index within the replica"),
             req("card", U64, "chain cardinality n"),
-            req("iter", U64, "iteration/round"),
+            req("iter", U64, "iteration"),
             req("utility", F64, "U_{f_n} of the chain's current solution"),
         ],
         open: false,
@@ -188,12 +172,12 @@ pub const KINDS: &[KindSpec] = &[
     KindSpec {
         kind: "se_propose",
         level: ObsLevel::Trace,
-        clock: "virtual seconds (engine) / round (lockstep)",
-        site: "mvcom-core::se::{engine,parallel}",
+        clock: "virtual seconds",
+        site: "mvcom-core::se::engine",
         fields: &[
             req("replica", U64, "replica index"),
             req("chain", U64, "chain index"),
-            req("iter", U64, "iteration/round"),
+            req("iter", U64, "iteration"),
             req("out", U64, "shard index leaving the solution (ĩ)"),
             req("inc", U64, "shard index entering the solution (ï)"),
             req("delta", F64, "utility change U_f' − U_f"),
@@ -204,12 +188,12 @@ pub const KINDS: &[KindSpec] = &[
     KindSpec {
         kind: "se_commit",
         level: ObsLevel::Trace,
-        clock: "virtual seconds (engine) / round (lockstep)",
-        site: "mvcom-core::se::{engine,parallel}",
+        clock: "virtual seconds",
+        site: "mvcom-core::se::engine",
         fields: &[
             req("replica", U64, "replica index"),
             req("chain", U64, "chain index"),
-            req("iter", U64, "iteration/round"),
+            req("iter", U64, "iteration"),
             req("utility", F64, "chain utility after the committed swap"),
         ],
         open: false,
@@ -217,22 +201,21 @@ pub const KINDS: &[KindSpec] = &[
     KindSpec {
         kind: "se_improve",
         level: ObsLevel::Events,
-        clock: "virtual seconds (engine) / round (lockstep)",
-        site: "mvcom-core::se::{engine,parallel}",
+        clock: "virtual seconds",
+        site: "mvcom-core::se::engine",
         fields: &[
-            req("iter", U64, "iteration/round of the improvement"),
+            req("iter", U64, "iteration of the improvement"),
             req("utility", F64, "new best-so-far utility"),
-            opt("replica", U64, "publishing replica (lockstep only)"),
         ],
         open: false,
     },
     KindSpec {
         kind: "se_converged",
         level: ObsLevel::Events,
-        clock: "virtual seconds (engine) / round (lockstep)",
-        site: "mvcom-core::se::{engine,parallel}",
+        clock: "virtual seconds",
+        site: "mvcom-core::se::engine",
         fields: &[
-            req("iter", U64, "iteration/round at convergence"),
+            req("iter", U64, "iteration at convergence"),
             req("best", F64, "best feasible utility at convergence"),
             req("converged", Bool, "false when the iteration budget ran out"),
         ],
@@ -273,47 +256,6 @@ pub const KINDS: &[KindSpec] = &[
             req("version", U64, "checkpoint version stamp"),
             req("iter", U64, "iteration resumed from"),
             req("chains", U64, "chains rebuilt from the snapshot"),
-        ],
-        open: false,
-    },
-    // ---- RESET bus (clock: lockstep round index) ----------------------
-    KindSpec {
-        kind: "reset_publish",
-        level: ObsLevel::Events,
-        clock: "round",
-        site: "mvcom-core::se::parallel (lockstep)",
-        fields: &[
-            req("version", U64, "bus version after the broadcast"),
-            req("replica", U64, "broadcasting replica"),
-            req("iter", U64, "round"),
-        ],
-        open: false,
-    },
-    KindSpec {
-        kind: "reset_apply",
-        level: ObsLevel::Events,
-        clock: "round",
-        site: "mvcom-core::se::parallel (lockstep)",
-        fields: &[
-            req("version", U64, "bus version adopted"),
-            req("replica", U64, "applying replica"),
-            req("iter", U64, "round"),
-        ],
-        open: false,
-    },
-    KindSpec {
-        kind: "reset_stale",
-        level: ObsLevel::Events,
-        clock: "round",
-        site: "mvcom-core::se::parallel (lockstep)",
-        fields: &[
-            req(
-                "version",
-                U64,
-                "superseded version the signal was stamped against",
-            ),
-            req("replica", U64, "replica whose broadcast lost the race"),
-            req("iter", U64, "round"),
         ],
         open: false,
     },
@@ -693,7 +635,7 @@ pub fn spec(kind: &str) -> Option<&'static KindSpec> {
 pub enum SchemaError {
     /// The event kind is not registered.
     UnknownKind(String),
-    /// A required field is absent.
+    /// A declared field is absent.
     MissingField(&'static str),
     /// A field is present with the wrong wire type.
     WrongType(&'static str),
@@ -705,7 +647,7 @@ impl std::fmt::Display for SchemaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SchemaError::UnknownKind(k) => write!(f, "unknown event kind `{k}`"),
-            SchemaError::MissingField(n) => write!(f, "missing required field `{n}`"),
+            SchemaError::MissingField(n) => write!(f, "missing field `{n}`"),
             SchemaError::WrongType(n) => write!(f, "field `{n}` has the wrong type"),
             SchemaError::UndeclaredField(n) => write!(f, "undeclared field `{n}` on a closed kind"),
         }
@@ -727,8 +669,7 @@ pub fn validate(event: &Event) -> Result<(), SchemaError> {
                 return Err(SchemaError::WrongType(field.name));
             }
             Some(_) => {}
-            None if field.required => return Err(SchemaError::MissingField(field.name)),
-            None => {}
+            None => return Err(SchemaError::MissingField(field.name)),
         }
     }
     if !spec.open {
@@ -764,12 +705,12 @@ mod tests {
     #[test]
     fn validate_accepts_a_well_formed_event() {
         let ev = Event::new(
-            "reset_publish",
+            "se_checkpoint_save",
             3.0,
             &[
                 ("version", Value::U64(2)),
-                ("replica", Value::U64(0)),
                 ("iter", Value::U64(3)),
+                ("chains", Value::U64(8)),
             ],
         );
         assert_eq!(validate(&ev), Ok(()));
@@ -782,28 +723,25 @@ mod tests {
             validate(&unknown),
             Err(SchemaError::UnknownKind(_))
         ));
-        let missing = Event::new("reset_publish", 0.0, &[("version", Value::U64(1))]);
-        assert_eq!(
-            validate(&missing),
-            Err(SchemaError::MissingField("replica"))
-        );
+        let missing = Event::new("se_checkpoint_save", 0.0, &[("version", Value::U64(1))]);
+        assert_eq!(validate(&missing), Err(SchemaError::MissingField("iter")));
         let wrong = Event::new(
-            "reset_publish",
+            "se_checkpoint_save",
             0.0,
             &[
                 ("version", Value::F64(1.0)),
-                ("replica", Value::U64(0)),
                 ("iter", Value::U64(0)),
+                ("chains", Value::U64(0)),
             ],
         );
         assert_eq!(validate(&wrong), Err(SchemaError::WrongType("version")));
         let extra = Event::new(
-            "reset_publish",
+            "se_checkpoint_save",
             0.0,
             &[
                 ("version", Value::U64(1)),
-                ("replica", Value::U64(0)),
                 ("iter", Value::U64(0)),
+                ("chains", Value::U64(0)),
                 ("bogus", Value::U64(9)),
             ],
         );

@@ -4,7 +4,7 @@
 //! mvcom dataset generate [--blocks N] [--seed S] [--out FILE]
 //! mvcom dataset stats <FILE>                      # JSON or CSV trace
 //! mvcom solve    [--committees N] [--alpha A] [--capacity C]
-//!                [--n-min K] [--solver se|par-se|sa|dp|woa|greedy|bnb]
+//!                [--n-min K] [--solver se|sa|dp|woa|greedy|bnb]
 //!                [--seed S] [--trace FILE] [--threads T]
 //!                [--obs-out FILE] [--obs-level off|summary|events|trace]
 //! mvcom simulate [--nodes N] [--epochs E] [--seed S] [--scheduler se|all]
@@ -36,9 +36,8 @@
 //!
 //! `--obs-out FILE` streams the structured telemetry documented in
 //! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity
-//! (default `events`). With telemetry on, `--solver par-se` runs the
-//! deterministic lockstep emulation of the parallel runner, so the event
-//! file is byte-identical across same-seed runs.
+//! (default `events`). The event file is byte-identical across same-seed
+//! runs and across `--threads` values.
 
 #![forbid(unsafe_code)]
 use std::process::ExitCode;
@@ -78,7 +77,7 @@ fn print_usage() {
          mvcom dataset generate [--blocks N] [--seed S] [--out FILE]\n  \
          mvcom dataset stats <FILE>\n  \
          mvcom solve    [--committees N] [--alpha A] [--capacity C] [--n-min K]\n           \
-         [--solver se|par-se|sa|dp|woa|greedy|bnb] [--seed S] [--trace FILE]\n           \
+         [--solver se|sa|dp|woa|greedy|bnb] [--seed S] [--trace FILE]\n           \
          [--threads T] [--obs-out FILE] [--obs-level off|summary|events|trace]\n  \
          mvcom simulate [--nodes N] [--epochs E] [--seed S] [--scheduler se|all]\n           \
          [--threads T]\n           \
@@ -316,7 +315,6 @@ fn solve(args: &[String]) -> Result<()> {
 
     let obs = obs_from_flags(&flags, "mvcom solve", seed)?;
     let span = obs.span("solve", 0.0, &[("solver", Value::from(solver))]);
-    let mut resets: Option<ResetStats> = None;
     // The logical end of the run on the solver's iteration clock.
     let mut t_end = 0.0f64;
     let (name, solution): (String, Solution) = match solver {
@@ -336,21 +334,6 @@ fn solve(args: &[String]) -> Result<()> {
                 ],
             );
             ("SE".into(), outcome.best_solution)
-        }
-        "par-se" => {
-            let config = SeConfig::paper(seed);
-            let runner = ParallelRunner::new(config);
-            // With telemetry on, run the deterministic lockstep emulation
-            // so the event file replays byte-identically per seed; the
-            // threaded runner stays the fast path otherwise.
-            let (_, solution, stats) = if obs.enabled(ObsLevel::Summary) {
-                runner.run_lockstep(&instance, &obs)?
-            } else {
-                runner.run_with_stats(&instance)?
-            };
-            t_end = config.max_iterations as f64;
-            resets = Some(stats);
-            ("parallel SE".into(), solution)
         }
         "sa" => {
             let o = solve_observed(&SaSolver::new(SaConfig::paper(seed)), &instance, &obs)?;
@@ -393,12 +376,6 @@ fn solve(args: &[String]) -> Result<()> {
     println!("  cumulative age:   {:.1}s", metrics.cumulative_age);
     println!("  mean tx age:      {:.1}s", metrics.mean_tx_age_secs);
     println!("  epoch throughput: {:.2} TX/s", metrics.tps);
-    if let Some(r) = resets {
-        println!(
-            "  RESET signals:    {} broadcast, {} applied, {} ignored stale",
-            r.broadcast, r.applied, r.ignored_stale
-        );
-    }
     span.close(t_end);
     obs.flush_metrics(t_end);
     obs.flush();

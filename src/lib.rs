@@ -85,9 +85,7 @@ pub mod prelude {
     pub use mvcom_core::dynamics::{run_online, DynamicsPolicy, EventKind, TimedEvent};
     pub use mvcom_core::epoch_chain::{EpochCapacity, EpochChain, EpochChainConfig, EpochOutcome};
     pub use mvcom_core::problem::InstanceBuilder;
-    pub use mvcom_core::se::{
-        ParallelRunner, ResetStats, SeCheckpoint, SeConfig, SeEngine, SeOutcome,
-    };
+    pub use mvcom_core::se::{SeCheckpoint, SeConfig, SeEngine, SeOutcome};
     pub use mvcom_core::{DdlPolicy, Instance, Solution};
     pub use mvcom_dataset::{
         build_adversary, Adversary, AdversaryConfig, CommitteeReport, EpochGenerator, Freerider,
