@@ -8,10 +8,10 @@
 //! ```
 //!
 //! CSVs are written under `--out` (default `results/`); a summary with
-//! shape-check verdicts is printed per figure. `--threads N` (or the
-//! `MVCOM_THREADS` environment variable) fans each figure's independent
-//! sweep points across worker threads — outputs are byte-identical to the
-//! serial run at any thread count, only wall-clock changes.
+//! shape-check verdicts is printed per figure. `--threads N` fans each
+//! figure's independent sweep points across worker threads — outputs are
+//! byte-identical to the serial run at any thread count, only wall-clock
+//! changes.
 
 #![forbid(unsafe_code)]
 use std::path::PathBuf;
@@ -44,8 +44,8 @@ fn parse_args() -> Result<Args, String> {
                 let value = argv
                     .next()
                     .ok_or_else(|| "--threads needs a count".to_string())?;
-                let threads = mvcom_bench::harness::parse_threads(&value, "--threads")
-                    .map_err(|e| e.to_string())?;
+                let threads =
+                    mvcom_bench::harness::parse_threads(&value).map_err(|e| e.to_string())?;
                 mvcom_bench::harness::set_threads(threads);
             }
             "--out" => {
@@ -81,13 +81,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Surface a bad `MVCOM_THREADS` up front (with the offending value)
-    // instead of letting the first fan-out fail mid-run — or worse, the
-    // old behavior of silently running serial.
-    if let Err(e) = mvcom_bench::harness::threads() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
     if args.list || args.figures.is_empty() {
         println!("available figures: {}", ALL.join(" "));
         println!("usage: repro <figure…|all> [--quick] [--out DIR]");

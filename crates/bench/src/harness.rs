@@ -50,56 +50,35 @@ impl Scale {
     }
 }
 
-/// Worker-thread count for [`run_tasks`]. `0` means "not yet resolved":
-/// the first read falls back to `MVCOM_THREADS` (then 1).
-static THREADS: AtomicUsize = AtomicUsize::new(0);
+/// Worker-thread count for [`run_tasks`]; serial until [`set_threads`].
+static THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Parses a worker-thread count from `value` (a `--threads` argument or
-/// the `MVCOM_THREADS` environment variable, named by `origin`).
+/// Parses the value of a `--threads` argument.
 ///
 /// # Errors
 ///
 /// [`mvcom_types::Error::InvalidConfig`] when `value` is not an integer
 /// or is zero — both used to be accepted and silently degenerate to a
 /// serial run; callers must surface this instead.
-pub fn parse_threads(value: &str, origin: &str) -> Result<usize> {
+pub fn parse_threads(value: &str) -> Result<usize> {
     match value.trim().parse::<usize>() {
         Ok(t) if t >= 1 => Ok(t),
         Ok(_) => Err(mvcom_types::Error::invalid_config(
             "threads",
-            format!("{origin} must be >= 1, got `{value}` (use 1 for a serial run)"),
+            format!("--threads must be >= 1, got `{value}` (use 1 for a serial run)"),
         )),
         Err(_) => Err(mvcom_types::Error::invalid_config(
             "threads",
-            format!("{origin} must be an integer >= 1, got `{value}`"),
+            format!("--threads must be an integer >= 1, got `{value}`"),
         )),
-    }
-}
-
-/// Resolution of the stored override + environment to a thread count;
-/// pure so the validation is unit-testable without touching the process
-/// environment.
-fn resolve_threads(stored: usize, env: Option<&str>) -> Result<usize> {
-    match stored {
-        0 => env.map_or(Ok(1), |v| parse_threads(v, "MVCOM_THREADS")),
-        t => Ok(t),
     }
 }
 
 /// The number of worker threads figure experiments fan their independent
-/// points across. Defaults to the `MVCOM_THREADS` environment variable,
-/// or serial (1) when unset.
-///
-/// # Errors
-///
-/// [`mvcom_types::Error::InvalidConfig`] when `MVCOM_THREADS` is set but
-/// not an integer >= 1 (previously this silently fell back to a serial
-/// run, masking typos like `MVCOM_THREADS=four` or `=0`).
-pub fn threads() -> Result<usize> {
-    resolve_threads(
-        THREADS.load(Ordering::Relaxed),
-        std::env::var("MVCOM_THREADS").ok().as_deref(),
-    )
+/// points across: whatever [`set_threads`] stored last, serial (1) before
+/// that.
+pub fn threads() -> usize {
+    THREADS.load(Ordering::Relaxed)
 }
 
 /// Overrides the worker-thread count (the bench bins' `--threads` knob).
@@ -140,7 +119,7 @@ where
     T: Send,
     F: FnOnce() -> Result<T> + Send,
 {
-    let workers = threads()?.min(tasks.len());
+    let workers = threads().min(tasks.len());
     if workers <= 1 {
         return tasks.into_iter().map(|task| task()).collect();
     }
@@ -556,6 +535,25 @@ mod tests {
         assert!((800.0..1400.0).contains(&mean), "mean shard size {mean}");
     }
 
+    /// The one streamed-instance input of the sparse-vs-dense DP
+    /// differential: `mvcom-baselines`' `sparse_dp_differential.rs` stops
+    /// at |I| ≤ 500 on synthetic shards and has no trace dependency; this
+    /// is the |I| = 2000 point the retired scale bench asserted.
+    #[test]
+    fn sparse_and_dense_dp_agree_on_a_streamed_instance() {
+        use mvcom_baselines::SparseDpSolver;
+        let inst = streamed_instance(2_000, 2_000_000, 1.5, 31_100).unwrap();
+        assert_eq!(inst.len(), 2_000);
+        let dense = DpSolver::new(DpConfig::paper()).solve(&inst).unwrap();
+        let sparse = SparseDpSolver::new(DpConfig::paper()).solve(&inst).unwrap();
+        assert!(
+            (dense.best_utility - sparse.best_utility).abs() < 1e-6,
+            "dense {} vs sparse {}",
+            dense.best_utility,
+            sparse.best_utility
+        );
+    }
+
     #[test]
     fn csv_rendering() {
         let mut report = FigureReport::new("test");
@@ -683,29 +681,17 @@ mod tests {
 
     #[test]
     fn parse_threads_validates() {
-        assert_eq!(parse_threads("4", "--threads").unwrap(), 4);
-        assert_eq!(parse_threads(" 1 ", "--threads").unwrap(), 1);
-        let zero = parse_threads("0", "--threads").unwrap_err();
+        assert_eq!(parse_threads("4").unwrap(), 4);
+        assert_eq!(parse_threads(" 1 ").unwrap(), 1);
+        let zero = parse_threads("0").unwrap_err();
         assert!(zero.to_string().contains(">= 1"), "{zero}");
         assert!(zero.to_string().contains("--threads"), "{zero}");
-        let word = parse_threads("four", "MVCOM_THREADS").unwrap_err();
+        let word = parse_threads("four").unwrap_err();
         assert!(word.to_string().contains("integer"), "{word}");
-        assert!(word.to_string().contains("MVCOM_THREADS"), "{word}");
-        assert!(parse_threads("", "--threads").is_err());
-        assert!(parse_threads("-2", "--threads").is_err());
-        assert!(parse_threads("1.5", "--threads").is_err());
-    }
-
-    #[test]
-    fn resolve_threads_surfaces_invalid_env_instead_of_defaulting() {
-        // Explicit override wins without consulting the environment.
-        assert_eq!(resolve_threads(3, Some("garbage")).unwrap(), 3);
-        // Unset env defaults to serial.
-        assert_eq!(resolve_threads(0, None).unwrap(), 1);
-        assert_eq!(resolve_threads(0, Some("8")).unwrap(), 8);
-        // `MVCOM_THREADS=0` / non-numeric used to silently mean 1.
-        assert!(resolve_threads(0, Some("0")).is_err());
-        assert!(resolve_threads(0, Some("four")).is_err());
+        assert!(word.to_string().contains("--threads"), "{word}");
+        assert!(parse_threads("").is_err());
+        assert!(parse_threads("-2").is_err());
+        assert!(parse_threads("1.5").is_err());
     }
 
     #[test]

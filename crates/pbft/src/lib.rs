@@ -44,11 +44,9 @@
 // `mvcom-lint` and the workspace `clippy::unwrap_used` deny set instead.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod message;
-pub mod reference;
 pub mod replica;
 pub mod runner;
 
 pub use message::{Message, MessageKind};
-pub use reference::ReferenceReplica;
 pub use replica::{Behavior, Replica};
 pub use runner::{ConsensusResult, PbftConfig, PbftRunner};

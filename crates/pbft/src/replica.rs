@@ -6,8 +6,8 @@
 //! popcount — no hashing, no heap traffic — which matters because the
 //! simulation layer delivers O(n²) votes per consensus instance. Larger
 //! committees fall back to a word vector with identical semantics. The
-//! original hash-map implementation survives as
-//! [`ReferenceReplica`](crate::reference::ReferenceReplica), and
+//! original hash-map implementation survives outside the library as the
+//! test-only `ReferenceReplica` (`tests/support/reference.rs`), and
 //! `tests/bitmask_differential.rs` checks the two machines agree
 //! message-for-message on randomized schedules.
 

@@ -16,10 +16,16 @@
 
 #![allow(clippy::unwrap_used)]
 
-use mvcom_pbft::reference::ReferenceReplica;
+// The frozen reference exposes the whole pre-optimization replica API;
+// this suite only drives part of it.
+#[allow(dead_code)]
+#[path = "support/reference.rs"]
+mod reference;
+
 use mvcom_pbft::replica::{Behavior, Outbound, Replica, Target};
 use mvcom_pbft::{Message, MessageKind};
 use mvcom_types::Hash32;
+use reference::ReferenceReplica;
 
 /// Tiny deterministic generator (splitmix-style) so the test needs no RNG
 /// dependency and every failure is reproducible from the seed.

@@ -1,17 +1,14 @@
 //! The original hash-map based replica, kept as an executable spec.
 //!
-//! [`ReferenceReplica`] is the pre-optimization [`Replica`](crate::Replica)
+//! [`ReferenceReplica`] is the pre-optimization [`Replica`](mvcom_pbft::Replica)
 //! implementation, verbatim: quorum votes tracked in
 //! `HashMap<(view, digest), HashSet<from>>` and sent-guards in per-view
 //! `HashSet<u64>`s. The production state machine replaced those with
 //! fixed-width bitmask voter sets and monotone watermarks (see
-//! `DESIGN.md` §9); this copy stays behind so that
-//!
-//! * `tests/bitmask_differential.rs` can drive both machines with the same
-//!   randomized message schedules and assert output equality
-//!   message-for-message, and
-//! * the `epoch_sim` benchmark can measure the fast path against the exact
-//!   historical baseline without checking out an old commit.
+//! `DESIGN.md` §9); this copy stays behind, as a support module of
+//! `tests/bitmask_differential.rs` rather than of the shipped library, so
+//! that test can drive both machines with the same randomized message
+//! schedules and assert output equality message-for-message.
 //!
 //! Apart from the struct name, the code is intentionally identical to the
 //! pre-fast-path `replica.rs`; do not "improve" it — its value is being
@@ -21,12 +18,12 @@ use std::collections::{HashMap, HashSet};
 
 use mvcom_types::Hash32;
 
-use crate::message::{Message, MessageKind};
-use crate::replica::{Behavior, Outbound, Target};
+use mvcom_pbft::message::{Message, MessageKind};
+use mvcom_pbft::replica::{Behavior, Outbound, Target};
 
 /// The pre-optimization PBFT replica (see the module docs).
 ///
-/// Same quorum rules as [`Replica`](crate::Replica): *prepared* after a
+/// Same quorum rules as [`Replica`](mvcom_pbft::Replica): *prepared* after a
 /// valid pre-prepare plus `2f` matching prepares, *committed* after `2f+1`
 /// matching commits.
 #[derive(Debug, Clone)]

@@ -47,7 +47,16 @@ use mvcom::prelude::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let wants_help = args.iter().any(|a| a == "--help" || a == "-h");
     let result = match args.first().map(String::as_str) {
+        Some("daemon") if wants_help => {
+            print!("{}", daemon_usage());
+            Ok(())
+        }
+        Some("dataset" | "solve" | "schedule" | "simulate") if wants_help => {
+            print_usage();
+            Ok(())
+        }
         Some("dataset") => dataset(&args[1..]),
         Some("solve" | "schedule") => solve(&args[1..]),
         Some("simulate") => simulate(&args[1..]),
@@ -145,6 +154,40 @@ fn obs_from_flags(flags: &Flags, tool: &str, seed: u64) -> Result<Obs> {
     Ok(obs)
 }
 
+/// Flags `mvcom dataset generate` declares (`dataset stats` declares none).
+const DATASET_GENERATE_FLAGS: &[&str] = &["blocks", "seed", "out"];
+
+/// Flags `mvcom solve` declares.
+const SOLVE_FLAGS: &[&str] = &[
+    "committees",
+    "alpha",
+    "capacity",
+    "n-min",
+    "solver",
+    "seed",
+    "trace",
+    "threads",
+    "obs-out",
+    "obs-level",
+];
+
+/// Flags `mvcom simulate` declares.
+const SIMULATE_FLAGS: &[&str] = &[
+    "nodes",
+    "epochs",
+    "seed",
+    "scheduler",
+    "threads",
+    "chaos-drop",
+    "crash",
+    "heartbeat",
+    "adv-fraction",
+    "adv-strategy",
+    "defense",
+    "obs-out",
+    "obs-level",
+];
+
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
 struct Flags {
     pairs: Vec<(String, String)>,
@@ -152,12 +195,20 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags> {
+    /// Parses `args` for `subcommand`, rejecting any `--key` outside
+    /// `declared` — a typo'd flag must fail, not fall back to a default.
+    fn parse(subcommand: &str, declared: &[&str], args: &[String]) -> Result<Flags> {
         let mut pairs = Vec::new();
         let mut positional = Vec::new();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
+                if !declared.contains(&key) {
+                    return Err(Error::invalid_config(
+                        "flags",
+                        format!("unknown flag `--{key}` for `mvcom {subcommand}`"),
+                    ));
+                }
                 let value = iter.next().ok_or_else(|| {
                     Error::invalid_config("flags", format!("--{key} needs a value"))
                 })?;
@@ -228,9 +279,10 @@ fn load_trace(flags: &Flags, default_seed: u64) -> Result<Trace> {
 }
 
 fn dataset(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args.get(1..).unwrap_or(&[]))?;
+    let rest = args.get(1..).unwrap_or(&[]);
     match args.first().map(String::as_str) {
         Some("generate") => {
+            let flags = Flags::parse("dataset generate", DATASET_GENERATE_FLAGS, rest)?;
             let blocks: usize = flags.num("blocks", 1378usize)?;
             let seed: u64 = flags.num("seed", 2016u64)?;
             let trace = Trace::generate(TraceConfig::tiny(blocks), seed);
@@ -251,6 +303,7 @@ fn dataset(args: &[String]) -> Result<()> {
             Ok(())
         }
         Some("stats") => {
+            let flags = Flags::parse("dataset stats", &[], rest)?;
             let path = flags.positional.first().ok_or_else(|| {
                 Error::invalid_config("dataset stats", "needs a trace file argument")
             })?;
@@ -286,7 +339,7 @@ fn dataset(args: &[String]) -> Result<()> {
 
 fn solve(args: &[String]) -> Result<()> {
     use mvcom::baselines::{dp::DpConfig, sa::SaConfig, solve_observed, woa::WoaConfig};
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("solve", SOLVE_FLAGS, args)?;
     let committees: usize = flags.num("committees", 50usize)?;
     let alpha: f64 = flags.num("alpha", 1.5f64)?;
     let seed: u64 = flags.num("seed", 0u64)?;
@@ -414,7 +467,7 @@ fn parse_crash(raw: &str) -> Result<CrashEvent> {
 }
 
 fn simulate(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse("simulate", SIMULATE_FLAGS, args)?;
     let nodes: u32 = flags.num("nodes", 240u32)?;
     let epochs: usize = flags.num("epochs", 3usize)?;
     let seed: u64 = flags.num("seed", 0u64)?;
@@ -658,11 +711,11 @@ fn daemon(args: &[String]) -> Result<()> {
         SeededSource, Startup,
     };
 
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", daemon_usage());
-        return Ok(());
-    }
-    let flags = Flags::parse(args)?;
+    let declared: Vec<&str> = mvcom::daemon::DAEMON_FLAGS
+        .iter()
+        .map(|spec| spec.flag.trim_start_matches("--"))
+        .collect();
+    let flags = Flags::parse("daemon", &declared, args)?;
     let config = DaemonConfig {
         seed: flags.num("seed", 7)?,
         population: flags.num("committees", 96)?,
