@@ -5,8 +5,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
-
 use mvcom_baselines::{dp::DpConfig, sa::SaConfig, woa::WoaConfig};
 use mvcom_baselines::{DpSolver, SaSolver, Solver, WoaSolver};
 use mvcom_core::problem::InstanceBuilder;
@@ -99,58 +97,23 @@ pub fn set_threads(threads: usize) {
 /// Runs independent closures across [`threads`] worker threads and
 /// returns their results **in task order**.
 ///
-/// This is the deterministic fan-out primitive behind the figure
-/// experiments: each task owns its own seeds (the experiments derive them
-/// from the task's parameter point, never from execution order), workers
-/// claim tasks dynamically off a shared counter, and results are written
-/// into per-task slots — so the merged output is byte-identical to the
-/// serial run at any thread count, only wall-clock changes. Same
-/// `crossbeam::scope` pattern as `mvcom_core::se::parallel`.
-///
-/// With one thread (the default) the tasks run inline on the caller's
-/// thread with no synchronization at all.
+/// The figure experiments' face of [`mvcom_simnet::ordered_map`] (the
+/// workspace's one fan-out): each task owns its own seeds (the
+/// experiments derive them from the task's parameter point, never from
+/// execution order), so the merged output is byte-identical to the
+/// serial run at any thread count, only wall-clock changes. With one
+/// thread (the default) the tasks run inline on the caller's thread.
 ///
 /// # Errors
 ///
-/// Returns the first failing task's error (in task order), or
-/// [`mvcom_types::Error::Simulation`] if a worker thread panicked.
+/// Returns the first failing task's error (in task order).
 pub fn run_tasks<T, F>(tasks: Vec<F>) -> Result<Vec<T>>
 where
     T: Send,
     F: FnOnce() -> Result<T> + Send,
 {
-    let workers = threads().min(tasks.len());
-    if workers <= 1 {
-        return tasks.into_iter().map(|task| task()).collect();
-    }
-    let total = tasks.len();
-    let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<Result<T>>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                // lint: allow(C3, the claim only needs fetch_add atomicity — which index a worker draws never affects the output, only the per-index slots do)
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= total {
-                    break;
-                }
-                let task = slots[index].lock().take();
-                if let Some(task) = task {
-                    // lint: allow(C3, the slot guard above is dropped before this one is taken and the two vectors protect disjoint per-index cells)
-                    *results[index].lock() = Some(task());
-                }
-            });
-        }
-    })
-    .map_err(|_| mvcom_types::Error::simulation("experiment worker thread panicked"))?;
-    results
+    mvcom_simnet::ordered_map(threads(), tasks, |task| task())
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                // lint: allow(P1, every index below `total` was claimed exactly once)
-                .expect("task slot filled")
-        })
         .collect()
 }
 

@@ -220,16 +220,6 @@ impl Chain {
             "incremental utility drifted from recomputation"
         );
     }
-
-    /// Recomputes the cached utility from scratch and rebuilds the eval
-    /// cache — required after the instance itself changed (join/leave
-    /// alters the deadline, the latency ranks, and with them every age
-    /// term).
-    pub fn refresh_utility(&mut self, instance: &Instance) {
-        self.utility = instance.utility(&self.solution);
-        self.cache = EvalCache::new(instance, &self.solution);
-        self.ln_pool = Self::ln_pool(instance.len(), self.solution.selected_count());
-    }
 }
 
 #[cfg(test)]
@@ -438,9 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn refresh_utility_tracks_instance_changes() {
+    fn from_solution_tracks_instance_changes() {
         let inst = instance(10, 10_000);
-        let mut chain = Chain::from_solution(&inst, Solution::from_indices(10, [0, 1, 2], &inst));
+        let chain = Chain::from_solution(&inst, Solution::from_indices(10, [0, 1, 2], &inst));
         let grown = inst
             .with_joined(ShardInfo::new(
                 CommitteeId(99),
@@ -449,10 +439,9 @@ mod tests {
             ))
             .unwrap();
         // The new straggler pushes the DDL out; ages of selected shards grow
-        // and utility must drop once recomputed over the grown instance.
-        let mut moved = Chain::from_solution(&grown, Solution::from_indices(11, [0, 1, 2], &grown));
-        moved.refresh_utility(&grown);
-        chain.refresh_utility(&inst);
+        // and the same selection, wrapped over the grown instance (what a
+        // join's warm start does), must come out with a lower utility.
+        let moved = Chain::from_solution(&grown, Solution::from_indices(11, [0, 1, 2], &grown));
         assert!(moved.utility() < chain.utility());
     }
 }

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use mvcom_obs::{Obs, ObsLevel, Value};
+use mvcom_simnet::ordered_map;
 use mvcom_types::{Error, Result, ShardInfo};
 
 use crate::dynamics::DynamicsPolicy;
@@ -175,10 +176,10 @@ impl SeEngine {
     }
 
     /// Sets the worker count for the replica fan-out in
-    /// [`SeEngine::step`] (clamped to ≥ 1). Replicas are partitioned
-    /// across scoped workers in contiguous chunks and their commits are
-    /// merged in replica order, so the output is byte-identical to the
-    /// serial run at any count — this knob only trades wall clock.
+    /// [`SeEngine::step`] (clamped to ≥ 1). Replicas race on
+    /// [`ordered_map`] workers and their commits are merged in replica
+    /// order, so the output is byte-identical to the serial run at any
+    /// count — this knob only trades wall clock.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> SeEngine {
         self.threads = threads.max(1);
@@ -430,40 +431,18 @@ impl SeEngine {
     }
 
     /// Phase 1 of [`SeEngine::step`]: every chain of every replica races
-    /// its timers and commits the winning proposal, partitioned across
-    /// [`SeEngine::with_threads`] workers in contiguous replica chunks
-    /// (the seed-per-task, index-order-merge idiom of the experiment
-    /// harness). Workers write into disjoint per-replica output slots and
-    /// never touch telemetry or engine-level state, so the merge phase
-    /// observes identical commit sequences at any thread count.
+    /// its timers and commits the winning proposal, one replica per item
+    /// of [`ordered_map`] across [`SeEngine::with_threads`] workers.
+    /// [`race_replica`] touches only its replica — never telemetry or
+    /// engine-level state — and the commits come back in replica order,
+    /// so the merge phase observes identical commit sequences at any
+    /// thread count.
     fn race_replicas(&mut self) -> Vec<Vec<ChainCommit>> {
-        let mut commits: Vec<Vec<ChainCommit>> = self.replicas.iter().map(|_| Vec::new()).collect();
-        let instance = &self.instance;
-        let config = &self.config;
-        let workers = self.threads.min(self.replicas.len()).max(1);
-        if workers <= 1 {
-            for (replica, out) in self.replicas.iter_mut().zip(commits.iter_mut()) {
-                *out = race_replica(replica, instance, config);
-            }
-            return commits;
-        }
-        let chunk = self.replicas.len().div_ceil(workers);
-        crossbeam::scope(|s| {
-            for (reps, outs) in self
-                .replicas
-                .chunks_mut(chunk)
-                .zip(commits.chunks_mut(chunk))
-            {
-                s.spawn(move |_| {
-                    for (replica, out) in reps.iter_mut().zip(outs.iter_mut()) {
-                        *out = race_replica(replica, instance, config);
-                    }
-                });
-            }
-        })
-        // lint: allow(P1, a worker panic is already a bug; propagating it beats deadlocking the merge)
-        .expect("SE race worker panicked");
-        commits
+        ordered_map(
+            self.threads,
+            self.replicas.iter_mut().collect(),
+            |replica| race_replica(replica, &self.instance, &self.config),
+        )
     }
 
     /// `true` once the convergence window has elapsed without improvement.
@@ -604,12 +583,9 @@ impl SeEngine {
         // shard indices and deadline); restart the tracker.
         self.best_utility = f64::NEG_INFINITY;
         self.best_solution = Solution::empty(self.instance.len());
+        // `build_replicas` constructs every chain against the new
+        // `self.instance`, so utilities and eval caches are already fresh.
         self.build_replicas(warm)?;
-        for replica in &mut self.replicas {
-            for chain in &mut replica.chains {
-                chain.refresh_utility(&self.instance);
-            }
-        }
         self.seed_best();
         self.last_improvement = self.iteration;
         self.record_point();
@@ -764,7 +740,7 @@ struct ChainCommit {
 /// Races and commits every chain of one replica. Touches only
 /// replica-local state (the replica's chains and its own RNG stream) —
 /// no telemetry, no engine fields — which is what makes the fan-out in
-/// [`SeEngine::step`] safe to run from scoped workers.
+/// [`SeEngine::step`] safe to run from [`ordered_map`] workers.
 fn race_replica(replica: &mut Replica, instance: &Instance, config: &SeConfig) -> Vec<ChainCommit> {
     let mut commits = Vec::new();
     for c_idx in 0..replica.chains.len() {

@@ -1,8 +1,5 @@
 //! The five-stage Elastico epoch runner.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -10,7 +7,7 @@ use mvcom_dataset::{Adversary, CommitteeReport, ShardSampler, Trace, TraceConfig
 use mvcom_obs::{Event, Obs, Value};
 use mvcom_pbft::runner::{PbftConfig, PbftRunner};
 use mvcom_pbft::ConsensusResult;
-use mvcom_simnet::{rng, LatencyModel, Network, NetworkConfig, SimRng};
+use mvcom_simnet::{ordered_map, rng, LatencyModel, Network, NetworkConfig, SimRng};
 use mvcom_types::{
     CommitteeId, EpochId, Error, Hash32, Result, ShardInfo, SimTime, TwoPhaseLatency,
 };
@@ -279,58 +276,6 @@ fn execute_pbft(config: &ElasticoConfig, task: PbftTask, obs: Obs) -> Result<Con
         .run(task.digest)
 }
 
-/// Runs stage-3 tasks across up to `threads` workers (inline when 1),
-/// each on a deferred telemetry handle; returns the outcomes in task
-/// order. A worker panic is resumed on the caller's thread, matching the
-/// serial loop's behaviour.
-fn run_pbft_pool(
-    config: &ElasticoConfig,
-    obs: &Obs,
-    tasks: Vec<PbftTask>,
-    threads: usize,
-) -> Vec<PbftOutcome> {
-    let run_one = |task: PbftTask| -> PbftOutcome {
-        let (worker_obs, capture) = obs.deferred();
-        let result = execute_pbft(config, task, worker_obs);
-        (result, capture.take())
-    };
-    let workers = threads.min(tasks.len());
-    if workers <= 1 {
-        return tasks.into_iter().map(run_one).collect();
-    }
-    let queue: Vec<Mutex<Option<PbftTask>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<PbftOutcome>>> = queue.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let joined = crossbeam::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                // lint: allow(C3, the claim only needs fetch_add atomicity — task seeds derive from the index, so which worker draws it never shows in the output)
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queue.len() {
-                    break;
-                }
-                let Some(task) = queue[i].lock().take() else {
-                    break;
-                };
-                // lint: allow(C3, the queue guard above is dropped before this one is taken and the two vectors protect disjoint per-index cells)
-                *slots[i].lock() = Some(run_one(task));
-            });
-        }
-    });
-    if let Err(payload) = joined {
-        std::panic::resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                // lint: allow(P1, every slot is filled once the scope joins without a panic)
-                .expect("joined stage-3 worker filled its slot")
-        })
-        .collect()
-}
-
 impl ElasticoSim {
     /// Builds the simulator, generating the transaction trace from the
     /// configuration.
@@ -367,26 +312,12 @@ impl ElasticoSim {
     /// When `threads` is 0; pass 1 for a serial run.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> ElasticoSim {
-        self.set_threads(threads);
-        self
-    }
-
-    /// See [`ElasticoSim::with_threads`].
-    ///
-    /// # Panics
-    ///
-    /// When `threads` is 0; pass 1 for a serial run.
-    pub fn set_threads(&mut self, threads: usize) {
         assert!(
             threads >= 1,
-            "set_threads precondition: threads must be >= 1, got 0 (use 1 for a serial run)"
+            "with_threads precondition: threads must be >= 1, got 0 (use 1 for a serial run)"
         );
         self.threads = threads;
-    }
-
-    /// The stage-3 worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        self
     }
 
     /// Attaches a telemetry handle: every subsequent epoch emits the
@@ -570,12 +501,12 @@ impl ElasticoSim {
 
         // Stage 3: intra-committee PBFT per committee. Committees are
         // independent between the formation barrier and the final
-        // consensus, so they fan out across `self.threads` workers. The
-        // determinism contract: per-committee RNG pairs are forked here,
-        // serially, in committee order — exactly the draw order of the
-        // serial loop — and each worker's telemetry lands on a deferred
-        // handle replayed in committee index order after the join, so the
-        // epoch is byte-identical at any thread count.
+        // consensus, so they fan out across `self.threads` `ordered_map`
+        // workers. The determinism contract: per-committee RNG pairs are
+        // forked here, serially, in committee order — exactly the draw
+        // order of the serial loop — and each worker's telemetry lands on
+        // a deferred handle replayed in committee index order after the
+        // join, so the epoch is byte-identical at any thread count.
         let mut tasks = Vec::with_capacity(formed.len());
         for (committee, txs) in formed.iter().zip(&tx_counts) {
             self.scratch.digest_bytes.clear();
@@ -601,7 +532,11 @@ impl ElasticoSim {
                 run_rng,
             });
         }
-        let outcomes = run_pbft_pool(&self.config, &self.obs, tasks, self.threads);
+        let outcomes: Vec<PbftOutcome> = ordered_map(self.threads, tasks, |task| {
+            let (worker_obs, capture) = self.obs.deferred();
+            let result = execute_pbft(&self.config, task, worker_obs);
+            (result, capture.take())
+        });
         let mut shards = Vec::with_capacity(formed.len());
         let mut consensus = Vec::with_capacity(formed.len());
         for ((committee, txs), (result, events)) in formed.iter().zip(&tx_counts).zip(outcomes) {
@@ -1002,7 +937,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "set_threads precondition")]
+    #[should_panic(expected = "with_threads precondition")]
     fn with_threads_rejects_zero() {
         let _ = ElasticoSim::new(ElasticoConfig::small_test(), 1)
             .unwrap()

@@ -3,20 +3,22 @@
 //! region** — every function or closure that can execute on a worker
 //! thread.
 //!
-//! The workspace has exactly one sanctioned fan-out idiom (three
-//! instances of it: `mvcom_core::se::SeEngine::race_replicas`, elastico's
-//! stage-3 committee pool, and `mvcom_bench::harness::run_tasks`): tasks
-//! are claimed off a shared counter — or, for the SE replicas, split into
-//! contiguous chunks up front — and results land in per-task slots. The
-//! C-rules only make sense *inside* that region — `Ordering::Relaxed` on
-//! a caller-side cached value is fine, the same token inside a spawned
-//! closure needs a justification. So the region is computed, not guessed:
+//! The workspace has exactly one fan-out implementation,
+//! `mvcom_simnet::fanout::ordered_map` (the SE replica race, elastico's
+//! stage-3 committee pool and `mvcom_bench::harness::run_tasks` all call
+//! it): workers claim `(index, item)` pairs off one shared queue and
+//! results land in per-index slots. The C-rules only make sense *inside*
+//! that region — `Ordering::Relaxed` on a caller-side cached value is
+//! fine, the same token inside a spawned closure needs a justification.
+//! So the region is computed, not guessed:
 //!
 //! 1. **Roots.** Closure literals appearing (lexically) inside the
-//!    argument list of a `spawn(…)` call or a `run_tasks(…)` call. When a
-//!    function calls `run_tasks(tasks)` with a pre-built vector (the
-//!    figure-experiment idiom), every closure literal in that function
-//!    becomes a root — an over-approximation that errs toward checking.
+//!    argument list of a `spawn(…)`, `ordered_map(…)` or `run_tasks(…)`
+//!    call — the primitive's own workers, and what each crate hands it.
+//!    When a function calls `run_tasks(tasks)` with a pre-built vector
+//!    (the figure-experiment idiom), every closure literal in that
+//!    function becomes a root — an over-approximation that errs toward
+//!    checking.
 //! 2. **Reachability.** From each root, called names are resolved
 //!    *within the crate*: direct calls (`execute_pbft(…)`) to every
 //!    same-name `fn`, calls to `let`-bound closures in the same file, and
@@ -64,6 +66,11 @@ const AMBIENT_METHODS: [&str; 24] = [
     "lock",
     "to_string",
 ];
+
+/// Call names whose closure arguments run on worker threads: the
+/// primitive's own `spawn`, the primitive, and the figure harness's
+/// name for it.
+const FAN_OUT_CALLS: [&str; 3] = ["spawn", "ordered_map", "run_tasks"];
 
 /// Keywords that look like `ident(…)` call sites but are not calls.
 const CALL_KEYWORDS: [&str; 9] = [
@@ -130,7 +137,7 @@ pub struct FileInput<'a> {
 /// Test code — whole `tests/`/`benches/`/`examples/` files and
 /// `#[cfg(test)]` regions — contributes nothing to the graph: a test
 /// *exercises* the parallel region (often at several thread counts, via
-/// direct `set_threads`/`run_tasks` calls), its closures do not run
+/// direct `ordered_map`/`run_tasks` calls), its closures do not run
 /// inside it, and rooting them would flood the partitioner itself into
 /// the region through the test's own driver calls.
 pub fn parallel_units(files: &[FileInput]) -> Vec<Unit> {
@@ -149,8 +156,8 @@ pub fn parallel_units(files: &[FileInput]) -> Vec<Unit> {
         .map(|c| ((c.file, c.body.0, c.body.1), c.params))
         .collect();
 
-    // Roots: closures inside spawn(...) / run_tasks(...) argument lists,
-    // plus (fallback) every closure of a fn that calls run_tasks with a
+    // Roots: closures inside the argument list of a fan-out call, plus
+    // (fallback) every closure of a fn that calls run_tasks with a
     // pre-built task vector.
     let mut roots: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
     for (fi, file) in files.iter().enumerate() {
@@ -160,7 +167,7 @@ pub fn parallel_units(files: &[FileInput]) -> Vec<Unit> {
         let toks = &file.lexed.tokens;
         for i in 0..toks.len() {
             let t = &toks[i];
-            if t.kind != TokKind::Ident || (t.text != "spawn" && t.text != "run_tasks") {
+            if t.kind != TokKind::Ident || !FAN_OUT_CALLS.contains(&t.text.as_str()) {
                 continue;
             }
             if toks.get(i + 1).is_none_or(|n| n.text != "(") {
@@ -502,8 +509,8 @@ fn helper() { shared_step(); }
 fn shared_step() {}
 fn caller_only() {}
 fn fan_out() {
-    crossbeam::scope(|s| {
-        s.spawn(|_| worker_body());
+    std::thread::scope(|s| {
+        s.spawn(|| worker_body());
     });
     caller_only();
 }
@@ -523,13 +530,37 @@ fn fan_out() {
     }
 
     #[test]
+    fn ordered_map_closure_and_called_fn_are_in_region() {
+        // What every threaded crate looks like since the pools became one
+        // primitive: no `spawn` in sight, the closure handed to
+        // `ordered_map` is the root.
+        let src = "\
+fn race_replica(r: &mut Replica) -> u32 { r.step() }
+fn merge_serially() {}
+fn race_replicas(engine: &mut Engine) {
+    let commits = ordered_map(engine.threads, engine.replicas.iter_mut().collect(), |r| {
+        race_replica(r)
+    });
+    merge_serially();
+}
+";
+        let units = units_of(src);
+        let covered = lines(src, &units);
+        assert!(covered.contains(&1), "race_replica: {covered:?}");
+        assert!(covered.contains(&5), "the closure body: {covered:?}");
+        assert!(!covered.contains(&2), "the serial merge: {covered:?}");
+        assert!(!covered.contains(&7), "the serial tail: {covered:?}");
+        assert!(units.iter().any(|u| u.root && u.params.is_some()));
+    }
+
+    #[test]
     fn let_bound_closure_is_followed() {
         let src = "\
 fn leaf() {}
 fn pool() {
     let run_one = |task: u32| -> u32 { leaf(); task };
-    crossbeam::scope(|s| {
-        s.spawn(|_| run_one(1));
+    std::thread::scope(|s| {
+        s.spawn(|| run_one(1));
     });
 }
 ";
@@ -556,8 +587,8 @@ fn sweep() {
         let src = "\
 fn run(x: u64) -> u64 { x }
 fn fan_out(engine: &Engine) {
-    crossbeam::scope(|s| {
-        s.spawn(|_| engine.run());
+    std::thread::scope(|s| {
+        s.spawn(|| engine.run());
     });
 }
 ";
@@ -615,8 +646,8 @@ fn order_is_deterministic() {
         let src = "\
 fn helper() {}
 fn fan_out() {
-    crossbeam::scope(|s| {
-        s.spawn(move |_| helper());
+    std::thread::scope(|s| {
+        s.spawn(move || helper());
     });
 }
 ";

@@ -11,13 +11,13 @@
 //! * [`lexer`] — a small self-contained Rust lexer (tokens + comments);
 //! * [`callgraph`] — a per-crate fn→fn call graph over the token stream
 //!   that marks the *parallel region* (everything reachable from closures
-//!   handed to `spawn`/`run_tasks`);
+//!   handed to `spawn`/`ordered_map`/`run_tasks`);
 //! * [`rules`] — the D1/P1/F1/T1 token rules, the region-scoped C1–C4
 //!   concurrency rules, W1 stale-allow / U1 forbid-unsafe hygiene, and
 //!   the `// lint: allow(P1, reason)` annotation grammar;
 //! * [`model`] — a reusable interleaving-model DSL (states, atomic steps,
 //!   memoized exhaustive exploration, invariant closures) with two
-//!   models: the `run_tasks` partition/merge protocol and the `Obs`
+//!   models: the `ordered_map` claim/write protocol and the `Obs`
 //!   deferred replay buffer;
 //! * [`lint_workspace`] — walks every `.rs` file under `crates/`, `src/`,
 //!   `tests/`, and `examples/`, groups them per crate, and applies the

@@ -135,7 +135,7 @@ fn run_model(name: &str) -> bool {
             let config = merge::MergeConfig::default();
             let result = merge::explore(&config);
             if let Some(violation) = &result.violation {
-                println!("mvcom-lint: run_tasks merge violation: {violation}");
+                println!("mvcom-lint: ordered_map merge violation: {violation}");
                 return false;
             }
             println!(

@@ -1,22 +1,15 @@
-//! Interleaving model of the `run_tasks` partition/merge protocol.
+//! Interleaving model of the `ordered_map` claim/write protocol.
 //!
-//! `mvcom_bench::harness::run_tasks` fans a task vector across workers:
-//! each worker claims the next task index off a shared atomic counter,
-//! computes the task (seeded by its *index*, not its worker), and writes
-//! the result into the slot *of that index*. The merged output is read
-//! slot-by-slot in index order after the join. The determinism claim:
-//! **the merged output order equals task-index order for every
-//! interleaving** — no matter which worker finishes which task when.
-//!
-//! `SeEngine::race_replicas` (`mvcom-core`) is the static-partition
-//! instance of the same protocol: replicas are split into contiguous
-//! chunks before the workers start instead of being claimed off a
-//! counter, each worker writes only the commit slots of its own chunk
-//! (disjoint `chunks_mut` borrows), and the serial merge replays the
-//! slots in replica order after the join. The two facts the proof below
-//! rests on — a slot's payload depends only on its index, and every slot
-//! is written exactly once before the index-order read — hold there by
-//! construction, so no separate model is kept for it.
+//! `mvcom_simnet::fanout::ordered_map` is the workspace's one fan-out —
+//! the SE replica race, elastico's stage-3 committee pool and the figure
+//! harness's `run_tasks` all run it, so this proof covers every threaded
+//! path. Each worker claims the next `(index, item)` off a shared queue
+//! (one step: the queue's lock makes reading and advancing the position
+//! atomic), computes the item (seeded by its *index*, not its worker),
+//! and writes the result into the slot *of that index*. The merged output
+//! is read slot-by-slot in index order after the join. The determinism
+//! claim: **the merged output order equals item-index order for every
+//! interleaving** — no matter which worker finishes which item when.
 //!
 //! [`MergeModel::IndexedSlots`] is the shipped protocol. The model makes
 //! the design argument mechanical: a task's payload is a function of its
@@ -98,8 +91,8 @@ pub fn explore(config: &MergeConfig) -> Exploration {
     let program_len = 2 * config.tasks;
     let dsl: Model<MergeState> = Model {
         name: match model {
-            MergeModel::IndexedSlots => "run-tasks-merge",
-            MergeModel::PushOrder => "run-tasks-merge(push-order twin)",
+            MergeModel::IndexedSlots => "ordered-map-merge",
+            MergeModel::PushOrder => "ordered-map-merge(push-order twin)",
         },
         threads: workers,
         program_len,
@@ -112,8 +105,8 @@ pub fn explore(config: &MergeConfig) -> Exploration {
         step: Box::new(move |s: &MergeState, tid, pc| {
             let mut n = s.clone();
             if pc % 2 == 0 {
-                // Claim: `next.fetch_add(1)` — atomic, so observing and
-                // advancing the counter is one step.
+                // Claim: `queue.lock().next()` — under the lock, observing
+                // and advancing the queue position is one step.
                 let index = n.next;
                 if index >= tasks {
                     return Ok(vec![(n, program_len)]);

@@ -22,7 +22,8 @@
 //!
 //! Two models ship on this engine:
 //!
-//! * the `run_tasks` partition/merge protocol ([`merge`]),
+//! * the `ordered_map` claim/write protocol every threaded path runs
+//!   ([`merge`]),
 //! * the `Obs` deferred replay buffer ([`deferred`]).
 //!
 //! Each pairs the shipped protocol with a deliberately broken twin (the

@@ -28,7 +28,9 @@
 //!
 //! The C-rules fire only inside the **parallel region** computed by
 //! [`crate::callgraph`]: everything reachable from closures handed to
-//! `spawn`/`run_tasks`. A violation is silenced inline with
+//! `spawn`/`ordered_map`/`run_tasks` — the one fan-out implementation
+//! (`mvcom_simnet::fanout`) and what each crate passes it. A violation is
+//! silenced inline with
 //!
 //! ```text
 //! // lint: allow(C3, reason why the relaxation is sound)
@@ -231,7 +233,7 @@ fn is_crate_root(rel_path: &str) -> bool {
 }
 
 /// Lints one file's source. `rel_path` must be workspace-relative with
-/// `/` separators (e.g. `crates/simnet/src/gossip.rs`); it selects which
+/// `/` separators (e.g. `crates/simnet/src/fanout.rs`); it selects which
 /// rules apply. The C-rules see only this file's call graph — use
 /// [`lint_crate`] to resolve calls across a crate's files.
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {

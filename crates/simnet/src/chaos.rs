@@ -2,7 +2,7 @@
 //!
 //! A [`ChaosInjector`] composes with [`Network`](crate::Network): once
 //! installed via [`Network::set_chaos`](crate::Network::set_chaos), every
-//! protocol built on the network — PBFT, gossip, shard submission — runs
+//! protocol built on the network — PBFT, shard submission — runs
 //! under the configured fault model *without any call-site changes*,
 //! because all of them reach the wire through `Network::send`.
 //!

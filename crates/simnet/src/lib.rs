@@ -18,8 +18,10 @@
 //! * [`chaos`] — seeded deterministic fault injection (message drops,
 //!   latency spikes, scheduled node outages) that composes with [`net`] so
 //!   every protocol above it can be chaos-wrapped without code changes.
-//! * [`gossip`] — push-gossip (epidemic) dissemination over the network,
-//!   with the classic `O(log n)` analytic round estimate.
+//! * [`fanout`] — [`fanout::ordered_map`], the workspace's one
+//!   deterministic fan-out and the only thing a `--threads` value reaches;
+//!   it lives beside the [`rng::fork`] seed-per-task helper it is always
+//!   used with.
 //! * [`stats`] — streaming summary statistics and empirical CDFs used by
 //!   the measurement figures.
 //!
@@ -50,7 +52,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 pub mod chaos;
 pub mod event;
-pub mod gossip;
+pub mod fanout;
 pub mod latency;
 pub mod net;
 pub mod rng;
@@ -58,6 +60,7 @@ pub mod stats;
 
 pub use chaos::{ChaosConfig, ChaosInjector, ChaosStats, CrashEvent};
 pub use event::{EventQueue, Scheduler};
+pub use fanout::ordered_map;
 pub use latency::LatencyModel;
 pub use net::{Network, NetworkConfig};
 pub use rng::SimRng;

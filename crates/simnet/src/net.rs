@@ -10,7 +10,6 @@
 
 use std::collections::BTreeSet;
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use mvcom_types::{Error, NodeId, Result, SimTime};
@@ -315,23 +314,10 @@ impl Network {
         &mut self.rng
     }
 
-    /// Samples `n` link delays without sending anything — used to model
-    /// gossip fan-out cost analytically.
-    pub fn sample_delays(&mut self, n: usize) -> Vec<SimTime> {
-        (0..n)
-            .map(|_| self.config.link_latency.sample(&mut self.rng))
-            .collect()
-    }
-
     /// Convenience: draw from an arbitrary distribution using the network's
     /// RNG stream.
     pub fn sample_from(&mut self, model: &LatencyModel) -> SimTime {
         model.sample(&mut self.rng)
-    }
-
-    /// Uniformly random node id, e.g. for gossip peer selection.
-    pub fn random_node(&mut self) -> NodeId {
-        NodeId(self.rng.gen_range(0..self.config.nodes))
     }
 }
 
@@ -449,14 +435,6 @@ mod tests {
                 a.send(from, to, 100, SimTime::ZERO),
                 b.send(from, to, 100, SimTime::ZERO)
             );
-        }
-    }
-
-    #[test]
-    fn random_node_in_range() {
-        let mut n = net(7);
-        for _ in 0..100 {
-            assert!(n.random_node().0 < 7);
         }
     }
 

@@ -245,6 +245,20 @@ impl Flags {
         }
     }
 
+    /// `--threads`, the `ordered_map` worker count (default 1). Output is
+    /// byte-identical to the serial run at any count, so 0 is a hard
+    /// error, not "auto".
+    fn threads(&self) -> Result<usize> {
+        let threads: usize = self.num("threads", 1usize)?;
+        if threads == 0 {
+            return Err(Error::invalid_config(
+                "threads",
+                "--threads must be >= 1 (use 1 for a serial run), got `0`",
+            ));
+        }
+        Ok(threads)
+    }
+
     /// A probability/fraction-valued flag: parsed as `f64` and validated
     /// to lie in `[0, 1]`, so a typo'd `--chaos-drop 20` fails here with a
     /// clear message instead of producing nonsense downstream.
@@ -346,15 +360,8 @@ fn solve(args: &[String]) -> Result<()> {
     let capacity: u64 = flags.num("capacity", 1_000 * committees as u64)?;
     let n_min: usize = flags.num("n-min", committees / 2)?;
     let solver = flags.get("solver").unwrap_or("se");
-    // SE replica fan-out (DESIGN.md §14): byte-identical to the serial
-    // run at any count, so 0 is a hard error, not "auto".
-    let threads: usize = flags.num("threads", 1usize)?;
-    if threads == 0 {
-        return Err(Error::invalid_config(
-            "threads",
-            "--threads must be >= 1 (use 1 for a serial run), got `0`",
-        ));
-    }
+    // SE replica fan-out (DESIGN.md §14).
+    let threads = flags.threads()?;
 
     let trace = load_trace(&flags, seed)?;
     let mut gen = EpochGenerator::new(&trace, LatencyConfig::paper(), seed);
@@ -503,15 +510,8 @@ fn simulate(args: &[String]) -> Result<()> {
         ));
     }
 
-    // Committee-parallel stage 3 (DESIGN.md §11): byte-identical to the
-    // serial run at any count, so 0 is a hard error, not "auto".
-    let threads: usize = flags.num("threads", 1usize)?;
-    if threads == 0 {
-        return Err(Error::invalid_config(
-            "threads",
-            "--threads must be >= 1 (use 1 for a serial run), got `0`",
-        ));
-    }
+    // Committee-parallel stage 3 (DESIGN.md §11).
+    let threads = flags.threads()?;
     let obs = obs_from_flags(&flags, "mvcom simulate", seed)?;
     let mut sim = ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?
         .with_obs(obs.clone())
