@@ -9,11 +9,12 @@
 //! and recomputes `U(f)` from scratch — `O(n)` allocation-heavy work per
 //! *proposed* (not just committed) move.
 //!
-//! [`EvalCache`] removes that cost. It keys the epoch's shards by their
-//! latency rank once (`O(n log n)` at construction) and maintains a Fenwick
-//! tree of selected-shard counts over those ranks. Order statistics of the
-//! selected latencies — the induced deadline, and the deadline *excluding
-//! one shard* (what a remove/swap needs) — are then `O(log n)` queries, and
+//! [`EvalCache`] removes that cost. The epoch's shards are keyed by their
+//! latency rank once per instance ([`ShardColumns`], `O(n log n)`), and each
+//! cache maintains a Fenwick tree of selected-shard counts over those
+//! ranks. Order statistics of the selected latencies — the induced
+//! deadline, and the deadline *excluding one shard* (what a remove/swap
+//! needs) — are then `O(log n)` queries, and
 //! combined with the running aggregates cached inside [`Solution`]
 //! (`selected_count`, `tx_total`, `lat_total`) every delta closes to:
 //!
@@ -26,14 +27,28 @@
 //!
 //! with no allocation and no pass over the selection. The per-shard
 //! inputs (`l_i`, `s_i`, and the MaxArrival marginals) are held as dense
-//! struct-of-arrays columns copied bit-for-bit out of the instance at
-//! construction, so at 10⁴–10⁵ committees the delta loop walks 8-byte
-//! strides instead of cache-missing across interleaved `ShardInfo`
-//! records. A second Fenwick tree over *shard indices* powers
+//! struct-of-arrays columns copied bit-for-bit out of the instance, so at
+//! 10⁴–10⁵ committees the delta loop walks 8-byte strides instead of
+//! cache-missing across interleaved `ShardInfo` records. A second Fenwick
+//! tree over *shard indices* powers
 //! `O(log n)` order statistics in index order — select-kth-one and
 //! select-kth-zero — which replace the `O(n)` `iter_*().nth()` fallback
 //! of the SE sampler's rejection loop
 //! ([`EvalCache::random_selected`]/[`EvalCache::random_unselected`]).
+//!
+//! # Instance half, chain half
+//!
+//! Algorithm 2 spawns one chain per feasible cardinality × Γ replicas over
+//! *one* epoch's shards, so everything that depends only on the instance —
+//! the latency-rank permutation, `lat_by_rank`, the `lat`/`tx`/`marginal`
+//! columns, the exact `u64` sizes and the by-size order of the
+//! initialization fallback — lives in one immutable [`ShardColumns`], built
+//! once per engine build and held by every cache behind an [`Arc`]. What a
+//! chain owns is what its walk mutates: the two Fenwick trees, the selected
+//! count and the memoized deadline — 8 bytes per shard, against the 48 of
+//! the columns it shares. [`EvalCache::new`] is "build columns, then
+//! [`EvalCache::attach`]"; there is no other construction path.
+//!
 //! Per-op complexity:
 //!
 //! | operation                       | naive            | cached      |
@@ -43,12 +58,14 @@
 //! | `swap/insert/remove_delta`      | `O(n)` + 2 allocs| `O(log n)`  |
 //! | commit (`insert`/`remove`/`swap`)| `O(1)`          | `O(log n)`  |
 //! | `random_selected/unselected` fallback | `O(n)`     | `O(log n)`  |
-//! | build / rebuild                 | —                | `O(n log n)`|
+//! | build / rebuild                 | —                | `O(n log n)` once per instance, `O(n)` per chain |
+//! | memory                          | —                | 48 B/shard once per instance, 8 B/shard per chain |
 //!
 //! The cache is *not* serialized: a checkpointed solver records only the
 //! selected indices ([`crate::se::SeCheckpoint`]) and every restore path
-//! rebuilds the cache from `(instance, solution)`, so snapshots stay small,
-//! version-stable, and immune to drift in the cached statistics.
+//! rebuilds the columns from the instance and each cache from
+//! `(columns, solution)`, so snapshots stay small, version-stable, and
+//! immune to drift in the cached statistics.
 //!
 //! # Consistency contract
 //!
@@ -57,11 +74,160 @@
 //! [`crate::se::chain::Chain::apply`]); the delta queries `assert!` the
 //! preconditions — in release builds too — and cheap sync invariants, so a
 //! desynchronized cache panics instead of silently returning garbage.
+//! Likewise [`EvalCache::attach`] `assert!`s that the columns were built
+//! from the instance it is handed, so columns from before a committee
+//! join/leave can never price a chain of the changed epoch.
 
+use std::sync::Arc;
+
+use mvcom_types::SimTime;
 use rand::Rng;
 
 use crate::problem::{DdlPolicy, Instance};
 use crate::solution::Solution;
+
+/// The instance half of the evaluator: every per-shard quantity the SE
+/// chains read but never write, derived from one [`Instance`] and shared —
+/// immutable, behind an [`Arc`] — by every [`EvalCache`] of that epoch.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use mvcom_core::eval::{EvalCache, ShardColumns};
+/// use mvcom_core::problem::InstanceBuilder;
+/// use mvcom_core::solution::Solution;
+/// use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
+///
+/// let instance = InstanceBuilder::new()
+///     .capacity(1_000)
+///     .shards((0..4).map(|i| ShardInfo::new(
+///         CommitteeId(i),
+///         100 * (4 - u64::from(i)),
+///         TwoPhaseLatency::from_total(SimTime::from_secs(10.0 + f64::from(i))),
+///     )).collect())
+///     .build()
+///     .unwrap();
+/// let columns = Arc::new(ShardColumns::new(&instance));
+/// assert_eq!(columns.tx_total(&[0, 3]), 500);
+/// assert_eq!(columns.smallest(2).collect::<Vec<_>>(), [3, 2]);
+/// // Any number of caches attach to the one set of columns.
+/// let a = EvalCache::attach(columns.clone(), &instance, &Solution::empty(4));
+/// let b = EvalCache::attach(columns, &instance, &Solution::full(&instance));
+/// assert_eq!((a.selected_count(), b.selected_count()), (0, 4));
+/// ```
+#[derive(Debug)]
+pub struct ShardColumns {
+    /// Shard index → rank in latency-sorted order (ties broken by index).
+    rank: Vec<u32>,
+    /// Rank → latency in seconds (ascending).
+    lat_by_rank: Vec<f64>,
+    /// Struct-of-arrays projections of the instance's shard records, by
+    /// shard index. The AoS `ShardInfo` layout interleaves the committee
+    /// id and both latency phases with the two fields the delta loops
+    /// touch, so at 10⁴–10⁵ committees every delta paid a cache miss per
+    /// shard lookup; these dense columns keep the hot loop on 8-byte
+    /// strides. Values are copied bit-for-bit from the instance (`lat` is
+    /// `two_phase_latency().as_secs()`, `tx` is `tx_count() as f64`,
+    /// `marginal` is `Instance::marginal_utility(i)`), so every delta
+    /// computes the *same float expression* as over the records, bit for
+    /// bit.
+    lat: Vec<f64>,
+    tx: Vec<f64>,
+    marginal: Vec<f64>,
+    /// Exact shard sizes `s_i`, by shard index: Algorithm 2 tests a
+    /// candidate subset against `Ĉ` with an integer sum over this column.
+    size: Vec<u64>,
+    /// Shard indices under a *stable* sort by size (ties by index) — the
+    /// order whose first `n` entries are Algorithm 2's fallback selection.
+    by_size: Vec<u32>,
+    /// The `α` and MaxArrival deadline the marginals were derived under;
+    /// with the length, what [`EvalCache::attach`] checks an instance by.
+    alpha: f64,
+    ddl: SimTime,
+}
+
+impl ShardColumns {
+    /// Derives the columns of `instance` — `O(n log n)`, once per instance.
+    pub fn new(instance: &Instance) -> ShardColumns {
+        let shards = instance.shards();
+        let n = shards.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| {
+            let la = shards[a as usize].two_phase_latency();
+            let lb = shards[b as usize].two_phase_latency();
+            la.cmp(&lb).then(a.cmp(&b))
+        });
+        let mut rank = vec![0u32; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        let lat: Vec<f64> = shards
+            .iter()
+            .map(|s| s.two_phase_latency().as_secs())
+            .collect();
+        let size: Vec<u64> = shards.iter().map(|s| s.tx_count()).collect();
+        let mut by_size: Vec<u32> = (0..n as u32).collect();
+        by_size.sort_by_key(|&i| size[i as usize]);
+        ShardColumns {
+            lat_by_rank: order.iter().map(|&i| lat[i as usize]).collect(),
+            rank,
+            tx: size.iter().map(|&s| s as f64).collect(),
+            marginal: (0..n).map(|i| instance.marginal_utility(i)).collect(),
+            lat,
+            size,
+            by_size,
+            alpha: instance.alpha(),
+            ddl: instance.ddl(),
+        }
+    }
+
+    /// Number of shard slots.
+    pub fn len(&self) -> usize {
+        self.rank.len()
+    }
+
+    /// `true` iff the epoch has no shards.
+    pub fn is_empty(&self) -> bool {
+        self.rank.is_empty()
+    }
+
+    /// `Σ s_i` over `indices`, accumulated in slice order — the value (and
+    /// the overflow behaviour) of [`Solution::tx_total`] after inserting
+    /// the same indices in the same order, without building the solution.
+    pub fn tx_total(&self, indices: &[usize]) -> u64 {
+        indices.iter().map(|&i| self.size[i]).sum()
+    }
+
+    /// The `n` smallest shards, ascending by size with ties by index —
+    /// the subset that fits `Ĉ` whenever any `n`-subset does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > len()`.
+    pub fn smallest(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        self.by_size[..n].iter().map(|&i| i as usize)
+    }
+
+    /// The attach-path tripwire, in release builds too: columns derived
+    /// from another instance (a stale epoch shape after a join/leave, a
+    /// different `α`) must never price this one.
+    fn assert_built_from(&self, instance: &Instance) {
+        assert!(
+            self.len() == instance.len()
+                && self.alpha.to_bits() == instance.alpha().to_bits()
+                && self.ddl == instance.ddl(),
+            "shard columns were built from a different instance \
+             ({} shards, alpha {}, ddl {:?}; the instance has {}, {}, {:?})",
+            self.len(),
+            self.alpha,
+            self.ddl,
+            instance.len(),
+            instance.alpha(),
+            instance.ddl(),
+        );
+    }
+}
 
 /// Incremental evaluator: latency order statistics of the selected shards,
 /// maintained as a Fenwick tree over latency ranks.
@@ -97,22 +263,8 @@ use crate::solution::Solution;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EvalCache {
-    /// Shard index → rank in latency-sorted order (ties broken by index).
-    rank: Vec<u32>,
-    /// Rank → latency in seconds (ascending).
-    lat_by_rank: Vec<f64>,
-    /// Struct-of-arrays projections of the instance's shard records, by
-    /// shard index. The AoS `ShardInfo` layout interleaves the committee
-    /// id and both latency phases with the two fields the delta loops
-    /// touch, so at 10⁴–10⁵ committees every delta paid a cache miss per
-    /// shard lookup; these dense columns keep the hot loop on 8-byte
-    /// strides. Values are copied bit-for-bit from the instance (`lat` is
-    /// `two_phase_latency().as_secs()`, `tx` is `tx_count() as f64`,
-    /// `marginal` is `Instance::marginal_utility(i)`), so every delta
-    /// below computes the *same float expression* as before, bit for bit.
-    lat: Vec<f64>,
-    tx: Vec<f64>,
-    marginal: Vec<f64>,
+    /// The instance half, shared with every other cache of the epoch.
+    columns: Arc<ShardColumns>,
     /// Fenwick tree (1-based) over ranks; counts selected shards.
     tree: Vec<u32>,
     /// Fenwick tree (1-based) over *shard indices*; counts selected
@@ -128,49 +280,41 @@ pub struct EvalCache {
 }
 
 impl EvalCache {
-    /// Builds the cache for `solution` over `instance` — `O(n log n)`.
+    /// Builds the cache for `solution` over `instance` from nothing:
+    /// derives the instance's [`ShardColumns`] (`O(n log n)`) and attaches
+    /// to them. One cache per instance pays what it always did; a family
+    /// of caches over one instance should build the columns once and
+    /// [`EvalCache::attach`] each.
     ///
     /// # Panics
     ///
     /// Panics if the solution's length does not match the instance.
     pub fn new(instance: &Instance, solution: &Solution) -> EvalCache {
+        EvalCache::attach(Arc::new(ShardColumns::new(instance)), instance, solution)
+    }
+
+    /// Builds the chain half of the cache for `solution` over columns
+    /// already derived from `instance` — `O(n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics — in release builds too — if `columns` were not built from
+    /// `instance` (length, `α` or deadline differ) or the solution's
+    /// length does not match the instance.
+    pub fn attach(
+        columns: Arc<ShardColumns>,
+        instance: &Instance,
+        solution: &Solution,
+    ) -> EvalCache {
+        columns.assert_built_from(instance);
         assert_eq!(
             solution.len(),
             instance.len(),
             "solution is over a different shard set than the instance"
         );
         let n = instance.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| {
-            let la = instance.shards()[a as usize].two_phase_latency();
-            let lb = instance.shards()[b as usize].two_phase_latency();
-            la.cmp(&lb).then(a.cmp(&b))
-        });
-        let mut rank = vec![0u32; n];
-        for (r, &i) in order.iter().enumerate() {
-            rank[i as usize] = r as u32;
-        }
-        let lat_by_rank = order
-            .iter()
-            .map(|&i| instance.shards()[i as usize].two_phase_latency().as_secs())
-            .collect();
-        let lat: Vec<f64> = instance
-            .shards()
-            .iter()
-            .map(|s| s.two_phase_latency().as_secs())
-            .collect();
-        let tx: Vec<f64> = instance
-            .shards()
-            .iter()
-            .map(|s| s.tx_count() as f64)
-            .collect();
-        let marginal: Vec<f64> = (0..n).map(|i| instance.marginal_utility(i)).collect();
         let mut cache = EvalCache {
-            rank,
-            lat_by_rank,
-            lat,
-            tx,
-            marginal,
+            columns,
             tree: vec![0u32; n + 1],
             idx_tree: vec![0u32; n + 1],
             selected: 0,
@@ -178,7 +322,7 @@ impl EvalCache {
         };
         // O(n) Fenwick construction: leaf counts, then one propagation pass.
         for i in solution.iter_selected() {
-            cache.tree[cache.rank[i] as usize + 1] = 1;
+            cache.tree[cache.columns.rank[i] as usize + 1] = 1;
             cache.idx_tree[i + 1] = 1;
             cache.selected += 1;
         }
@@ -190,19 +334,25 @@ impl EvalCache {
             }
         }
         if cache.selected > 0 {
-            cache.ddl = cache.lat_by_rank[cache.kth(cache.selected as u32)];
+            cache.ddl = cache.columns.lat_by_rank[cache.kth(cache.selected as u32)];
         }
         cache
     }
 
+    /// The instance half this cache reads — the same allocation for every
+    /// cache attached to it.
+    pub fn columns(&self) -> &Arc<ShardColumns> {
+        &self.columns
+    }
+
     /// Number of shard slots.
     pub fn len(&self) -> usize {
-        self.lat_by_rank.len()
+        self.columns.len()
     }
 
     /// `true` iff the epoch has no shards.
     pub fn is_empty(&self) -> bool {
-        self.lat_by_rank.is_empty()
+        self.columns.is_empty()
     }
 
     /// Number of selected shards mirrored by this cache.
@@ -212,7 +362,7 @@ impl EvalCache {
 
     /// Whether the cache's Fenwick tree marks shard `i` selected.
     pub fn contains(&self, i: usize) -> bool {
-        let pos = self.rank[i] as usize + 1;
+        let pos = self.columns.rank[i] as usize + 1;
         self.prefix(pos) - self.prefix(pos - 1) == 1
     }
 
@@ -232,13 +382,13 @@ impl EvalCache {
     fn max_excluding(&self, i: usize) -> f64 {
         assert!(self.contains(i), "shard {i} not selected in the eval cache");
         let top = self.kth(self.selected as u32);
-        if top != self.rank[i] as usize {
-            return self.lat_by_rank[top];
+        if top != self.columns.rank[i] as usize {
+            return self.columns.lat_by_rank[top];
         }
         if self.selected == 1 {
             return 0.0;
         }
-        self.lat_by_rank[self.kth(self.selected as u32 - 1)]
+        self.columns.lat_by_rank[self.kth(self.selected as u32 - 1)]
     }
 
     /// The objective value `U(f)` of the mirrored selection — `O(1)`
@@ -279,13 +429,14 @@ impl EvalCache {
             "swap_delta precondition: out={out} must be selected, inc={inc} unselected"
         );
         match instance.ddl_policy() {
-            DdlPolicy::MaxArrival => self.marginal[inc] - self.marginal[out],
+            DdlPolicy::MaxArrival => self.columns.marginal[inc] - self.columns.marginal[out],
             DdlPolicy::MaxSelected => {
-                let (l_out, l_inc) = (self.lat[out], self.lat[inc]);
+                let (l_out, l_inc) = (self.columns.lat[out], self.columns.lat[inc]);
                 let t = self.selected_ddl();
                 let t_new = self.max_excluding(out).max(l_inc);
                 let k = self.selected as f64;
-                instance.alpha() * (self.tx[inc] - self.tx[out]) + (l_inc - l_out) - k * (t_new - t)
+                instance.alpha() * (self.columns.tx[inc] - self.columns.tx[out]) + (l_inc - l_out)
+                    - k * (t_new - t)
             }
         }
     }
@@ -304,14 +455,14 @@ impl EvalCache {
             "insert_delta precondition: shard {i} is already selected"
         );
         match instance.ddl_policy() {
-            DdlPolicy::MaxArrival => self.marginal[i],
+            DdlPolicy::MaxArrival => self.columns.marginal[i],
             DdlPolicy::MaxSelected => {
-                let l_i = self.lat[i];
+                let l_i = self.columns.lat[i];
                 let t = self.selected_ddl();
                 let t_new = t.max(l_i);
                 let k = self.selected as f64;
                 // U' − U = α·s_i + l_i − (k+1)·t' + k·t.
-                instance.alpha() * self.tx[i] + l_i - (k + 1.0) * t_new + k * t
+                instance.alpha() * self.columns.tx[i] + l_i - (k + 1.0) * t_new + k * t
             }
         }
     }
@@ -330,14 +481,14 @@ impl EvalCache {
             "remove_delta precondition: shard {i} is not selected"
         );
         match instance.ddl_policy() {
-            DdlPolicy::MaxArrival => -self.marginal[i],
+            DdlPolicy::MaxArrival => -self.columns.marginal[i],
             DdlPolicy::MaxSelected => {
-                let l_i = self.lat[i];
+                let l_i = self.columns.lat[i];
                 let t = self.selected_ddl();
                 let t_new = self.max_excluding(i);
                 let k = self.selected as f64;
                 // U' − U = −α·s_i − l_i − (k−1)·t' + k·t.
-                -instance.alpha() * self.tx[i] - l_i - (k - 1.0) * t_new + k * t
+                -instance.alpha() * self.columns.tx[i] - l_i - (k - 1.0) * t_new + k * t
             }
         }
     }
@@ -353,10 +504,10 @@ impl EvalCache {
             !self.contains(i),
             "shard {i} already selected in the eval cache"
         );
-        Self::bump(&mut self.tree, self.rank[i] as usize + 1, 1);
+        Self::bump(&mut self.tree, self.columns.rank[i] as usize + 1, 1);
         Self::bump(&mut self.idx_tree, i + 1, 1);
         self.selected += 1;
-        self.ddl = self.ddl.max(self.lat_by_rank[self.rank[i] as usize]);
+        self.ddl = self.ddl.max(self.columns.lat[i]);
     }
 
     /// Marks shard `i` unselected — the cache-side half of
@@ -367,15 +518,15 @@ impl EvalCache {
     /// Panics if `i` is out of range or not marked selected.
     pub fn remove(&mut self, i: usize) {
         assert!(self.contains(i), "shard {i} not selected in the eval cache");
-        Self::bump(&mut self.tree, self.rank[i] as usize + 1, -1);
+        Self::bump(&mut self.tree, self.columns.rank[i] as usize + 1, -1);
         Self::bump(&mut self.idx_tree, i + 1, -1);
         self.selected -= 1;
         if self.selected == 0 {
             self.ddl = 0.0;
-        } else if self.lat_by_rank[self.rank[i] as usize] >= self.ddl {
+        } else if self.columns.lat[i] >= self.ddl {
             // The evicted shard may have pinned the deadline; re-query the
             // max selected rank (O(log n)).
-            self.ddl = self.lat_by_rank[self.kth(self.selected as u32)];
+            self.ddl = self.columns.lat_by_rank[self.kth(self.selected as u32)];
         }
     }
 
@@ -791,6 +942,8 @@ mod tests {
         let sol = Solution::from_indices(20, [1, 4], &inst);
         let cache = EvalCache::new(&inst, &sol);
         let mut copy = cache.clone();
+        // The clone shares the immutable columns and owns its walk state.
+        assert!(Arc::ptr_eq(cache.columns(), copy.columns()));
         copy.insert(9);
         assert_eq!(cache.selected_count(), 2);
         assert_eq!(copy.selected_count(), 3);

@@ -1,11 +1,13 @@
 //! One candidate solution `f_n` and its timer mechanics (Algorithms 2 & 3).
 
+use std::sync::Arc;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use mvcom_types::{Error, Result};
 
-use crate::eval::EvalCache;
+use crate::eval::{EvalCache, ShardColumns};
 use crate::problem::Instance;
 use crate::se::config::SeConfig;
 use crate::solution::Solution;
@@ -32,7 +34,9 @@ pub struct Proposal {
 /// prices its swap in `O(log n)` without cloning the solution — the hot
 /// path of Algorithm 1. The cache is rebuilt (never serialized) whenever
 /// the chain is constructed from scratch, restored from a checkpoint, or
-/// the instance itself changes.
+/// the instance itself changes — only its chain half, though: the
+/// instance's [`ShardColumns`] are built once per engine build and every
+/// chain of the family holds the same allocation.
 #[derive(Debug, Clone)]
 pub struct Chain {
     solution: Solution,
@@ -57,11 +61,41 @@ impl Chain {
     /// fits in `Ĉ`, falls back to the `n` smallest shards (which fit
     /// whenever any `n`-subset does).
     ///
+    /// Derives the instance's [`ShardColumns`] for this one chain; a
+    /// family of chains shares them through [`Chain::init_on`].
+    ///
     /// # Errors
     ///
     /// [`Error::Infeasible`] when no `n`-subset can satisfy the capacity —
     /// callers should skip this cardinality.
     pub fn init<R: Rng + ?Sized>(
+        instance: &Instance,
+        cardinality: usize,
+        config: &SeConfig,
+        rng: &mut R,
+    ) -> Result<Chain> {
+        let columns = Arc::new(ShardColumns::new(instance));
+        Chain::init_on(&columns, instance, cardinality, config, rng)
+    }
+
+    /// [`Chain::init`] over columns already derived from `instance`.
+    ///
+    /// Each shuffled candidate is tested against `Ĉ` with an integer sum
+    /// over the dense size column, in the order `Solution::from_indices`
+    /// would have accumulated it; the [`Solution`] is built only for the
+    /// candidate that fits. Every shuffle still runs and consumes the
+    /// same draws, so the RNG stream — and with it every downstream
+    /// output — is what it was when each attempt built a solution.
+    ///
+    /// # Errors
+    ///
+    /// As [`Chain::init`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` were not built from `instance`.
+    pub fn init_on<R: Rng + ?Sized>(
+        columns: &Arc<ShardColumns>,
         instance: &Instance,
         cardinality: usize,
         config: &SeConfig,
@@ -76,19 +110,16 @@ impl Chain {
         let mut indices: Vec<usize> = (0..len).collect();
         for _ in 0..config.init_attempts {
             indices.shuffle(rng);
-            let solution =
-                Solution::from_indices(len, indices[..cardinality].iter().copied(), instance);
-            if instance.within_capacity(&solution) {
-                return Ok(Chain::from_solution(instance, solution));
+            let picked = &indices[..cardinality];
+            if columns.tx_total(picked) <= instance.capacity() {
+                let solution = Solution::from_indices(len, picked.iter().copied(), instance);
+                return Ok(Chain::attach(columns, instance, solution));
             }
         }
         // Deterministic fallback: the n smallest shards.
-        let mut by_size: Vec<usize> = (0..len).collect();
-        by_size.sort_by_key(|&i| instance.shards()[i].tx_count());
-        let solution =
-            Solution::from_indices(len, by_size[..cardinality].iter().copied(), instance);
+        let solution = Solution::from_indices(len, columns.smallest(cardinality), instance);
         if instance.within_capacity(&solution) {
-            Ok(Chain::from_solution(instance, solution))
+            Ok(Chain::attach(columns, instance, solution))
         } else {
             Err(Error::infeasible(format!(
                 "no {cardinality}-subset fits within capacity {}",
@@ -101,9 +132,22 @@ impl Chain {
     /// dynamic events and by checkpoint restores). The utility is
     /// recomputed from scratch and the eval cache rebuilt, so restored
     /// chains never inherit incremental drift.
+    ///
+    /// Derives the instance's [`ShardColumns`] for this one chain; a
+    /// family of chains shares them through [`Chain::attach`].
     pub fn from_solution(instance: &Instance, solution: Solution) -> Chain {
+        Chain::attach(&Arc::new(ShardColumns::new(instance)), instance, solution)
+    }
+
+    /// [`Chain::from_solution`] over columns already derived from
+    /// `instance`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` were not built from `instance`.
+    pub fn attach(columns: &Arc<ShardColumns>, instance: &Instance, solution: Solution) -> Chain {
         let utility = instance.utility(&solution);
-        let cache = EvalCache::new(instance, &solution);
+        let cache = EvalCache::attach(Arc::clone(columns), instance, &solution);
         Chain {
             cardinality: solution.selected_count(),
             ln_pool: Self::ln_pool(instance.len(), solution.selected_count()),
@@ -111,6 +155,12 @@ impl Chain {
             utility,
             cache,
         }
+    }
+
+    /// The instance columns this chain's cache reads.
+    #[cfg(test)]
+    pub(crate) fn columns(&self) -> &Arc<ShardColumns> {
+        self.cache.columns()
     }
 
     /// The hoisted `ln(|I| − n)` timer constant (`0` for an empty pool —

@@ -45,9 +45,13 @@ pub struct SeConfig {
     pub include_full_solution: bool,
     /// Upper bound on the chains per replica. Algorithm 2 spawns one
     /// chain per feasible cardinality; at `|I| = 10⁴–10⁵` that range is
-    /// `O(|I|)` wide and every chain carries an `O(|I|)` evaluation
-    /// cache, so the scale regime strides the range down to at most this
-    /// many evenly spaced cardinalities (endpoints always kept).
+    /// `O(|I|)` wide and every chain carries an `O(|I|)` bitset plus the
+    /// two Fenwick trees of its evaluation cache (8 bytes per shard; the
+    /// per-shard columns are one [`ShardColumns`](crate::eval::ShardColumns)
+    /// shared by the whole family) and pays an `O(|I|)` shuffle per
+    /// initialization attempt, so the scale regime strides the range down
+    /// to at most this many evenly spaced cardinalities (endpoints always
+    /// kept).
     /// `usize::MAX` — the default and the paper setting — keeps every
     /// cardinality. Absent from pre-scale checkpoints, so it
     /// deserializes to the default.

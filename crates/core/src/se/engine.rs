@@ -1,5 +1,7 @@
 //! The virtual-time Stochastic-Exploration engine (Algorithm 1).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use mvcom_obs::{Obs, ObsLevel, Value};
@@ -7,6 +9,7 @@ use mvcom_simnet::ordered_map;
 use mvcom_types::{Error, Result, ShardInfo};
 
 use crate::dynamics::DynamicsPolicy;
+use crate::eval::ShardColumns;
 use crate::problem::Instance;
 use crate::se::chain::{Chain, Proposal};
 use crate::se::checkpoint::{ChainSnapshot, SeCheckpoint};
@@ -275,9 +278,10 @@ impl SeEngine {
     /// resume from the recorded values, and fresh deterministic RNG
     /// streams are derived from `seed ^ version` (so a restored run is
     /// reproducible without serializing RNG internals). Derived state —
-    /// each chain's utility and its incremental [`crate::eval::EvalCache`]
-    /// — is recomputed from `(instance, solution)` in
-    /// [`Chain::from_solution`] rather than serialized, so checkpoints stay
+    /// the instance's [`ShardColumns`], each chain's utility and its
+    /// incremental [`crate::eval::EvalCache`] — is recomputed from the
+    /// instance (once) and `(columns, solution)` (per chain, in
+    /// [`Chain::attach`]) rather than serialized, so checkpoints stay
     /// small and restored chains never inherit incremental drift.
     ///
     /// # Errors
@@ -302,6 +306,7 @@ impl SeEngine {
             ));
         }
         let mut master = mvcom_simnet::rng::master(config.seed ^ ckpt.version);
+        let columns = Arc::new(ShardColumns::new(instance));
         let mut replicas = Vec::with_capacity(ckpt.replicas.len());
         let mut restored_chains = 0usize;
         for (g, snapshots) in ckpt.replicas.iter().enumerate() {
@@ -314,7 +319,7 @@ impl SeEngine {
                         snap.selected.iter().copied(),
                         instance,
                     );
-                    Chain::from_solution(instance, solution)
+                    Chain::attach(&columns, instance, solution)
                 })
                 .collect();
             restored_chains += chains.len();
@@ -583,8 +588,9 @@ impl SeEngine {
         // shard indices and deadline); restart the tracker.
         self.best_utility = f64::NEG_INFINITY;
         self.best_solution = Solution::empty(self.instance.len());
-        // `build_replicas` constructs every chain against the new
-        // `self.instance`, so utilities and eval caches are already fresh.
+        // `build_replicas` derives fresh columns from the new
+        // `self.instance` and constructs every chain against them, so
+        // utilities and eval caches never see the previous epoch shape.
         self.build_replicas(warm)?;
         self.seed_best();
         self.last_improvement = self.iteration;
@@ -605,6 +611,9 @@ impl SeEngine {
     fn build_replicas(&mut self, warm: Option<Vec<Solution>>) -> Result<()> {
         let cards = stride_cardinalities(self.cardinality_range(), self.config.max_chains);
         let mut master = mvcom_simnet::rng::master(self.config.seed ^ self.iteration);
+        // One set of instance columns for the whole family: every chain
+        // below attaches to this allocation.
+        let columns = Arc::new(ShardColumns::new(&self.instance));
         let mut replicas = Vec::with_capacity(self.config.gamma);
         let warm_pool = warm.unwrap_or_default();
         for g in 0..self.config.gamma {
@@ -616,21 +625,22 @@ impl SeEngine {
                     .iter()
                     .find(|s| s.selected_count() == n && self.instance.within_capacity(s));
                 let chain = match warm_match {
-                    Some(s) => Chain::from_solution(&self.instance, s.clone()),
-                    None => match Chain::init(&self.instance, n, &self.config, &mut rng) {
-                        Ok(c) => c,
-                        // No n-subset fits the capacity: skip this cardinality.
-                        Err(Error::Infeasible { .. }) => continue,
-                        Err(e) => return Err(e),
-                    },
+                    Some(s) => Chain::attach(&columns, &self.instance, s.clone()),
+                    None => {
+                        match Chain::init_on(&columns, &self.instance, n, &self.config, &mut rng) {
+                            Ok(c) => c,
+                            // No n-subset fits the capacity: skip this cardinality.
+                            Err(Error::Infeasible { .. }) => continue,
+                            Err(e) => return Err(e),
+                        }
+                    }
                 };
                 chains.push(chain);
             }
             replicas.push(Replica { chains, rng });
         }
         let any_chain = replicas.iter().any(|r| !r.chains.is_empty());
-        let full = Solution::full(&self.instance);
-        if !any_chain && !self.instance.is_feasible(&full) {
+        if !any_chain && !self.instance.is_feasible(&Solution::full(&self.instance)) {
             return Err(Error::infeasible(
                 "no feasible cardinality admits a chain and the full selection violates a constraint",
             ));
@@ -1113,6 +1123,58 @@ mod tests {
         let outcome = restored.finish();
         assert!(inst.is_feasible(&outcome.best_solution));
         assert!(outcome.best_utility >= before - 1e-9);
+    }
+
+    #[test]
+    fn every_chain_of_an_engine_build_shares_one_set_of_columns() {
+        /// The one allocation every chain of `engine` reads.
+        fn shared(engine: &SeEngine) -> Arc<ShardColumns> {
+            let mut chains = engine.replicas.iter().flat_map(|r| r.chains.iter());
+            let first = Arc::clone(chains.next().unwrap().columns());
+            assert!(chains.all(|c| Arc::ptr_eq(c.columns(), &first)));
+            assert_eq!(first.len(), engine.instance().len());
+            first
+        }
+        let inst = instance(20);
+        let mut engine = SeEngine::new(&inst, SeConfig::fast_test(36)).unwrap();
+        let fresh = shared(&engine);
+        for _ in 0..30 {
+            engine.step();
+        }
+        let restored =
+            SeEngine::from_checkpoint(&inst, SeConfig::fast_test(36), &engine.checkpoint())
+                .unwrap();
+        assert!(!Arc::ptr_eq(&shared(&restored), &fresh));
+
+        // A join, then a leave: each rebuild derives columns from the new
+        // epoch shape and drops the old ones — only this test still holds
+        // them.
+        engine
+            .handle_join(shard(100, 90, 950.0), DynamicsPolicy::Trim)
+            .unwrap();
+        let joined = shared(&engine);
+        assert_eq!(Arc::strong_count(&fresh), 1);
+        engine
+            .handle_leave(CommitteeId(3), DynamicsPolicy::Reinitialize)
+            .unwrap();
+        let left = shared(&engine);
+        assert_eq!(Arc::strong_count(&joined), 1);
+
+        // Stale columns refuse the changed epoch, in release builds too:
+        // `joined` by its length, `fresh` — 20 shards again — by the
+        // deadline the joined straggler moved.
+        let now = engine.instance();
+        assert_eq!(fresh.len(), now.len());
+        for stale in [&fresh, &joined] {
+            let attach = || {
+                crate::eval::EvalCache::attach(Arc::clone(stale), now, &Solution::empty(now.len()))
+            };
+            assert!(
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(attach)).is_err(),
+                "stale columns attached to a changed instance"
+            );
+        }
+        let _ = crate::eval::EvalCache::attach(left, now, &Solution::empty(now.len()));
     }
 
     #[test]

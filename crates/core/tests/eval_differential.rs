@@ -5,12 +5,16 @@
 //! swap_delta, insert_delta, remove_delta}` via closed forms over Fenwick
 //! order statistics; these properties drive both implementations through
 //! random instances and random operation sequences and require agreement to
-//! 1e-9 relative at every step.
+//! 1e-9 relative at every step. Caches attached to one shared
+//! [`ShardColumns`] must additionally agree *bit for bit* with a cache built
+//! alone through [`EvalCache::new`], however their walks interleave.
 
 // Test/example code: unwrap is fine here (the workspace-level
 // `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
 #![allow(clippy::unwrap_used)]
-use mvcom_core::eval::EvalCache;
+use std::sync::Arc;
+
+use mvcom_core::eval::{EvalCache, ShardColumns};
 use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder};
 use mvcom_core::Solution;
 use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
@@ -74,6 +78,83 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9 * (1.0 + a.abs().max(b.abs()))
 }
 
+/// Applies `op` (when legal on `sol`) to the solution and to every cache
+/// mirroring it. Before the commit the first cache's delta must match the
+/// naive clone-and-recompute and every other cache's delta must equal it
+/// bit for bit; after it, each cache must agree with the naive utility and
+/// induced deadline.
+fn drive(
+    inst: &Instance,
+    sol: &mut Solution,
+    caches: &mut [EvalCache],
+    op: &Op,
+) -> Result<(), TestCaseError> {
+    let n = inst.len();
+    let agree = |what: &str, naive: f64, fast: Vec<f64>| {
+        prop_assert!(
+            close(naive, fast[0]),
+            "{}: naive {} vs cached {}",
+            what,
+            naive,
+            fast[0]
+        );
+        for f in &fast {
+            prop_assert_eq!(f.to_bits(), fast[0].to_bits(), "{}: caches disagree", what);
+        }
+        Ok(())
+    };
+    match *op {
+        Op::Swap(out, inc) => {
+            let (out, inc) = (out % n, inc % n);
+            if !sol.contains(out) || sol.contains(inc) {
+                return Ok(());
+            }
+            let fast = caches
+                .iter()
+                .map(|c| c.swap_delta(inst, sol, out, inc))
+                .collect();
+            agree("swap", inst.swap_delta(sol, out, inc), fast)?;
+            sol.swap(out, inc, inst);
+            caches.iter_mut().for_each(|c| c.swap(out, inc));
+        }
+        Op::Insert(i) => {
+            let i = i % n;
+            if sol.contains(i) {
+                return Ok(());
+            }
+            let fast = caches
+                .iter()
+                .map(|c| c.insert_delta(inst, sol, i))
+                .collect();
+            agree("insert", inst.insert_delta(sol, i), fast)?;
+            sol.insert(i, inst);
+            caches.iter_mut().for_each(|c| c.insert(i));
+        }
+        Op::Remove(i) => {
+            let i = i % n;
+            if !sol.contains(i) {
+                return Ok(());
+            }
+            let fast = caches
+                .iter()
+                .map(|c| c.remove_delta(inst, sol, i))
+                .collect();
+            agree("remove", inst.remove_delta(sol, i), fast)?;
+            sol.remove(i, inst);
+            caches.iter_mut().for_each(|c| c.remove(i));
+        }
+    }
+    // State-level agreement after each committed op: utility and induced
+    // deadline.
+    let fast = caches.iter().map(|c| c.utility(inst, sol)).collect();
+    agree("utility", inst.utility(sol), fast)?;
+    for cache in caches.iter() {
+        prop_assert_eq!(cache.selected_ddl(), inst.selected_ddl(sol));
+        prop_assert_eq!(cache.selected_count(), sol.selected_count());
+    }
+    Ok(())
+}
+
 proptest! {
     /// Every delta the cache prices agrees with the naive clone-and-
     /// recompute reference, on every reachable state of a random walk.
@@ -86,49 +167,47 @@ proptest! {
         let n = inst.len();
         let mut sol = Solution::from_indices(n, (0..n).step_by(start_stride), &inst);
         let mut cache = EvalCache::new(&inst, &sol);
-        for op in ops {
-            match op {
-                Op::Swap(out, inc) => {
-                    let (out, inc) = (out % n, inc % n);
-                    if !sol.contains(out) || sol.contains(inc) {
-                        continue;
-                    }
-                    let naive = inst.swap_delta(&sol, out, inc);
-                    let fast = cache.swap_delta(&inst, &sol, out, inc);
-                    prop_assert!(close(naive, fast), "swap: naive {} vs cached {}", naive, fast);
-                    sol.swap(out, inc, &inst);
-                    cache.swap(out, inc);
-                }
-                Op::Insert(i) => {
-                    let i = i % n;
-                    if sol.contains(i) {
-                        continue;
-                    }
-                    let naive = inst.insert_delta(&sol, i);
-                    let fast = cache.insert_delta(&inst, &sol, i);
-                    prop_assert!(close(naive, fast), "insert: naive {} vs cached {}", naive, fast);
-                    sol.insert(i, &inst);
-                    cache.insert(i);
-                }
-                Op::Remove(i) => {
-                    let i = i % n;
-                    if !sol.contains(i) {
-                        continue;
-                    }
-                    let naive = inst.remove_delta(&sol, i);
-                    let fast = cache.remove_delta(&inst, &sol, i);
-                    prop_assert!(close(naive, fast), "remove: naive {} vs cached {}", naive, fast);
-                    sol.remove(i, &inst);
-                    cache.remove(i);
+        for op in &ops {
+            drive(&inst, &mut sol, std::slice::from_mut(&mut cache), op)?;
+        }
+    }
+
+    /// A family of caches attached to *one* `ShardColumns` — what an SE
+    /// engine builds — walks independently: each agrees, op for op and bit
+    /// for bit, with a cache built alone via `EvalCache::new`, and with
+    /// the naive deltas. The walks are interleaved round-robin, so a
+    /// write that leaked into shared state would corrupt a sibling's very
+    /// next check.
+    #[test]
+    fn caches_sharing_columns_walk_independently(
+        inst in arb_instance(),
+        walks in proptest::collection::vec((1usize..4, arb_ops()), 2..5),
+    ) {
+        let n = inst.len();
+        let columns = Arc::new(ShardColumns::new(&inst));
+        let mut family: Vec<(Solution, [EvalCache; 2])> = walks
+            .iter()
+            .map(|&(stride, _)| {
+                let sol = Solution::from_indices(n, (0..n).step_by(stride), &inst);
+                let attached = EvalCache::attach(Arc::clone(&columns), &inst, &sol);
+                let alone = EvalCache::new(&inst, &sol);
+                (sol, [attached, alone])
+            })
+            .collect();
+        let longest = walks.iter().map(|(_, ops)| ops.len()).max().unwrap_or(0);
+        for step in 0..longest {
+            for ((sol, caches), (_, ops)) in family.iter_mut().zip(&walks) {
+                if let Some(op) = ops.get(step) {
+                    drive(&inst, sol, caches, op)?;
                 }
             }
-            // State-level agreement after each committed op: utility and
-            // induced deadline.
-            let naive_u = inst.utility(&sol);
-            let fast_u = cache.utility(&inst, &sol);
-            prop_assert!(close(naive_u, fast_u), "utility: naive {} vs cached {}", naive_u, fast_u);
-            prop_assert_eq!(cache.selected_ddl(), inst.selected_ddl(&sol));
-            prop_assert_eq!(cache.selected_count(), sol.selected_count());
+        }
+        for (sol, [attached, alone]) in &family {
+            prop_assert!(Arc::ptr_eq(attached.columns(), &columns));
+            prop_assert!(!Arc::ptr_eq(alone.columns(), &columns));
+            for i in 0..n {
+                prop_assert_eq!(attached.contains(i), sol.contains(i));
+            }
         }
     }
 

@@ -1,0 +1,218 @@
+//! Pinned whole-engine outputs on an instance whose top cardinalities
+//! exhaust `init_attempts`, so Algorithm 2's deterministic smallest-`n`
+//! fallback decides part of the initial family.
+//!
+//! The constants were captured at 02332d9, when every chain built its own
+//! latency sort and SoA columns, `Chain::init` materialised a `Solution`
+//! per shuffled candidate and the fallback re-sorted the shards by size.
+//! They hold the shared [`mvcom_core::eval::ShardColumns`] path to the
+//! same RNG stream, the same `lat_total` accumulation order and the same
+//! stable by-size fallback selection — bit for bit, under both deadline
+//! policies, through a checkpoint → JSON → restore round trip.
+
+// Test/example code: unwrap is fine here (the workspace-level
+// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
+#![allow(clippy::unwrap_used)]
+use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder};
+use mvcom_core::se::{SeCheckpoint, SeConfig, SeEngine, SeOutcome};
+use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
+
+const SHARDS: usize = 48;
+/// The capacity admits exactly the `TOP` smallest shards (plus 3 txs of
+/// slack), so a uniformly random `TOP`-subset essentially never fits.
+const TOP: usize = 18;
+
+fn size(i: usize) -> u64 {
+    // 48 shards over 40 residues: sizes tie, and one tie straddles the
+    // `TOP` boundary, so the fallback's tie-break (by index) is pinned.
+    50 + (i as u64 * 29) % 40
+}
+
+/// The `n` smallest shards under a *stable* sort by size (ties by index).
+fn smallest(n: usize) -> Vec<usize> {
+    let mut by_size: Vec<usize> = (0..SHARDS).collect();
+    by_size.sort_by_key(|&i| size(i));
+    by_size.truncate(n);
+    by_size.sort_unstable();
+    by_size
+}
+
+fn instance(policy: DdlPolicy) -> Instance {
+    let capacity: u64 = smallest(TOP).iter().map(|&i| size(i)).sum::<u64>() + 3;
+    InstanceBuilder::new()
+        .alpha(1.5)
+        .capacity(capacity)
+        .n_min(6)
+        .ddl_policy(policy)
+        .shards(
+            (0..SHARDS)
+                .map(|i| {
+                    ShardInfo::new(
+                        CommitteeId(i as u32),
+                        size(i),
+                        TwoPhaseLatency::from_total(SimTime::from_secs(
+                            300.0 + ((i as f64 * 71.0) % 500.0),
+                        )),
+                    )
+                })
+                .collect(),
+        )
+        .build()
+        .unwrap()
+}
+
+fn config() -> SeConfig {
+    SeConfig {
+        max_iterations: 120,
+        convergence_window: 0,
+        ..SeConfig::fast_test(11)
+    }
+}
+
+/// FNV-1a over a rendered value — one word per pinned artefact.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn outcome_digest(outcome: &SeOutcome) -> (u64, u64, u64) {
+    let selected: Vec<usize> = outcome.best_solution.iter_selected().collect();
+    let trajectory: Vec<(u64, u64, u64, u64)> = outcome
+        .trajectory
+        .points()
+        .iter()
+        .map(|p| {
+            (
+                p.iteration,
+                p.vtime.to_bits(),
+                p.current_best.to_bits(),
+                p.best_so_far.to_bits(),
+            )
+        })
+        .collect();
+    (
+        outcome.best_utility.to_bits(),
+        fnv(&format!("{selected:?}")),
+        fnv(&format!("{trajectory:?}")),
+    )
+}
+
+/// Everything one policy pins.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// `(cardinality, utility bits)` of every chain of a fresh engine.
+    chain_utilities: u64,
+    /// The fresh engine's checkpoint (every initial selection) as JSON.
+    init_checkpoint: u64,
+    /// `(best utility bits, best selection, trajectory)` of `run()`.
+    run: (u64, u64, u64),
+    /// The checkpoint taken after 60 steps, as JSON.
+    mid_checkpoint: u64,
+    /// Chain utilities of the engine restored from that JSON.
+    restored_chain_utilities: u64,
+    /// The restored engine stepped to the budget and finished.
+    restored_run: (u64, u64, u64),
+    /// Its checkpoint just before finishing, as JSON.
+    final_checkpoint: u64,
+}
+
+fn chain_utilities_digest(engine: &SeEngine) -> u64 {
+    let bits: Vec<(usize, u64)> = engine
+        .chain_utilities()
+        .into_iter()
+        .map(|(n, u)| (n, u.to_bits()))
+        .collect();
+    fnv(&format!("{bits:?}"))
+}
+
+fn observe(policy: DdlPolicy) -> Golden {
+    let inst = instance(policy);
+    assert_eq!(inst.max_feasible_cardinality(), TOP);
+
+    let fresh = SeEngine::new(&inst, config()).unwrap();
+    let init = fresh.checkpoint();
+    // The capacity-ceiling chain of every replica came out of the
+    // fallback: it holds exactly the TOP smallest shards, ties by index.
+    for replica in &init.replicas {
+        let top = replica.last().unwrap();
+        assert_eq!(top.cardinality, TOP);
+        assert_eq!(top.selected, smallest(TOP));
+    }
+    let chain_utilities = chain_utilities_digest(&fresh);
+    let init_checkpoint = fnv(&serde_json::to_string(&init).unwrap());
+    let run = outcome_digest(&fresh.run());
+
+    let mut engine = SeEngine::new(&inst, config()).unwrap();
+    for _ in 0..60 {
+        engine.step();
+    }
+    let json = serde_json::to_string(&engine.checkpoint()).unwrap();
+    let mid_checkpoint = fnv(&json);
+    let ckpt: SeCheckpoint = serde_json::from_str(&json).unwrap();
+    let mut restored = SeEngine::from_checkpoint(&inst, config(), &ckpt).unwrap();
+    let restored_chain_utilities = chain_utilities_digest(&restored);
+    while restored.iteration() < config().max_iterations {
+        restored.step();
+    }
+    let final_checkpoint = fnv(&serde_json::to_string(&restored.checkpoint()).unwrap());
+    let restored_run = outcome_digest(&restored.finish());
+
+    Golden {
+        chain_utilities,
+        init_checkpoint,
+        run,
+        mid_checkpoint,
+        restored_chain_utilities,
+        restored_run,
+        final_checkpoint,
+    }
+}
+
+#[test]
+fn max_arrival_engine_matches_the_per_chain_column_goldens() {
+    assert_eq!(
+        observe(DdlPolicy::MaxArrival),
+        Golden {
+            chain_utilities: 0xd0cd_5a12_fe30_26ee,
+            init_checkpoint: 0x0630_99b2_2527_f490,
+            run: (
+                0x4085_0000_0000_0000,
+                0xa360_7f1f_c7ef_661f,
+                0x7429_c343_9603_4716,
+            ),
+            mid_checkpoint: 0x4147_4e48_ca4b_f284,
+            restored_chain_utilities: 0xa704_5822_6a46_fe2c,
+            restored_run: (
+                0x4084_4400_0000_0000,
+                0xeb1f_95d7_643a_1da9,
+                0xf7e0_6d55_330a_4b67,
+            ),
+            final_checkpoint: 0xadce_5715_3eb2_dd52,
+        }
+    );
+}
+
+#[test]
+fn max_selected_engine_matches_the_per_chain_column_goldens() {
+    assert_eq!(
+        observe(DdlPolicy::MaxSelected),
+        Golden {
+            chain_utilities: 0xc5f3_0879_faa3_bd56,
+            init_checkpoint: 0xd99c_a78d_7131_ddc0,
+            run: (
+                0x4089_5c00_0000_0000,
+                0x81c6_7ce4_4308_0aed,
+                0x4aa7_354c_8904_8da7,
+            ),
+            mid_checkpoint: 0xe1cb_7145_bb75_aa4a,
+            restored_chain_utilities: 0xf780_0fd6_c0f2_dea1,
+            restored_run: (
+                0x4089_a800_0000_0000,
+                0xebaa_ec3e_f528_bc52,
+                0x4d31_d734_3467_84d4,
+            ),
+            final_checkpoint: 0x52ad_e70f_6579_122d,
+        }
+    );
+}
