@@ -158,11 +158,7 @@ fn run_arm(
             .build()
             .and_then(|instance| {
                 let outcome = SeEngine::new(&instance, se)?.run();
-                Ok(outcome
-                    .best_solution
-                    .iter_selected()
-                    .map(|i| instance.shards()[i].committee())
-                    .collect())
+                Ok(instance.committees(&outcome.best_solution).collect())
             }) {
             Ok(set) => set,
             Err(_) => candidates.iter().map(|s| s.committee()).collect(),
@@ -176,14 +172,9 @@ fn run_arm(
         if let Some(engine) = &mut engine {
             let observations: Vec<DefenseObservation> = reports
                 .iter()
-                .map(|r| DefenseObservation {
-                    committee: r.committee(),
-                    reported_size: r.reported.tx_count(),
-                    reported_latency: r.reported.two_phase_latency(),
-                    observed_latency: r.truth.two_phase_latency(),
-                    observed_size: admitted
-                        .contains(&r.committee())
-                        .then_some(r.truth.tx_count()),
+                .map(|r| {
+                    let admitted = admitted.contains(&r.committee());
+                    DefenseObservation::settled(&r.reported, &r.truth, admitted)
                 })
                 .collect();
             engine.end_epoch(epoch, &observations);

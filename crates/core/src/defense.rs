@@ -126,6 +126,23 @@ pub struct DefenseObservation {
     pub observed_size: Option<u64>,
 }
 
+impl DefenseObservation {
+    /// The stage-4 settlement information model, in one place: the final
+    /// committee compares the `reported` shard with the `truth` it could
+    /// actually observe — the realized latency of every committee, the
+    /// realized size only of an `admitted` shard (an unadmitted shard's
+    /// contents are never seen).
+    pub fn settled(reported: &ShardInfo, truth: &ShardInfo, admitted: bool) -> DefenseObservation {
+        DefenseObservation {
+            committee: truth.committee(),
+            reported_size: reported.tx_count(),
+            reported_latency: reported.two_phase_latency(),
+            observed_latency: truth.two_phase_latency(),
+            observed_size: admitted.then_some(truth.tx_count()),
+        }
+    }
+}
+
 /// Per-committee reputation state. Serializable so the whole engine can be
 /// checkpointed alongside [`crate::se::SeCheckpoint`].
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

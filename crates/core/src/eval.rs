@@ -566,78 +566,34 @@ impl EvalCache {
     }
 
     /// The 0-based rank of the `k`-th smallest selected latency
-    /// (1-indexed `k`), via Fenwick binary lifting. `O(log n)`.
+    /// (1-indexed `k`). `O(log n)`.
     fn kth(&self, k: u32) -> usize {
         debug_assert!(k >= 1 && k as usize <= self.selected);
-        let n = self.tree.len() - 1;
-        let mut pos = 0usize;
-        let mut rem = k;
-        let mut step = n.next_power_of_two();
-        while step > 0 {
-            let next = pos + step;
-            if next <= n && self.tree[next] < rem {
-                pos = next;
-                rem -= self.tree[next];
-            }
-            step >>= 1;
-        }
-        // `pos` positions have cumulative count < k ⇒ the k-th selected
-        // shard sits at 1-based position pos+1, i.e. 0-based rank `pos`.
-        pos
+        select::<true>(&self.tree, k)
     }
 
     /// The shard index of the `k`-th selected shard in increasing index
-    /// order (0-indexed `k`) — `solution.iter_selected().nth(k)` as an
-    /// `O(log n)` Fenwick binary-lifting descent over the index tree.
+    /// order (0-indexed `k`) — `solution.iter_selected().nth(k)` in
+    /// `O(log n)`.
     ///
     /// # Panics
     ///
     /// Panics (debug) when `k >= selected_count()`.
     pub fn select_kth_selected(&self, k: usize) -> usize {
         debug_assert!(k < self.selected);
-        let n = self.idx_tree.len() - 1;
-        let mut pos = 0usize;
-        let mut rem = k as u32 + 1;
-        let mut step = n.next_power_of_two();
-        while step > 0 {
-            let next = pos + step;
-            if next <= n && self.idx_tree[next] < rem {
-                pos = next;
-                rem -= self.idx_tree[next];
-            }
-            step >>= 1;
-        }
-        pos
+        select::<true>(&self.idx_tree, k as u32 + 1)
     }
 
     /// The shard index of the `k`-th *unselected* shard in increasing
     /// index order (0-indexed `k`) — `solution.iter_unselected().nth(k)`
-    /// in `O(log n)`. A node at lifting step `s` covers exactly `s`
-    /// positions, so its zero count is `s − ones`.
+    /// in `O(log n)`.
     ///
     /// # Panics
     ///
     /// Panics (debug) when `k >= len() − selected_count()`.
     pub fn select_kth_unselected(&self, k: usize) -> usize {
         debug_assert!(k < self.len() - self.selected);
-        let n = self.idx_tree.len() - 1;
-        let mut pos = 0usize;
-        let mut rem = k as u32 + 1;
-        let mut step = n.next_power_of_two();
-        while step > 0 {
-            let next = pos + step;
-            if next <= n {
-                // `pos`'s set bits all exceed `step`, so lowbit(next) is
-                // exactly `step` and the node covers `step` positions.
-                let zeros = step as u32 - self.idx_tree[next];
-                if zeros < rem {
-                    pos = next;
-                    rem -= zeros;
-                }
-            }
-            step >>= 1;
-        }
-        pos
+        select::<false>(&self.idx_tree, k as u32 + 1)
     }
 
     /// A uniformly random selected index, or `None` if empty — a drop-in
@@ -655,19 +611,7 @@ impl EvalCache {
         solution: &Solution,
         rng: &mut R,
     ) -> Option<usize> {
-        self.assert_sync(solution);
-        if self.selected == 0 {
-            return None;
-        }
-        let len = self.len();
-        for _ in 0..64 {
-            let i = rng.gen_range(0..len);
-            if solution.contains(i) {
-                return Some(i);
-            }
-        }
-        let target = rng.gen_range(0..self.selected);
-        Some(self.select_kth_selected(target))
+        self.sample::<true, R>(solution, rng)
     }
 
     /// A uniformly random unselected index, or `None` if full — the fast
@@ -678,21 +622,69 @@ impl EvalCache {
         solution: &Solution,
         rng: &mut R,
     ) -> Option<usize> {
+        self.sample::<false, R>(solution, rng)
+    }
+
+    /// The one sampler body: 64 rejection draws against the solution's
+    /// bitset (`O(1)` membership), then one draw resolved by [`select`]
+    /// over the index tree. `SELECTED` picks the side at compile time.
+    #[inline]
+    fn sample<const SELECTED: bool, R: Rng + ?Sized>(
+        &self,
+        solution: &Solution,
+        rng: &mut R,
+    ) -> Option<usize> {
         self.assert_sync(solution);
         let len = self.len();
-        let unselected = len - self.selected;
-        if unselected == 0 {
+        let pool = if SELECTED {
+            self.selected
+        } else {
+            len - self.selected
+        };
+        if pool == 0 {
             return None;
         }
         for _ in 0..64 {
             let i = rng.gen_range(0..len);
-            if !solution.contains(i) {
+            if solution.contains(i) == SELECTED {
                 return Some(i);
             }
         }
-        let target = rng.gen_range(0..unselected);
-        Some(self.select_kth_unselected(target))
+        let target = rng.gen_range(0..pool);
+        Some(select::<SELECTED>(&self.idx_tree, target as u32 + 1))
     }
+}
+
+/// The one Fenwick binary-lifting descent: the 0-based position of the
+/// `k`-th (1-indexed) one of a 1-based count tree — or, with `ONES` false,
+/// of its `k`-th zero. `O(log n)`; `ONES` is resolved at compile time, so
+/// each side is the straight-line loop it was when written out by hand.
+#[inline]
+fn select<const ONES: bool>(tree: &[u32], k: u32) -> usize {
+    let n = tree.len() - 1;
+    let mut pos = 0usize;
+    let mut rem = k;
+    let mut step = n.next_power_of_two();
+    while step > 0 {
+        let next = pos + step;
+        if next <= n {
+            // `pos`'s set bits all exceed `step`, so lowbit(next) is
+            // exactly `step` and the node covers `step` positions.
+            let count = if ONES {
+                tree[next]
+            } else {
+                step as u32 - tree[next]
+            };
+            if count < rem {
+                pos = next;
+                rem -= count;
+            }
+        }
+        step >>= 1;
+    }
+    // `pos` positions hold fewer than `k` hits ⇒ the k-th sits at 1-based
+    // position pos+1, i.e. 0-based `pos`.
+    pos
 }
 
 #[cfg(test)]

@@ -86,6 +86,14 @@ impl Instance {
         self.ddl
     }
 
+    /// The committees whose shards `solution` admits, in shard order.
+    pub fn committees<'a>(
+        &'a self,
+        solution: &'a Solution,
+    ) -> impl Iterator<Item = CommitteeId> + 'a {
+        solution.iter_selected().map(|i| self.shards[i].committee())
+    }
+
     /// The index of `committee`'s shard, if it arrived this epoch.
     pub fn index_of(&self, committee: CommitteeId) -> Option<usize> {
         self.shards.iter().position(|s| s.committee() == committee)

@@ -12,6 +12,14 @@ use crate::problem::Instance;
 use crate::se::config::SeConfig;
 use crate::solution::Solution;
 
+/// How many uniformly random `n`-subsets Algorithm 2 draws before falling
+/// back to the deterministic smallest-`n`-shards initialization.
+const INIT_ATTEMPTS: usize = 64;
+
+/// How many random `(ĩ, ï)` pairs Algorithm 3 may reject while looking for
+/// a capacity-feasible swap before the chain sits out one race.
+const SWAP_ATTEMPTS: usize = 16;
+
 /// The Algorithm 3 output: the chosen swap pair, its utility change, and
 /// the armed timer in log-space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,16 +48,11 @@ pub struct Proposal {
 #[derive(Debug, Clone)]
 pub struct Chain {
     solution: Solution,
-    cardinality: usize,
     utility: f64,
     cache: EvalCache,
-    /// `ln(|I| − n)` — the proposal-pool term of the Algorithm 3 timer.
-    /// The chain's cardinality `n` is fixed, so this is a per-chain
-    /// constant hoisted out of the per-proposal hot loop; it is exactly
-    /// the `((len − n) as f64).ln()` the loop used to recompute, so the
-    /// timer expression is unchanged bit for bit. Recomputed whenever the
-    /// chain is (re)built against an instance (`0` when the pool is
-    /// empty; [`Chain::propose`] bails out before using it then).
+    /// `ln(|I| − n)` — the proposal-pool term of the Algorithm 3 timer, a
+    /// per-chain constant because the cardinality `n` is fixed (`0` when
+    /// the pool is empty; [`Chain::propose`] bails out before using it).
     ln_pool: f64,
 }
 
@@ -57,12 +60,14 @@ impl Chain {
     /// Algorithm 2: builds the initial solution `f_n` with exactly
     /// `cardinality` admitted shards satisfying the capacity constraint.
     ///
-    /// Tries `config.init_attempts` uniformly random `n`-subsets; if none
-    /// fits in `Ĉ`, falls back to the `n` smallest shards (which fit
-    /// whenever any `n`-subset does).
+    /// Tries 64 uniformly random `n`-subsets; if none fits in `Ĉ`, falls
+    /// back to the `n` smallest shards (which fit whenever any `n`-subset
+    /// does).
     ///
     /// Derives the instance's [`ShardColumns`] for this one chain; a
-    /// family of chains shares them through [`Chain::init_on`].
+    /// family of chains shares them through [`Chain::init_on`]. Nothing
+    /// here reads `_config` any more (the attempt budget is a constant);
+    /// the parameter stays because `benchmark/` calls this signature.
     ///
     /// # Errors
     ///
@@ -71,11 +76,11 @@ impl Chain {
     pub fn init<R: Rng + ?Sized>(
         instance: &Instance,
         cardinality: usize,
-        config: &SeConfig,
+        _config: &SeConfig,
         rng: &mut R,
     ) -> Result<Chain> {
         let columns = Arc::new(ShardColumns::new(instance));
-        Chain::init_on(&columns, instance, cardinality, config, rng)
+        Chain::init_on(&columns, instance, cardinality, rng)
     }
 
     /// [`Chain::init`] over columns already derived from `instance`.
@@ -98,7 +103,6 @@ impl Chain {
         columns: &Arc<ShardColumns>,
         instance: &Instance,
         cardinality: usize,
-        config: &SeConfig,
         rng: &mut R,
     ) -> Result<Chain> {
         let len = instance.len();
@@ -108,7 +112,7 @@ impl Chain {
             )));
         }
         let mut indices: Vec<usize> = (0..len).collect();
-        for _ in 0..config.init_attempts {
+        for _ in 0..INIT_ATTEMPTS {
             indices.shuffle(rng);
             let picked = &indices[..cardinality];
             if columns.tx_total(picked) <= instance.capacity() {
@@ -128,19 +132,11 @@ impl Chain {
         }
     }
 
-    /// Wraps an existing solution as a chain (used by warm starts after
-    /// dynamic events and by checkpoint restores). The utility is
-    /// recomputed from scratch and the eval cache rebuilt, so restored
-    /// chains never inherit incremental drift.
-    ///
-    /// Derives the instance's [`ShardColumns`] for this one chain; a
-    /// family of chains shares them through [`Chain::attach`].
-    pub fn from_solution(instance: &Instance, solution: Solution) -> Chain {
-        Chain::attach(&Arc::new(ShardColumns::new(instance)), instance, solution)
-    }
-
-    /// [`Chain::from_solution`] over columns already derived from
-    /// `instance`.
+    /// Wraps an existing solution as a chain over columns already derived
+    /// from `instance` (used by warm starts after dynamic events and by
+    /// checkpoint restores). The utility is recomputed from scratch and
+    /// the eval cache rebuilt, so restored chains never inherit
+    /// incremental drift.
     ///
     /// # Panics
     ///
@@ -149,7 +145,6 @@ impl Chain {
         let utility = instance.utility(&solution);
         let cache = EvalCache::attach(Arc::clone(columns), instance, &solution);
         Chain {
-            cardinality: solution.selected_count(),
             ln_pool: Self::ln_pool(instance.len(), solution.selected_count()),
             solution,
             utility,
@@ -180,7 +175,7 @@ impl Chain {
 
     /// The fixed admitted-shard count `n` of this chain.
     pub fn cardinality(&self) -> usize {
-        self.cardinality
+        self.solution.selected_count()
     }
 
     /// The cached utility `U_{f_n}` of the current solution.
@@ -193,8 +188,8 @@ impl Chain {
     /// `exp(τ − ½β(U_f' − U_f)) / (|I_j| − n)`.
     ///
     /// Returns `None` when the chain cannot act this race: the solution is
-    /// full/empty, or `config.swap_attempts` random pairs all violated the
-    /// capacity constraint.
+    /// full/empty, or 16 random pairs in a row violated the capacity
+    /// constraint.
     pub fn propose<R: Rng + ?Sized>(
         &self,
         instance: &Instance,
@@ -206,7 +201,7 @@ impl Chain {
         if n == 0 || n >= len {
             return None;
         }
-        for _ in 0..config.swap_attempts {
+        for _ in 0..SWAP_ATTEMPTS {
             let out = self.cache.random_selected(&self.solution, rng)?;
             let inc = self.cache.random_unselected(&self.solution, rng)?;
             let new_total = self.solution.tx_total() - instance.shards()[out].tx_count()
@@ -280,6 +275,11 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// A lone chain over its own columns.
+    fn attach(instance: &Instance, solution: Solution) -> Chain {
+        Chain::attach(&Arc::new(ShardColumns::new(instance)), instance, solution)
+    }
+
     fn instance(n: usize, capacity: u64) -> Instance {
         InstanceBuilder::new()
             .alpha(1.5)
@@ -328,48 +328,28 @@ mod tests {
 
     #[test]
     fn init_fallback_finds_tight_fits() {
-        // Capacity admits exactly the 3 smallest shards; random subsets of
-        // size 3 rarely fit, the deterministic fallback must.
-        let shards = vec![
-            ShardInfo::new(
-                CommitteeId(0),
-                10,
-                TwoPhaseLatency::from_total(SimTime::from_secs(1.0)),
-            ),
-            ShardInfo::new(
-                CommitteeId(1),
-                10,
-                TwoPhaseLatency::from_total(SimTime::from_secs(2.0)),
-            ),
-            ShardInfo::new(
-                CommitteeId(2),
-                10,
-                TwoPhaseLatency::from_total(SimTime::from_secs(3.0)),
-            ),
-            ShardInfo::new(
-                CommitteeId(3),
-                500,
-                TwoPhaseLatency::from_total(SimTime::from_secs(4.0)),
-            ),
-            ShardInfo::new(
-                CommitteeId(4),
-                500,
-                TwoPhaseLatency::from_total(SimTime::from_secs(5.0)),
-            ),
-        ];
+        // The capacity admits exactly the 20 small shards, which sit at
+        // the even indices. A uniformly random 20-subset of 40 is that
+        // one with probability 1/C(40,20) ≈ 7e-12, so all 64 shuffles
+        // miss and the deterministic fallback must find it.
+        let shards = (0..40)
+            .map(|i| {
+                ShardInfo::new(
+                    CommitteeId(i),
+                    if i % 2 == 0 { 10 } else { 500 },
+                    TwoPhaseLatency::from_total(SimTime::from_secs(1.0 + f64::from(i))),
+                )
+            })
+            .collect();
         let inst = InstanceBuilder::new()
-            .capacity(30)
+            .capacity(200)
             .shards(shards)
             .build()
             .unwrap();
-        let cfg = SeConfig {
-            init_attempts: 1,
-            ..SeConfig::fast_test(0)
-        };
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let chain = Chain::init(&inst, 3, &cfg, &mut rng).unwrap();
+        let chain = Chain::init(&inst, 20, &SeConfig::fast_test(0), &mut rng).unwrap();
         let picked: Vec<usize> = chain.solution().iter_selected().collect();
-        assert_eq!(picked, vec![0, 1, 2]);
+        assert_eq!(picked, (0..40).step_by(2).collect::<Vec<_>>());
     }
 
     #[test]
@@ -471,16 +451,16 @@ mod tests {
             .build()
             .unwrap();
         let solution = Solution::from_indices(3, [0], &inst);
-        let chain = Chain::from_solution(&inst, solution);
+        let chain = attach(&inst, solution);
         let cfg = SeConfig::fast_test(0);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         assert_eq!(chain.propose(&inst, &cfg, &mut rng), None);
     }
 
     #[test]
-    fn from_solution_tracks_instance_changes() {
+    fn attach_tracks_instance_changes() {
         let inst = instance(10, 10_000);
-        let chain = Chain::from_solution(&inst, Solution::from_indices(10, [0, 1, 2], &inst));
+        let chain = attach(&inst, Solution::from_indices(10, [0, 1, 2], &inst));
         let grown = inst
             .with_joined(ShardInfo::new(
                 CommitteeId(99),
@@ -491,7 +471,7 @@ mod tests {
         // The new straggler pushes the DDL out; ages of selected shards grow
         // and the same selection, wrapped over the grown instance (what a
         // join's warm start does), must come out with a lower utility.
-        let moved = Chain::from_solution(&grown, Solution::from_indices(11, [0, 1, 2], &grown));
+        let moved = attach(&grown, Solution::from_indices(11, [0, 1, 2], &grown));
         assert!(moved.utility() < chain.utility());
     }
 }

@@ -22,27 +22,15 @@ pub struct SeConfig {
     pub tau: f64,
     /// Hard iteration budget.
     pub max_iterations: u64,
-    /// Stop early when the best-so-far utility has not improved by more
-    /// than [`SeConfig::convergence_tol`] for this many iterations
-    /// (`0` disables early stopping).
+    /// Stop early when the best-so-far utility has not improved (by more
+    /// than `1e-9`) for this many iterations (`0` disables early stopping).
     pub convergence_window: u64,
-    /// Minimum improvement that counts as progress.
-    pub convergence_tol: f64,
-    /// How many random `(ĩ, ï)` pairs Algorithm 3 may reject while looking
-    /// for a capacity-feasible swap before the chain sits out one race.
-    pub swap_attempts: usize,
     /// How many candidate pairs each chain's local timer race samples per
     /// round. The chain commits the pair whose exponential timer (rate
     /// `exp(½β·ΔU − τ)`) expires first — a sampled jump of the designed
     /// CTMC. Larger values approximate the full transition-rate matrix
     /// more closely at linear cost.
     pub proposal_fanout: usize,
-    /// How many random `n`-subsets Algorithm 2 may draw before falling back
-    /// to the deterministic smallest-`n`-shards initialization.
-    pub init_attempts: usize,
-    /// Whether the full selection `f_{|I_j|}` joins the candidate set at
-    /// convergence when it satisfies the capacity (Alg. 1 line 25).
-    pub include_full_solution: bool,
     /// Upper bound on the chains per replica. Algorithm 2 spawns one
     /// chain per feasible cardinality; at `|I| = 10⁴–10⁵` that range is
     /// `O(|I|)` wide and every chain carries an `O(|I|)` bitset plus the
@@ -77,11 +65,7 @@ impl SeConfig {
             tau: 0.0,
             max_iterations: 3_000,
             convergence_window: 500,
-            convergence_tol: 1e-9,
-            swap_attempts: 16,
             proposal_fanout: 16,
-            init_attempts: 64,
-            include_full_solution: true,
             max_chains: default_max_chains(),
             record_every: 1,
             seed,
@@ -140,20 +124,8 @@ impl SeConfig {
         if self.max_iterations == 0 {
             return Err(Error::invalid_config("max_iterations", "must be positive"));
         }
-        if !self.convergence_tol.is_finite() || self.convergence_tol < 0.0 {
-            return Err(Error::invalid_config(
-                "convergence_tol",
-                "must be finite and non-negative",
-            ));
-        }
-        if self.swap_attempts == 0 {
-            return Err(Error::invalid_config("swap_attempts", "must be positive"));
-        }
         if self.proposal_fanout == 0 {
             return Err(Error::invalid_config("proposal_fanout", "must be positive"));
-        }
-        if self.init_attempts == 0 {
-            return Err(Error::invalid_config("init_attempts", "must be positive"));
         }
         if self.max_chains == 0 {
             return Err(Error::invalid_config(
@@ -218,19 +190,7 @@ mod tests {
                 ..base
             },
             SeConfig {
-                convergence_tol: -1.0,
-                ..base
-            },
-            SeConfig {
-                swap_attempts: 0,
-                ..base
-            },
-            SeConfig {
                 proposal_fanout: 0,
-                ..base
-            },
-            SeConfig {
-                init_attempts: 0,
                 ..base
             },
             SeConfig {

@@ -78,24 +78,14 @@ fn schedule(candidates: &[ShardInfo], epoch: u64) -> BTreeSet<CommitteeId> {
         .build()
         .unwrap();
     let outcome = SeEngine::new(&instance, se_config(epoch)).unwrap().run();
-    outcome
-        .best_solution
-        .iter_selected()
-        .map(|i| instance.shards()[i].committee())
-        .collect()
+    instance.committees(&outcome.best_solution).collect()
 }
 
 fn observe(epoch: u64, admitted: &BTreeSet<CommitteeId>) -> Vec<DefenseObservation> {
     truth(epoch)
         .iter()
         .zip(reports(epoch))
-        .map(|(tr, rep)| DefenseObservation {
-            committee: tr.committee(),
-            reported_size: rep.tx_count(),
-            reported_latency: rep.two_phase_latency(),
-            observed_latency: tr.two_phase_latency(),
-            observed_size: admitted.contains(&tr.committee()).then_some(tr.tx_count()),
-        })
+        .map(|(tr, rep)| DefenseObservation::settled(&rep, tr, admitted.contains(&tr.committee())))
         .collect()
 }
 

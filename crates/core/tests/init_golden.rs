@@ -9,10 +9,19 @@
 //! same RNG stream, the same `lat_total` accumulation order and the same
 //! stable by-size fallback selection — bit for bit, under both deadline
 //! policies, through a checkpoint → JSON → restore round trip.
+//!
+//! The dynamics leg (constants captured at bce9c14, when `SeEngine::new`,
+//! `from_checkpoint` and join/leave each assembled the replica family by
+//! hand and a warm start scanned the pool linearly per chain) walks the
+//! same instance through a `Trim` leave, a `Trim` join and a
+//! `Reinitialize` leave, so the one replica builder and its
+//! cardinality-keyed warm pool are pinned to the same chains, RNG streams
+//! and trajectory.
 
 // Test/example code: unwrap is fine here (the workspace-level
 // `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
 #![allow(clippy::unwrap_used)]
+use mvcom_core::dynamics::DynamicsPolicy;
 use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder};
 use mvcom_core::se::{SeCheckpoint, SeConfig, SeEngine, SeOutcome};
 use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
@@ -213,6 +222,86 @@ fn max_selected_engine_matches_the_per_chain_column_goldens() {
                 0x4d31_d734_3467_84d4,
             ),
             final_checkpoint: 0x52ad_e70f_6579_122d,
+        }
+    );
+}
+
+/// What one policy pins across three dynamic events, 30 steps apart.
+#[derive(Debug, PartialEq, Eq)]
+struct DynamicsGolden {
+    /// Chain utilities right after committee 5 leaves under `Trim`: the
+    /// chains that held it drop one cardinality, so the warm pool offers
+    /// two candidates for most cardinalities and the first one wins.
+    after_trim_leave: u64,
+    /// … after a straggler joins under `Trim` (the deadline moves, every
+    /// warm chain is re-priced, the capacity ceiling stays fresh).
+    after_trim_join: u64,
+    /// … after committee 17 leaves under `Reinitialize` (no warm pool).
+    after_reinit_leave: u64,
+    /// 30 more steps, then `finish()`: the trajectory spans all events.
+    run: (u64, u64, u64),
+}
+
+fn observe_dynamics(policy: DdlPolicy) -> DynamicsGolden {
+    fn steps(engine: &mut SeEngine) {
+        for _ in 0..30 {
+            engine.step();
+        }
+    }
+    let mut engine = SeEngine::new(&instance(policy), config()).unwrap();
+    steps(&mut engine);
+    engine
+        .handle_leave(CommitteeId(5), DynamicsPolicy::Trim)
+        .unwrap();
+    let after_trim_leave = chain_utilities_digest(&engine);
+    steps(&mut engine);
+    let straggler = ShardInfo::new(
+        CommitteeId(100),
+        57,
+        TwoPhaseLatency::from_total(SimTime::from_secs(950.0)),
+    );
+    engine.handle_join(straggler, DynamicsPolicy::Trim).unwrap();
+    let after_trim_join = chain_utilities_digest(&engine);
+    steps(&mut engine);
+    engine
+        .handle_leave(CommitteeId(17), DynamicsPolicy::Reinitialize)
+        .unwrap();
+    let after_reinit_leave = chain_utilities_digest(&engine);
+    steps(&mut engine);
+    DynamicsGolden {
+        after_trim_leave,
+        after_trim_join,
+        after_reinit_leave,
+        run: outcome_digest(&engine.finish()),
+    }
+}
+
+#[test]
+fn dynamics_leg_matches_the_hand_assembled_family_goldens() {
+    assert_eq!(
+        observe_dynamics(DdlPolicy::MaxArrival),
+        DynamicsGolden {
+            after_trim_leave: 0x59b3_9047_a3b2_5c79,
+            after_trim_join: 0x662a_141e_7e74_d3c9,
+            after_reinit_leave: 0x30c1_ce36_03ca_03c7,
+            run: (
+                0xc070_5000_0000_0000,
+                0xd5d5_7a18_2bf0_7379,
+                0xc969_68d1_a81c_0490,
+            ),
+        }
+    );
+    assert_eq!(
+        observe_dynamics(DdlPolicy::MaxSelected),
+        DynamicsGolden {
+            after_trim_leave: 0x57bc_2843_e16a_f8f1,
+            after_trim_join: 0x5408_6e34_1014_efcb,
+            after_reinit_leave: 0x276b_014f_565f_f829,
+            run: (
+                0x4087_8c00_0000_0000,
+                0xb15e_1caf_1ad7_32dd,
+                0x62ea_820e_a670_1bc5,
+            ),
         }
     );
 }

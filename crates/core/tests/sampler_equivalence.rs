@@ -114,6 +114,46 @@ proptest! {
     }
 }
 
+/// The descent's boundary shapes, which the arbitrary bitsets above reach
+/// only by luck (lengths 2..300, at most 63 picks, never all selected):
+/// tree lengths 1, 2ᵏ and 2ᵏ±1 — where the top lifting step equals,
+/// undershoots or overshoots the tree — against none, all, one end, the
+/// other end and every other shard selected.
+#[test]
+fn select_kth_matches_nth_at_power_of_two_boundaries_and_full_or_empty_trees() {
+    let mut lens = vec![1usize];
+    for k in 1..=9 {
+        lens.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    for len in lens {
+        let inst = instance(len);
+        let shapes: [Vec<usize>; 5] = [
+            vec![],
+            (0..len).collect(),
+            vec![0],
+            vec![len - 1],
+            (0..len).step_by(2).collect(),
+        ];
+        for picks in shapes {
+            let sol = Solution::from_indices(len, picks.iter().copied(), &inst);
+            let cache = EvalCache::new(&inst, &sol);
+            let selected: Vec<usize> = (0..picks.len())
+                .map(|k| cache.select_kth_selected(k))
+                .collect();
+            assert_eq!(selected, picks, "len {len}");
+            let unselected: Vec<usize> = (0..len - picks.len())
+                .map(|k| cache.select_kth_unselected(k))
+                .collect();
+            assert_eq!(
+                unselected,
+                sol.iter_unselected().collect::<Vec<_>>(),
+                "len {len}, {} selected",
+                picks.len()
+            );
+        }
+    }
+}
+
 /// Drives both samplers from identically seeded RNGs over one solution
 /// shape and asserts index-sequence equality *and* RNG-state equality
 /// (the draw counts must match too, or downstream draws would diverge).

@@ -499,14 +499,9 @@ impl Daemon {
         if let Some(defense) = &mut self.defense {
             let observations: Vec<DefenseObservation> = reports
                 .iter()
-                .map(|r| DefenseObservation {
-                    committee: r.committee(),
-                    reported_size: r.reported.tx_count(),
-                    reported_latency: r.reported.two_phase_latency(),
-                    observed_latency: r.truth.two_phase_latency(),
-                    observed_size: admitted_set
-                        .contains(&r.committee())
-                        .then_some(r.truth.tx_count()),
+                .map(|r| {
+                    let admitted = admitted_set.contains(&r.committee());
+                    DefenseObservation::settled(&r.reported, &r.truth, admitted)
                 })
                 .collect();
             defense.end_epoch(epoch, &observations);
@@ -643,11 +638,7 @@ impl Daemon {
         let se = engine.checkpoint();
         let outcome = engine.finish();
         ScheduleOutcome {
-            admitted: outcome
-                .best_solution
-                .iter_selected()
-                .map(|i| instance.shards()[i].committee())
-                .collect(),
+            admitted: instance.committees(&outcome.best_solution).collect(),
             utility: outcome.best_utility,
             ddl_s: instance.ddl().as_secs(),
             se: Some(se),

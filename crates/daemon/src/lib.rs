@@ -233,7 +233,7 @@ pub const DAEMON_FLAGS: &[FlagSpec] = &[
         flag: "--obs-level",
         value: "LEVEL",
         default: "summary",
-        help: "telemetry level: off, summary, events, or debug",
+        help: "telemetry level: off, summary, events, or trace",
     },
 ];
 
@@ -248,5 +248,32 @@ mod tests {
         flags.sort_unstable();
         flags.dedup();
         assert_eq!(flags.len(), DAEMON_FLAGS.len());
+    }
+
+    #[test]
+    fn obs_level_help_names_exactly_the_levels_the_parser_accepts() {
+        use mvcom_obs::ObsLevel;
+        let spec = DAEMON_FLAGS
+            .iter()
+            .find(|f| f.flag == "--obs-level")
+            .expect("the daemon declares --obs-level");
+        let named: Vec<&str> = spec
+            .help
+            .strip_prefix("telemetry level: ")
+            .expect("the help line lists the levels")
+            .split(|c: char| !c.is_ascii_alphabetic())
+            .filter(|word| !word.is_empty() && *word != "or")
+            .collect();
+        let levels = [
+            ObsLevel::Off,
+            ObsLevel::Summary,
+            ObsLevel::Events,
+            ObsLevel::Trace,
+        ];
+        assert_eq!(named, levels.map(ObsLevel::as_str));
+        for (name, level) in named.iter().zip(levels) {
+            assert_eq!(ObsLevel::parse(name), Some(level));
+        }
+        assert!(ObsLevel::parse(spec.default).is_some());
     }
 }

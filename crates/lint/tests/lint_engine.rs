@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used)]
 use std::path::Path;
 
-use mvcom_lint::{lint_source, lint_workspace, Finding, Rule};
+use mvcom_lint::{lint_crate, lint_source, lint_workspace, Finding, Rule};
 
 /// The `(rule, line)` projection of a finding list, in engine order.
 fn shape(findings: &[Finding]) -> Vec<(Rule, u32)> {
@@ -296,12 +296,16 @@ fn finding_display_is_file_line_rule() {
     );
 }
 
-#[test]
-fn real_workspace_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("lint crate lives two levels under the workspace root");
+        .expect("lint crate lives two levels under the workspace root")
+}
+
+#[test]
+fn real_workspace_is_clean() {
+    let root = workspace_root();
     let report = lint_workspace(root).expect("workspace walk");
     assert!(report.files_scanned > 50, "only {}", report.files_scanned);
     assert!(
@@ -314,4 +318,70 @@ fn real_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Every `.rs` file under `dir`, as the `(workspace-relative path, source)`
+/// pairs `lint_workspace` hands to `lint_crate`.
+fn sources_under(dir: &Path, out: &mut Vec<(String, String)>) {
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            sources_under(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let rel = path.strip_prefix(workspace_root()).unwrap();
+            let source = std::fs::read_to_string(&path).unwrap();
+            out.push((rel.to_string_lossy().replace('\\', "/"), source));
+        }
+    }
+}
+
+#[test]
+fn real_parallel_region_reaches_the_race_and_pbft_workers() {
+    // "The workspace lints clean" is also what an accidentally empty
+    // parallel region looks like — a worker function that moved to a file
+    // the call graph no longer connects would pass it. So plant a direct
+    // emission on a shared handle as the first statement of each real
+    // worker and demand exactly that C1: the region computed over the
+    // real sources contains `race_replica` (reached from `SeEngine`'s
+    // `ordered_map` closure) and `execute_pbft` (from elastico's).
+    for (krate, file, function) in [
+        ("core", "crates/core/src/se/engine/step.rs", "race_replica"),
+        ("elastico", "crates/elastico/src/epoch.rs", "execute_pbft"),
+    ] {
+        let mut sources = Vec::new();
+        sources_under(
+            &workspace_root().join("crates").join(krate).join("src"),
+            &mut sources,
+        );
+        let (_, source) = sources
+            .iter_mut()
+            .find(|(rel, _)| rel == file)
+            .unwrap_or_else(|| panic!("{file} is where `{function}` lives"));
+        let signature = source
+            .find(&format!("fn {function}("))
+            .unwrap_or_else(|| panic!("`fn {function}` is defined in {file}"));
+        let body = signature + source[signature..].find("{\n").unwrap() + 2;
+        source.insert_str(body, "    obs.emit(\"planted\", 0.0, &[]);\n");
+        let planted_line = source[..body].lines().count() as u32 + 1;
+
+        let refs: Vec<(&str, &str)> = sources
+            .iter()
+            .map(|(rel, src)| (rel.as_str(), src.as_str()))
+            .collect();
+        let findings = lint_crate(&refs);
+        let c1: Vec<(&str, u32)> = findings
+            .iter()
+            .filter(|f| f.rule == Rule::C1)
+            .map(|f| (f.file.as_str(), f.line))
+            .collect();
+        assert_eq!(
+            c1,
+            vec![(file, planted_line)],
+            "`{function}` left the region"
+        );
+    }
 }

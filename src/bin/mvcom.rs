@@ -123,12 +123,13 @@ fn daemon_usage() -> String {
     out
 }
 
-/// Builds the telemetry handle from `--obs-out` / `--obs-level` and emits
-/// the `run_info` header. Without `--obs-out` the handle is disabled and
-/// every emission downstream is a no-op.
-fn obs_from_flags(flags: &Flags, tool: &str, seed: u64) -> Result<Obs> {
+/// Builds the telemetry handle from `--obs-out` / `--obs-level` (`default`
+/// when the level is not given) and emits the `run_info` header. Without
+/// `--obs-out` the handle is disabled and every emission downstream is a
+/// no-op.
+fn obs_from_flags(flags: &Flags, tool: &str, seed: u64, default: ObsLevel) -> Result<Obs> {
     let level = match flags.get("obs-level") {
-        None => ObsLevel::Events,
+        None => default,
         Some(raw) => ObsLevel::parse(raw).ok_or_else(|| {
             Error::invalid_config(
                 "obs-level",
@@ -373,7 +374,7 @@ fn solve(args: &[String]) -> Result<()> {
         .shards(shards)
         .build()?;
 
-    let obs = obs_from_flags(&flags, "mvcom solve", seed)?;
+    let obs = obs_from_flags(&flags, "mvcom solve", seed, ObsLevel::Events)?;
     let span = obs.span("solve", 0.0, &[("solver", Value::from(solver))]);
     // The logical end of the run on the solver's iteration clock.
     let mut t_end = 0.0f64;
@@ -512,7 +513,7 @@ fn simulate(args: &[String]) -> Result<()> {
 
     // Committee-parallel stage 3 (DESIGN.md §11).
     let threads = flags.threads()?;
-    let obs = obs_from_flags(&flags, "mvcom simulate", seed)?;
+    let obs = obs_from_flags(&flags, "mvcom simulate", seed, ObsLevel::Events)?;
     let mut sim = ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?
         .with_obs(obs.clone())
         .with_threads(threads);
@@ -785,30 +786,7 @@ fn daemon(args: &[String]) -> Result<()> {
             a.observed,
         );
     });
-    let level = match flags.get("obs-level") {
-        None => ObsLevel::Summary,
-        Some(raw) => ObsLevel::parse(raw).ok_or_else(|| {
-            Error::invalid_config(
-                "obs-level",
-                format!("unknown level `{raw}` (use off|summary|events|trace)"),
-            )
-        })?,
-    };
-    let obs = match flags.get("obs-out") {
-        None => Obs::off(),
-        Some(path) => Obs::to_file(level, std::path::Path::new(path))
-            .map_err(|e| Error::invalid_config("obs-out", format!("opening {path}: {e}")))?,
-    };
-    obs.emit(
-        "run_info",
-        0.0,
-        &[
-            ("tool", Value::from("daemon")),
-            ("schema", Value::U64(u64::from(mvcom::obs::SCHEMA_VERSION))),
-            ("seed", Value::U64(config.seed)),
-            ("level", Value::from(level.as_str())),
-        ],
-    );
+    let obs = obs_from_flags(&flags, "daemon", config.seed, ObsLevel::Summary)?;
     let history_path = flags
         .get("history")
         .unwrap_or("mvcom-history.log")

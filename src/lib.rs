@@ -244,11 +244,7 @@ impl ShardSelector for SeSelector {
         match SeEngine::new(&instance, self.se) {
             Ok(engine) => {
                 let outcome = engine.with_obs(self.obs.clone()).run();
-                outcome
-                    .best_solution
-                    .iter_selected()
-                    .map(|i| instance.shards()[i].committee())
-                    .collect()
+                instance.committees(&outcome.best_solution).collect()
             }
             Err(_) => fallback(),
         }
@@ -340,14 +336,9 @@ impl DefendedSeSelector {
         let included = &report.final_block.included;
         let observations: Vec<DefenseObservation> = reports
             .iter()
-            .map(|r| DefenseObservation {
-                committee: r.committee(),
-                reported_size: r.reported.tx_count(),
-                reported_latency: r.reported.two_phase_latency(),
-                observed_latency: r.truth.two_phase_latency(),
-                observed_size: included
-                    .contains(&r.committee())
-                    .then_some(r.truth.tx_count()),
+            .map(|r| {
+                let admitted = included.contains(&r.committee());
+                DefenseObservation::settled(&r.reported, &r.truth, admitted)
             })
             .collect();
         self.defense.end_epoch(self.epoch, &observations);
@@ -526,11 +517,7 @@ impl RecoverySelector for SeRecoverySelector {
             Some(engine) => {
                 let instance = engine.instance().clone();
                 let outcome = engine.finish();
-                outcome
-                    .best_solution
-                    .iter_selected()
-                    .map(|i| instance.shards()[i].committee())
-                    .collect()
+                instance.committees(&outcome.best_solution).collect()
             }
             None => self.shards.iter().map(|s| s.committee()).collect(),
         }
