@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! obs_report <events.jsonl>...
+//! obs_report --schema-md      # the "Event kinds" section of OBSERVABILITY.md
 //! ```
 //!
 //! For each file, prints:
@@ -25,8 +26,12 @@ use serde::Value;
 
 fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths == ["--schema-md"] {
+        print!("{}", mvcom_obs::schema::render_markdown());
+        return ExitCode::SUCCESS;
+    }
     if paths.is_empty() || paths.iter().any(|p| p.starts_with('-')) {
-        eprintln!("usage: obs_report <events.jsonl>...");
+        eprintln!("usage: obs_report <events.jsonl>... | obs_report --schema-md");
         return ExitCode::FAILURE;
     }
     let mut failed = false;

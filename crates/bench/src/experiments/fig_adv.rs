@@ -25,9 +25,9 @@
 
 use std::collections::BTreeSet;
 
+use mvcom_core::admission::{Admission, Capacity, EpochPolicy};
 use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
-use mvcom_core::problem::InstanceBuilder;
-use mvcom_core::se::{SeConfig, SeEngine};
+use mvcom_core::se::SeConfig;
 use mvcom_dataset::StrategicPopulation;
 use mvcom_dataset::{build_adversary, Adversary, AdversaryConfig, CommitteeReport};
 use mvcom_obs::{Obs, ObsLevel, Value};
@@ -111,6 +111,11 @@ fn run_arm(
     obs: Option<Obs>,
 ) -> Result<ArmOutcome> {
     let obs_handle = obs.unwrap_or_else(Obs::off);
+    let policy = EpochPolicy {
+        alpha: ALPHA,
+        capacity: Capacity::PerCommittee(CAPACITY_PER_COMMITTEE),
+        ..EpochPolicy::paper()
+    };
     let mut engine = if defense {
         Some(DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs_handle.clone()))
     } else {
@@ -138,31 +143,31 @@ fn run_arm(
         }
         let honest_total = reports.iter().filter(|r| !r.adversarial).count();
         let reported: Vec<_> = reports.iter().map(|r| r.reported).collect();
+        // Both constraints scale with the whole population, screened or
+        // not; `N_min` is the floor of half of it.
         let n_min = reported.len() / 2;
+        let capacity = policy.capacity.of(&reported);
         let candidates = match &mut engine {
             Some(engine) => engine.admissible(epoch, &reported, n_min),
             None => reported,
         };
-        let capacity = CAPACITY_PER_COMMITTEE * population.committees().len() as u64;
         let se = SeConfig {
             seed: se_base.seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ..se_base
         };
-        // Degenerate epochs (infeasible knapsack) degrade to admit-all,
-        // exactly like `SeSelector` does inside Elastico.
-        let admitted: BTreeSet<CommitteeId> = match InstanceBuilder::new()
-            .alpha(ALPHA)
-            .capacity(capacity)
-            .n_min(n_min.min(candidates.len()))
-            .shards(candidates.clone())
-            .build()
-            .and_then(|instance| {
-                let outcome = SeEngine::new(&instance, se)?.run();
-                Ok(instance.committees(&outcome.best_solution).collect())
-            }) {
-            Ok(set) => set,
-            Err(_) => candidates.iter().map(|s| s.committee()).collect(),
-        };
+        // The SE run itself stays untraced: the figure's event artifact
+        // holds the adversary and defense events only.
+        let mut admission = Admission::open(
+            &policy,
+            &candidates,
+            candidates.clone(),
+            n_min.min(candidates.len()),
+            capacity,
+            se,
+            Obs::off(),
+        );
+        admission.advance(se.max_iterations);
+        let admitted: BTreeSet<CommitteeId> = admission.finish().admitted.into_iter().collect();
         let (utility, honest_admitted, adv_admitted) = settle_epoch(&reports, &admitted);
         honest_utility += utility;
         adv_admitted_total += adv_admitted;

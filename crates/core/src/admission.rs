@@ -1,0 +1,499 @@
+//! The final committee's per-epoch procedure (Alg. 1 lines 22–30), once.
+//!
+//! Stop listening at `N_max`, require `N_min`, cap the block at `Ĉ`, run
+//! SE, admit the converged set — and when the epoch is degenerate (fewer
+//! than two shards, no selection satisfies the constraints, the engine
+//! refuses to build) admit everything that arrived, like vanilla Elastico.
+//! The Elastico selectors of the `mvcom` facade, the daemon's epoch close,
+//! [`EpochChain`](crate::epoch_chain::EpochChain) and the `fig_adv` arms
+//! all run this module (DESIGN.md "One final committee").
+//!
+//! What differs between those callers is *data*, passed in: which count
+//! `N_min` is a fraction of, which shards `Ĉ` scales with, the per-epoch
+//! SE seed, the iteration budget, the telemetry handle. Nothing here asks
+//! who is calling.
+//!
+//! [`EpochPolicy`] poses an epoch; [`Admission`] is a posed epoch being
+//! solved — the object a caller keeps while committees fail (or, for a
+//! warm-started service, join) and settles with [`Admission::finish`].
+
+use serde::{Deserialize, Serialize};
+
+use mvcom_obs::Obs;
+use mvcom_types::{CommitteeId, Error, Result, ShardInfo, SimTime};
+
+use crate::dynamics::DynamicsPolicy;
+use crate::problem::{DdlPolicy, Instance, InstanceBuilder};
+use crate::se::{SeCheckpoint, SeConfig, SeEngine};
+
+/// How an epoch's final-block capacity `Ĉ` is derived.
+///
+/// The paper's experiments fix `Ĉ = 1000·|I_j|` because its dataset packs
+/// ~1000 TXs per shard; real epochs have shard sizes set by the workload,
+/// so a fraction-of-load rule keeps the knapsack meaningfully tight at any
+/// scale.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum Capacity {
+    /// `Ĉ = per_committee · |I_j|` — the paper's rule.
+    PerCommittee(u64),
+    /// A fixed absolute capacity per epoch.
+    Absolute(u64),
+    /// `Ĉ = fraction · Σ_i s_i`; the fraction is clamped to `(0, 1]`.
+    FractionOfLoad(f64),
+}
+
+impl Capacity {
+    /// `Ĉ` for an epoch whose capacity scales with `shards` — the caller
+    /// decides whether that is the arrivals kept by the cutoff, the
+    /// screened reports or the whole population.
+    pub fn of(&self, shards: &[ShardInfo]) -> u64 {
+        match *self {
+            Capacity::PerCommittee(per) => per.saturating_mul(shards.len() as u64),
+            Capacity::Absolute(c) => c,
+            Capacity::FractionOfLoad(fraction) => {
+                let total: u64 = shards.iter().map(|s| s.tx_count()).sum();
+                let f = fraction.clamp(f64::EPSILON, 1.0);
+                ((total as f64) * f).round().max(1.0) as u64
+            }
+        }
+    }
+}
+
+/// The knobs of one epoch's MVCom instance.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct EpochPolicy {
+    /// The throughput weight `α`.
+    pub alpha: f64,
+    /// How the final-block capacity `Ĉ` is derived.
+    pub capacity: Capacity,
+    /// `N_min` as a fraction of the arrived committees (paper: 0.5).
+    pub n_min_fraction: f64,
+    /// Deadline semantics.
+    pub ddl_policy: DdlPolicy,
+}
+
+impl EpochPolicy {
+    /// The paper's §VI-A defaults: `α = 1.5`, `Ĉ = 1000·|I|`,
+    /// `N_min = 50 %·|I|`, MaxArrival deadline.
+    pub fn paper() -> EpochPolicy {
+        EpochPolicy {
+            alpha: 1.5,
+            capacity: Capacity::PerCommittee(1_000),
+            n_min_fraction: 0.5,
+            ddl_policy: DdlPolicy::MaxArrival,
+        }
+    }
+
+    /// Validates parameter domains.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] naming the offending parameter.
+    pub fn validate(&self) -> Result<()> {
+        if !(self.alpha.is_finite() && self.alpha > 0.0) {
+            return Err(Error::invalid_config("alpha", "must be positive"));
+        }
+        if !(0.0..=1.0).contains(&self.n_min_fraction) {
+            return Err(Error::invalid_config("n_min_fraction", "must be in [0, 1]"));
+        }
+        Ok(())
+    }
+
+    /// `N_min` for `arrived` committees: the fraction, rounded half up.
+    pub fn n_min(&self, arrived: usize) -> usize {
+        (arrived as f64 * self.n_min_fraction).round() as usize
+    }
+
+    /// Formulates the epoch over `shards`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidInstance`] / [`Error::Infeasible`] from
+    /// [`InstanceBuilder::build`].
+    pub fn pose(&self, shards: Vec<ShardInfo>, n_min: usize, capacity: u64) -> Result<Instance> {
+        InstanceBuilder::new()
+            .alpha(self.alpha)
+            .capacity(capacity)
+            .n_min(n_min)
+            .ddl_policy(self.ddl_policy)
+            .shards(shards)
+            .build()
+    }
+}
+
+/// The arrival cutoff `N_max` (Alg. 1 lines 29–30): the final committee
+/// stops listening once the given fraction of committees has submitted.
+/// Returns the earliest arrivals in arrival order — at least two, so the
+/// kept set can still be scheduled.
+pub fn cutoff(shards: &[ShardInfo], n_max_fraction: f64) -> Vec<ShardInfo> {
+    // Not `clamp(2, len)`: that panics on an epoch of fewer than two shards.
+    let keep = ((shards.len() as f64 * n_max_fraction).round() as usize)
+        .max(2)
+        .min(shards.len());
+    let mut by_arrival = shards.to_vec();
+    by_arrival.sort_by_key(|s| s.two_phase_latency());
+    by_arrival.truncate(keep);
+    by_arrival
+}
+
+/// What a settled epoch admits.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Admitted {
+    /// The committees whose shards enter the final block.
+    pub admitted: Vec<CommitteeId>,
+    /// The utility of that selection.
+    pub utility: f64,
+    /// The epoch deadline `t_j`.
+    pub ddl: SimTime,
+}
+
+/// A posed epoch being solved: a live [`SeEngine`], or — for a degenerate
+/// epoch — the set vanilla Elastico would admit.
+#[derive(Debug)]
+pub struct Admission {
+    alpha: f64,
+    obs: Obs,
+    state: State,
+}
+
+#[derive(Debug)]
+enum State {
+    Solving(Box<SeEngine>),
+    AdmitAll(Vec<ShardInfo>),
+}
+
+impl Admission {
+    /// Poses `posed` under `policy` and builds the SE engine over it.
+    ///
+    /// `arrived` is everything the final committee heard from — what the
+    /// degenerate case admits; `posed` is what the scheduler chooses among
+    /// (the same shards, or the ones [`cutoff`] kept). Fewer than two
+    /// posed shards, an instance that cannot be built and an engine that
+    /// refuses to build are all degenerate, never an error.
+    pub fn open(
+        policy: &EpochPolicy,
+        arrived: &[ShardInfo],
+        posed: Vec<ShardInfo>,
+        n_min: usize,
+        capacity: u64,
+        se: SeConfig,
+        obs: Obs,
+    ) -> Admission {
+        let engine = if posed.len() < 2 {
+            None
+        } else {
+            policy
+                .pose(posed, n_min, capacity)
+                .and_then(|instance| SeEngine::new(&instance, se))
+                .ok()
+        };
+        let state = match engine {
+            Some(engine) => State::Solving(Box::new(engine.with_obs(obs.clone()))),
+            None => State::AdmitAll(arrived.to_vec()),
+        };
+        Admission {
+            alpha: policy.alpha,
+            obs,
+            state,
+        }
+    }
+
+    /// Up to `n` more SE rounds, stopping early on convergence.
+    pub fn advance(&mut self, n: u64) {
+        if let State::Solving(engine) = &mut self.state {
+            engine.advance(n);
+        }
+    }
+
+    /// A committee left or was declared failed. A live engine trims it out
+    /// of the solution space per `policy` and keeps solving; if the
+    /// survivors can no longer be posed, the admission degrades to
+    /// admitting every survivor. A committee the epoch never contained is
+    /// ignored.
+    pub fn leave(&mut self, committee: CommitteeId, policy: DynamicsPolicy) {
+        match &mut self.state {
+            State::AdmitAll(shards) => shards.retain(|s| s.committee() != committee),
+            State::Solving(engine) => {
+                let known = engine.instance().index_of(committee).is_some();
+                if known && engine.handle_leave(committee, policy).is_err() {
+                    let survivors = engine.instance().shards().iter().copied();
+                    self.state =
+                        State::AdmitAll(survivors.filter(|s| s.committee() != committee).collect());
+                }
+            }
+        }
+    }
+
+    /// Replaces the live engine by one rebuilt from `checkpoint` — the
+    /// path a replacement solver process takes (paper §IV-D). Returns the
+    /// chains restored (none for a degenerate admission).
+    ///
+    /// # Errors
+    ///
+    /// See [`SeEngine::from_checkpoint`]; the live engine is untouched.
+    pub fn restore(&mut self, checkpoint: &SeCheckpoint) -> Result<usize> {
+        let State::Solving(engine) = &mut self.state else {
+            return Ok(0);
+        };
+        let restored = SeEngine::from_checkpoint(engine.instance(), *engine.config(), checkpoint)?
+            .with_obs(self.obs.clone());
+        **engine = restored;
+        Ok(engine.restored_chains())
+    }
+
+    /// The live engine; `None` for a degenerate admission.
+    pub fn engine(&self) -> Option<&SeEngine> {
+        match &self.state {
+            State::Solving(engine) => Some(engine),
+            State::AdmitAll(_) => None,
+        }
+    }
+
+    /// Settles the epoch: the engine's finalized best selection (Alg. 1
+    /// lines 22–27), or everything that arrived with the MaxArrival
+    /// objective of that full selection.
+    pub fn finish(self) -> Admitted {
+        match self.state {
+            State::Solving(engine) => {
+                let (instance, outcome) = engine.settle();
+                Admitted {
+                    admitted: instance.committees(&outcome.best_solution).collect(),
+                    utility: outcome.best_utility,
+                    ddl: instance.ddl(),
+                }
+            }
+            State::AdmitAll(shards) => {
+                let ddl_s = shards
+                    .iter()
+                    .map(|s| s.two_phase_latency().as_secs())
+                    .fold(0.0_f64, f64::max);
+                let utility = shards
+                    .iter()
+                    .map(|s| {
+                        self.alpha * s.tx_count() as f64 - (ddl_s - s.two_phase_latency().as_secs())
+                    })
+                    .sum();
+                Admitted {
+                    admitted: shards.iter().map(ShardInfo::committee).collect(),
+                    utility,
+                    ddl: SimTime::from_secs(ddl_s),
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mvcom_types::TwoPhaseLatency;
+
+    fn shard(id: u32, txs: u64, latency: f64) -> ShardInfo {
+        ShardInfo::new(
+            CommitteeId(id),
+            txs,
+            TwoPhaseLatency::from_total(SimTime::from_secs(latency)),
+        )
+    }
+
+    /// Twelve shards of ~90K TXs: 60 % of the load is a real knapsack.
+    fn epoch() -> Vec<ShardInfo> {
+        (0..12)
+            .map(|i| {
+                shard(
+                    i,
+                    90_000 + 1_000 * u64::from(i),
+                    600.0 + 200.0 * f64::from(i),
+                )
+            })
+            .collect()
+    }
+
+    fn adaptive() -> EpochPolicy {
+        EpochPolicy {
+            capacity: Capacity::FractionOfLoad(0.6),
+            ..EpochPolicy::paper()
+        }
+    }
+
+    fn open(policy: &EpochPolicy, shards: &[ShardInfo], se: SeConfig) -> Admission {
+        let n_min = policy.n_min(shards.len());
+        let capacity = policy.capacity.of(shards);
+        let posed = shards.to_vec();
+        Admission::open(policy, shards, posed, n_min, capacity, se, Obs::off())
+    }
+
+    #[test]
+    fn the_three_capacity_rules_against_hand_numbers() {
+        let shards = [shard(0, 100, 10.0), shard(1, 250, 20.0), shard(2, 1, 30.0)];
+        assert_eq!(Capacity::PerCommittee(1_000).of(&shards), 3_000);
+        assert_eq!(Capacity::PerCommittee(u64::MAX).of(&shards), u64::MAX);
+        assert_eq!(Capacity::Absolute(77).of(&shards), 77);
+        assert_eq!(Capacity::Absolute(77).of(&[]), 77);
+        // 0.6 · 351 = 210.6 → 211; the fraction is clamped into (0, 1] and
+        // the result never reaches zero.
+        assert_eq!(Capacity::FractionOfLoad(0.6).of(&shards), 211);
+        assert_eq!(Capacity::FractionOfLoad(7.0).of(&shards), 351);
+        assert_eq!(Capacity::FractionOfLoad(0.0).of(&shards), 1);
+        assert_eq!(Capacity::FractionOfLoad(0.5).of(&[]), 1);
+    }
+
+    #[test]
+    fn n_min_rounds_half_up() {
+        let half = EpochPolicy::paper();
+        assert_eq!(
+            [0, 1, 2, 3, 5, 8, 9].map(|n| half.n_min(n)),
+            [0, 1, 1, 2, 3, 4, 5]
+        );
+        let third = EpochPolicy {
+            n_min_fraction: 1.0 / 3.0,
+            ..half
+        };
+        assert_eq!([1, 2, 4, 5].map(|n| third.n_min(n)), [0, 1, 1, 2]);
+    }
+
+    #[test]
+    fn cutoff_keeps_the_earliest_arrivals_and_at_least_two() {
+        let shards: Vec<ShardInfo> = (0..10)
+            .map(|i| shard(i, 800, 1_400.0 - 100.0 * f64::from(i)))
+            .collect();
+        let ids = |kept: Vec<ShardInfo>| kept.iter().map(|s| s.committee().0).collect::<Vec<_>>();
+        assert_eq!(ids(cutoff(&shards, 0.8)), [9, 8, 7, 6, 5, 4, 3, 2]);
+        assert_eq!(ids(cutoff(&shards, 0.0)), [9, 8]);
+        assert_eq!(ids(cutoff(&shards, 3.0)).len(), 10);
+        assert_eq!(ids(cutoff(&shards[..1], 0.8)), [0]);
+        assert!(cutoff(&[], 0.8).is_empty());
+    }
+
+    #[test]
+    fn every_degenerate_cause_admits_all_with_the_max_arrival_utility() {
+        let policy = EpochPolicy {
+            alpha: 2.0,
+            ..EpochPolicy::paper()
+        };
+        let three = [
+            shard(0, 100, 10.0),
+            shard(1, 200, 30.0),
+            shard(2, 300, 20.0),
+        ];
+        // t = 30; U = 2·600 − (20 + 0 + 10).
+        let all_three = Admitted {
+            admitted: vec![CommitteeId(0), CommitteeId(1), CommitteeId(2)],
+            utility: 1_170.0,
+            ddl: SimTime::from_secs(30.0),
+        };
+        let se = SeConfig::fast_test(1);
+
+        // Fewer than two shards.
+        let one = open(&policy, &three[..1], se);
+        assert!(one.engine().is_none());
+        let settled = one.finish();
+        assert_eq!(settled.admitted, [CommitteeId(0)]);
+        assert_eq!((settled.utility, settled.ddl.as_secs()), (200.0, 10.0));
+        let none = open(&policy, &[], se).finish();
+        assert_eq!((none.admitted.len(), none.utility), (0, 0.0));
+        assert_eq!(none.ddl, SimTime::ZERO);
+
+        // No selection satisfies the constraints: N_min = 2 shards of at
+        // least 100 TXs each never fit in Ĉ = 150.
+        let posed = three.to_vec();
+        let unbuildable = Admission::open(&policy, &three, posed, 2, 150, se, Obs::off());
+        assert!(unbuildable.engine().is_none());
+        assert_eq!(unbuildable.finish(), all_three);
+
+        // The engine refuses to build (Γ = 0) over a well-posed epoch.
+        let refused = open(&policy, &three, se.with_gamma(0));
+        assert!(refused.engine().is_none());
+        assert_eq!(refused.finish(), all_three);
+
+        // What was posed may be narrower than what arrived; the fallback
+        // is everything that arrived, in arrival-list order.
+        let posed = three[..1].to_vec();
+        let narrowed = Admission::open(&policy, &three, posed, 1, 1_000, se, Obs::off());
+        assert_eq!(narrowed.finish(), all_three);
+    }
+
+    #[test]
+    fn a_posed_epoch_settles_like_the_engine_run_over_the_same_instance() {
+        let shards = epoch();
+        let policy = adaptive();
+        let se = SeConfig::fast_test(4);
+        let n_min = policy.n_min(shards.len());
+        let capacity = policy.capacity.of(&shards);
+        let instance = policy.pose(shards.clone(), n_min, capacity).unwrap();
+        let outcome = SeEngine::new(&instance, se).unwrap().run();
+
+        let mut admission = open(&policy, &shards, se);
+        assert!(admission.engine().is_some());
+        admission.advance(se.max_iterations);
+        let iterations = admission.engine().unwrap().iteration();
+        let settled = admission.finish();
+        assert_eq!(iterations, outcome.iterations);
+        assert_eq!(settled.utility.to_bits(), outcome.best_utility.to_bits());
+        assert_eq!(
+            settled.admitted,
+            instance
+                .committees(&outcome.best_solution)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(settled.ddl, instance.ddl());
+        assert!(settled.admitted.len() < shards.len(), "a strict selection");
+
+        // The budget may be spent in slices: same rounds, same answer.
+        let mut sliced = open(&policy, &shards, se);
+        for _ in 0..se.max_iterations.div_ceil(7) {
+            sliced.advance(7);
+        }
+        assert_eq!(sliced.finish(), settled);
+    }
+
+    #[test]
+    fn a_departure_is_trimmed_ignored_or_degrades_to_the_survivors() {
+        let shards = epoch();
+        let policy = adaptive();
+        let mut admission = open(&policy, &shards, SeConfig::fast_test(5));
+        admission.advance(100);
+
+        // Unknown committee: the engine is untouched.
+        let before = admission.engine().unwrap().chain_utilities();
+        admission.leave(CommitteeId(99), DynamicsPolicy::Trim);
+        assert_eq!(admission.engine().unwrap().chain_utilities(), before);
+
+        // A checkpoint swap keeps the epoch and the clock.
+        let ckpt = admission.engine().unwrap().checkpoint();
+        let restored = admission.restore(&ckpt).unwrap();
+        assert_eq!(restored, ckpt.chain_count());
+        assert_eq!(admission.engine().unwrap().iteration(), 100);
+
+        // Known committee: trimmed, still solving, never admitted.
+        admission.leave(CommitteeId(3), DynamicsPolicy::Trim);
+        assert_eq!(admission.engine().unwrap().instance().len(), 11);
+        admission.advance(200);
+        let settled = admission.finish();
+        assert!(!settled.admitted.is_empty());
+        assert!(!settled.admitted.contains(&CommitteeId(3)));
+
+        // N_min = 3 of 3: any departure leaves an epoch that cannot be
+        // posed, and the admission admits the two survivors.
+        let three = [
+            shard(0, 100, 10.0),
+            shard(1, 200, 30.0),
+            shard(2, 300, 20.0),
+        ];
+        let all = EpochPolicy {
+            n_min_fraction: 1.0,
+            ..EpochPolicy::paper()
+        };
+        let mut tight = open(&all, &three, SeConfig::fast_test(6));
+        assert!(tight.engine().is_some());
+        tight.leave(CommitteeId(1), DynamicsPolicy::Trim);
+        assert!(tight.engine().is_none());
+        assert_eq!(tight.restore(&ckpt).unwrap(), 0);
+        // A later departure shrinks the admit-all set.
+        tight.leave(CommitteeId(0), DynamicsPolicy::Trim);
+        tight.advance(10);
+        let settled = tight.finish();
+        assert_eq!(settled.admitted, [CommitteeId(2)]);
+        assert_eq!((settled.utility, settled.ddl.as_secs()), (450.0, 20.0));
+    }
+}

@@ -16,40 +16,17 @@
 
 use serde::{Deserialize, Serialize};
 
-use mvcom_types::{EpochId, Error, Result, ShardInfo, SimTime};
+use mvcom_types::{EpochId, Result, ShardInfo, SimTime};
 
-use crate::problem::{DdlPolicy, InstanceBuilder};
+use crate::admission::EpochPolicy;
 use crate::se::{SeConfig, SeEngine};
-
-/// How each epoch's block capacity `Ĉ` is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum EpochCapacity {
-    /// `Ĉ = per_committee · |I_j|` (the paper's `1000·|I_j|` scaling).
-    PerCommittee(u64),
-    /// A fixed absolute capacity per epoch.
-    Absolute(u64),
-}
-
-impl EpochCapacity {
-    fn derive(&self, n_shards: usize) -> u64 {
-        match *self {
-            EpochCapacity::PerCommittee(per) => per.saturating_mul(n_shards as u64),
-            EpochCapacity::Absolute(c) => c,
-        }
-    }
-}
 
 /// Configuration of a multi-epoch scheduling run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EpochChainConfig {
-    /// The throughput weight `α`.
-    pub alpha: f64,
-    /// Capacity rule per epoch.
-    pub capacity: EpochCapacity,
-    /// `N_min` as a fraction of the epoch's arrived shards.
-    pub n_min_fraction: f64,
-    /// Deadline semantics.
-    pub ddl_policy: DdlPolicy,
+    /// How each epoch is posed; `N_min` and `Ĉ` scale with everything
+    /// that entered the epoch, fresh and carried.
+    pub policy: EpochPolicy,
     /// SE engine settings (the seed is advanced per epoch).
     pub se: SeConfig,
     /// Refusals older than this many epochs are dropped (their clients are
@@ -62,10 +39,7 @@ impl EpochChainConfig {
     /// MaxArrival deadline, refusals carried up to 4 epochs.
     pub fn paper(seed: u64) -> EpochChainConfig {
         EpochChainConfig {
-            alpha: 1.5,
-            capacity: EpochCapacity::PerCommittee(1_000),
-            n_min_fraction: 0.5,
-            ddl_policy: DdlPolicy::MaxArrival,
+            policy: EpochPolicy::paper(),
             se: SeConfig::paper(seed),
             max_carry_epochs: 4,
         }
@@ -75,14 +49,10 @@ impl EpochChainConfig {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] naming the offending parameter.
+    /// [`Error::InvalidConfig`](mvcom_types::Error::InvalidConfig) naming
+    /// the offending parameter.
     pub fn validate(&self) -> Result<()> {
-        if !(self.alpha.is_finite() && self.alpha > 0.0) {
-            return Err(Error::invalid_config("alpha", "must be positive"));
-        }
-        if !(0.0..=1.0).contains(&self.n_min_fraction) {
-            return Err(Error::invalid_config("n_min_fraction", "must be in [0, 1]"));
-        }
+        self.policy.validate()?;
         self.se.validate()
     }
 }
@@ -181,8 +151,8 @@ impl EpochChain {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidInstance`] / [`Error::Infeasible`] from instance
-    /// construction when the merged epoch violates the constraints.
+    /// [`EpochPolicy::pose`]'s, when the merged epoch violates the
+    /// constraints — a chain has no admit-everything fallback.
     pub fn run_epoch(&mut self, fresh: Vec<ShardInfo>) -> Result<EpochOutcome> {
         let mut shards = fresh;
         let fresh_ids: std::collections::BTreeSet<_> =
@@ -196,14 +166,9 @@ impl EpochChain {
         shards.extend(carried.iter().map(|c| c.shard));
 
         let n = shards.len();
-        let n_min = ((n as f64) * self.config.n_min_fraction).round() as usize;
-        let instance = InstanceBuilder::new()
-            .alpha(self.config.alpha)
-            .capacity(self.config.capacity.derive(n))
-            .n_min(n_min.min(n))
-            .ddl_policy(self.config.ddl_policy)
-            .shards(shards)
-            .build()?;
+        let policy = &self.config.policy;
+        let capacity = policy.capacity.of(&shards);
+        let instance = policy.pose(shards, policy.n_min(n).min(n), capacity)?;
 
         let se_config = SeConfig {
             seed: self.config.se.seed ^ self.epoch.value().wrapping_mul(0x9E37_79B9),
@@ -394,10 +359,10 @@ mod tests {
     #[test]
     fn config_validation() {
         let mut c = EpochChainConfig::paper(0);
-        c.alpha = 0.0;
+        c.policy.alpha = 0.0;
         assert!(c.validate().is_err());
         let mut c = EpochChainConfig::paper(0);
-        c.n_min_fraction = 1.5;
+        c.policy.n_min_fraction = 1.5;
         assert!(c.validate().is_err());
         assert!(EpochChainConfig::paper(0).validate().is_ok());
     }

@@ -32,6 +32,15 @@
 //! solutions. Committee joins, leaves and failures are handled online
 //! ([`dynamics`]).
 //!
+//! # The final committee
+//!
+//! [`admission`] states the per-epoch procedure around the algorithm
+//! (Alg. 1 lines 22–30) once: stop listening at `N_max`, require `N_min`,
+//! cap the block at `Ĉ`, run SE, admit the converged set — or, for a
+//! degenerate epoch, admit everything like vanilla Elastico. Every caller
+//! that schedules epochs (the Elastico selectors, the daemon,
+//! [`epoch_chain`], the adversarial figure) goes through it.
+//!
 //! # The theory
 //!
 //! [`theory`] turns the paper's analytical results into executable
@@ -74,6 +83,7 @@
 // Unit tests may unwrap freely; library code goes through the P1 rule of
 // `mvcom-lint` and the workspace `clippy::unwrap_used` deny set instead.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
+pub mod admission;
 pub mod defense;
 pub mod dynamics;
 pub mod epoch_chain;

@@ -211,18 +211,32 @@ impl SeEngine {
             && self.iteration >= self.last_improvement + self.config.convergence_window
     }
 
+    /// Up to `n` more rounds, stopping early once converged.
+    pub fn advance(&mut self, n: u64) {
+        for _ in 0..n {
+            if self.is_converged() {
+                break;
+            }
+            self.step();
+        }
+    }
+
     /// Runs until convergence or the iteration budget, then finalizes per
     /// Alg. 1 lines 22–27 (including the full selection `f_{|I_j|}` when it
     /// fits in `Ĉ`).
     pub fn run(mut self) -> SeOutcome {
-        while self.iteration < self.config.max_iterations && !self.is_converged() {
-            self.step();
-        }
+        self.advance(self.config.max_iterations.saturating_sub(self.iteration));
         self.finish()
     }
 
     /// Finalizes without running further iterations.
-    pub fn finish(mut self) -> SeOutcome {
+    pub fn finish(self) -> SeOutcome {
+        self.settle().1
+    }
+
+    /// [`SeEngine::finish`], also handing back the epoch the outcome's
+    /// solution indexes into.
+    pub(crate) fn settle(mut self) -> (Instance, SeOutcome) {
         self.consider_full();
         self.record_point();
         self.obs.emit(
@@ -235,13 +249,14 @@ impl SeEngine {
             ],
         );
         self.obs.set_gauge("se.best_utility", self.best_utility);
-        SeOutcome {
+        let outcome = SeOutcome {
             converged: self.is_converged(),
             iterations: self.iteration,
             best_solution: self.best_solution,
             best_utility: self.best_utility,
             trajectory: self.trajectory,
-        }
+        };
+        (self.instance, outcome)
     }
 
     /// Alg. 1 line 25: the full selection `f_{|I_j|}` joins the candidate

@@ -24,9 +24,9 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::Duration;
 
+use mvcom_core::admission::{Admission, Capacity, EpochPolicy};
 use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
-use mvcom_core::problem::InstanceBuilder;
-use mvcom_core::se::{SeCheckpoint, SeConfig, SeEngine};
+use mvcom_core::se::{SeConfig, SeEngine};
 use mvcom_dataset::adversary::{build_adversary, Adversary, AdversaryConfig, CommitteeReport};
 use mvcom_obs::{obs_event, MetricsRegistry, Obs};
 use mvcom_types::{CommitteeId, ShardInfo};
@@ -202,6 +202,7 @@ struct Totals {
 /// The long-running scheduling service. See the [module docs](self).
 pub struct Daemon {
     config: DaemonConfig,
+    policy: EpochPolicy,
     source: Box<dyn IngestSource>,
     clock: EpochClock,
     defense: Option<DefenseEngine>,
@@ -340,6 +341,12 @@ impl Daemon {
             writer
         };
         let daemon = Daemon {
+            policy: EpochPolicy {
+                alpha: config.alpha,
+                capacity: Capacity::PerCommittee(config.capacity_per_committee),
+                n_min_fraction: config.n_min_fraction,
+                ..EpochPolicy::paper()
+            },
             config,
             source,
             clock,
@@ -479,19 +486,35 @@ impl Daemon {
         let adversarial = reports.iter().filter(|r| r.adversarial).count() as u64;
         let reported: Vec<ShardInfo> = reports.iter().map(|r| r.reported).collect();
         // 2. The defense screens what the scheduler is allowed to see.
-        let n_min = (reported.len() as f64 * self.config.n_min_fraction).round() as usize;
+        let n_min = self.policy.n_min(reported.len());
         let screened: Vec<ShardInfo> = match &mut self.defense {
             Some(d) => d.admissible(epoch, &reported, n_min),
             None => reported.clone(),
         };
         let quarantined = (reported.len() - screened.len()) as u64;
-        // 3. SE schedules over the screened reports.
+        // 3. SE schedules over the screened reports (DESIGN.md "One final
+        // committee"); a degenerate epoch admits all of them.
         let n_min = n_min.min(screened.len());
-        let capacity = self
-            .config
-            .capacity_per_committee
-            .saturating_mul(screened.len() as u64);
-        let outcome = self.schedule(epoch, &screened, n_min, capacity);
+        let capacity = self.policy.capacity.of(&screened);
+        let mut se_config = SeConfig::paper(self.config.seed ^ epoch.wrapping_mul(EPOCH_SEED_MIX));
+        if self.config.se_iterations > 0 {
+            se_config = se_config.with_max_iterations(self.config.se_iterations);
+        }
+        let mut admission = Admission::open(
+            &self.policy,
+            &screened,
+            screened.clone(),
+            n_min,
+            capacity,
+            se_config,
+            self.obs.clone(),
+        );
+        admission.advance(se_config.max_iterations);
+        // The checkpoint captures the solver state *before* finalization:
+        // `SeEngine::from_checkpoint(…)` + `finish()` reproduces the
+        // outcome below exactly (pinned by an integration test).
+        let se = admission.engine().map(SeEngine::checkpoint);
+        let outcome = admission.finish();
         let admitted_set: BTreeSet<CommitteeId> = outcome.admitted.iter().copied().collect();
         // 4. Stage-4 settlement: the defense sees realized behaviour —
         // true latency for every committee, true size only for admitted
@@ -532,7 +555,7 @@ impl Daemon {
             admitted: admitted_set.len() as u64,
             admitted_txs,
             utility: outcome.utility,
-            ddl_s: outcome.ddl_s,
+            ddl_s: outcome.ddl.as_secs(),
             capacity,
             n_min: n_min as u64,
             schedule_crc: crc32(&id_bytes),
@@ -567,7 +590,7 @@ impl Daemon {
                 total_epochs: self.totals.epochs,
                 total_reports: self.totals.reports,
                 total_admitted_txs: self.totals.admitted_txs,
-                se: outcome.se,
+                se,
             },
         }));
         let bytes = self.history.append(&record)?;
@@ -595,87 +618,8 @@ impl Daemon {
         Ok(summary)
     }
 
-    /// Runs the SE engine over the screened shard set; degenerate epochs
-    /// (fewer than two shards, or an unbuildable instance) fall back to
-    /// admitting everything, like vanilla Elastico.
-    fn schedule(
-        &self,
-        epoch: u64,
-        screened: &[ShardInfo],
-        n_min: usize,
-        capacity: u64,
-    ) -> ScheduleOutcome {
-        let fallback = || ScheduleOutcome::admit_all(self.config.alpha, screened);
-        if screened.len() < 2 {
-            return fallback();
-        }
-        let instance = match InstanceBuilder::new()
-            .alpha(self.config.alpha)
-            .capacity(capacity)
-            .n_min(n_min)
-            .shards(screened.to_vec())
-            .build()
-        {
-            Ok(instance) => instance,
-            Err(_) => return fallback(),
-        };
-        let epoch_seed = self.config.seed ^ epoch.wrapping_mul(EPOCH_SEED_MIX);
-        let mut se_config = SeConfig::paper(epoch_seed);
-        if self.config.se_iterations > 0 {
-            se_config = se_config.with_max_iterations(self.config.se_iterations);
-        }
-        let budget = se_config.max_iterations;
-        let mut engine = match SeEngine::new(&instance, se_config) {
-            Ok(engine) => engine.with_obs(self.obs.clone()),
-            Err(_) => return fallback(),
-        };
-        while engine.iteration() < budget && !engine.is_converged() {
-            engine.step();
-        }
-        // The checkpoint captures the solver state *before* finalization:
-        // `SeEngine::from_checkpoint(…)` + `finish()` reproduces the
-        // outcome below exactly (pinned by an integration test).
-        let se = engine.checkpoint();
-        let outcome = engine.finish();
-        ScheduleOutcome {
-            admitted: instance.committees(&outcome.best_solution).collect(),
-            utility: outcome.best_utility,
-            ddl_s: instance.ddl().as_secs(),
-            se: Some(se),
-        }
-    }
-
     /// Renders the registry into the endpoint cell.
     fn render_snapshot(&self) {
         self.snapshot.set(self.metrics.snapshot_json());
-    }
-}
-
-/// What [`Daemon::schedule`] decided for one epoch.
-struct ScheduleOutcome {
-    admitted: Vec<CommitteeId>,
-    utility: f64,
-    ddl_s: f64,
-    se: Option<SeCheckpoint>,
-}
-
-impl ScheduleOutcome {
-    /// The admit-everything fallback: utility is the MaxArrival objective
-    /// of the full selection.
-    fn admit_all(alpha: f64, screened: &[ShardInfo]) -> ScheduleOutcome {
-        let ddl_s = screened
-            .iter()
-            .map(|s| s.two_phase_latency().as_secs())
-            .fold(0.0_f64, f64::max);
-        let utility = screened
-            .iter()
-            .map(|s| alpha * s.tx_count() as f64 - (ddl_s - s.two_phase_latency().as_secs()))
-            .sum();
-        ScheduleOutcome {
-            admitted: screened.iter().map(ShardInfo::committee).collect(),
-            utility,
-            ddl_s,
-            se: None,
-        }
     }
 }

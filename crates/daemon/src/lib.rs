@@ -78,11 +78,12 @@ pub use history::{
 pub use http::{MetricsServer, SnapshotCell};
 pub use ingest::{IngestSource, JsonlSource, SeededSource};
 
-/// One CLI flag of the `mvcom daemon` subcommand.
+/// One CLI flag of an `mvcom` subcommand.
 ///
-/// The single source of truth for the subcommand's surface: the binary
-/// renders its usage text from this table, and the OPERATIONS.md
-/// doc-sync test asserts every row is documented.
+/// A table of these is the single source of truth for a subcommand's
+/// surface: the binary parses against it, takes its defaults from it and
+/// renders its usage text from it; for [`DAEMON_FLAGS`] the OPERATIONS.md
+/// doc-sync test also asserts every row is documented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlagSpec {
     /// The flag, with leading dashes (`--seed`).
@@ -95,146 +96,49 @@ pub struct FlagSpec {
     pub help: &'static str,
 }
 
+impl FlagSpec {
+    /// One table row: flag, value placeholder, default, help.
+    pub const fn new(
+        flag: &'static str,
+        value: &'static str,
+        default: &'static str,
+        help: &'static str,
+    ) -> FlagSpec {
+        FlagSpec {
+            flag,
+            value,
+            default,
+            help,
+        }
+    }
+}
+
 /// Every flag `mvcom daemon` accepts.
+#[rustfmt::skip]
 pub const DAEMON_FLAGS: &[FlagSpec] = &[
-    FlagSpec {
-        flag: "--source",
-        value: "seeded|stdin",
-        default: "seeded",
-        help: "report stream: deterministic seeded generator, or JSONL on stdin",
-    },
-    FlagSpec {
-        flag: "--seed",
-        value: "N",
-        default: "7",
-        help: "master seed (stream, per-epoch SE, adversary)",
-    },
-    FlagSpec {
-        flag: "--committees",
-        value: "N",
-        default: "96",
-        help: "committee population of the seeded stream",
-    },
-    FlagSpec {
-        flag: "--batch-size",
-        value: "N",
-        default: "8",
-        help: "reports ingested per batch",
-    },
-    FlagSpec {
-        flag: "--epoch-reports",
-        value: "N",
-        default: "48",
-        help: "reports that close an epoch (must be <= --committees for seeded streams)",
-    },
-    FlagSpec {
-        flag: "--batch-interval",
-        value: "SECS",
-        default: "0.5",
-        help: "logical seconds each batch advances the clock",
-    },
-    FlagSpec {
-        flag: "--epochs",
-        value: "N",
-        default: "0",
-        help: "stop after N epochs (0 = run until killed or the feed drains)",
-    },
-    FlagSpec {
-        flag: "--alpha",
-        value: "X",
-        default: "1.5",
-        help: "throughput weight of the scheduling objective",
-    },
-    FlagSpec {
-        flag: "--capacity",
-        value: "N",
-        default: "1000",
-        help: "final-block tx capacity per screened committee",
-    },
-    FlagSpec {
-        flag: "--n-min-frac",
-        value: "X",
-        default: "0.5",
-        help: "minimum admitted committees, as a fraction of the screened set",
-    },
-    FlagSpec {
-        flag: "--defense",
-        value: "on|off",
-        default: "off",
-        help: "screen reports through the reputation defense",
-    },
-    FlagSpec {
-        flag: "--adv-fraction",
-        value: "X",
-        default: "0",
-        help: "fraction of committees controlled by the adversary",
-    },
-    FlagSpec {
-        flag: "--adv-strategy",
-        value: "NAME",
-        default: "",
-        help: "adversary strategy (required when --adv-fraction > 0)",
-    },
-    FlagSpec {
-        flag: "--se-iters",
-        value: "N",
-        default: "0",
-        help: "SE iteration budget per epoch (0 = paper default)",
-    },
-    FlagSpec {
-        flag: "--history",
-        value: "FILE",
-        default: "mvcom-history.log",
-        help: "append-only epoch history log",
-    },
-    FlagSpec {
-        flag: "--resume",
-        value: "on|off",
-        default: "on",
-        help: "replay an existing history and resume from its last checkpoint",
-    },
-    FlagSpec {
-        flag: "--http",
-        value: "ADDR",
-        default: "",
-        help: "serve the metrics snapshot endpoint on ADDR (e.g. 127.0.0.1:9464)",
-    },
-    FlagSpec {
-        flag: "--throttle-ms",
-        value: "MS",
-        default: "0",
-        help: "sleep after each ingest batch (pacing only; never touches the clock)",
-    },
-    FlagSpec {
-        flag: "--alert-min-utility",
-        value: "X",
-        default: "",
-        help: "fire low_utility when an epoch's utility falls below X",
-    },
-    FlagSpec {
-        flag: "--alert-min-admitted",
-        value: "N",
-        default: "",
-        help: "fire low_admission when an epoch admits fewer than N committees",
-    },
-    FlagSpec {
-        flag: "--alert-max-quarantined",
-        value: "N",
-        default: "",
-        help: "fire high_quarantine when the defense screens out more than N reports",
-    },
-    FlagSpec {
-        flag: "--obs-out",
-        value: "FILE",
-        default: "",
-        help: "write telemetry events as JSONL to FILE",
-    },
-    FlagSpec {
-        flag: "--obs-level",
-        value: "LEVEL",
-        default: "summary",
-        help: "telemetry level: off, summary, events, or trace",
-    },
+    FlagSpec::new("--source", "seeded|stdin", "seeded", "report stream: deterministic seeded generator, or JSONL on stdin"),
+    FlagSpec::new("--seed", "N", "7", "master seed (stream, per-epoch SE, adversary)"),
+    FlagSpec::new("--committees", "N", "96", "committee population of the seeded stream"),
+    FlagSpec::new("--batch-size", "N", "8", "reports ingested per batch"),
+    FlagSpec::new("--epoch-reports", "N", "48", "reports that close an epoch (must be <= --committees for seeded streams)"),
+    FlagSpec::new("--batch-interval", "SECS", "0.5", "logical seconds each batch advances the clock"),
+    FlagSpec::new("--epochs", "N", "0", "stop after N epochs (0 = run until killed or the feed drains)"),
+    FlagSpec::new("--alpha", "X", "1.5", "throughput weight of the scheduling objective"),
+    FlagSpec::new("--capacity", "N", "1000", "final-block tx capacity per screened committee"),
+    FlagSpec::new("--n-min-frac", "X", "0.5", "minimum admitted committees, as a fraction of the screened set"),
+    FlagSpec::new("--defense", "on|off", "off", "screen reports through the reputation defense"),
+    FlagSpec::new("--adv-fraction", "X", "0", "fraction of committees controlled by the adversary"),
+    FlagSpec::new("--adv-strategy", "NAME", "", "adversary strategy (required when --adv-fraction > 0)"),
+    FlagSpec::new("--se-iters", "N", "0", "SE iteration budget per epoch (0 = paper default)"),
+    FlagSpec::new("--history", "FILE", "mvcom-history.log", "append-only epoch history log"),
+    FlagSpec::new("--resume", "on|off", "on", "replay an existing history and resume from its last checkpoint"),
+    FlagSpec::new("--http", "ADDR", "", "serve the metrics snapshot endpoint on ADDR (e.g. 127.0.0.1:9464)"),
+    FlagSpec::new("--throttle-ms", "MS", "0", "sleep after each ingest batch (pacing only; never touches the clock)"),
+    FlagSpec::new("--alert-min-utility", "X", "", "fire low_utility when an epoch's utility falls below X"),
+    FlagSpec::new("--alert-min-admitted", "N", "", "fire low_admission when an epoch admits fewer than N committees"),
+    FlagSpec::new("--alert-max-quarantined", "N", "", "fire high_quarantine when the defense screens out more than N reports"),
+    FlagSpec::new("--obs-out", "FILE", "", "write telemetry events as JSONL to FILE"),
+    FlagSpec::new("--obs-level", "LEVEL", "summary", "telemetry level: off, summary, events, or trace"),
 ];
 
 #[cfg(test)]

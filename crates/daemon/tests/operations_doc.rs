@@ -1,7 +1,6 @@
 //! Doc-sync: OPERATIONS.md must document every operator-facing surface
 //! of the daemon — each CLI flag, each history record kind, and each
-//! alert kind. The assertions look for the backticked literal, same as
-//! the OBSERVABILITY.md kind-coverage test.
+//! alert kind. The assertions look for the backticked literal.
 
 use mvcom_daemon::{AlertKind, DAEMON_FLAGS, RECORD_KINDS};
 

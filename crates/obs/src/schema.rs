@@ -1,9 +1,9 @@
 //! The versioned event schema: every kind, field, unit and emitting site.
 //!
-//! This table is the single source of truth for the JSONL wire format.
-//! OBSERVABILITY.md is generated *from prose against this table* — a test
-//! in this module checks that every registered kind is documented there,
-//! so the doc and the code cannot drift silently.
+//! This table is the single source of truth for the JSONL wire format:
+//! the "Event kinds" section of OBSERVABILITY.md is [`render_markdown`]'s
+//! output (`obs_report --schema-md` prints it), and a test in this module
+//! holds the committed section to it byte for byte.
 //!
 //! Every event line carries the envelope `v` (schema version), `seq`
 //! (monotone per sink), `t` (logical timestamp; the unit is per-kind) and
@@ -36,6 +36,17 @@ pub enum FieldType {
 }
 
 impl FieldType {
+    /// The type's name in the schema document.
+    pub fn name(self) -> &'static str {
+        match self {
+            FieldType::U64 => "u64",
+            FieldType::I64 => "i64",
+            FieldType::F64 => "f64",
+            FieldType::Str => "str",
+            FieldType::Bool => "bool",
+        }
+    }
+
     fn matches(self, value: &Value) -> bool {
         matches!(
             (self, value),
@@ -74,6 +85,9 @@ pub struct KindSpec {
     pub clock: &'static str,
     /// Where the event is emitted from (crate::module).
     pub site: &'static str,
+    /// Prose for the schema document: when the kind is emitted and how to
+    /// read it (may be empty).
+    pub doc: &'static str,
     /// Payload fields.
     pub fields: &'static [FieldSpec],
     /// When `true` the kind may carry extra context fields beyond
@@ -91,9 +105,10 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "constant 0",
         site: "src/bin/mvcom.rs",
+        doc: "First line of every file; identifies the producing invocation.",
         fields: &[
             req("tool", Str, "emitting binary/subcommand"),
-            req("schema", U64, "schema version"),
+            req("schema", U64, "schema version (duplicates `v`)"),
             req("seed", U64, "master seed"),
             req("level", Str, "off|summary|events|trace"),
         ],
@@ -105,6 +120,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "emitting site's logical clock",
         site: "any (span! macro)",
+        doc: "Spans bracket pipeline stages; an open/close pair shares an `id`. Open kinds may attach context, e.g. `\"epoch\":3` or `\"solver\":\"se\"`.",
         fields: &[
             req("id", U64, "span id, unique per sink"),
             req("name", Str, "span name"),
@@ -116,6 +132,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "emitting site's logical clock",
         site: "any (span! macro)",
+        doc: "Carries the duration on the same logical clock as the matching `span_open`. A missing close means the stage never finished (crash or injected failure) — that absence is itself signal.",
         fields: &[
             req("id", U64, "span id of the matching span_open"),
             req("name", Str, "span name"),
@@ -129,8 +146,13 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "Emitted once when a telemetry handle is attached to an engine. The SE clock is the engine's CTMC `vtime`: the sum of the winning exponential timers (Alg. 3 of the paper).",
         fields: &[
-            req("iter", U64, "iterations executed so far"),
+            req(
+                "iter",
+                U64,
+                "iterations executed so far (0, or the resume point after a restore)",
+            ),
             req("gamma", U64, "replica count"),
             req("chains", U64, "total chains across replicas"),
             req("card_lo", U64, "lowest chain cardinality"),
@@ -144,6 +166,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "The utility trajectory, sampled every `record_every` iterations.",
         fields: &[
             req("iter", U64, "iteration"),
             req(
@@ -160,6 +183,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "Per-chain utility sample, taken every `(max_iterations/50).max(1)` iterations and unconditionally at iteration 0, so every chain of every replica appears at least once in any events-level file.",
         fields: &[
             req("replica", U64, "replica index g"),
             req("chain", U64, "chain index within the replica"),
@@ -174,6 +198,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Trace,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "One per winning proposal (the chain whose exponential timer fired first).",
         fields: &[
             req("replica", U64, "replica index"),
             req("chain", U64, "chain index"),
@@ -190,6 +215,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Trace,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "Emitted when the winning proposal is applied to its chain.",
         fields: &[
             req("replica", U64, "replica index"),
             req("chain", U64, "chain index"),
@@ -203,6 +229,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "Emitted whenever the best-so-far feasible utility improves.",
         fields: &[
             req("iter", U64, "iteration of the improvement"),
             req("utility", F64, "new best-so-far utility"),
@@ -214,6 +241,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "Terminal event of an SE run.",
         fields: &[
             req("iter", U64, "iteration at convergence"),
             req("best", F64, "best feasible utility at convergence"),
@@ -226,6 +254,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "Node churn applied to a running engine (Theorem 2 re-admission path).",
         fields: &[
             req("iter", U64, "iteration of the dynamic event"),
             req("event", Str, "join|leave"),
@@ -240,6 +269,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "A checkpoint was taken: the recovery path's crash-resume mechanism, and one per daemon epoch.",
         fields: &[
             req("version", U64, "checkpoint version stamp"),
             req("iter", U64, "iteration the snapshot was taken at"),
@@ -252,6 +282,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "virtual seconds",
         site: "mvcom-core::se::engine",
+        doc: "An engine was rebuilt from a checkpoint.",
         fields: &[
             req("version", U64, "checkpoint version stamp"),
             req("iter", U64, "iteration resumed from"),
@@ -265,6 +296,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "simulated seconds (epoch-relative)",
         site: "mvcom-elastico::epoch",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch id"),
             req("nodes", U64, "nodes running PoW"),
@@ -276,6 +308,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-elastico::epoch",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch id"),
             req("solutions", U64, "PoW solutions found"),
@@ -287,6 +320,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-elastico::epoch",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch id"),
             req("committees", U64, "committees at/above the minimum size"),
@@ -299,6 +333,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-elastico::epoch",
+        doc: "One per intra-committee PBFT instance in stage 3.",
         fields: &[
             req("epoch", U64, "epoch id"),
             req("committee", U64, "committee id"),
@@ -313,6 +348,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "simulated seconds",
         site: "mvcom-elastico::epoch",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch id"),
             req("committed", Bool, "final PBFT committed"),
@@ -327,6 +363,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "simulated seconds",
         site: "mvcom-elastico::epoch",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch id"),
             req("shards", U64, "shards that survived stage 3"),
@@ -341,6 +378,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Trace,
         clock: "simulated seconds",
         site: "mvcom-pbft::runner",
+        doc: "",
         fields: &[
             req("label", Str, "consensus instance label"),
             req("view", U64, "view number"),
@@ -353,6 +391,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-pbft::runner",
+        doc: "",
         fields: &[
             req("label", Str, "consensus instance label"),
             req("view", U64, "view being abandoned"),
@@ -364,6 +403,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-pbft::runner",
+        doc: "",
         fields: &[
             req("label", Str, "consensus instance label"),
             req("committed", Bool, "decision reached before the deadline"),
@@ -378,6 +418,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-elastico::recovery",
+        doc: "Phi-accrual suspicion sample for a monitored committee. A `null` `phi` encodes an infinite suspicion level (no heartbeat ever seen inside the window).",
         fields: &[
             req("committee", U64, "monitored committee id"),
             req("phi", F64, "phi-accrual suspicion level (null = infinite)"),
@@ -389,6 +430,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-elastico::recovery",
+        doc: "",
         fields: &[
             req("committee", U64, "failed committee id"),
             req(
@@ -404,6 +446,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-elastico::recovery",
+        doc: "",
         fields: &[
             req("committee", U64, "retrying committee id"),
             req("attempt", U64, "retry ordinal (1 = first retry)"),
@@ -416,6 +459,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "epoch index",
         site: "mvcom-elastico::epoch / mvcom-bench::fig_adv",
+        doc: "Emitted where the lie enters the system (`run_epoch_adversarial`, or `fig_adv`'s arm runner). With `flagged`, `quarantine` and `rehabilitated` — all three from `DefenseEngine` — it traces the strategic fault model of DESIGN.md §10: what the coalition claimed, and how the defense layer reacted.",
         fields: &[
             req("committee", U64, "acting committee id"),
             req("epoch", U64, "epoch index"),
@@ -430,6 +474,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "epoch index",
         site: "mvcom-core::defense",
+        doc: "",
         fields: &[
             req("committee", U64, "flagged committee id"),
             req("epoch", U64, "epoch index"),
@@ -447,6 +492,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "epoch index",
         site: "mvcom-core::defense",
+        doc: "",
         fields: &[
             req("committee", U64, "quarantined committee id"),
             req("epoch", U64, "epoch index"),
@@ -464,6 +510,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "epoch index",
         site: "mvcom-core::defense",
+        doc: "",
         fields: &[
             req("committee", U64, "readmitted committee id"),
             req("epoch", U64, "epoch index"),
@@ -477,6 +524,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "iteration",
         site: "mvcom-baselines",
+        doc: "",
         fields: &[
             req("solver", Str, "solver name"),
             req("iter", U64, "iteration"),
@@ -489,6 +537,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "iteration",
         site: "mvcom-baselines / src/bin/mvcom.rs",
+        doc: "",
         fields: &[
             req("solver", Str, "solver name"),
             req("iters", U64, "iterations executed"),
@@ -502,6 +551,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "logical ingest seconds (EpochClock)",
         site: "mvcom-daemon::daemon",
+        doc: "The daemon clock is its `EpochClock`, which advances `--batch-interval` seconds per ingested batch and never reads wall time. The six daemon kinds trace the service lifecycle (OPERATIONS.md covers the operator view): epochs opening and closing, batches arriving, history appends, crash-recovery replays and threshold alerts.",
         fields: &[
             req("epoch", U64, "epoch index being opened"),
             req("planned", U64, "reports that will close the epoch"),
@@ -513,6 +563,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "logical ingest seconds (EpochClock)",
         site: "mvcom-daemon::daemon",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch index the batch lands in"),
             req("batch", U64, "batch index within the epoch"),
@@ -526,6 +577,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "logical ingest seconds (EpochClock)",
         site: "mvcom-daemon::daemon",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch index being closed"),
             req("reports", U64, "reports ingested this epoch"),
@@ -546,6 +598,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "logical ingest seconds (EpochClock)",
         site: "mvcom-daemon::daemon",
+        doc: "",
         fields: &[
             req("record", Str, "history record kind (Header|Epoch)"),
             req("bytes", U64, "framed size of the appended record"),
@@ -557,6 +610,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "logical ingest seconds (EpochClock)",
         site: "mvcom-daemon::daemon",
+        doc: "",
         fields: &[
             req("epochs", U64, "epochs restored from the history log"),
             req(
@@ -577,6 +631,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "logical ingest seconds (EpochClock)",
         site: "mvcom-daemon::daemon",
+        doc: "",
         fields: &[
             req("epoch", U64, "epoch whose summary breached the threshold"),
             req(
@@ -595,6 +650,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "emitting site's logical clock",
         site: "mvcom-obs::metrics (flush)",
+        doc: "Emitted by `Obs::flush_metrics(t)` in deterministic sorted-name order, stamped with the caller's logical clock.",
         fields: &[
             req(
                 "name",
@@ -611,6 +667,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Summary,
         clock: "emitting site's logical clock",
         site: "mvcom-obs::metrics (flush)",
+        doc: "The histogram half of the same flush.",
         fields: &[
             req("name", Str, "histogram name"),
             req("count", U64, "observations"),
@@ -618,7 +675,7 @@ pub const KINDS: &[KindSpec] = &[
             req(
                 "buckets",
                 Str,
-                "cumulative `le<bound>:<count>` pairs, comma-separated",
+                "cumulative `le<bound>:<count>` pairs, comma-separated; the last is `leinf:<total>`",
             ),
         ],
         open: false,
@@ -628,6 +685,51 @@ pub const KINDS: &[KindSpec] = &[
 /// Looks up the spec for `kind`.
 pub fn spec(kind: &str) -> Option<&'static KindSpec> {
     KINDS.iter().find(|s| s.kind == kind)
+}
+
+/// Renders [`KINDS`] as the "Event kinds" section of OBSERVABILITY.md: per
+/// kind a heading with level, clock, site and openness, the kind's prose,
+/// and an aligned field table.
+pub fn render_markdown() -> String {
+    let mut out = String::new();
+    for k in KINDS {
+        let open = if k.open { ", **open**" } else { "" };
+        out.push_str(&format!(
+            "### `{}` — level: {}, clock: {}, site: `{}`{open}\n\n",
+            k.kind,
+            k.level.as_str(),
+            k.clock,
+            k.site
+        ));
+        if !k.doc.is_empty() {
+            out.push_str(k.doc);
+            out.push_str("\n\n");
+        }
+        let mut rows = vec![["field", "type", "meaning"].map(String::from)];
+        rows.extend(k.fields.iter().map(|f| {
+            // A literal `|` would end the table cell.
+            let meaning = f.unit.replace('|', "\\|");
+            [format!("`{}`", f.name), f.ty.name().to_string(), meaning]
+        }));
+        let width = |col: usize| {
+            rows.iter()
+                .map(|r| r[col].chars().count())
+                .max()
+                .unwrap_or(0)
+        };
+        let widths = [width(0), width(1), width(2)];
+        for (i, row) in rows.iter().enumerate() {
+            let [a, b, c] = row;
+            let [wa, wb, wc] = widths;
+            out.push_str(&format!("| {a:wa$} | {b:wb$} | {c:wc$} |\n"));
+            if i == 0 {
+                let rule = widths.map(|w| "-".repeat(w + 2));
+                out.push_str(&format!("|{}|\n", rule.join("|")));
+            }
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// A schema violation found by [`validate`].
@@ -766,27 +868,35 @@ mod tests {
     }
 
     #[test]
-    fn every_kind_is_documented_in_observability_md() {
+    fn observability_md_event_kinds_are_the_rendered_table() {
         // OBSERVABILITY.md lives at the workspace root, two levels up.
         let doc = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../OBSERVABILITY.md"
         ))
         .expect("OBSERVABILITY.md must exist at the workspace root");
-        for k in KINDS {
-            assert!(
-                doc.contains(&format!("`{}`", k.kind)),
-                "event kind `{}` is not documented in OBSERVABILITY.md",
-                k.kind
-            );
-            for f in k.fields {
-                assert!(
-                    doc.contains(&format!("`{}`", f.name)),
-                    "field `{}` of `{}` is not documented in OBSERVABILITY.md",
-                    f.name,
-                    k.kind
-                );
-            }
+        let (_, rest) = doc
+            .split_once("<!-- BEGIN GENERATED: obs_report --schema-md -->\n\n")
+            .expect("the begin marker");
+        let (committed, _) = rest
+            .split_once("<!-- END GENERATED -->")
+            .expect("the end marker");
+        assert!(
+            committed == render_markdown(),
+            "OBSERVABILITY.md \"Event kinds\" drifted from schema::KINDS; \
+             regenerate it with `obs_report --schema-md`"
+        );
+    }
+
+    #[test]
+    fn rendered_tables_escape_pipes_and_mark_open_kinds() {
+        let md = render_markdown();
+        assert!(md.contains("### `span_open` — level: events"));
+        assert!(md.contains("site: `any (span! macro)`, **open**\n"));
+        assert!(md.contains("| `event`          | str  | join\\|leave "));
+        for line in md.lines().filter(|l| l.starts_with('|')) {
+            let cells = line.replace("\\|", "").matches('|').count();
+            assert_eq!(cells, 4, "{line}");
         }
     }
 }

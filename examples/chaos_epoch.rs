@@ -30,7 +30,7 @@ fn main() -> Result<()> {
     };
 
     let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), SEED)?;
-    let mut selector = SeRecoverySelector::adaptive(SEED, 0.6);
+    let mut selector = SeSelector::adaptive(SEED, 0.6);
     let report = sim.run_epoch_recovering(&mut selector, &recovery)?;
     let robustness = report.robustness.as_ref().expect("recovering telemetry");
 

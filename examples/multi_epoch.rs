@@ -25,7 +25,10 @@ fn main() -> Result<()> {
     let mut gen = EpochGenerator::new(&trace, LatencyConfig::paper(), SEED);
 
     let config = EpochChainConfig {
-        capacity: EpochCapacity::PerCommittee(1_000),
+        policy: EpochPolicy {
+            capacity: Capacity::PerCommittee(1_000),
+            ..EpochPolicy::paper()
+        },
         se: SeConfig::paper(SEED),
         ..EpochChainConfig::paper(SEED)
     };

@@ -1,21 +1,7 @@
-//! The `mvcom` command-line tool.
-//!
-//! ```text
-//! mvcom dataset generate [--blocks N] [--seed S] [--out FILE]
-//! mvcom dataset stats <FILE>                      # JSON or CSV trace
-//! mvcom solve    [--committees N] [--alpha A] [--capacity C]
-//!                [--n-min K] [--solver se|sa|dp|woa|greedy|bnb]
-//!                [--seed S] [--trace FILE] [--threads T]
-//!                [--obs-out FILE] [--obs-level off|summary|events|trace]
-//! mvcom simulate [--nodes N] [--epochs E] [--seed S] [--scheduler se|all]
-//!                [--threads T]
-//!                [--chaos-drop P] [--crash IDX@SECS[..SECS]] [--heartbeat SECS]
-//!                [--adv-fraction P] [--adv-strategy misreport|freerider|starver]
-//!                [--defense on|off]
-//!                [--obs-out FILE] [--obs-level off|summary|events|trace]
-//! ```
-//!
-//! `schedule` is accepted as an alias of `solve`.
+//! The `mvcom` command-line tool: `dataset`, `solve` (alias `schedule`),
+//! `simulate` and `daemon`. Every subcommand's flags, value placeholders
+//! and defaults live in one [`FlagSpec`] table each; `mvcom --help` and
+//! `mvcom <subcommand> --help` render them.
 //!
 //! Any of `--chaos-drop`, `--crash`, `--heartbeat` switches `simulate` to
 //! the fault-tolerant epoch runner: shards are submitted over a
@@ -35,13 +21,14 @@
 //! exclusive.
 //!
 //! `--obs-out FILE` streams the structured telemetry documented in
-//! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity
-//! (default `events`). The event file is byte-identical across same-seed
-//! runs and across `--threads` values.
+//! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity. The
+//! event file is byte-identical across same-seed runs and across
+//! `--threads` values.
 
 #![forbid(unsafe_code)]
 use std::process::ExitCode;
 
+use mvcom::daemon::{FlagSpec, DAEMON_FLAGS};
 use mvcom::obs::Value;
 use mvcom::prelude::*;
 
@@ -49,12 +36,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wants_help = args.iter().any(|a| a == "--help" || a == "-h");
     let result = match args.first().map(String::as_str) {
-        Some("daemon") if wants_help => {
-            print!("{}", daemon_usage());
-            Ok(())
-        }
-        Some("dataset" | "solve" | "schedule" | "simulate") if wants_help => {
-            print_usage();
+        Some(sub @ ("dataset" | "solve" | "schedule" | "simulate" | "daemon")) if wants_help => {
+            print!("{}", subcommand_help(sub));
             Ok(())
         }
         Some("dataset") => dataset(&args[1..]),
@@ -62,7 +45,7 @@ fn main() -> ExitCode {
         Some("simulate") => simulate(&args[1..]),
         Some("daemon") => daemon(&args[1..]),
         Some("--help" | "-h") | None => {
-            print_usage();
+            print!("{}", usage());
             Ok(())
         }
         Some(other) => Err(Error::invalid_config(
@@ -74,69 +57,129 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            print_usage();
+            eprint!("{}", usage());
             ExitCode::FAILURE
         }
     }
 }
 
-fn print_usage() {
-    eprintln!(
-        "usage:\n  \
-         mvcom dataset generate [--blocks N] [--seed S] [--out FILE]\n  \
-         mvcom dataset stats <FILE>\n  \
-         mvcom solve    [--committees N] [--alpha A] [--capacity C] [--n-min K]\n           \
-         [--solver se|sa|dp|woa|greedy|bnb] [--seed S] [--trace FILE]\n           \
-         [--threads T] [--obs-out FILE] [--obs-level off|summary|events|trace]\n  \
-         mvcom simulate [--nodes N] [--epochs E] [--seed S] [--scheduler se|all]\n           \
-         [--threads T]\n           \
-         [--chaos-drop P] [--crash IDX@SECS[..SECS]] [--heartbeat SECS]\n           \
-         [--adv-fraction P] [--adv-strategy misreport|freerider|starver]\n           \
-         [--defense on|off]\n           \
-         [--obs-out FILE] [--obs-level off|summary|events|trace]\n  \
-         mvcom daemon   [--help for the full flag table]\n           \
-         long-running scheduling service: streaming ingest, epoch history,\n           \
-         crash recovery, metrics endpoint (see OPERATIONS.md)"
-    );
+// Rows three tables share.
+#[rustfmt::skip]
+const THREADS: FlagSpec = FlagSpec::new("--threads", "T", "1", "fan-out workers; same bytes at any count");
+#[rustfmt::skip]
+const OBS_OUT: FlagSpec = FlagSpec::new("--obs-out", "FILE", "", "write telemetry events as JSONL to FILE");
+#[rustfmt::skip]
+const OBS_LEVEL: FlagSpec = FlagSpec::new("--obs-level", "off|summary|events|trace", "events", "telemetry verbosity");
+
+/// Flags `mvcom dataset generate` declares (`dataset stats` declares none).
+#[rustfmt::skip]
+const DATASET_GENERATE_FLAGS: &[FlagSpec] = &[
+    FlagSpec::new("--blocks", "N", "1378", "blocks in the synthetic trace"),
+    FlagSpec::new("--seed", "S", "2016", "trace seed"),
+    FlagSpec::new("--out", "FILE", "", "write the JSON trace to FILE instead of stdout"),
+];
+
+/// Flags `mvcom solve` declares.
+#[rustfmt::skip]
+const SOLVE_FLAGS: &[FlagSpec] = &[
+    FlagSpec::new("--committees", "N", "50", "shards in the epoch"),
+    FlagSpec::new("--alpha", "A", "1.5", "throughput weight of the objective"),
+    FlagSpec::new("--capacity", "C", "", "final-block capacity in TXs (default: 1000 per committee)"),
+    FlagSpec::new("--n-min", "K", "", "minimum admitted committees (default: half of them)"),
+    FlagSpec::new("--solver", "se|sa|dp|woa|greedy|bnb", "se", "scheduling algorithm"),
+    FlagSpec::new("--seed", "S", "0", "trace, epoch and solver seed"),
+    FlagSpec::new("--trace", "FILE", "", "JSON or CSV trace to sample the epoch from (default: generated)"),
+    THREADS, OBS_OUT, OBS_LEVEL,
+];
+
+/// Flags `mvcom simulate` declares.
+#[rustfmt::skip]
+const SIMULATE_FLAGS: &[FlagSpec] = &[
+    FlagSpec::new("--nodes", "N", "240", "network size (12 nodes per committee)"),
+    FlagSpec::new("--epochs", "E", "3", "epochs to run"),
+    FlagSpec::new("--seed", "S", "0", "simulation seed"),
+    FlagSpec::new("--scheduler", "se|all", "all", "final-committee admission: MVCom SE, or wait for all"),
+    THREADS,
+    FlagSpec::new("--chaos-drop", "P", "0", "submission-link loss probability (fault-tolerant runner)"),
+    FlagSpec::new("--crash", "IDX@SECS[..SECS]", "", "crash (and restart) a submission node; repeatable"),
+    FlagSpec::new("--heartbeat", "SECS", "30", "heartbeat interval of the failure detector"),
+    FlagSpec::new("--adv-fraction", "P", "0", "fraction of committees that lie at formation"),
+    FlagSpec::new("--adv-strategy", "misreport|freerider|starver", "misreport", "what the liars do"),
+    FlagSpec::new("--defense", "on|off", "on", "schedule behind the reputation layer"),
+    OBS_OUT, OBS_LEVEL,
+];
+
+/// Every subcommand: how it is invoked, what it is for, its flag table.
+#[rustfmt::skip]
+const SUBCOMMANDS: &[(&str, &str, &[FlagSpec])] = &[
+    ("dataset generate", "Generate a synthetic Bitcoin-like transaction trace.", DATASET_GENERATE_FLAGS),
+    ("dataset stats <FILE>", "Summarize a JSON or CSV trace.", &[]),
+    ("solve", "Schedule one epoch sampled from a trace (alias: schedule).", SOLVE_FLAGS),
+    ("simulate", "Run Elastico epochs: PoW, formation, PBFT, final consensus.", SIMULATE_FLAGS),
+    ("daemon", "Long-running MVCom scheduling service (see OPERATIONS.md).", DAEMON_FLAGS),
+];
+
+/// The whole surface: one synopsis per subcommand, wrapped at 79 columns.
+fn usage() -> String {
+    let mut out = String::from("usage:\n");
+    for (command, _, specs) in SUBCOMMANDS {
+        let mut line = format!("  mvcom {command}");
+        for spec in *specs {
+            let item = format!(" [{} {}]", spec.flag, spec.value);
+            if line.len() + item.len() > 79 {
+                out.push_str(&line);
+                line = String::from("\n     ");
+            }
+            line.push_str(&item);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out + "`schedule` is an alias of `solve`; `mvcom <subcommand> --help` explains every flag.\n"
 }
 
-/// Renders the daemon flag table from its single source of truth.
-fn daemon_usage() -> String {
-    let mut out = String::from(
-        "usage: mvcom daemon [flags]\n\
-         Long-running MVCom scheduling service (see OPERATIONS.md).\n\nflags:\n",
-    );
-    let width = mvcom::daemon::DAEMON_FLAGS
+/// The flag table(s) of one subcommand: flag, placeholder, help, default.
+fn subcommand_help(subcommand: &str) -> String {
+    let subcommand = subcommand.replace("schedule", "solve");
+    let mut out = String::new();
+    for (command, about, specs) in SUBCOMMANDS
         .iter()
-        .map(|f| f.flag.len() + 1 + f.value.len())
-        .max()
-        .unwrap_or(0);
-    for spec in mvcom::daemon::DAEMON_FLAGS {
-        let head = format!("{} {}", spec.flag, spec.value);
-        let default = if spec.default.is_empty() {
-            String::new()
+        .filter(|row| row.0.starts_with(&subcommand))
+    {
+        let (flags, heading) = if specs.is_empty() {
+            ("", "")
         } else {
-            format!(" [default: {}]", spec.default)
+            (" [flags]", "\nflags:\n")
         };
-        out.push_str(&format!("  {head:width$}  {}{default}\n", spec.help));
+        let gap = if out.is_empty() { "" } else { "\n" };
+        out.push_str(&format!(
+            "{gap}usage: mvcom {command}{flags}\n{about}\n{heading}"
+        ));
+        let width = specs.iter().map(|f| f.flag.len() + 1 + f.value.len()).max();
+        for spec in *specs {
+            let head = format!("{} {}", spec.flag, spec.value);
+            let default = match spec.default {
+                "" => String::new(),
+                default => format!(" [default: {default}]"),
+            };
+            let width = width.unwrap_or(0);
+            out.push_str(&format!("  {head:width$}  {}{default}\n", spec.help));
+        }
     }
     out
 }
 
-/// Builds the telemetry handle from `--obs-out` / `--obs-level` (`default`
-/// when the level is not given) and emits the `run_info` header. Without
-/// `--obs-out` the handle is disabled and every emission downstream is a
-/// no-op.
-fn obs_from_flags(flags: &Flags, tool: &str, seed: u64, default: ObsLevel) -> Result<Obs> {
-    let level = match flags.get("obs-level") {
-        None => default,
-        Some(raw) => ObsLevel::parse(raw).ok_or_else(|| {
-            Error::invalid_config(
-                "obs-level",
-                format!("unknown level `{raw}` (use off|summary|events|trace)"),
-            )
-        })?,
-    };
+/// Builds the telemetry handle from `--obs-out` / `--obs-level` and emits
+/// the `run_info` header. Without `--obs-out` the handle is disabled and
+/// every emission downstream is a no-op.
+fn obs_from_flags(flags: &Flags, tool: &str, seed: u64) -> Result<Obs> {
+    let raw = flags.value("obs-level");
+    let level = ObsLevel::parse(raw).ok_or_else(|| {
+        Error::invalid_config(
+            "obs-level",
+            format!("unknown level `{raw}` (use off|summary|events|trace)"),
+        )
+    })?;
     let obs = match flags.get("obs-out") {
         None => Obs::off(),
         Some(path) => Obs::to_file(level, std::path::Path::new(path))
@@ -155,78 +198,77 @@ fn obs_from_flags(flags: &Flags, tool: &str, seed: u64, default: ObsLevel) -> Re
     Ok(obs)
 }
 
-/// Flags `mvcom dataset generate` declares (`dataset stats` declares none).
-const DATASET_GENERATE_FLAGS: &[&str] = &["blocks", "seed", "out"];
-
-/// Flags `mvcom solve` declares.
-const SOLVE_FLAGS: &[&str] = &[
-    "committees",
-    "alpha",
-    "capacity",
-    "n-min",
-    "solver",
-    "seed",
-    "trace",
-    "threads",
-    "obs-out",
-    "obs-level",
-];
-
-/// Flags `mvcom simulate` declares.
-const SIMULATE_FLAGS: &[&str] = &[
-    "nodes",
-    "epochs",
-    "seed",
-    "scheduler",
-    "threads",
-    "chaos-drop",
-    "crash",
-    "heartbeat",
-    "adv-fraction",
-    "adv-strategy",
-    "defense",
-    "obs-out",
-    "obs-level",
-];
-
-/// Minimal flag parser: `--key value` pairs plus positional arguments.
+/// Minimal flag parser over one subcommand's [`FlagSpec`] table: `--key
+/// value` pairs plus the positional arguments the subcommand declares.
 struct Flags {
+    declared: &'static [FlagSpec],
     pairs: Vec<(String, String)>,
     positional: Vec<String>,
 }
 
 impl Flags {
-    /// Parses `args` for `subcommand`, rejecting any `--key` outside
-    /// `declared` — a typo'd flag must fail, not fall back to a default.
-    fn parse(subcommand: &str, declared: &[&str], args: &[String]) -> Result<Flags> {
+    /// Parses `args` for `subcommand`. A typo must fail, not fall back to
+    /// a default: any `--key` outside `declared`, any value that is itself
+    /// a flag (`--obs-out --seed 3`) and any argument beyond the
+    /// `positionals` the subcommand takes is an error.
+    fn parse(
+        subcommand: &str,
+        declared: &'static [FlagSpec],
+        positionals: usize,
+        args: &[String],
+    ) -> Result<Flags> {
         let mut pairs = Vec::new();
         let mut positional = Vec::new();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                if !declared.contains(&key) {
+                if !declared.iter().any(|spec| spec.flag == arg) {
                     return Err(Error::invalid_config(
                         "flags",
                         format!("unknown flag `--{key}` for `mvcom {subcommand}`"),
                     ));
                 }
-                let value = iter.next().ok_or_else(|| {
-                    Error::invalid_config("flags", format!("--{key} needs a value"))
-                })?;
+                let value = iter
+                    .next()
+                    .filter(|value| !value.starts_with("--"))
+                    .ok_or_else(|| {
+                        Error::invalid_config("flags", format!("--{key} needs a value"))
+                    })?;
                 pairs.push((key.to_string(), value.clone()));
-            } else {
+            } else if positional.len() < positionals {
                 positional.push(arg.clone());
+            } else {
+                return Err(Error::invalid_config(
+                    "flags",
+                    format!("unexpected argument `{arg}` for `mvcom {subcommand}`"),
+                ));
             }
         }
-        Ok(Flags { pairs, positional })
+        Ok(Flags {
+            declared,
+            pairs,
+            positional,
+        })
     }
 
+    /// The value given on the command line, if any (last one wins).
     fn get(&self, key: &str) -> Option<&str> {
         self.pairs
             .iter()
             .rev()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// The value given on the command line, else the table's default.
+    fn value(&self, key: &str) -> &str {
+        self.get(key).unwrap_or_else(|| {
+            let spec = self
+                .declared
+                .iter()
+                .find(|spec| spec.flag.strip_prefix("--") == Some(key));
+            spec.map_or("", |spec| spec.default)
+        })
     }
 
     /// Every occurrence of a repeatable flag, in order.
@@ -237,20 +279,21 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| {
-                Error::invalid_config("flags", format!("--{key} got a non-numeric value `{raw}`"))
-            }),
-        }
+    /// A flag without a static default: `None` unless given.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>> {
+        self.get(key).map(|raw| parse_as(key, raw)).transpose()
     }
 
-    /// `--threads`, the `ordered_map` worker count (default 1). Output is
+    /// A numeric flag; the default is the table's.
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T> {
+        parse_as(key, self.value(key))
+    }
+
+    /// `--threads`, the `ordered_map` worker count. Output is
     /// byte-identical to the serial run at any count, so 0 is a hard
     /// error, not "auto".
     fn threads(&self) -> Result<usize> {
-        let threads: usize = self.num("threads", 1usize)?;
+        let threads: usize = self.num("threads")?;
         if threads == 0 {
             return Err(Error::invalid_config(
                 "threads",
@@ -263,8 +306,8 @@ impl Flags {
     /// A probability/fraction-valued flag: parsed as `f64` and validated
     /// to lie in `[0, 1]`, so a typo'd `--chaos-drop 20` fails here with a
     /// clear message instead of producing nonsense downstream.
-    fn fraction(&self, key: &'static str, default: f64) -> Result<f64> {
-        let value: f64 = self.num(key, default)?;
+    fn fraction(&self, key: &'static str) -> Result<f64> {
+        let value: f64 = self.num(key)?;
         if !value.is_finite() || !(0.0..=1.0).contains(&value) {
             return Err(Error::invalid_config(
                 key,
@@ -273,23 +316,35 @@ impl Flags {
         }
         Ok(value)
     }
+
+    /// An `on|off` switch; the default is the table's.
+    fn on_off(&self, key: &'static str) -> Result<bool> {
+        match self.value(key) {
+            "on" => Ok(true),
+            "off" => Ok(false),
+            other => Err(Error::invalid_config(
+                key,
+                format!("--{key} takes on|off, got `{other}`"),
+            )),
+        }
+    }
 }
 
-fn load_trace(flags: &Flags, default_seed: u64) -> Result<Trace> {
-    match flags.get("trace") {
-        None => Ok(Trace::generate(
-            TraceConfig::jan_2016(),
-            flags.num("seed", default_seed)?,
-        )),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| Error::invalid_config("trace", format!("reading {path}: {e}")))?;
-            if text.trim_start().starts_with('{') {
-                Trace::from_json(&text)
-            } else {
-                Trace::from_csv(&text)
-            }
-        }
+fn parse_as<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T> {
+    raw.parse().map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        Error::invalid_config("flags", format!("--{key} got `{raw}`, not a valid {ty}"))
+    })
+}
+
+/// Reads a trace file, JSON or CSV by its first character.
+fn read_trace(path: &str) -> Result<Trace> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Error::invalid_config("trace", format!("reading {path}: {e}")))?;
+    if text.trim_start().starts_with('{') {
+        Trace::from_json(&text)
+    } else {
+        Trace::from_csv(&text)
     }
 }
 
@@ -297,10 +352,9 @@ fn dataset(args: &[String]) -> Result<()> {
     let rest = args.get(1..).unwrap_or(&[]);
     match args.first().map(String::as_str) {
         Some("generate") => {
-            let flags = Flags::parse("dataset generate", DATASET_GENERATE_FLAGS, rest)?;
-            let blocks: usize = flags.num("blocks", 1378usize)?;
-            let seed: u64 = flags.num("seed", 2016u64)?;
-            let trace = Trace::generate(TraceConfig::tiny(blocks), seed);
+            let flags = Flags::parse("dataset generate", DATASET_GENERATE_FLAGS, 0, rest)?;
+            let trace =
+                Trace::generate(TraceConfig::tiny(flags.num("blocks")?), flags.num("seed")?);
             let json = trace.to_json();
             match flags.get("out") {
                 Some(path) => {
@@ -318,17 +372,11 @@ fn dataset(args: &[String]) -> Result<()> {
             Ok(())
         }
         Some("stats") => {
-            let flags = Flags::parse("dataset stats", &[], rest)?;
+            let flags = Flags::parse("dataset stats", &[], 1, rest)?;
             let path = flags.positional.first().ok_or_else(|| {
                 Error::invalid_config("dataset stats", "needs a trace file argument")
             })?;
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| Error::invalid_config("trace", format!("reading {path}: {e}")))?;
-            let trace = if text.trim_start().starts_with('{') {
-                Trace::from_json(&text)?
-            } else {
-                Trace::from_csv(&text)?
-            };
+            let trace = read_trace(path)?;
             let blocks = trace.blocks();
             println!("blocks:        {}", blocks.len());
             println!("transactions:  {}", trace.total_txs());
@@ -354,17 +402,20 @@ fn dataset(args: &[String]) -> Result<()> {
 
 fn solve(args: &[String]) -> Result<()> {
     use mvcom::baselines::{dp::DpConfig, sa::SaConfig, solve_observed, woa::WoaConfig};
-    let flags = Flags::parse("solve", SOLVE_FLAGS, args)?;
-    let committees: usize = flags.num("committees", 50usize)?;
-    let alpha: f64 = flags.num("alpha", 1.5f64)?;
-    let seed: u64 = flags.num("seed", 0u64)?;
-    let capacity: u64 = flags.num("capacity", 1_000 * committees as u64)?;
-    let n_min: usize = flags.num("n-min", committees / 2)?;
-    let solver = flags.get("solver").unwrap_or("se");
+    let flags = Flags::parse("solve", SOLVE_FLAGS, 0, args)?;
+    let committees: usize = flags.num("committees")?;
+    let alpha: f64 = flags.num("alpha")?;
+    let seed: u64 = flags.num("seed")?;
+    let capacity: u64 = flags.opt("capacity")?.unwrap_or(1_000 * committees as u64);
+    let n_min: usize = flags.opt("n-min")?.unwrap_or(committees / 2);
+    let solver = flags.value("solver");
     // SE replica fan-out (DESIGN.md §14).
     let threads = flags.threads()?;
 
-    let trace = load_trace(&flags, seed)?;
+    let trace = match flags.get("trace") {
+        None => Trace::generate(TraceConfig::jan_2016(), seed),
+        Some(path) => read_trace(path)?,
+    };
     let mut gen = EpochGenerator::new(&trace, LatencyConfig::paper(), seed);
     let shards = gen.next_epoch_with_replacement(committees, 1)?;
     let instance = InstanceBuilder::new()
@@ -374,7 +425,7 @@ fn solve(args: &[String]) -> Result<()> {
         .shards(shards)
         .build()?;
 
-    let obs = obs_from_flags(&flags, "mvcom solve", seed, ObsLevel::Events)?;
+    let obs = obs_from_flags(&flags, "mvcom solve", seed)?;
     let span = obs.span("solve", 0.0, &[("solver", Value::from(solver))]);
     // The logical end of the run on the solver's iteration clock.
     let mut t_end = 0.0f64;
@@ -475,12 +526,12 @@ fn parse_crash(raw: &str) -> Result<CrashEvent> {
 }
 
 fn simulate(args: &[String]) -> Result<()> {
-    let flags = Flags::parse("simulate", SIMULATE_FLAGS, args)?;
-    let nodes: u32 = flags.num("nodes", 240u32)?;
-    let epochs: usize = flags.num("epochs", 3usize)?;
-    let seed: u64 = flags.num("seed", 0u64)?;
-    let scheduler = flags.get("scheduler").unwrap_or("all");
-    let chaos_drop: f64 = flags.fraction("chaos-drop", 0.0)?;
+    let flags = Flags::parse("simulate", SIMULATE_FLAGS, 0, args)?;
+    let nodes: u32 = flags.num("nodes")?;
+    let epochs: usize = flags.num("epochs")?;
+    let seed: u64 = flags.num("seed")?;
+    let scheduler = flags.value("scheduler");
+    let chaos_drop: f64 = flags.fraction("chaos-drop")?;
     let crashes: Vec<CrashEvent> = flags.all("crash").map(parse_crash).collect::<Result<_>>()?;
     let fault_tolerant = flags.get("chaos-drop").is_some()
         || flags.get("heartbeat").is_some()
@@ -491,18 +542,9 @@ fn simulate(args: &[String]) -> Result<()> {
             format!("unknown scheduler `{scheduler}` (use se|all)"),
         ));
     }
-    let adv_fraction: f64 = flags.fraction("adv-fraction", 0.0)?;
+    let adv_fraction: f64 = flags.fraction("adv-fraction")?;
     let adversarial = flags.get("adv-fraction").is_some() || flags.get("adv-strategy").is_some();
-    let defense_on = match flags.get("defense") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            return Err(Error::invalid_config(
-                "defense",
-                format!("unknown defense mode `{other}` (use on|off)"),
-            ))
-        }
-    };
+    let defense_on = flags.on_off("defense")?;
     if adversarial && fault_tolerant {
         return Err(Error::invalid_config(
             "adv-fraction",
@@ -513,7 +555,7 @@ fn simulate(args: &[String]) -> Result<()> {
 
     // Committee-parallel stage 3 (DESIGN.md §11).
     let threads = flags.threads()?;
-    let obs = obs_from_flags(&flags, "mvcom simulate", seed, ObsLevel::Events)?;
+    let obs = obs_from_flags(&flags, "mvcom simulate", seed)?;
     let mut sim = ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?
         .with_obs(obs.clone())
         .with_threads(threads);
@@ -524,7 +566,7 @@ fn simulate(args: &[String]) -> Result<()> {
         RecoveryConfig {
             chaos,
             heartbeat: HeartbeatConfig {
-                interval: SimTime::from_secs(flags.num("heartbeat", 30.0f64)?),
+                interval: SimTime::from_secs(flags.num("heartbeat")?),
                 ..HeartbeatConfig::paper()
             },
             ..RecoveryConfig::paper()
@@ -534,7 +576,7 @@ fn simulate(args: &[String]) -> Result<()> {
     // across epochs — the defense's value is exactly its memory.
     let adversary = if adversarial {
         Some(build_adversary(
-            flags.get("adv-strategy").unwrap_or("misreport"),
+            flags.value("adv-strategy"),
             AdversaryConfig::new(adv_fraction, seed)?,
         )?)
     } else {
@@ -563,8 +605,7 @@ fn simulate(args: &[String]) -> Result<()> {
                 ("se", false) => sim.run_epoch_with(&mut se_selector)?,
                 ("all", false) => sim.run_epoch_with(&mut WaitForAll)?,
                 ("se", true) => {
-                    let mut selector =
-                        SeRecoverySelector::adaptive(seed, 0.6).with_obs(obs.clone());
+                    let mut selector = SeSelector::adaptive(seed, 0.6).with_obs(obs.clone());
                     sim.run_epoch_recovering(&mut selector, &recovery)?
                 }
                 ("all", true) => {
@@ -703,47 +744,40 @@ fn daemon_err(e: mvcom::daemon::DaemonError) -> Error {
     Error::invalid_config("daemon", e.to_string())
 }
 
+/// The determinism-relevant configuration `mvcom daemon` runs under;
+/// every default is the [`DAEMON_FLAGS`] row's.
+fn daemon_config(flags: &Flags) -> Result<mvcom::daemon::DaemonConfig> {
+    Ok(mvcom::daemon::DaemonConfig {
+        seed: flags.num("seed")?,
+        population: flags.num("committees")?,
+        batch_size: flags.num("batch-size")?,
+        reports_per_epoch: flags.num("epoch-reports")?,
+        batch_interval_s: flags.num("batch-interval")?,
+        alpha: flags.num("alpha")?,
+        capacity_per_committee: flags.num("capacity")?,
+        n_min_fraction: flags.fraction("n-min-frac")?,
+        defense: flags.on_off("defense")?,
+        adv_fraction: flags.fraction("adv-fraction")?,
+        adv_strategy: flags.value("adv-strategy").to_string(),
+        se_iterations: flags.num("se-iters")?,
+        max_epochs: flags.num("epochs")?,
+        throttle_ms: flags.num("throttle-ms")?,
+    })
+}
+
 /// The `mvcom daemon` subcommand: the long-running scheduling service.
-/// Flags are defined by [`mvcom::daemon::DAEMON_FLAGS`]; semantics are
-/// documented in OPERATIONS.md.
+/// Flags are defined by [`DAEMON_FLAGS`]; semantics are documented in
+/// OPERATIONS.md.
 fn daemon(args: &[String]) -> Result<()> {
     use mvcom::daemon::{
-        AlertConfig, AlertEngine, Daemon, DaemonConfig, IngestSource, JsonlSource, MetricsServer,
-        SeededSource, Startup,
+        AlertConfig, AlertEngine, Daemon, IngestSource, JsonlSource, MetricsServer, SeededSource,
+        Startup,
     };
 
-    let declared: Vec<&str> = mvcom::daemon::DAEMON_FLAGS
-        .iter()
-        .map(|spec| spec.flag.trim_start_matches("--"))
-        .collect();
-    let flags = Flags::parse("daemon", &declared, args)?;
-    let config = DaemonConfig {
-        seed: flags.num("seed", 7)?,
-        population: flags.num("committees", 96)?,
-        batch_size: flags.num("batch-size", 8)?,
-        reports_per_epoch: flags.num("epoch-reports", 48)?,
-        batch_interval_s: flags.num("batch-interval", 0.5)?,
-        alpha: flags.num("alpha", 1.5)?,
-        capacity_per_committee: flags.num("capacity", 1000)?,
-        n_min_fraction: flags.fraction("n-min-frac", 0.5)?,
-        defense: match flags.get("defense") {
-            None | Some("off") => false,
-            Some("on") => true,
-            Some(other) => {
-                return Err(Error::invalid_config(
-                    "defense",
-                    format!("--defense takes on|off, got `{other}`"),
-                ))
-            }
-        },
-        adv_fraction: flags.fraction("adv-fraction", 0.0)?,
-        adv_strategy: flags.get("adv-strategy").unwrap_or("").to_string(),
-        se_iterations: flags.num("se-iters", 0)?,
-        max_epochs: flags.num("epochs", 0)?,
-        throttle_ms: flags.num("throttle-ms", 0)?,
-    };
-    let source: Box<dyn IngestSource> = match flags.get("source") {
-        None | Some("seeded") => {
+    let flags = Flags::parse("daemon", DAEMON_FLAGS, 0, args)?;
+    let config = daemon_config(&flags)?;
+    let source: Box<dyn IngestSource> = match flags.value("source") {
+        "seeded" => {
             if u64::from(config.reports_per_epoch) > u64::from(config.population) {
                 return Err(Error::invalid_config(
                     "epoch-reports",
@@ -756,26 +790,18 @@ fn daemon(args: &[String]) -> Result<()> {
             }
             Box::new(SeededSource::new(config.seed, config.population).map_err(daemon_err)?)
         }
-        Some("stdin") => Box::new(JsonlSource::new(std::io::stdin().lock())),
-        Some(other) => {
+        "stdin" => Box::new(JsonlSource::new(std::io::stdin().lock())),
+        other => {
             return Err(Error::invalid_config(
                 "source",
                 format!("--source takes seeded|stdin, got `{other}`"),
             ))
         }
     };
-    let alert_threshold = |key: &'static str| -> Result<Option<f64>> {
-        match flags.get(key) {
-            None => Ok(None),
-            Some(raw) => raw.parse().map(Some).map_err(|_| {
-                Error::invalid_config("flags", format!("--{key} got a non-numeric value `{raw}`"))
-            }),
-        }
-    };
     let mut alerts = AlertEngine::new(AlertConfig {
-        min_utility: alert_threshold("alert-min-utility")?,
-        min_admitted: alert_threshold("alert-min-admitted")?.map(|v: f64| v as u64),
-        max_quarantined: alert_threshold("alert-max-quarantined")?.map(|v: f64| v as u64),
+        min_utility: flags.opt("alert-min-utility")?,
+        min_admitted: flags.opt("alert-min-admitted")?,
+        max_quarantined: flags.opt("alert-max-quarantined")?,
     });
     alerts.on_alert(|a| {
         eprintln!(
@@ -786,21 +812,9 @@ fn daemon(args: &[String]) -> Result<()> {
             a.observed,
         );
     });
-    let obs = obs_from_flags(&flags, "daemon", config.seed, ObsLevel::Summary)?;
-    let history_path = flags
-        .get("history")
-        .unwrap_or("mvcom-history.log")
-        .to_string();
-    let resume = match flags.get("resume") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            return Err(Error::invalid_config(
-                "resume",
-                format!("--resume takes on|off, got `{other}`"),
-            ))
-        }
-    };
+    let obs = obs_from_flags(&flags, "daemon", config.seed)?;
+    let history_path = flags.value("history").to_string();
+    let resume = flags.on_off("resume")?;
     let mut daemon = Daemon::open(
         config,
         source,
@@ -821,9 +835,9 @@ fn daemon(args: &[String]) -> Result<()> {
              {dropped_bytes} torn byte(s) truncated"
         );
     }
-    let _server = match flags.get("http") {
-        None | Some("") => None,
-        Some(addr) => {
+    let _server = match flags.value("http") {
+        "" => None,
+        addr => {
             let server = MetricsServer::start(addr, daemon.snapshot_cell())
                 .map_err(|e| Error::invalid_config("http", format!("binding {addr}: {e}")))?;
             eprintln!(
@@ -853,4 +867,18 @@ fn daemon(args: &[String]) -> Result<()> {
         daemon.history_bytes(),
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_daemon_argv_is_the_default_config() {
+        let flags = Flags::parse("daemon", DAEMON_FLAGS, 0, &[]).expect("no flags to reject");
+        assert_eq!(
+            daemon_config(&flags).expect("the table's defaults parse"),
+            mvcom::daemon::DaemonConfig::default(),
+        );
+    }
 }

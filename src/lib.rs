@@ -8,7 +8,7 @@
 //!
 //! | Layer | Crate | What it provides |
 //! |-------|-------|------------------|
-//! | scheduler | [`mvcom_core`] | the MVCom problem, the Stochastic-Exploration engine, online dynamics, theory |
+//! | scheduler | [`mvcom_core`] | the MVCom problem, the Stochastic-Exploration engine, the final committee's admission procedure, online dynamics, theory |
 //! | baselines | [`mvcom_baselines`] | SA, DP, WOA, greedy, exhaustive |
 //! | service | [`mvcom_daemon`] | the long-running scheduling daemon: streaming ingest, crash-safe epoch history, metrics endpoint |
 //! | protocol | [`mvcom_elastico`] | the five-stage sharding epoch (PoW, formation, PBFT, final consensus, randomness) |
@@ -18,8 +18,9 @@
 //! | types | [`mvcom_types`] | shared ids, time, latency, errors |
 //!
 //! This facade crate re-exports the public API and contributes the glue
-//! type that the layering keeps out of the lower crates: [`SeSelector`],
-//! which runs the SE scheduler inside an Elastico final committee.
+//! the layering keeps out of the lower crates: [`SeSelector`] and
+//! [`DefendedSeSelector`], which bind the final committee's admission
+//! procedure ([`mvcom_core::admission`]) to Elastico's selector traits.
 //!
 //! # Quick start: schedule one epoch
 //!
@@ -64,10 +65,10 @@ pub use mvcom_types as types;
 
 pub use mvcom_types::{Error, Result};
 
+use mvcom_core::admission::{cutoff, Admission, Capacity, EpochPolicy};
 use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
 use mvcom_core::dynamics::{DynamicsPolicy, EventRecord};
-use mvcom_core::problem::InstanceBuilder;
-use mvcom_core::se::{SeConfig, SeEngine};
+use mvcom_core::se::{SeCheckpoint, SeConfig};
 use mvcom_dataset::{Adversary, CommitteeReport};
 use mvcom_elastico::epoch::{ElasticoSim, EpochReport, ShardSelector};
 use mvcom_elastico::recovery::RecoverySelector;
@@ -79,11 +80,12 @@ pub mod prelude {
         BnbSolver, DpSolver, ExhaustiveSolver, GreedySolver, SaSolver, Solver, SolverOutcome,
         WoaSolver,
     };
+    pub use mvcom_core::admission::{Admission, Capacity, EpochPolicy};
     pub use mvcom_core::defense::{
         DefenseCheckpoint, DefenseConfig, DefenseEngine, DefenseObservation, ScreenedReport,
     };
     pub use mvcom_core::dynamics::{run_online, DynamicsPolicy, EventKind, TimedEvent};
-    pub use mvcom_core::epoch_chain::{EpochCapacity, EpochChain, EpochChainConfig, EpochOutcome};
+    pub use mvcom_core::epoch_chain::{EpochChain, EpochChainConfig, EpochOutcome};
     pub use mvcom_core::problem::InstanceBuilder;
     pub use mvcom_core::se::{SeCheckpoint, SeConfig, SeEngine, SeOutcome};
     pub use mvcom_core::{DdlPolicy, Instance, Solution};
@@ -104,19 +106,33 @@ pub mod prelude {
     };
 
     pub use crate::metrics::{ChainMetrics, RobustnessMetrics, ScheduleMetrics};
-    pub use crate::{CapacityRule, DefendedSeSelector, SeRecoverySelector, SeSelector};
+    pub use crate::{DefendedSeSelector, SeSelector};
 }
 
-/// An Elastico [`ShardSelector`] backed by the MVCom Stochastic-Exploration
-/// scheduler — the paper's system, end to end.
+/// The MVCom Stochastic-Exploration scheduler as an Elastico final
+/// committee — the paper's system, end to end. The per-epoch procedure is
+/// [`mvcom_core::admission`]; this type binds it to Elastico's two seams.
 ///
-/// At each epoch's stage 4 the selector:
-/// 1. applies the arrival cutoff `N_max` (the final committee stops
-///    listening once the configured fraction of committees has submitted —
-///    Alg. 1 lines 29–30), keeping the earliest arrivals;
-/// 2. builds the MVCom instance with `N_min = n_min_fraction · |I_j|` and
-///    capacity `Ĉ = capacity_per_committee · |I_j|` (the paper's scaling);
-/// 3. runs [`SeEngine`] and admits the converged selection.
+/// As a [`ShardSelector`] it answers one batch question at stage 4: keep
+/// the earliest `N_max` arrivals ([`cutoff`], Alg. 1 lines 29–30), pose
+/// the epoch over them, run SE to convergence or the budget and admit the
+/// result — or, for a degenerate epoch, every committee that submitted.
+///
+/// As a [`RecoverySelector`] for the fault-tolerant epoch runner
+/// ([`ElasticoSim::run_epoch_recovering`](mvcom_elastico::recovery)) it
+/// keeps the admission open (no cutoff: the runner's own deadline decides
+/// who submitted) while the heartbeat detector watches the member
+/// committees. When one is declared failed mid-epoch:
+///
+/// 1. the engine's state is **checkpointed** (version-stamped, serialized
+///    through `serde_json` and restored — exercising the same path a
+///    killed distributed solver process would take, per §IV-D);
+/// 2. the restored engine **trims** the dead committee out of the solution
+///    space via [`DynamicsPolicy::Trim`] (paper §V, `F → G`) and keeps
+///    iterating — no scripted [`TimedEvent`](mvcom_core::dynamics)
+///    sequence involved;
+/// 3. the utility perturbation is recorded as an [`EventRecord`], so tests
+///    can check it against the Theorem 2 bound.
 ///
 /// # Example
 ///
@@ -133,48 +149,20 @@ pub mod prelude {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SeSelector {
-    /// The throughput weight `α`.
-    pub alpha: f64,
-    /// How the final-block capacity `Ĉ` is derived from the epoch.
-    pub capacity: CapacityRule,
-    /// `N_min` as a fraction of the arrived committees (paper: 0.5).
-    pub n_min_fraction: f64,
+    /// How each epoch is posed; `N_min` and `Ĉ` scale with the shards the
+    /// scheduler chooses among.
+    pub policy: EpochPolicy,
     /// Arrival cutoff `N_max` as a fraction of submitted shards
     /// (paper: 0.8).
     pub n_max_fraction: f64,
     /// The SE engine configuration.
     pub se: SeConfig,
     obs: mvcom_obs::Obs,
-}
-
-/// How a [`SeSelector`] derives the final-block capacity `Ĉ` for an epoch.
-///
-/// The paper's experiments fix `Ĉ = 1000·|I_j|` because its dataset packs
-/// ~1000 TXs per shard; real epochs have shard sizes set by the workload,
-/// so a fraction-of-load rule keeps the knapsack meaningfully tight at any
-/// scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CapacityRule {
-    /// `Ĉ = per_committee · |I_j|` — the paper's rule.
-    PerCommittee(u64),
-    /// `Ĉ = fraction · Σ_i s_i` over the shards that survived the arrival
-    /// cutoff; the fraction is clamped to `(0, 1]`.
-    FractionOfLoad(f64),
-}
-
-impl CapacityRule {
-    fn capacity(&self, shards: &[ShardInfo]) -> u64 {
-        match *self {
-            CapacityRule::PerCommittee(per) => per.saturating_mul(shards.len() as u64),
-            CapacityRule::FractionOfLoad(fraction) => {
-                let total: u64 = shards.iter().map(|s| s.tx_count()).sum();
-                let f = fraction.clamp(f64::EPSILON, 1.0);
-                ((total as f64) * f).round().max(1.0) as u64
-            }
-        }
-    }
+    admission: Option<Admission>,
+    events: Vec<EventRecord>,
+    chains_restored: usize,
 }
 
 impl SeSelector {
@@ -182,17 +170,20 @@ impl SeSelector {
     /// `N_min = 50%·|I|`, `N_max = 80%`.
     pub fn paper(seed: u64) -> SeSelector {
         SeSelector {
-            alpha: 1.5,
-            capacity: CapacityRule::PerCommittee(1_000),
-            n_min_fraction: 0.5,
+            policy: EpochPolicy::paper(),
             n_max_fraction: 0.8,
             se: SeConfig::paper(seed),
             obs: mvcom_obs::Obs::off(),
+            admission: None,
+            events: Vec::new(),
+            chains_restored: 0,
         }
     }
 
     /// Attaches a telemetry handle: each epoch's SE run emits the `se_*`
-    /// events documented in OBSERVABILITY.md.
+    /// events documented in OBSERVABILITY.md, and each handled failure the
+    /// `se_checkpoint_save` / `se_checkpoint_restore` / `se_dynamic`
+    /// sequence.
     #[must_use]
     pub fn with_obs(mut self, obs: mvcom_obs::Obs) -> SeSelector {
         self.obs = obs;
@@ -207,47 +198,102 @@ impl SeSelector {
     /// [`ElasticoSim`]: mvcom_elastico::epoch::ElasticoSim
     pub fn adaptive(seed: u64, load_fraction: f64) -> SeSelector {
         SeSelector {
-            capacity: CapacityRule::FractionOfLoad(load_fraction),
+            policy: EpochPolicy {
+                capacity: Capacity::FractionOfLoad(load_fraction),
+                ..EpochPolicy::paper()
+            },
             ..SeSelector::paper(seed)
         }
+    }
+
+    /// The utility perturbations recorded around each handled failure.
+    pub fn events(&self) -> &[EventRecord] {
+        &self.events
+    }
+
+    /// Chains rebuilt from checkpoints across all handled failures.
+    pub fn chains_restored(&self) -> usize {
+        self.chains_restored
+    }
+
+    /// The live engine's current best utility, while an admission is open
+    /// over a schedulable epoch.
+    pub fn current_best_utility(&self) -> Option<f64> {
+        let engine = self.admission.as_ref()?.engine()?;
+        Some(engine.current_best_utility())
+    }
+
+    /// Opens the admission over `posed`; a degenerate epoch admits all of
+    /// `arrived`.
+    fn open(&self, arrived: &[ShardInfo], posed: Vec<ShardInfo>) -> Admission {
+        let n_min = self.policy.n_min(posed.len());
+        let capacity = self.policy.capacity.of(&posed);
+        let obs = self.obs.clone();
+        Admission::open(&self.policy, arrived, posed, n_min, capacity, self.se, obs)
     }
 }
 
 impl ShardSelector for SeSelector {
     fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId> {
-        let fallback = || shards.iter().map(|s| s.committee()).collect::<Vec<_>>();
-        if shards.len() < 2 {
-            return fallback();
-        }
-        // Arrival cutoff: keep the earliest N_max fraction (at least 2, and
-        // at least enough to satisfy N_min of the survivors).
-        let keep =
-            ((shards.len() as f64 * self.n_max_fraction).round() as usize).clamp(2, shards.len());
-        let mut by_arrival: Vec<ShardInfo> = shards.to_vec();
-        by_arrival.sort_by_key(|a| a.two_phase_latency());
-        by_arrival.truncate(keep);
+        let mut admission = self.open(shards, cutoff(shards, self.n_max_fraction));
+        admission.advance(self.se.max_iterations);
+        admission.finish().admitted
+    }
+}
 
-        let n_min = (by_arrival.len() as f64 * self.n_min_fraction).round() as usize;
-        let capacity = self.capacity.capacity(&by_arrival);
-        let instance = match InstanceBuilder::new()
-            .alpha(self.alpha)
-            .capacity(capacity)
-            .n_min(n_min)
-            .shards(by_arrival)
-            .build()
-        {
-            Ok(instance) => instance,
-            // Degenerate epochs (e.g. one giant shard) fall back to
-            // admitting everything, like vanilla Elastico.
-            Err(_) => return fallback(),
-        };
-        match SeEngine::new(&instance, self.se) {
-            Ok(engine) => {
-                let outcome = engine.with_obs(self.obs.clone()).run();
-                instance.committees(&outcome.best_solution).collect()
-            }
-            Err(_) => fallback(),
+impl RecoverySelector for SeSelector {
+    fn begin(&mut self, shards: &[ShardInfo]) -> MvResult<()> {
+        self.admission = Some(self.open(shards, shards.to_vec()));
+        Ok(())
+    }
+
+    fn advance(&mut self, iterations: u64) {
+        if let Some(admission) = &mut self.admission {
+            admission.advance(iterations);
         }
+    }
+
+    fn on_failure(&mut self, committee: CommitteeId) -> MvResult<()> {
+        let Some(admission) = &mut self.admission else {
+            return Ok(());
+        };
+        let solving = admission
+            .engine()
+            .filter(|e| e.instance().index_of(committee).is_some());
+        let Some(engine) = solving else {
+            // No engine is solving over this committee; at most the
+            // admit-all set shrinks.
+            admission.leave(committee, DynamicsPolicy::Trim);
+            return Ok(());
+        };
+        let utility_before = engine.current_best_utility();
+        let at_iteration = engine.iteration();
+        // The failure kills the solver process along with the committee:
+        // round-trip the version-stamped checkpoint through serialization
+        // and restore, as a replacement process would.
+        let json = serde_json::to_string(&engine.checkpoint())
+            .map_err(|e| Error::simulation(format!("checkpoint encode failed: {e}")))?;
+        let ckpt: SeCheckpoint = serde_json::from_str(&json)
+            .map_err(|e| Error::simulation(format!("checkpoint decode failed: {e}")))?;
+        self.chains_restored += admission.restore(&ckpt)?;
+        // §V solution-space surgery: trim the dead committee, keep going.
+        // A trimmed epoch the scheduler cannot pose (e.g. too few
+        // survivors) degrades to admit-all-survivors and records nothing.
+        admission.leave(committee, DynamicsPolicy::Trim);
+        if let Some(engine) = admission.engine() {
+            self.events.push(EventRecord {
+                at_iteration,
+                utility_before,
+                utility_after: engine.current_best_utility(),
+                is_join: false,
+            });
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Vec<CommitteeId> {
+        let admission = self.admission.take();
+        admission.map_or_else(Vec::new, |a| a.finish().admitted)
     }
 }
 
@@ -348,179 +394,9 @@ impl DefendedSeSelector {
 
 impl ShardSelector for DefendedSeSelector {
     fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId> {
-        let n_min = (shards.len() as f64 * self.selector.n_min_fraction).round() as usize;
+        let n_min = self.selector.policy.n_min(shards.len());
         let screened = self.defense.admissible(self.epoch, shards, n_min);
         self.selector.select(&screened)
-    }
-}
-
-/// The MVCom scheduler as an *online* admission strategy for the
-/// fault-tolerant epoch runner
-/// ([`ElasticoSim::run_epoch_recovering`](mvcom_elastico::recovery)).
-///
-/// Where [`SeSelector`] answers one batch question at stage 4, this
-/// selector keeps a live [`SeEngine`] running while the final committee's
-/// heartbeat detector watches the member committees. When a committee is
-/// declared failed mid-epoch:
-///
-/// 1. the engine's state is **checkpointed** (version-stamped, serialized
-///    through `serde_json` and restored — exercising the same path a
-///    killed distributed solver process would take, per §IV-D);
-/// 2. the restored engine **trims** the dead committee out of the solution
-///    space via [`DynamicsPolicy::Trim`] (paper §V, `F → G`) and keeps
-///    iterating — no scripted [`TimedEvent`](mvcom_core::dynamics)
-///    sequence involved;
-/// 3. the utility perturbation is recorded as an [`EventRecord`], so tests
-///    can check it against the Theorem 2 bound.
-#[derive(Debug)]
-pub struct SeRecoverySelector {
-    /// The throughput weight `α`.
-    pub alpha: f64,
-    /// How the final-block capacity `Ĉ` is derived from the epoch.
-    pub capacity: CapacityRule,
-    /// `N_min` as a fraction of the submitted committees (paper: 0.5).
-    pub n_min_fraction: f64,
-    /// The SE engine configuration.
-    pub se: SeConfig,
-    engine: Option<SeEngine>,
-    shards: Vec<ShardInfo>,
-    events: Vec<EventRecord>,
-    chains_restored: usize,
-    obs: mvcom_obs::Obs,
-}
-
-impl SeRecoverySelector {
-    /// The paper's defaults over a workload-adaptive capacity (60% of the
-    /// submitted load), ready to drive an [`ElasticoSim`] epoch.
-    ///
-    /// [`ElasticoSim`]: mvcom_elastico::epoch::ElasticoSim
-    pub fn adaptive(seed: u64, load_fraction: f64) -> SeRecoverySelector {
-        SeRecoverySelector {
-            alpha: 1.5,
-            capacity: CapacityRule::FractionOfLoad(load_fraction),
-            n_min_fraction: 0.5,
-            se: SeConfig::paper(seed),
-            engine: None,
-            shards: Vec::new(),
-            events: Vec::new(),
-            chains_restored: 0,
-            obs: mvcom_obs::Obs::off(),
-        }
-    }
-
-    /// Attaches a telemetry handle: the live engine emits `se_*` events and
-    /// each handled failure emits the `se_checkpoint_save` /
-    /// `se_checkpoint_restore` / `se_dynamic` sequence.
-    #[must_use]
-    pub fn with_obs(mut self, obs: mvcom_obs::Obs) -> SeRecoverySelector {
-        self.obs = obs;
-        self
-    }
-
-    /// The utility perturbations recorded around each handled failure.
-    pub fn events(&self) -> &[EventRecord] {
-        &self.events
-    }
-
-    /// Chains rebuilt from checkpoints across all handled failures.
-    pub fn chains_restored(&self) -> usize {
-        self.chains_restored
-    }
-
-    /// The live engine's current best utility, if a scheduling problem has
-    /// been posed.
-    pub fn current_best_utility(&self) -> Option<f64> {
-        self.engine.as_ref().map(SeEngine::current_best_utility)
-    }
-}
-
-impl RecoverySelector for SeRecoverySelector {
-    fn begin(&mut self, shards: &[ShardInfo]) -> MvResult<()> {
-        self.shards = shards.to_vec();
-        if shards.len() < 2 {
-            return Ok(()); // degenerate epoch: finish() admits everything
-        }
-        let n_min = (shards.len() as f64 * self.n_min_fraction).round() as usize;
-        let instance = match InstanceBuilder::new()
-            .alpha(self.alpha)
-            .capacity(self.capacity.capacity(shards))
-            .n_min(n_min)
-            .shards(shards.to_vec())
-            .build()
-        {
-            Ok(instance) => instance,
-            Err(_) => return Ok(()), // fall back to admitting every survivor
-        };
-        self.engine = SeEngine::new(&instance, self.se)
-            .ok()
-            .map(|e| e.with_obs(self.obs.clone()));
-        Ok(())
-    }
-
-    fn advance(&mut self, iterations: u64) {
-        if let Some(engine) = &mut self.engine {
-            for _ in 0..iterations {
-                if engine.is_converged() {
-                    break;
-                }
-                engine.step();
-            }
-        }
-    }
-
-    fn on_failure(&mut self, committee: CommitteeId) -> MvResult<()> {
-        self.shards.retain(|s| s.committee() != committee);
-        let Some(engine) = self.engine.take() else {
-            return Ok(());
-        };
-        if engine.instance().index_of(committee).is_none() {
-            self.engine = Some(engine);
-            return Ok(());
-        }
-        let utility_before = engine.current_best_utility();
-        let at_iteration = engine.iteration();
-        // The failure kills the solver process along with the committee:
-        // round-trip the version-stamped checkpoint through serialization
-        // and restore, as a replacement process would.
-        let instance = engine.instance().clone();
-        let config = *engine.config();
-        let ckpt = engine.checkpoint();
-        drop(engine);
-        let json = serde_json::to_string(&ckpt)
-            .map_err(|e| Error::simulation(format!("checkpoint encode failed: {e}")))?;
-        let ckpt: mvcom_core::se::SeCheckpoint = serde_json::from_str(&json)
-            .map_err(|e| Error::simulation(format!("checkpoint decode failed: {e}")))?;
-        let mut restored =
-            SeEngine::from_checkpoint(&instance, config, &ckpt)?.with_obs(self.obs.clone());
-        self.chains_restored += restored.restored_chains();
-        // §V solution-space surgery: trim the dead committee, keep going.
-        match restored.handle_leave(committee, DynamicsPolicy::Trim) {
-            Ok(()) => {
-                self.events.push(EventRecord {
-                    at_iteration,
-                    utility_before,
-                    utility_after: restored.current_best_utility(),
-                    is_join: false,
-                });
-                self.engine = Some(restored);
-            }
-            // The trimmed epoch is infeasible for the scheduler (e.g. too
-            // few survivors): drop the engine and degrade to
-            // admit-all-survivors at finish().
-            Err(_) => self.engine = None,
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Vec<CommitteeId> {
-        match self.engine.take() {
-            Some(engine) => {
-                let instance = engine.instance().clone();
-                let outcome = engine.finish();
-                instance.committees(&outcome.best_solution).collect()
-            }
-            None => self.shards.iter().map(|s| s.committee()).collect(),
-        }
     }
 }
 
@@ -609,6 +485,29 @@ mod tests {
     }
 
     #[test]
+    fn select_is_cutoff_then_the_open_admission_run_to_its_budget() {
+        let shards: Vec<ShardInfo> = (0..15)
+            .map(|i| {
+                shard(
+                    i,
+                    90_000 + 1_000 * u64::from(i),
+                    3_400.0 - 200.0 * f64::from(i),
+                )
+            })
+            .collect();
+        let batch = SeSelector::adaptive(8, 0.6).select(&shards);
+        let mut online = SeSelector::adaptive(8, 0.6);
+        online
+            .begin(&cutoff(&shards, online.n_max_fraction))
+            .unwrap();
+        online.advance(online.se.max_iterations);
+        assert_eq!(batch, online.finish());
+        assert!(batch.len() >= 6 && batch.len() < 12, "{batch:?}");
+        // The three slowest arrivals (ids 0–2) were never listened to.
+        assert!(batch.iter().all(|c| c.0 >= 3), "{batch:?}");
+    }
+
+    #[test]
     fn recovery_selector_schedules_like_the_batch_selector_without_faults() {
         let shards: Vec<ShardInfo> = (0..12)
             .map(|i| {
@@ -619,7 +518,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut selector = SeRecoverySelector::adaptive(4, 0.6);
+        let mut selector = SeSelector::adaptive(4, 0.6);
         selector.begin(&shards).unwrap();
         selector.advance(2_000);
         let included = selector.finish();
@@ -640,7 +539,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut selector = SeRecoverySelector::adaptive(5, 0.6);
+        let mut selector = SeSelector::adaptive(5, 0.6);
         selector.begin(&shards).unwrap();
         selector.advance(300);
         selector.on_failure(CommitteeId(3)).unwrap();
@@ -660,12 +559,12 @@ mod tests {
         let shards: Vec<ShardInfo> = (0..6)
             .map(|i| shard(i, 50_000, 600.0 + 50.0 * f64::from(i)))
             .collect();
-        let mut selector = SeRecoverySelector::adaptive(6, 0.6);
+        let mut selector = SeSelector::adaptive(6, 0.6);
         selector.begin(&shards).unwrap();
         selector.on_failure(CommitteeId(99)).unwrap();
         assert!(selector.events().is_empty());
         // A single-shard epoch never builds an engine and admits the shard.
-        let mut degenerate = SeRecoverySelector::adaptive(7, 0.6);
+        let mut degenerate = SeSelector::adaptive(7, 0.6);
         degenerate.begin(&shards[..1]).unwrap();
         degenerate.advance(100);
         assert_eq!(degenerate.finish(), vec![CommitteeId(0)]);

@@ -1,0 +1,122 @@
+//! Pinned admitted sets of the three `mvcom simulate` modes.
+//!
+//! The constants were captured at 978133f, when `SeSelector::select` and
+//! a separate recovery selector each built their own instance, ran their
+//! own loop and kept their own admit-everything fallback. They hold the
+//! one `mvcom::core::admission` path to the same arrival cutoff, the
+//! same `N_min`/`Ĉ` bases, the same RNG streams and the same fallback
+//! set (every *input* committee, not only the ones the cutoff kept).
+
+// Test/example code: unwrap is fine here (the workspace-level
+// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
+#![allow(clippy::unwrap_used)]
+use mvcom::prelude::*;
+
+const SEED: u64 = 5;
+const EPOCHS: usize = 3;
+
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn sim(nodes: u32) -> ElasticoSim {
+    ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), SEED).unwrap()
+}
+
+/// `simulate --scheduler se`: the batch selector, once over 16 committees
+/// (a real knapsack) and once over 4, where the three kept shards cannot
+/// be posed and every arrival — the cut-off one included — is admitted.
+#[test]
+fn adaptive_selector_admits_the_pinned_sets() {
+    let included = |nodes: u32| {
+        let mut sim = sim(nodes);
+        let mut selector = SeSelector::adaptive(SEED, 0.6);
+        (0..EPOCHS)
+            .map(|_| {
+                sim.run_epoch_with(&mut selector)
+                    .unwrap()
+                    .final_block
+                    .included
+            })
+            .collect::<Vec<_>>()
+    };
+    let solved = included(240);
+    assert!(solved.iter().all(|set| set.len() == 8), "{solved:?}");
+    assert_eq!(fnv(&format!("{solved:?}")), 0xafa7_ad06_bc95_e5c8);
+    let degenerate = included(60);
+    assert!(
+        degenerate.iter().all(|set| set.len() == 4),
+        "{degenerate:?}"
+    );
+    assert_eq!(fnv(&format!("{degenerate:?}")), 0x28ed_c066_96b4_ffcd);
+}
+
+/// `simulate --adv-fraction 0.33 --adv-strategy starver --defense on`.
+#[test]
+fn defended_selector_admits_the_pinned_sets_against_a_starver() {
+    let mut sim = sim(240);
+    let adversary = Starver::new(AdversaryConfig::new(0.33, SEED).unwrap());
+    let mut defended = DefendedSeSelector::new(
+        SeSelector::adaptive(SEED, 0.6),
+        DefenseEngine::new(DefenseConfig::paper()).unwrap(),
+    );
+    let included: Vec<_> = (0..EPOCHS)
+        .map(|_| {
+            let (report, _) = defended.run_epoch(&mut sim, &adversary).unwrap();
+            report.final_block.included
+        })
+        .collect();
+    assert_eq!(included.iter().map(Vec::len).collect::<Vec<_>>(), [8, 8, 5]);
+    assert_eq!(fnv(&format!("{included:?}")), 0xef8e_62dc_5f81_7695);
+}
+
+/// `simulate --scheduler se --crash 1@2500`: one selector per epoch, a
+/// permanent crash of the second submission node, the failure trimmed
+/// through a serialized checkpoint restore.
+#[test]
+fn recovering_runner_admits_the_pinned_sets_around_a_crash() {
+    let recovery = RecoveryConfig {
+        chaos: ChaosConfig::lossy(0.0).with_crash(CrashEvent::permanent(
+            submission_node(1),
+            SimTime::from_secs(2_500.0),
+        )),
+        ..RecoveryConfig::paper()
+    };
+    let mut sim = sim(240);
+    let mut observed = Vec::new();
+    for _ in 0..EPOCHS {
+        let mut selector = SeSelector::adaptive(SEED, 0.6);
+        let report = sim.run_epoch_recovering(&mut selector, &recovery).unwrap();
+        let events: Vec<(u64, u64, u64, bool)> = selector
+            .events()
+            .iter()
+            .map(|e| {
+                (
+                    e.at_iteration,
+                    e.utility_before.to_bits(),
+                    e.utility_after.to_bits(),
+                    e.is_join,
+                )
+            })
+            .collect();
+        observed.push((
+            report.final_block.included,
+            events,
+            selector.chains_restored(),
+        ));
+    }
+    // The crash lands in epoch 0 only (later epochs outlive t = 2500 s
+    // before the node is addressed again), so both the trimmed and the
+    // untouched recovery path are pinned.
+    assert_eq!(
+        observed
+            .iter()
+            .map(|(_, events, _)| events.len())
+            .collect::<Vec<_>>(),
+        [1, 0, 0]
+    );
+    assert!(observed[0].2 > 0, "the restore path must run");
+    assert_eq!(fnv(&format!("{observed:?}")), 0x0312_7f32_854c_8922);
+}

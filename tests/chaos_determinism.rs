@@ -54,7 +54,7 @@ fn se_recovery_pipeline_is_deterministic_under_crash_and_loss() {
     };
     let run = || {
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 41).unwrap();
-        let mut selector = SeRecoverySelector::adaptive(41, 0.6);
+        let mut selector = SeSelector::adaptive(41, 0.6);
         let report = sim.run_epoch_recovering(&mut selector, &recovery).unwrap();
         serde_json::to_string(&report).unwrap()
     };

@@ -61,28 +61,141 @@ fn unknown_flags_are_rejected_with_the_flag_and_subcommand_named() {
     }
 }
 
-/// `--help` / `-h` after a subcommand prints the usage and exits 0 (it
-/// used to answer `--help needs a value`).
+/// `--help` / `-h` after a subcommand prints that subcommand's flag table
+/// on stdout and exits 0 (it used to answer `--help needs a value`, then
+/// printed the usage on stderr everywhere but `daemon`).
 #[test]
 fn subcommand_help_prints_usage_and_succeeds() {
-    for args in [
-        &["solve", "--help"][..],
-        &["solve", "--solver", "se", "-h"][..],
-        &["simulate", "--help"][..],
-        &["dataset", "--help"][..],
-        &["dataset", "generate", "-h"][..],
+    for (args, names) in [
+        (&["solve", "--help"][..], "--solver"),
+        (&["solve", "--solver", "se", "-h"][..], "--solver"),
+        (&["simulate", "--help"][..], "--chaos-drop"),
+        (&["dataset", "--help"][..], "dataset stats <FILE>"),
+        (&["dataset", "generate", "-h"][..], "--blocks"),
+        (&["daemon", "--seed", "1", "--help"][..], "--epoch-reports"),
+        (&["--help"][..], "mvcom daemon"),
     ] {
         let out = mvcom(args);
         assert!(out.status.success(), "{args:?} must exit 0");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage:"), "{args:?} stderr: {stderr}");
-        assert!(!stderr.contains("error:"), "{args:?} stderr: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("usage:"), "{args:?} stdout: {stdout}");
+        assert!(stdout.contains(names), "{args:?} stdout: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?} wrote to stderr");
     }
-    // `daemon` answers with its own flag table, on stdout.
-    let out = mvcom(&["daemon", "--seed", "1", "--help"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("usage: mvcom daemon"), "stdout: {stdout}");
+    // Errors keep the usage on stderr and leave stdout empty.
+    let out = mvcom(&["solve", "--solver", "nonsense"]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error:") && stderr.contains("usage:"));
+}
+
+/// `solve --obs-out --seed 3` used to take `--seed` as the file name,
+/// drop the `3` and solve with seed 0. A value that is itself a flag, and
+/// an argument no subcommand declares, must both fail before any work.
+#[test]
+fn flag_shaped_values_and_stray_positionals_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("mvcom-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_mvcom"))
+        .current_dir(&dir)
+        .args(["solve", "--committees", "20", "--obs-out", "--seed", "3"])
+        .output()
+        .expect("mvcom binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--obs-out needs a value"), "{stderr}");
+    assert!(
+        !dir.join("--seed").exists(),
+        "a file named --seed was written"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for (args, stray, subcommand) in [
+        (&["solve", "3"][..], "3", "solve"),
+        (
+            &["simulate", "--epochs", "1", "fast"][..],
+            "fast",
+            "simulate",
+        ),
+        (&["daemon", "now"][..], "now", "daemon"),
+        (
+            &["dataset", "generate", "out.json"][..],
+            "out.json",
+            "dataset generate",
+        ),
+        (
+            &["dataset", "stats", "a.json", "b.json"][..],
+            "b.json",
+            "dataset stats",
+        ),
+    ] {
+        let out = mvcom(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "unexpected argument `{stray}` for `mvcom {subcommand}`"
+            )),
+            "{args:?} stderr: {stderr}"
+        );
+    }
+}
+
+/// The two count-valued alert thresholds used to go through `f64 as u64`:
+/// `-1` armed the alert at 0 and `2.9` at 2. Utility stays a float, and
+/// may be negative.
+#[test]
+fn count_valued_alert_thresholds_must_be_whole_and_non_negative() {
+    for (flag, raw) in [
+        ("--alert-min-admitted", "-1"),
+        ("--alert-max-quarantined", "2.9"),
+    ] {
+        let out = mvcom(&["daemon", "--epochs", "1", flag, raw]);
+        assert!(!out.status.success(), "{flag} {raw} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} got `{raw}`, not a valid u64")),
+            "stderr: {stderr}"
+        );
+    }
+    let dir = std::env::temp_dir().join(format!("mvcom-cli-alerts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let history = dir.join("history.log");
+    let out = mvcom(&[
+        "daemon",
+        "--epochs",
+        "1",
+        "--se-iters",
+        "50",
+        "--alert-min-utility",
+        "-2.5",
+        "--alert-min-admitted",
+        "3",
+        "--history",
+        history.to_str().expect("utf-8 temp path"),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `on|off` reader, one error text, whichever flag it is.
+#[test]
+fn on_off_switches_share_one_error_text() {
+    for (args, flag) in [
+        (&["simulate", "--defense", "maybe"][..], "--defense"),
+        (&["daemon", "--defense", "maybe"][..], "--defense"),
+        (&["daemon", "--resume", "maybe"][..], "--resume"),
+    ] {
+        let out = mvcom(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} takes on|off, got `maybe`")),
+            "{args:?} stderr: {stderr}"
+        );
+    }
 }
 
 /// Declared flags still parse, including the one repeatable flag: both

@@ -3,7 +3,7 @@
 // Test/example code: unwrap is fine here (the workspace-level
 // `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
 #![allow(clippy::unwrap_used)]
-use mvcom::core::epoch_chain::{EpochCapacity, EpochChain, EpochChainConfig};
+use mvcom::core::epoch_chain::{EpochChain, EpochChainConfig};
 use mvcom::prelude::*;
 use proptest::prelude::*;
 
@@ -24,7 +24,10 @@ fn arb_epoch(base_id: u32) -> impl Strategy<Value = Vec<ShardInfo>> {
 
 fn config(seed: u64) -> EpochChainConfig {
     EpochChainConfig {
-        capacity: EpochCapacity::PerCommittee(1_000),
+        policy: EpochPolicy {
+            capacity: Capacity::PerCommittee(1_000),
+            ..EpochPolicy::paper()
+        },
         se: SeConfig::fast_test(seed),
         ..EpochChainConfig::paper(seed)
     }

@@ -175,7 +175,7 @@ fn chaos_crashed_committee_recovers_within_the_theorem_2_bound() {
     };
     let run = || {
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 29).unwrap();
-        let mut selector = SeRecoverySelector::adaptive(29, 0.6);
+        let mut selector = SeSelector::adaptive(29, 0.6);
         let report = sim.run_epoch_recovering(&mut selector, &recovery).unwrap();
         (serde_json::to_string(&report).unwrap(), report, selector)
     };
