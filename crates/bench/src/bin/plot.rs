@@ -8,6 +8,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use mvcom_bench::experiments::FIGURES;
+
 fn main() -> ExitCode {
     let dir = std::env::args()
         .nth(1)
@@ -20,7 +22,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    match mvcom_bench::figures::render_all(&dir) {
+    let plots = FIGURES.iter().flat_map(|figure| figure.plots);
+    match mvcom_bench::figures::render(plots, &dir) {
         Ok(paths) if paths.is_empty() => {
             println!("no known figure CSVs found in {}", dir.display());
             ExitCode::SUCCESS

@@ -4,138 +4,214 @@
 //! repro all [--quick] [--out DIR]      # every figure
 //! repro fig8 fig10 [--quick]           # selected figures
 //! repro fig8 --threads 4               # fan sweep points across threads
-//! repro --list                         # available figures
+//! repro --list                         # the figure index (DESIGN.md §4)
 //! ```
 //!
 //! CSVs are written under `--out` (default `results/`); a summary with
 //! shape-check verdicts is printed per figure. `--threads N` fans each
-//! figure's independent sweep points across worker threads — outputs are
-//! byte-identical to the serial run at any thread count, only wall-clock
-//! changes.
+//! figure's independent sweep points across worker threads; DESIGN.md §14
+//! is why the bytes do not depend on it.
 
 #![forbid(unsafe_code)]
+// Unit tests may unwrap freely (see the crate root).
+#![cfg_attr(test, allow(clippy::unwrap_used))]
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mvcom_bench::experiments::{self, ALL};
+use mvcom_bench::experiments::{self, Figure, FIGURES};
+use mvcom_bench::harness::Line;
 use mvcom_bench::Scale;
 
+const USAGE: &str =
+    "usage: repro <figure…|all> [--quick] [--svg] [--threads N] [--out DIR] [--list]";
+
 struct Args {
-    figures: Vec<String>,
+    figures: Vec<&'static Figure>,
     scale: Scale,
+    threads: usize,
     out: PathBuf,
     list: bool,
     svg: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut figures = Vec::new();
-    let mut scale = Scale::Full;
-    let mut out = PathBuf::from("results");
-    let mut list = false;
-    let mut svg = false;
-    let mut argv = std::env::args().skip(1);
+/// Parses the command line and resolves every figure name against
+/// [`FIGURES`], so nothing runs (and nothing is written) unless all of
+/// it is understood.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        figures: Vec::new(),
+        scale: Scale::Full,
+        threads: 1,
+        out: PathBuf::from("results"),
+        list: false,
+        svg: false,
+    };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--list" => list = true,
-            "--svg" => svg = true,
+            "--quick" => args.scale = Scale::Quick,
+            "--list" => args.list = true,
+            "--svg" => args.svg = true,
             "--threads" => {
-                let value = argv
-                    .next()
-                    .ok_or_else(|| "--threads needs a count".to_string())?;
-                let threads =
-                    mvcom_bench::harness::parse_threads(&value).map_err(|e| e.to_string())?;
-                mvcom_bench::harness::set_threads(threads);
+                let value = argv.next().ok_or("--threads needs a count")?;
+                args.threads = match value.trim().parse() {
+                    Ok(threads) if threads >= 1 => threads,
+                    _ => {
+                        return Err(format!(
+                            "--threads must be an integer >= 1, got `{value}` \
+                             (use 1 for a serial run)"
+                        ))
+                    }
+                };
             }
-            "--out" => {
-                out = PathBuf::from(
-                    argv.next()
-                        .ok_or_else(|| "--out needs a directory".to_string())?,
-                );
-            }
-            "all" => figures.extend(ALL.iter().map(|s| s.to_string())),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag `{other}`"));
-            }
-            fig => figures.push(fig.to_string()),
+            "--out" => args.out = PathBuf::from(argv.next().ok_or("--out needs a directory")?),
+            "all" => args.figures.extend(FIGURES),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            name => args.figures.push(Figure::named(name).ok_or_else(|| {
+                let known: Vec<&str> = FIGURES.iter().map(|figure| figure.name).collect();
+                format!(
+                    "unknown figure `{name}`; expected `all` or any of: {}",
+                    known.join(" ")
+                )
+            })?),
         }
     }
-    Ok(Args {
-        figures,
-        scale,
-        out,
-        list,
-        svg,
-    })
+    Ok(args)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: repro <figure…|all> [--quick] [--svg] [--threads N] [--out DIR] [--list]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.list || args.figures.is_empty() {
-        println!("available figures: {}", ALL.join(" "));
-        println!("usage: repro <figure…|all> [--quick] [--out DIR]");
-        return ExitCode::SUCCESS;
-    }
+/// Prints the closing line; returns the exit code it stands for.
+fn close(out: &mut impl Write, mismatches: usize) -> io::Result<u8> {
+    writeln!(out, "{}", Line::Total { mismatches })?;
+    Ok(if mismatches > 0 { 2 } else { 0 })
+}
 
+/// Runs the figures. `Err` is a failed write to `out` only; every other
+/// failure is reported on stderr and becomes exit code 1.
+fn reproduce(args: &Args, out: &mut impl Write) -> io::Result<u8> {
     let mut mismatches = 0usize;
-    for name in &args.figures {
-        println!("=== {name} ({:?}) ===", args.scale);
+    for figure in &args.figures {
+        writeln!(out, "=== {} ({:?}) ===", figure.name, args.scale)?;
+        // lint: allow(D1, progress line on stdout only; no artifact or verdict reads the clock)
         let started = std::time::Instant::now();
-        match experiments::run(name, args.scale) {
-            Ok(report) => {
-                for line in &report.summary {
-                    println!("  {line}");
-                    if line.contains("MISMATCH") {
-                        mismatches += 1;
-                    }
-                }
-                match report.write_to(&args.out) {
-                    Ok(paths) => {
-                        for p in paths {
-                            println!("  wrote {}", p.display());
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("  error writing output: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                println!("  ({:.1}s)", started.elapsed().as_secs_f64());
-            }
+        let report = match figure.run(args.scale, args.threads) {
+            Ok(report) => report,
             Err(e) => {
                 eprintln!("  error: {e}");
-                return ExitCode::FAILURE;
+                return Ok(1);
             }
+        };
+        for line in &report.summary {
+            writeln!(out, "  {line}")?;
         }
-        println!();
-    }
-    if args.svg {
-        match mvcom_bench::figures::render_all(&args.out) {
+        mismatches += report.mismatches();
+        match report.write_to(&args.out) {
             Ok(paths) => {
                 for p in paths {
-                    println!("rendered {}", p.display());
+                    writeln!(out, "  wrote {}", p.display())?;
+                }
+            }
+            Err(e) => {
+                eprintln!("  error writing output: {e}");
+                return Ok(1);
+            }
+        }
+        writeln!(out, "  ({:.1}s)\n", started.elapsed().as_secs_f64())?;
+    }
+    if args.svg {
+        let plots = FIGURES.iter().flat_map(|figure| figure.plots);
+        match mvcom_bench::figures::render(plots, &args.out) {
+            Ok(paths) => {
+                for p in paths {
+                    writeln!(out, "rendered {}", p.display())?;
                 }
             }
             Err(e) => {
                 eprintln!("error rendering SVGs: {e}");
-                return ExitCode::FAILURE;
+                return Ok(1);
             }
         }
     }
-    if mismatches > 0 {
-        println!("{mismatches} shape check(s) MISMATCHED — see above");
-        return ExitCode::from(2);
+    close(out, mismatches)
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("error: {msg}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // One locked handle for the whole run. A reader that hangs up
+    // (`repro all | head`) ends the run quietly: no panic, no backtrace,
+    // and not exit 0, since the figures did not all run.
+    let mut out = io::stdout().lock();
+    let code = if args.list || args.figures.is_empty() {
+        write!(out, "{}\n{USAGE}\n", experiments::index_markdown()).map(|()| 0)
+    } else {
+        reproduce(&args, &mut out)
+    };
+    match code.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => ExitCode::from(code),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("error writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
-    println!("all shape checks passed");
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn all_is_the_table_and_names_resolve_in_order() {
+        let args = parse(&["all", "--quick", "--threads", "3"]).unwrap();
+        assert_eq!(args.figures.len(), FIGURES.len());
+        assert_eq!((args.scale, args.threads), (Scale::Quick, 3));
+        let args = parse(&["fig9b", "fig2a"]).unwrap();
+        let names: Vec<&str> = args.figures.iter().map(|figure| figure.name).collect();
+        assert_eq!(names, ["fig9b", "fig2a"]);
+        assert_eq!((args.scale, args.threads), (Scale::Full, 1));
+    }
+
+    #[test]
+    fn a_failing_verdict_is_exit_code_two() {
+        let mut report = mvcom_bench::FigureReport::default();
+        report.check("holds", true);
+        let mut out = Vec::new();
+        assert_eq!(close(&mut out, report.mismatches()).unwrap(), 0);
+        report.check("does not hold", false);
+        assert_eq!(close(&mut out, report.mismatches()).unwrap(), 2);
+        let printed = String::from_utf8(out).unwrap();
+        assert_eq!(
+            printed,
+            format!(
+                "{}\n{}\n",
+                Line::Total { mismatches: 0 },
+                Line::Total { mismatches: 1 }
+            )
+        );
+    }
+
+    #[test]
+    fn a_closed_stdout_is_an_error_not_a_panic() {
+        struct HungUp;
+        impl Write for HungUp {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let args = parse(&["fig9a", "--quick"]).unwrap();
+        let err = reproduce(&args, &mut HungUp).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
 }

@@ -11,20 +11,67 @@
 use mvcom_core::dynamics::{run_online, DynamicsPolicy, TimedEvent};
 use mvcom_core::problem::{DdlPolicy, InstanceBuilder};
 use mvcom_core::se::{SeConfig, SeEngine};
-use mvcom_types::Result;
+use mvcom_types::{Error, Result};
 
+use crate::experiments::Figure;
+use crate::figures::{Bars, Lines, Marks, Plot};
 use crate::harness::{downsample, paper_instance, FigureReport, Scale};
 
+const DDL_CSV: &str = "ablation_ddl.csv";
+const DYNAMICS_CSV: &str = "ablation_dynamics.csv";
+
+/// `ablation-ddl`.
+pub const DDL: Figure = Figure {
+    name: "ablation-ddl",
+    shows: "*(extra)* MaxArrival vs MaxSelected deadline semantics",
+    params: "|I|=50, Ĉ=50K, α=1.5, Γ=10",
+    files: &[DDL_CSV],
+    plots: &[Plot {
+        svg: "ablation_ddl.svg",
+        title: "Ablation — deadline policy",
+        x_label: "policy",
+        y_label: "converged utility",
+        marks: Marks::Bars(Bars {
+            csv: DDL_CSV,
+            label: "{policy}",
+            value: "utility",
+            whisker: None,
+        }),
+    }],
+    run: ddl,
+};
+
+/// `ablation-dynamics`.
+pub const DYNAMICS: Figure = Figure {
+    name: "ablation-dynamics",
+    shows: "*(extra)* Trim vs Reinitialize dynamics after a committee failure",
+    params: "|I|=50, Ĉ=40K, α=1.5, Γ=4",
+    files: &[DYNAMICS_CSV],
+    plots: &[Plot {
+        svg: "ablation_dynamics.svg",
+        title: "Ablation — Trim vs Reinitialize after a failure",
+        x_label: "iteration",
+        y_label: "system utility",
+        marks: Marks::Lines(&[Lines {
+            csv: DYNAMICS_CSV,
+            x: "iteration",
+            y: "utility",
+            label: "{policy}",
+        }]),
+    }],
+    run: dynamics,
+};
+
 /// MaxArrival vs MaxSelected deadline semantics.
-pub fn ddl(scale: Scale) -> Result<FigureReport> {
+fn ddl(scale: Scale, threads: usize) -> Result<FigureReport> {
     let n = scale.committees(50).max(20);
     let capacity = 1_000 * n as u64;
     let iters = scale.iters(2_000);
     let base = paper_instance(n, capacity, 1.5, 30_000)?;
 
-    let mut report = FigureReport::new("ablation-ddl");
-    let mut rows = Vec::new();
-    for policy in [DdlPolicy::MaxArrival, DdlPolicy::MaxSelected] {
+    // One point per policy, same seed: only the deadline rule differs.
+    let policies = vec![DdlPolicy::MaxArrival, DdlPolicy::MaxSelected];
+    let points = mvcom_simnet::ordered_map(threads, policies, |policy| {
         let instance = InstanceBuilder::new()
             .alpha(1.5)
             .capacity(capacity)
@@ -38,43 +85,58 @@ pub fn ddl(scale: Scale) -> Result<FigureReport> {
             convergence_window: 0,
             ..SeConfig::paper(30_001)
         };
-        let started = std::time::Instant::now();
         let outcome = SeEngine::new(&instance, config)?.run();
-        let elapsed = started.elapsed().as_secs_f64();
         // Evaluate both schedules under MaxSelected semantics for an
         // apples-to-apples block-formation comparison: what deadline does
         // the chosen set actually induce?
         let induced_ddl = instance.selected_ddl(&outcome.best_solution);
-        rows.push(vec![
-            format!("{policy:?}"),
-            format!("{:.2}", outcome.best_utility),
-            outcome.best_solution.selected_count().to_string(),
-            format!("{induced_ddl:.1}"),
-            format!("{elapsed:.3}"),
-        ]);
+        Ok((policy, outcome, induced_ddl))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+
+    let mut report = FigureReport::default();
+    for (policy, outcome, induced_ddl) in &points {
         report.note(format!(
-            "{policy:?}: utility {:.1}, {} admitted, induced deadline {:.0}s, {:.2}s wall",
+            "{policy:?}: utility {:.1}, {} admitted, induced deadline {:.0}s",
             outcome.best_utility,
             outcome.best_solution.selected_count(),
             induced_ddl,
-            elapsed
         ));
     }
     report.add_csv(
-        "ablation_ddl.csv",
-        &["policy", "utility", "admitted", "induced_ddl_s", "wall_s"],
-        rows,
+        DDL_CSV,
+        &["policy", "utility", "admitted", "induced_ddl_s"],
+        points.iter().map(|(policy, outcome, induced_ddl)| {
+            vec![
+                format!("{policy:?}"),
+                format!("{:.2}", outcome.best_utility),
+                outcome.best_solution.selected_count().to_string(),
+                format!("{induced_ddl:.1}"),
+            ]
+        }),
     );
     report.note(
         "MaxSelected internalizes the straggler cost: expect a smaller induced \
-         deadline at similar throughput, paid for with O(n) swap deltas"
-            .to_string(),
+         deadline at similar throughput",
     );
     Ok(report)
 }
 
+/// One recovery policy's run of the failure scenario.
+struct Recovery {
+    policy: DynamicsPolicy,
+    rows: Vec<Vec<String>>,
+    /// Utility lost at the failure.
+    drop: f64,
+    /// Iterations from the failure until `current_best` re-reaches 99% of
+    /// the final utility.
+    recovery: Option<u64>,
+    best_utility: f64,
+}
+
 /// Trim vs Reinitialize recovery after a mid-run failure.
-pub fn dynamics(scale: Scale) -> Result<FigureReport> {
+fn dynamics(scale: Scale, threads: usize) -> Result<FigureReport> {
     let n = scale.committees(50).max(20);
     let capacity = 800 * n as u64;
     let iters = scale.iters(1_500);
@@ -82,10 +144,9 @@ pub fn dynamics(scale: Scale) -> Result<FigureReport> {
     let victim = instance.shards()[n / 3].committee();
     let events = vec![TimedEvent::leave(iters / 3, victim)];
 
-    let mut report = FigureReport::new("ablation-dynamics");
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut stats = Vec::new();
-    for policy in [DynamicsPolicy::Trim, DynamicsPolicy::Reinitialize] {
+    // One point per policy, same seed: only the recovery rule differs.
+    let policies = vec![DynamicsPolicy::Trim, DynamicsPolicy::Reinitialize];
+    let points = mvcom_simnet::ordered_map(threads, policies, |policy| {
         let config = SeConfig {
             gamma: 4,
             max_iterations: iters,
@@ -94,45 +155,55 @@ pub fn dynamics(scale: Scale) -> Result<FigureReport> {
             ..SeConfig::paper(31_001)
         };
         let online = run_online(&instance, config, &events, policy)?;
-        // lint: allow(P1, the ablation schedules exactly one reconfiguration event)
-        let record = online.events[0];
-        let drop = record.utility_before - record.utility_after;
-        // Recovery time: iterations from the event until current_best
-        // re-reaches the post-event best's 99% level.
-        let target =
-            online.outcome.best_utility - 0.01 * online.outcome.best_utility.abs().max(1.0);
-        let recovery = online
-            .outcome
-            .trajectory
-            .points()
-            .iter()
-            .find(|p| p.iteration > record.at_iteration && p.current_best >= target)
-            .map(|p| p.iteration - record.at_iteration);
-        for p in downsample(online.outcome.trajectory.points(), 200) {
-            rows.push(vec![
-                format!("{policy:?}"),
-                p.iteration.to_string(),
-                format!("{:.2}", p.current_best),
-            ]);
-        }
+        let [record] = online.events.as_slice() else {
+            return Err(Error::simulation(format!(
+                "the ablation schedules one failure; {} events were applied",
+                online.events.len()
+            )));
+        };
+        let best_utility = online.outcome.best_utility;
+        let target = best_utility - 0.01 * best_utility.abs().max(1.0);
+        let trajectory = online.outcome.trajectory.points();
+        Ok(Recovery {
+            policy,
+            rows: downsample(trajectory, 200)
+                .iter()
+                .map(|p| {
+                    vec![
+                        format!("{policy:?}"),
+                        p.iteration.to_string(),
+                        format!("{:.2}", p.current_best),
+                    ]
+                })
+                .collect(),
+            drop: record.utility_before - record.utility_after,
+            recovery: trajectory
+                .iter()
+                .find(|p| p.iteration > record.at_iteration && p.current_best >= target)
+                .map(|p| p.iteration - record.at_iteration),
+            best_utility,
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<Recovery>>>()?;
+
+    let mut report = FigureReport::default();
+    for point in &points {
         report.note(format!(
-            "{policy:?}: perturbation {:.1}, recovery to 99% of final in {:?} iterations, final {:.1}",
-            drop, recovery, online.outcome.best_utility
+            "{:?}: perturbation {:.1}, recovery to 99% of final in {:?} iterations, final {:.1}",
+            point.policy, point.drop, point.recovery, point.best_utility
         ));
-        stats.push((policy, drop, recovery, online.outcome.best_utility));
     }
     report.add_csv(
-        "ablation_dynamics.csv",
+        DYNAMICS_CSV,
         &["policy", "iteration", "utility"],
-        rows,
+        points.iter().flat_map(|point| point.rows.iter().cloned()),
     );
     // Shape check: the warm-started Trim policy perturbs less than a full
     // reinitialization.
-    // lint: allow(P1, the policy sweep pushes Trim then Reinit, in that order)
-    let (trim_drop, reinit_drop) = (stats[0].1, stats[1].1);
     report.check(
         "Trim perturbs utility no more than Reinitialize",
-        trim_drop <= reinit_drop + 1e-9,
+        matches!(points.as_slice(), [trim, reinit] if trim.drop <= reinit.drop + 1e-9),
     );
     Ok(report)
 }
@@ -140,22 +211,18 @@ pub fn dynamics(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn ddl_ablation_reports_both_policies() {
-        let report = ddl(Scale::Quick).unwrap();
+    fn ddl_quick_run_honours_its_declaration_and_reports_both_policies() {
+        let report = honours_its_declaration(&DDL);
         let csv = &report.files[0].1;
         assert!(csv.contains("MaxArrival"));
         assert!(csv.contains("MaxSelected"));
     }
 
     #[test]
-    fn dynamics_ablation_passes_shape_checks() {
-        let report = dynamics(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
+    fn dynamics_quick_run_honours_its_declaration() {
+        honours_its_declaration(&DYNAMICS);
     }
 }

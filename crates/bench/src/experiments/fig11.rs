@@ -3,97 +3,76 @@
 
 use mvcom_types::Result;
 
+use crate::experiments::Figure;
+use crate::figures::{Lines, Marks, Plot};
 use crate::harness::{
-    downsample, paper_instance, run_all_algorithms, run_tasks, runs_as_events, FigureReport, Scale,
+    paper_instance, run_all_algorithms, runs_as_events, AlgoRuns, FigureReport, Scale,
 };
 
-/// One |I| point's products, merged into the report in sweep order.
-struct SizePoint {
-    rows: Vec<Vec<String>>,
-    events: Option<String>,
-    gap: (usize, f64, f64, f64, f64, f64),
-    note: String,
-}
+const CSV: &str = "fig11.csv";
+const EVENTS: &str = "fig11.events.jsonl";
+
+/// Fig. 11.
+pub const FIGURE: Figure = Figure {
+    name: "fig11",
+    shows: "Fig. 11(a–c): convergence of SE/SA/DP/WOA varying |I| ∈ {500,800,1000}",
+    params: "Ĉ=1000·|I|, α=1.5, Γ=10",
+    files: &[EVENTS, CSV],
+    plots: &[Plot {
+        svg: "fig11_committees_{committees}.svg",
+        title: "Fig. 11 — convergence vs |I| (committees = {committees})",
+        x_label: "iteration",
+        y_label: "system utility",
+        marks: Marks::Lines(&[Lines {
+            csv: CSV,
+            x: "iteration",
+            y: "utility",
+            label: "{algorithm}",
+        }]),
+    }],
+    run,
+};
 
 /// Runs the |I_j| sweep.
-pub fn run(scale: Scale) -> Result<FigureReport> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Full => vec![500, 800, 1000],
-        Scale::Quick => vec![50, 80, 100],
+fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
+    let sizes: [usize; 3] = match scale {
+        Scale::Full => [500, 800, 1000],
+        Scale::Quick => [50, 80, 100],
     };
     let iters = scale.iters(3_000);
-    // One task per |I|: seeds derive from the sweep index, so the
-    // parallel fan-out merges byte-identically to the serial loop.
-    let last = sizes.len() - 1;
-    let tasks: Vec<_> = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            move || -> Result<SizePoint> {
-                let instance = paper_instance(n, 1_000 * n as u64, 1.5, 11_000 + i as u64)?;
-                let runs = run_all_algorithms(&instance, iters, 10, 11_100 + i as u64)?;
-                // Obs event file for the largest sweep point (see
-                // OBSERVABILITY.md; feed it to `obs_report` for the mixing
-                // summary).
-                let events = (i == last).then(|| runs_as_events(&runs, 150));
-                let mut rows = Vec::new();
-                for r in &runs {
-                    for &(iter, u) in downsample(&r.trajectory, 150).iter() {
-                        rows.push(vec![
-                            n.to_string(),
-                            r.name.to_string(),
-                            iter.to_string(),
-                            format!("{u:.2}"),
-                        ]);
-                    }
-                }
-                let get = |name: &str| {
-                    runs.iter()
-                        .find(|r| r.name == name)
-                        .map(|r| r.utility)
-                        // lint: allow(P1, the sweep ran every named algorithm)
-                        .expect("algorithm present")
-                };
-                // Starting utility of the SE trajectory: anchors the
-                // optimality gap to the scale the solvers actually traverse.
-                let se_start = runs
-                    .iter()
-                    .find(|r| r.name == "SE")
-                    .and_then(|r| r.trajectory.first())
-                    .map(|&(_, u)| u)
-                    .unwrap_or(0.0);
-                Ok(SizePoint {
-                    rows,
-                    events,
-                    gap: (n, get("SE"), get("SA"), get("DP"), get("WOA"), se_start),
-                    note: format!(
-                        "|I|={n}: SE {:.1}, SA {:.1}, DP {:.1}, WOA {:.1}",
-                        get("SE"),
-                        get("SA"),
-                        get("DP"),
-                        get("WOA")
-                    ),
-                })
-            }
-        })
-        .collect();
-    let points = run_tasks(tasks)?;
+    // One point per |I|; its seeds are its sweep index.
+    let points: Vec<(usize, AlgoRuns)> = mvcom_simnet::ordered_map(
+        threads,
+        sizes.into_iter().enumerate().collect(),
+        |(i, n)| {
+            let instance = paper_instance(n, 1_000 * n as u64, 1.5, 11_000 + i as u64)?;
+            Ok((
+                n,
+                run_all_algorithms(&instance, iters, 10, 11_100 + i as u64)?,
+            ))
+        },
+    )
+    .into_iter()
+    .collect::<Result<_>>()?;
 
-    let mut report = FigureReport::new("fig11");
+    let mut report = FigureReport::default();
+    // Obs event file for the largest sweep point (see OBSERVABILITY.md;
+    // feed it to `obs_report` for the mixing summary).
+    if let Some((_, runs)) = points.last() {
+        report
+            .files
+            .push((EVENTS.to_string(), runs_as_events(runs.iter(), 150)));
+    }
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut gaps = Vec::new();
-    for point in points {
-        if let Some(events) = point.events {
-            report
-                .files
-                .push(("fig11.events.jsonl".to_string(), events));
-        }
-        rows.extend(point.rows);
-        gaps.push(point.gap);
-        report.note(point.note);
+    for (n, runs) in &points {
+        rows.extend(runs.iter().flat_map(|r| r.convergence_rows(n)));
+        report.note(format!(
+            "|I|={n}: SE {:.1}, SA {:.1}, DP {:.1}, WOA {:.1}",
+            runs.se.utility, runs.sa.utility, runs.dp.utility, runs.woa.utility
+        ));
     }
     report.add_csv(
-        "fig11.csv",
+        CSV,
         &["committees", "algorithm", "iteration", "utility"],
         rows,
     );
@@ -104,8 +83,9 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
     // within a few percent of the near-exact DP.
     report.check(
         "SE converges at or above SA and WOA at every |I|",
-        gaps.iter()
-            .all(|&(_, se, sa, _, woa, _)| se >= sa.max(woa) - 1e-9),
+        points
+            .iter()
+            .all(|(_, r)| r.se.utility >= r.sa.utility.max(r.woa.utility) - 1e-9),
     );
     // Gap to DP is normalized by the utility span SE actually climbs
     // (start → DP), not by |DP| alone: the raw DP utility can sit near
@@ -115,9 +95,9 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
     // (EXPERIMENTS.md records the exact figures), so the floor is 93%.
     report.check(
         "SE captures at least 93% of the DP-achievable climb at every |I|",
-        gaps.iter().all(|&(_, se, _, dp, _, se_start)| {
-            let span = (dp - se_start).abs().max(1.0);
-            se >= dp - 0.07 * span
+        points.iter().all(|(_, r)| {
+            let span = (r.dp.utility - r.se.start_utility()).abs().max(1.0);
+            r.se.utility >= r.dp.utility - 0.07 * span
         }),
     );
     Ok(report)
@@ -126,14 +106,10 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn quick_passes_shape_checks() {
-        let report = run(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
+    fn quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIGURE);
     }
 }

@@ -3,102 +3,82 @@
 
 use mvcom_types::Result;
 
-use crate::harness::{
-    downsample, paper_instance, run_all_algorithms, run_tasks, FigureReport, Scale,
-};
+use crate::experiments::Figure;
+use crate::figures::{Lines, Marks, Plot};
+use crate::harness::{paper_instance, run_all_algorithms, AlgoRuns, FigureReport, Scale};
 
 /// The α values the paper sweeps.
 pub const ALPHAS: [f64; 3] = [1.5, 5.0, 10.0];
 
-/// One α point's products, merged into the report in sweep order.
-struct AlphaPoint {
-    rows: Vec<Vec<String>>,
-    utilities: (f64, f64, f64, f64, f64),
-    note: String,
-}
+const CSV: &str = "fig12.csv";
+
+/// Fig. 12.
+pub const FIGURE: Figure = Figure {
+    name: "fig12",
+    shows: "Fig. 12(a–c): convergence of SE/SA/DP/WOA varying α ∈ {1.5,5,10}",
+    params: "|I|=50, Ĉ=50K, Γ=25",
+    files: &[CSV],
+    plots: &[Plot {
+        svg: "fig12_alpha_{alpha}.svg",
+        title: "Fig. 12 — convergence vs α (alpha = {alpha})",
+        x_label: "iteration",
+        y_label: "system utility",
+        marks: Marks::Lines(&[Lines {
+            csv: CSV,
+            x: "iteration",
+            y: "utility",
+            label: "{algorithm}",
+        }]),
+    }],
+    run,
+};
 
 /// Runs the α sweep.
-pub fn run(scale: Scale) -> Result<FigureReport> {
+fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
     let n = scale.committees(50).max(20);
     let capacity = 1_000 * n as u64;
     let iters = scale.iters(3_000);
-    // One task per α: seeds derive from the sweep index alone, so the
-    // parallel fan-out merges byte-identically to the serial loop.
-    let tasks: Vec<_> = ALPHAS
-        .iter()
-        .enumerate()
-        .map(|(i, &alpha)| {
-            move || -> Result<AlphaPoint> {
-                let instance = paper_instance(n, capacity, alpha, 12_000)?;
-                let runs = run_all_algorithms(&instance, iters, 25, 12_100 + i as u64)?;
-                let mut rows = Vec::new();
-                for r in &runs {
-                    for &(iter, u) in downsample(&r.trajectory, 150).iter() {
-                        rows.push(vec![
-                            format!("{alpha}"),
-                            r.name.to_string(),
-                            iter.to_string(),
-                            format!("{u:.2}"),
-                        ]);
-                    }
-                }
-                let get = |name: &str| {
-                    runs.iter()
-                        .find(|r| r.name == name)
-                        .map(|r| r.utility)
-                        // lint: allow(P1, the sweep ran every named algorithm)
-                        .expect("algorithm present")
-                };
-                Ok(AlphaPoint {
-                    rows,
-                    utilities: (alpha, get("SE"), get("SA"), get("DP"), get("WOA")),
-                    note: format!(
-                        "α={alpha}: SE {:.1}, SA {:.1}, DP {:.1}, WOA {:.1}",
-                        get("SE"),
-                        get("SA"),
-                        get("DP"),
-                        get("WOA")
-                    ),
-                })
-            }
-        })
-        .collect();
-    let points = run_tasks(tasks)?;
+    // One point per α; its seed is its sweep index.
+    let points: Vec<(f64, AlgoRuns)> = mvcom_simnet::ordered_map(
+        threads,
+        ALPHAS.into_iter().enumerate().collect(),
+        |(i, alpha)| {
+            let instance = paper_instance(n, capacity, alpha, 12_000)?;
+            Ok((
+                alpha,
+                run_all_algorithms(&instance, iters, 25, 12_100 + i as u64)?,
+            ))
+        },
+    )
+    .into_iter()
+    .collect::<Result<_>>()?;
 
-    let mut report = FigureReport::new("fig12");
+    let mut report = FigureReport::default();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut se_by_alpha = Vec::new();
-    let mut all_by_alpha = Vec::new();
-    for point in points {
-        rows.extend(point.rows);
-        se_by_alpha.push(point.utilities.1);
-        all_by_alpha.push(point.utilities);
-        report.note(point.note);
+    for (alpha, runs) in &points {
+        rows.extend(runs.iter().flat_map(|r| r.convergence_rows(alpha)));
+        report.note(format!(
+            "α={alpha}: SE {:.1}, SA {:.1}, DP {:.1}, WOA {:.1}",
+            runs.se.utility, runs.sa.utility, runs.dp.utility, runs.woa.utility
+        ));
     }
-    report.add_csv(
-        "fig12.csv",
-        &["alpha", "algorithm", "iteration", "utility"],
-        rows,
-    );
+    report.add_csv(CSV, &["alpha", "algorithm", "iteration", "utility"], rows);
     // Shape checks (paper): utilities grow with α for every algorithm, and
     // SE stays at or above the baselines throughout the sweep.
     report.check(
         "SE utility grows with α",
-        // lint: allow(P1, windows(2) yields slices of length 2)
-        se_by_alpha.windows(2).all(|w| w[1] > w[0]),
+        points.is_sorted_by(|(_, a), (_, b)| a.se.utility < b.se.utility),
     );
-    report.check("every algorithm improves from α=1.5 to α=10", {
-        // lint: allow(P1, the alpha sweep list is a non-empty literal)
-        let first = all_by_alpha.first().expect("alphas");
-        // lint: allow(P1, the alpha sweep list is a non-empty literal)
-        let last = all_by_alpha.last().expect("alphas");
-        last.1 > first.1 && last.2 > first.2 && last.3 > first.3 && last.4 > first.4
-    });
+    report.check(
+        "every algorithm improves from α=1.5 to α=10",
+        matches!(points.as_slice(), [(_, first), .., (_, last)]
+            if first.iter().zip(last.iter()).all(|(a, b)| b.utility > a.utility)),
+    );
     report.check(
         "SE at or above every baseline for every α",
-        all_by_alpha
+        points
             .iter()
-            .all(|&(_, se, sa, dp, woa)| se >= sa.max(dp).max(woa) - 1e-9),
+            .all(|(_, r)| r.se.utility >= r.best_baseline() - 1e-9),
     );
     Ok(report)
 }
@@ -106,14 +86,10 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn quick_passes_shape_checks() {
-        let report = run(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
+    fn quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIGURE);
     }
 }

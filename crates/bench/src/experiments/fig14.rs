@@ -6,153 +6,153 @@
 //! iteration budget — and SE must still match or beat them.
 
 use mvcom_core::dynamics::{run_online, DynamicsPolicy, TimedEvent};
+use mvcom_core::problem::InstanceBuilder;
 use mvcom_core::se::SeConfig;
 use mvcom_types::{CommitteeId, Result, ShardInfo};
 
 use crate::experiments::fig12::ALPHAS;
-use crate::harness::{
-    downsample, paper_instance, run_all_algorithms, run_tasks, FigureReport, Scale,
-};
+use crate::experiments::Figure;
+use crate::figures::{Lines, Marks, Plot};
+use crate::harness::{downsample, paper_instance, run_all_algorithms, FigureReport, Scale};
 
 const JOINS: usize = 23;
+const CSV: &str = "fig14.csv";
+
+/// Fig. 14.
+pub const FIGURE: Figure = Figure {
+    name: "fig14",
+    shows: "Fig. 14(a–c): online execution with 23 consecutive joins, α ∈ {1.5,5,10}",
+    params: "|I|=50 after the joins, Ĉ=40K, Γ=25",
+    files: &[CSV],
+    plots: &[Plot {
+        svg: "fig14_alpha_{alpha}.svg",
+        title: "Fig. 14 — online execution with consecutive joins (alpha = {alpha})",
+        x_label: "iteration",
+        y_label: "system utility",
+        marks: Marks::Lines(&[Lines {
+            csv: CSV,
+            x: "iteration",
+            y: "utility",
+            label: "{algorithm}",
+        }]),
+    }],
+    run,
+};
 
 /// One α point's products, merged into the report in sweep order.
 struct AlphaPoint {
     rows: Vec<Vec<String>>,
-    verdict: (f64, f64, f64),
+    se_online: f64,
+    best_baseline: f64,
     note: String,
 }
 
 /// Runs the online-joins α sweep.
-pub fn run(scale: Scale) -> Result<FigureReport> {
+fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
     let n_final = scale.committees(50).max(25);
     let n_joins = JOINS.min(n_final / 2);
     let n_start = n_final - n_joins;
     let capacity = 800 * n_final as u64; // Ĉ = 40K at |I| = 50
     let iters = scale.iters(3_000);
-    // One task per α: seeds derive from the sweep index alone, so the
-    // parallel fan-out merges byte-identically to the serial loop.
-    let tasks: Vec<_> = ALPHAS
-        .iter()
-        .enumerate()
-        .map(|(ai, &alpha)| {
-            move || -> Result<AlphaPoint> {
-                // The online SE path: start small, absorb joins.
-                let start = paper_instance(n_start, capacity, alpha, 14_000 + ai as u64)?;
-                let donor = paper_instance(n_joins, capacity, alpha, 14_050 + ai as u64)?;
-                let events: Vec<TimedEvent> = donor
-                    .shards()
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| {
-                        let relabeled = ShardInfo::new(
-                            CommitteeId(20_000 + k as u32),
-                            s.tx_count(),
-                            s.latency(),
-                        );
-                        TimedEvent::join(
-                            iters / 10 + (k as u64) * (iters / (2 * n_joins as u64)),
-                            relabeled,
-                        )
-                    })
-                    .collect();
-                let config = SeConfig {
-                    gamma: 25,
-                    max_iterations: iters,
-                    convergence_window: 0,
-                    record_every: 1,
-                    ..SeConfig::paper(14_100 + ai as u64)
-                };
-                let online = run_online(&start, config, &events, DynamicsPolicy::Reinitialize)?;
-                let mut rows = Vec::new();
-                for p in downsample(online.outcome.trajectory.points(), 150) {
-                    rows.push(vec![
-                        format!("{alpha}"),
-                        "SE-online".to_string(),
-                        p.iteration.to_string(),
-                        format!("{:.2}", p.current_best),
-                    ]);
-                }
-
-                // Offline baselines on the final epoch (same shard
-                // population).
-                let mut final_shards = start.shards().to_vec();
-                final_shards.extend(events.iter().map(|e| match e.kind {
-                    mvcom_core::dynamics::EventKind::Join(s) => s,
-                    mvcom_core::dynamics::EventKind::Leave(_) => unreachable!("joins only"),
-                }));
-                let final_instance = mvcom_core::problem::InstanceBuilder::new()
-                    .alpha(alpha)
-                    .capacity(capacity)
-                    .n_min(start.n_min())
-                    .shards(final_shards)
-                    .build()?;
-                let runs = run_all_algorithms(&final_instance, iters, 25, 14_200 + ai as u64)?;
-                for r in &runs {
-                    if r.name == "SE" {
-                        continue; // SE is represented by its online run
-                    }
-                    for &(iter, u) in downsample(&r.trajectory, 150).iter() {
-                        rows.push(vec![
-                            format!("{alpha}"),
-                            r.name.to_string(),
-                            iter.to_string(),
-                            format!("{u:.2}"),
-                        ]);
-                    }
-                }
-                let get = |name: &str| {
-                    runs.iter()
-                        .find(|r| r.name == name)
-                        .map(|r| r.utility)
-                        // lint: allow(P1, the sweep ran every named algorithm)
-                        .expect("algorithm present")
-                };
-                let se_online = online.outcome.best_utility;
-                let best_baseline = get("SA").max(get("DP")).max(get("WOA"));
-                Ok(AlphaPoint {
-                    rows,
-                    verdict: (alpha, se_online, best_baseline),
-                    note: format!(
-                        "α={alpha}: SE-online {:.1} vs offline SA {:.1}, DP {:.1}, WOA {:.1} ({} joins applied)",
-                        se_online,
-                        get("SA"),
-                        get("DP"),
-                        get("WOA"),
-                        online.events.len()
-                    ),
+    // One point per α; its seeds are its sweep index.
+    let points = mvcom_simnet::ordered_map(
+        threads,
+        ALPHAS.into_iter().enumerate().collect(),
+        |(ai, alpha)| {
+            // The online SE path: start small, absorb joins.
+            let start = paper_instance(n_start, capacity, alpha, 14_000 + ai as u64)?;
+            let donor = paper_instance(n_joins, capacity, alpha, 14_050 + ai as u64)?;
+            let joiners: Vec<ShardInfo> = donor
+                .shards()
+                .iter()
+                .enumerate()
+                .map(|(k, s)| {
+                    ShardInfo::new(CommitteeId(20_000 + k as u32), s.tx_count(), s.latency())
                 })
+                .collect();
+            let events: Vec<TimedEvent> = joiners
+                .iter()
+                .enumerate()
+                .map(|(k, &joiner)| {
+                    TimedEvent::join(
+                        iters / 10 + (k as u64) * (iters / (2 * n_joins as u64)),
+                        joiner,
+                    )
+                })
+                .collect();
+            let config = SeConfig {
+                gamma: 25,
+                max_iterations: iters,
+                convergence_window: 0,
+                record_every: 1,
+                ..SeConfig::paper(14_100 + ai as u64)
+            };
+            let online = run_online(&start, config, &events, DynamicsPolicy::Reinitialize)?;
+            let mut rows = Vec::new();
+            for p in downsample(online.outcome.trajectory.points(), 150) {
+                rows.push(vec![
+                    format!("{alpha}"),
+                    "SE-online".to_string(),
+                    p.iteration.to_string(),
+                    format!("{:.2}", p.current_best),
+                ]);
             }
-        })
-        .collect();
-    let points = run_tasks(tasks)?;
 
-    let mut report = FigureReport::new("fig14");
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut verdicts = Vec::new();
-    for point in points {
-        rows.extend(point.rows);
-        verdicts.push(point.verdict);
-        report.note(point.note);
+            // Offline baselines on the final epoch (same shard
+            // population).
+            let mut final_shards = start.shards().to_vec();
+            final_shards.extend(joiners);
+            let final_instance = InstanceBuilder::new()
+                .alpha(alpha)
+                .capacity(capacity)
+                .n_min(start.n_min())
+                .shards(final_shards)
+                .build()?;
+            let runs = run_all_algorithms(&final_instance, iters, 25, 14_200 + ai as u64)?;
+            // SE is represented by its online run.
+            for r in [&runs.sa, &runs.dp, &runs.woa] {
+                rows.extend(r.convergence_rows(alpha));
+            }
+            let se_online = online.outcome.best_utility;
+            Ok(AlphaPoint {
+                rows,
+                se_online,
+                best_baseline: runs.best_baseline(),
+                note: format!(
+                    "α={alpha}: SE-online {:.1} vs offline SA {:.1}, DP {:.1}, WOA {:.1} ({} joins applied)",
+                    se_online,
+                    runs.sa.utility,
+                    runs.dp.utility,
+                    runs.woa.utility,
+                    online.events.len()
+                ),
+            })
+        },
+    )
+    .into_iter()
+    .collect::<Result<Vec<AlphaPoint>>>()?;
+
+    let mut report = FigureReport::default();
+    for point in &points {
+        report.note(point.note.as_str());
     }
     report.add_csv(
-        "fig14.csv",
+        CSV,
         &["alpha", "algorithm", "iteration", "utility"],
-        rows,
+        points.iter().flat_map(|point| point.rows.iter().cloned()),
     );
     // Shape checks (paper): converged utilities grow with α, and online SE
     // is competitive with (within 5% of) the best offline baseline — the
     // paper reports it 20–30% above its baselines.
     report.check(
         "SE-online utility grows with α",
-        // lint: allow(P1, windows(2) yields slices of length 2)
-        verdicts.windows(2).all(|w| w[1].1 > w[0].1),
+        points.is_sorted_by(|a, b| a.se_online < b.se_online),
     );
     report.check(
         "SE-online within 5% of (or above) the best offline baseline",
-        verdicts
+        points
             .iter()
-            .all(|&(_, se, base)| se >= base - 0.05 * base.abs().max(1.0)),
+            .all(|p| p.se_online >= p.best_baseline - 0.05 * p.best_baseline.abs().max(1.0)),
     );
     Ok(report)
 }
@@ -160,14 +160,10 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn quick_passes_shape_checks() {
-        let report = run(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
+    fn quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIGURE);
     }
 }

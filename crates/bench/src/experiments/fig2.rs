@@ -7,9 +7,73 @@ use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim};
 use mvcom_simnet::stats::{Ecdf, Summary};
 use mvcom_types::Result;
 
+use crate::experiments::Figure;
+use crate::figures::{Lines, Marks, Plot};
 use crate::harness::{downsample, FigureReport, Scale};
 
 const TARGET_COMMITTEE: u32 = 12;
+
+const FIG2A_CSV: &str = "fig2a.csv";
+const FORMATION_CDF_CSV: &str = "fig2b_formation_cdf.csv";
+const CONSENSUS_CDF_CSV: &str = "fig2b_consensus_cdf.csv";
+
+/// Fig. 2(a).
+pub const FIG2A: Figure = Figure {
+    name: "fig2a",
+    shows: "Fig. 2(a): two-phase latency (formation + consensus) vs network size under Elastico",
+    params: "100→1000 nodes, committee size 12",
+    files: &[FIG2A_CSV],
+    plots: &[Plot {
+        svg: "fig2a.svg",
+        title: "Fig. 2(a) — two-phase latency vs network size",
+        x_label: "network size (nodes)",
+        y_label: "latency (s)",
+        marks: Marks::Lines(&[
+            Lines {
+                csv: FIG2A_CSV,
+                x: "network_size",
+                y: "formation_mean_s",
+                label: "committee formation",
+            },
+            Lines {
+                csv: FIG2A_CSV,
+                x: "network_size",
+                y: "consensus_mean_s",
+                label: "intra-committee consensus",
+            },
+        ]),
+    }],
+    run: fig2a,
+};
+
+/// Fig. 2(b).
+pub const FIG2B: Figure = Figure {
+    name: "fig2b",
+    shows: "Fig. 2(b): CDFs of formation latency and consensus latency",
+    params: "600 nodes, 8 epochs",
+    files: &[FORMATION_CDF_CSV, CONSENSUS_CDF_CSV],
+    plots: &[Plot {
+        svg: "fig2b.svg",
+        title: "Fig. 2(b) — CDF of the two-phase latency components",
+        x_label: "latency (s)",
+        y_label: "CDF",
+        marks: Marks::Lines(&[
+            Lines {
+                csv: FORMATION_CDF_CSV,
+                x: "latency_s",
+                y: "cdf",
+                label: "formation latency",
+            },
+            Lines {
+                csv: CONSENSUS_CDF_CSV,
+                x: "latency_s",
+                y: "cdf",
+                label: "consensus latency",
+            },
+        ]),
+    }],
+    run: fig2b,
+};
 
 fn collect_latencies(n_nodes: u32, epochs: usize, seed: u64) -> Result<(Vec<f64>, Vec<f64>)> {
     let mut sim = ElasticoSim::new(ElasticoConfig::with_nodes(n_nodes, TARGET_COMMITTEE), seed)?;
@@ -26,27 +90,27 @@ fn collect_latencies(n_nodes: u32, epochs: usize, seed: u64) -> Result<(Vec<f64>
 }
 
 /// Fig. 2(a): two-phase latency vs network size.
-pub fn fig2a(scale: Scale) -> Result<FigureReport> {
-    let sizes: Vec<u32> = match scale {
-        Scale::Full => vec![100, 200, 400, 600, 800, 1000],
-        Scale::Quick => vec![100, 200, 400],
+fn fig2a(scale: Scale, threads: usize) -> Result<FigureReport> {
+    let sizes: &[u32] = match scale {
+        Scale::Full => &[100, 200, 400, 600, 800, 1000],
+        Scale::Quick => &[100, 200, 400],
     };
     let epochs = scale.reps(3);
-    let mut report = FigureReport::new("fig2a");
-    let mut rows = Vec::new();
-    let mut means = Vec::new();
-    for (i, &n) in sizes.iter().enumerate() {
-        let (formation, consensus) = collect_latencies(n, epochs, 20_000 + i as u64)?;
-        let fs: Summary = formation.iter().copied().collect();
-        let cs: Summary = consensus.iter().copied().collect();
-        rows.push(vec![
-            n as f64,
-            fs.mean(),
-            fs.std_dev(),
-            cs.mean(),
-            cs.std_dev(),
-        ]);
-        means.push((n, fs.mean(), cs.mean()));
+    // One point per network size; its seed is its sweep index.
+    let points: Vec<(u32, Summary, Summary)> =
+        mvcom_simnet::ordered_map(threads, sizes.iter().enumerate().collect(), |(i, &n)| {
+            let (formation, consensus) = collect_latencies(n, epochs, 20_000 + i as u64)?;
+            Ok((
+                n,
+                formation.into_iter().collect(),
+                consensus.into_iter().collect(),
+            ))
+        })
+        .into_iter()
+        .collect::<Result<_>>()?;
+
+    let mut report = FigureReport::default();
+    for (n, fs, cs) in &points {
         report.note(format!(
             "n={n}: formation {:.0}±{:.0}s, consensus {:.1}±{:.1}s",
             fs.mean(),
@@ -56,7 +120,7 @@ pub fn fig2a(scale: Scale) -> Result<FigureReport> {
         ));
     }
     report.add_csv(
-        "fig2a.csv",
+        FIG2A_CSV,
         &[
             "network_size",
             "formation_mean_s",
@@ -64,34 +128,39 @@ pub fn fig2a(scale: Scale) -> Result<FigureReport> {
             "consensus_mean_s",
             "consensus_std_s",
         ],
-        rows,
+        points.iter().map(|(n, fs, cs)| {
+            vec![
+                f64::from(*n),
+                fs.mean(),
+                fs.std_dev(),
+                cs.mean(),
+                cs.std_dev(),
+            ]
+        }),
     );
     // Shape checks (paper): formation dominates consensus and grows
     // roughly linearly with the network size; consensus stays flat.
-    // lint: allow(P1, the size sweep list is a non-empty literal)
-    let first = means.first().expect("sizes non-empty");
-    // lint: allow(P1, the size sweep list is a non-empty literal)
-    let last = means.last().expect("sizes non-empty");
     report.check(
         "formation latency dominates consensus at every size",
-        means.iter().all(|&(_, f, c)| f > c),
+        points.iter().all(|(_, fs, cs)| fs.mean() > cs.mean()),
     );
     // The linear identity-processing slope is ~3 s/node; require at least
     // a third of it to show through the PoW max-order-statistic noise.
-    let expected_growth = f64::from(last.0 - first.0);
     report.check(
         "formation latency grows with network size",
-        last.1 > first.1 + expected_growth,
+        matches!(points.as_slice(), [(n0, f0, _), .., (n1, f1, _)]
+            if f1.mean() > f0.mean() + f64::from(n1 - n0)),
     );
     report.check(
         "consensus latency stays roughly flat across sizes",
-        (last.2 - first.2).abs() < first.2.max(1.0),
+        matches!(points.as_slice(), [(_, _, c0), .., (_, _, c1)]
+            if (c1.mean() - c0.mean()).abs() < c0.mean().max(1.0)),
     );
     Ok(report)
 }
 
 /// Fig. 2(b): CDFs of formation and consensus latency.
-pub fn fig2b(scale: Scale) -> Result<FigureReport> {
+fn fig2b(scale: Scale, _threads: usize) -> Result<FigureReport> {
     let n_nodes = match scale {
         Scale::Full => 600,
         Scale::Quick => 150,
@@ -101,16 +170,16 @@ pub fn fig2b(scale: Scale) -> Result<FigureReport> {
     let f_cdf = Ecdf::from_samples(formation);
     let c_cdf = Ecdf::from_samples(consensus);
 
-    let mut report = FigureReport::new("fig2b");
+    let mut report = FigureReport::default();
     let f_points: Vec<(f64, f64)> = downsample(&f_cdf.points().collect::<Vec<_>>(), 200);
     let c_points: Vec<(f64, f64)> = downsample(&c_cdf.points().collect::<Vec<_>>(), 200);
     report.add_csv(
-        "fig2b_formation_cdf.csv",
+        FORMATION_CDF_CSV,
         &["latency_s", "cdf"],
         f_points.iter().map(|&(x, y)| vec![x, y]),
     );
     report.add_csv(
-        "fig2b_consensus_cdf.csv",
+        CONSENSUS_CDF_CSV,
         &["latency_s", "cdf"],
         c_points.iter().map(|&(x, y)| vec![x, y]),
     );
@@ -146,26 +215,15 @@ pub fn fig2b(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn fig2a_quick_passes_shape_checks() {
-        let report = fig2a(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
-        assert_eq!(report.files.len(), 1);
+    fn fig2a_quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIG2A);
     }
 
     #[test]
-    fn fig2b_quick_passes_shape_checks() {
-        let report = fig2b(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
-        assert_eq!(report.files.len(), 2);
+    fn fig2b_quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIG2B);
     }
 }

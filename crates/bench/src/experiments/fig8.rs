@@ -3,11 +3,37 @@
 
 use mvcom_core::se::{SeConfig, SeEngine};
 use mvcom_obs::{Obs, ObsLevel};
-use mvcom_types::Result;
+use mvcom_types::{Error, Result};
 
+use crate::experiments::Figure;
+use crate::figures::{Lines, Marks, Plot};
 use crate::harness::{
-    downsample, downsample_events_jsonl, paper_instance, run_tasks, FigureReport, Scale,
-    MAX_EVENT_LINES,
+    downsample, downsample_events_jsonl, paper_instance, FigureReport, Scale, MAX_EVENT_LINES,
+};
+
+const CSV: &str = "fig8.csv";
+const EVENTS: &str = "fig8.events.jsonl";
+const GAMMAS: [usize; 6] = [1, 5, 10, 15, 20, 25];
+
+/// Fig. 8.
+pub const FIGURE: Figure = Figure {
+    name: "fig8",
+    shows: "Fig. 8: SE convergence vs iterations for Γ ∈ {1,5,10,15,20,25}",
+    params: "|I|=500, Ĉ=500K, α=1.5",
+    files: &[EVENTS, CSV],
+    plots: &[Plot {
+        svg: "fig8.svg",
+        title: "Fig. 8 — SE convergence vs parallel threads Γ",
+        x_label: "iteration",
+        y_label: "system utility",
+        marks: Marks::Lines(&[Lines {
+            csv: CSV,
+            x: "iteration",
+            y: "utility",
+            label: "Γ = {gamma}",
+        }]),
+    }],
+    run,
 };
 
 /// One Γ point's products, merged into the report in sweep order.
@@ -19,94 +45,78 @@ struct GammaPoint {
 }
 
 /// Runs the Γ sweep.
-pub fn run(scale: Scale) -> Result<FigureReport> {
+fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
     let n = scale.committees(500);
     let capacity = 1_000 * n as u64;
     let iters = scale.iters(3_000);
-    let gammas: &[usize] = &[1, 5, 10, 15, 20, 25];
     let instance = paper_instance(n, capacity, 1.5, 8_000)?;
 
-    // One task per Γ. Every seed is a function of the parameter point
-    // alone (never of execution order), so `run_tasks` merges the fan-out
-    // byte-identically to a serial sweep at any thread count.
-    let instance_ref = &instance;
-    let tasks: Vec<_> = gammas
-        .iter()
-        .map(|&gamma| {
-            move || -> Result<GammaPoint> {
-                let config = SeConfig {
-                    gamma,
-                    max_iterations: iters,
-                    convergence_window: 0,
-                    record_every: 1,
-                    ..SeConfig::paper(8_001)
-                };
-                // The saturation point Γ=10 also records a live obs event
-                // stream (se_init/se_point/se_improve/se_converged) next to
-                // the CSV — telemetry is emission-only, so the trajectory
-                // is unchanged. The stream is downsampled to the artifact
-                // cap before it lands in the repo.
-                let mut events = None;
-                let outcome = if gamma == 10 {
-                    let (obs, buf) = Obs::memory(ObsLevel::Events);
-                    let outcome = SeEngine::new(instance_ref, config)?
-                        .with_obs(obs.clone())
-                        .run();
-                    obs.flush();
-                    events = Some(downsample_events_jsonl(&buf.contents(), MAX_EVENT_LINES));
-                    outcome
-                } else {
-                    SeEngine::new(instance_ref, config)?.run()
-                };
-                let rows = downsample(outcome.trajectory.points(), 300)
-                    .iter()
-                    .map(|p| vec![gamma as f64, p.iteration as f64, p.current_best])
-                    .collect();
-                Ok(GammaPoint {
-                    gamma,
-                    rows,
-                    events,
-                    utility: outcome.best_utility,
-                })
-            }
+    // One point per Γ; every seed is a function of the point alone.
+    let points = mvcom_simnet::ordered_map(threads, GAMMAS.to_vec(), |gamma| {
+        let config = SeConfig {
+            gamma,
+            max_iterations: iters,
+            convergence_window: 0,
+            record_every: 1,
+            ..SeConfig::paper(8_001)
+        };
+        // The saturation point Γ=10 also records a live obs event
+        // stream (se_init/se_point/se_improve/se_converged) next to
+        // the CSV — telemetry is emission-only, so the trajectory
+        // is unchanged. The stream is downsampled to the artifact
+        // cap before it lands in the repo.
+        let mut events = None;
+        let outcome = if gamma == 10 {
+            let (obs, buf) = Obs::memory(ObsLevel::Events);
+            let outcome = SeEngine::new(&instance, config)?
+                .with_obs(obs.clone())
+                .run();
+            obs.flush();
+            events = Some(downsample_events_jsonl(&buf.contents(), MAX_EVENT_LINES));
+            outcome
+        } else {
+            SeEngine::new(&instance, config)?.run()
+        };
+        let rows = downsample(outcome.trajectory.points(), 300)
+            .iter()
+            .map(|p| vec![gamma as f64, p.iteration as f64, p.current_best])
+            .collect();
+        Ok(GammaPoint {
+            gamma,
+            rows,
+            events,
+            utility: outcome.best_utility,
         })
-        .collect();
-    let points = run_tasks(tasks)?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<GammaPoint>>>()?;
 
-    let mut report = FigureReport::new("fig8");
-    let mut finals = Vec::new();
+    let mut report = FigureReport::default();
     let mut rows: Vec<Vec<f64>> = Vec::new();
+    let mut utilities = Vec::new();
     for point in points {
         if let Some(events) = point.events {
-            report.files.push(("fig8.events.jsonl".to_string(), events));
+            report.files.push((EVENTS.to_string(), events));
         }
         rows.extend(point.rows);
-        finals.push((point.gamma, point.utility));
+        utilities.push(point.utility);
         report.note(format!(
             "Γ={}: converged utility {:.1}",
             point.gamma, point.utility
         ));
     }
-    report.add_csv("fig8.csv", &["gamma", "iteration", "utility"], rows);
+    report.add_csv(CSV, &["gamma", "iteration", "utility"], rows);
 
     // Shape checks (paper): larger Γ converges to a (weakly) higher
     // utility; the benefit saturates around Γ ≈ 10.
-    let at = |g: usize| {
-        finals
-            .iter()
-            .find(|&&(gamma, _)| gamma == g)
-            .map(|&(_, u)| u)
-            // lint: allow(P1, the sweep covered every queried gamma)
-            .expect("gamma in sweep")
+    let [u1, _, u10, _, _, u25] = utilities.as_slice() else {
+        return Err(Error::simulation("the Γ sweep is GAMMAS, six points"));
     };
-    let spread = at(1).abs().max(1.0);
-    report.check(
-        "Γ=10 converges at least as high as Γ=1",
-        at(10) >= at(1) - 1e-9,
-    );
+    let spread = u1.abs().max(1.0);
+    report.check("Γ=10 converges at least as high as Γ=1", *u10 >= u1 - 1e-9);
     report.check(
         "benefit saturates: |U(25) − U(10)| ≤ |U(10) − U(1)| + 5% of scale",
-        (at(25) - at(10)).abs() <= (at(10) - at(1)).abs() + 0.05 * spread,
+        (u25 - u10).abs() <= (u10 - u1).abs() + 0.05 * spread,
     );
     Ok(report)
 }
@@ -114,14 +124,10 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn quick_passes_shape_checks() {
-        let report = run(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
+    fn quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIGURE);
     }
 }

@@ -20,8 +20,7 @@
 //!   the honest committees were admitted (the Starver's objective is to
 //!   push rivals below `N_min`).
 //!
-//! Every seed derives from the sweep point, so the parallel fan-out
-//! merges byte-identically to the serial run at any thread count.
+//! Every seed derives from the sweep point's index.
 
 use std::collections::BTreeSet;
 
@@ -33,10 +32,51 @@ use mvcom_dataset::{build_adversary, Adversary, AdversaryConfig, CommitteeReport
 use mvcom_obs::{Obs, ObsLevel, Value};
 use mvcom_types::{CommitteeId, Result};
 
-use crate::harness::{downsample_events_jsonl, run_tasks, FigureReport, Scale, MAX_EVENT_LINES};
+use crate::experiments::Figure;
+use crate::figures::{Lines, Marks, Plot};
+use crate::harness::{downsample_events_jsonl, FigureReport, Scale, MAX_EVENT_LINES};
 
-const STRATEGIES: &[&str] = &["misreport", "freerider", "starver"];
-const FRACTIONS: &[f64] = &[0.0, 0.05, 0.1, 0.2, 0.33];
+const CSV: &str = "fig_adv.csv";
+const EVENTS: &str = "fig_adv.events.jsonl";
+
+/// One line per strategy × defense arm of `column` against the
+/// adversarial fraction.
+const fn frontier(column: &'static str) -> Lines {
+    Lines {
+        csv: CSV,
+        x: "fraction",
+        y: column,
+        label: "{strategy} (defense {defense})",
+    }
+}
+
+/// `fig_adv`.
+pub const FIGURE: Figure = Figure {
+    name: "fig_adv",
+    shows: "*(extra)* adversarial utility/safety frontier: misreport/freerider/starver coalitions vs the defense layer",
+    params: "fraction ∈ {0,0.05,0.1,0.2,0.33}, 40 committees, 10 epochs, α=5, Γ=4",
+    files: &[EVENTS, CSV],
+    plots: &[
+        Plot {
+            svg: "fig_adv_capture.svg",
+            title: "Adversarial frontier — strategic coalitions vs the defense layer",
+            x_label: "adversarial fraction",
+            y_label: "honest-utility capture (vs honest reference)",
+            marks: Marks::Lines(&[frontier("honest_capture")]),
+        },
+        Plot {
+            svg: "fig_adv_starvation.svg",
+            title: "Adversarial frontier — strategic coalitions vs the defense layer",
+            x_label: "adversarial fraction",
+            y_label: "starved epochs / total epochs",
+            marks: Marks::Lines(&[frontier("starvation_rate")]),
+        },
+    ],
+    run,
+};
+
+const STRATEGIES: [&str; 3] = ["misreport", "freerider", "starver"];
+const FRACTIONS: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.33];
 /// Middle of Fig. 12's α sweep. At α = 1.5 the realized utility of a
 /// committee is dominated by the Exp(600 s) formation-latency spread, so
 /// the reference arm's total — the capture ratio's denominator — sits
@@ -193,7 +233,7 @@ fn run_arm(
 }
 
 /// Runs the adversarial frontier sweep.
-pub fn run(scale: Scale) -> Result<FigureReport> {
+fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
     let committees = scale.committees(40);
     let epochs: u64 = match scale {
         Scale::Full => 10,
@@ -208,89 +248,80 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
         convergence_window: scale.iters(600) / 2,
         ..SeConfig::paper(0)
     };
-    let points: Vec<(usize, &'static str, f64)> = STRATEGIES
-        .iter()
-        .flat_map(|&s| FRACTIONS.iter().map(move |&f| (s, f)))
-        .enumerate()
-        .map(|(i, (s, f))| (i, s, f))
-        .collect();
-    let tasks: Vec<_> = points
+    let sweep: Vec<(usize, (&str, f64))> = STRATEGIES
         .into_iter()
-        .map(|(i, strategy, fraction)| {
-            move || -> Result<AdvPoint> {
-                let seed = 15_000 + i as u64;
-                let population = StrategicPopulation::new(committees, seed);
-                let adversary = build_adversary(strategy, AdversaryConfig::new(fraction, seed)?)?;
-                let none = build_adversary(strategy, AdversaryConfig::new(0.0, seed)?)?;
-                let se = SeConfig { seed, ..se_base };
-                // The densest adversarial point of the starver sweep keeps
-                // its telemetry as the figure's event artifact.
-                let keep_events = strategy == "starver" && fraction >= 0.33;
-                let buffer = keep_events.then(|| Obs::memory(ObsLevel::Events));
-                let reference = run_arm(&population, none.as_ref(), false, epochs, se, None)?;
-                let on = run_arm(
-                    &population,
-                    adversary.as_ref(),
-                    true,
-                    epochs,
-                    se,
-                    buffer.as_ref().map(|(obs, _)| obs.clone()),
-                )?;
-                let off = run_arm(&population, adversary.as_ref(), false, epochs, se, None)?;
-                let events = buffer.map(|(obs, buf)| {
-                    obs.flush();
-                    downsample_events_jsonl(&buf.contents(), MAX_EVENT_LINES)
-                });
-                let norm = reference.honest_utility.abs().max(f64::EPSILON);
-                let capture = |arm: &ArmOutcome| arm.honest_utility / norm;
-                let starve = |arm: &ArmOutcome| arm.starved_epochs as f64 / epochs as f64;
-                let mut rows = Vec::new();
-                for (arm, label) in [(&on, "on"), (&off, "off")] {
-                    rows.push(vec![
-                        strategy.to_string(),
-                        format!("{fraction:.2}"),
-                        label.to_string(),
-                        format!("{:.6}", capture(arm)),
-                        format!("{:.4}", starve(arm)),
-                        format!("{:.3}", arm.adv_admitted_mean),
-                    ]);
-                }
-                let note = format!(
-                    "{strategy} f={fraction:.2}: capture on {:.3} / off {:.3}, \
-                     starvation on {:.2} / off {:.2}",
-                    capture(&on),
-                    capture(&off),
-                    starve(&on),
-                    starve(&off),
-                );
-                Ok(AdvPoint {
-                    fraction,
-                    capture_on: capture(&on),
-                    capture_off: capture(&off),
-                    starve_on: starve(&on),
-                    starve_off: starve(&off),
-                    rows,
-                    note,
-                    events,
-                })
-            }
-        })
+        .flat_map(|s| FRACTIONS.into_iter().map(move |f| (s, f)))
+        .enumerate()
         .collect();
-    let points = run_tasks(tasks)?;
+    let points = mvcom_simnet::ordered_map(threads, sweep, |(i, (strategy, fraction))| {
+        let seed = 15_000 + i as u64;
+        let population = StrategicPopulation::new(committees, seed);
+        let adversary = build_adversary(strategy, AdversaryConfig::new(fraction, seed)?)?;
+        let none = build_adversary(strategy, AdversaryConfig::new(0.0, seed)?)?;
+        let se = SeConfig { seed, ..se_base };
+        // The densest adversarial point of the starver sweep keeps
+        // its telemetry as the figure's event artifact.
+        let keep_events = strategy == "starver" && fraction >= 0.33;
+        let buffer = keep_events.then(|| Obs::memory(ObsLevel::Events));
+        let reference = run_arm(&population, none.as_ref(), false, epochs, se, None)?;
+        let on = run_arm(
+            &population,
+            adversary.as_ref(),
+            true,
+            epochs,
+            se,
+            buffer.as_ref().map(|(obs, _)| obs.clone()),
+        )?;
+        let off = run_arm(&population, adversary.as_ref(), false, epochs, se, None)?;
+        let events = buffer.map(|(obs, buf)| {
+            obs.flush();
+            downsample_events_jsonl(&buf.contents(), MAX_EVENT_LINES)
+        });
+        let norm = reference.honest_utility.abs().max(f64::EPSILON);
+        let capture = |arm: &ArmOutcome| arm.honest_utility / norm;
+        let starve = |arm: &ArmOutcome| arm.starved_epochs as f64 / epochs as f64;
+        let mut rows = Vec::new();
+        for (arm, label) in [(&on, "on"), (&off, "off")] {
+            rows.push(vec![
+                strategy.to_string(),
+                format!("{fraction:.2}"),
+                label.to_string(),
+                format!("{:.6}", capture(arm)),
+                format!("{:.4}", starve(arm)),
+                format!("{:.3}", arm.adv_admitted_mean),
+            ]);
+        }
+        let note = format!(
+            "{strategy} f={fraction:.2}: capture on {:.3} / off {:.3}, \
+             starvation on {:.2} / off {:.2}",
+            capture(&on),
+            capture(&off),
+            starve(&on),
+            starve(&off),
+        );
+        Ok(AdvPoint {
+            fraction,
+            capture_on: capture(&on),
+            capture_off: capture(&off),
+            starve_on: starve(&on),
+            starve_off: starve(&off),
+            rows,
+            note,
+            events,
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<AdvPoint>>>()?;
 
-    let mut report = FigureReport::new("fig_adv");
-    let mut rows = Vec::new();
+    let mut report = FigureReport::default();
     for point in &points {
-        rows.extend(point.rows.clone());
-        report.note(point.note.clone());
+        report.note(point.note.as_str());
         if let Some(events) = &point.events {
-            report
-                .files
-                .push(("fig_adv.events.jsonl".to_string(), events.clone()));
+            report.files.push((EVENTS.to_string(), events.clone()));
         }
     }
     report.add_csv(
-        "fig_adv.csv",
+        CSV,
         &[
             "strategy",
             "fraction",
@@ -299,7 +330,7 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
             "starvation_rate",
             "adv_admitted_mean",
         ],
-        rows,
+        points.iter().flat_map(|point| point.rows.iter().cloned()),
     );
     // Shape checks.
     report.check(
@@ -358,18 +389,10 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn quick_passes_shape_checks() {
-        let report = run(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
-        assert!(report
-            .files
-            .iter()
-            .any(|(path, _)| path == "fig_adv.events.jsonl"));
+    fn quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIGURE);
     }
 }

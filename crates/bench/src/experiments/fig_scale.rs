@@ -15,135 +15,98 @@ use mvcom_baselines::{GreedySolver, Solver, SparseDpSolver};
 use mvcom_core::se::{SeConfig, SeEngine};
 use mvcom_types::Result;
 
-use crate::harness::{
-    downsample, run_tasks, runs_as_events, streamed_instance, AlgoRun, FigureReport, Scale,
-};
+use crate::experiments::Figure;
+use crate::harness::{runs_as_events, streamed_instance, AlgoRun, FigureReport, Scale};
 
 /// Sparse-DP bucket budget for the scale regime (see module docs).
 const SCALE_BUCKETS: usize = 4_096;
 
+const CSV: &str = "fig_scale.csv";
+const EVENTS: &str = "fig_scale.events.jsonl";
+
+/// `fig_scale`.
+pub const FIGURE: Figure = Figure {
+    name: "fig_scale",
+    shows: "*(extra)* the Fig. 11 sweep at |I| ∈ {10⁴, 5·10⁴, 10⁵}: SE vs sparse DP and greedy on streamed instances",
+    params: "Ĉ=1000·|I|, α=1.5, Γ=10, 4 chains per replica, 4096 DP buckets",
+    files: &[EVENTS, CSV],
+    plots: &[],
+    run,
+};
+
 /// One |I| point's products, merged into the report in sweep order.
 struct SizePoint {
-    rows: Vec<Vec<String>>,
-    events: Option<String>,
-    stats: (usize, f64, f64, f64, f64),
+    n: usize,
+    /// SE, sparse DP, greedy — the plotted order.
+    runs: [AlgoRun; 3],
     feasible: bool,
-    note: String,
 }
 
 /// Runs the scale sweep.
-pub fn run(scale: Scale) -> Result<FigureReport> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Full => vec![10_000, 50_000, 100_000],
-        Scale::Quick => vec![5_000, 20_000],
+fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
+    let sizes: &[usize] = match scale {
+        Scale::Full => &[10_000, 50_000, 100_000],
+        Scale::Quick => &[5_000, 20_000],
     };
     let iters = scale.iters(3_000);
-    // One task per |I|: seeds derive from the sweep index, so the
-    // parallel fan-out merges byte-identically to the serial loop.
-    let last = sizes.len() - 1;
-    let tasks: Vec<_> = sizes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| {
-            move || -> Result<SizePoint> {
-                let instance = streamed_instance(n, 1_000 * n as u64, 1.5, 21_000 + i as u64)?;
-                let mut runs = Vec::with_capacity(3);
-                // max_chains = 4: Algorithm 2's one-chain-per-cardinality
-                // family is O(|I|) wide here, and each chain carries an
-                // O(|I|) evaluation cache — four strided cardinalities per
-                // replica keep the family anchored at both feasibility
-                // endpoints within ~150 MB at |I| = 10⁵.
-                let se_config = SeConfig {
-                    gamma: 10,
-                    max_iterations: iters,
-                    convergence_window: 0,
-                    record_every: 1,
-                    max_chains: 4,
-                    ..SeConfig::paper(21_100 + i as u64)
-                };
-                let se = SeEngine::new(&instance, se_config)?.run();
-                let se_start = se
-                    .trajectory
-                    .points()
-                    .first()
-                    .map(|p| p.best_so_far)
-                    .unwrap_or(0.0);
-                runs.push(AlgoRun {
-                    name: "SE",
-                    utility: se.best_utility,
-                    solution: se.best_solution,
-                    trajectory: se
-                        .trajectory
-                        .points()
-                        .iter()
-                        .map(|p| (p.iteration, p.best_so_far))
-                        .collect(),
-                });
-                let sdp = SparseDpSolver::new(DpConfig {
-                    max_buckets: SCALE_BUCKETS,
-                })
-                .solve(&instance)?;
-                runs.push(AlgoRun {
-                    name: "SDP",
-                    utility: sdp.best_utility,
-                    solution: sdp.best_solution,
-                    trajectory: vec![(0, sdp.best_utility), (iters, sdp.best_utility)],
-                });
-                let greedy = GreedySolver::new().solve(&instance)?;
-                runs.push(AlgoRun {
-                    name: "Greedy",
-                    utility: greedy.best_utility,
-                    solution: greedy.best_solution,
-                    trajectory: vec![(0, greedy.best_utility), (iters, greedy.best_utility)],
-                });
-                let events = (i == last).then(|| runs_as_events(&runs, 150));
-                let mut rows = Vec::new();
-                for r in &runs {
-                    for &(iter, u) in downsample(&r.trajectory, 150).iter() {
-                        rows.push(vec![
-                            n.to_string(),
-                            r.name.to_string(),
-                            iter.to_string(),
-                            format!("{u:.2}"),
-                        ]);
-                    }
-                }
-                let se_u = runs[0].utility; // lint: allow(P1, runs is built above with exactly three entries)
-                let sdp_u = runs[1].utility; // lint: allow(P1, runs is built above with exactly three entries)
-                let greedy_u = runs[2].utility; // lint: allow(P1, runs is built above with exactly three entries)
-                let feasible = runs.iter().all(|r| instance.is_feasible(&r.solution));
-                Ok(SizePoint {
-                    rows,
-                    events,
-                    stats: (n, se_u, sdp_u, greedy_u, se_start),
-                    feasible,
-                    note: format!(
-                        "|I|={n}: SE {se_u:.1} (from {se_start:.1}), SDP {sdp_u:.1}, \
-                         Greedy {greedy_u:.1}"
-                    ),
-                })
-            }
+    // One point per |I|; its seeds are its sweep index.
+    let points =
+        mvcom_simnet::ordered_map(threads, sizes.iter().enumerate().collect(), |(i, &n)| {
+            let instance = streamed_instance(n, 1_000 * n as u64, 1.5, 21_000 + i as u64)?;
+            // max_chains = 4: Algorithm 2's one-chain-per-cardinality
+            // family is O(|I|) wide here, and each chain carries an
+            // O(|I|) evaluation cache — four strided cardinalities per
+            // replica keep the family anchored at both feasibility
+            // endpoints within ~150 MB at |I| = 10⁵.
+            let se_config = SeConfig {
+                gamma: 10,
+                max_iterations: iters,
+                convergence_window: 0,
+                record_every: 1,
+                max_chains: 4,
+                ..SeConfig::paper(21_100 + i as u64)
+            };
+            let se = SeEngine::new(&instance, se_config)?.run();
+            let sdp = SparseDpSolver::new(DpConfig {
+                max_buckets: SCALE_BUCKETS,
+            })
+            .solve(&instance)?;
+            let greedy = GreedySolver::new().solve(&instance)?;
+            let runs = [
+                AlgoRun::se(se),
+                AlgoRun::one_shot("SDP", sdp, iters),
+                AlgoRun::one_shot("Greedy", greedy, iters),
+            ];
+            Ok(SizePoint {
+                n,
+                feasible: runs.iter().all(|r| instance.is_feasible(&r.solution)),
+                runs,
+            })
         })
-        .collect();
-    let points = run_tasks(tasks)?;
+        .into_iter()
+        .collect::<Result<Vec<SizePoint>>>()?;
 
-    let mut report = FigureReport::new("fig_scale");
+    let mut report = FigureReport::default();
+    // Obs event file for the largest sweep point, as in Fig. 11.
+    if let Some(point) = points.last() {
+        report
+            .files
+            .push((EVENTS.to_string(), runs_as_events(&point.runs, 150)));
+    }
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut stats = Vec::new();
-    let mut all_feasible = true;
-    for point in points {
-        if let Some(events) = point.events {
-            report
-                .files
-                .push(("fig_scale.events.jsonl".to_string(), events));
-        }
-        rows.extend(point.rows);
-        stats.push(point.stats);
-        all_feasible &= point.feasible;
-        report.note(point.note);
+    for SizePoint { n, runs, .. } in &points {
+        rows.extend(runs.iter().flat_map(|r| r.convergence_rows(n)));
+        let [se, sdp, greedy] = runs;
+        report.note(format!(
+            "|I|={n}: SE {:.1} (from {:.1}), SDP {:.1}, Greedy {:.1}",
+            se.utility,
+            se.start_utility(),
+            sdp.utility,
+            greedy.utility
+        ));
     }
     report.add_csv(
-        "fig_scale.csv",
+        CSV,
         &["committees", "algorithm", "iteration", "utility"],
         rows,
     );
@@ -159,17 +122,21 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
     // below the bucket-quantized sparse DP.
     report.check(
         "every solver returns a capacity-feasible selection at every |I|",
-        all_feasible,
+        points.iter().all(|point| point.feasible),
     );
     report.check(
         "SE improves on its initialization at every |I|",
-        stats.iter().all(|&(_, se, _, _, start)| se > start),
+        points.iter().all(|point| {
+            let [se, _, _] = &point.runs;
+            se.utility > se.start_utility()
+        }),
     );
     report.check(
         "greedy stays at or above the bucket-quantized sparse DP at scale",
-        stats
-            .iter()
-            .all(|&(_, _, sdp, greedy, _)| greedy >= sdp - 1e-9),
+        points.iter().all(|point| {
+            let [_, sdp, greedy] = &point.runs;
+            greedy.utility >= sdp.utility - 1e-9
+        }),
     );
     Ok(report)
 }
@@ -177,14 +144,10 @@ pub fn run(scale: Scale) -> Result<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::honours_its_declaration;
 
     #[test]
-    fn quick_passes_shape_checks() {
-        let report = run(Scale::Quick).unwrap();
-        assert!(
-            report.summary.iter().all(|l| !l.contains("MISMATCH")),
-            "{:#?}",
-            report.summary
-        );
+    fn quick_run_honours_its_declaration() {
+        honours_its_declaration(&FIGURE);
     }
 }

@@ -1,11 +1,15 @@
-//! CSV → SVG rendering for the regenerated figures.
+//! Plot declarations and the one CSV → SVG interpreter.
 //!
-//! Each experiment writes plain CSV series (schemas documented per figure
-//! module); this module knows those schemas and renders publication-style
-//! SVG charts next to the CSVs. Used by `repro --svg` and the standalone
-//! `plot` binary.
+//! A figure module declares its charts as [`Plot`] values beside the
+//! `add_csv` call that names the columns they read; [`render`] turns
+//! declarations plus the CSVs found in a directory into SVG files. Used
+//! by `repro --svg` and the standalone `plot` binary.
+//!
+//! `svg`, `title` and `label` are templates: `{column}` stands for that
+//! column's cell in the row being drawn. A placeholder in `svg` therefore
+//! facets a plot — one file per distinct value of that column — and one
+//! in `label` groups rows into series.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -13,429 +17,243 @@ use mvcom_types::{Error, Result};
 
 use crate::plot::{Bar, Chart, Series};
 
-/// Parses one of our own CSVs: header row plus comma-separated cells, no
-/// quoting (we never emit commas inside cells).
-fn read_csv(path: &Path) -> Result<(Vec<String>, Vec<Vec<String>>)> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| Error::simulation(format!("reading {path:?}: {e}")))?;
-    let mut lines = text.lines();
-    let header: Vec<String> = lines
-        .next()
-        .ok_or_else(|| Error::simulation(format!("{path:?} is empty")))?
-        .split(',')
-        .map(str::to_string)
-        .collect();
-    let rows = lines
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| l.split(',').map(str::to_string).collect())
-        .collect();
-    Ok((header, rows))
+/// One declared chart.
+#[derive(Debug, Clone, Copy)]
+pub struct Plot {
+    /// Output file name (template).
+    pub svg: &'static str,
+    /// Chart title (template).
+    pub title: &'static str,
+    /// X-axis label.
+    pub x_label: &'static str,
+    /// Y-axis label.
+    pub y_label: &'static str,
+    /// What is drawn.
+    pub marks: Marks,
 }
 
-fn column(header: &[String], name: &str) -> Result<usize> {
-    header
-        .iter()
-        .position(|h| h == name)
-        .ok_or_else(|| Error::simulation(format!("column `{name}` missing from {header:?}")))
+/// The two chart shapes [`crate::plot::Chart`] draws.
+#[derive(Debug, Clone, Copy)]
+pub enum Marks {
+    /// A line chart over every source's rows, one polyline per distinct
+    /// label, in first-appearance order.
+    Lines(&'static [Lines]),
+    /// A bar chart, one bar per row.
+    Bars(Bars),
 }
 
-fn parse_f64(cell: &str) -> f64 {
-    cell.parse().unwrap_or(f64::NAN)
+/// One source of line-chart points.
+#[derive(Debug, Clone, Copy)]
+pub struct Lines {
+    /// CSV file the rows come from.
+    pub csv: &'static str,
+    /// Column holding x.
+    pub x: &'static str,
+    /// Column holding y.
+    pub y: &'static str,
+    /// Series label (template).
+    pub label: &'static str,
 }
 
-/// Groups `(group, x, y)` rows into per-group series, preserving the
-/// first-appearance order of groups.
-fn grouped_series(rows: &[(String, f64, f64)]) -> Vec<Series> {
-    let mut order: Vec<String> = Vec::new();
-    let mut map: BTreeMap<String, Vec<(f64, f64)>> = BTreeMap::new();
-    for (g, x, y) in rows {
-        if !map.contains_key(g) {
-            order.push(g.clone());
+/// The source of a bar chart.
+#[derive(Debug, Clone, Copy)]
+pub struct Bars {
+    /// CSV file the rows come from.
+    pub csv: &'static str,
+    /// Label under each bar (template).
+    pub label: &'static str,
+    /// Column holding the bar height.
+    pub value: &'static str,
+    /// Columns holding the `(low, high)` whisker, if the bars carry one.
+    pub whisker: Option<(&'static str, &'static str)>,
+}
+
+/// One of our own CSVs: header row plus comma-separated cells, no quoting
+/// (we never emit commas inside cells).
+struct Table {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// Reads `dir/csv`; `None` when the file does not exist (its figure
+    /// was not run into `dir`).
+    fn read(dir: &Path, csv: &str) -> Result<Option<Table>> {
+        let path = dir.join(csv);
+        if !path.exists() {
+            return Ok(None);
         }
-        map.entry(g.clone()).or_default().push((*x, *y));
+        let text = fs::read_to_string(&path)
+            .map_err(|e| Error::simulation(format!("reading {path:?}: {e}")))?;
+        let mut lines = text.lines();
+        let header = lines
+            .next()
+            .ok_or_else(|| Error::simulation(format!("{path:?} is empty")))?
+            .split(',')
+            .map(str::to_string)
+            .collect();
+        let rows = lines
+            .filter(|l| !l.trim().is_empty())
+            .map(|l| l.split(',').map(str::to_string).collect())
+            .collect();
+        Ok(Some(Table { header, rows }))
     }
-    order
-        .into_iter()
-        .map(|g| Series {
-            points: map.remove(&g).unwrap_or_default(),
-            label: g,
-        })
-        .collect()
-}
 
-fn write_svg(
-    dir: &Path,
-    name: &str,
-    svg: Option<String>,
-    written: &mut Vec<PathBuf>,
-) -> Result<()> {
-    let Some(svg) = svg else { return Ok(()) };
-    let path = dir.join(name);
-    fs::write(&path, svg).map_err(|e| Error::simulation(format!("writing {path:?}: {e}")))?;
-    written.push(path);
-    Ok(())
-}
-
-/// Renders `<group>, iteration, utility` convergence CSVs: one SVG per
-/// distinct facet value when `facet` is set, otherwise one SVG grouping by
-/// the group column.
-fn render_convergence(
-    dir: &Path,
-    csv: &str,
-    facet: Option<&str>,
-    group_col: &str,
-    title: &str,
-    written: &mut Vec<PathBuf>,
-) -> Result<()> {
-    let path = dir.join(csv);
-    if !path.exists() {
-        return Ok(());
+    fn cell<'r>(&self, row: &'r [String], column: &str) -> Result<&'r str> {
+        self.header
+            .iter()
+            .position(|h| h == column)
+            .and_then(|i| row.get(i))
+            .map(String::as_str)
+            .ok_or_else(|| {
+                Error::simulation(format!(
+                    "column `{column}` missing from {:?} (row {row:?})",
+                    self.header
+                ))
+            })
     }
-    let (header, rows) = read_csv(&path)?;
-    let gi = column(&header, group_col)?;
-    let xi = column(&header, "iteration")?;
-    let yi = column(&header, "utility")?;
-    let stem = csv.trim_end_matches(".csv");
-    match facet {
-        None => {
-            let data: Vec<(String, f64, f64)> = rows
-                .iter()
-                .map(|r| (r[gi].clone(), parse_f64(&r[xi]), parse_f64(&r[yi])))
-                .collect();
-            let chart = Chart::new(title, "iteration", "system utility");
-            write_svg(
-                dir,
-                &format!("{stem}.svg"),
-                chart.render_lines(&grouped_series(&data)),
-                written,
-            )?;
+
+    fn number(&self, row: &[String], column: &str) -> Result<f64> {
+        Ok(self.cell(row, column)?.parse().unwrap_or(f64::NAN))
+    }
+
+    /// Replaces every `{column}` in `template` with that column's cell.
+    fn fill(&self, template: &str, row: &[String]) -> Result<String> {
+        let mut out = String::new();
+        let mut rest = template;
+        while let Some((text, tail)) = rest.split_once('{') {
+            let (column, tail) = tail
+                .split_once('}')
+                .ok_or_else(|| Error::simulation(format!("unclosed `{{` in `{template}`")))?;
+            out.push_str(text);
+            out.push_str(self.cell(row, column)?);
+            rest = tail;
         }
-        Some(facet_col) => {
-            let fi = column(&header, facet_col)?;
-            let mut facets: Vec<String> = Vec::new();
-            for r in &rows {
-                if !facets.contains(&r[fi]) {
-                    facets.push(r[fi].clone());
+        out.push_str(rest);
+        Ok(out)
+    }
+}
+
+/// The rows of a plot that land in one output file.
+struct Facet {
+    svg: String,
+    title: String,
+    /// One series per distinct label, in first-appearance order.
+    series: Vec<Series>,
+    bars: Vec<Bar>,
+}
+
+impl Facet {
+    fn add_point(&mut self, label: String, point: (f64, f64)) {
+        match self.series.iter_mut().find(|s| s.label == label) {
+            Some(series) => series.points.push(point),
+            None => self.series.push(Series {
+                label,
+                points: vec![point],
+            }),
+        }
+    }
+}
+
+impl Plot {
+    /// The facet `row` belongs to: the one whose filled `svg` name matches,
+    /// appended on first appearance.
+    fn facet_of<'f>(
+        &self,
+        facets: &'f mut Vec<Facet>,
+        table: &Table,
+        row: &[String],
+    ) -> Result<&'f mut Facet> {
+        let svg = table.fill(self.svg, row)?;
+        let at = match facets.iter().position(|f| f.svg == svg) {
+            Some(at) => at,
+            None => {
+                facets.push(Facet {
+                    svg,
+                    title: table.fill(self.title, row)?,
+                    series: Vec::new(),
+                    bars: Vec::new(),
+                });
+                facets.len() - 1
+            }
+        };
+        Ok(&mut facets[at])
+    }
+
+    /// `(file name, svg text)` per facet; empty when a source CSV is not
+    /// in `dir` or holds no drawable row.
+    fn draw(&self, dir: &Path) -> Result<Vec<(String, String)>> {
+        let mut facets: Vec<Facet> = Vec::new();
+        match self.marks {
+            Marks::Lines(sources) => {
+                for source in sources {
+                    let Some(table) = Table::read(dir, source.csv)? else {
+                        return Ok(Vec::new());
+                    };
+                    for row in &table.rows {
+                        let label = table.fill(source.label, row)?;
+                        let point = (table.number(row, source.x)?, table.number(row, source.y)?);
+                        self.facet_of(&mut facets, &table, row)?
+                            .add_point(label, point);
+                    }
                 }
             }
-            for facet_value in facets {
-                let data: Vec<(String, f64, f64)> = rows
-                    .iter()
-                    .filter(|r| r[fi] == facet_value)
-                    .map(|r| (r[gi].clone(), parse_f64(&r[xi]), parse_f64(&r[yi])))
-                    .collect();
-                let chart = Chart::new(
-                    format!("{title} ({facet_col} = {facet_value})"),
-                    "iteration",
-                    "system utility",
-                );
-                write_svg(
-                    dir,
-                    &format!("{stem}_{facet_col}_{facet_value}.svg"),
-                    chart.render_lines(&grouped_series(&data)),
-                    written,
-                )?;
+            Marks::Bars(source) => {
+                let Some(table) = Table::read(dir, source.csv)? else {
+                    return Ok(Vec::new());
+                };
+                for row in &table.rows {
+                    let bar = Bar {
+                        label: table.fill(source.label, row)?,
+                        value: table.number(row, source.value)?,
+                        whisker: match source.whisker {
+                            Some((low, high)) => {
+                                Some((table.number(row, low)?, table.number(row, high)?))
+                            }
+                            None => None,
+                        },
+                    };
+                    self.facet_of(&mut facets, &table, row)?.bars.push(bar);
+                }
             }
         }
+        Ok(facets
+            .into_iter()
+            .filter_map(|facet| {
+                let chart = Chart::new(facet.title, self.x_label, self.y_label);
+                let svg = match self.marks {
+                    Marks::Lines(_) => chart.render_lines(&facet.series),
+                    Marks::Bars(_) => chart.render_bars(&facet.bars),
+                };
+                svg.map(|svg| (facet.svg, svg))
+            })
+            .collect())
     }
-    Ok(())
 }
 
-/// Renders every known figure CSV found in `dir`; returns the SVG paths.
+/// Renders every plot of `plots` whose CSVs are in `dir`, next to them;
+/// returns the SVG paths in declaration order.
 ///
 /// # Errors
 ///
-/// I/O failures and malformed CSVs (which would indicate a harness bug).
-pub fn render_all(dir: &Path) -> Result<Vec<PathBuf>> {
+/// I/O failures, and a declared column missing from its CSV.
+pub fn render<'a>(plots: impl IntoIterator<Item = &'a Plot>, dir: &Path) -> Result<Vec<PathBuf>> {
     let mut written = Vec::new();
-
-    // Fig. 2(a): latency vs network size.
-    let fig2a = dir.join("fig2a.csv");
-    if fig2a.exists() {
-        let (header, rows) = read_csv(&fig2a)?;
-        let xi = column(&header, "network_size")?;
-        let fi = column(&header, "formation_mean_s")?;
-        let ci = column(&header, "consensus_mean_s")?;
-        let series = vec![
-            Series {
-                label: "committee formation".into(),
-                points: rows
-                    .iter()
-                    .map(|r| (parse_f64(&r[xi]), parse_f64(&r[fi])))
-                    .collect(),
-            },
-            Series {
-                label: "intra-committee consensus".into(),
-                points: rows
-                    .iter()
-                    .map(|r| (parse_f64(&r[xi]), parse_f64(&r[ci])))
-                    .collect(),
-            },
-        ];
-        let chart = Chart::new(
-            "Fig. 2(a) — two-phase latency vs network size",
-            "network size (nodes)",
-            "latency (s)",
-        );
-        write_svg(dir, "fig2a.svg", chart.render_lines(&series), &mut written)?;
-    }
-
-    // Fig. 2(b): the two CDFs on one chart.
-    let formation_cdf = dir.join("fig2b_formation_cdf.csv");
-    let consensus_cdf = dir.join("fig2b_consensus_cdf.csv");
-    if formation_cdf.exists() && consensus_cdf.exists() {
-        let mut series = Vec::new();
-        for (path, label) in [
-            (&formation_cdf, "formation latency"),
-            (&consensus_cdf, "consensus latency"),
-        ] {
-            let (header, rows) = read_csv(path)?;
-            let xi = column(&header, "latency_s")?;
-            let yi = column(&header, "cdf")?;
-            series.push(Series {
-                label: label.into(),
-                points: rows
-                    .iter()
-                    .map(|r| (parse_f64(&r[xi]), parse_f64(&r[yi])))
-                    .collect(),
-            });
-        }
-        let chart = Chart::new(
-            "Fig. 2(b) — CDF of the two-phase latency components",
-            "latency (s)",
-            "CDF",
-        );
-        write_svg(dir, "fig2b.svg", chart.render_lines(&series), &mut written)?;
-    }
-
-    // Fig. 8: convergence per Γ.
-    let fig8 = dir.join("fig8.csv");
-    if fig8.exists() {
-        let (header, rows) = read_csv(&fig8)?;
-        let gi = column(&header, "gamma")?;
-        let xi = column(&header, "iteration")?;
-        let yi = column(&header, "utility")?;
-        let data: Vec<(String, f64, f64)> = rows
-            .iter()
-            .map(|r| {
-                (
-                    format!("Γ = {}", r[gi]),
-                    parse_f64(&r[xi]),
-                    parse_f64(&r[yi]),
-                )
-            })
-            .collect();
-        let chart = Chart::new(
-            "Fig. 8 — SE convergence vs parallel threads Γ",
-            "iteration",
-            "system utility",
-        );
-        write_svg(
-            dir,
-            "fig8.svg",
-            chart.render_lines(&grouped_series(&data)),
-            &mut written,
-        )?;
-    }
-
-    // Fig. 9(a)/(b): single trajectory each.
-    for (csv, title) in [
-        ("fig9a.csv", "Fig. 9(a) — committee leave & rejoin"),
-        ("fig9b.csv", "Fig. 9(b) — consecutive committee joins"),
-    ] {
-        let path = dir.join(csv);
-        if !path.exists() {
-            continue;
-        }
-        let (header, rows) = read_csv(&path)?;
-        let xi = column(&header, "iteration")?;
-        let yi = column(&header, "utility")?;
-        let series = vec![Series {
-            label: "SE (Γ = 1)".into(),
-            points: rows
-                .iter()
-                .map(|r| (parse_f64(&r[xi]), parse_f64(&r[yi])))
-                .collect(),
-        }];
-        let chart = Chart::new(title, "iteration", "system utility");
-        write_svg(
-            dir,
-            &csv.replace(".csv", ".svg"),
-            chart.render_lines(&series),
-            &mut written,
-        )?;
-    }
-
-    // Fig. 10: valuable degree bars.
-    let fig10 = dir.join("fig10.csv");
-    if fig10.exists() {
-        let (header, rows) = read_csv(&fig10)?;
-        let ai = column(&header, "algorithm")?;
-        let vi = column(&header, "valuable_degree")?;
-        let bars: Vec<Bar> = rows
-            .iter()
-            .map(|r| Bar {
-                label: r[ai].clone(),
-                value: parse_f64(&r[vi]),
-                whisker: None,
-            })
-            .collect();
-        let chart = Chart::new(
-            "Fig. 10 — Valuable Degree per algorithm",
-            "algorithm",
-            "valuable degree Σ s_i/Π_i",
-        );
-        write_svg(dir, "fig10.svg", chart.render_bars(&bars), &mut written)?;
-    }
-
-    // Convergence families.
-    render_convergence(
-        dir,
-        "fig11.csv",
-        Some("committees"),
-        "algorithm",
-        "Fig. 11 — convergence vs |I|",
-        &mut written,
-    )?;
-    render_convergence(
-        dir,
-        "fig12.csv",
-        Some("alpha"),
-        "algorithm",
-        "Fig. 12 — convergence vs α",
-        &mut written,
-    )?;
-    render_convergence(
-        dir,
-        "fig14.csv",
-        Some("alpha"),
-        "algorithm",
-        "Fig. 14 — online execution with consecutive joins",
-        &mut written,
-    )?;
-    render_convergence(
-        dir,
-        "ablation_dynamics.csv",
-        None,
-        "policy",
-        "Ablation — Trim vs Reinitialize after a failure",
-        &mut written,
-    )?;
-
-    // Fig. 13: per-α bar groups with IQR whiskers.
-    let fig13 = dir.join("fig13.csv");
-    if fig13.exists() {
-        let (header, rows) = read_csv(&fig13)?;
-        let fi = column(&header, "alpha")?;
-        let ai = column(&header, "algorithm")?;
-        let mi = column(&header, "median")?;
-        let q25 = column(&header, "q25")?;
-        let q75 = column(&header, "q75")?;
-        let mut alphas: Vec<String> = Vec::new();
-        for r in &rows {
-            if !alphas.contains(&r[fi]) {
-                alphas.push(r[fi].clone());
-            }
-        }
-        for alpha in alphas {
-            let bars: Vec<Bar> = rows
-                .iter()
-                .filter(|r| r[fi] == alpha)
-                .map(|r| Bar {
-                    label: r[ai].clone(),
-                    value: parse_f64(&r[mi]),
-                    whisker: Some((parse_f64(&r[q25]), parse_f64(&r[q75]))),
-                })
-                .collect();
-            let chart = Chart::new(
-                format!("Fig. 13 — converged-utility distribution (α = {alpha})"),
-                "algorithm",
-                "converged utility (median, IQR)",
-            );
-            write_svg(
-                dir,
-                &format!("fig13_alpha_{alpha}.svg"),
-                chart.render_bars(&bars),
-                &mut written,
-            )?;
+    for plot in plots {
+        for (name, svg) in plot.draw(dir)? {
+            let path = dir.join(name);
+            fs::write(&path, svg)
+                .map_err(|e| Error::simulation(format!("writing {path:?}: {e}")))?;
+            written.push(path);
         }
     }
-
-    // Ablation: DDL policies as bars.
-    let ddl = dir.join("ablation_ddl.csv");
-    if ddl.exists() {
-        let (header, rows) = read_csv(&ddl)?;
-        let pi = column(&header, "policy")?;
-        let ui = column(&header, "utility")?;
-        let bars: Vec<Bar> = rows
-            .iter()
-            .map(|r| Bar {
-                label: r[pi].clone(),
-                value: parse_f64(&r[ui]),
-                whisker: None,
-            })
-            .collect();
-        let chart = Chart::new("Ablation — deadline policy", "policy", "converged utility");
-        write_svg(
-            dir,
-            "ablation_ddl.svg",
-            chart.render_bars(&bars),
-            &mut written,
-        )?;
-    }
-
-    // fig_adv: honest-utility capture vs adversarial fraction, one line
-    // per strategy × defense arm.
-    let adv = dir.join("fig_adv.csv");
-    if adv.exists() {
-        let (header, rows) = read_csv(&adv)?;
-        let si = column(&header, "strategy")?;
-        let fi = column(&header, "fraction")?;
-        let di = column(&header, "defense")?;
-        for (col, name, ylabel) in [
-            (
-                "honest_capture",
-                "fig_adv_capture.svg",
-                "honest-utility capture (vs honest reference)",
-            ),
-            (
-                "starvation_rate",
-                "fig_adv_starvation.svg",
-                "starved epochs / total epochs",
-            ),
-        ] {
-            let yi = column(&header, col)?;
-            let data: Vec<(String, f64, f64)> = rows
-                .iter()
-                .map(|r| {
-                    (
-                        format!("{} (defense {})", r[si], r[di]),
-                        parse_f64(&r[fi]),
-                        parse_f64(&r[yi]),
-                    )
-                })
-                .collect();
-            let chart = Chart::new(
-                "Adversarial frontier — strategic coalitions vs the defense layer",
-                "adversarial fraction",
-                ylabel,
-            );
-            write_svg(
-                dir,
-                name,
-                chart.render_lines(&grouped_series(&data)),
-                &mut written,
-            )?;
-        }
-    }
-
     Ok(written)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{FigureReport, Scale};
+    use crate::harness::FigureReport;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mvcom-figures-{name}-{}", std::process::id()));
@@ -444,80 +262,126 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn renders_fig8_style_csv() {
-        let dir = tmpdir("fig8");
-        let mut report = FigureReport::new("fig8");
-        let mut rows = Vec::new();
-        for gamma in [1, 10] {
-            for iter in 0..20 {
-                rows.push(vec![gamma as f64, iter as f64, (iter * gamma) as f64]);
-            }
-        }
-        report.add_csv("fig8.csv", &["gamma", "iteration", "utility"], rows);
-        report.write_to(&dir).unwrap();
-        let written = render_all(&dir).unwrap();
-        assert!(written.iter().any(|p| p.ends_with("fig8.svg")));
-        let svg = fs::read_to_string(dir.join("fig8.svg")).unwrap();
-        assert!(svg.contains("Γ = 1"));
-        assert!(svg.contains("Γ = 10"));
-    }
-
-    #[test]
-    fn renders_faceted_convergence_and_bars() {
-        let dir = tmpdir("fig12-13");
-        let mut report = FigureReport::new("x");
-        report.add_csv(
-            "fig12.csv",
-            &["alpha", "algorithm", "iteration", "utility"],
-            vec![
-                vec!["1.5".to_string(), "SE".into(), "0".into(), "1.0".into()],
-                vec!["1.5".to_string(), "SE".into(), "5".into(), "2.0".into()],
-                vec!["5".to_string(), "SA".into(), "0".into(), "3.0".into()],
-                vec!["5".to_string(), "SA".into(), "5".into(), "4.0".into()],
-            ],
-        );
-        report.add_csv(
-            "fig13.csv",
-            &["alpha", "algorithm", "min", "q25", "median", "q75", "max"],
-            vec![vec![
-                "1.5".to_string(),
-                "SE".into(),
-                "1".into(),
-                "2".into(),
-                "3".into(),
-                "4".into(),
-                "5".into(),
-            ]],
-        );
-        report.write_to(&dir).unwrap();
-        let written = render_all(&dir).unwrap();
-        let names: Vec<String> = written
+    fn names(written: &[PathBuf]) -> Vec<String> {
+        written
             .iter()
             .map(|p| p.file_name().unwrap().to_string_lossy().to_string())
-            .collect();
-        assert!(
-            names.contains(&"fig12_alpha_1.5.svg".to_string()),
-            "{names:?}"
+            .collect()
+    }
+
+    const CURVES: Plot = Plot {
+        svg: "curves_k_{k}.svg",
+        title: "curves (k = {k})",
+        x_label: "step",
+        y_label: "value",
+        marks: Marks::Lines(&[Lines {
+            csv: "curves.csv",
+            x: "step",
+            y: "value",
+            label: "{solver} / {arm}",
+        }]),
+    };
+
+    const PAIR: Plot = Plot {
+        svg: "pair.svg",
+        title: "two files, two fixed labels",
+        x_label: "x",
+        y_label: "y",
+        marks: Marks::Lines(&[
+            Lines {
+                csv: "left.csv",
+                x: "x",
+                y: "y",
+                label: "left",
+            },
+            Lines {
+                csv: "right.csv",
+                x: "x",
+                y: "y",
+                label: "right",
+            },
+        ]),
+    };
+
+    const BOXES: Plot = Plot {
+        svg: "boxes.svg",
+        title: "boxes",
+        x_label: "solver",
+        y_label: "median",
+        marks: Marks::Bars(Bars {
+            csv: "boxes.csv",
+            label: "{solver}",
+            value: "median",
+            whisker: Some(("q25", "q75")),
+        }),
+    };
+
+    #[test]
+    fn a_placeholder_in_the_svg_name_facets_and_labels_group() {
+        let dir = tmpdir("facets");
+        let mut report = FigureReport::default();
+        let cell = |s: &str| s.to_string();
+        report.add_csv(
+            "curves.csv",
+            &["k", "solver", "arm", "step", "value"],
+            vec![
+                vec![cell("1.5"), cell("SE"), cell("on"), cell("0"), cell("1.0")],
+                vec![cell("1.5"), cell("SE"), cell("on"), cell("5"), cell("2.0")],
+                vec![cell("1.5"), cell("SA"), cell("off"), cell("0"), cell("0.5")],
+                vec![cell("10"), cell("SE"), cell("on"), cell("0"), cell("3.0")],
+                vec![cell("10"), cell("SE"), cell("on"), cell("5"), cell("4.0")],
+            ],
         );
-        assert!(names.contains(&"fig12_alpha_5.svg".to_string()));
-        assert!(names.contains(&"fig13_alpha_1.5.svg".to_string()));
-    }
-
-    #[test]
-    fn missing_csvs_are_skipped_silently() {
-        let dir = tmpdir("empty");
-        let written = render_all(&dir).unwrap();
-        assert!(written.is_empty());
-    }
-
-    #[test]
-    fn end_to_end_from_a_quick_experiment() {
-        // Run the cheapest real experiment and render its SVG.
-        let dir = tmpdir("e2e");
-        let report = crate::experiments::run("fig9a", Scale::Quick).unwrap();
         report.write_to(&dir).unwrap();
-        let written = render_all(&dir).unwrap();
-        assert!(written.iter().any(|p| p.ends_with("fig9a.svg")));
+        let written = render([&CURVES], &dir).unwrap();
+        assert_eq!(names(&written), ["curves_k_1.5.svg", "curves_k_10.svg"]);
+        let first = fs::read_to_string(dir.join("curves_k_1.5.svg")).unwrap();
+        assert!(first.contains("curves (k = 1.5)"));
+        assert!(first.contains("SE / on") && first.contains("SA / off"));
+        let second = fs::read_to_string(dir.join("curves_k_10.svg")).unwrap();
+        assert!(second.contains("SE / on") && !second.contains("SA / off"));
+    }
+
+    #[test]
+    fn lines_merge_several_files_and_bars_carry_whiskers() {
+        let dir = tmpdir("pair-boxes");
+        let mut report = FigureReport::default();
+        report.add_csv(
+            "left.csv",
+            &["x", "y"],
+            vec![vec![0.0, 1.0], vec![1.0, 2.0]],
+        );
+        report.add_csv(
+            "right.csv",
+            &["x", "y"],
+            vec![vec![0.0, 3.0], vec![1.0, 5.0]],
+        );
+        report.add_csv(
+            "boxes.csv",
+            &["solver", "q25", "median", "q75"],
+            vec![vec!["SE", "2", "3", "4"], vec!["SA", "1", "2", "3"]],
+        );
+        report.write_to(&dir).unwrap();
+        let written = render([&PAIR, &BOXES], &dir).unwrap();
+        assert_eq!(names(&written), ["pair.svg", "boxes.svg"]);
+        let pair = fs::read_to_string(dir.join("pair.svg")).unwrap();
+        assert_eq!(pair.matches("<polyline").count(), 2);
+        let boxes = fs::read_to_string(dir.join("boxes.svg")).unwrap();
+        assert!(boxes.contains(">SE<") && boxes.contains(">SA<"));
+    }
+
+    #[test]
+    fn a_plot_with_a_missing_csv_is_skipped_and_a_missing_column_is_an_error() {
+        let dir = tmpdir("missing");
+        // Nothing there: nothing rendered. One of PAIR's two files: still nothing.
+        assert!(render([&CURVES, &PAIR, &BOXES], &dir).unwrap().is_empty());
+        let mut report = FigureReport::default();
+        report.add_csv("left.csv", &["x", "y"], vec![vec![0.0, 1.0]]);
+        report.add_csv("boxes.csv", &["solver", "median"], vec![vec!["SE", "3"]]);
+        report.write_to(&dir).unwrap();
+        assert!(render([&PAIR], &dir).unwrap().is_empty());
+        // BOXES reads q25/q75, which this CSV does not have.
+        let err = render([&BOXES], &dir).unwrap_err().to_string();
+        assert!(err.contains("column `q25` missing"), "{err}");
     }
 }

@@ -1,14 +1,13 @@
 //! Shared plumbing for the figure experiments.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mvcom_baselines::{dp::DpConfig, sa::SaConfig, woa::WoaConfig};
-use mvcom_baselines::{DpSolver, SaSolver, Solver, WoaSolver};
+use mvcom_baselines::{DpSolver, SaSolver, Solver, SolverOutcome, WoaSolver};
 use mvcom_core::problem::InstanceBuilder;
-use mvcom_core::se::{SeConfig, SeEngine};
+use mvcom_core::se::{SeConfig, SeEngine, SeOutcome};
 use mvcom_core::{Instance, Solution};
 use mvcom_dataset::{EpochGenerator, LatencyConfig, ShardStream, StreamConfig, Trace, TraceConfig};
 use mvcom_types::Result;
@@ -48,96 +47,57 @@ impl Scale {
     }
 }
 
-/// Worker-thread count for [`run_tasks`]; serial until [`set_threads`].
-static THREADS: AtomicUsize = AtomicUsize::new(1);
+/// One line of `repro`'s summary output. Its `Display` is the only place
+/// the verdict vocabulary is spelled: code asks
+/// [`FigureReport::passed`] / [`FigureReport::mismatches`], never the text.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Line {
+    /// A measured number, for the reader.
+    Note(String),
+    /// A shape check and whether the measured series passed it.
+    Check {
+        /// What the paper's figure shows and the series must too.
+        description: String,
+        /// Whether it does.
+        passed: bool,
+    },
+    /// The closing line of a run: failed checks over every figure it ran.
+    Total {
+        /// How many checks failed.
+        mismatches: usize,
+    },
+}
 
-/// Parses the value of a `--threads` argument.
-///
-/// # Errors
-///
-/// [`mvcom_types::Error::InvalidConfig`] when `value` is not an integer
-/// or is zero — both used to be accepted and silently degenerate to a
-/// serial run; callers must surface this instead.
-pub fn parse_threads(value: &str) -> Result<usize> {
-    match value.trim().parse::<usize>() {
-        Ok(t) if t >= 1 => Ok(t),
-        Ok(_) => Err(mvcom_types::Error::invalid_config(
-            "threads",
-            format!("--threads must be >= 1, got `{value}` (use 1 for a serial run)"),
-        )),
-        Err(_) => Err(mvcom_types::Error::invalid_config(
-            "threads",
-            format!("--threads must be an integer >= 1, got `{value}`"),
-        )),
+impl fmt::Display for Line {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Line::Note(text) => f.write_str(text),
+            Line::Check {
+                description,
+                passed,
+            } => {
+                let verdict = if *passed { "OK" } else { "MISMATCH" };
+                write!(f, "[{verdict}] {description}")
+            }
+            Line::Total { mismatches: 0 } => f.write_str("all shape checks passed"),
+            Line::Total { mismatches } => {
+                write!(f, "{mismatches} shape check(s) MISMATCHED — see above")
+            }
+        }
     }
 }
 
-/// The number of worker threads figure experiments fan their independent
-/// points across: whatever [`set_threads`] stored last, serial (1) before
-/// that.
-pub fn threads() -> usize {
-    THREADS.load(Ordering::Relaxed)
-}
-
-/// Overrides the worker-thread count (the bench bins' `--threads` knob).
-///
-/// # Panics
-///
-/// On `threads == 0`: a zero thread count has no meaning here (serial
-/// is `1`) and used to be clamped silently; bins validate their flag
-/// with [`parse_threads`] before calling this.
-pub fn set_threads(threads: usize) {
-    assert!(
-        threads >= 1,
-        "set_threads precondition: thread count must be >= 1 (got 0); use 1 for a serial run"
-    );
-    THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// Runs independent closures across [`threads`] worker threads and
-/// returns their results **in task order**.
-///
-/// The figure experiments' face of [`mvcom_simnet::ordered_map`] (the
-/// workspace's one fan-out): each task owns its own seeds (the
-/// experiments derive them from the task's parameter point, never from
-/// execution order), so the merged output is byte-identical to the
-/// serial run at any thread count, only wall-clock changes. With one
-/// thread (the default) the tasks run inline on the caller's thread.
-///
-/// # Errors
-///
-/// Returns the first failing task's error (in task order).
-pub fn run_tasks<T, F>(tasks: Vec<F>) -> Result<Vec<T>>
-where
-    T: Send,
-    F: FnOnce() -> Result<T> + Send,
-{
-    mvcom_simnet::ordered_map(threads(), tasks, |task| task())
-        .into_iter()
-        .collect()
-}
-
-/// The output of one figure experiment: CSV files plus a textual summary
-/// with shape checks.
-#[derive(Debug, Clone, Default)]
+/// The output of one figure experiment: CSV files plus a summary of
+/// measured numbers and shape-check verdicts.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FigureReport {
-    /// Figure identifier (e.g. `"fig8"`).
-    pub name: String,
-    /// `(relative path, csv text)` pairs to be written under `results/`.
+    /// `(relative path, text)` pairs to be written under `results/`.
     pub files: Vec<(String, String)>,
-    /// Human-readable lines: measured numbers and shape-check verdicts.
-    pub summary: Vec<String>,
+    /// Notes and verdicts, in the order `repro` prints them.
+    pub summary: Vec<Line>,
 }
 
 impl FigureReport {
-    /// Starts an empty report for `name`.
-    pub fn new(name: &str) -> FigureReport {
-        FigureReport {
-            name: name.to_string(),
-            ..FigureReport::default()
-        }
-    }
-
     /// Adds a CSV file built from a header and rows of cells.
     pub fn add_csv<R, C>(&mut self, filename: &str, header: &[&str], rows: R)
     where
@@ -155,15 +115,28 @@ impl FigureReport {
 
     /// Appends one summary line.
     pub fn note(&mut self, line: impl Into<String>) {
-        self.summary.push(line.into());
+        self.summary.push(Line::Note(line.into()));
     }
 
-    /// Appends a shape-check verdict line.
+    /// Appends a shape-check verdict.
     pub fn check(&mut self, description: &str, passed: bool) {
-        self.summary.push(format!(
-            "[{}] {description}",
-            if passed { "OK" } else { "MISMATCH" }
-        ));
+        self.summary.push(Line::Check {
+            description: description.to_string(),
+            passed,
+        });
+    }
+
+    /// How many shape checks failed.
+    pub fn mismatches(&self) -> usize {
+        self.summary
+            .iter()
+            .filter(|line| matches!(line, Line::Check { passed: false, .. }))
+            .count()
+    }
+
+    /// Whether every shape check passed.
+    pub fn passed(&self) -> bool {
+        self.mismatches() == 0
     }
 
     /// Writes all CSV files under `out_dir` and returns the paths written.
@@ -254,6 +227,93 @@ pub struct AlgoRun {
     pub trajectory: Vec<(u64, f64)>,
 }
 
+impl AlgoRun {
+    /// An SE run, plotted by its best-so-far utility.
+    pub fn se(outcome: SeOutcome) -> AlgoRun {
+        AlgoRun {
+            name: "SE",
+            utility: outcome.best_utility,
+            trajectory: outcome
+                .trajectory
+                .points()
+                .iter()
+                .map(|p| (p.iteration, p.best_so_far))
+                .collect(),
+            solution: outcome.best_solution,
+        }
+    }
+
+    /// An iterative baseline, plotted by the trajectory it recorded.
+    pub fn iterative(name: &'static str, outcome: SolverOutcome) -> AlgoRun {
+        AlgoRun {
+            name,
+            utility: outcome.best_utility,
+            solution: outcome.best_solution,
+            trajectory: outcome.trajectory,
+        }
+    }
+
+    /// A one-shot baseline: its single point extended into a flat line
+    /// over `iterations`, for overlays.
+    pub fn one_shot(name: &'static str, outcome: SolverOutcome, iterations: u64) -> AlgoRun {
+        AlgoRun {
+            name,
+            utility: outcome.best_utility,
+            trajectory: vec![
+                (0, outcome.best_utility),
+                (iterations, outcome.best_utility),
+            ],
+            solution: outcome.best_solution,
+        }
+    }
+
+    /// The utility the run started from (0 for an empty trajectory).
+    pub fn start_utility(&self) -> f64 {
+        self.trajectory.first().map_or(0.0, |&(_, u)| u)
+    }
+
+    /// The run as `(facet, algorithm, iteration, utility)` cells, ~150
+    /// rows: the row shape the convergence figures share.
+    pub fn convergence_rows(&self, facet: impl fmt::Display) -> Vec<Vec<String>> {
+        downsample(&self.trajectory, 150)
+            .iter()
+            .map(|(iter, u)| {
+                vec![
+                    facet.to_string(),
+                    self.name.to_string(),
+                    iter.to_string(),
+                    format!("{u:.2}"),
+                ]
+            })
+            .collect()
+    }
+}
+
+/// SE and the paper's three baselines on one instance.
+#[derive(Debug, Clone)]
+pub struct AlgoRuns {
+    /// Stochastic exploration (the paper's algorithm).
+    pub se: AlgoRun,
+    /// Simulated annealing.
+    pub sa: AlgoRun,
+    /// Dynamic programming.
+    pub dp: AlgoRun,
+    /// Whale optimization.
+    pub woa: AlgoRun,
+}
+
+impl AlgoRuns {
+    /// The four runs in the order the figures plot them.
+    pub fn iter(&self) -> impl Iterator<Item = &AlgoRun> {
+        [&self.se, &self.sa, &self.dp, &self.woa].into_iter()
+    }
+
+    /// The best converged utility among the three baselines.
+    pub fn best_baseline(&self) -> f64 {
+        self.sa.utility.max(self.dp.utility).max(self.woa.utility)
+    }
+}
+
 /// Runs SE and the paper's three baselines on `instance` with a shared
 /// iteration budget — the engine behind Figs. 10–14.
 ///
@@ -265,9 +325,7 @@ pub fn run_all_algorithms(
     iterations: u64,
     gamma: usize,
     seed: u64,
-) -> Result<Vec<AlgoRun>> {
-    let mut runs = Vec::with_capacity(4);
-
+) -> Result<AlgoRuns> {
     let se_config = SeConfig {
         gamma,
         max_iterations: iterations,
@@ -276,53 +334,23 @@ pub fn run_all_algorithms(
         ..SeConfig::paper(seed)
     };
     let se = SeEngine::new(instance, se_config)?.run();
-    runs.push(AlgoRun {
-        name: "SE",
-        utility: se.best_utility,
-        solution: se.best_solution,
-        trajectory: se
-            .trajectory
-            .points()
-            .iter()
-            .map(|p| (p.iteration, p.best_so_far))
-            .collect(),
-    });
-
     let sa = SaSolver::new(SaConfig {
         iterations,
         ..SaConfig::paper(seed)
     })
     .solve(instance)?;
-    runs.push(AlgoRun {
-        name: "SA",
-        utility: sa.best_utility,
-        solution: sa.best_solution,
-        trajectory: sa.trajectory,
-    });
-
     let dp = DpSolver::new(DpConfig::paper()).solve(instance)?;
-    // DP is one-shot; extend its point into a flat line for overlays.
-    let dp_traj = vec![(0, dp.best_utility), (iterations, dp.best_utility)];
-    runs.push(AlgoRun {
-        name: "DP",
-        utility: dp.best_utility,
-        solution: dp.best_solution,
-        trajectory: dp_traj,
-    });
-
     let woa = WoaSolver::new(WoaConfig {
         iterations,
         ..WoaConfig::paper(seed)
     })
     .solve(instance)?;
-    runs.push(AlgoRun {
-        name: "WOA",
-        utility: woa.best_utility,
-        solution: woa.best_solution,
-        trajectory: woa.trajectory,
-    });
-
-    Ok(runs)
+    Ok(AlgoRuns {
+        se: AlgoRun::se(se),
+        sa: AlgoRun::iterative("SA", sa),
+        dp: AlgoRun::one_shot("DP", dp, iterations),
+        woa: AlgoRun::iterative("WOA", woa),
+    })
 }
 
 /// Downsamples a trajectory to at most `max_points` evenly spaced samples
@@ -340,9 +368,9 @@ pub fn downsample<T: Copy>(points: &[T], max_points: usize) -> Vec<T> {
 }
 
 /// Ceiling on the line count of `.events.jsonl` artifacts a figure may
-/// emit; `experiments::run` fails the figure's shape checks above it so
+/// emit; [`crate::experiments::Figure::run`] fails the figure's shape checks above it so
 /// event streams can't silently bloat the repository again (the original
-/// `fig8.events.jsonl` was 122k lines).
+/// stream of the Γ sweep was 122k lines).
 pub const MAX_EVENT_LINES: usize = 5_000;
 
 /// Downsamples a JSONL event stream to at most `max_lines` lines,
@@ -443,7 +471,10 @@ pub fn downsample_events_jsonl(events: &str, max_lines: usize) -> String {
 /// ~`max_points` each) — the obs event file some figures write next to
 /// their CSVs. Emission happens after all solves, so attaching telemetry
 /// cannot perturb a solver; `obs_report` consumes the result.
-pub fn runs_as_events(runs: &[AlgoRun], max_points: usize) -> String {
+pub fn runs_as_events<'a>(
+    runs: impl IntoIterator<Item = &'a AlgoRun>,
+    max_points: usize,
+) -> String {
     use mvcom_obs::{Obs, ObsLevel, Value};
     let (obs, buf) = Obs::memory(ObsLevel::Events);
     for run in runs {
@@ -519,7 +550,7 @@ mod tests {
 
     #[test]
     fn csv_rendering() {
-        let mut report = FigureReport::new("test");
+        let mut report = FigureReport::default();
         report.add_csv("t.csv", &["a", "b"], vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(report.files[0].1, "a,b\n1,2\n3,4\n");
     }
@@ -532,35 +563,6 @@ mod tests {
         assert_eq!(ds[0], 0);
         assert_eq!(*ds.last().unwrap(), 999);
         assert_eq!(downsample(&points, 2000), points);
-    }
-
-    #[test]
-    fn run_tasks_preserves_task_order_at_any_thread_count() {
-        let tasks = |n: usize| -> Vec<_> {
-            (0..n)
-                .map(|i| move || Ok::<usize, mvcom_types::Error>(i * 10))
-                .collect()
-        };
-        let serial = run_tasks(tasks(9)).unwrap();
-        for workers in [1, 2, 8] {
-            set_threads(workers);
-            assert_eq!(run_tasks(tasks(9)).unwrap(), serial, "threads={workers}");
-        }
-        set_threads(1);
-        assert_eq!(serial, vec![0, 10, 20, 30, 40, 50, 60, 70, 80]);
-    }
-
-    #[test]
-    fn run_tasks_surfaces_the_first_error_in_task_order() {
-        set_threads(4);
-        let tasks: Vec<Box<dyn FnOnce() -> mvcom_types::Result<u32> + Send>> = vec![
-            Box::new(|| Ok(1)),
-            Box::new(|| Err(mvcom_types::Error::simulation("second task failed"))),
-            Box::new(|| Ok(3)),
-        ];
-        let err = run_tasks(tasks).unwrap_err();
-        assert!(err.to_string().contains("second task failed"), "{err}");
-        set_threads(1);
     }
 
     #[test]
@@ -643,32 +645,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_threads_validates() {
-        assert_eq!(parse_threads("4").unwrap(), 4);
-        assert_eq!(parse_threads(" 1 ").unwrap(), 1);
-        let zero = parse_threads("0").unwrap_err();
-        assert!(zero.to_string().contains(">= 1"), "{zero}");
-        assert!(zero.to_string().contains("--threads"), "{zero}");
-        let word = parse_threads("four").unwrap_err();
-        assert!(word.to_string().contains("integer"), "{word}");
-        assert!(word.to_string().contains("--threads"), "{word}");
-        assert!(parse_threads("").is_err());
-        assert!(parse_threads("-2").is_err());
-        assert!(parse_threads("1.5").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "set_threads precondition")]
-    fn set_threads_rejects_zero() {
-        set_threads(0);
-    }
-
-    #[test]
-    fn check_formats_verdicts() {
-        let mut report = FigureReport::new("x");
+    fn verdicts_are_typed_and_only_their_display_is_text() {
+        let mut report = FigureReport::default();
+        report.note("[MISMATCH] inside a note is prose, not a verdict");
         report.check("thing holds", true);
+        assert!(report.passed());
+        assert_eq!(report.mismatches(), 0);
         report.check("other thing", false);
-        assert!(report.summary[0].starts_with("[OK]"));
-        assert!(report.summary[1].starts_with("[MISMATCH]"));
+        assert!(!report.passed());
+        assert_eq!(report.mismatches(), 1);
+        assert_eq!(report.summary[1].to_string(), "[OK] thing holds");
+        assert_eq!(report.summary[2].to_string(), "[MISMATCH] other thing");
+        assert_eq!(
+            Line::Total { mismatches: 0 }.to_string(),
+            "all shape checks passed"
+        );
+        assert_eq!(
+            Line::Total { mismatches: 3 }.to_string(),
+            "3 shape check(s) MISMATCHED — see above"
+        );
     }
 }

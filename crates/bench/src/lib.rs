@@ -4,17 +4,16 @@
 //! [`experiments`] that rebuilds its workload, runs the SE scheduler and
 //! the baselines with the paper's parameters, and emits the plotted series
 //! as CSV plus a human-readable summary with the expected *shape checks*
-//! (who wins, by how much, where it saturates).
-//!
-//! Run everything with:
+//! (who wins, by how much, where it saturates). [`experiments::FIGURES`]
+//! is the one list of them.
 //!
 //! ```text
-//! cargo run --release -p mvcom-bench --bin repro -- all
+//! cargo run --release -p mvcom-bench --bin repro -- --list   # the index
+//! cargo run --release -p mvcom-bench --bin repro -- all      # run them
 //! ```
 //!
-//! or a single figure (`fig2a`, `fig2b`, `fig8`, `fig9a`, `fig9b`,
-//! `fig10`, `fig11`, `fig12`, `fig13`, `fig14`). `--quick` shrinks the
-//! workloads ~10× for smoke testing. CSVs land in `results/`.
+//! `--quick` shrinks the workloads ~10× for smoke testing. CSVs land in
+//! `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,53 +1,51 @@
-//! The parallel harness must be invisible in the outputs: every figure
-//! artifact (CSV and event stream) is byte-identical at any `--threads`
-//! count, because seeds derive from sweep indices and results merge in
-//! task order. CI re-checks this end-to-end on the repro binary; this
-//! test pins it at the library level on the smoke-scale fig8 sweep (the
-//! figure that also exercises the event-stream path).
+//! The fan-out must be invisible in the outputs (DESIGN.md §14): a
+//! figure's summary and every artifact are the same bytes at any worker
+//! count, and from one run to the next. CI re-checks this end to end on
+//! the `repro` binary over all figures; these tests pin it at the library
+//! level on the two sweeps with the most to lose — `fig8` (the
+//! event-stream path) and `fig13` (48 points at full scale, regrouped by
+//! α after the join).
 
 // Test code: unwrap is fine here.
 #![allow(clippy::unwrap_used)]
 
-use mvcom_bench::experiments;
-use mvcom_bench::harness::{set_threads, Scale};
+use mvcom_bench::experiments::Figure;
+use mvcom_bench::{FigureReport, Scale};
 
-/// One test (not one per thread count): `set_threads` is process-global,
-/// and the test harness runs `#[test]` functions concurrently.
-#[test]
-fn fig8_smoke_outputs_are_byte_identical_across_thread_counts() {
-    set_threads(1);
-    let baseline = experiments::run("fig8", Scale::Quick).unwrap();
-    assert!(
-        baseline.files.iter().any(|(p, _)| p.ends_with(".csv")),
-        "baseline produced no CSV"
-    );
-    assert!(
-        baseline
-            .files
-            .iter()
-            .any(|(p, _)| p.ends_with(".events.jsonl")),
-        "baseline produced no event stream"
-    );
+fn run(name: &str, threads: usize) -> FigureReport {
+    Figure::named(name)
+        .unwrap()
+        .run(Scale::Quick, threads)
+        .unwrap()
+}
 
-    for threads in [2usize, 8] {
-        set_threads(threads);
-        let report = experiments::run("fig8", Scale::Quick).unwrap();
-        assert_eq!(
-            report.summary, baseline.summary,
-            "summary diverged at {threads} threads"
-        );
-        assert_eq!(
-            report.files.len(),
-            baseline.files.len(),
-            "file set diverged at {threads} threads"
-        );
-        for ((path, text), (base_path, base_text)) in report.files.iter().zip(&baseline.files) {
-            assert_eq!(path, base_path, "file order diverged at {threads} threads");
-            assert_eq!(
-                text, base_text,
-                "{path} bytes diverged at {threads} threads"
-            );
-        }
+fn same_at_1_2_and_8_workers(name: &str) -> FigureReport {
+    let serial = run(name, 1);
+    for threads in [2, 8] {
+        assert_eq!(run(name, threads), serial, "{name} at {threads} workers");
     }
-    set_threads(1);
+    serial
+}
+
+#[test]
+fn fig8_is_byte_identical_across_thread_counts() {
+    let report = same_at_1_2_and_8_workers("fig8");
+    let wrote = |suffix: &str| report.files.iter().any(|(path, _)| path.ends_with(suffix));
+    assert!(
+        wrote(".csv") && wrote(".events.jsonl"),
+        "{:?}",
+        report.files
+    );
+}
+
+#[test]
+fn fig13_is_byte_identical_across_thread_counts() {
+    same_at_1_2_and_8_workers("fig13");
+}
+
+/// Nothing a figure writes may depend on when it ran: `ablation-ddl` used
+/// to put a wall-clock column in its CSV and summary.
+#[test]
+fn ablation_ddl_is_byte_identical_from_one_run_to_the_next() {
+    assert_eq!(run("ablation-ddl", 2), run("ablation-ddl", 2));
 }

@@ -166,8 +166,7 @@ impl Trace {
     pub fn from_json(json: &str) -> Result<Trace> {
         let trace: Trace = serde_json::from_str(json)
             .map_err(|e| Error::invalid_instance(format!("malformed trace JSON: {e}")))?;
-        // lint: allow(P1, windows(2) yields slices of length 2)
-        if trace.blocks.windows(2).any(|w| !w[0].precedes(&w[1])) {
+        if !trace.blocks.is_sorted_by(TxBlock::precedes) {
             return Err(Error::invalid_instance("trace blocks are not time-ordered"));
         }
         Ok(trace)
@@ -232,18 +231,16 @@ impl Trace {
                 txs,
             });
         }
-        if blocks.is_empty() {
-            return Err(Error::invalid_instance("CSV contained no blocks"));
-        }
         blocks.sort_by_key(|b| b.btime);
+        let [first, rest @ ..] = blocks.as_slice() else {
+            return Err(Error::invalid_instance("CSV contained no blocks"));
+        };
         let n_blocks = blocks.len();
-        // lint: allow(P1, the is_empty guard above ensures at least one block)
-        let span = (blocks.last().expect("non-empty").btime - blocks[0].btime).max(1);
+        let span = (rest.last().unwrap_or(first).btime - first.btime).max(1);
         let total: u64 = blocks.iter().map(|b| b.txs).sum();
         let config = TraceConfig {
             n_blocks,
-            // lint: allow(P1, the is_empty guard above ensures at least one block)
-            start_unix: blocks[0].btime,
+            start_unix: first.btime,
             mean_interval_secs: span as f64 / n_blocks.max(2).saturating_sub(1) as f64,
             mean_txs_per_block: total as f64 / n_blocks as f64,
             txs_cv: 0.0_f64.max(1e-9), // unknown for imported data; unused
@@ -255,15 +252,22 @@ impl Trace {
 
 /// Parses a 64-hex-char block hash, falling back to hashing the raw text.
 fn parse_hash(s: &str) -> Hash32 {
-    if s.len() == 64 && s.bytes().all(|b| b.is_ascii_hexdigit()) {
-        let mut bytes = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-            // lint: allow(P1, chunks(2) of a 64-char hex string yields full pairs of hex digits)
-            let hi = (chunk[0] as char).to_digit(16).expect("hex checked");
-            // lint: allow(P1, chunks(2) of a 64-char hex string yields full pairs of hex digits)
-            let lo = (chunk[1] as char).to_digit(16).expect("hex checked");
-            bytes[i] = ((hi << 4) | lo) as u8;
-        }
+    let (pairs, odd) = s.as_bytes().as_chunks::<2>();
+    let mut bytes = [0u8; 32];
+    let digit = |c: u8| (c as char).to_digit(16);
+    let is_digest = pairs.len() == bytes.len()
+        && odd.is_empty()
+        && bytes
+            .iter_mut()
+            .zip(pairs)
+            .all(|(byte, &[hi, lo])| match (digit(hi), digit(lo)) {
+                (Some(hi), Some(lo)) => {
+                    *byte = ((hi << 4) | lo) as u8;
+                    true
+                }
+                _ => false,
+            });
+    if is_digest {
         Hash32(bytes)
     } else {
         Hash32::digest(s.as_bytes())
@@ -377,6 +381,12 @@ mod tests {
             trace.blocks()[0].bhash.to_hex(),
             "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
         );
+        // Hex case is immaterial; 64 characters that are not all hex
+        // digits are opaque text like any other.
+        assert_eq!(parse_hash(&"AB".repeat(32)), parse_hash(&"ab".repeat(32)));
+        assert_eq!(parse_hash(&"ab".repeat(32)), Hash32([0xab; 32]));
+        let opaque = "0g".repeat(32);
+        assert_eq!(parse_hash(&opaque), Hash32::digest(opaque.as_bytes()));
     }
 
     #[test]
@@ -397,6 +407,10 @@ mod tests {
         assert_eq!(trace.config().start_unix, 1000);
         assert!((trace.config().mean_interval_secs - 600.0).abs() < 1.0);
         assert!((trace.config().mean_txs_per_block - 200.0).abs() < 1e-9);
+        // One block is its own first and last: the span floors at 1 s.
+        let one = Trace::from_csv("7,h,1000,100\n").unwrap();
+        assert_eq!((one.config().n_blocks, one.config().start_unix), (1, 1000));
+        assert!((one.config().mean_interval_secs - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The workspace has exactly one fan-out implementation,
 //! `mvcom_simnet::fanout::ordered_map` (the SE replica race, elastico's
-//! stage-3 committee pool and `mvcom_bench::harness::run_tasks` all call
+//! stage-3 committee pool and every figure sweep of `mvcom-bench` call
 //! it): workers claim `(index, item)` pairs off one shared queue and
 //! results land in per-index slots. The C-rules only make sense *inside*
 //! that region — `Ordering::Relaxed` on a caller-side cached value is
@@ -13,12 +13,8 @@
 //! So the region is computed, not guessed:
 //!
 //! 1. **Roots.** Closure literals appearing (lexically) inside the
-//!    argument list of a `spawn(…)`, `ordered_map(…)` or `run_tasks(…)`
-//!    call — the primitive's own workers, and what each crate hands it.
-//!    When a function calls `run_tasks(tasks)` with a pre-built vector
-//!    (the figure-experiment idiom), every closure literal in that
-//!    function becomes a root — an over-approximation that errs toward
-//!    checking.
+//!    argument list of a `spawn(…)` or `ordered_map(…)` call — the
+//!    primitive's own workers, and what each crate hands it.
 //! 2. **Reachability.** From each root, called names are resolved
 //!    *within the crate*: direct calls (`execute_pbft(…)`) to every
 //!    same-name `fn`, calls to `let`-bound closures in the same file, and
@@ -68,9 +64,8 @@ const AMBIENT_METHODS: [&str; 24] = [
 ];
 
 /// Call names whose closure arguments run on worker threads: the
-/// primitive's own `spawn`, the primitive, and the figure harness's
-/// name for it.
-const FAN_OUT_CALLS: [&str; 3] = ["spawn", "ordered_map", "run_tasks"];
+/// primitive's own `spawn`, and the primitive.
+const FAN_OUT_CALLS: [&str; 2] = ["spawn", "ordered_map"];
 
 /// Keywords that look like `ident(…)` call sites but are not calls.
 const CALL_KEYWORDS: [&str; 9] = [
@@ -137,7 +132,7 @@ pub struct FileInput<'a> {
 /// Test code — whole `tests/`/`benches/`/`examples/` files and
 /// `#[cfg(test)]` regions — contributes nothing to the graph: a test
 /// *exercises* the parallel region (often at several thread counts, via
-/// direct `ordered_map`/`run_tasks` calls), its closures do not run
+/// direct `ordered_map` calls), its closures do not run
 /// inside it, and rooting them would flood the partitioner itself into
 /// the region through the test's own driver calls.
 pub fn parallel_units(files: &[FileInput]) -> Vec<Unit> {
@@ -156,9 +151,7 @@ pub fn parallel_units(files: &[FileInput]) -> Vec<Unit> {
         .map(|c| ((c.file, c.body.0, c.body.1), c.params))
         .collect();
 
-    // Roots: closures inside the argument list of a fan-out call, plus
-    // (fallback) every closure of a fn that calls run_tasks with a
-    // pre-built task vector.
+    // Roots: closures inside the argument list of a fan-out call.
     let mut roots: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
     for (fi, file) in files.iter().enumerate() {
         if file.test_path {
@@ -179,25 +172,9 @@ pub fn parallel_units(files: &[FileInput]) -> Vec<Unit> {
             let Some(close) = matching(toks, i + 1, "(", ")") else {
                 continue;
             };
-            let mut found_closure = false;
             for c in closures.iter().filter(|c| c.file == fi) {
                 if c.body.0 > i + 1 && c.body.1 < close {
                     roots.insert((fi, c.body.0, c.body.1));
-                    found_closure = true;
-                }
-            }
-            if t.text == "run_tasks" && !found_closure {
-                // `run_tasks(tasks)`: the tasks were built earlier in the
-                // enclosing fn — treat all of its closures as roots.
-                if let Some(f) = fns
-                    .iter()
-                    .find(|f| f.file == fi && (f.body.0..=f.body.1).contains(&i))
-                {
-                    for c in closures.iter().filter(|c| c.file == fi) {
-                        if c.body.0 >= f.body.0 && c.body.1 <= f.body.1 {
-                            roots.insert((fi, c.body.0, c.body.1));
-                        }
-                    }
                 }
             }
         }
@@ -570,19 +547,6 @@ fn pool() {
     }
 
     #[test]
-    fn run_tasks_vector_fallback_marks_fn_closures() {
-        let src = "\
-fn expensive_point(seed: u64) -> u64 { seed }
-fn sweep() {
-    let tasks: Vec<_> = (0..4).map(|i| move || expensive_point(i)).collect();
-    let _ = run_tasks(tasks);
-}
-";
-        let covered = lines(src, &units_of(src));
-        assert!(covered.contains(&1), "expensive_point: {covered:?}");
-    }
-
-    #[test]
     fn ambient_methods_are_not_followed() {
         let src = "\
 fn run(x: u64) -> u64 { x }
@@ -605,19 +569,20 @@ fn fan_out(engine: &Engine) {
 
     #[test]
     fn test_code_contributes_no_roots() {
-        // A test or bench driving `run_tasks` at several thread counts
-        // must not turn its own closures into roots (which would pull the
+        // A test driving `ordered_map` at several thread counts must not
+        // turn its own closures into roots (which would pull the
         // partitioner into the region through the test's direct calls).
         let src = "\
 fn point(seed: u64) -> u64 { seed }
 fn order_is_deterministic() {
-    let tasks: Vec<_> = (0..4).map(|i| move || point(i)).collect();
-    let _ = run_tasks(tasks);
+    for threads in [1, 2, 8] {
+        let _ = ordered_map(threads, (0..4).collect(), |i| point(i));
+    }
 }
 ";
         let lexed = lex(src);
         // Marked as a `#[cfg(test)]` region: no roots.
-        let test_lines: BTreeSet<u32> = (1..=6).collect();
+        let test_lines: BTreeSet<u32> = (1..=7).collect();
         let no_tests = BTreeSet::new();
         assert!(parallel_units(&[FileInput {
             lexed: &lexed,
@@ -632,7 +597,7 @@ fn order_is_deterministic() {
             test_path: true,
         }])
         .is_empty());
-        // Same source as first-party lib code: the fallback applies.
+        // Same source as first-party lib code: the closure is a root.
         assert!(!parallel_units(&[FileInput {
             lexed: &lexed,
             test_lines: &no_tests,

@@ -11,7 +11,7 @@
 //! * [`lexer`] — a small self-contained Rust lexer (tokens + comments);
 //! * [`callgraph`] — a per-crate fn→fn call graph over the token stream
 //!   that marks the *parallel region* (everything reachable from closures
-//!   handed to `spawn`/`ordered_map`/`run_tasks`);
+//!   handed to `spawn`/`ordered_map`);
 //! * [`rules`] — the D1/P1/F1/T1 token rules, the region-scoped C1–C4
 //!   concurrency rules, W1 stale-allow / U1 forbid-unsafe hygiene, and
 //!   the `// lint: allow(P1, reason)` annotation grammar;

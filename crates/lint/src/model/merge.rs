@@ -2,8 +2,7 @@
 //!
 //! `mvcom_simnet::fanout::ordered_map` is the workspace's one fan-out —
 //! the SE replica race, elastico's stage-3 committee pool and the figure
-//! harness's `run_tasks` all run it, so this proof covers every threaded
-//! path. Each worker claims the next `(index, item)` off a shared queue
+//! sweeps all run it, so this proof covers every threaded path. Each worker claims the next `(index, item)` off a shared queue
 //! (one step: the queue's lock makes reading and advancing the position
 //! atomic), computes the item (seeded by its *index*, not its worker),
 //! and writes the result into the slot *of that index*. The merged output

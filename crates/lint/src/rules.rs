@@ -7,7 +7,7 @@
 //! | rule | guards                                                        |
 //! |------|---------------------------------------------------------------|
 //! | D1   | determinism: no seed-unstable containers in deterministic     |
-//! |      | crates; no wall-clock / ambient RNG outside `crates/bench`    |
+//! |      | crates; no wall-clock / ambient RNG anywhere                  |
 //! | P1   | panic-freedom: no `unwrap`/`expect`/constant index in         |
 //! |      | non-test library code without a justification annotation      |
 //! | F1   | float ordering: no `partial_cmp().unwrap()`, no `==`/`!=`     |
@@ -28,7 +28,7 @@
 //!
 //! The C-rules fire only inside the **parallel region** computed by
 //! [`crate::callgraph`]: everything reachable from closures handed to
-//! `spawn`/`ordered_map`/`run_tasks` — the one fan-out implementation
+//! `spawn`/`ordered_map` — the one fan-out implementation
 //! (`mvcom_simnet::fanout`) and what each crate passes it. A violation is
 //! silenced inline with
 //!
@@ -576,8 +576,7 @@ impl Scan<'_> {
                     );
                 }
                 "Instant"
-                    if self.class.krate != "bench"
-                        && self.tokens.get(i + 1).is_some_and(|n| n.text == "::")
+                    if self.tokens.get(i + 1).is_some_and(|n| n.text == "::")
                         && self.tokens.get(i + 2).is_some_and(|n| n.text == "now") =>
                 {
                     self.emit(
@@ -585,21 +584,21 @@ impl Scan<'_> {
                         Rule::D1,
                         t.line,
                         "`Instant::now` reads the wall clock; deterministic code must \
-                         derive time from `SimTime` (only `crates/bench` may measure)"
+                         derive time from `SimTime`"
                             .to_string(),
                     );
                 }
-                "SystemTime" if self.class.krate != "bench" => {
+                "SystemTime" => {
                     self.emit(
                         findings,
                         Rule::D1,
                         t.line,
                         "`SystemTime` reads the wall clock; deterministic code must \
-                         derive time from `SimTime` (only `crates/bench` may measure)"
+                         derive time from `SimTime`"
                             .to_string(),
                     );
                 }
-                "thread_rng" if self.class.krate != "bench" => {
+                "thread_rng" => {
                     self.emit(
                         findings,
                         Rule::D1,
@@ -1205,13 +1204,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_everywhere_but_bench() {
+    fn wall_clock_flagged_everywhere() {
         let src = "fn f() { let t = Instant::now(); }\n";
         assert_eq!(
             rules_of(&lint_source("crates/pbft/src/x.rs", src)),
             [Rule::D1]
         );
-        assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
+        // No crate is exempt: `repro`'s progress timer carries an allow.
+        assert_eq!(
+            rules_of(&lint_source("crates/bench/src/x.rs", src)),
+            [Rule::D1]
+        );
         // Also applies inside tests/ paths: wall-clock tests flake.
         assert_eq!(rules_of(&lint_source("tests/x.rs", src)), [Rule::D1]);
     }

@@ -55,12 +55,17 @@ fn d1_container_rule_only_binds_deterministic_crates() {
         vec![(Rule::D1, 7), (Rule::D1, 8), (Rule::D1, 9)],
         "{findings:#?}"
     );
-    // Under crates/bench even those are sanctioned: benches measure.
+    // No crate is exempt from those three, `crates/bench` included: what
+    // it writes is compared byte for byte.
     let findings = lint_source(
         "crates/bench/src/fixture.rs",
         include_str!("fixtures/d1_bad.rs"),
     );
-    assert!(findings.is_empty(), "{findings:#?}");
+    assert_eq!(
+        shape(&findings),
+        vec![(Rule::D1, 7), (Rule::D1, 8), (Rule::D1, 9)],
+        "{findings:#?}"
+    );
 }
 
 #[test]
@@ -340,17 +345,31 @@ fn sources_under(dir: &Path, out: &mut Vec<(String, String)>) {
 }
 
 #[test]
-fn real_parallel_region_reaches_the_race_and_pbft_workers() {
+fn real_parallel_region_reaches_the_race_the_pbft_workers_and_a_figure_sweep() {
     // "The workspace lints clean" is also what an accidentally empty
     // parallel region looks like — a worker function that moved to a file
     // the call graph no longer connects would pass it. So plant a direct
     // emission on a shared handle as the first statement of each real
     // worker and demand exactly that C1: the region computed over the
     // real sources contains `race_replica` (reached from `SeEngine`'s
-    // `ordered_map` closure) and `execute_pbft` (from elastico's).
-    for (krate, file, function) in [
-        ("core", "crates/core/src/se/engine/step.rs", "race_replica"),
-        ("elastico", "crates/elastico/src/epoch.rs", "execute_pbft"),
+    // `ordered_map` closure), `execute_pbft` (from elastico's) and the
+    // closure Fig. 2(a)'s sweep hands `ordered_map` itself.
+    for (krate, file, worker) in [
+        (
+            "core",
+            "crates/core/src/se/engine/step.rs",
+            "fn race_replica(",
+        ),
+        (
+            "elastico",
+            "crates/elastico/src/epoch.rs",
+            "fn execute_pbft(",
+        ),
+        (
+            "bench",
+            "crates/bench/src/experiments/fig2.rs",
+            "ordered_map(threads, ",
+        ),
     ] {
         let mut sources = Vec::new();
         sources_under(
@@ -360,11 +379,11 @@ fn real_parallel_region_reaches_the_race_and_pbft_workers() {
         let (_, source) = sources
             .iter_mut()
             .find(|(rel, _)| rel == file)
-            .unwrap_or_else(|| panic!("{file} is where `{function}` lives"));
-        let signature = source
-            .find(&format!("fn {function}("))
-            .unwrap_or_else(|| panic!("`fn {function}` is defined in {file}"));
-        let body = signature + source[signature..].find("{\n").unwrap() + 2;
+            .unwrap_or_else(|| panic!("{file} is where `{worker}` lives"));
+        let opening = source
+            .find(worker)
+            .unwrap_or_else(|| panic!("`{worker}` opens a worker body in {file}"));
+        let body = opening + source[opening..].find("{\n").unwrap() + 2;
         source.insert_str(body, "    obs.emit(\"planted\", 0.0, &[]);\n");
         let planted_line = source[..body].lines().count() as u32 + 1;
 
@@ -381,7 +400,7 @@ fn real_parallel_region_reaches_the_race_and_pbft_workers() {
         assert_eq!(
             c1,
             vec![(file, planted_line)],
-            "`{function}` left the region"
+            "`{worker}…` left the region"
         );
     }
 }
