@@ -137,12 +137,7 @@ pub fn run_online(
     let mut queue = ordered.into_iter().peekable();
 
     while engine.iteration() < config.max_iterations {
-        while queue
-            .peek()
-            .is_some_and(|e| e.at_iteration <= engine.iteration())
-        {
-            // lint: allow(P1, peek() returned Some for the same queue one line above)
-            let event = queue.next().expect("peeked");
+        while let Some(event) = queue.next_if(|e| e.at_iteration <= engine.iteration()) {
             let before = engine.current_best_utility();
             let is_join = match event.kind {
                 EventKind::Join(shard) => {

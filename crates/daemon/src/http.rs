@@ -2,9 +2,9 @@
 //! `std::net::TcpListener`, zero dependencies.
 //!
 //! The server thread is deliberately dumb: it never touches the daemon,
-//! the metrics registry, or the telemetry handle (the workspace C1 lint
-//! bans `Obs` emission from spawned closures precisely because it would
-//! race the event sequence). Instead, the daemon loop renders a JSON
+//! the metrics registry, or the telemetry handle (an `Obs` is not `Send`
+//! precisely because a second thread would race the event sequence).
+//! Instead, the daemon loop renders a JSON
 //! snapshot after every epoch into a [`SnapshotCell`] — an
 //! `Arc<Mutex<String>>` — and the server thread serves whatever string
 //! is current. The hot path stays single-threaded and deterministic; the

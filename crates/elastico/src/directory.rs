@@ -91,17 +91,16 @@ pub fn configure_overlay(
     network: &mut Network,
 ) -> Result<Vec<FormedCommittee>> {
     config.validate()?;
-    if (solutions.len() as u32) < config.directory_size {
+    // `validate` made the directory non-empty, so the only way to miss
+    // the pattern is too few solvers.
+    let Some(seats @ [first_seated, ..]) = solutions.get(..config.directory_size as usize) else {
         return Err(Error::simulation(format!(
             "{} solvers cannot seat a directory of {}",
             solutions.len(),
             config.directory_size
         )));
-    }
-    let directory: Vec<NodeId> = solutions[..config.directory_size as usize]
-        .iter()
-        .map(|s| s.node)
-        .collect();
+    };
+    let directory: Vec<NodeId> = seats.iter().map(|s| s.node).collect();
     let directory_seated_at = solutions[config.directory_size as usize - 1].solved_at;
 
     // Step 2: announcements. Track, per directory member, when it has
@@ -144,10 +143,9 @@ pub fn configure_overlay(
 
     // Step 4: roster multicast per committee from the first directory
     // member; overlay completes at the last member's arrival.
+    let announcer = first_seated.node;
     let mut configured = Vec::with_capacity(committees.len());
     for committee in committees {
-        // lint: allow(P1, validate() rejects directory_size == 0 and the lottery seats that many)
-        let announcer = directory[0];
         let roster_ready = roster_known
             .get(&(announcer, committee.id))
             .copied()

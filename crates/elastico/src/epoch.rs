@@ -255,7 +255,7 @@ struct PbftTask {
 
 /// One committee's stage-3 products: the consensus result (or the error a
 /// serial run would have stopped at) plus the telemetry it emitted,
-/// deferred for index-order replay.
+/// captured for index-order replay.
 type PbftOutcome = (Result<ConsensusResult>, Vec<Event>);
 
 /// Executes one PBFT run from pre-forked RNG streams.
@@ -504,9 +504,10 @@ impl ElasticoSim {
         // consensus, so they fan out across `self.threads` `ordered_map`
         // workers. The determinism contract: per-committee RNG pairs are
         // forked here, serially, in committee order — exactly the draw
-        // order of the serial loop — and each worker's telemetry lands on
-        // a deferred handle replayed in committee index order after the
-        // join, so the epoch is byte-identical at any thread count.
+        // order of the serial loop, each beside the seed of that
+        // committee's telemetry handle — and each worker's events come
+        // back with its result, replayed in committee index order after
+        // the join, so the epoch is byte-identical at any thread count.
         let mut tasks = Vec::with_capacity(formed.len());
         for (committee, txs) in formed.iter().zip(&tx_counts) {
             self.scratch.digest_bytes.clear();
@@ -523,26 +524,27 @@ impl ElasticoSim {
             let label = format!("pbft-{}", committee.id);
             let net_rng = rng::fork(&mut self.rng, &format!("{label}-net"));
             let run_rng = rng::fork(&mut self.rng, &label);
-            tasks.push(PbftTask {
+            let task = PbftTask {
                 n: committee.members.len() as u32,
                 txs: *txs,
                 digest,
                 label,
                 net_rng,
                 run_rng,
-            });
+            };
+            tasks.push((task, self.obs.fork()));
         }
-        let outcomes: Vec<PbftOutcome> = ordered_map(self.threads, tasks, |task| {
-            let (worker_obs, capture) = self.obs.deferred();
-            let result = execute_pbft(&self.config, task, worker_obs);
-            (result, capture.take())
+        let outcomes: Vec<PbftOutcome> = ordered_map(self.threads, tasks, |(task, seed)| {
+            let obs = seed.open();
+            let result = execute_pbft(&self.config, task, obs.clone());
+            (result, obs.take_captured())
         });
         let mut shards = Vec::with_capacity(formed.len());
         let mut consensus = Vec::with_capacity(formed.len());
         for ((committee, txs), (result, events)) in formed.iter().zip(&tx_counts).zip(outcomes) {
             // Replay before inspecting the result: on an error, the
-            // events a serial run emitted before failing are already in
-            // the deferred buffer.
+            // events a serial run emitted before failing are already
+            // captured.
             self.obs.replay(events);
             let result = result?;
             self.obs.emit(
@@ -621,8 +623,12 @@ impl ElasticoSim {
             }
             Hash32::digest(&self.scratch.digest_bytes)
         };
-        // lint: allow(P1, an empty formation already errored before this point)
-        let final_committee_size = formed[0].members.len() as u32;
+        let [final_committee, ..] = formed.as_slice() else {
+            return Err(Error::simulation(
+                "no committee reached the minimum size this epoch",
+            ));
+        };
+        let final_committee_size = final_committee.members.len() as u32;
         let final_result =
             self.run_pbft(final_committee_size, total_txs, final_digest, "pbft-final")?;
         let epoch = self.epoch.value();

@@ -220,7 +220,7 @@ impl ElasticoSim {
         )?);
 
         // Phase 1: shard submission with capped exponential backoff.
-        let mut submitted: Vec<(ShardInfo, SimTime)> = Vec::new();
+        let mut submitted: Vec<(ShardInfo, NodeId, SimTime)> = Vec::new();
         let mut submission_retries = 0u64;
         let mut submissions_timed_out = Vec::new();
         for (idx, shard) in stages.shards.iter().enumerate() {
@@ -256,7 +256,7 @@ impl ElasticoSim {
                 at += backoff;
             }
             match arrival {
-                Some(t) if t <= deadline => submitted.push((*shard, t)),
+                Some(t) if t <= deadline => submitted.push((*shard, from, t)),
                 _ => submissions_timed_out.push(shard.committee()),
             }
         }
@@ -268,38 +268,28 @@ impl ElasticoSim {
 
         // Phase 2: hand the submitted shards to the scheduler and monitor
         // the submitting committees until the deadline.
-        let shards_in: Vec<ShardInfo> = submitted.iter().map(|(s, _)| *s).collect();
+        let shards_in: Vec<ShardInfo> = submitted.iter().map(|(s, ..)| *s).collect();
         selector.begin(&shards_in)?;
         let mut monitor = HeartbeatMonitor::new(recovery.heartbeat)?;
-        for (shard, arrival) in &submitted {
+        for (shard, _, arrival) in &submitted {
             monitor.register(shard.committee(), *arrival);
         }
-        let node_of = |committee: CommitteeId| -> NodeId {
-            let idx = stages
-                .shards
-                .iter()
-                .position(|s| s.committee() == committee)
-                // lint: allow(P1, monitored committees are registered from stages.shards itself)
-                .expect("submitted shard came from stages.shards");
-            submission_node(idx)
-        };
-
         let start = submitted
             .iter()
-            .map(|(_, t)| *t)
+            .map(|(.., t)| *t)
             .max()
             .unwrap_or(SimTime::ZERO);
         let mut failures_detected: Vec<(CommitteeId, SimTime)> = Vec::new();
         let mut now = start + recovery.heartbeat.interval;
         while now < deadline {
-            for (shard, _) in &submitted {
+            for (shard, node, _) in &submitted {
                 let committee = shard.committee();
                 // The final committee stops pinging a committee it has
                 // already written off.
                 if failures_detected.iter().any(|(c, _)| *c == committee) {
                     continue;
                 }
-                let rtt = net.ping_at(FINAL_NODE, node_of(committee), now);
+                let rtt = net.ping_at(FINAL_NODE, *node, now);
                 monitor.observe(committee, rtt, now);
                 let phi = monitor.phi(committee, now);
                 // Sample the suspicion trajectory once it becomes
@@ -336,7 +326,7 @@ impl ElasticoSim {
         // Phase 3: assemble the final block from the admitted survivors.
         let survivors: Vec<CommitteeId> = submitted
             .iter()
-            .map(|(s, _)| s.committee())
+            .map(|(s, ..)| s.committee())
             .filter(|c| !failures_detected.iter().any(|(f, _)| f == c))
             .collect();
         if survivors.is_empty() {

@@ -9,19 +9,15 @@
 //! `syn`-based or registry lint frameworks.
 //!
 //! * [`lexer`] — a small self-contained Rust lexer (tokens + comments);
-//! * [`callgraph`] — a per-crate fn→fn call graph over the token stream
-//!   that marks the *parallel region* (everything reachable from closures
-//!   handed to `spawn`/`ordered_map`);
-//! * [`rules`] — the D1/P1/F1/T1 token rules, the region-scoped C1–C4
-//!   concurrency rules, W1 stale-allow / U1 forbid-unsafe hygiene, and
-//!   the `// lint: allow(P1, reason)` annotation grammar;
+//! * [`rules`] — the D1/P1/F1/T1 token rules, W1 stale-allow / U1
+//!   forbid-unsafe hygiene, and the `// lint: allow(P1, reason)`
+//!   annotation grammar;
 //! * [`model`] — a reusable interleaving-model DSL (states, atomic steps,
 //!   memoized exhaustive exploration, invariant closures) with two
 //!   models: the `ordered_map` claim/write protocol and the `Obs`
-//!   deferred replay buffer;
+//!   capture/replay protocol;
 //! * [`lint_workspace`] — walks every `.rs` file under `crates/`, `src/`,
-//!   `tests/`, and `examples/`, groups them per crate, and applies the
-//!   rules.
+//!   `tests/`, and `examples/` and applies the rules to each.
 //!
 //! Run it as `cargo run -p mvcom-lint -- check`.
 
@@ -29,18 +25,16 @@
 // Unit tests may unwrap freely; library code goes through the P1 rule of
 // `mvcom-lint` and the workspace `clippy::unwrap_used` deny set instead.
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-pub mod callgraph;
 pub mod lexer;
 pub mod model;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 pub use model::{Exploration, Violation};
-pub use rules::{lint_crate, lint_source, Finding, Rule, RuleSelection};
+pub use rules::{lint_source, Finding, Rule, RuleSelection};
 
 /// Result of linting a whole workspace.
 #[derive(Debug, Default)]
@@ -66,9 +60,8 @@ const SKIP_SEGMENTS: [&str; 2] = ["fixtures", "target"];
 
 /// Lints every first-party `.rs` file under `root` (the workspace root).
 ///
-/// Files are grouped per crate (so the C-rules' call graph resolves
-/// across a crate's modules) and visited in sorted path order so output
-/// and exit codes are reproducible.
+/// Files are visited in sorted path order so output and exit codes are
+/// reproducible.
 ///
 /// # Errors
 ///
@@ -84,7 +77,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
     files.sort();
 
     let mut report = WorkspaceReport::default();
-    let mut by_crate: BTreeMap<String, Vec<(String, String)>> = BTreeMap::new();
     for file in files {
         let source = fs::read_to_string(&file)?;
         let rel = file
@@ -92,24 +84,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        let krate = rel
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .unwrap_or("mvcom")
-            .to_string();
-        by_crate.entry(krate).or_default().push((rel, source));
+        report.findings.extend(rules::lint_source(&rel, &source));
         report.files_scanned += 1;
     }
-    for group in by_crate.values() {
-        let refs: Vec<(&str, &str)> = group
-            .iter()
-            .map(|(rel, src)| (rel.as_str(), src.as_str()))
-            .collect();
-        report.findings.extend(rules::lint_crate(&refs));
-    }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
 }
 

@@ -4,11 +4,11 @@
 //! mvcom-lint check [--root PATH] [--rules LIST] [--model NAME]
 //!                                  # lints + interleaving proofs
 //! mvcom-lint lint  [--root PATH] [--rules LIST]
-//!                                  # lexical + region lints only
+//!                                  # token lints only
 //! mvcom-lint model [--model NAME]  # interleaving proofs only
 //! ```
 //!
-//! `--rules` takes `all` or a comma list (`C1,C3,W1`); `--model` takes
+//! `--rules` takes `all` or a comma list (`D1,P1,W1`); `--model` takes
 //! `all`, `none`, or one of `merge`, `deferred`. Every model
 //! run also explores its deliberately broken twin and fails if the twin
 //! is *not* caught — a proof is only trusted while the prover still has
@@ -153,7 +153,7 @@ fn run_model(name: &str) -> bool {
             let config = deferred::ObsConfig::default();
             let result = deferred::explore(&config);
             if let Some(violation) = &result.violation {
-                println!("mvcom-lint: Obs deferred-replay violation: {violation}");
+                println!("mvcom-lint: Obs capture-replay violation: {violation}");
                 return false;
             }
             println!(
@@ -216,13 +216,13 @@ USAGE:
     mvcom-lint <check|lint|model> [OPTIONS]
 
 SUBCOMMANDS:
-    check       lints (token + parallel-region rules) + interleaving proofs
+    check       lints (the seven token rules) + interleaving proofs
     lint        lints only
     model       interleaving proofs only (each model + its broken twin)
 
 OPTIONS:
     --root PATH   workspace root to scan (default: the enclosing checkout)
-    --rules LIST  `all` (default) or comma list, e.g. C1,C2,C3,C4,W1,U1
+    --rules LIST  `all` (default) or comma list of D1,P1,F1,T1,W1,U1,A0
     --model NAME  `all` (default), `none`, merge, or deferred
     -h, --help    this help
 ";

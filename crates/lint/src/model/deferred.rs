@@ -1,20 +1,23 @@
-//! Interleaving model of the `Obs` deferred/replay event buffer.
+//! Interleaving model of the `Obs` capture/replay protocol.
 //!
-//! PR 8's committee-parallel stage hands every worker a *deferred* `Obs`
-//! handle (`Obs::deferred()`): events emitted while the task runs land in
-//! a task-private capture buffer without sequence numbers. After the
-//! join, the coordinator replays the buffers **in task order**, assigning
-//! sequence numbers at replay time. The determinism claim: **the
-//! replayed event sequence is independent of completion order, with no
-//! loss and no duplication** — the event stream is byte-identical to a
-//! serial run at any `--threads N`.
+//! The committee-parallel stage forks one `ObsSeed` per task beside the
+//! task's RNG; the worker opens it into its own handle (`ObsSeed::open`),
+//! and events emitted while the task runs land in that handle's private
+//! capture without sequence numbers. The captures travel back inside the
+//! task results; after the join, the coordinator replays them **in task
+//! order**, assigning sequence numbers at replay time. The determinism
+//! claim: **the replayed event sequence is independent of completion
+//! order, with no loss and no duplication** — the event stream is
+//! byte-identical to a serial run at any `--threads N`.
 //!
 //! [`ObsModel::DeferredReplay`] is the shipped protocol; the terminal
 //! invariant compares the replayed stream against the canonical serial
-//! stream. [`ObsModel::DirectEmit`] is the bug C1 exists to catch:
-//! workers emit straight into the shared sequenced log, so the stream
-//! order follows the scheduler. The DFS produces a concrete schedule
-//! where the streams diverge.
+//! stream. [`ObsModel::DirectEmit`] — workers emit straight into the
+//! shared sequenced log, so the stream order follows the scheduler — can
+//! no longer be written in the product: an `Obs` is neither `Send` nor
+//! `Sync` (`compile_fail` doctests in `mvcom-obs`). It stays as the
+//! prover's teeth: the DFS must keep producing a concrete schedule where
+//! the streams diverge.
 
 use super::{Exploration, Model};
 

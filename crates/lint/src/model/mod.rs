@@ -24,7 +24,7 @@
 //!
 //! * the `ordered_map` claim/write protocol every threaded path runs
 //!   ([`merge`]),
-//! * the `Obs` deferred replay buffer ([`deferred`]).
+//! * the `Obs` capture/replay protocol ([`deferred`]).
 //!
 //! Each pairs the shipped protocol with a deliberately broken twin (the
 //! bug the design avoids) so the checker demonstrably has teeth.

@@ -1,39 +1,30 @@
 //! The lint rules and the annotation grammar.
 //!
-//! Four token-level domain rules plus a concurrency-determinism family
-//! guard the invariants MVCom's correctness argument leans on (see
-//! DESIGN.md §7 and §12):
+//! Token-level rules guard the invariants MVCom's correctness argument
+//! leans on (see DESIGN.md §7):
 //!
 //! | rule | guards                                                        |
 //! |------|---------------------------------------------------------------|
 //! | D1   | determinism: no seed-unstable containers in deterministic     |
-//! |      | crates; no wall-clock / ambient RNG anywhere                  |
+//! |      | crates; no wall-clock / ambient RNG anywhere; no thread or    |
+//! |      | synchronisation primitive in a crate a fan-out worker can     |
+//! |      | reach, outside `simnet/src/fanout.rs`                         |
 //! | P1   | panic-freedom: no `unwrap`/`expect`/constant index in         |
 //! |      | non-test library code without a justification annotation      |
 //! | F1   | float ordering: no `partial_cmp().unwrap()`, no `==`/`!=`     |
 //! |      | against float literals — use the total-order helpers          |
 //! | T1   | test hygiene: `#[ignore]` must carry a reason string          |
-//! | C1   | parallel region: `Obs` emission must go through the           |
-//! |      | deferred/replay buffer (or a handle built in the same body)   |
-//! | C2   | parallel region: no `Rc`/`RefCell`/`Cell`/`UnsafeCell`, no    |
-//! |      | mutation of captured variables inside spawned closures        |
-//! | C3   | parallel region: atomics weaker than `SeqCst` and multi-lock  |
-//! |      | acquisition need a documented protocol argument               |
-//! | C4   | parallel region: no branching on thread count / worker index  |
-//! |      | outside the partitioner itself                                |
 //! | W1   | annotation hygiene: an `allow(…)` that suppresses nothing is  |
 //! |      | stale and reported itself                                     |
 //! | U1   | every crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*`)   |
 //! |      | must carry `#![forbid(unsafe_code)]`                          |
 //!
-//! The C-rules fire only inside the **parallel region** computed by
-//! [`crate::callgraph`]: everything reachable from closures handed to
-//! `spawn`/`ordered_map` — the one fan-out implementation
-//! (`mvcom_simnet::fanout`) and what each crate passes it. A violation is
-//! silenced inline with
+//! What a fan-out worker may do is decided by the compiler, not here
+//! (DESIGN.md §12): `ordered_map`'s bounds and the type of `Obs`. A
+//! violation of a rule above is silenced inline with
 //!
 //! ```text
-//! // lint: allow(C3, reason why the relaxation is sound)
+//! // lint: allow(P1, reason why the panic cannot happen)
 //! ```
 //!
 //! on the offending line or the line directly above it. The reason is
@@ -44,8 +35,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::callgraph::{self, Unit};
-use crate::lexer::{lex, Comment, LexOutput, TokKind, Token};
+use crate::lexer::{lex, Comment, TokKind, Token};
 
 /// Identifier of a lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -58,14 +48,6 @@ pub enum Rule {
     F1,
     /// Test hygiene.
     T1,
-    /// Parallel region: `Obs` emission bypassing the deferred buffer.
-    C1,
-    /// Parallel region: shared mutable state captured by a closure.
-    C2,
-    /// Parallel region: weak atomic orderings / unordered multi-lock.
-    C3,
-    /// Parallel region: branching on thread count or worker index.
-    C4,
     /// Stale `lint: allow` annotation (suppresses nothing).
     W1,
     /// Crate root missing `#![forbid(unsafe_code)]`.
@@ -83,10 +65,6 @@ impl Rule {
             "P1" => Some(Rule::P1),
             "F1" => Some(Rule::F1),
             "T1" => Some(Rule::T1),
-            "C1" => Some(Rule::C1),
-            "C2" => Some(Rule::C2),
-            "C3" => Some(Rule::C3),
-            "C4" => Some(Rule::C4),
             "U1" => Some(Rule::U1),
             _ => None,
         }
@@ -102,15 +80,11 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 7] = [
         Rule::D1,
         Rule::P1,
         Rule::F1,
         Rule::T1,
-        Rule::C1,
-        Rule::C2,
-        Rule::C3,
-        Rule::C4,
         Rule::W1,
         Rule::U1,
         Rule::A0,
@@ -133,7 +107,7 @@ impl RuleSelection {
         RuleSelection(Rule::ALL.into_iter().collect())
     }
 
-    /// Parses `all` or a comma-separated rule list (`C1,C3,W1`).
+    /// Parses `all` or a comma-separated rule list (`D1,P1,W1`).
     ///
     /// # Errors
     ///
@@ -149,7 +123,10 @@ impl RuleSelection {
                 Some(r) => {
                     set.insert(r);
                 }
-                None => return Err(format!("unknown rule `{name}`")),
+                None => {
+                    let known = Rule::ALL.map(|r| r.to_string()).join(", ");
+                    return Err(format!("unknown rule `{name}` (expected all, {known})"));
+                }
             }
         }
         Ok(RuleSelection(set))
@@ -189,6 +166,39 @@ impl fmt::Display for Finding {
 /// (they implement the deterministic virtual-time simulation the paper's
 /// Theorem 1 / Theorem 2 experiments replay).
 const DETERMINISTIC_CRATES: [&str; 3] = ["simnet", "elastico", "core"];
+
+/// Crates whose library code an `ordered_map` task can reach. The bounds
+/// of `ordered_map` keep a task from *sharing* unsynchronised state; this
+/// list keeps those crates from growing synchronised state (whose order
+/// of use would depend on `--threads`) or a second fan-out.
+const WORKER_CRATES: [&str; 8] = [
+    "core",
+    "elastico",
+    "pbft",
+    "simnet",
+    "baselines",
+    "dataset",
+    "types",
+    "bench",
+];
+
+/// The one file of [`WORKER_CRATES`] that may name a thread or a lock:
+/// the fan-out itself, whose protocol the `merge` model explores.
+const FAN_OUT_FILE: &str = "crates/simnet/src/fanout.rs";
+
+/// Thread and synchronisation primitives by name; `Atomic*` and
+/// `thread::{spawn, scope, Builder}` are matched by shape in `rule_d1`.
+const SYNC_IDENTS: [&str; 9] = [
+    "Mutex",
+    "RwLock",
+    "Condvar",
+    "Barrier",
+    "Once",
+    "OnceLock",
+    "LazyLock",
+    "mpsc",
+    "thread_local",
+];
 
 /// Keywords that can legally precede an array-literal `[`; an index
 /// expression can only follow an identifier, `)`, or `]`, so these
@@ -232,23 +242,6 @@ fn is_crate_root(rel_path: &str) -> bool {
         || rel_path.contains("src/bin/")
 }
 
-/// Lints one file's source. `rel_path` must be workspace-relative with
-/// `/` separators (e.g. `crates/simnet/src/fanout.rs`); it selects which
-/// rules apply. The C-rules see only this file's call graph — use
-/// [`lint_crate`] to resolve calls across a crate's files.
-pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
-    lint_crate(&[(rel_path, source)])
-}
-
-/// One file prepared for crate-level linting.
-struct CrateFile<'a> {
-    rel: &'a str,
-    class: FileClass<'a>,
-    lexed: LexOutput,
-    test_lines: BTreeSet<u32>,
-    allows: Vec<Allow>,
-}
-
 /// A parsed, well-formed `lint: allow(RULE, reason)` annotation and
 /// whether it suppressed anything (for W1).
 struct Allow {
@@ -261,105 +254,60 @@ struct Allow {
     used: bool,
 }
 
-/// Lints the files of one crate together: token-level rules per file,
-/// then the C-rule family over the crate-wide parallel region, then
-/// stale-allow detection. Findings are sorted by `(file, line, rule)`.
-pub fn lint_crate(files: &[(&str, &str)]) -> Vec<Finding> {
+/// Lints one file's source: the token rules, then suppression, then
+/// stale-allow detection. `rel_path` must be workspace-relative with `/`
+/// separators (e.g. `crates/simnet/src/fanout.rs`); it selects which
+/// rules apply. Findings are sorted by `(line, rule)`.
+pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
+    let lexed = lex(source);
+    let test_lines = test_region_lines(&lexed.tokens);
     let mut findings = Vec::new();
-    let mut ctxs: Vec<CrateFile> = Vec::with_capacity(files.len());
-    for &(rel, source) in files {
-        let lexed = lex(source);
-        let test_lines = test_region_lines(&lexed.tokens);
-        let allows = parse_annotations(rel, &lexed.comments, &mut findings);
-        ctxs.push(CrateFile {
-            rel,
-            class: classify(rel),
-            lexed,
-            test_lines,
-            allows,
-        });
-    }
-
-    for ctx in &ctxs {
-        let scan = Scan {
-            rel_path: ctx.rel,
-            class: ctx.class,
-            tokens: &ctx.lexed.tokens,
-            test_lines: &ctx.test_lines,
-        };
-        scan.rule_d1(&mut findings);
-        scan.rule_p1(&mut findings);
-        scan.rule_f1(&mut findings);
-        scan.rule_t1(&mut findings);
-        scan.rule_u1(&mut findings);
-    }
-
-    let inputs: Vec<callgraph::FileInput> = ctxs
-        .iter()
-        .map(|c| callgraph::FileInput {
-            lexed: &c.lexed,
-            test_lines: &c.test_lines,
-            test_path: c.class.test_path,
-        })
-        .collect();
-    let units = callgraph::parallel_units(&inputs);
-    for unit in &units {
-        let ctx = &ctxs[unit.file];
-        if ctx.class.test_path {
-            continue; // test code exercises the region; it is not in it
-        }
-        let region = RegionScan { ctx, unit };
-        region.rule_c1(&mut findings);
-        region.rule_c2(&mut findings);
-        region.rule_c3(&mut findings);
-        region.rule_c4(&mut findings);
-    }
+    let mut allows = parse_annotations(rel_path, &lexed.comments, &mut findings);
+    let scan = Scan {
+        rel_path,
+        class: classify(rel_path),
+        tokens: &lexed.tokens,
+        test_lines: &test_lines,
+    };
+    scan.rule_d1(&mut findings);
+    scan.rule_p1(&mut findings);
+    scan.rule_f1(&mut findings);
+    scan.rule_t1(&mut findings);
+    scan.rule_u1(&mut findings);
 
     // Suppression: every allow covering a finding's (line, rule) absorbs
     // it and counts as used. A0/W1 findings are never suppressible.
-    let mut kept = Vec::with_capacity(findings.len());
-    for f in findings {
+    findings.retain(|f| {
         if matches!(f.rule, Rule::A0 | Rule::W1) {
-            kept.push(f);
-            continue;
+            return true;
         }
         let mut suppressed = false;
-        if let Some(ctx) = ctxs.iter_mut().find(|c| c.rel == f.file) {
-            for a in &mut ctx.allows {
-                if a.rule == f.rule && (a.first..=a.last).contains(&f.line) {
-                    a.used = true;
-                    suppressed = true;
-                }
+        for a in &mut allows {
+            if a.rule == f.rule && (a.first..=a.last).contains(&f.line) {
+                a.used = true;
+                suppressed = true;
             }
         }
-        if !suppressed {
-            kept.push(f);
-        }
-    }
-    for ctx in &ctxs {
-        for a in ctx.allows.iter().filter(|a| !a.used) {
-            kept.push(Finding {
-                rule: Rule::W1,
-                file: ctx.rel.to_string(),
-                line: a.line,
-                message: format!(
-                    "`lint: allow({}, …)` suppresses no finding; \
-                     remove the stale annotation",
-                    a.rule
-                ),
-            });
-        }
-    }
-    kept.sort_by(|a, b| {
-        (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
+        !suppressed
     });
-    // Parallel units may overlap (a spawned closure sits inside a region
-    // fn); the same token then trips a C-rule once per unit. Only exact
-    // repeats collapse — distinct diagnostics on one line all stand.
-    kept.dedup_by(|a, b| {
-        (&a.file, a.line, a.rule, &a.message) == (&b.file, b.line, b.rule, &b.message)
-    });
-    kept
+    for a in allows.iter().filter(|a| !a.used) {
+        findings.push(Finding {
+            rule: Rule::W1,
+            file: rel_path.to_string(),
+            line: a.line,
+            message: format!(
+                "`lint: allow({}, …)` suppresses no finding; \
+                 remove the stale annotation",
+                a.rule
+            ),
+        });
+    }
+    findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
+    // One line can name the same hazard twice (`let m: HashMap<_, _> =
+    // HashMap::new()`); exact repeats collapse — distinct diagnostics on
+    // one line all stand.
+    findings.dedup_by(|a, b| (a.line, a.rule, &a.message) == (b.line, b.rule, &b.message));
+    findings
 }
 
 /// Lines covered by `#[cfg(test)]` items (usually the trailing `mod tests`).
@@ -454,25 +402,6 @@ fn matching(tokens: &[Token], open: usize, op: &str, cl: &str) -> Option<usize> 
     None
 }
 
-/// Index of the token opening the bracket closed at `close` (backwards).
-fn rmatching(tokens: &[Token], close: usize, op: &str, cl: &str) -> Option<usize> {
-    let mut depth = 0i32;
-    for k in (0..=close).rev() {
-        let t = &tokens[k];
-        if t.kind == TokKind::Punct {
-            if t.text == cl {
-                depth += 1;
-            } else if t.text == op {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(k);
-                }
-            }
-        }
-    }
-    None
-}
-
 /// Parses `lint: allow(P1, reason)`-style annotations out of comments.
 ///
 /// Only plain (non-doc) comments containing an `allow(` directly after
@@ -556,8 +485,26 @@ impl Scan<'_> {
         !self.class.test_path && !self.test_lines.contains(&line)
     }
 
+    /// The thread or synchronisation primitive the identifier at `i`
+    /// names, as the finding spells it (D1's third clause).
+    fn sync_primitive_at(&self, i: usize) -> Option<String> {
+        let name = self.tokens[i].text.as_str();
+        let next = |k: usize| self.tokens.get(i + k).map(|n| n.text.as_str());
+        if SYNC_IDENTS.contains(&name) || name.starts_with("Atomic") {
+            return Some(name.to_string());
+        }
+        match (name, next(1), next(2)) {
+            ("thread", Some("::"), Some(f @ ("spawn" | "scope" | "Builder"))) => {
+                Some(format!("thread::{f}"))
+            }
+            _ => None,
+        }
+    }
+
     fn rule_d1(&self, findings: &mut Vec<Finding>) {
         let deterministic = DETERMINISTIC_CRATES.contains(&self.class.krate);
+        let worker_reachable =
+            WORKER_CRATES.contains(&self.class.krate) && self.rel_path != FAN_OUT_FILE;
         for (i, t) in self.tokens.iter().enumerate() {
             if t.kind != TokKind::Ident {
                 continue;
@@ -606,6 +553,22 @@ impl Scan<'_> {
                         "`thread_rng` is ambient, unseeded randomness; fork a stream \
                          from `mvcom_simnet::rng::master(seed)` instead"
                             .to_string(),
+                    );
+                }
+                _ if worker_reachable && self.lib_code(t.line) => {
+                    let Some(name) = self.sync_primitive_at(i) else {
+                        continue;
+                    };
+                    self.emit(
+                        findings,
+                        Rule::D1,
+                        t.line,
+                        format!(
+                            "`{name}` is a thread or synchronisation primitive in a crate a \
+                             fan-out task can reach, where the order of its use would \
+                             depend on `--threads`; `mvcom_simnet::ordered_map` is the only \
+                             fan-out — hand state to a task in its item and back in its result"
+                        ),
                     );
                 }
                 _ => {}
@@ -785,349 +748,6 @@ impl Scan<'_> {
     }
 }
 
-/// Atomic orderings the C3 rule treats as needing a written argument.
-const WEAK_ORDERINGS: [&str; 4] = ["Relaxed", "Acquire", "Release", "AcqRel"];
-
-/// `Obs` emission methods that must not run against a shared handle
-/// inside the parallel region. Metric updates (`incr`/`add`/`set_gauge`)
-/// are commutative and deliberately absent.
-const EMIT_METHODS: [&str; 3] = ["emit", "span", "replay"];
-
-/// Constructions that make a unit's emissions safe: the handle is either
-/// task-local or the deferred worker end of the replay buffer.
-const SANCTIONED_OBS: [&str; 4] = ["memory", "writer", "off", "to_file"];
-
-/// Identifiers that denote a worker count or index; comparing or
-/// branching on one inside the region makes behavior thread-dependent.
-const THREAD_IDENTS: [&str; 14] = [
-    "threads",
-    "n_threads",
-    "num_threads",
-    "thread_count",
-    "thread_id",
-    "thread_idx",
-    "workers",
-    "n_workers",
-    "num_workers",
-    "worker_count",
-    "worker_id",
-    "worker_idx",
-    "worker_index",
-    "tid",
-];
-
-/// Assignment operators (for the C2 captured-mutation check).
-const ASSIGN_OPS: [&str; 11] = [
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-];
-
-/// Comparison operators (for the C4 thread-count-branching check).
-const CMP_OPS: [&str; 6] = ["==", "!=", "<", ">", "<=", ">="];
-
-/// Scanner for one parallel-region unit of one file.
-struct RegionScan<'a> {
-    ctx: &'a CrateFile<'a>,
-    unit: &'a Unit,
-}
-
-impl RegionScan<'_> {
-    fn toks(&self) -> &[Token] {
-        &self.ctx.lexed.tokens
-    }
-
-    fn lib_code(&self, line: u32) -> bool {
-        !self.ctx.test_lines.contains(&line)
-    }
-
-    fn emit(&self, findings: &mut Vec<Finding>, rule: Rule, line: u32, message: String) {
-        findings.push(Finding {
-            rule,
-            file: self.ctx.rel.to_string(),
-            line,
-            message,
-        });
-    }
-
-    fn range(&self) -> std::ops::RangeInclusive<usize> {
-        self.unit.start..=self.unit.end.min(self.toks().len().saturating_sub(1))
-    }
-
-    /// C1: `Obs` emission on a handle that was not constructed in this
-    /// body. A body that builds its own handle (`obs.deferred()`,
-    /// `Obs::memory()`, …) owns its event ordering and is exempt.
-    fn rule_c1(&self, findings: &mut Vec<Finding>) {
-        let toks = self.toks();
-        let sanctioned = self.range().any(|i| {
-            let t = &toks[i];
-            (t.text == "deferred"
-                && i > 0
-                && toks[i - 1].text == "."
-                && toks.get(i + 1).is_some_and(|n| n.text == "("))
-                || (t.text == "Obs"
-                    && toks.get(i + 1).is_some_and(|n| n.text == "::")
-                    && toks
-                        .get(i + 2)
-                        .is_some_and(|n| SANCTIONED_OBS.contains(&n.text.as_str())))
-        });
-        if sanctioned {
-            return;
-        }
-        for i in self.range() {
-            let t = &toks[i];
-            if t.text == "."
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|n| EMIT_METHODS.contains(&n.text.as_str()))
-                && toks.get(i + 2).is_some_and(|n| n.text == "(")
-                && self.lib_code(toks[i + 1].line)
-            {
-                self.emit(
-                    findings,
-                    Rule::C1,
-                    toks[i + 1].line,
-                    format!(
-                        "`.{}(…)` on a shared `Obs` handle inside the parallel region \
-                         races the event sequence; emit through `Obs::deferred()` and \
-                         replay after the join, or justify with `// lint: allow(C1, reason)`",
-                        toks[i + 1].text
-                    ),
-                );
-            }
-        }
-    }
-
-    /// C2: shared mutable state inside the region — non-`Sync` interior
-    /// mutability anywhere, and mutation of captured variables inside
-    /// closure bodies.
-    fn rule_c2(&self, findings: &mut Vec<Finding>) {
-        let toks = self.toks();
-        for i in self.range() {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "Rc" | "RefCell" | "Cell" | "UnsafeCell")
-                && self.lib_code(t.line)
-            {
-                self.emit(
-                    findings,
-                    Rule::C2,
-                    t.line,
-                    format!(
-                        "`{}` inside the parallel region aliases unsynchronized \
-                         mutable state; use `Arc` + `Mutex`/atomics or keep the \
-                         value task-local",
-                        t.text
-                    ),
-                );
-            }
-        }
-        // Captured-mutation check: only closures capture.
-        if self.unit.params.is_none() {
-            return;
-        }
-        let locals = self.closure_locals();
-        for i in self.range() {
-            let t = &toks[i];
-            if t.kind != TokKind::Punct || !ASSIGN_OPS.contains(&t.text.as_str()) || i == 0 {
-                continue;
-            }
-            let prev = &toks[i - 1];
-            if prev.kind != TokKind::Ident || prev.text == "self" {
-                continue;
-            }
-            if i >= 2 && toks[i - 2].text == "." {
-                continue; // field assignment; the receiver decides, not the name
-            }
-            if locals.contains(prev.text.as_str()) || !self.lib_code(t.line) {
-                continue;
-            }
-            self.emit(
-                findings,
-                Rule::C2,
-                t.line,
-                format!(
-                    "`{}` is mutated inside a spawned closure but declared outside \
-                     it; the merged value depends on worker interleaving — move it \
-                     into the task result or a per-task slot",
-                    prev.text
-                ),
-            );
-        }
-    }
-
-    /// Identifiers declared inside the closure (params, `let`, `for`),
-    /// over-approximated: type names in patterns are harmless extras.
-    fn closure_locals(&self) -> BTreeSet<&str> {
-        let toks = self.toks();
-        let mut locals = BTreeSet::new();
-        if let Some((ps, pe)) = self.unit.params {
-            for t in &toks[ps..=pe.min(toks.len().saturating_sub(1))] {
-                if t.kind == TokKind::Ident {
-                    locals.insert(t.text.as_str());
-                }
-            }
-        }
-        let mut i = self.unit.start;
-        let end = self.unit.end.min(toks.len().saturating_sub(1));
-        while i <= end {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident && (t.text == "let" || t.text == "for") {
-                let stoppers: &[&str] = if t.text == "let" {
-                    &["=", ";"]
-                } else {
-                    &["in"]
-                };
-                let mut j = i + 1;
-                while j <= end {
-                    let tj = &toks[j];
-                    if stoppers.contains(&tj.text.as_str()) {
-                        break;
-                    }
-                    if tj.kind == TokKind::Ident {
-                        locals.insert(tj.text.as_str());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            i += 1;
-        }
-        locals
-    }
-
-    /// C3: atomic orderings weaker than `SeqCst`, and acquisition of
-    /// locks on two distinct receivers within one unit (no canonical
-    /// order is visible to the analyzer — document one).
-    fn rule_c3(&self, findings: &mut Vec<Finding>) {
-        let toks = self.toks();
-        for i in self.range() {
-            let t = &toks[i];
-            if t.text == "Ordering"
-                && toks.get(i + 1).is_some_and(|n| n.text == "::")
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|n| WEAK_ORDERINGS.contains(&n.text.as_str()))
-                && self.lib_code(toks[i + 2].line)
-            {
-                self.emit(
-                    findings,
-                    Rule::C3,
-                    toks[i + 2].line,
-                    format!(
-                        "`Ordering::{}` is weaker than `SeqCst` inside the parallel \
-                         region; state why the protocol tolerates the relaxation \
-                         with `// lint: allow(C3, reason)` or upgrade the ordering",
-                        toks[i + 2].text
-                    ),
-                );
-            }
-        }
-        let mut receivers: Vec<(&str, u32)> = Vec::new();
-        for i in self.range() {
-            let t = &toks[i];
-            if t.text == "."
-                && toks.get(i + 1).is_some_and(|n| n.text == "lock")
-                && toks.get(i + 2).is_some_and(|n| n.text == "(")
-                && self.lib_code(toks[i + 1].line)
-            {
-                if let Some(base) = receiver_base(toks, i) {
-                    if !receivers.iter().any(|(n, _)| *n == base) {
-                        receivers.push((base, toks[i + 1].line));
-                    }
-                }
-            }
-        }
-        if let Some(&(_, second_line)) = receivers.get(1) {
-            let names: Vec<&str> = receivers.iter().map(|(n, _)| *n).collect();
-            self.emit(
-                findings,
-                Rule::C3,
-                second_line,
-                format!(
-                    "locks on `{}` are acquired in one parallel unit with no \
-                     canonical order the analyzer can see; document the order (or \
-                     that the guards never overlap) with `// lint: allow(C3, reason)`",
-                    names.join("`, `")
-                ),
-            );
-        }
-    }
-
-    /// C4: comparing/branching on a thread count or worker index inside
-    /// the region. The partitioner (the fn that spawns) sits outside the
-    /// region by construction, so its `workers <= 1` fast paths pass.
-    fn rule_c4(&self, findings: &mut Vec<Finding>) {
-        let toks = self.toks();
-        for i in self.range() {
-            let t = &toks[i];
-            if t.kind == TokKind::Punct && CMP_OPS.contains(&t.text.as_str()) {
-                let neighbor = [i.checked_sub(1), Some(i + 1)]
-                    .into_iter()
-                    .flatten()
-                    .filter_map(|j| toks.get(j))
-                    .find(|n| n.kind == TokKind::Ident && THREAD_IDENTS.contains(&n.text.as_str()));
-                if let Some(n) = neighbor {
-                    if self.lib_code(t.line) {
-                        self.emit(
-                            findings,
-                            Rule::C4,
-                            t.line,
-                            format!(
-                                "comparison against `{}` inside the parallel region \
-                                 makes behavior depend on `--threads`; only the \
-                                 partitioner may consult the worker count",
-                                n.text
-                            ),
-                        );
-                    }
-                }
-            }
-            // Reading the global thread count from worker code.
-            if t.kind == TokKind::Ident
-                && (t.text == "threads" || t.text == "resolve_threads")
-                && toks.get(i + 1).is_some_and(|n| n.text == "(")
-                && (i == 0 || toks[i - 1].text != "fn")
-                && self.lib_code(t.line)
-            {
-                self.emit(
-                    findings,
-                    Rule::C4,
-                    t.line,
-                    format!(
-                        "`{}()` reads the global worker count inside the parallel \
-                         region; thread-dependent values must stay in the partitioner",
-                        t.text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// The base identifier of a method receiver, walking back over `.field`
-/// chains and `[…]`/`(…)` groups: `self.slots[i].lock()` → `self`.
-/// `None` when the receiver is not rooted in a plain identifier.
-fn receiver_base(toks: &[Token], dot: usize) -> Option<&str> {
-    let mut j = dot.checked_sub(1)?;
-    loop {
-        match toks[j].text.as_str() {
-            "]" => j = rmatching(toks, j, "[", "]")?.checked_sub(1)?,
-            ")" => j = rmatching(toks, j, "(", ")")?.checked_sub(1)?,
-            _ => {
-                if toks[j].kind != TokKind::Ident {
-                    return None;
-                }
-                // `a.b[i].lock()`: keep walking the field chain left.
-                match j.checked_sub(1) {
-                    Some(p) if toks[p].text == "." => {
-                        j = p.checked_sub(1)?;
-                    }
-                    _ => return Some(&toks[j].text),
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1226,128 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn c1_direct_emission_in_region_flagged() {
-        let src = "\
-fn worker_body(obs: &Obs) { obs.emit(\"k\", 1.0, &[]); }
-fn fan_out(obs: &Obs) {
-    crossbeam::scope(|s| { s.spawn(|_| worker_body(obs)); });
-}
-";
-        let found = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(rules_of(&found), [Rule::C1]);
-        assert_eq!(found[0].line, 1);
-        // The same emission outside any spawn is fine.
-        let serial = "fn worker_body(obs: &Obs) { obs.emit(\"k\", 1.0, &[]); }\n";
-        assert!(lint_source("crates/core/src/x.rs", serial).is_empty());
-    }
-
-    #[test]
-    fn c1_exempts_bodies_that_build_their_own_handle() {
-        let src = "\
-fn fan_out(obs: &Obs) {
-    crossbeam::scope(|s| {
-        s.spawn(|_| {
-            let (worker, capture) = obs.deferred();
-            worker.emit(\"k\", 1.0, &[]);
-        });
-    });
-}
-";
-        assert!(lint_source("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn c2_interior_mutability_and_captured_mutation() {
-        let src = "\
-fn fan_out() {
-    let mut merged = 0u64;
-    crossbeam::scope(|s| {
-        s.spawn(move |_| {
-            let cell = RefCell::new(0u64);
-            merged += 1;
-        });
-    });
-}
-";
-        let found = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(rules_of(&found), [Rule::C2, Rule::C2]);
-        assert_eq!((found[0].line, found[1].line), (5, 6));
-        // Task-local state is fine.
-        let ok = "\
-fn fan_out() {
-    crossbeam::scope(|s| {
-        s.spawn(|_| {
-            let mut local = 0u64;
-            local += 1;
-        });
-    });
-}
-";
-        assert!(lint_source("crates/core/src/x.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn c3_weak_ordering_and_lock_pairs() {
-        let src = "\
-fn fan_out(stop: &AtomicBool, a: &Mutex<u64>, b: &Mutex<u64>) {
-    crossbeam::scope(|s| {
-        s.spawn(|_| {
-            stop.store(true, Ordering::Relaxed);
-            let x = a.lock();
-            let y = b.lock();
-        });
-    });
-}
-";
-        let found = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(rules_of(&found), [Rule::C3, Rule::C3]);
-        assert_eq!((found[0].line, found[1].line), (4, 6));
-        // SeqCst + a single lock receiver is clean.
-        let ok = "\
-fn fan_out(stop: &AtomicBool, a: &Mutex<u64>) {
-    crossbeam::scope(|s| {
-        s.spawn(|_| {
-            stop.store(true, Ordering::SeqCst);
-            let x = a.lock();
-            let y = a.lock();
-        });
-    });
-}
-";
-        assert!(lint_source("crates/core/src/x.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn c4_thread_count_branching() {
-        let src = "\
-fn fan_out(workers: usize) {
-    if workers <= 1 { return; }
-    crossbeam::scope(|s| {
-        s.spawn(move |_| {
-            let wide = workers > 2;
-        });
-    });
-}
-";
-        let found = lint_source("crates/core/src/x.rs", src);
-        assert_eq!(rules_of(&found), [Rule::C4]);
-        // Line 2's partitioner fast path is outside the region; only the
-        // in-closure comparison on line 5 fires.
-        assert_eq!(found[0].line, 5);
-    }
-
-    #[test]
-    fn c_rules_ignore_test_paths() {
-        let src = "\
-fn fan_out() {
-    let mut merged = 0u64;
-    crossbeam::scope(|s| { s.spawn(move |_| { merged += 1; }); });
-}
-";
-        assert!(lint_source("crates/core/tests/x.rs", src).is_empty());
-    }
-
-    #[test]
     fn w1_reports_stale_allow() {
         let stale = "// lint: allow(P1, nothing here can panic)\nfn f() { let x = 1; }\n";
         let found = lint_source("crates/core/src/x.rs", stale);
@@ -1372,30 +870,14 @@ fn fan_out() {
     }
 
     #[test]
-    fn lint_crate_resolves_calls_across_files() {
-        let worker = "pub fn worker_body(obs: &Obs) { obs.emit(\"k\", 1.0, &[]); }\n";
-        let spawner = "\
-use super::worker_body;
-pub fn fan_out(obs: &Obs) {
-    crossbeam::scope(|s| { s.spawn(|_| worker_body(obs)); });
-}
-";
-        let found = lint_crate(&[
-            ("crates/core/src/a.rs", worker),
-            ("crates/core/src/b.rs", spawner),
-        ]);
-        assert_eq!(rules_of(&found), [Rule::C1]);
-        assert_eq!(found[0].file, "crates/core/src/a.rs");
-        // Linted alone, the worker file has no region and stays clean.
-        assert!(lint_source("crates/core/src/a.rs", worker).is_empty());
-    }
-
-    #[test]
     fn rule_selection_parses() {
-        let sel = RuleSelection::parse("C1, C3,W1").expect("valid list");
-        assert!(sel.contains(Rule::C1) && sel.contains(Rule::C3) && sel.contains(Rule::W1));
+        let sel = RuleSelection::parse("D1, F1,W1").expect("valid list");
+        assert!(sel.contains(Rule::D1) && sel.contains(Rule::F1) && sel.contains(Rule::W1));
         assert!(!sel.contains(Rule::P1));
         assert!(RuleSelection::parse("all").expect("all").contains(Rule::U1));
-        assert!(RuleSelection::parse("Z9").is_err());
+        assert_eq!(
+            RuleSelection::parse("Z9").unwrap_err(),
+            "unknown rule `Z9` (expected all, D1, P1, F1, T1, W1, U1, A0)"
+        );
     }
 }

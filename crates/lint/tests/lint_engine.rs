@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used)]
 use std::path::Path;
 
-use mvcom_lint::{lint_crate, lint_source, lint_workspace, Finding, Rule};
+use mvcom_lint::{lint_source, lint_workspace, Finding, Rule};
 
 /// The `(rule, line)` projection of a finding list, in engine order.
 fn shape(findings: &[Finding]) -> Vec<(Rule, u32)> {
@@ -73,6 +73,71 @@ fn d1_good_twin_is_silent() {
     let findings = lint_source(
         "crates/simnet/src/fixture.rs",
         include_str!("fixtures/d1_good.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+#[test]
+fn d1_sync_fixture_flags_every_primitive_in_a_worker_reachable_crate() {
+    let findings = lint_source(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/d1_sync_bad.rs"),
+    );
+    assert_eq!(
+        shape(&findings),
+        vec![
+            (Rule::D1, 4), // AtomicBool, AtomicU64: two diagnostics
+            (Rule::D1, 4),
+            (Rule::D1, 5), // mpsc
+            (Rule::D1, 6), // Barrier, Condvar, LazyLock, Mutex, Once, OnceLock, RwLock
+            (Rule::D1, 6),
+            (Rule::D1, 6),
+            (Rule::D1, 6),
+            (Rule::D1, 6),
+            (Rule::D1, 6),
+            (Rule::D1, 6),
+            (Rule::D1, 8),  // thread_local!
+            (Rule::D1, 13), // mpsc::channel
+            (Rule::D1, 14), // thread::scope
+            (Rule::D1, 17), // thread::spawn
+            (Rule::D1, 18), // thread::Builder
+        ],
+        "{findings:#?}"
+    );
+    // Lines 22–30 are a `#[cfg(test)]` module: forcing an interleaving
+    // with a Mutex or a bare thread is what a test of concurrent code does.
+}
+
+#[test]
+fn d1_sync_clause_binds_worker_reachable_library_code_only() {
+    let bad = include_str!("fixtures/d1_sync_bad.rs");
+    // The primitive itself is exempt by path …
+    assert!(lint_source("crates/simnet/src/fanout.rs", bad).is_empty());
+    // … its neighbours are not.
+    assert_eq!(lint_source("crates/simnet/src/net.rs", bad).len(), 15);
+    // Crates no `ordered_map` task reaches own their threads: the shared
+    // metrics registry, the daemon's HTTP endpoint, binaries, the linter.
+    for path in [
+        "crates/obs/src/metrics.rs",
+        "crates/daemon/src/http.rs",
+        "crates/lint/src/fixture.rs",
+        "src/bin/mvcom.rs",
+    ] {
+        let findings: Vec<_> = lint_source(path, bad)
+            .into_iter()
+            .filter(|f| f.rule != Rule::U1)
+            .collect();
+        assert!(findings.is_empty(), "{path}: {findings:#?}");
+    }
+    // Integration tests of a worker-reachable crate are test code.
+    assert!(lint_source("crates/core/tests/fixture.rs", bad).is_empty());
+}
+
+#[test]
+fn d1_sync_good_twin_is_silent() {
+    let findings = lint_source(
+        "crates/core/src/fixture.rs",
+        include_str!("fixtures/d1_sync_good.rs"),
     );
     assert!(findings.is_empty(), "{findings:#?}");
 }
@@ -162,98 +227,6 @@ fn a0_malformed_annotation_is_reported_and_silences_nothing() {
 }
 
 #[test]
-fn c1_fixture_flags_emission_reached_through_the_call_graph() {
-    // `worker_body` never spawns anything itself; it is in the parallel
-    // region only because the spawned closure calls it.
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c1_bad.rs"),
-    );
-    assert_eq!(shape(&findings), vec![(Rule::C1, 4)], "{findings:#?}");
-}
-
-#[test]
-fn c1_good_twin_builds_its_own_handle_and_is_silent() {
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c1_good.rs"),
-    );
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn c2_fixture_flags_interior_mutability_and_captured_mutation() {
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c2_bad.rs"),
-    );
-    assert_eq!(
-        shape(&findings),
-        vec![(Rule::C2, 8), (Rule::C2, 9)],
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn c2_good_twin_keeps_state_task_local_and_is_silent() {
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c2_good.rs"),
-    );
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn c3_fixture_flags_weak_ordering_and_unordered_lock_pair() {
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c3_bad.rs"),
-    );
-    assert_eq!(
-        shape(&findings),
-        vec![(Rule::C3, 7), (Rule::C3, 9)],
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn c3_good_twin_justifies_its_relaxation_and_is_silent() {
-    // The annotated `Ordering::Relaxed` is absorbed by the allow (which
-    // is therefore used, so no W1 either); the single lock receiver
-    // needs no documented order.
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c3_good.rs"),
-    );
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn c4_fixture_flags_worker_count_branching_but_not_the_partitioner() {
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c4_bad.rs"),
-    );
-    // Line 5's `workers <= 1` fast path is the partitioner's own and
-    // sits outside the region; only the in-closure comparison (10) and
-    // the global `threads()` read (13) fire.
-    assert_eq!(
-        shape(&findings),
-        vec![(Rule::C4, 10), (Rule::C4, 13)],
-        "{findings:#?}"
-    );
-}
-
-#[test]
-fn c4_good_twin_partitions_outside_the_region_and_is_silent() {
-    let findings = lint_source(
-        "crates/core/src/fixture.rs",
-        include_str!("fixtures/c4_good.rs"),
-    );
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
 fn w1_fixture_flags_the_stale_allow() {
     let findings = lint_source(
         "crates/core/src/fixture.rs",
@@ -323,84 +296,4 @@ fn real_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// Every `.rs` file under `dir`, as the `(workspace-relative path, source)`
-/// pairs `lint_workspace` hands to `lint_crate`.
-fn sources_under(dir: &Path, out: &mut Vec<(String, String)>) {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            sources_under(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let rel = path.strip_prefix(workspace_root()).unwrap();
-            let source = std::fs::read_to_string(&path).unwrap();
-            out.push((rel.to_string_lossy().replace('\\', "/"), source));
-        }
-    }
-}
-
-#[test]
-fn real_parallel_region_reaches_the_race_the_pbft_workers_and_a_figure_sweep() {
-    // "The workspace lints clean" is also what an accidentally empty
-    // parallel region looks like — a worker function that moved to a file
-    // the call graph no longer connects would pass it. So plant a direct
-    // emission on a shared handle as the first statement of each real
-    // worker and demand exactly that C1: the region computed over the
-    // real sources contains `race_replica` (reached from `SeEngine`'s
-    // `ordered_map` closure), `execute_pbft` (from elastico's) and the
-    // closure Fig. 2(a)'s sweep hands `ordered_map` itself.
-    for (krate, file, worker) in [
-        (
-            "core",
-            "crates/core/src/se/engine/step.rs",
-            "fn race_replica(",
-        ),
-        (
-            "elastico",
-            "crates/elastico/src/epoch.rs",
-            "fn execute_pbft(",
-        ),
-        (
-            "bench",
-            "crates/bench/src/experiments/fig2.rs",
-            "ordered_map(threads, ",
-        ),
-    ] {
-        let mut sources = Vec::new();
-        sources_under(
-            &workspace_root().join("crates").join(krate).join("src"),
-            &mut sources,
-        );
-        let (_, source) = sources
-            .iter_mut()
-            .find(|(rel, _)| rel == file)
-            .unwrap_or_else(|| panic!("{file} is where `{worker}` lives"));
-        let opening = source
-            .find(worker)
-            .unwrap_or_else(|| panic!("`{worker}` opens a worker body in {file}"));
-        let body = opening + source[opening..].find("{\n").unwrap() + 2;
-        source.insert_str(body, "    obs.emit(\"planted\", 0.0, &[]);\n");
-        let planted_line = source[..body].lines().count() as u32 + 1;
-
-        let refs: Vec<(&str, &str)> = sources
-            .iter()
-            .map(|(rel, src)| (rel.as_str(), src.as_str()))
-            .collect();
-        let findings = lint_crate(&refs);
-        let c1: Vec<(&str, u32)> = findings
-            .iter()
-            .filter(|f| f.rule == Rule::C1)
-            .map(|f| (f.file.as_str(), f.line))
-            .collect();
-        assert_eq!(
-            c1,
-            vec![(file, planted_line)],
-            "`{worker}…` left the region"
-        );
-    }
 }

@@ -46,8 +46,122 @@
 //!
 //! Given the same emitted values in the same order, the byte stream is
 //! identical: the encoder is hand-rolled (no serializer drift), floats
-//! print shortest-round-trip, `seq` is assigned under the same lock that
-//! orders the lines, and nothing here reads a clock or an RNG.
+//! print shortest-round-trip, `seq` is assigned by the one thread that
+//! owns the handle, and nothing here reads a clock or an RNG.
+//!
+//! # One handle per thread
+//!
+//! An [`Obs`] is `Rc` + `RefCell` inside, so it is neither `Send` nor
+//! `Sync`: no worker can reach the thread that orders the lines. A
+//! fan-out hands telemetry to a worker the way it hands it randomness —
+//! [`Obs::fork`] one [`ObsSeed`] per task where the task's RNG is forked,
+//! [`ObsSeed::open`] it inside the worker, return
+//! [`Obs::take_captured`] with the task's result, and [`Obs::replay`] the
+//! results in task order:
+//!
+//! ```
+//! use mvcom_obs::{obs_event, Obs, ObsLevel};
+//! use mvcom_simnet::ordered_map;
+//!
+//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
+//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
+//! let captures = ordered_map(2, seeds, |seed| {
+//!     let worker = seed.open();
+//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
+//!     worker.take_captured()
+//! });
+//! captures.into_iter().for_each(|events| obs.replay(events));
+//! assert_eq!(buffer.lines().len(), 3);
+//! ```
+//!
+//! The same fan-out with the worker borrowing the caller's handle is a
+//! compile error (`Rc<..>` cannot be shared between threads safely) — the
+//! one changed line is `let worker = …`:
+//!
+//! ```compile_fail
+//! use mvcom_obs::{obs_event, Obs, ObsLevel};
+//! use mvcom_simnet::ordered_map;
+//!
+//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
+//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
+//! let captures = ordered_map(2, seeds, |seed| {
+//!     let worker = obs.clone();
+//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
+//!     worker.take_captured()
+//! });
+//! captures.into_iter().for_each(|events| obs.replay(events));
+//! assert_eq!(buffer.lines().len(), 3);
+//! ```
+//!
+//! Moving a clone into the closure does not help: the closure must be
+//! `Sync` and now owns an `Rc`. This compiles …
+//!
+//! ```
+//! use mvcom_obs::{obs_event, Obs, ObsLevel};
+//! use mvcom_simnet::ordered_map;
+//!
+//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
+//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
+//! let handle = obs.clone();
+//! let captures = ordered_map(2, seeds, move |seed| {
+//!     let worker = seed.open();
+//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
+//!     worker.take_captured()
+//! });
+//! captures.into_iter().for_each(|events| obs.replay(events));
+//! assert_eq!(buffer.lines().len(), 3);
+//! ```
+//!
+//! … and this does not:
+//!
+//! ```compile_fail
+//! use mvcom_obs::{obs_event, Obs, ObsLevel};
+//! use mvcom_simnet::ordered_map;
+//!
+//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
+//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
+//! let handle = obs.clone();
+//! let captures = ordered_map(2, seeds, move |seed| {
+//!     let worker = handle.clone();
+//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
+//!     worker.take_captured()
+//! });
+//! captures.into_iter().for_each(|events| obs.replay(events));
+//! assert_eq!(buffer.lines().len(), 3);
+//! ```
+//!
+//! Nor does a bare thread get one (`Rc<..>` cannot be sent between
+//! threads safely). A seed crosses …
+//!
+//! ```
+//! use mvcom_obs::{obs_event, Obs, ObsLevel};
+//!
+//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
+//! let (seed, handle) = (obs.fork(), obs.clone());
+//! let worker = std::thread::spawn(move || {
+//!     let local = seed.open();
+//!     obs_event!(local, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
+//!     local.take_captured()
+//! });
+//! obs.replay(worker.join().expect("the worker does not panic"));
+//! assert_eq!(buffer.lines().len(), 1);
+//! ```
+//!
+//! … a handle does not:
+//!
+//! ```compile_fail
+//! use mvcom_obs::{obs_event, Obs, ObsLevel};
+//!
+//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
+//! let (seed, handle) = (obs.fork(), obs.clone());
+//! let worker = std::thread::spawn(move || {
+//!     let local = handle;
+//!     obs_event!(local, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
+//!     local.take_captured()
+//! });
+//! obs.replay(worker.join().expect("the worker does not panic"));
+//! assert_eq!(buffer.lines().len(), 1);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,9 +176,10 @@ pub mod sink;
 mod span;
 mod summary;
 
+use std::cell::{Cell, RefCell};
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 pub use event::{Event, Value};
 pub use metrics::{Histogram, MetricsRegistry, SECONDS_BUCKETS};
@@ -117,54 +232,6 @@ struct Sinked {
     out: Box<dyn Write + Send>,
 }
 
-#[derive(Debug)]
-struct ObsInner {
-    level: ObsLevel,
-    span_ids: AtomicU64,
-    sink: Mutex<Sinked>,
-    /// When set, emitted events are buffered here instead of being
-    /// sequenced and written — see [`Obs::deferred`].
-    capture: Option<CaptureBuffer>,
-    /// Shared (`Arc`) so a deferred handle can update the *parent's*
-    /// counters directly: counter additions commute, so fan-out workers
-    /// reproduce the serial totals regardless of interleaving.
-    metrics: Arc<MetricsRegistry>,
-}
-
-/// Events captured by a deferred handle (see [`Obs::deferred`]), in
-/// emission order, before `seq` assignment and schema validation.
-///
-/// Cloning shares the buffer; [`CaptureBuffer::take`] drains it.
-#[derive(Debug, Clone, Default)]
-pub struct CaptureBuffer {
-    events: Arc<Mutex<Vec<Event>>>,
-}
-
-impl CaptureBuffer {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Event>> {
-        self.events.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn push(&self, event: Event) {
-        self.lock().push(event);
-    }
-
-    /// Drains the captured events, oldest first.
-    pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.lock())
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-}
-
 impl std::fmt::Debug for Sinked {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sinked")
@@ -174,15 +241,64 @@ impl std::fmt::Debug for Sinked {
     }
 }
 
+/// Where a handle's events go.
+#[derive(Debug)]
+enum Sink {
+    /// Validated, sequenced and written as JSONL lines.
+    Write(Sinked),
+    /// A worker handle ([`ObsSeed::open`]): buffered in emission order,
+    /// before `seq` assignment and schema validation, until
+    /// [`Obs::take_captured`] drains them for [`Obs::replay`].
+    Capture(Vec<Event>),
+}
+
+#[derive(Debug)]
+struct ObsInner {
+    level: ObsLevel,
+    span_ids: Cell<u64>,
+    sink: RefCell<Sink>,
+    /// Shared (`Arc`) so a worker handle updates the *parent's* counters
+    /// directly: counter additions commute, so fan-out workers reproduce
+    /// the serial totals regardless of interleaving.
+    metrics: Arc<MetricsRegistry>,
+}
+
+/// What crosses a fan-out in place of an [`Obs`]: the level and the shared
+/// registry, nothing that orders lines. `Send`, unlike the handle it was
+/// [`Obs::fork`]ed from and the one it [`ObsSeed::open`]s into.
+#[derive(Debug)]
+pub struct ObsSeed {
+    inner: Option<(ObsLevel, Arc<MetricsRegistry>)>,
+}
+
+impl ObsSeed {
+    /// Opens the worker's own handle, on the worker's thread: events
+    /// emitted on it are buffered (see [`Obs::take_captured`]), metric
+    /// updates land in the forking handle's registry. The seed of a
+    /// disabled handle opens a disabled handle.
+    ///
+    /// Spans opened on a worker handle draw ids from that handle's own
+    /// counter, so fan-out sections needing byte-stable span ids must
+    /// keep spans on the parent handle (the epoch runner's stage 3 emits
+    /// plain events only).
+    pub fn open(self) -> Obs {
+        let Some((level, metrics)) = self.inner else {
+            return Obs::off();
+        };
+        Obs::build(level, Sink::Capture(Vec::new()), metrics)
+    }
+}
+
 /// The telemetry handle threaded through the pipeline.
 ///
-/// Cloning is cheap (an `Arc`); all clones share the sink, the sequence
-/// counter and the metrics registry. A handle built with [`Obs::off`]
-/// (also the `Default`) skips all work — instrumented code can hold one
-/// unconditionally.
+/// Cloning is cheap (an `Rc`); all clones share the sink, the sequence
+/// counter and the metrics registry, and all of them stay on the thread
+/// that built the handle (see the crate docs, "One handle per thread").
+/// A handle built with [`Obs::off`] (also the `Default`) skips all work —
+/// instrumented code can hold one unconditionally.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<ObsInner>>,
+    inner: Option<Rc<ObsInner>>,
 }
 
 impl Obs {
@@ -196,62 +312,55 @@ impl Obs {
         if level == ObsLevel::Off {
             return Obs::off();
         }
+        let sink = Sink::Write(Sinked {
+            seq: 0,
+            dropped: 0,
+            out,
+        });
+        Obs::build(level, sink, Arc::new(MetricsRegistry::new()))
+    }
+
+    fn build(level: ObsLevel, sink: Sink, metrics: Arc<MetricsRegistry>) -> Obs {
         Obs {
-            inner: Some(Arc::new(ObsInner {
+            inner: Some(Rc::new(ObsInner {
                 level,
-                span_ids: AtomicU64::new(1),
-                sink: Mutex::new(Sinked {
-                    seq: 0,
-                    dropped: 0,
-                    out,
-                }),
-                capture: None,
-                metrics: Arc::new(MetricsRegistry::new()),
+                span_ids: Cell::new(1),
+                sink: RefCell::new(sink),
+                metrics,
             })),
         }
     }
 
-    /// A deferred handle derived from `self`, for fan-out sections whose
-    /// event lines must not interleave: events emitted on the returned
-    /// handle are buffered (in emission order, unsequenced) in the
-    /// returned [`CaptureBuffer`] instead of being written, while metric
-    /// updates land directly in `self`'s shared registry (counter
-    /// additions commute, so parallel workers reproduce serial totals).
-    /// [`Obs::replay`]ing the buffer on `self` afterwards produces
-    /// exactly the lines — and schema-drop counts — that emitting the
-    /// same events on `self` directly would have: level filtering,
-    /// validation and `seq` assignment all happen at replay time.
-    ///
-    /// Spans opened on a deferred handle draw ids from that handle's own
-    /// counter, so fan-out sections needing byte-stable span ids must
-    /// keep spans on the parent handle (the epoch runner's stage 3 emits
-    /// plain events only).
-    ///
-    /// A disabled handle returns a disabled handle (its buffer stays
-    /// empty, and replaying is a no-op).
-    pub fn deferred(&self) -> (Obs, CaptureBuffer) {
-        let buffer = CaptureBuffer::default();
-        let Some(inner) = &self.inner else {
-            return (Obs::off(), buffer);
-        };
-        let deferred = Obs {
-            inner: Some(Arc::new(ObsInner {
-                level: inner.level,
-                span_ids: AtomicU64::new(1),
-                sink: Mutex::new(Sinked {
-                    seq: 0,
-                    dropped: 0,
-                    out: Box::new(std::io::sink()),
-                }),
-                capture: Some(buffer.clone()),
-                metrics: Arc::clone(&inner.metrics),
-            })),
-        };
-        (deferred, buffer)
+    /// Forks the seed of a worker handle, for fan-out sections whose event
+    /// lines must not interleave. Call it on this handle's thread, once
+    /// per task, where the task's RNG is forked; the task carries the
+    /// [`ObsSeed`] to its worker.
+    pub fn fork(&self) -> ObsSeed {
+        ObsSeed {
+            inner: self
+                .inner
+                .as_ref()
+                .map(|inner| (inner.level, Arc::clone(&inner.metrics))),
+        }
     }
 
-    /// Re-emits `events` on this handle in order — the second half of the
-    /// [`Obs::deferred`] protocol.
+    /// Drains the events a worker handle ([`ObsSeed::open`]) buffered,
+    /// oldest first; empty on any other handle. [`Obs::replay`]ing them on
+    /// the forking handle produces exactly the lines — and schema-drop
+    /// counts — that emitting the same events there directly would have:
+    /// validation and `seq` assignment happen at replay time.
+    pub fn take_captured(&self) -> Vec<Event> {
+        let Some(inner) = &self.inner else {
+            return Vec::new();
+        };
+        match &mut *inner.sink.borrow_mut() {
+            Sink::Capture(events) => std::mem::take(events),
+            Sink::Write(_) => Vec::new(),
+        }
+    }
+
+    /// Re-emits `events` on this handle in order — the caller's half of
+    /// the [`Obs::fork`] protocol.
     pub fn replay(&self, events: Vec<Event>) {
         for event in events {
             self.emit(event.kind, event.t, &event.fields);
@@ -291,33 +400,24 @@ impl Obs {
     /// [`Obs::invalid_dropped`]) and dropped rather than panicking.
     pub fn emit(&self, kind: &'static str, t: f64, fields: &[(&'static str, Value)]) {
         let Some(inner) = &self.inner else { return };
-        if let Some(buffer) = &inner.capture {
-            // Deferred mode: buffer anything that would reach the sink
-            // *or* the dropped counter (unknown kinds, invalid payloads);
-            // replay reproduces both. Level-filtered events are skipped
-            // here exactly as the direct path skips them — silently.
-            match schema::spec(kind) {
-                Some(spec) if inner.level < spec.level => {}
-                _ => buffer.push(Event::new(kind, t, fields)),
-            }
-            return;
-        }
-        let Some(spec) = schema::spec(kind) else {
-            inner.lock_sink().dropped += 1;
-            return;
-        };
-        if inner.level < spec.level {
+        if schema::spec(kind).is_some_and(|spec| inner.level < spec.level) {
             return;
         }
         let event = Event::new(kind, t, fields);
+        let mut sink = inner.sink.borrow_mut();
+        let sink = match &mut *sink {
+            // A worker handle buffers anything that would reach the sink
+            // *or* the dropped counter (unknown kinds, invalid payloads);
+            // replay reproduces both.
+            Sink::Capture(events) => return events.push(event),
+            Sink::Write(sink) => sink,
+        };
         if schema::validate(&event).is_err() {
-            inner.lock_sink().dropped += 1;
+            sink.dropped += 1;
             return;
         }
-        let mut sink = inner.lock_sink();
-        let seq = sink.seq;
+        let line = event::encode_line(sink.seq, &event);
         sink.seq += 1;
-        let line = event::encode_line(seq, &event);
         let _ = sink.out.write_all(line.as_bytes());
         let _ = sink.out.write_all(b"\n");
     }
@@ -326,12 +426,10 @@ impl Obs {
     /// `fields`; prefer the [`span!`] macro. The returned [`Span`] emits
     /// `span_close` when [`Span::close`]d.
     pub fn span(&self, name: &'static str, t: f64, fields: &[(&'static str, Value)]) -> Span {
-        if !self.enabled(ObsLevel::Events) {
+        let Some(inner) = self.inner.as_ref().filter(|i| i.level >= ObsLevel::Events) else {
             return Span::disabled();
-        }
-        // lint: allow(P1, enabled() above guarantees inner is Some)
-        let inner = self.inner.as_ref().expect("enabled handle has an inner");
-        let id = inner.span_ids.fetch_add(1, Ordering::Relaxed);
+        };
+        let id = inner.span_ids.replace(inner.span_ids.get() + 1);
         let mut all = Vec::with_capacity(fields.len() + 2);
         all.push(("id", Value::U64(id)));
         all.push(("name", Value::from(name)));
@@ -343,18 +441,18 @@ impl Obs {
     /// Events dropped because they failed schema validation (0 in a
     /// correct program; tests assert on this).
     pub fn invalid_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock_sink().dropped)
-    }
-
-    /// Lines written so far (equals the next `seq`).
-    pub fn lines_written(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock_sink().seq)
+        let Some(inner) = &self.inner else { return 0 };
+        match &*inner.sink.borrow() {
+            Sink::Write(sink) => sink.dropped,
+            Sink::Capture(_) => 0,
+        }
     }
 
     /// Flushes the sink's buffer to its destination.
     pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            let _ = inner.lock_sink().out.flush();
+        let Some(inner) = &self.inner else { return };
+        if let Sink::Write(sink) = &mut *inner.sink.borrow_mut() {
+            let _ = sink.out.flush();
         }
     }
 
@@ -417,12 +515,6 @@ impl Obs {
     }
 }
 
-impl ObsInner {
-    fn lock_sink(&self) -> std::sync::MutexGuard<'_, Sinked> {
-        self.sink.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
 /// Builds the field slice and calls [`Obs::emit`]:
 /// `obs_event!(obs, "se_point", t, "iter" => 10u64, "best" => 1.0)`.
 #[macro_export]
@@ -451,7 +543,7 @@ mod tests {
         obs.emit("se_point", 0.0, &[]);
         obs.incr("a.b");
         assert!(!obs.enabled(ObsLevel::Summary));
-        assert_eq!(obs.lines_written(), 0);
+        assert_eq!(obs.invalid_dropped(), 0);
         assert!(obs.metrics_table().is_none());
         let span = obs.span("x", 0.0, &[]);
         span.close(1.0);
@@ -487,7 +579,7 @@ mod tests {
         for (i, line) in buffer.lines().iter().enumerate() {
             assert!(line.contains(&format!("\"seq\":{i},")), "{line}");
         }
-        assert_eq!(obs.lines_written(), 5);
+        assert_eq!(buffer.lines().len(), 5);
     }
 
     #[test]
@@ -544,7 +636,14 @@ mod tests {
     }
 
     #[test]
-    fn deferred_replay_is_byte_identical_to_direct_emission() {
+    fn only_the_seed_and_the_capture_cross_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ObsSeed>();
+        assert_send::<Vec<Event>>();
+    }
+
+    #[test]
+    fn worker_replay_is_byte_identical_to_direct_emission() {
         let emit_all = |obs: &Obs| {
             obs_event!(obs, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.5);
             obs_event!(obs, "se_point", 1.0,
@@ -558,40 +657,55 @@ mod tests {
 
         let (parent, parent_buf) = Obs::memory(ObsLevel::Events);
         obs_event!(parent, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
-        let (child, capture) = parent.deferred();
-        emit_all(&child);
+        let seed = parent.fork();
+        // The seed is opened where a fan-out opens it: on another thread.
+        let captured = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let worker = seed.open();
+                emit_all(&worker);
+                assert_eq!(worker.invalid_dropped(), 0, "counted at replay");
+                let captured = worker.take_captured();
+                assert!(worker.take_captured().is_empty(), "take drains");
+                captured
+            });
+            worker.join().unwrap()
+        });
         // Nothing reaches the parent sink until replay.
         assert_eq!(parent_buf.lines().len(), 1);
-        parent.replay(capture.take());
+        parent.replay(captured);
 
         assert_eq!(parent_buf.contents(), direct_buf.contents());
         assert_eq!(parent.invalid_dropped(), direct.invalid_dropped());
         assert_eq!(parent.invalid_dropped(), 2);
-        assert!(capture.is_empty(), "take drains the buffer");
+        assert!(
+            parent.take_captured().is_empty(),
+            "a writer captures nothing"
+        );
     }
 
     #[test]
-    fn deferred_level_filters_like_the_parent() {
+    fn worker_level_filters_like_the_parent() {
         let (parent, buf) = Obs::memory(ObsLevel::Summary);
-        let (child, capture) = parent.deferred();
+        let worker = parent.fork().open();
         // se_point is Events-level: filtered on a Summary handle, so it
         // must not be captured either.
-        obs_event!(child, "se_point", 0.0,
+        obs_event!(worker, "se_point", 0.0,
             "iter" => 0u64, "current_best" => 0.0, "best_so_far" => 0.0);
-        obs_event!(child, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
-        assert_eq!(capture.len(), 1);
-        parent.replay(capture.take());
+        obs_event!(worker, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
+        let captured = worker.take_captured();
+        assert_eq!(captured.len(), 1);
+        parent.replay(captured);
         assert_eq!(buf.lines().len(), 1);
         assert!(buf.contents().contains("\"kind\":\"epoch_start\""));
     }
 
     #[test]
-    fn deferred_metrics_land_in_the_parent_registry() {
+    fn worker_metrics_land_in_the_parent_registry() {
         let (parent, _buf) = Obs::memory(ObsLevel::Events);
-        let (child, _capture) = parent.deferred();
-        child.incr("pbft.committed");
-        child.add("pbft.committed", 2);
-        child.observe("pbft.latency_s", 1.0);
+        let worker = parent.fork().open();
+        worker.incr("pbft.committed");
+        worker.add("pbft.committed", 2);
+        worker.observe("pbft.latency_s", 1.0);
         assert_eq!(
             parent.metrics().map(|m| m.counter("pbft.committed")),
             Some(3)
@@ -606,11 +720,13 @@ mod tests {
     }
 
     #[test]
-    fn deferred_on_a_disabled_handle_is_inert() {
-        let (child, capture) = Obs::off().deferred();
-        obs_event!(child, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
-        assert!(capture.is_empty());
-        Obs::off().replay(capture.take());
+    fn the_seed_of_a_disabled_handle_opens_a_disabled_handle() {
+        let worker = Obs::off().fork().open();
+        assert_eq!(worker.level(), ObsLevel::Off);
+        obs_event!(worker, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
+        let captured = worker.take_captured();
+        assert!(captured.is_empty());
+        Obs::off().replay(captured);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Event sinks: where encoded JSONL lines go.
 //!
 //! A sink is any `io::Write + Send`; the [`Obs`](crate::Obs) handle owns
-//! it behind a mutex together with the sequence counter, so line order
+//! it together with the sequence counter, on one thread, so line order
 //! and `seq` always agree. File sinks buffer through an 8 KiB
 //! `BufWriter`; lines are durable after [`Obs::flush`](crate::Obs::flush)
 //! or when the last `Obs` handle drops (buffered bytes flush on drop).

@@ -25,6 +25,72 @@ use std::sync::{Mutex, PoisonError};
 /// thread is spawned and nothing is locked. A panic in `f` reaches the
 /// caller with its original payload on both paths (threaded: after the
 /// remaining workers have drained the queue and joined).
+///
+/// # What a task may touch
+///
+/// The bounds are the contract: `f` is shared by every worker (`Sync`),
+/// so a task reads what it captures, owns what it is handed (`T: Send`)
+/// and answers only through its result (`R: Send`). It is told neither
+/// its index nor the worker count, so neither can shape a result.
+///
+/// ```
+/// use mvcom_simnet::ordered_map;
+///
+/// let mut total = 0u64;
+/// let doubled = ordered_map(2, vec![1u64, 2, 3], |x| {
+///     x * 2
+/// });
+/// total += doubled.iter().sum::<u64>();
+/// assert_eq!(total, 12);
+/// ```
+///
+/// Folding into a captured variable from inside the task would make the
+/// merged value depend on who finished first; it is a compile error
+/// (`Fn` closures cannot mutate what they capture):
+///
+/// ```compile_fail
+/// use mvcom_simnet::ordered_map;
+///
+/// let mut total = 0u64;
+/// let doubled = ordered_map(2, vec![1u64, 2, 3], |x| {
+///     total += x; x * 2
+/// });
+/// total += doubled.iter().sum::<u64>();
+/// assert_eq!(total, 12);
+/// ```
+///
+/// Single-thread shared state does not cross either: a task may build an
+/// `Rc<RefCell<_>>` of its own …
+///
+/// ```
+/// use mvcom_simnet::ordered_map;
+/// use std::{cell::RefCell, rc::Rc};
+///
+/// let log = Rc::new(RefCell::new(Vec::<u64>::new()));
+/// let seen = ordered_map(2, vec![1u64, 2, 3], |x| {
+///     let log = Rc::new(RefCell::new(Vec::<u64>::new()));
+///     log.borrow_mut().push(x);
+///     let len = log.borrow().len();
+///     len
+/// });
+/// assert_eq!(seen, [1, 1, 1]);
+/// ```
+///
+/// … and may not capture the caller's (`Rc` is not `Sync`):
+///
+/// ```compile_fail
+/// use mvcom_simnet::ordered_map;
+/// use std::{cell::RefCell, rc::Rc};
+///
+/// let log = Rc::new(RefCell::new(Vec::<u64>::new()));
+/// let seen = ordered_map(2, vec![1u64, 2, 3], |x| {
+///     let log = Rc::clone(&log);
+///     log.borrow_mut().push(x);
+///     let len = log.borrow().len();
+///     len
+/// });
+/// assert_eq!(seen, [1, 1, 1]);
+/// ```
 pub fn ordered_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -49,7 +115,7 @@ where
                         break;
                     };
                     let result = f(item);
-                    // lint: allow(C3, the queue guard is a temporary dropped at the end of the claim statement, before `f` runs; the two guards never overlap, and each slot cell is private to the index its one claimant drew)
+                    // The queue guard is a temporary dropped at the end of the claim statement, before `f` runs; the two guards never overlap, and each slot cell is private to the index its one claimant drew.
                     *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
                 })
             })

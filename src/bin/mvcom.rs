@@ -337,6 +337,18 @@ fn parse_as<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T> {
     })
 }
 
+/// A seconds-valued operand of `--key`: finite and >= 0, which is all
+/// `SimTime::from_secs` accepts without panicking.
+fn seconds(key: &'static str, raw: &str) -> Result<SimTime> {
+    match raw.parse::<f64>() {
+        Ok(secs) if secs.is_finite() && secs >= 0.0 => Ok(SimTime::from_secs(secs)),
+        _ => Err(Error::invalid_config(
+            key,
+            format!("--{key} takes seconds >= 0, got `{raw}`"),
+        )),
+    }
+}
+
 /// Reads a trace file, JSON or CSV by its first character.
 fn read_trace(path: &str) -> Result<Trace> {
     let text = std::fs::read_to_string(path)
@@ -353,8 +365,11 @@ fn dataset(args: &[String]) -> Result<()> {
     match args.first().map(String::as_str) {
         Some("generate") => {
             let flags = Flags::parse("dataset generate", DATASET_GENERATE_FLAGS, 0, rest)?;
-            let trace =
-                Trace::generate(TraceConfig::tiny(flags.num("blocks")?), flags.num("seed")?);
+            let config = TraceConfig::tiny(flags.num("blocks")?);
+            config.validate().map_err(|e| {
+                Error::invalid_config("blocks", format!("--blocks {}: {e}", config.n_blocks))
+            })?;
+            let trace = Trace::generate(config, flags.num("seed")?);
             let json = trace.to_json();
             match flags.get("out") {
                 Some(path) => {
@@ -504,24 +519,21 @@ fn parse_crash(raw: &str) -> Result<CrashEvent> {
     let (idx, times) = raw
         .split_once('@')
         .ok_or_else(|| bad("expected IDX@SECS or IDX@SECS..SECS"))?;
-    let idx: usize = idx.parse().map_err(|_| bad("IDX must be an integer"))?;
-    let node = submission_node(idx);
+    // `submission_node` numbers nodes from 1 in a `u32`: an IDX it cannot
+    // hold would wrap onto the final committee or address nobody.
+    let idx = idx
+        .parse::<u32>()
+        .ok()
+        .filter(|idx| idx.checked_add(1).is_some())
+        .ok_or_else(|| bad("IDX must be an integer below 4294967295"))?;
+    let node = submission_node(idx as usize);
     match times.split_once("..") {
-        None => {
-            let at: f64 = times.parse().map_err(|_| bad("SECS must be a number"))?;
-            Ok(CrashEvent::permanent(node, SimTime::from_secs(at)))
-        }
-        Some((at, restart)) => {
-            let at: f64 = at.parse().map_err(|_| bad("crash SECS must be a number"))?;
-            let restart: f64 = restart
-                .parse()
-                .map_err(|_| bad("restart SECS must be a number"))?;
-            Ok(CrashEvent::with_restart(
-                node,
-                SimTime::from_secs(at),
-                SimTime::from_secs(restart),
-            ))
-        }
+        None => Ok(CrashEvent::permanent(node, seconds("crash", times)?)),
+        Some((at, restart)) => Ok(CrashEvent::with_restart(
+            node,
+            seconds("crash", at)?,
+            seconds("crash", restart)?,
+        )),
     }
 }
 
@@ -566,7 +578,7 @@ fn simulate(args: &[String]) -> Result<()> {
         RecoveryConfig {
             chaos,
             heartbeat: HeartbeatConfig {
-                interval: SimTime::from_secs(flags.num("heartbeat")?),
+                interval: seconds("heartbeat", flags.value("heartbeat"))?,
                 ..HeartbeatConfig::paper()
             },
             ..RecoveryConfig::paper()
@@ -798,8 +810,17 @@ fn daemon(args: &[String]) -> Result<()> {
             ))
         }
     };
+    // No utility compares below `nan`: the alert would be armed and mute.
+    let min_utility: Option<f64> = flags.opt("alert-min-utility")?;
+    if min_utility.is_some_and(|u| !u.is_finite()) {
+        let raw = flags.value("alert-min-utility");
+        return Err(Error::invalid_config(
+            "alert-min-utility",
+            format!("--alert-min-utility takes a finite number, got `{raw}`"),
+        ));
+    }
     let mut alerts = AlertEngine::new(AlertConfig {
-        min_utility: flags.opt("alert-min-utility")?,
+        min_utility,
         min_admitted: flags.opt("alert-min-admitted")?,
         max_quarantined: flags.opt("alert-max-quarantined")?,
     });

@@ -227,3 +227,56 @@ fn repeated_crash_flags_are_both_accepted() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("`bogus`"), "stderr: {stderr}");
 }
+
+/// Operands that used to reach a panicking constructor (`SimTime::from_secs`,
+/// `Trace::generate`), wrap `IDX + 1` onto the final committee's node, or
+/// arm an alert that can never fire. The CLI is the boundary: each is a
+/// config error that names its flag.
+#[test]
+fn out_of_domain_operands_are_config_errors_not_panics() {
+    let simulate = ["simulate", "--nodes", "60", "--epochs", "1"];
+    for (args, message) in [
+        (
+            &["dataset", "generate", "--blocks", "0"][..],
+            "--blocks 0: ",
+        ),
+        (
+            &[&simulate[..], &["--heartbeat", "nan"]].concat(),
+            "--heartbeat takes seconds >= 0, got `nan`",
+        ),
+        (
+            &[&simulate[..], &["--heartbeat", "-1"]].concat(),
+            "--heartbeat takes seconds >= 0, got `-1`",
+        ),
+        (
+            &[&simulate[..], &["--crash", "1@nan"]].concat(),
+            "--crash takes seconds >= 0, got `nan`",
+        ),
+        (
+            &[&simulate[..], &["--crash", "1@-5"]].concat(),
+            "--crash takes seconds >= 0, got `-5`",
+        ),
+        (
+            &[&simulate[..], &["--crash", "1@5..inf"]].concat(),
+            "--crash takes seconds >= 0, got `inf`",
+        ),
+        (
+            &[&simulate[..], &["--crash", "4294967295@5"]].concat(),
+            "`4294967295@5`: IDX must be an integer below 4294967295",
+        ),
+        (
+            &[&simulate[..], &["--crash", "99999999999@5"]].concat(),
+            "`99999999999@5`: IDX must be an integer below 4294967295",
+        ),
+        (
+            &["daemon", "--alert-min-utility", "nan"][..],
+            "--alert-min-utility takes a finite number, got `nan`",
+        ),
+    ] {
+        let out = mvcom(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {stderr}");
+        assert!(stderr.contains(message), "{args:?} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
+    }
+}
