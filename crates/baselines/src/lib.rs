@@ -31,11 +31,15 @@
 //! trajectory, so the figure harness can overlay convergence curves of SE
 //! and all baselines (paper Figs. 11–14).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Unit tests may unwrap freely; library code goes through the P1 rule of
-// `mvcom-lint` and the workspace `clippy::unwrap_used` deny set instead.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::disallowed_types,
+        reason = "unit tests compare floats bit for bit and use hash sets and locks as scaffolding"
+    )
+)]
 pub mod branch_and_bound;
 pub mod dp;
 pub mod exhaustive;

@@ -198,7 +198,10 @@ impl Solver for SparseDpSolver {
         // Reconstruct from the best (last, by the strict value ordering)
         // state: every take lands exactly on its parent state's weight.
         let mut solution = Solution::empty(n);
-        // lint: allow(P1, run_frontier always seeds the zero state)
+        #[expect(
+            clippy::expect_used,
+            reason = "run_frontier always seeds the zero state"
+        )]
         let best = frontier.last().expect("frontier holds the zero state");
         let mut w = best.weight;
         for i in (0..n).rev() {

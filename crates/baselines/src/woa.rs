@@ -161,7 +161,6 @@ impl Solver for WoaSolver {
             .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect();
 
-        // lint: allow(P1, validate() requires population >= 2, so whales is non-empty)
         let mut best_position = whales[0].clone();
         let mut best_solution: Option<Solution> = None;
         let mut best_utility = f64::NEG_INFINITY;

@@ -8,9 +8,10 @@
 //! but equal-value paths), so agreement is asserted on utility and
 //! feasibility, not on the selection bitset.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom_baselines::dp::DpConfig;
 use mvcom_baselines::sparse_dp::{pareto_frontier, SparseDpSolver};
 use mvcom_baselines::{check_outcome, DpSolver, Solver};

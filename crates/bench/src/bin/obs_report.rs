@@ -18,7 +18,6 @@
 //!
 //! Sections with no matching events are omitted.
 
-#![forbid(unsafe_code)]
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -66,7 +65,6 @@ fn as_u64(v: Option<&Value>) -> Option<u64> {
     match v? {
         Value::U64(x) => Some(*x),
         Value::I64(x) => u64::try_from(*x).ok(),
-        // lint: allow(F1, fract()==0.0 is an exact integrality test on a parsed id, not a rounding-sensitive comparison)
         Value::F64(x) if x.fract() == 0.0 && *x >= 0.0 => Some(*x as u64),
         _ => None,
     }

@@ -4,7 +4,6 @@
 //! plot [DIR]      # default DIR = results/
 //! ```
 
-#![forbid(unsafe_code)]
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -12,9 +12,6 @@
 //! figure's independent sweep points across worker threads; DESIGN.md §14
 //! is why the bytes do not depend on it.
 
-#![forbid(unsafe_code)]
-// Unit tests may unwrap freely (see the crate root).
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -91,7 +88,10 @@ fn reproduce(args: &Args, out: &mut impl Write) -> io::Result<u8> {
     let mut mismatches = 0usize;
     for figure in &args.figures {
         writeln!(out, "=== {} ({:?}) ===", figure.name, args.scale)?;
-        // lint: allow(D1, progress line on stdout only; no artifact or verdict reads the clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress line on stdout only; no artifact or verdict reads the clock"
+        )]
         let started = std::time::Instant::now();
         let report = match figure.run(args.scale, args.threads) {
             Ok(report) => report,

@@ -1,9 +1,10 @@
 //! The `repro` binary's command-line contract: what it rejects, that it
 //! rejects it before doing any work, and what `--list` shows.
 
-// Test code: unwrap is fine here.
-#![allow(clippy::unwrap_used)]
-
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

@@ -6,9 +6,10 @@
 //! event-stream path) and `fig13` (48 points at full scale, regrouped by
 //! α after the join).
 
-// Test code: unwrap is fine here.
-#![allow(clippy::unwrap_used)]
-
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom_bench::experiments::Figure;
 use mvcom_bench::{FigureReport, Scale};
 

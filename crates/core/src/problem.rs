@@ -507,12 +507,15 @@ impl InstanceBuilder {
                 self.shards.len()
             )));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "build() rejects an empty shard list at entry"
+        )]
         let ddl = self
             .shards
             .iter()
             .map(|s| s.two_phase_latency())
             .max()
-            // lint: allow(P1, build() rejects an empty shard list at entry)
             .expect("non-empty");
         let instance = Instance {
             shards: self.shards,

@@ -11,10 +11,10 @@
 //!   deterministic RNG streams keyed by the checkpoint version, so every
 //!   resume from the same snapshot lands on the same admitted set.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
-
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use std::collections::BTreeSet;
 
 use mvcom_core::problem::InstanceBuilder;

@@ -9,9 +9,11 @@
 //! [`ShardColumns`] must additionally agree *bit for bit* with a cache built
 //! alone through [`EvalCache::new`], however their walks interleave.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
+#![expect(clippy::float_cmp, reason = "asserts bit-identical floats")]
 use std::sync::Arc;
 
 use mvcom_core::eval::{EvalCache, ShardColumns};

@@ -18,9 +18,10 @@
 //! cardinality-keyed warm pool are pinned to the same chains, RNG streams
 //! and trajectory.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom_core::dynamics::DynamicsPolicy;
 use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder};
 use mvcom_core::se::{SeCheckpoint, SeConfig, SeEngine, SeOutcome};

@@ -13,9 +13,11 @@
 //! seeded [`SeEngine`] runs against pinned outcomes of the scan sampler
 //! and across thread counts.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
+#![expect(clippy::float_cmp, reason = "asserts bit-identical floats")]
 use mvcom_core::eval::EvalCache;
 use mvcom_core::problem::{Instance, InstanceBuilder};
 use mvcom_core::se::{SeConfig, SeEngine};

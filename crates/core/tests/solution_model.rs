@@ -1,9 +1,14 @@
 //! Model-based testing: the bitset `Solution` against a reference
 //! `HashSet` implementation under random operation sequences.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a hash set as reference model or uniqueness count"
+)]
 use std::collections::HashSet;
 
 use mvcom_core::problem::{Instance, InstanceBuilder};

@@ -12,8 +12,8 @@
 //! Everything the loop does is a pure function of the [`DaemonConfig`]
 //! and the ingest stream: the epoch clock counts batches, the SE engine
 //! derives its seed from `(seed, epoch)`, the adversary and defense are
-//! seeded/RNG-free, and no code here reads the wall clock (the workspace
-//! D1 lint enforces that). Each epoch's history record embeds a full
+//! seeded/RNG-free, and no code here reads the wall clock
+//! (`clippy::disallowed_methods` enforces that). Each epoch's history record embeds a full
 //! [`DaemonCheckpoint`], so a `kill -9` at *any* byte loses at most the
 //! in-flight epoch — which [`Daemon::open`] re-derives on restart from
 //! the last intact record, appending bytes identical to the ones an

@@ -1,7 +1,7 @@
 //! The daemon's logical clock: epochs measured in ingested batches.
 //!
-//! The daemon never reads the wall clock (the workspace D1 lint bans it
-//! outside `crates/bench`); instead, time advances exactly when data
+//! The daemon never reads the wall clock (`clippy.toml` bans it
+//! workspace-wide); instead, time advances exactly when data
 //! does. Each ingest batch ticks the clock forward by a configured
 //! logical interval, and an epoch closes once it has absorbed a fixed
 //! number of reports. The state machine per epoch is

@@ -56,8 +56,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::disallowed_types,
+        reason = "unit tests compare floats bit for bit and use hash sets and locks as scaffolding"
+    )
+)]
 
 pub mod alerts;
 pub mod daemon;

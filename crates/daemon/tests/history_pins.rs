@@ -6,8 +6,10 @@
 //! same RNG streams and — for the degenerate path, which no SE golden
 //! reaches — the same utility formula, byte for byte in the history file.
 
-// Test code: unwrap is fine here (see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom_daemon::{
     read_history, AlertConfig, AlertEngine, Daemon, DaemonConfig, HistoryRecord, SeededSource,
 };

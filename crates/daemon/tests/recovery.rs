@@ -15,8 +15,10 @@
 //! corrupted is a different story — that is not a crash artifact, and
 //! recovery must refuse it.
 
-// Test code: unwrap is fine here (see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use std::path::{Path, PathBuf};
 
 use mvcom_daemon::{

@@ -386,7 +386,10 @@ impl StrategicPopulation {
         let sigma = 0.35f64;
         // E[lognormal] = exp(mu + sigma²/2); solve mu for the target mean.
         let mu = self.mean_txs.max(1.0).ln() - sigma * sigma / 2.0;
-        // lint: allow(P1, mu is finite and sigma is a positive constant)
+        #[expect(
+            clippy::expect_used,
+            reason = "mu is finite and sigma is a positive constant"
+        )]
         let sizes = rand_distr::LogNormal::new(mu, sigma).expect("valid log-normal parameters");
         (0..self.n)
             .map(|i| {

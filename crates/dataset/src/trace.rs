@@ -96,16 +96,25 @@ impl Trace {
     /// Panics if `config` is invalid; use [`TraceConfig::validate`] to check
     /// untrusted configurations first.
     pub fn generate(config: TraceConfig, seed: u64) -> Trace {
-        // lint: allow(P1, documented panic contract; untrusted configs call validate() first)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract; untrusted configs call validate() first"
+        )]
         config.validate().expect("invalid trace configuration");
         let mut rng = mvcom_simnet::rng::master(seed);
-        // lint: allow(P1, validate() requires mean_interval_secs > 0)
+        #[expect(
+            clippy::expect_used,
+            reason = "validate() requires mean_interval_secs > 0"
+        )]
         let interval = Exp::new(1.0 / config.mean_interval_secs).expect("validated");
         // Log-normal parameters from desired mean m and CV c:
         // sigma^2 = ln(1 + c^2), mu = ln m - sigma^2 / 2.
         let sigma2 = (1.0 + config.txs_cv * config.txs_cv).ln();
         let mu = config.mean_txs_per_block.ln() - sigma2 / 2.0;
-        // lint: allow(P1, validate() bounds the CV, so sigma is finite and non-negative)
+        #[expect(
+            clippy::expect_used,
+            reason = "validate() bounds the CV, so sigma is finite and non-negative"
+        )]
         let txs_dist = LogNormal::new(mu, sigma2.sqrt()).expect("validated");
 
         let mut btime = config.start_unix as f64;
@@ -153,7 +162,10 @@ impl Trace {
 
     /// Serializes the trace to a JSON string (the on-disk dataset format).
     pub fn to_json(&self) -> String {
-        // lint: allow(P1, serializing an in-memory trace cannot fail)
+        #[expect(
+            clippy::expect_used,
+            reason = "serializing an in-memory trace cannot fail"
+        )]
         serde_json::to_string(self).expect("trace serialization cannot fail")
     }
 

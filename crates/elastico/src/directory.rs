@@ -105,7 +105,7 @@ pub fn configure_overlay(
 
     // Step 2: announcements. Track, per directory member, when it has
     // received every announcement (directory members announce locally).
-    // Ordered maps keep roster assembly iteration seed-stable (lint D1).
+    // Ordered maps keep roster assembly iteration seed-stable (DESIGN.md §7).
     let mut heard_all: BTreeMap<NodeId, SimTime> = directory
         .iter()
         .map(|&d| (d, directory_seated_at))

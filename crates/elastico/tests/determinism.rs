@@ -1,4 +1,4 @@
-//! Byte-identical replay regression for roster assembly (lint rule D1).
+//! Byte-identical replay regression for roster assembly (DESIGN.md §7).
 //!
 //! The directory protocol's roster maps are `BTreeMap`s, so the `Debug`
 //! rendering of the configured committees — members, PoW completion,
@@ -7,9 +7,10 @@
 //! bucketing, or overlay path breaks byte-identity and this test names
 //! the seed.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom_elastico::directory::{configure_overlay, DirectoryConfig};
 use mvcom_elastico::formation::{CommitteeFormation, OverlayConfig};
 use mvcom_elastico::pow::{run_lottery, PowConfig};

@@ -190,7 +190,9 @@ mod tests {
     fn deferred_replay_holds_at_default_bounds() {
         let result = explore(&ObsConfig::default());
         assert!(result.holds(), "{:?}", result.violation);
-        assert!(result.states_explored > 100, "{}", result.states_explored);
+        // Pinned: a refactor that prunes branches must fail here, not
+        // shrink a number in a log (DESIGN.md §12 quotes the count).
+        assert_eq!(result.states_explored, 111);
     }
 
     #[test]

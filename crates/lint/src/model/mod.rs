@@ -54,7 +54,7 @@ pub type TerminalFn<S> = Box<dyn Fn(&S) -> Result<(), InvariantError>>;
 /// An interleaving model: `threads` copies of the same `program_len`-step
 /// program over shared state `S`, under an adversarial scheduler.
 pub struct Model<S> {
-    /// Display name (reported in CLI/CI output).
+    /// Display name, carried into the [`Exploration`].
     pub name: &'static str,
     pub threads: usize,
     /// Steps per thread program; a thread with `pc >= program_len` is done.

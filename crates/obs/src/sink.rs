@@ -6,6 +6,11 @@
 //! `BufWriter`; lines are durable after [`Obs::flush`](crate::Obs::flush)
 //! or when the last `Obs` handle drops (buffered bytes flush on drop).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "SharedBuffer has one writer, the thread that owns the Obs; the lock only lets a clone read the bytes back, and `Obs::writer` takes a `Write + Send` sink"
+)]
+
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 

@@ -38,11 +38,15 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Unit tests may unwrap freely; library code goes through the P1 rule of
-// `mvcom-lint` and the workspace `clippy::unwrap_used` deny set instead.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::disallowed_types,
+        reason = "unit tests compare floats bit for bit and use hash sets and locks as scaffolding"
+    )
+)]
 pub mod message;
 pub mod replica;
 pub mod runner;

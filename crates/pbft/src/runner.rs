@@ -216,7 +216,6 @@ impl PbftRunner {
         let mut batch: Vec<Event> = Vec::with_capacity(n as usize);
 
         // Kick off: leader proposes, every replica arms its view-0 timer.
-        // lint: allow(P1, validate() rejects n < 4, so replicas is non-empty)
         replicas[0].propose_into(digest, &mut out);
         self.emit_phase(SimTime::ZERO, 0, "pre-prepare");
         self.dispatch(&mut out, 0, &mut sched);
@@ -310,10 +309,13 @@ impl PbftRunner {
                         }
                         // Termination: quorum of commits.
                         if committed_count >= quorum {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "committed_count >= quorum >= 1 guarantees a committed replica"
+                            )]
                             let d = replicas
                                 .iter()
                                 .find_map(|r| r.committed())
-                                // lint: allow(P1, committed_count >= quorum >= 1 guarantees a committed replica)
                                 .expect("counted commits");
                             let final_view = replicas
                                 .iter()

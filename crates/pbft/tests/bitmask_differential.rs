@@ -14,11 +14,10 @@
 //! *intentional* divergence (the fast path drops them, the reference
 //! counted them as voters — see `replica.rs` docs).
 
-#![allow(clippy::unwrap_used)]
-
-// The frozen reference exposes the whole pre-optimization replica API;
-// this suite only drives part of it.
-#[allow(dead_code)]
+#[expect(
+    dead_code,
+    reason = "the frozen reference exposes the whole pre-optimization replica API; this suite only drives part of it"
+)]
 #[path = "support/reference.rs"]
 mod reference;
 

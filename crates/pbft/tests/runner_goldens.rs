@@ -17,9 +17,10 @@
 //! `1000·e + 300`, commits in view 1) — plus the three honest
 //! single-instance points the bench also compared (n = 16 / 40 / 100).
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom_pbft::runner::{PbftConfig, PbftRunner};
 use mvcom_pbft::{Behavior, ConsensusResult};
 use mvcom_simnet::{rng, Network, NetworkConfig};

@@ -1,9 +1,10 @@
 //! Property-based PBFT safety and liveness under randomized fault
 //! injection.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom_pbft::runner::{PbftConfig, PbftRunner};
 use mvcom_pbft::Behavior;
 use mvcom_simnet::{rng, Network, NetworkConfig};

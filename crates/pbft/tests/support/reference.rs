@@ -14,6 +14,10 @@
 //! pre-fast-path `replica.rs`; do not "improve" it — its value is being
 //! frozen.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "frozen pre-optimization reference: its hash containers are what the fast path is compared against"
+)]
 use std::collections::{HashMap, HashSet};
 
 use mvcom_types::Hash32;

@@ -93,10 +93,13 @@ impl MinHeap {
 
     fn pop(&mut self) -> Option<Key> {
         let top = *self.keys.first()?;
-        // lint: allow(P1, first() above proves the heap is non-empty)
+        #[expect(
+            clippy::expect_used,
+            reason = "first() above proves the heap is non-empty"
+        )]
         let last = self.keys.pop().expect("non-empty heap");
         if !self.keys.is_empty() {
-            self.keys[0] = last; // lint: allow(P1, guarded by is_empty above)
+            self.keys[0] = last;
             self.sift_down(0);
         }
         Some(top)
@@ -211,9 +214,12 @@ impl<E> EventQueue<E> {
     /// list.
     fn vacate(&mut self, slot: u32) -> E {
         self.free.push(slot);
+        #[expect(
+            clippy::expect_used,
+            reason = "every heap key points at an occupied slot"
+        )]
         self.slots[slot as usize]
             .take()
-            // lint: allow(P1, every heap key points at an occupied slot)
             .expect("heap key points at an occupied slot")
     }
 
@@ -243,7 +249,10 @@ impl<E> EventQueue<E> {
         batch.clear();
         let time = self.peek_time()?;
         while self.heap.peek().is_some_and(|e| e.time == time) {
-            // lint: allow(P1, the peek above proves the heap is non-empty)
+            #[expect(
+                clippy::expect_used,
+                reason = "the peek above proves the heap is non-empty"
+            )]
             let key = self.heap.pop().expect("peeked entry");
             let payload = self.vacate(key.slot);
             batch.push(payload);

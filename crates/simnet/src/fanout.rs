@@ -15,6 +15,12 @@
 //! worker has joined. Each index is claimed once, so each slot is written
 //! once, and completion order never shows.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "this module is the one fan-out: the claim/write protocol above is what its barrier-forced tests pin and what mvcom-lint's `merge` model explores exhaustively"
+)]
+
 use std::sync::{Mutex, PoisonError};
 
 /// Maps `f` over `items` on up to `threads` workers and returns the
@@ -129,9 +135,12 @@ where
     slots
         .into_iter()
         .map(|slot| {
+            #[expect(
+                clippy::expect_used,
+                reason = "the queue handed out every index exactly once and every worker joined without a panic, so every slot was written"
+            )]
             slot.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                // lint: allow(P1, the queue handed out every index exactly once and every worker joined without a panic, so every slot was written)
                 .expect("every claimed index was written before the join")
         })
         .collect()

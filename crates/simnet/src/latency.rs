@@ -141,7 +141,10 @@ impl LatencyModel {
                 SimTime::from_secs(Uniform::new(low, high).sample(rng))
             }
             LatencyModel::Exponential { mean_secs } => {
-                // lint: allow(P1, validate() requires mean_secs > 0, so the rate is valid)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "validate() requires mean_secs > 0, so the rate is valid"
+                )]
                 let exp = Exp::new(1.0 / mean_secs).expect("validated at construction");
                 SimTime::from_secs(exp.sample(rng))
             }
@@ -155,7 +158,10 @@ impl LatencyModel {
                 let cv2 = (std_secs / mean_secs).powi(2);
                 let sigma2 = (1.0 + cv2).ln();
                 let mu = mean_secs.ln() - sigma2 / 2.0;
-                // lint: allow(P1, validate() requires finite positive moments, so sigma is valid)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "validate() requires finite positive moments, so sigma is valid"
+                )]
                 let ln = LogNormal::new(mu, sigma2.sqrt()).expect("validated at construction");
                 SimTime::from_secs(ln.sample(rng))
             }
@@ -163,7 +169,10 @@ impl LatencyModel {
                 offset_secs,
                 mean_secs,
             } => {
-                // lint: allow(P1, validate() requires mean_secs > 0, so the rate is valid)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "validate() requires mean_secs > 0, so the rate is valid"
+                )]
                 let exp = Exp::new(1.0 / mean_secs).expect("validated at construction");
                 SimTime::from_secs(offset_secs + exp.sample(rng))
             }

@@ -1,8 +1,6 @@
 //! Property-based tests for the discrete-event substrate.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::float_cmp, reason = "asserts bit-identical floats")]
 use mvcom_simnet::event::EventQueue;
 use mvcom_simnet::stats::{Ecdf, Summary};
 use mvcom_simnet::{rng, ChaosConfig, ChaosInjector, LatencyModel, Network, NetworkConfig};

@@ -84,8 +84,11 @@ impl Hash32 {
     /// Interprets the first 8 bytes as a little-endian `u64` — used to
     /// compare a PoW trial against a difficulty target.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "Hash32 wraps a fixed [u8; 32]; the first 8 bytes always exist"
+    )]
     pub fn prefix_u64(&self) -> u64 {
-        // lint: allow(P1, Hash32 wraps a fixed [u8; 32]; the first 8 bytes always exist)
         u64::from_le_bytes(self.0[..8].try_into().expect("slice is 8 bytes"))
     }
 
@@ -109,7 +112,7 @@ impl Hash32 {
         let mut s = String::with_capacity(64);
         for byte in self.0 {
             use fmt::Write;
-            // lint: allow(P1, fmt::Write to a String is infallible)
+            #[expect(clippy::expect_used, reason = "fmt::Write to a String is infallible")]
             write!(s, "{byte:02x}").expect("writing to String cannot fail");
         }
         s

@@ -1,6 +1,6 @@
 //! The two-phase latency of a member committee, plus the total-order
 //! float helpers ([`sort_by_f64`], [`max_by_f64`], [`approx_eq`]) that the
-//! schedulers use wherever `f64` keys need ordering (lint rule F1).
+//! schedulers use wherever `f64` keys need ordering (DESIGN.md §7).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -104,7 +104,7 @@ impl fmt::Display for TwoPhaseLatency {
 }
 
 // ---------------------------------------------------------------------------
-// Total-order helpers for f64 keys (lint rule F1).
+// Total-order helpers for f64 keys.
 //
 // `f64` is only `PartialOrd`, so `sort_by(|a, b| a.partial_cmp(b).unwrap())`
 // panics on NaN and `==` comparisons silently mis-handle rounding. These
@@ -173,7 +173,7 @@ where
 /// Sorts `items` descending by an `f64` key under `total_cmp` — the shape
 /// every greedy/repair pass uses ("best candidate first"). Stable, so
 /// equal-key candidates keep their index order (deterministic across
-/// seeds, lint rule D1).
+/// seeds).
 #[inline]
 pub fn sort_by_f64_desc<T, F>(items: &mut [T], mut key: F)
 where

@@ -1,8 +1,6 @@
 //! Property-based tests for the foundational types.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::float_cmp, reason = "asserts bit-identical floats")]
 use mvcom_types::{CommitteeId, Hash32, ShardInfo, SimTime, TwoPhaseLatency};
 use proptest::prelude::*;
 

@@ -11,9 +11,10 @@
 //! a checkpoint restore (`DynamicsPolicy::Trim`), and the survivors still
 //! commit a final block before the consensus deadline.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message if its premise fails"
+)]
 use mvcom::elastico::epoch::{ElasticoConfig, ElasticoSim};
 use mvcom::prelude::*;
 

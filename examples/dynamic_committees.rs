@@ -9,9 +9,10 @@
 //! utility perturbation around each event is printed together with the
 //! Theorem 2 bound.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message if its premise fails"
+)]
 use mvcom::core::theory;
 use mvcom::prelude::*;
 

@@ -10,9 +10,6 @@
 //! many transactions land in the final block, and the cumulative age the
 //! included transactions accumulated.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
 use mvcom::elastico::epoch::{ElasticoConfig, ElasticoSim, EpochReport, ShardSelector, WaitForAll};
 use mvcom::prelude::*;
 

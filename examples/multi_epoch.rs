@@ -11,9 +11,6 @@
 //! admission, carry-over traffic, and the aggregate throughput/freshness
 //! metrics.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
 use mvcom::prelude::*;
 
 const SEED: u64 = 33;

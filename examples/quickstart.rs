@@ -9,9 +9,6 @@
 //! Stochastic-Exploration scheduler, and prints the admitted committees
 //! with their contribution and age.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
 use mvcom::prelude::*;
 
 fn main() -> Result<()> {

@@ -10,9 +10,10 @@
 //! admitted committees, TX throughput, cumulative age and the paper's
 //! Valuable Degree metric side by side.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message if its premise fails"
+)]
 use mvcom::baselines::{dp::DpConfig, sa::SaConfig, woa::WoaConfig};
 use mvcom::prelude::*;
 

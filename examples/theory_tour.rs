@@ -10,9 +10,10 @@
 //! Theorem 1 mixing-time bounds, and the Lemma 4 / Theorem 2 failure
 //! perturbation — then shows the SE engine hitting the exhaustive optimum.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "an example aborts with a message if its premise fails"
+)]
 use mvcom::core::theory;
 use mvcom::prelude::*;
 

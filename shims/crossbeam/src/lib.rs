@@ -7,6 +7,12 @@
 //! payload if any spawned thread panicked instead of propagating the
 //! panic.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "vendored API surface"
+)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Handle passed to the closure given to [`scope`]; spawns threads that

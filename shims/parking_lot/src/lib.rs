@@ -6,6 +6,12 @@
 //! and the workspace's solver threads rely on `lock()` never returning a
 //! `Result`.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "vendored API surface"
+)]
+
 use std::fmt;
 
 pub use std::sync::MutexGuard;

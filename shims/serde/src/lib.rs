@@ -16,6 +16,8 @@
 //! - enums → externally tagged: unit variants as `"Name"`, data variants
 //!   as `{"Name": ...}`.
 
+#![allow(clippy::disallowed_types, reason = "vendored API surface")]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};

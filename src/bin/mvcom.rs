@@ -25,7 +25,6 @@
 //! event file is byte-identical across same-seed runs and across
 //! `--threads` values.
 
-#![forbid(unsafe_code)]
 use std::process::ExitCode;
 
 use mvcom::daemon::{FlagSpec, DAEMON_FLAGS};

@@ -7,9 +7,10 @@
 //! same `N_min`/`Ĉ` bases, the same RNG streams and the same fallback
 //! set (every *input* committee, not only the ones the cutoff kept).
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom::prelude::*;
 
 const SEED: u64 = 5;

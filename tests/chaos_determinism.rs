@@ -5,9 +5,10 @@
 //! reproduce a recovering epoch *byte for byte* — including every dropped
 //! message, every missed heartbeat, and every re-solve.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom::prelude::*;
 use proptest::prelude::*;
 

@@ -1,5 +1,9 @@
 //! Command-line contract of the `mvcom` binary.
 
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use std::process::Command;
 
 fn mvcom(args: &[&str]) -> std::process::Output {

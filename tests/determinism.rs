@@ -1,9 +1,7 @@
 //! Whole-stack determinism: the same seed reproduces every layer
 //! bit-for-bit — the property the figure harness depends on.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(clippy::float_cmp, reason = "asserts bit-identical floats")]
 use mvcom::prelude::*;
 
 #[test]

@@ -1,9 +1,6 @@
 //! End-to-end integration: dataset → Elastico protocol → MVCom scheduling
 //! → final block, across multiple epochs.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
 use mvcom::elastico::epoch::{EpochReport, WaitForAll};
 use mvcom::prelude::*;
 

@@ -1,8 +1,9 @@
 //! Property-based tests of the cross-epoch carry-over scheduler.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a hash set as reference model or uniqueness count"
+)]
 use mvcom::core::epoch_chain::{EpochChain, EpochChainConfig};
 use mvcom::prelude::*;
 use proptest::prelude::*;

@@ -1,9 +1,10 @@
 //! Failure injection across the stack: Byzantine replicas inside PBFT,
 //! network partitions, and committee failures during scheduling.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom::pbft::runner::{PbftConfig, PbftRunner};
 use mvcom::pbft::Behavior;
 use mvcom::prelude::*;

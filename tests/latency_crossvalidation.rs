@@ -3,9 +3,10 @@
 //! must be statistically consistent with the latencies *measured* by
 //! actually running the Elastico protocol.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom::prelude::*;
 use mvcom::simnet::stats::Summary;
 

@@ -2,8 +2,10 @@
 //! JSONL, and every line an instrumented run emits must conform to the
 //! schema registry that OBSERVABILITY.md documents.
 
-// Test code: unwrap is fine here (see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom::baselines::{sa::SaConfig, solve_observed};
 use mvcom::obs::schema::{self, FieldType};
 use mvcom::prelude::*;

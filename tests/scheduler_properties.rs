@@ -6,9 +6,11 @@
 //! `PROPTEST_CASES` environment variable to override both tiers — the
 //! dedicated CI job runs the full historical count (24+) that way.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom::prelude::*;
 use proptest::prelude::*;
 

@@ -1,8 +1,9 @@
 //! Validating the paper's analytical results against the implementation.
 
-// Test/example code: unwrap is fine here (the workspace-level
-// `clippy::unwrap_used` warning targets library code; see mvcom-lint P1).
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns panic like their callers"
+)]
 use mvcom::core::theory;
 use mvcom::prelude::*;
 
