@@ -19,7 +19,7 @@
 //! number a [`DaemonCheckpoint`](crate::history::DaemonCheckpoint) needs
 //! to rewind ingestion.
 
-use std::io::BufRead;
+use std::io::{BufRead, Read as _};
 
 use rand::Rng as _;
 use serde::Deserialize;
@@ -141,10 +141,17 @@ struct JsonlReport {
     latency_s: f64,
 }
 
+/// Longest accepted feed line in bytes, terminator included. A report is
+/// under 100 bytes; the cap is what keeps a feed with no newline in it from
+/// being buffered whole.
+const MAX_LINE: usize = 64 * 1024;
+
 /// Reports parsed line-by-line from a reader (stdin, a file, a pipe).
 #[derive(Debug)]
 pub struct JsonlSource<R> {
     input: R,
+    /// The current line, reused from report to report.
+    line: Vec<u8>,
     produced: u64,
     line_no: u64,
 }
@@ -154,6 +161,7 @@ impl<R: BufRead> JsonlSource<R> {
     pub fn new(input: R) -> JsonlSource<R> {
         JsonlSource {
             input,
+            line: Vec::new(),
             produced: 0,
             line_no: 0,
         }
@@ -161,21 +169,31 @@ impl<R: BufRead> JsonlSource<R> {
 
     /// Reads the next report, skipping blank lines; `None` at EOF.
     fn read_one(&mut self) -> Result<Option<ShardInfo>> {
-        let mut line = String::new();
         loop {
-            line.clear();
+            self.line.clear();
             let n = self
                 .input
-                .read_line(&mut line)
+                .by_ref()
+                .take(MAX_LINE as u64 + 1)
+                .read_until(b'\n', &mut self.line)
                 .map_err(|e| DaemonError::ingest(format!("read line: {e}")))?;
             if n == 0 {
                 return Ok(None);
             }
             self.line_no += 1;
-            if line.trim().is_empty() {
+            if n > MAX_LINE {
+                return Err(DaemonError::ingest(format!(
+                    "line {}: longer than {MAX_LINE} bytes",
+                    self.line_no
+                )));
+            }
+            let line = std::str::from_utf8(&self.line)
+                .map_err(|e| DaemonError::ingest(format!("line {}: {e}", self.line_no)))?
+                .trim();
+            if line.is_empty() {
                 continue;
             }
-            let report: JsonlReport = serde_json::from_str(line.trim()).map_err(|e| {
+            let report: JsonlReport = serde_json::from_str(line).map_err(|e| {
                 DaemonError::ingest(format!("line {}: malformed report: {e:?}", self.line_no))
             })?;
             if !report.latency_s.is_finite() || report.latency_s <= 0.0 {
@@ -318,5 +336,43 @@ mod tests {
         assert_eq!(buf[0].committee(), CommitteeId(2));
         let mut short = JsonlSource::new(feed.as_bytes());
         assert!(short.fast_forward(9).is_err());
+    }
+
+    #[test]
+    fn jsonl_fast_forward_counts_reports_not_lines() {
+        let feed = "\n{\"committee\":0,\"txs\":10,\"latency_s\":1.0}\n\n  \r\n\
+                    {\"committee\":1,\"txs\":20,\"latency_s\":2.0}\r\n\n\
+                    {\"committee\":2,\"txs\":30,\"latency_s\":3.0}";
+        let mut source = JsonlSource::new(feed.as_bytes());
+        source.fast_forward(2).unwrap();
+        assert_eq!((source.cursor(), source.line_no), (2, 5));
+        let mut buf = Vec::new();
+        assert_eq!(source.next_batch(&mut buf, 10).unwrap(), 1);
+        assert_eq!(buf[0].committee(), CommitteeId(2));
+        assert_eq!((source.cursor(), source.line_no), (3, 7));
+    }
+
+    #[test]
+    fn jsonl_source_refuses_an_over_long_line_without_buffering_it() {
+        let report = "{\"committee\":0,\"txs\":10,\"latency_s\":1.0}\n";
+        let mut feed = report.as_bytes().to_vec();
+        feed.resize(feed.len() + 10_000_000, b'x');
+        let mut source = JsonlSource::new(feed.as_slice());
+        let mut buf = Vec::new();
+        assert_eq!(source.next_batch(&mut buf, 1).unwrap(), 1);
+        let err = source.next_batch(&mut buf, 1).unwrap_err().to_string();
+        assert!(err.contains("line 2: longer than 65536 bytes"), "{err}");
+        assert_eq!(source.cursor(), 1);
+        // Neither held nor consumed beyond the cap (a `Vec` may round its
+        // capacity up to the next power of two).
+        assert!(source.line.capacity() <= 2 * MAX_LINE);
+        assert_eq!(source.input.len(), 10_000_000 - (MAX_LINE + 1));
+        // A line of exactly the cap is still a line.
+        let mut padded = report.trim_end().to_owned();
+        padded.push_str(&" ".repeat(MAX_LINE - report.len()));
+        padded.push('\n');
+        assert_eq!(padded.len(), MAX_LINE);
+        let mut at_cap = JsonlSource::new(padded.as_bytes());
+        assert_eq!(at_cap.next_batch(&mut buf, 2).unwrap(), 1);
     }
 }

@@ -12,7 +12,11 @@ use rand_chacha::ChaCha8Rng;
 /// The workspace-wide RNG: ChaCha8, seedable, portable across platforms.
 ///
 /// ChaCha8 is used (rather than the non-portable `StdRng`) so that the same
-/// seed produces the same figures on every machine and Rust version.
+/// seed produces the same figures on every machine and Rust version. The
+/// keystream is the standard one (held to the published vectors in the
+/// `rand_chacha` shim) and is a layer with a cost of its own, because a
+/// sampler's unit of work is a draw (DESIGN.md §14b). A `SimRng` is 304
+/// bytes — four buffered blocks — so hold one per stream, not one per item.
 pub type SimRng = ChaCha8Rng;
 
 /// Creates the master RNG for a simulation run.
@@ -59,6 +63,20 @@ mod tests {
         let xs: Vec<u64> = (0..16).map(|_| a.gen()).collect();
         let ys: Vec<u64> = (0..16).map(|_| b.gen()).collect();
         assert_eq!(xs, ys);
+    }
+
+    /// The stream itself, not only its self-consistency: CI's figure job
+    /// diffs two runs of one build and never reads `results/`, so a changed
+    /// keystream would pass it. Captured at ddfa074, before the generator's
+    /// block kernel was replaced; a change here is a `results/` change
+    /// (ROADMAP item 9 is the one sanctioned occasion).
+    #[test]
+    fn master_and_fork_streams_are_pinned() {
+        let mut m = master(42);
+        assert_eq!(m.gen::<u64>(), 0x3115_9ef9_87c9_1afc);
+        assert_eq!(m.gen::<u64>(), 0x1755_9844_b416_9001);
+        let mut child = fork(&mut master(9), "pow");
+        assert_eq!(child.gen::<u64>(), 0x9823_9395_9422_38c9);
     }
 
     #[test]

@@ -10,9 +10,15 @@
 //!
 //! Determinism contract: all workspace code seeds generators explicitly
 //! (there is no `thread_rng`), so streams are reproducible across runs and
-//! platforms. Streams are *not* guaranteed to match upstream `rand` —
-//! workspace tests assert self-consistency and distributional properties,
-//! not upstream-identical values.
+//! platforms. The raw keystream is standard ChaCha8 (see the `rand_chacha`
+//! shim); what this crate derives from it is its own and does *not* match
+//! upstream `rand`: [`SeedableRng::seed_from_u64`] expands through
+//! SplitMix64, and an integer `gen_range` is one `next_u64` through a
+//! widening multiply, with no rejection loop — so every ranged draw, and
+//! every step of a shuffle, costs exactly one `next_u64` whatever it
+//! returns (pinned by `draws_per_call_are_fixed` below).
+
+#![forbid(unsafe_code)]
 
 /// The core of a random number generator: a source of random words.
 pub trait RngCore {
@@ -282,6 +288,7 @@ mod tests {
     use super::*;
 
     /// A tiny deterministic generator for exercising the trait surface.
+    #[derive(Clone)]
     struct XorShift(u64);
 
     impl RngCore for XorShift {
@@ -335,5 +342,46 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    /// The draw-count contract: a shuffle of `L` elements is `L − 1`
+    /// `next_u64`s and a ranged draw is one, whatever the data and whatever
+    /// the draw returns. It is what makes the cost of Algorithm 2's random
+    /// initialisation a pure function of `|I|` and the attempt count, and
+    /// what lets a test replay a consumer's position by counting. ROADMAP
+    /// item 9(i) (partial Fisher–Yates: `n` swaps, not `|I|`) changes it on
+    /// purpose; this test is then re-stated, not deleted.
+    #[test]
+    fn draws_per_call_are_fixed() {
+        /// The generator `start` becomes after `draws` calls of `next_u64`.
+        fn advanced(start: &XorShift, draws: usize) -> XorShift {
+            let mut by_hand = start.clone();
+            for _ in 0..draws {
+                by_hand.next_u64();
+            }
+            by_hand
+        }
+        let start = XorShift(0x0dd_ba11);
+        for len in [0usize, 1, 2, 3, 16, 50, 257] {
+            let shuffles: [Vec<u64>; 3] = [
+                (0..len as u64).collect(),
+                (0..len as u64).rev().collect(),
+                vec![7; len],
+            ];
+            for mut xs in shuffles {
+                let mut rng = start.clone();
+                xs.shuffle(&mut rng);
+                let want = advanced(&start, len.saturating_sub(1)).next_u64();
+                assert_eq!(rng.next_u64(), want, "shuffle of {len}");
+            }
+        }
+        let mut rng = start.clone();
+        let _ = rng.gen_range(0usize..3);
+        let _ = rng.gen_range(0u64..=u64::MAX);
+        let _ = rng.gen_range(-7i32..=7);
+        let _ = rng.gen_range(0u8..200);
+        let _ = rng.gen_range(0.5f64..2.0);
+        let _ = [1, 2, 3].choose(&mut rng);
+        assert_eq!(rng.next_u64(), advanced(&start, 6).next_u64());
     }
 }
