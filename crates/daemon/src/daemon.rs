@@ -35,7 +35,7 @@ use crate::alerts::AlertEngine;
 use crate::epoch_clock::EpochClock;
 use crate::error::{DaemonError, Result};
 use crate::history::{
-    crc32, read_history, DaemonCheckpoint, EpochRecord, EpochSummary, HistoryRecord, HistoryWriter,
+    crc32, read_tail, DaemonCheckpoint, EpochRecord, EpochSummary, HistoryRecord, HistoryWriter,
     RunHeader, HISTORY_VERSION,
 };
 use crate::http::SnapshotCell;
@@ -234,7 +234,8 @@ impl Daemon {
     /// Opens the daemon against `history_path`.
     ///
     /// With `resume` set and a non-empty history present, the log is
-    /// replayed: its header must match `config`, the last epoch record's
+    /// replayed: every frame is verified (only the first and the last are
+    /// decoded), its header must match `config`, the last epoch record's
     /// checkpoint restores the clock/defense/totals, the source is
     /// fast-forwarded to the checkpointed cursor, and a torn tail (if
     /// any) is truncated. Otherwise a fresh log is created (truncating
@@ -282,8 +283,8 @@ impl Daemon {
                 .map(|m| m.len() > 0)
                 .unwrap_or(false);
         let history = if resuming {
-            let loaded = read_history(history_path)?;
-            let Some(HistoryRecord::Header(header)) = loaded.records.first() else {
+            let loaded = read_tail(history_path)?;
+            let Some(HistoryRecord::Header(header)) = &loaded.first else {
                 return Err(DaemonError::history(
                     "history does not start with a Header record",
                 ));
@@ -296,10 +297,15 @@ impl Daemon {
                      refusing to mix incompatible runs"
                 )));
             }
-            let last_epoch = loaded.records.iter().rev().find_map(|r| match r {
-                HistoryRecord::Epoch(e) => Some(e),
-                HistoryRecord::Header(_) => None,
-            });
+            let last_epoch = match &loaded.last {
+                None => None,
+                Some(HistoryRecord::Epoch(e)) => Some(e),
+                Some(HistoryRecord::Header(_)) => {
+                    return Err(DaemonError::history(
+                        "history ends in a second Header record; refusing to resume",
+                    ))
+                }
+            };
             if let Some(epoch) = last_epoch {
                 let ckpt = &epoch.checkpoint;
                 clock = ckpt.clock;

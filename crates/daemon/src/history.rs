@@ -20,9 +20,21 @@
 //! error. The daemon re-derives the dropped epoch deterministically from
 //! the last intact checkpoint, so recovery reproduces the exact bytes an
 //! uninterrupted run would have written.
+//!
+//! The byte path. Writing renders a record once: [`HistoryWriter`] keeps
+//! one frame buffer, `Serialize` appends the JSON to it behind an 8-byte
+//! placeholder, [`crc32`] (slice-by-8) runs over the payload, `len` and
+//! `crc` are patched in, and the frame goes out in one `write_all`.
+//! Reading has one walker, `Frames`, which streams the file and applies
+//! the checks above to every frame — length plausible, frame complete,
+//! CRC, newline, UTF-8, in that order — holding one payload at a time.
+//! [`read_history`] decodes every payload the walker yields; resuming
+//! (`read_tail`) decodes only the first and the last, so a restart costs
+//! a CRC pass over the file and two JSON decodes, whatever the log's
+//! length.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Read as _, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -49,8 +61,11 @@ pub const RECORD_KINDS: &[&str] = &["Header", "Epoch"];
 
 // ---- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) -------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `[0]` is the classic bytewise table, and `[k][b]` is
+/// the CRC state after byte `b` followed by `k` zero bytes — which lets
+/// eight input bytes be folded in with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -63,21 +78,50 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Folds `bytes` into the running (pre-inverted) state `c`, one at a time.
+fn crc32_bytewise(mut c: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        c = CRC_TABLES[0][usize::from(c as u8 ^ b)] ^ (c >> 8);
+    }
+    c
+}
 
 /// CRC-32 (IEEE 802.3) of `bytes` — the checksum used by the frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        // The state only reaches the first four bytes; `as u8` keeps the
+        // low byte of each shift.
+        c = t[7][usize::from(chunk[0] ^ c as u8)]
+            ^ t[6][usize::from(chunk[1] ^ (c >> 8) as u8)]
+            ^ t[5][usize::from(chunk[2] ^ (c >> 16) as u8)]
+            ^ t[4][usize::from(chunk[3] ^ (c >> 24) as u8)]
+            ^ t[3][usize::from(chunk[4])]
+            ^ t[2][usize::from(chunk[5])]
+            ^ t[1][usize::from(chunk[6])]
+            ^ t[0][usize::from(chunk[7])];
     }
-    c ^ 0xFFFF_FFFF
+    crc32_bytewise(c, chunks.remainder()) ^ 0xFFFF_FFFF
 }
 
 // ---- records ------------------------------------------------------------
@@ -211,26 +255,39 @@ impl HistoryRecord {
     }
 }
 
+/// Bytes of frame header before the payload: `len` then `crc`.
+const FRAME_HEADER: usize = 8;
+
+/// Renders `record`'s complete frame into `frame`, reusing its allocation:
+/// the JSON is written once, behind a placeholder header that is patched
+/// when the payload's length and CRC are known.
+fn encode_into(record: &HistoryRecord, frame: &mut Vec<u8>) -> Result<()> {
+    frame.clear();
+    // An empty `Vec` is valid UTF-8, so the `String` takes the buffer over
+    // as it is and hands it back below.
+    let mut text = String::from_utf8(std::mem::take(frame)).unwrap_or_default();
+    text.push_str("\0\0\0\0\0\0\0\0");
+    record.write_json(&mut text);
+    text.push('\n');
+    *frame = text.into_bytes();
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&l| l <= MAX_RECORD_LEN)
+        .ok_or_else(|| DaemonError::history("record exceeds MAX_RECORD_LEN"))?;
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
 /// Encodes one record as its complete frame (header + JSON payload).
 ///
 /// # Errors
 ///
-/// [`DaemonError::History`] if the record fails to serialize (cannot
-/// happen for records the daemon builds; kept as an error rather than a
-/// panic because the payload crosses a process boundary).
+/// [`DaemonError::History`] if the payload exceeds [`MAX_RECORD_LEN`].
 pub fn encode_record(record: &HistoryRecord) -> Result<Vec<u8>> {
-    let mut payload = serde_json::to_string(record)
-        .map_err(|e| DaemonError::history(format!("serialize record: {e:?}")))?;
-    payload.push('\n');
-    let bytes = payload.into_bytes();
-    let len = u32::try_from(bytes.len())
-        .ok()
-        .filter(|&l| l <= MAX_RECORD_LEN)
-        .ok_or_else(|| DaemonError::history("record exceeds MAX_RECORD_LEN"))?;
-    let mut frame = Vec::with_capacity(8 + bytes.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc32(&bytes).to_le_bytes());
-    frame.extend_from_slice(&bytes);
+    let mut frame = Vec::new();
+    encode_into(record, &mut frame)?;
     Ok(frame)
 }
 
@@ -241,6 +298,8 @@ pub fn encode_record(record: &HistoryRecord) -> Result<Vec<u8>> {
 pub struct HistoryWriter {
     file: File,
     bytes: u64,
+    /// The last appended frame; every append re-renders into it.
+    frame: Vec<u8>,
 }
 
 impl HistoryWriter {
@@ -251,7 +310,11 @@ impl HistoryWriter {
     /// Propagates the I/O error as [`DaemonError::Io`].
     pub fn create(path: &Path) -> Result<HistoryWriter> {
         let file = File::create(path).map_err(DaemonError::io)?;
-        Ok(HistoryWriter { file, bytes: 0 })
+        Ok(HistoryWriter {
+            file,
+            bytes: 0,
+            frame: Vec::new(),
+        })
     }
 
     /// Opens an existing history for appending, first truncating it to
@@ -272,6 +335,7 @@ impl HistoryWriter {
         Ok(HistoryWriter {
             file,
             bytes: valid_bytes,
+            frame: Vec::new(),
         })
     }
 
@@ -280,13 +344,14 @@ impl HistoryWriter {
     ///
     /// # Errors
     ///
-    /// Serialization failures ([`DaemonError::History`]) and I/O errors.
+    /// An oversized record ([`DaemonError::History`]) and I/O errors.
     pub fn append(&mut self, record: &HistoryRecord) -> Result<u64> {
-        let frame = encode_record(record)?;
-        self.file.write_all(&frame).map_err(DaemonError::io)?;
+        encode_into(record, &mut self.frame)?;
+        self.file.write_all(&self.frame).map_err(DaemonError::io)?;
         self.file.flush().map_err(DaemonError::io)?;
-        self.bytes += frame.len() as u64;
-        Ok(frame.len() as u64)
+        let len = self.frame.len() as u64;
+        self.bytes += len;
+        Ok(len)
     }
 
     /// Bytes written to the file so far (equals the file length).
@@ -296,6 +361,100 @@ impl HistoryWriter {
 }
 
 // ---- reader -------------------------------------------------------------
+
+/// Walks a log frame by frame, verifying each before anything looks at it.
+///
+/// The checks, in order: the announced length is plausible (else a hard
+/// error), the frame is complete (else it is the torn tail and the walk
+/// ends), the CRC matches, the payload ends in a newline, the payload is
+/// UTF-8 (each a hard error). One payload is held at a time, in a buffer
+/// every frame reuses.
+struct Frames<R> {
+    input: R,
+    /// Length of the verified prefix — the offset of the next frame.
+    valid_bytes: u64,
+    /// Bytes of the incomplete final frame, once the walk has ended on one.
+    dropped_bytes: u64,
+    /// Payload of the frame [`Frames::advance`] verified last.
+    payload: String,
+}
+
+impl Frames<BufReader<File>> {
+    fn open(path: &Path) -> Result<Self> {
+        Ok(Frames::new(BufReader::new(
+            File::open(path).map_err(DaemonError::io)?,
+        )))
+    }
+}
+
+impl<R: BufRead> Frames<R> {
+    fn new(input: R) -> Frames<R> {
+        Frames {
+            input,
+            valid_bytes: 0,
+            dropped_bytes: 0,
+            payload: String::new(),
+        }
+    }
+
+    /// Verifies the next frame into `payload` and returns its offset;
+    /// `None` once the intact prefix ends, cleanly or in a torn frame.
+    fn advance(&mut self) -> Result<Option<u64>> {
+        let offset = self.valid_bytes;
+        let mut bytes = std::mem::take(&mut self.payload).into_bytes();
+        let got = self.fill(&mut bytes, FRAME_HEADER as u64)?;
+        let Ok(header) = <[u8; FRAME_HEADER]>::try_from(bytes.as_slice()) else {
+            // End of file, or torn mid-header.
+            self.dropped_bytes = got;
+            return Ok(None);
+        };
+        let word = u64::from_le_bytes(header);
+        // Low half, high half.
+        let (len, crc) = (word as u32, (word >> 32) as u32);
+        if len == 0 || len > MAX_RECORD_LEN {
+            return Err(DaemonError::history(format!(
+                "record at byte {offset} announces implausible length {len}"
+            )));
+        }
+        // Grows as bytes arrive, never by what the header claims.
+        let got = self.fill(&mut bytes, u64::from(len))?;
+        if got < u64::from(len) {
+            // Torn mid-payload.
+            self.dropped_bytes = FRAME_HEADER as u64 + got;
+            return Ok(None);
+        }
+        if crc32(&bytes) != crc {
+            return Err(DaemonError::history(format!(
+                "CRC mismatch on the record at byte {offset}: the log is corrupt"
+            )));
+        }
+        if bytes.last() != Some(&b'\n') {
+            return Err(DaemonError::history(format!(
+                "record at byte {offset} is not newline-terminated"
+            )));
+        }
+        self.payload = String::from_utf8(bytes)
+            .map_err(|_| DaemonError::history(format!("record at byte {offset} is not UTF-8")))?;
+        self.valid_bytes += FRAME_HEADER as u64 + u64::from(len);
+        Ok(Some(offset))
+    }
+
+    /// Replaces `bytes` with the next `want` bytes of input, or as many as
+    /// are left; returns how many that was.
+    fn fill(&mut self, bytes: &mut Vec<u8>, want: u64) -> Result<u64> {
+        bytes.clear();
+        let got = (&mut self.input)
+            .take(want)
+            .read_to_end(bytes)
+            .map_err(DaemonError::io)?;
+        Ok(got as u64)
+    }
+}
+
+fn decode(offset: u64, payload: &str) -> Result<HistoryRecord> {
+    serde_json::from_str(payload)
+        .map_err(|e| DaemonError::history(format!("record at byte {offset} fails to parse: {e:?}")))
+}
 
 /// The result of replaying a history file.
 #[derive(Debug)]
@@ -310,7 +469,7 @@ pub struct LoadedHistory {
     pub dropped_bytes: u64,
 }
 
-/// Reads and verifies a history file.
+/// Reads, verifies and decodes a whole history file.
 ///
 /// An incomplete final frame (fewer bytes than its header announces, or a
 /// partial header) is a torn `kill -9` append: it is dropped and reported
@@ -325,74 +484,65 @@ pub struct LoadedHistory {
 /// [`DaemonError::Io`] on read failures; [`DaemonError::History`] on
 /// corruption.
 pub fn read_history(path: &Path) -> Result<LoadedHistory> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .map_err(DaemonError::io)?
-        .read_to_end(&mut bytes)
-        .map_err(DaemonError::io)?;
+    let mut frames = Frames::open(path)?;
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        let rest = bytes.len() - offset;
-        if rest == 0 {
-            return Ok(LoadedHistory {
-                records,
-                valid_bytes: offset as u64,
-                dropped_bytes: 0,
-            });
-        }
-        if rest < 8 {
-            // Torn mid-header: drop the partial frame.
-            return Ok(LoadedHistory {
-                records,
-                valid_bytes: offset as u64,
-                dropped_bytes: rest as u64,
-            });
-        }
-        let len = u32::from_le_bytes([
-            bytes[offset],
-            bytes[offset + 1],
-            bytes[offset + 2],
-            bytes[offset + 3],
-        ]);
-        let crc = u32::from_le_bytes([
-            bytes[offset + 4],
-            bytes[offset + 5],
-            bytes[offset + 6],
-            bytes[offset + 7],
-        ]);
-        if len == 0 || len > MAX_RECORD_LEN {
-            return Err(DaemonError::history(format!(
-                "record at byte {offset} announces implausible length {len}"
-            )));
-        }
-        if rest - 8 < len as usize {
-            // Torn mid-payload: drop the partial frame.
-            return Ok(LoadedHistory {
-                records,
-                valid_bytes: offset as u64,
-                dropped_bytes: rest as u64,
-            });
-        }
-        let payload = &bytes[offset + 8..offset + 8 + len as usize];
-        if crc32(payload) != crc {
-            return Err(DaemonError::history(format!(
-                "CRC mismatch on the record at byte {offset}: the log is corrupt"
-            )));
-        }
-        if payload.last() != Some(&b'\n') {
-            return Err(DaemonError::history(format!(
-                "record at byte {offset} is not newline-terminated"
-            )));
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| DaemonError::history(format!("record at byte {offset} is not UTF-8")))?;
-        let record: HistoryRecord = serde_json::from_str(text).map_err(|e| {
-            DaemonError::history(format!("record at byte {offset} fails to parse: {e:?}"))
-        })?;
-        records.push(record);
-        offset += 8 + len as usize;
+    while let Some(offset) = frames.advance()? {
+        records.push(decode(offset, &frames.payload)?);
     }
+    Ok(LoadedHistory {
+        records,
+        valid_bytes: frames.valid_bytes,
+        dropped_bytes: frames.dropped_bytes,
+    })
+}
+
+/// What resuming takes from an existing log: every frame verified, only
+/// the two records [`Daemon::open`](crate::Daemon::open) reads decoded.
+#[derive(Debug)]
+pub(crate) struct LogTail {
+    /// The first record, if one is intact.
+    pub first: Option<HistoryRecord>,
+    /// The last intact record after the first, if any.
+    pub last: Option<HistoryRecord>,
+    /// As [`LoadedHistory::valid_bytes`].
+    pub valid_bytes: u64,
+    /// As [`LoadedHistory::dropped_bytes`].
+    pub dropped_bytes: u64,
+}
+
+/// Walks `frames` to the end and decodes the first and the last payload.
+/// Two payload buffers exist at any moment: the walker's, and `kept`, which
+/// holds the latest verified payload while the walker reads on — they swap
+/// as the walk advances.
+fn scan_tail<R: BufRead>(frames: &mut Frames<R>, kept: &mut String) -> Result<LogTail> {
+    let mut first = None;
+    let mut last_offset = None;
+    if let Some(offset) = frames.advance()? {
+        first = Some(decode(offset, &frames.payload)?);
+        while let Some(offset) = frames.advance()? {
+            std::mem::swap(&mut frames.payload, kept);
+            last_offset = Some(offset);
+        }
+    }
+    Ok(LogTail {
+        first,
+        last: last_offset.map(|at| decode(at, kept)).transpose()?,
+        valid_bytes: frames.valid_bytes,
+        dropped_bytes: frames.dropped_bytes,
+    })
+}
+
+/// Verifies a whole history file like [`read_history`] — same checks, same
+/// errors, same torn-tail rule — but decodes only its first and last
+/// records, in memory bounded by the largest frame rather than the file.
+/// A CRC-valid frame in between whose JSON does not parse goes unnoticed
+/// here; [`read_history`] reports it.
+///
+/// # Errors
+///
+/// As [`read_history`].
+pub(crate) fn read_tail(path: &Path) -> Result<LogTail> {
+    scan_tail(&mut Frames::open(path)?, &mut String::new())
 }
 
 #[cfg(test)]
@@ -453,6 +603,106 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_by_eight_equals_the_bytewise_reference() {
+        // Every split of head / eight-byte body / tail, at every alignment.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buffer: Vec<u8> = (0..80)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buffer[start..start + len];
+                let reference = crc32_bytewise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF;
+                assert_eq!(crc32(bytes), reference, "start={start} len={len}");
+            }
+        }
+        let long: Vec<u8> = buffer.iter().cycle().take(100_003).copied().collect();
+        assert_eq!(
+            crc32(&long),
+            crc32_bytewise(0xFFFF_FFFF, &long) ^ 0xFFFF_FFFF
+        );
+    }
+
+    #[test]
+    fn the_writer_renders_every_frame_into_one_reused_buffer() {
+        let dir = std::env::temp_dir().join("mvcom-daemon-history-reuse");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("h.log");
+        let mut w = HistoryWriter::create(&path).unwrap();
+        assert_eq!(w.frame.capacity(), 0, "a fresh writer owns no buffer");
+        // Longest first: the later, shorter frames must fit where it was.
+        let records = [
+            HistoryRecord::Epoch(Box::new(epoch(10))),
+            HistoryRecord::Header(header()),
+            HistoryRecord::Epoch(Box::new(epoch(1))),
+        ];
+        let mut expected = Vec::new();
+        w.append(&records[0]).unwrap();
+        let (buffer, capacity) = (w.frame.as_ptr(), w.frame.capacity());
+        expected.extend_from_slice(&encode_record(&records[0]).unwrap());
+        for record in &records[1..] {
+            w.append(record).unwrap();
+            let frame = encode_record(record).unwrap();
+            assert_eq!(w.frame, frame);
+            // A frame: the payload's length, its CRC, the payload.
+            let payload = &frame[FRAME_HEADER..];
+            assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(frame[4..8], crc32(payload).to_le_bytes());
+            assert_eq!(payload.last(), Some(&b'\n'));
+            expected.extend_from_slice(&frame);
+        }
+        // Neither shorter record moved or regrew the buffer.
+        assert_eq!((w.frame.as_ptr(), w.frame.capacity()), (buffer, capacity));
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(w.bytes(), expected.len() as u64);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_tail_scan_holds_two_payloads_however_long_the_log() {
+        // 40 frames whose sizes rise and fall; the largest is the bound.
+        let mut log = encode_record(&HistoryRecord::Header(header())).unwrap();
+        let mut largest = 0;
+        let mut last = None;
+        for i in 0..40u64 {
+            let mut record = epoch(i);
+            record.alerts = vec![
+                AlertRecord {
+                    kind: "low_utility".to_string(),
+                    threshold: 1.0,
+                    observed: 0.5,
+                };
+                ((i * 37) % 200) as usize
+            ];
+            let record = HistoryRecord::Epoch(Box::new(record));
+            let frame = encode_record(&record).unwrap();
+            largest = largest.max(frame.len() - FRAME_HEADER);
+            log.extend_from_slice(&frame);
+            last = Some((log.len() - frame.len(), record));
+        }
+        assert!(log.len() > 20 * largest, "the log must dwarf one frame");
+        let mut frames = Frames::new(log.as_slice());
+        let mut kept = String::new();
+        let tail = scan_tail(&mut frames, &mut kept).unwrap();
+        assert_eq!(tail.first, Some(HistoryRecord::Header(header())));
+        let (last_offset, last_record) = last.unwrap();
+        assert_eq!(tail.last, Some(last_record));
+        assert_eq!(kept.as_bytes(), &log[last_offset + FRAME_HEADER..]);
+        assert_eq!(tail.valid_bytes, log.len() as u64);
+        assert_eq!(tail.dropped_bytes, 0);
+        // `read_to_end` grows a buffer by doubling, so each may have
+        // overshot the largest payload by at most that factor.
+        for capacity in [frames.payload.capacity(), kept.capacity()] {
+            assert!(capacity <= 2 * largest + 64, "{capacity} vs {largest}");
+        }
     }
 
     #[test]

@@ -146,6 +146,11 @@ struct JsonlReport {
 /// being buffered whole.
 const MAX_LINE: usize = 64 * 1024;
 
+/// Largest accepted `txs` of one report. An epoch holds at most 2³²
+/// reports (`reports_per_epoch` is a `u32`), so its `u64` transaction sums
+/// cannot wrap; a real shard is six orders of magnitude below the cap.
+const MAX_REPORT_TXS: u64 = u32::MAX as u64;
+
 /// Reports parsed line-by-line from a reader (stdin, a file, a pipe).
 #[derive(Debug)]
 pub struct JsonlSource<R> {
@@ -200,6 +205,12 @@ impl<R: BufRead> JsonlSource<R> {
                 return Err(DaemonError::ingest(format!(
                     "line {}: latency_s must be positive and finite, got {}",
                     self.line_no, report.latency_s
+                )));
+            }
+            if report.txs > MAX_REPORT_TXS {
+                return Err(DaemonError::ingest(format!(
+                    "line {}: txs must be at most {MAX_REPORT_TXS}, got {}",
+                    self.line_no, report.txs
                 )));
             }
             self.produced += 1;
@@ -322,6 +333,52 @@ mod tests {
         let mut bad_latency =
             JsonlSource::new("{\"committee\":1,\"txs\":5,\"latency_s\":-1.0}\n".as_bytes());
         assert!(bad_latency.next_batch(&mut buf, 1).is_err());
+    }
+
+    #[test]
+    fn jsonl_source_rejects_reports_that_could_wrap_an_epochs_sums() {
+        let err = |line: &str| {
+            let feed = format!("{{\"committee\":0,\"txs\":1,\"latency_s\":1.0}}\n{line}\n");
+            let mut source = JsonlSource::new(feed.as_bytes());
+            let err = source.next_batch(&mut Vec::new(), 2).unwrap_err();
+            assert_eq!(source.cursor(), 1, "the bad report is not counted");
+            err.to_string()
+        };
+        let report = |txs: &str| format!("{{\"committee\":1,\"txs\":{txs},\"latency_s\":1.0}}");
+        // 48 of these used to close an epoch "admitting" 2⁶⁴ − 48 txs.
+        let e = err(&report("18446744073709551615"));
+        assert!(e.contains("line 2: txs must be at most 4294967295"), "{e}");
+        let e = err(&report("4294967296"));
+        assert!(e.contains("line 2: txs must be at most 4294967295"), "{e}");
+        // A float past u64 used to saturate to u64::MAX on the way in.
+        for txs in ["1e30", "18446744073709551616", "1e999", "-1", "0.5"] {
+            let e = err(&report(txs));
+            assert!(e.contains("line 2: malformed report"), "{txs}: {e}");
+        }
+        // The cap itself, and an integral float below it, are reports.
+        for txs in ["4294967295", "3e9", "0"] {
+            let feed = report(txs);
+            let mut buf = Vec::new();
+            assert_eq!(
+                JsonlSource::new(feed.as_bytes())
+                    .next_batch(&mut buf, 1)
+                    .unwrap(),
+                1
+            );
+        }
+    }
+
+    #[test]
+    fn jsonl_source_reports_hostile_nesting_as_a_malformed_line() {
+        // As many brackets as `MAX_LINE` admits: this overflowed the stack.
+        let feed = "[".repeat(MAX_LINE - 1) + "\n";
+        let mut source = JsonlSource::new(feed.as_bytes());
+        let err = source
+            .next_batch(&mut Vec::new(), 1)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("line 1: malformed report"), "{err}");
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
     }
 
     #[test]

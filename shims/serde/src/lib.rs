@@ -1,11 +1,12 @@
 //! Offline shim for the subset of `serde` used by this workspace.
 //!
 //! Instead of serde's visitor-based, format-agnostic architecture, this
-//! shim routes everything through an owned [`Value`] tree: `Serialize`
-//! lowers a type to a `Value`, `Deserialize` lifts it back, and
-//! `serde_json` renders/parses `Value`s. That is sufficient here because
-//! the workspace (a) only ever derives the traits — there are no manual
-//! `impl Serialize` blocks — and (b) only uses the JSON format.
+//! shim knows one format. [`Serialize`] appends a value's compact JSON
+//! straight to a `String` — no intermediate tree, no per-field allocation
+//! — and [`Deserialize`] lifts a parsed [`Value`] tree into a type;
+//! `serde_json` owns the parser and the entry points. That is sufficient
+//! here because the workspace (a) only ever derives the traits — there
+//! are no manual `impl Serialize` blocks — and (b) only uses JSON.
 //!
 //! Encoding conventions match serde + serde_json defaults for the shapes
 //! the workspace uses:
@@ -15,16 +16,25 @@
 //! - tuple structs of arity ≥ 2 → arrays;
 //! - enums → externally tagged: unit variants as `"Name"`, data variants
 //!   as `{"Name": ...}`.
-
-#![allow(clippy::disallowed_types, reason = "vendored API surface")]
+//!
+//! Number and string formatting:
+//! - Floats print via Rust's shortest-round-trip `{:?}` formatting, so
+//!   every finite `f64` survives a serialize/parse round trip exactly
+//!   (integral floats render with a trailing `.0`, which the parser maps
+//!   back to `F64`).
+//! - Non-finite floats have no JSON representation; they render as the
+//!   out-of-range literals `1e999` / `-1e999`, which `str::parse::<f64>`
+//!   reads back as `±inf`. `NaN` renders as `null`. This keeps infinite
+//!   simulated latencies (a real sentinel in this codebase) round-trippable.
+//! - Strings escape `"`, `\\` and the control characters below U+0020;
+//!   everything else, multi-byte UTF-8 included, is copied through.
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// An owned, format-independent data tree (the shim's serialization
-/// intermediate representation).
+/// An owned JSON data tree: what the parser produces and what
+/// [`Deserialize`] lifts from. It serializes like any other type.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Null,
@@ -34,8 +44,8 @@ pub enum Value {
     F64(f64),
     Str(String),
     Array(Vec<Value>),
-    /// Insertion-ordered key/value pairs, so serialized field order is
-    /// stable and matches declaration order.
+    /// Insertion-ordered key/value pairs, so field order is stable and
+    /// matches declaration order.
     Object(Vec<(String, Value)>),
 }
 
@@ -77,9 +87,9 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Lowers `self` into a [`Value`] tree.
+/// Appends `self` to `out` as compact JSON.
 pub trait Serialize {
-    fn to_value(&self) -> Value;
+    fn write_json(&self, out: &mut String);
 }
 
 /// Lifts a [`Value`] tree back into `Self`.
@@ -95,11 +105,7 @@ pub trait Deserialize: Sized {
 /// `Option` fields deserialize to `None`.
 #[doc(hidden)]
 pub fn get_field<'a>(fields: &'a [(String, Value)], name: &str) -> &'a Value {
-    fields
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .unwrap_or(&NULL)
+    find_field(fields, name).unwrap_or(&NULL)
 }
 
 /// Field lookup that distinguishes a missing field (`None`) from an
@@ -136,12 +142,122 @@ pub fn unknown_variant(ty: &str, tag: &str) -> Error {
 }
 
 // ---------------------------------------------------------------------------
+// Scalar writers.
+// ---------------------------------------------------------------------------
+
+/// Appends the decimal digits of `x`.
+fn write_u64(mut x: u64, out: &mut String) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+fn write_i64(x: i64, out: &mut String) {
+    if x < 0 {
+        out.push('-');
+    }
+    write_u64(x.unsigned_abs(), out);
+}
+
+fn write_f64(x: f64, out: &mut String) {
+    if x.is_nan() {
+        out.push_str("null");
+    } else if x == f64::INFINITY {
+        out.push_str("1e999");
+    } else if x == f64::NEG_INFINITY {
+        out.push_str("-1e999");
+    } else {
+        // `{:?}` is shortest-round-trip and always includes `.0` or an
+        // exponent, keeping the number recognizably float-typed. Writing
+        // to a `String` cannot fail.
+        let _ = write!(out, "{x:?}");
+    }
+}
+
+/// Appends `s` as a JSON string literal. Runs that need no escape are
+/// copied whole; every byte that does is ASCII, so cutting the `str` at
+/// one is always on a character boundary.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends `[a,b,…]`.
+fn write_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::U64(x) => write_u64(*x, out),
+            Value::I64(x) => write_i64(*x, out),
+            Value::F64(x) => write_f64(*x, out),
+            Value::Str(s) => write_str(s, out),
+            Value::Array(items) => write_seq(items, out),
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (key, item)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(key, out);
+                    out.push(':');
+                    item.write_json(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Primitive impls.
 // ---------------------------------------------------------------------------
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -154,11 +270,21 @@ impl Deserialize for bool {
     }
 }
 
+/// 2⁶⁴ and 2⁶³: the first floats past `u64::MAX` and `i64::MAX`. An
+/// integral float inside the range converts exactly; one at or beyond it
+/// is refused, where `as` would saturate it to the maximum.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+fn out_of_range(x: impl fmt::Display) -> Error {
+    Error::custom(format!("integer {x} out of range"))
+}
+
 macro_rules! impl_serde_uint {
     ($($t:ty),* $(,)?) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
+            fn write_json(&self, out: &mut String) {
+                write_u64(*self as u64, out);
             }
         }
         impl Deserialize for $t {
@@ -166,11 +292,15 @@ macro_rules! impl_serde_uint {
                 let raw = match value {
                     Value::U64(x) => *x,
                     Value::I64(x) if *x >= 0 => *x as u64,
-                    Value::F64(x) if x.fract() == 0.0 && *x >= 0.0 => *x as u64,
+                    Value::F64(x) if x.fract() == 0.0 && *x >= 0.0 => {
+                        if *x >= TWO_POW_64 {
+                            return Err(out_of_range(x));
+                        }
+                        *x as u64
+                    }
                     other => return Err(Error::expected("unsigned integer", other)),
                 };
-                <$t>::try_from(raw)
-                    .map_err(|_| Error::custom(format!("integer {raw} out of range")))
+                <$t>::try_from(raw).map_err(|_| out_of_range(raw))
             }
         }
     )*};
@@ -181,9 +311,8 @@ impl_serde_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_serde_int {
     ($($t:ty),* $(,)?) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 { Value::U64(v as u64) } else { Value::I64(v) }
+            fn write_json(&self, out: &mut String) {
+                write_i64(*self as i64, out);
             }
         }
         impl Deserialize for $t {
@@ -192,11 +321,15 @@ macro_rules! impl_serde_int {
                     Value::I64(x) => *x,
                     Value::U64(x) => i64::try_from(*x)
                         .map_err(|_| Error::custom("integer out of i64 range"))?,
-                    Value::F64(x) if x.fract() == 0.0 => *x as i64,
+                    Value::F64(x) if x.fract() == 0.0 => {
+                        if !(-TWO_POW_63..TWO_POW_63).contains(x) {
+                            return Err(out_of_range(x));
+                        }
+                        *x as i64
+                    }
                     other => return Err(Error::expected("integer", other)),
                 };
-                <$t>::try_from(raw)
-                    .map_err(|_| Error::custom(format!("integer {raw} out of range")))
+                <$t>::try_from(raw).map_err(|_| out_of_range(raw))
             }
         }
     )*};
@@ -205,8 +338,8 @@ macro_rules! impl_serde_int {
 impl_serde_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    fn write_json(&self, out: &mut String) {
+        write_f64(*self, out);
     }
 }
 
@@ -222,8 +355,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
+    fn write_json(&self, out: &mut String) {
+        write_f64(f64::from(*self), out);
     }
 }
 
@@ -234,8 +367,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
@@ -249,14 +382,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        write_str(self.encode_utf8(&mut [0; 4]), out);
     }
 }
 
@@ -274,14 +407,14 @@ impl Deserialize for char {
 // ---------------------------------------------------------------------------
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -292,10 +425,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            None => Value::Null,
-            Some(inner) => inner.to_value(),
+            None => out.push_str("null"),
+            Some(inner) => inner.write_json(out),
         }
     }
 }
@@ -310,8 +443,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -325,14 +458,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(self, out);
     }
 }
 
@@ -349,8 +482,12 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 macro_rules! impl_serde_tuple {
     ($(($($name:ident : $idx:tt),+);)*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn write_json(&self, out: &mut String) {
+                $(
+                    out.push(if $idx == 0 { '[' } else { ',' });
+                    self.$idx.write_json(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -371,72 +508,29 @@ impl_serde_tuple! {
     (A: 0, B: 1, C: 2, D: 3, E: 4);
 }
 
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    /// Maps serialize as objects; non-string keys are rendered through
-    /// their serialized form (numbers become their decimal strings),
-    /// mirroring `serde_json`'s behaviour for integer-keyed maps.
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (key_to_string(&k.to_value()), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Serialize, V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (key_to_string(&k.to_value()), v.to_value()))
-            .collect();
-        // Sort for deterministic output regardless of hasher state.
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
-    }
-}
-
-fn key_to_string(key: &Value) -> String {
-    match key {
-        Value::Str(s) => s.clone(),
-        Value::U64(x) => x.to_string(),
-        Value::I64(x) => x.to_string(),
-        Value::Bool(b) => b.to_string(),
-        other => format!("{other:?}"),
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for std::collections::BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out);
+        out
+    }
+
     #[test]
     fn option_round_trips_through_null() {
         let none: Option<u32> = None;
-        assert_eq!(none.to_value(), Value::Null);
+        assert_eq!(json(&none), "null");
         assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(Some(7u32).to_value(), Value::U64(7));
+        assert_eq!(json(&Some(7u32)), "7");
     }
 
     #[test]
     fn arrays_round_trip() {
         let bytes = [1u8, 2, 3];
-        let v = bytes.to_value();
+        assert_eq!(json(&bytes), "[1,2,3]");
+        let v = Value::Array(bytes.iter().map(|&b| Value::U64(u64::from(b))).collect());
         assert_eq!(<[u8; 3]>::from_value(&v).unwrap(), bytes);
         assert!(<[u8; 4]>::from_value(&v).is_err());
     }
@@ -449,10 +543,29 @@ mod tests {
     }
 
     #[test]
-    fn signed_integers_prefer_u64_when_non_negative() {
-        assert_eq!(5i64.to_value(), Value::U64(5));
-        assert_eq!((-5i64).to_value(), Value::I64(-5));
+    fn signed_integers_read_from_either_integer_kind() {
+        assert_eq!(json(&5i64), "5");
+        assert_eq!(json(&-5i64), "-5");
+        assert_eq!(json(&i64::MIN), "-9223372036854775808");
         assert_eq!(i64::from_value(&Value::U64(5)).unwrap(), 5);
         assert_eq!(i64::from_value(&Value::I64(-5)).unwrap(), -5);
+    }
+
+    #[test]
+    fn integral_floats_convert_only_inside_the_target_range() {
+        assert_eq!(u64::from_value(&Value::F64(4096.0)).unwrap(), 4096);
+        assert_eq!(i64::from_value(&Value::F64(-4096.0)).unwrap(), -4096);
+        assert_eq!(i64::from_value(&Value::F64(-TWO_POW_63)).unwrap(), i64::MIN);
+        assert_eq!(u8::from_value(&Value::F64(255.0)).unwrap(), 255);
+        // `as` would turn each of these into the target's MAX or MIN.
+        for beyond in [1e30, TWO_POW_64, f64::MAX] {
+            assert!(u64::from_value(&Value::F64(beyond)).is_err(), "{beyond}");
+        }
+        for beyond in [1e30, -1e30, TWO_POW_63, f64::MIN] {
+            assert!(i64::from_value(&Value::F64(beyond)).is_err(), "{beyond}");
+        }
+        assert!(u8::from_value(&Value::F64(256.0)).is_err());
+        assert!(u64::from_value(&Value::F64(f64::INFINITY)).is_err());
+        assert!(u64::from_value(&Value::F64(0.5)).is_err());
     }
 }

@@ -5,7 +5,13 @@
 //! The macros only need the *shape* of an item — its name, its field
 //! names, and its variants — because the companion `serde` shim resolves
 //! field types through inference (`Deserialize::from_value(...)` in a
-//! struct literal). Type tokens are therefore skipped, not parsed.
+//! struct literal, `Serialize::write_json(&self.field, ..)`). Type tokens
+//! are therefore skipped, not parsed.
+//!
+//! `Serialize` expands to straight-line code that appends compact JSON to
+//! a `String`: the punctuation and field names of the shape are string
+//! literals joined at expansion time (`{"a":`, `,"b":`, `}`), with one
+//! `write_json` call per field between them.
 //!
 //! Supported shapes (everything the workspace derives): unit structs,
 //! tuple structs, named-field structs, and enums whose variants are
@@ -312,92 +318,120 @@ fn parse_variants(group: &Group) -> Result<Vec<Variant>, String> {
 // Code generation.
 // ---------------------------------------------------------------------------
 
-const S: &str = "::serde::Serialize::to_value";
 const D: &str = "::serde::Deserialize::from_value";
 
-fn string_lit(text: &str) -> String {
-    format!("::std::string::String::from(\"{text}\")")
+/// Builds the body of `write_json`: literal JSON text accumulates in
+/// `pending` and is emitted as one `push_str` when a value write (or the
+/// end of the body) interrupts it, so `{"a":` / `,"b":` / `}` each cost a
+/// single call.
+#[derive(Default)]
+struct JsonBody {
+    code: String,
+    pending: String,
 }
 
-/// `vec![a, b, c]` without relying on prelude macros in generated code.
-fn vec_expr(items: &[String]) -> String {
-    if items.is_empty() {
-        "::std::vec::Vec::new()".to_string()
-    } else {
-        format!("::std::vec::Vec::from([{}])", items.join(", "))
+impl JsonBody {
+    fn text(&mut self, json: &str) {
+        self.pending.push_str(json);
+    }
+
+    /// `expr` must evaluate to a reference to a `Serialize` value.
+    fn value(&mut self, expr: &str) {
+        self.flush();
+        self.code
+            .push_str(&format!("::serde::Serialize::write_json({expr}, __out);\n"));
+    }
+
+    /// `{"a":<a>,"b":<b>}` over `(field name, expression)` pairs.
+    fn object<'a>(&mut self, fields: impl Iterator<Item = (&'a str, String)>) {
+        self.text("{");
+        for (i, (name, expr)) in fields.enumerate() {
+            self.text(&format!("{}\"{name}\":", if i > 0 { "," } else { "" }));
+            self.value(&expr);
+        }
+        self.text("}");
+    }
+
+    /// `[<a>,<b>]`.
+    fn array(&mut self, items: impl Iterator<Item = String>) {
+        self.text("[");
+        for (i, expr) in items.enumerate() {
+            if i > 0 {
+                self.text(",");
+            }
+            self.value(&expr);
+        }
+        self.text("]");
+    }
+
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            // `{:?}` of a `str` is a valid Rust string literal.
+            self.code
+                .push_str(&format!("__out.push_str({:?});\n", self.pending));
+            self.pending.clear();
+        }
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.code
     }
 }
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.kind {
-        Kind::UnitStruct => "::serde::Value::Null".to_string(),
-        Kind::TupleStruct { arity: 1 } => format!("{S}(&self.0)"),
-        Kind::TupleStruct { arity } => {
-            let items: Vec<String> = (0..*arity).map(|i| format!("{S}(&self.{i})")).collect();
-            format!("::serde::Value::Array({})", vec_expr(&items))
-        }
-        Kind::NamedStruct { fields } => {
-            let pairs: Vec<String> = fields
+    let mut body = JsonBody::default();
+    match &item.kind {
+        Kind::UnitStruct => body.text("null"),
+        Kind::TupleStruct { arity: 1 } => body.value("&self.0"),
+        Kind::TupleStruct { arity } => body.array((0..*arity).map(|i| format!("&self.{i}"))),
+        Kind::NamedStruct { fields } => body.object(
+            fields
                 .iter()
-                .map(|f| {
-                    let name = &f.name;
-                    format!("({}, {S}(&self.{name}))", string_lit(name))
-                })
-                .collect();
-            format!("::serde::Value::Object({})", vec_expr(&pairs))
-        }
+                .map(|f| (f.name.as_str(), format!("&self.{}", f.name))),
+        ),
         Kind::Enum { variants } => {
-            let mut arms = Vec::new();
+            let mut arms = String::new();
             for v in variants {
                 let vname = &v.name;
-                let tag = string_lit(vname);
-                let arm = match &v.shape {
+                let mut arm = JsonBody::default();
+                let pattern = match &v.shape {
                     Shape::Unit => {
-                        format!("{name}::{vname} => ::serde::Value::Str({tag}),")
+                        arm.text(&format!("\"{vname}\""));
+                        String::new()
                     }
-                    Shape::Tuple(1) => format!(
-                        "{name}::{vname}(__f0) => ::serde::Value::Object({}),",
-                        vec_expr(&[format!("({tag}, {S}(__f0))")])
-                    ),
                     Shape::Tuple(arity) => {
                         let binders: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> =
-                            binders.iter().map(|b| format!("{S}({b})")).collect();
-                        format!(
-                            "{name}::{vname}({}) => ::serde::Value::Object({}),",
-                            binders.join(", "),
-                            vec_expr(&[format!(
-                                "({tag}, ::serde::Value::Array({}))",
-                                vec_expr(&items)
-                            )])
-                        )
+                        arm.text(&format!("{{\"{vname}\":"));
+                        match binders.as_slice() {
+                            [only] => arm.value(only),
+                            many => arm.array(many.iter().cloned()),
+                        }
+                        arm.text("}");
+                        format!("({})", binders.join(", "))
                     }
                     Shape::Named(fields) => {
-                        let names: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let pairs: Vec<String> = names
-                            .iter()
-                            .map(|f| format!("({}, {S}({f}))", string_lit(f)))
-                            .collect();
-                        format!(
-                            "{name}::{vname} {{ {} }} => ::serde::Value::Object({}),",
-                            names.join(", "),
-                            vec_expr(&[format!(
-                                "({tag}, ::serde::Value::Object({}))",
-                                vec_expr(&pairs)
-                            )])
-                        )
+                        arm.text(&format!("{{\"{vname}\":"));
+                        arm.object(fields.iter().map(|f| (f.name.as_str(), f.name.clone())));
+                        arm.text("}");
+                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        format!(" {{ {} }}", names.join(", "))
                     }
                 };
-                arms.push(arm);
+                arms.push_str(&format!(
+                    "{name}::{vname}{pattern} => {{ {} }}\n",
+                    arm.finish()
+                ));
             }
-            format!("match self {{ {} }}", arms.join("\n"))
+            body.code = format!("match self {{ {arms} }}");
         }
-    };
+    }
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
+         fn write_json(&self, __out: &mut ::std::string::String) {{ {} }}\n\
+         }}",
+        body.finish()
     )
 }
 

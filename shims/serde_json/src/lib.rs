@@ -1,19 +1,27 @@
 //! Offline shim for the subset of `serde_json` used by this workspace:
-//! [`to_string`], [`to_string_pretty`], and [`from_str`], built on the
-//! `serde` shim's [`Value`] tree.
+//! [`to_string`], [`from_str`] and [`from_str_value`].
 //!
-//! Formatting notes:
-//! - Floats print via Rust's shortest-round-trip `{:?}` formatting, so
-//!   every finite `f64` survives a serialize/parse round trip exactly
-//!   (integral floats render with a trailing `.0`, which the parser maps
-//!   back to `F64`).
-//! - Non-finite floats have no JSON representation; they render as the
-//!   out-of-range literals `1e999` / `-1e999`, which `str::parse::<f64>`
-//!   reads back as `±inf`. `NaN` renders as `null`. This keeps infinite
-//!   simulated latencies (a real sentinel in this codebase) round-trippable.
+//! Writing is the `serde` shim's [`Serialize`], which appends compact JSON
+//! to a `String` directly (its crate docs give the number and string
+//! formatting); this crate owns the other direction. The parser walks the
+//! input's bytes by index and builds a [`Value`] tree — numbers are parsed
+//! where they stand, the unescaped runs of a string are copied as slices —
+//! and `from_str::<T>` lifts that tree through [`Deserialize`].
+//!
+//! Input is untrusted (ingest lines, history payloads, event files):
+//! every malformed document is an [`Error`] naming the byte position, and
+//! arrays and objects may nest at most [`MAX_DEPTH`] deep, so no input can
+//! exhaust the stack.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+
+#[cfg(test)]
+mod reference;
+
+/// Deepest accepted nesting of arrays and objects (upstream `serde_json`'s
+/// default limit). The parser recurses once per level.
+pub const MAX_DEPTH: usize = 128;
 
 /// Error produced by JSON parsing or by lifting a parsed tree into a
 /// typed structure.
@@ -43,383 +51,283 @@ impl From<serde::Error> for Error {
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out);
-    Ok(out)
-}
-
-/// Serializes a value to two-space-indented JSON.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value_pretty(&value.to_value(), &mut out, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
 /// Parses a JSON document into any `Deserialize` type.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
-    let value = parse_value_complete(input)?;
+    let value = from_str_value(input)?;
     T::from_value(&value).map_err(Error::from)
 }
 
 /// Parses a JSON document into a raw [`Value`] tree.
 pub fn from_str_value(input: &str) -> Result<Value, Error> {
-    parse_value_complete(input)
-}
-
-// ---------------------------------------------------------------------------
-// Writer.
-// ---------------------------------------------------------------------------
-
-fn write_value(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(x) => out.push_str(&x.to_string()),
-        Value::I64(x) => out.push_str(&x.to_string()),
-        Value::F64(x) => write_float(*x, out),
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            out.push('{');
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(key, out);
-                out.push(':');
-                write_value(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_value_pretty(value: &Value, out: &mut String, indent: usize) {
-    match value {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_value_pretty(item, out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Object(fields) if !fields.is_empty() => {
-            out.push_str("{\n");
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_string(key, out);
-                out.push_str(": ");
-                write_value_pretty(item, out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push('}');
-        }
-        other => write_value(other, out),
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_float(x: f64, out: &mut String) {
-    if x.is_nan() {
-        out.push_str("null");
-    } else if x == f64::INFINITY {
-        out.push_str("1e999");
-    } else if x == f64::NEG_INFINITY {
-        out.push_str("-1e999");
-    } else {
-        // `{:?}` is shortest-round-trip and always includes `.0` or an
-        // exponent, keeping the number recognizably float-typed.
-        out.push_str(&format!("{x:?}"));
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser: recursive descent over chars.
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    /// Consumed-character count, for error positions.
-    pos: usize,
-}
-
-fn parse_value_complete(input: &str) -> Result<Value, Error> {
     let mut parser = Parser {
-        chars: input.chars().peekable(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.chars.peek().is_some() {
-        return Err(Error::new(format!(
-            "trailing characters after JSON value at position {}",
-            parser.pos
-        )));
+    if parser.pos < input.len() {
+        return Err(parser.error("trailing characters after JSON value"));
     }
     Ok(value)
 }
 
+// ---------------------------------------------------------------------------
+// Parser: recursive descent over bytes, at most `MAX_DEPTH` frames deep.
+// ---------------------------------------------------------------------------
+
+struct Parser<'a> {
+    text: &'a str,
+    /// Index of the next unread byte.
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+}
+
 impl Parser<'_> {
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+    fn error(&self, what: impl fmt::Display) -> Error {
+        Error::new(format!("{what} at byte {}", self.pos))
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-            self.bump();
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
-    fn expect(&mut self, want: char) -> Result<(), Error> {
-        match self.bump() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(Error::new(format!(
-                "expected `{want}` at position {}, found `{c}`",
-                self.pos
-            ))),
-            None => Err(Error::new(format!("expected `{want}`, found end of input"))),
+    /// What stands at `pos`, for error messages: the whole character, not
+    /// its first byte (`pos` is always on a character boundary here).
+    fn found(&self) -> String {
+        match self
+            .text
+            .get(self.pos..)
+            .and_then(|rest| rest.chars().next())
+        {
+            Some(c) => format!("`{c}`"),
+            None => "end of input".to_string(),
         }
     }
 
-    fn expect_keyword(&mut self, rest: &str) -> Result<(), Error> {
-        for want in rest.chars() {
-            match self.bump() {
-                Some(c) if c == want => {}
-                _ => {
-                    return Err(Error::new(format!(
-                        "invalid literal near position {}",
-                        self.pos
-                    )))
-                }
-            }
+    fn expect(&mut self, want: u8) -> Result<(), Error> {
+        if self.peek() == Some(want) {
+            self.pos += 1;
+            return Ok(());
         }
-        Ok(())
+        Err(self.error(format_args!(
+            "expected `{}`, found {}",
+            char::from(want),
+            self.found()
+        )))
+    }
+
+    fn expect_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            return Ok(value);
+        }
+        Err(self.error("invalid literal"))
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.chars.peek() {
-            Some('n') => {
-                self.expect_keyword("null")?;
-                Ok(Value::Null)
-            }
-            Some('t') => {
-                self.expect_keyword("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some('f') => {
-                self.expect_keyword("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some('"') => self.parse_string().map(Value::Str),
-            Some('[') => self.parse_array(),
-            Some('{') => self.parse_object(),
-            Some(c) if *c == '-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(Error::new(format!(
-                "unexpected character `{c}` at position {}",
-                self.pos
-            ))),
-            None => Err(Error::new("unexpected end of input")),
+        match self.peek() {
+            Some(b'n') => self.expect_keyword("null", Value::Null),
+            Some(b't') => self.expect_keyword("true", Value::Bool(true)),
+            Some(b'f') => self.expect_keyword("false", Value::Bool(false)),
+            Some(b'"') => self.parse_string().map(Value::Str),
+            Some(b'[') => self.nested(Parser::parse_array),
+            Some(b'{') => self.nested(Parser::parse_object),
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(_) => Err(self.error(format_args!("unexpected character {}", self.found()))),
+            None => Err(self.error("unexpected end of input")),
         }
     }
 
+    /// Runs `parse` one nesting level down, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format_args!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
     fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.chars.peek() == Some(&']') {
-            self.bump();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
             return Ok(Value::Array(items));
         }
         loop {
             self.skip_ws();
             items.push(self.parse_value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => {}
-                Some(']') => return Ok(Value::Array(items)),
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` in array at position {}",
-                        self.pos
-                    )));
-                }
+            if self.closes(b']', "array")? {
+                return Ok(Value::Array(items));
             }
         }
     }
 
     fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
-        if self.chars.peek() == Some(&'}') {
-            self.bump();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
             return Ok(Value::Object(fields));
         }
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             self.skip_ws();
             let value = self.parse_value()?;
             fields.push((key, value));
             self.skip_ws();
-            match self.bump() {
-                Some(',') => {}
-                Some('}') => return Ok(Value::Object(fields)),
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` in object at position {}",
-                        self.pos
-                    )));
-                }
+            if self.closes(b'}', "object")? {
+                return Ok(Value::Object(fields));
             }
         }
     }
 
+    /// Steps over what follows an item of a container: `close` ends it
+    /// (`true`), `,` announces another item.
+    fn closes(&mut self, close: u8, container: &str) -> Result<bool, Error> {
+        let closed = match self.peek() {
+            Some(b',') => false,
+            Some(b) if b == close => true,
+            _ => {
+                return Err(self.error(format_args!(
+                    "expected `,` or `{}` in {container}, found {}",
+                    char::from(close),
+                    self.found()
+                )))
+            }
+        };
+        self.pos += 1;
+        Ok(closed)
+    }
+
     fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.bump() {
-                None => return Err(Error::new("unterminated string")),
-                Some('"') => return Ok(s),
-                Some('\\') => match self.bump() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('b') => s.push('\u{08}'),
-                    Some('f') => s.push('\u{0c}'),
-                    Some('n') => s.push('\n'),
-                    Some('r') => s.push('\r'),
-                    Some('t') => s.push('\t'),
-                    Some('u') => {
-                        let hi = self.parse_hex4()?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: expect a trailing \uXXXX.
-                            self.expect('\\')?;
-                            self.expect('u')?;
-                            let lo = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(Error::new("invalid low surrogate"));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        match char::from_u32(code) {
-                            Some(c) => s.push(c),
-                            None => return Err(Error::new("invalid unicode escape")),
-                        }
-                    }
-                    other => {
-                        return Err(Error::new(format!("invalid escape `{other:?}`")));
-                    }
-                },
-                Some(c) => s.push(c),
+            // `"` and `\` are ASCII, so a run between two of them starts
+            // and ends on a character boundary.
+            let run = self.pos;
+            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                self.pos += 1;
             }
+            s.push_str(&self.text[run..self.pos]);
+            let Some(stop) = self.peek() else {
+                return Err(self.error("unterminated string"));
+            };
+            self.pos += 1;
+            if stop == b'"' {
+                return Ok(s);
+            }
+            s.push(self.parse_escape()?);
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the `\`.
+    fn parse_escape(&mut self) -> Result<char, Error> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.parse_hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect a trailing \uXXXX.
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let lo = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.error("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                return char::from_u32(code).ok_or_else(|| self.error("invalid unicode escape"));
+            }
+            _ => return Err(self.error(format_args!("invalid escape {}", self.found()))),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         let mut code = 0u32;
         for _ in 0..4 {
             let digit = self
-                .bump()
-                .and_then(|c| c.to_digit(16))
-                .ok_or_else(|| Error::new("invalid \\u escape"))?;
+                .peek()
+                .and_then(|b| char::from(b).to_digit(16))
+                .ok_or_else(|| self.error("invalid \\u escape"))?;
+            self.pos += 1;
             code = code * 16 + digit;
         }
         Ok(code)
     }
 
+    /// A number token is the longest run of `0-9 . e E + -` after an
+    /// optional leading `-`; what it means is `str::parse`'s call. Without
+    /// a float character it is a `u64` if that fits, else an `i64`, else
+    /// (too large for either) an `f64` like every other token.
     fn parse_number(&mut self) -> Result<Value, Error> {
-        let mut text = String::new();
-        let mut is_float = false;
-        if self.chars.peek() == Some(&'-') {
-            text.push('-');
-            self.bump();
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
         }
-        while let Some(&c) = self.chars.peek() {
-            match c {
-                '0'..='9' => {
-                    text.push(c);
-                    self.bump();
-                }
-                '.' | 'e' | 'E' | '+' | '-' => {
-                    is_float = true;
-                    text.push(c);
-                    self.bump();
-                }
+        let mut is_float = false;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
                 _ => break,
             }
+            self.pos += 1;
         }
+        let token = &self.text[start..self.pos];
         if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
+            if let Ok(u) = token.parse::<u64>() {
                 return Ok(Value::U64(u));
             }
-            if let Ok(i) = text.parse::<i64>() {
+            if let Ok(i) = token.parse::<i64>() {
                 return Ok(Value::I64(i));
             }
         }
-        text.parse::<f64>()
+        token
+            .parse::<f64>()
             .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
+            .map_err(|_| Error::new(format!("invalid number `{token}` at byte {start}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
     #[test]
     fn scalars_round_trip() {
@@ -465,5 +373,506 @@ mod tests {
     fn trailing_garbage_is_an_error() {
         assert!(from_str::<u32>("5 x").is_err());
         assert!(from_str::<Vec<u32>>("[1,]").is_err());
+    }
+
+    #[test]
+    fn errors_name_the_byte_and_what_stands_there() {
+        let err = |input: &str| from_str_value(input).unwrap_err().to_string();
+        assert_eq!(
+            err("[1 2]"),
+            "expected `,` or `]` in array, found `2` at byte 3"
+        );
+        assert_eq!(err("{\"a\" 1}"), "expected `:`, found `1` at byte 5");
+        assert_eq!(
+            err("{\"a\":1"),
+            "expected `,` or `}` in object, found end of input at byte 6"
+        );
+        assert_eq!(err("[é]"), "unexpected character `é` at byte 1");
+        assert_eq!(err("\"\\x\""), "invalid escape `x` at byte 2");
+        assert_eq!(err("[1, -]"), "invalid number `-` at byte 4");
+        assert_eq!(err("nul"), "invalid literal at byte 0");
+        assert_eq!(err("\"abc"), "unterminated string at byte 4");
+        assert_eq!(err(""), "unexpected end of input at byte 0");
+        assert_eq!(err("1 1"), "trailing characters after JSON value at byte 2");
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_bound_is_an_ordinary_error() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_limit = if open == "[" {
+                nest(open, close, MAX_DEPTH)
+            } else {
+                nest(open, close, MAX_DEPTH - 1).replace(":}", ":[]}")
+            };
+            assert!(from_str_value(&at_limit).is_ok(), "{at_limit}");
+        }
+        let err = from_str_value(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "nesting deeper than 128 levels at byte 128"
+        );
+        // What used to overflow the stack: unclosed, mixed, and very deep.
+        for hostile in ["[".repeat(100_000), "{\"a\":[".repeat(100_000)] {
+            let err = from_str_value(&hostile).unwrap_err().to_string();
+            assert!(err.starts_with("nesting deeper than 128 levels"), "{err}");
+        }
+        // Depth is nesting, not a count of containers.
+        assert!(from_str_value(&format!("[{}[]]", "[],".repeat(1_000))).is_ok());
+    }
+
+    // ---- the writer against the `Value`-tree writer it replaced ----------
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Unit;
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Newtype(u32);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Pair(i64, String);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Empty {}
+
+    fn seven() -> u8 {
+        7
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Named {
+        id: u64,
+        name: String,
+        opt: Option<f64>,
+        boxed: Box<Newtype>,
+        nested: Vec<Vec<Pair>>,
+        tuple: (u8, bool),
+        array: [i16; 3],
+        unit: Unit,
+        #[serde(default)]
+        extra: u32,
+        #[serde(default = "seven")]
+        seven: u8,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Shape {
+        Dot,
+        Circle(f64),
+        Segment(i8, String),
+        Group {
+            label: char,
+            inner: Option<Box<Shape>>,
+        },
+    }
+
+    fn u(x: u64) -> Value {
+        Value::U64(x)
+    }
+
+    fn s(x: &str) -> Value {
+        Value::Str(x.to_string())
+    }
+
+    fn object(fields: &[(&str, Value)]) -> Value {
+        Value::Object(
+            fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        )
+    }
+
+    /// `x` serializes to exactly the bytes the reference writer renders
+    /// for `tree` — the `Value` the old `Serialize` lowered `x` to — the
+    /// tree writes itself the same way, and the bytes parse back to both.
+    fn same_bytes<T: Serialize + Deserialize + PartialEq + Debug>(x: &T, tree: Value) -> String {
+        let json = to_string(x).unwrap();
+        let mut reference = String::new();
+        reference::write_value(&tree, &mut reference);
+        assert_eq!(json, reference, "{x:?}");
+        assert_eq!(to_string(&tree).unwrap(), reference, "{tree:?}");
+        assert_eq!(from_str_value(&json).unwrap(), tree, "{json}");
+        assert_eq!(&from_str::<T>(&json).unwrap(), x, "{json}");
+        json
+    }
+
+    #[test]
+    fn every_derive_shape_writes_the_reference_bytes() {
+        assert_eq!(same_bytes(&Unit, Value::Null), "null");
+        assert_eq!(same_bytes(&Newtype(9), u(9)), "9");
+        same_bytes(
+            &Pair(-4, "x".into()),
+            Value::Array(vec![Value::I64(-4), s("x")]),
+        );
+        assert_eq!(same_bytes(&Empty {}, object(&[])), "{}");
+        let named = Named {
+            id: u64::MAX,
+            name: "quo\"te".into(),
+            opt: None,
+            boxed: Box::new(Newtype(1)),
+            nested: vec![
+                vec![],
+                vec![Pair(0, String::new()), Pair(i64::MIN, "é".into())],
+            ],
+            tuple: (255, false),
+            array: [-1, 0, 1],
+            unit: Unit,
+            extra: 3,
+            seven: 8,
+        };
+        let pair = |a: Value, b: &str| Value::Array(vec![a, s(b)]);
+        let json = same_bytes(
+            &named,
+            object(&[
+                ("id", u(u64::MAX)),
+                ("name", s("quo\"te")),
+                ("opt", Value::Null),
+                ("boxed", u(1)),
+                (
+                    "nested",
+                    Value::Array(vec![
+                        Value::Array(vec![]),
+                        Value::Array(vec![pair(u(0), ""), pair(Value::I64(i64::MIN), "é")]),
+                    ]),
+                ),
+                ("tuple", Value::Array(vec![u(255), Value::Bool(false)])),
+                ("array", Value::Array(vec![Value::I64(-1), u(0), u(1)])),
+                ("unit", Value::Null),
+                ("extra", u(3)),
+                ("seven", u(8)),
+            ]),
+        );
+        assert!(
+            json.starts_with("{\"id\":18446744073709551615,\"name\":\"quo\\\"te\",\"opt\":null,")
+        );
+        // A missing `#[serde(default)]` key takes its default, a missing
+        // `Option` reads as `None`; any other missing key is an error.
+        let sparse = json
+            .replace(",\"extra\":3,\"seven\":8", "")
+            .replace("\"opt\":null,", "");
+        let back: Named = from_str(&sparse).unwrap();
+        assert_eq!((back.extra, back.seven, back.opt), (0, 7, None));
+        assert!(from_str::<Named>(&sparse.replace("\"id\":18446744073709551615,", "")).is_err());
+
+        same_bytes(&Shape::Dot, s("Dot"));
+        same_bytes(&Shape::Circle(0.5), object(&[("Circle", Value::F64(0.5))]));
+        same_bytes(
+            &Shape::Segment(-3, "ab".into()),
+            object(&[("Segment", Value::Array(vec![Value::I64(-3), s("ab")]))]),
+        );
+        let group =
+            |inner: Value| object(&[("Group", object(&[("label", s("→")), ("inner", inner)]))]);
+        same_bytes(
+            &Shape::Group {
+                label: '→',
+                inner: Some(Box::new(Shape::Group {
+                    label: '→',
+                    inner: Some(Box::new(Shape::Dot)),
+                })),
+            },
+            group(group(s("Dot"))),
+        );
+        same_bytes(
+            &Shape::Group {
+                label: '→',
+                inner: None,
+            },
+            group(Value::Null),
+        );
+        same_bytes(
+            &vec![Some(Shape::Dot), None],
+            Value::Array(vec![s("Dot"), Value::Null]),
+        );
+    }
+
+    #[test]
+    fn scalar_edge_cases_write_the_reference_bytes() {
+        for x in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            same_bytes(&x, u(x));
+        }
+        for x in [
+            0,
+            1,
+            -1,
+            -9,
+            -10,
+            127,
+            i64::from(i32::MIN),
+            i64::MAX,
+            i64::MIN + 1,
+            i64::MIN,
+        ] {
+            let tree = u64::try_from(x).map_or(Value::I64(x), u);
+            same_bytes(&x, tree);
+        }
+        same_bytes(&u8::MAX, u(255));
+        same_bytes(&i8::MIN, Value::I64(-128));
+        same_bytes(&usize::MAX, u(usize::MAX as u64));
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.5,
+            0.1,
+            1e-7,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e15,
+            1e16,
+            1e21,
+            123_456_789.125,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for x in floats {
+            let json = same_bytes(&x, Value::F64(x));
+            // `-0.0 == 0.0`: the sign has to survive too.
+            assert_eq!(
+                from_str::<f64>(&json).unwrap().to_bits(),
+                x.to_bits(),
+                "{json}"
+            );
+        }
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&5e-324f64).unwrap(), "5e-324");
+        assert_eq!(to_string(&1e21f64).unwrap(), "1e21");
+        same_bytes(&1.5f32, Value::F64(1.5));
+        // NaN has no JSON form and is not equal to itself: bytes only.
+        let mut reference = String::new();
+        reference::write_value(&Value::F64(f64::NAN), &mut reference);
+        assert_eq!(to_string(&f64::NAN).unwrap(), reference);
+        assert_eq!(reference, "null");
+        same_bytes(&true, Value::Bool(true));
+        same_bytes(&false, Value::Bool(false));
+    }
+
+    #[test]
+    fn every_string_escape_writes_the_reference_bytes() {
+        // Each ASCII character alone and flanked, then all of them at once:
+        // the named escapes, `\u00XX` for the other controls, DEL as itself.
+        let mut all = String::new();
+        for c in (0u8..=0x7f).map(char::from) {
+            same_bytes(&c, s(&c.to_string()));
+            same_bytes(&format!("a{c}é{c}"), s(&format!("a{c}é{c}")));
+            all.push(c);
+        }
+        let json = same_bytes(&all, s(&all));
+        assert!(json.contains("\\u001f"), "{json}");
+        assert!(json.contains("\\b\\t\\n\\u000b\\f\\r"), "{json}");
+        for text in [
+            "",
+            "é",
+            "→😀",
+            "日本語\u{7f}\u{80}\u{10ffff}",
+            "\\\\\"\"",
+            "tail\\",
+        ] {
+            same_bytes(&text.to_string(), s(text));
+        }
+        assert_eq!(to_string("a\u{1f}b").unwrap(), "\"a\\u001fb\"");
+        // Keys take the same path as values.
+        let keyed = object(&[("k\n\"", u(1))]);
+        let mut reference = String::new();
+        reference::write_value(&keyed, &mut reference);
+        assert_eq!(to_string(&keyed).unwrap(), reference);
+        assert_eq!(from_str_value(&reference).unwrap(), keyed);
+    }
+
+    // ---- the parser against the parser it replaced -----------------------
+
+    /// SplitMix64: the tests need a reproducible stream, not a dependency.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Same verdict, and on success the same tree. Inputs stay far below
+    /// `MAX_DEPTH` levels, the one place the two parsers differ by design
+    /// (and where the reference would overflow the stack).
+    fn parsers_agree(input: &str) {
+        match (reference::parse(input), from_str_value(input)) {
+            (Ok(old), Ok(new)) => assert_eq!(old, new, "{input:?}"),
+            (Err(_), Err(_)) => {}
+            (old, new) => panic!("{input:?}: reference {old:?}, parser {new:?}"),
+        }
+    }
+
+    const FRAGMENTS: &[&str] = &[
+        "[",
+        "]",
+        "{",
+        "}",
+        ",",
+        ":",
+        "\"",
+        "\\",
+        " ",
+        "\n",
+        "\t",
+        "\r",
+        "-",
+        "+",
+        ".",
+        "e",
+        "E",
+        "0",
+        "1",
+        "9",
+        "00",
+        "1.5",
+        "-0",
+        "1e999",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "null",
+        "true",
+        "false",
+        "nul",
+        "\"a\"",
+        "\"k\":",
+        "\\u00e9",
+        "\\ud83d\\ude00",
+        "\\ud83d",
+        "\\udc00",
+        "\\u12",
+        "\\n",
+        "\\/",
+        "\\x",
+        "é",
+        "😀",
+        "\u{0}",
+        "\u{1f}",
+        "a",
+        "u",
+        "/",
+    ];
+
+    #[test]
+    fn parser_matches_the_reference_on_soup() {
+        let mut rng = Mix(1);
+        for _ in 0..20_000 {
+            let len = rng.below(24);
+            let soup: String = (0..len).map(|_| rng.pick(FRAGMENTS)).collect();
+            parsers_agree(&soup);
+        }
+        for _ in 0..5_000 {
+            let len = rng.below(96);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            parsers_agree(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    fn random_tree(rng: &mut Mix, depth: usize) -> Value {
+        let scalars = 6;
+        match rng.below(if depth == 0 { scalars } else { scalars + 2 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 0),
+            2 => Value::U64(rng.next() >> rng.below(64)),
+            3 => Value::I64(-((rng.next() >> (1 + rng.below(63))) as i64) - 1),
+            4 => Value::F64(f64::from_bits(rng.next())),
+            5 => Value::Str((0..rng.below(6)).map(|_| rng.pick(FRAGMENTS)).collect()),
+            6 => Value::Array(
+                (0..rng.below(4))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..rng.below(4))
+                    .map(|_| (rng.pick(FRAGMENTS).to_string(), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn parser_matches_the_reference_on_documents_and_their_mutations() {
+        let mut rng = Mix(2);
+        for _ in 0..4_000 {
+            let tree = random_tree(&mut rng, 4);
+            let json = to_string(&tree).unwrap();
+            let mut reference = String::new();
+            reference::write_value(&tree, &mut reference);
+            assert_eq!(json, reference, "{tree:?}");
+            parsers_agree(&json);
+            // NaN writes as `null`, so only NaN-free trees come back equal.
+            if !json.contains("null") {
+                assert_eq!(from_str_value(&json).unwrap(), tree, "{json}");
+            }
+            // One edit away from valid: where the interesting errors live.
+            let mut chars: Vec<char> = json.chars().collect();
+            for _ in 0..8 {
+                let at = rng.below(chars.len());
+                match rng.below(3) {
+                    0 => drop(chars.remove(at)),
+                    1 => chars.insert(at, rng.pick(FRAGMENTS).chars().next().unwrap_or(' ')),
+                    _ => {
+                        let other = rng.below(chars.len());
+                        chars.swap(at, other);
+                    }
+                }
+                if chars.is_empty() {
+                    break;
+                }
+                parsers_agree(&chars.iter().collect::<String>());
+            }
+            // Whitespace anywhere between tokens changes nothing.
+            let spaced = json.replace(',', " ,\n").replace(':', "\t: ");
+            if !json.contains('"') {
+                assert_eq!(from_str_value(&spaced), from_str_value(&json));
+            }
+            parsers_agree(&spaced);
+        }
+    }
+
+    #[test]
+    fn parser_matches_the_reference_on_the_repositorys_own_json() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let manifest = std::fs::read_to_string(format!("{root}/BENCHMARK.json")).unwrap();
+        assert!(from_str_value(&manifest).is_ok());
+        parsers_agree(&manifest);
+        let mut lines = 0;
+        for entry in std::fs::read_dir(format!("{root}/results")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.to_string_lossy().ends_with(".events.jsonl") {
+                for line in std::fs::read_to_string(&path).unwrap().lines() {
+                    assert!(from_str_value(line).is_ok(), "{line}");
+                    parsers_agree(line);
+                    lines += 1;
+                }
+            }
+        }
+        assert!(lines > 1_000, "only {lines} event lines under results/");
     }
 }
