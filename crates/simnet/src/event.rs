@@ -4,17 +4,24 @@
 //! arbitrary payload. [`EventQueue`] pops events in time order with **stable
 //! FIFO tie-breaking** (two events scheduled for the same instant fire in
 //! insertion order), which keeps whole simulations deterministic.
+//!
+//! Simulations push in bursts — a PBFT replica schedules one delivery per
+//! peer for every message it handles — so the queue does not sift each key
+//! through one big heap. Pushes are *staged* in push order; the next pop
+//! *seals* the stage into one run sorted by `(time, seq)`, and pops merge
+//! the runs through a small heap that holds one entry per live run.
 
 use std::cmp::Ordering;
 
 use mvcom_types::SimTime;
 
-/// A heap entry: `(time, sequence, payload slot)`.
+#[cfg(test)]
+mod reference;
+
+/// A pending event's place in the order: `(time, sequence, payload slot)`.
 ///
-/// The payload itself lives in the queue's slab — sifting moves only this
-/// fixed 24-byte key, not the (potentially much larger) event, which is
-/// what makes the heap hot path cheap for simulations whose events carry
-/// digests or messages.
+/// The payload itself lives in the queue's slab — sorting and merging move
+/// only this fixed 24-byte key, not the (potentially much larger) event.
 ///
 /// The earliest time (and, within a time, the lowest sequence number) is
 /// popped first.
@@ -25,9 +32,17 @@ struct Key {
     slot: u32,
 }
 
+impl Key {
+    /// The key's position as integers: a [`SimTime`] is never negative or
+    /// NaN, so the bit pattern of its seconds orders like its value.
+    fn order(&self) -> (u64, u64) {
+        (self.time.as_secs().to_bits(), self.seq)
+    }
+}
+
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.order() == other.order()
     }
 }
 
@@ -41,79 +56,77 @@ impl PartialOrd for Key {
 
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
+        self.order().cmp(&other.order())
     }
 }
 
-/// A 4-ary min-heap of [`Key`]s.
+/// A sealed burst of pushes: its keys ascending, the first `next` of them
+/// already popped.
+#[derive(Debug, Default)]
+struct Run {
+    keys: Vec<Key>,
+    next: usize,
+}
+
+/// A heap entry: the earliest unpopped key of run `run`.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    key: Key,
+    run: u32,
+}
+
+/// A 4-ary min-heap of run [`Head`]s, ordered by their keys.
 ///
-/// Event-queue pops dominate simulation run time, and a pop's sift-down
-/// walks the heap's full depth with a data-dependent (cache-missing) read
-/// per level. A 4-ary layout halves the depth vs a binary heap while the
-/// four children of a node share at most two cache lines, which in
-/// practice roughly halves the per-pop cost at simulation-sized queues.
+/// A pop's sift-down walks the heap's depth with a data-dependent read per
+/// level; a 4-ary layout halves the depth vs a binary heap while the four
+/// children of a node share at most two cache lines.
 ///
 /// Determinism: keys are totally ordered (`seq` is unique), so the pop
-/// sequence is exactly ascending `(time, seq)` regardless of the heap's
-/// internal arity or layout — swapping the binary heap for this one
-/// cannot reorder any simulation.
+/// sequence is exactly ascending `(time, seq)` regardless of how pushes
+/// were grouped into runs or of the heap's arity or layout — no choice
+/// made here can reorder any simulation.
 #[derive(Debug, Default)]
 struct MinHeap {
-    keys: Vec<Key>,
+    heads: Vec<Head>,
 }
 
 /// Heap arity.
 const D: usize = 4;
 
 impl MinHeap {
-    fn with_capacity(capacity: usize) -> MinHeap {
-        MinHeap {
-            keys: Vec::with_capacity(capacity),
-        }
+    fn peek(&self) -> Option<&Head> {
+        self.heads.first()
     }
 
-    fn len(&self) -> usize {
-        self.keys.len()
+    fn push(&mut self, head: Head) {
+        self.heads.push(head);
+        self.sift_up(self.heads.len() - 1);
     }
 
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    fn peek(&self) -> Option<&Key> {
-        self.keys.first()
-    }
-
-    fn push(&mut self, key: Key) {
-        self.keys.push(key);
-        self.sift_up(self.keys.len() - 1);
-    }
-
-    fn pop(&mut self) -> Option<Key> {
-        let top = *self.keys.first()?;
-        #[expect(
-            clippy::expect_used,
-            reason = "first() above proves the heap is non-empty"
-        )]
-        let last = self.keys.pop().expect("non-empty heap");
-        if !self.keys.is_empty() {
-            self.keys[0] = last;
+    /// Puts `head` where the top entry was.
+    fn replace_top(&mut self, head: Head) {
+        if let Some(top) = self.heads.first_mut() {
+            *top = head;
             self.sift_down(0);
         }
-        Some(top)
+    }
+
+    /// Drops the top entry.
+    fn remove_top(&mut self) {
+        if let Some(last) = self.heads.pop() {
+            self.replace_top(last);
+        }
     }
 
     fn clear(&mut self) {
-        self.keys.clear();
+        self.heads.clear();
     }
 
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / D;
-            if self.keys[i] < self.keys[parent] {
-                self.keys.swap(i, parent);
+            if self.heads[i].key < self.heads[parent].key {
+                self.heads.swap(i, parent);
                 i = parent;
             } else {
                 break;
@@ -122,7 +135,7 @@ impl MinHeap {
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let len = self.keys.len();
+        let len = self.heads.len();
         loop {
             let first_child = i * D + 1;
             if first_child >= len {
@@ -130,12 +143,12 @@ impl MinHeap {
             }
             let mut min = first_child;
             for child in (first_child + 1)..(first_child + D).min(len) {
-                if self.keys[child] < self.keys[min] {
+                if self.heads[child].key < self.heads[min].key {
                     min = child;
                 }
             }
-            if self.keys[min] < self.keys[i] {
-                self.keys.swap(i, min);
+            if self.heads[min].key < self.heads[i].key {
+                self.heads.swap(i, min);
                 i = min;
             } else {
                 break;
@@ -160,9 +173,18 @@ impl MinHeap {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Keys pushed since the last pop, in push — hence `seq` — order, and
+    /// the scratch their sort goes through.
+    stage: Vec<Key>,
+    tags: Vec<u64>,
+    /// Sealed runs by id; `free_runs` lists the drained ones, whose key
+    /// storage the next seal reuses, so the footprint tracks the peak.
+    runs: Vec<Run>,
+    free_runs: Vec<u32>,
+    /// One head per live (sealed, not yet drained) run.
     heap: MinHeap,
-    /// Payload slab: `heap` keys index into it, `free` recycles vacated
-    /// slots so the slab's footprint tracks the peak pending count.
+    /// Payload slab: keys index into it, `free` recycles vacated slots so
+    /// the slab's footprint tracks the peak pending count.
     slots: Vec<Option<E>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -171,20 +193,20 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue {
-            heap: MinHeap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-        }
+        EventQueue::with_capacity(0)
     }
 
-    /// Creates an empty queue pre-sized for `capacity` pending events, so
-    /// hot simulation loops (PBFT broadcasts schedule O(n²) deliveries)
-    /// never reallocate the heap mid-run.
+    /// Creates an empty queue whose payload slab is pre-sized for
+    /// `capacity` pending events, so a simulation that knows its peak
+    /// (PBFT broadcasts schedule O(n²) deliveries) never moves the slab
+    /// mid-run. Key storage grows per burst and is recycled.
     pub fn with_capacity(capacity: usize) -> EventQueue<E> {
         EventQueue {
-            heap: MinHeap::with_capacity(capacity),
+            stage: Vec::new(),
+            tags: Vec::new(),
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            heap: MinHeap::default(),
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             next_seq: 0,
@@ -207,33 +229,91 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        self.heap.push(Key { time, seq, slot });
+        self.stage.push(Key { time, seq, slot });
+    }
+
+    /// Turns the staged pushes into one more sorted run.
+    fn seal(&mut self) {
+        let Some(last) = self.stage.len().checked_sub(1) else {
+            return;
+        };
+        let id = self.free_runs.pop().unwrap_or_else(|| {
+            self.runs.push(Run::default());
+            // Every live run holds a slab slot, so run ids fit the slab's
+            // `u32` index too.
+            (self.runs.len() - 1) as u32
+        });
+        let run = &mut self.runs[id as usize];
+        run.next = 0;
+        // Plain `u64`s sort several times faster than keys do, so each
+        // staged key is stood in for by a tag: the bits of its time with
+        // the low `width` bits — enough for any stage index — replaced by
+        // its index. Stage order is `seq` order, so tags order exactly like
+        // `(time, seq)` unless two times differ only inside those low bits;
+        // the rare stage where that matters is put right by sorting its
+        // keys, which are unique and therefore have one sorted order.
+        let width = usize::BITS - last.leading_zeros();
+        let index = (1u64 << width) - 1;
+        self.tags.clear();
+        self.tags.extend(
+            (0u64..)
+                .zip(&self.stage)
+                .map(|(i, key)| key.order().0 & !index | i),
+        );
+        self.tags.sort_unstable();
+        let sorted = self
+            .tags
+            .iter()
+            .map(|tag| self.stage[(tag & index) as usize]);
+        run.keys.extend(sorted);
+        self.stage.clear();
+        if !run.keys.is_sorted() {
+            run.keys.sort_unstable();
+        }
+        self.heap.push(Head {
+            key: run.keys[0],
+            run: id,
+        });
+    }
+
+    /// Removes the earliest sealed key if it satisfies `wanted`.
+    fn take_head(&mut self, wanted: impl FnOnce(&Key) -> bool) -> Option<Key> {
+        let Head { key, run: id } = *self.heap.peek().filter(|head| wanted(&head.key))?;
+        let run = &mut self.runs[id as usize];
+        run.next += 1;
+        match run.keys.get(run.next) {
+            Some(&key) => self.heap.replace_top(Head { key, run: id }),
+            None => {
+                self.heap.remove_top();
+                run.keys.clear();
+                self.free_runs.push(id);
+            }
+        }
+        Some(key)
     }
 
     /// Takes the payload out of `slot`, returning the slot to the free
-    /// list.
-    fn vacate(&mut self, slot: u32) -> E {
+    /// list. Every key points at an occupied slot.
+    fn vacate(&mut self, slot: u32) -> Option<E> {
         self.free.push(slot);
-        #[expect(
-            clippy::expect_used,
-            reason = "every heap key points at an occupied slot"
-        )]
-        self.slots[slot as usize]
-            .take()
-            .expect("heap key points at an occupied slot")
+        self.slots[slot as usize].take()
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty. Ties fire in insertion order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let key = self.heap.pop()?;
-        let payload = self.vacate(key.slot);
+        self.seal();
+        let key = self.take_head(|_| true)?;
+        let payload = self.vacate(key.slot)?;
         Some((key.time, payload))
     }
 
-    /// Returns the firing time of the earliest event without removing it.
+    /// Returns the firing time of the earliest event without removing it
+    /// (a scan of the pushes made since the last pop, plus one lookup).
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let sealed = self.heap.peek().map(|head| head.key.time);
+        let staged = self.stage.iter().map(|key| key.time).min();
+        sealed.into_iter().chain(staged).min()
     }
 
     /// Drains every event scheduled for the earliest pending instant into
@@ -247,31 +327,29 @@ impl<E> EventQueue<E> {
     /// it never reorders deliveries.
     pub fn pop_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
         batch.clear();
-        let time = self.peek_time()?;
-        while self.heap.peek().is_some_and(|e| e.time == time) {
-            #[expect(
-                clippy::expect_used,
-                reason = "the peek above proves the heap is non-empty"
-            )]
-            let key = self.heap.pop().expect("peeked entry");
-            let payload = self.vacate(key.slot);
-            batch.push(payload);
+        self.seal();
+        let time = self.heap.peek()?.key.time;
+        while let Some(key) = self.take_head(|key| key.time == time) {
+            batch.extend(self.vacate(key.slot));
         }
         Some(time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Drops every pending event.
     pub fn clear(&mut self) {
+        self.stage.clear();
+        self.runs.clear();
+        self.free_runs.clear();
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
@@ -380,10 +458,75 @@ impl<E> Default for Scheduler<E> {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{assert_same_schedule, random_ops, Op};
     use super::*;
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn pops_like_the_heap_per_event_queue_on_random_schedules() {
+        for seed in 0..4 {
+            let ops = random_ops(&mut crate::rng::master(seed), 12_000);
+            assert!(assert_same_schedule(&ops) > 10_000, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn times_the_sort_tags_cannot_tell_apart_still_pop_in_order() {
+        // 300 staged keys take nine tag bits; these times differ in the low
+        // six only, pushed in descending order.
+        let base = 1234.5f64.to_bits();
+        let descending = (0..300u64).map(|i| f64::from_bits(base + 63 - i % 64));
+        let ops = [Op::Burst(descending.collect())]
+            .into_iter()
+            .chain((0..300).map(|i| if i % 2 == 0 { Op::Pop } else { Op::PopBatch }))
+            .collect::<Vec<_>>();
+        assert_eq!(assert_same_schedule(&ops), 300);
+    }
+
+    #[test]
+    fn a_burst_is_one_run_and_run_storage_is_recycled() {
+        // The PBFT shape: 200 broadcasts of 100 deliveries whose windows
+        // overlap their neighbours', each delivery handled singly.
+        const BURSTS: usize = 200;
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let wave = |q: &mut EventQueue<usize>| {
+            let mut last = SimTime::ZERO;
+            for burst in 0..BURSTS {
+                for i in 0..100 {
+                    q.push(secs(burst as f64 + (i * 37 % 100) as f64 * 0.03), i);
+                }
+                let (at, _) = q.pop().unwrap();
+                assert!(at >= last);
+                last = at;
+                assert!(q.heap.heads.len() <= burst + 1, "one run per burst");
+            }
+            while let Some((at, _)) = q.pop() {
+                assert!(at >= last);
+                last = at;
+            }
+        };
+        let storage = |q: &EventQueue<usize>| {
+            let keys: usize = q.runs.iter().map(|run| run.keys.capacity()).sum();
+            (q.runs.len(), keys, q.slots.capacity())
+        };
+        wave(&mut q);
+        assert!(q.is_empty() && q.heap.heads.is_empty());
+        assert_eq!(
+            q.free_runs.len(),
+            q.runs.len(),
+            "every run is back on the free list"
+        );
+        let after_one = storage(&q);
+        assert!(after_one.0 <= BURSTS);
+        wave(&mut q);
+        assert_eq!(
+            storage(&q),
+            after_one,
+            "the second wave reuses the first's storage"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! than closures.
 
 use rand::Rng;
-use rand_distr::{Distribution, Exp, LogNormal, Uniform};
+use rand_distr::{Distribution, Exp1, StandardNormal, Uniform};
 use serde::{Deserialize, Serialize};
 
 use mvcom_types::{Error, Result, SimTime};
@@ -133,21 +133,15 @@ impl LatencyModel {
         })
     }
 
-    /// Draws one delay.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
+    /// Works the distribution's parameters out once, for a caller that
+    /// draws many delays from one model.
+    pub(crate) fn sampler(&self) -> Sampler {
         match *self {
-            LatencyModel::Constant { secs } => SimTime::from_secs(secs),
-            LatencyModel::Uniform { low, high } => {
-                SimTime::from_secs(Uniform::new(low, high).sample(rng))
-            }
-            LatencyModel::Exponential { mean_secs } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "validate() requires mean_secs > 0, so the rate is valid"
-                )]
-                let exp = Exp::new(1.0 / mean_secs).expect("validated at construction");
-                SimTime::from_secs(exp.sample(rng))
-            }
+            LatencyModel::Constant { secs } => Sampler::Constant { secs },
+            LatencyModel::Uniform { low, high } => Sampler::Uniform(Uniform::new(low, high)),
+            LatencyModel::Exponential { mean_secs } => Sampler::Exponential {
+                rate: 1.0 / mean_secs,
+            },
             LatencyModel::LogNormal {
                 mean_secs,
                 std_secs,
@@ -157,26 +151,29 @@ impl LatencyModel {
                 // E[X] = exp(mu + sigma^2/2), Var[X] = (exp(sigma^2)-1)E[X]^2.
                 let cv2 = (std_secs / mean_secs).powi(2);
                 let sigma2 = (1.0 + cv2).ln();
-                let mu = mean_secs.ln() - sigma2 / 2.0;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "validate() requires finite positive moments, so sigma is valid"
-                )]
-                let ln = LogNormal::new(mu, sigma2.sqrt()).expect("validated at construction");
-                SimTime::from_secs(ln.sample(rng))
+                Sampler::LogNormal {
+                    mu: mean_secs.ln() - sigma2 / 2.0,
+                    sigma: sigma2.sqrt(),
+                }
             }
             LatencyModel::ShiftedExponential {
                 offset_secs,
                 mean_secs,
-            } => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "validate() requires mean_secs > 0, so the rate is valid"
-                )]
-                let exp = Exp::new(1.0 / mean_secs).expect("validated at construction");
-                SimTime::from_secs(offset_secs + exp.sample(rng))
-            }
+            } => Sampler::ShiftedExponential {
+                offset_secs,
+                rate: 1.0 / mean_secs,
+            },
         }
+    }
+
+    /// Draws one delay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the draw is negative or NaN, which only a model built
+    /// around the checked constructors can produce.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
+        self.sampler().sample(rng)
     }
 
     /// The analytic mean of the distribution, in seconds.
@@ -191,6 +188,35 @@ impl LatencyModel {
                 mean_secs,
             } => offset_secs + mean_secs,
         }
+    }
+}
+
+/// A [`LatencyModel`] with its distribution parameters already worked out:
+/// plain numbers, so building one cannot fail and a draw is the unit
+/// variate scaled — the same expressions [`LatencyModel::sample`] has
+/// always evaluated, the per-model part of them once instead of per draw.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sampler {
+    Constant { secs: f64 },
+    Uniform(Uniform),
+    Exponential { rate: f64 },
+    LogNormal { mu: f64, sigma: f64 },
+    ShiftedExponential { offset_secs: f64, rate: f64 },
+}
+
+impl Sampler {
+    /// Draws one delay.
+    #[inline]
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
+        SimTime::from_secs(match *self {
+            Sampler::Constant { secs } => secs,
+            Sampler::Uniform(uniform) => uniform.sample(rng),
+            Sampler::Exponential { rate } => Exp1.sample(rng) / rate,
+            Sampler::LogNormal { mu, sigma } => (mu + sigma * StandardNormal.sample(rng)).exp(),
+            Sampler::ShiftedExponential { offset_secs, rate } => {
+                offset_secs + Exp1.sample(rng) / rate
+            }
+        })
     }
 }
 
@@ -282,6 +308,61 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: LatencyModel = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
+    }
+
+    /// `LatencyModel::sample` as it was before the parameters were worked
+    /// out ahead of the draw: the distribution rebuilt, and checked, per call.
+    fn sample_rebuilding_the_distribution(model: &LatencyModel, rng: &mut rng::SimRng) -> f64 {
+        use rand_distr::{Exp, LogNormal};
+        match *model {
+            LatencyModel::Constant { secs } => secs,
+            LatencyModel::Uniform { low, high } => Uniform::new(low, high).sample(rng),
+            LatencyModel::Exponential { mean_secs } => {
+                Exp::new(1.0 / mean_secs).unwrap().sample(rng)
+            }
+            LatencyModel::LogNormal {
+                mean_secs,
+                std_secs,
+            } => {
+                let cv2 = (std_secs / mean_secs).powi(2);
+                let sigma2 = (1.0 + cv2).ln();
+                let mu = mean_secs.ln() - sigma2 / 2.0;
+                LogNormal::new(mu, sigma2.sqrt()).unwrap().sample(rng)
+            }
+            LatencyModel::ShiftedExponential {
+                offset_secs,
+                mean_secs,
+            } => offset_secs + Exp::new(1.0 / mean_secs).unwrap().sample(rng),
+        }
+    }
+
+    #[test]
+    fn prepared_sampler_draws_the_same_bits_as_the_per_call_distributions() {
+        let models = [
+            LatencyModel::constant(3.5).unwrap(),
+            LatencyModel::uniform(0.5, 2.0).unwrap(),
+            LatencyModel::exponential(70.0).unwrap(),
+            LatencyModel::log_normal(54.5, 15.0).unwrap(),
+            LatencyModel::shifted_exponential(0.030, 0.020).unwrap(),
+        ];
+        // One stream shared by all five arms, so a draw count that drifted
+        // in one arm would shift every later one.
+        let (mut old, mut per_call, mut prepared) =
+            (rng::master(9), rng::master(9), rng::master(9));
+        let samplers = models.map(|model| model.sampler());
+        for round in 0..2_000 {
+            for (model, sampler) in models.iter().zip(&samplers) {
+                let want = sample_rebuilding_the_distribution(model, &mut old).to_bits();
+                let got = model.sample(&mut per_call).as_secs().to_bits();
+                assert_eq!(got, want, "{model:?} round {round}: sample");
+                let got = sampler.sample(&mut prepared).as_secs().to_bits();
+                assert_eq!(got, want, "{model:?} round {round}: prepared");
+            }
+        }
+        use rand::Rng;
+        let position = old.gen::<u64>();
+        assert_eq!(per_call.gen::<u64>(), position);
+        assert_eq!(prepared.gen::<u64>(), position);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use mvcom_types::{Error, NodeId, Result, SimTime};
 
 use crate::chaos::{ChaosInjector, ChaosStats};
-use crate::latency::LatencyModel;
+use crate::latency::{LatencyModel, Sampler};
 
 /// Static configuration of a simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,6 +108,8 @@ pub struct NetworkStats {
 #[derive(Debug)]
 pub struct Network {
     config: NetworkConfig,
+    /// `config.link_latency`, prepared once.
+    link: Sampler,
     rng: crate::rng::SimRng,
     down: BTreeSet<NodeId>,
     /// Partition groups: nodes in different groups cannot communicate.
@@ -123,6 +125,7 @@ impl Network {
         config.validate()?;
         Ok(Network {
             config,
+            link: config.link_latency.sampler(),
             rng,
             down: BTreeSet::new(),
             partition: Vec::new(),
@@ -208,6 +211,24 @@ impl Network {
         self.group_of(a) == self.group_of(b)
     }
 
+    /// The bandwidth term of one `payload_bytes` message.
+    fn transfer(&self, payload_bytes: usize) -> SimTime {
+        SimTime::from_secs(self.config.secs_per_kib * (payload_bytes as f64 / 1024.0))
+    }
+
+    /// Books one accepted message and draws its arrival time.
+    fn deliver(
+        &mut self,
+        payload_bytes: usize,
+        sent_at: SimTime,
+        transfer: SimTime,
+        extra: SimTime,
+    ) -> SimTime {
+        self.stats.delivered += 1;
+        self.stats.bytes += payload_bytes as u64;
+        sent_at + self.link.sample(&mut self.rng) + transfer + extra
+    }
+
     /// Sends `payload_bytes` from `from` to `to` at time `sent_at`.
     ///
     /// Returns the arrival time, or `None` if the message is dropped
@@ -241,19 +262,23 @@ impl Network {
                 Some(spike) => extra = spike,
             }
         }
-        self.stats.delivered += 1;
-        self.stats.bytes += payload_bytes as u64;
         if from == to {
+            self.stats.delivered += 1;
+            self.stats.bytes += payload_bytes as u64;
             return Some(sent_at + extra);
         }
-        let link = self.config.link_latency.sample(&mut self.rng);
-        let transfer =
-            SimTime::from_secs(self.config.secs_per_kib * (payload_bytes as f64 / 1024.0));
-        Some(sent_at + link + transfer + extra)
+        let transfer = self.transfer(payload_bytes);
+        Some(self.deliver(payload_bytes, sent_at, transfer, extra))
     }
 
     /// Broadcasts from `from` to every node in `recipients`, returning
     /// `(recipient, arrival)` for each message that was delivered.
+    ///
+    /// Exactly the [`Network::send`] loop over `recipients` minus `from` —
+    /// same draws in the same order, same counters — with what does not
+    /// depend on the recipient decided once: while no node is crashed, no
+    /// partition is installed and no chaos injector is attached, every
+    /// in-range recipient is reachable.
     pub fn broadcast<I>(
         &mut self,
         from: NodeId,
@@ -264,11 +289,23 @@ impl Network {
     where
         I: IntoIterator<Item = NodeId>,
     {
-        recipients
-            .into_iter()
-            .filter(|&to| to != from)
-            .filter_map(|to| self.send(from, to, payload_bytes, sent_at).map(|t| (to, t)))
-            .collect()
+        let recipients = recipients.into_iter();
+        let mut deliveries = Vec::with_capacity(recipients.size_hint().0);
+        let nodes = self.config.nodes;
+        let all_reachable = from.0 < nodes
+            && self.down.is_empty()
+            && self.partition.is_empty()
+            && self.chaos.is_none();
+        let transfer = self.transfer(payload_bytes);
+        for to in recipients.filter(|&to| to != from) {
+            let arrival = if all_reachable && to.0 < nodes {
+                Some(self.deliver(payload_bytes, sent_at, transfer, SimTime::ZERO))
+            } else {
+                self.send(from, to, payload_bytes, sent_at)
+            };
+            deliveries.extend(arrival.map(|at| (to, at)));
+        }
+        deliveries
     }
 
     /// The latency a `ping` from `from` to `to` would observe: a sampled
@@ -278,8 +315,8 @@ impl Network {
         if !self.connected(from, to) {
             return SimTime::INFINITY;
         }
-        let out = self.config.link_latency.sample(&mut self.rng);
-        let back = self.config.link_latency.sample(&mut self.rng);
+        let out = self.link.sample(&mut self.rng);
+        let back = self.link.sample(&mut self.rng);
         out + back
     }
 
@@ -405,6 +442,76 @@ mod tests {
         assert_eq!(recipients, vec![1, 2, 3]);
         for (_, t) in deliveries {
             assert!(t > SimTime::ZERO);
+        }
+    }
+
+    /// `broadcast` as the `send` loop it used to be.
+    fn send_loop(
+        n: &mut Network,
+        from: NodeId,
+        to: &[NodeId],
+        at: SimTime,
+    ) -> Vec<(NodeId, SimTime)> {
+        to.iter()
+            .filter(|&&to| to != from)
+            .filter_map(|&to| n.send(from, to, 700, at).map(|t| (to, t)))
+            .collect()
+    }
+
+    #[test]
+    fn broadcast_is_the_send_loop_under_every_fault() {
+        use crate::chaos::{ChaosConfig, ChaosInjector, CrashEvent};
+        use rand::Rng;
+        let build = |faults: u32| {
+            let mut n = Network::new(NetworkConfig::wan(12), rng::master(21)).unwrap();
+            if faults & 1 != 0 {
+                n.crash(NodeId(5));
+            }
+            if faults & 2 != 0 {
+                n.set_partition(vec![
+                    (0..4).map(NodeId).collect(),
+                    (4..9).map(NodeId).collect(),
+                ]);
+            }
+            if faults & 4 != 0 {
+                let config = ChaosConfig {
+                    spike_prob: 0.3,
+                    spike: LatencyModel::Constant { secs: 2.0 },
+                    ..ChaosConfig::lossy(0.25)
+                }
+                .with_crash(CrashEvent::with_restart(
+                    NodeId(7),
+                    SimTime::from_secs(3.0),
+                    SimTime::from_secs(6.0),
+                ));
+                n.set_chaos(ChaosInjector::new(config, rng::master(22)).unwrap());
+            }
+            n
+        };
+        // In range, out of range (13, 40) and the sender itself, twice.
+        let recipients: Vec<NodeId> = (0..14).chain([2, 40, 3]).map(NodeId).collect();
+        for faults in 0..8 {
+            let (mut looped, mut hoisted) = (build(faults), build(faults));
+            for round in 0..40u32 {
+                let from = NodeId(round % 13);
+                let at = SimTime::from_secs(f64::from(round) * 0.25);
+                assert_eq!(
+                    hoisted.broadcast(from, recipients.iter().copied(), 700, at),
+                    send_loop(&mut looped, from, &recipients, at),
+                    "faults {faults:#b} round {round}"
+                );
+                assert_eq!(
+                    hoisted.stats(),
+                    looped.stats(),
+                    "faults {faults:#b} round {round}"
+                );
+                assert_eq!(hoisted.chaos_stats(), looped.chaos_stats());
+            }
+            assert_eq!(
+                hoisted.rng_mut().gen::<u64>(),
+                looped.rng_mut().gen::<u64>(),
+                "faults {faults:#b}: RNG position"
+            );
         }
     }
 

@@ -7,7 +7,18 @@ use mvcom_simnet::{rng, ChaosConfig, ChaosInjector, LatencyModel, Network, Netwo
 use mvcom_types::{NodeId, SimTime};
 use proptest::prelude::*;
 
+/// The heap-per-event queue `EventQueue` replaced, and the driver that
+/// runs one schedule through both.
+#[path = "../src/event/reference.rs"]
+mod reference;
+
 proptest! {
+    #[test]
+    fn event_queue_pops_like_the_heap_per_event_queue(seed in any::<u64>()) {
+        let ops = reference::random_ops(&mut rng::master(seed), 400);
+        reference::assert_same_schedule(&ops);
+    }
+
     #[test]
     fn event_queue_pops_in_stable_time_order(times in proptest::collection::vec(0.0f64..1e6, 1..200)) {
         let mut queue = EventQueue::new();

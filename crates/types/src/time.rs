@@ -16,8 +16,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// `SimTime` doubles as both an instant and a duration, mirroring how the
 /// paper treats latency values (`l_i`, `t_j`) as interchangeable scalars.
-/// Values are always finite and non-negative except where produced by
-/// [`SimTime::saturating_sub`], which clamps at zero.
+/// Values are never NaN and never negative — not even negative zero, so
+/// `a == b` exactly when `a.cmp(&b)` is `Equal` and the bit pattern of the
+/// seconds orders like the value. [`SimTime::saturating_sub`] clamps at
+/// zero; reading one back from JSON goes through the same checks as
+/// [`SimTime::from_secs`].
 ///
 /// # Example
 ///
@@ -29,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((formation + consensus).as_secs(), 854.5);
 /// assert!(formation > consensus);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 #[serde(transparent)]
 pub struct SimTime(f64);
 
@@ -46,12 +49,13 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `secs` is NaN or negative; simulated time is a monotone
-    /// non-negative axis.
+    /// non-negative axis. `-0.0` is accepted and stored as `0.0`.
     #[inline]
     pub fn from_secs(secs: f64) -> SimTime {
         assert!(!secs.is_nan(), "SimTime cannot be NaN");
         assert!(secs >= 0.0, "SimTime cannot be negative (got {secs})");
-        SimTime(secs)
+        // `-0.0 + 0.0` is `+0.0`; every other admitted value is unchanged.
+        SimTime(secs + 0.0)
     }
 
     /// Creates a time value from milliseconds.
@@ -110,6 +114,20 @@ impl SimTime {
 }
 
 impl Eq for SimTime {}
+
+impl Deserialize for SimTime {
+    /// The checks of [`SimTime::from_secs`] as an error: a number read from
+    /// a file must not be able to build what the constructor refuses.
+    fn from_value(value: &serde::Value) -> Result<SimTime, serde::Error> {
+        let secs = f64::from_value(value)?;
+        if secs.is_nan() || secs < 0.0 {
+            return Err(serde::Error::custom(format!(
+                "SimTime must be a non-negative number of seconds, got {secs}"
+            )));
+        }
+        Ok(SimTime::from_secs(secs))
+    }
+}
 
 impl PartialOrd for SimTime {
     #[inline]
@@ -286,6 +304,47 @@ mod tests {
     fn sum_of_times() {
         let total: SimTime = (1..=4).map(|i| SimTime::from_secs(i as f64)).sum();
         assert_eq!(total.as_secs(), 10.0);
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_zero() {
+        let z = SimTime::from_secs(-0.0);
+        assert_eq!(z.as_secs().to_bits(), 0.0f64.to_bits());
+        assert_eq!(z.cmp(&SimTime::ZERO), std::cmp::Ordering::Equal);
+        assert_eq!(SimTime::ZERO.min(z).as_secs().to_bits(), 0);
+        assert_eq!((SimTime::ZERO * -0.0).as_secs().to_bits(), 0);
+        assert_eq!(SimTime::from_millis(-0.0).as_secs().to_bits(), 0);
+    }
+
+    #[test]
+    fn deserialize_runs_the_constructor_checks() {
+        for bad in ["-5.0", "-1e-300", "-1e999", "null", "\"1.0\"", "[1.0]"] {
+            assert!(
+                serde_json::from_str::<SimTime>(bad).is_err(),
+                "{bad} must not build a SimTime"
+            );
+        }
+        let z: SimTime = serde_json::from_str("-0.0").unwrap();
+        assert_eq!(z.as_secs().to_bits(), 0);
+        let whole: SimTime = serde_json::from_str("7").unwrap();
+        assert_eq!(whole, SimTime::from_secs(7.0));
+    }
+
+    #[test]
+    fn everything_the_writer_emits_reads_back() {
+        for t in [
+            SimTime::ZERO,
+            SimTime::from_secs(f64::MIN_POSITIVE),
+            SimTime::from_secs(5e-324),
+            SimTime::from_secs(854.5),
+            SimTime::from_secs(f64::MAX),
+            SimTime::INFINITY,
+        ] {
+            let json = serde_json::to_string(&t).unwrap();
+            let back: SimTime = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.as_secs().to_bits(), t.as_secs().to_bits(), "{json}");
+        }
+        assert_eq!(serde_json::to_string(&SimTime::INFINITY).unwrap(), "1e999");
     }
 
     #[test]

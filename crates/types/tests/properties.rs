@@ -8,7 +8,35 @@ fn finite_secs() -> impl Strategy<Value = f64> {
     0.0f64..1.0e12
 }
 
+/// Every kind of value `SimTime::from_secs` admits: both zeros, subnormals,
+/// ordinary magnitudes, the largest finite value and infinity.
+fn constructible_secs() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0f64),
+        Just(-0.0f64),
+        Just(f64::INFINITY),
+        Just(f64::MAX),
+        (1u64..(1 << 52)).prop_map(f64::from_bits),
+        (0u64..=f64::INFINITY.to_bits()).prop_map(f64::from_bits),
+        finite_secs(),
+    ]
+}
+
 proptest! {
+    #[test]
+    fn simtime_eq_and_ord_agree_and_bits_order_like_values(
+        a in constructible_secs(),
+        b in constructible_secs(),
+    ) {
+        let x = SimTime::from_secs(a);
+        let y = SimTime::from_secs(b);
+        prop_assert_eq!(x == y, x.cmp(&y) == std::cmp::Ordering::Equal);
+        prop_assert_eq!(x.cmp(&y), x.as_secs().to_bits().cmp(&y.as_secs().to_bits()));
+        prop_assert_eq!(x < y, a < b);
+        prop_assert!(x.min(y) <= x.max(y));
+        prop_assert_eq!(x.as_secs(), a);
+    }
+
     #[test]
     fn simtime_addition_is_commutative_and_monotone(a in finite_secs(), b in finite_secs()) {
         let x = SimTime::from_secs(a);

@@ -1,5 +1,6 @@
 //! Offline shim for the subset of `rand_distr` 0.4 used by this
-//! workspace: [`Distribution`], [`Uniform`], [`Exp`], and [`LogNormal`].
+//! workspace: [`Distribution`], [`Uniform`], [`Exp`] / [`Exp1`], and
+//! [`LogNormal`] / [`StandardNormal`].
 //!
 //! The samplers are mathematically faithful (inverse-CDF for the
 //! exponential, Box–Muller for the normal underlying the log-normal), so
@@ -93,20 +94,38 @@ impl Exp {
 }
 
 impl Distribution<f64> for Exp {
-    /// Inverse-CDF sampling: `-ln(U) / lambda` with `U` in `(0, 1)`.
+    /// `Exp1 / lambda`.
     #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        -open01(rng).ln() / self.lambda
+        Exp1.sample(rng) / self.lambda
     }
 }
 
-/// Standard normal via Box–Muller (one value per draw; the sibling is
-/// discarded to keep the sampler stateless and `Copy`).
-#[inline]
-fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-    let u1 = open01(rng);
-    let u2 = open01(rng);
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+/// The unit-rate exponential `Exp(1)`: nothing to validate, so callers
+/// that scale it themselves need no fallible constructor.
+#[derive(Clone, Copy, Debug)]
+pub struct Exp1;
+
+impl Distribution<f64> for Exp1 {
+    /// Inverse-CDF sampling: `-ln(U)` with `U` in `(0, 1)`.
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        -open01(rng).ln()
+    }
+}
+
+/// The standard normal `N(0, 1)` via Box–Muller (one value per draw; the
+/// sibling is discarded to keep the sampler stateless and `Copy`).
+#[derive(Clone, Copy, Debug)]
+pub struct StandardNormal;
+
+impl Distribution<f64> for StandardNormal {
+    #[inline]
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let u1 = open01(rng);
+        let u2 = open01(rng);
+        (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+    }
 }
 
 /// Normal distribution with the given mean and standard deviation.
@@ -129,7 +148,7 @@ impl Normal {
 impl Distribution<f64> for Normal {
     #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std_dev * standard_normal(rng)
+        self.mean + self.std_dev * StandardNormal.sample(rng)
     }
 }
 
@@ -157,7 +176,7 @@ impl LogNormal {
 impl Distribution<f64> for LogNormal {
     #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.mu + self.sigma * standard_normal(rng)).exp()
+        (self.mu + self.sigma * StandardNormal.sample(rng)).exp()
     }
 }
 
