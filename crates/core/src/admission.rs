@@ -4,9 +4,11 @@
 //! SE, admit the converged set — and when the epoch is degenerate (fewer
 //! than two shards, no selection satisfies the constraints, the engine
 //! refuses to build) admit everything that arrived, like vanilla Elastico.
-//! The Elastico selectors of the `mvcom` facade, the daemon's epoch close,
-//! [`EpochChain`](crate::epoch_chain::EpochChain) and the `fig_adv` arms
-//! all run this module (DESIGN.md "One final committee").
+//! The Elastico selectors of the `mvcom` facade, the daemon's epoch close
+//! and the `fig_adv` arms all run this module (DESIGN.md "One final
+//! committee"); [`EpochChain`](crate::epoch_chain::EpochChain) poses its
+//! epochs with [`EpochPolicy`] but does not yet solve through
+//! [`Admission`] (ROADMAP 5b).
 //!
 //! What differs between those callers is *data*, passed in: which count
 //! `N_min` is a fraction of, which shards `Ĉ` scales with, the per-epoch

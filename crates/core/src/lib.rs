@@ -37,9 +37,10 @@
 //! [`admission`] states the per-epoch procedure around the algorithm
 //! (Alg. 1 lines 22–30) once: stop listening at `N_max`, require `N_min`,
 //! cap the block at `Ĉ`, run SE, admit the converged set — or, for a
-//! degenerate epoch, admit everything like vanilla Elastico. Every caller
-//! that schedules epochs (the Elastico selectors, the daemon,
-//! [`epoch_chain`], the adversarial figure) goes through it.
+//! degenerate epoch, admit everything like vanilla Elastico. The Elastico
+//! selectors, the daemon and the adversarial figure go through it;
+//! [`epoch_chain`] only poses its epochs there and still solves with its
+//! own `SeEngine::run` (ROADMAP 5b).
 //!
 //! # The theory
 //!

@@ -4,10 +4,10 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use mvcom_dataset::{Adversary, CommitteeReport, ShardSampler, Trace, TraceConfig};
-use mvcom_obs::{Event, Obs, Value};
+use mvcom_obs::{Obs, Value};
 use mvcom_pbft::runner::{PbftConfig, PbftRunner};
 use mvcom_pbft::ConsensusResult;
-use mvcom_simnet::{ordered_map, rng, LatencyModel, Network, NetworkConfig, SimRng};
+use mvcom_simnet::{rng, LatencyModel, Network, NetworkConfig, SimRng};
 use mvcom_types::{
     CommitteeId, EpochId, Error, Hash32, Result, ShardInfo, SimTime, TwoPhaseLatency,
 };
@@ -35,6 +35,12 @@ impl ShardSelector for WaitForAll {
         shards.iter().map(|s| s.committee()).collect()
     }
 }
+
+/// The most nodes an [`ElasticoConfig`] may run PoW with: the 2¹⁶
+/// committees `committee_bits` allows, 16 nodes each. Stage 1 holds one
+/// solution per node (≈ 50 MB at the cap), so the bound is checked before
+/// anything is allocated.
+pub const MAX_NODES: u32 = 1 << 20;
 
 /// Full simulator configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -113,6 +119,12 @@ impl ElasticoConfig {
         self.trace.validate()?;
         if self.n_nodes < 8 {
             return Err(Error::invalid_config("n_nodes", "need at least 8 nodes"));
+        }
+        if self.n_nodes > MAX_NODES {
+            return Err(Error::invalid_config(
+                "n_nodes",
+                format!("at most {MAX_NODES} nodes, got {}", self.n_nodes),
+            ));
         }
         if self.min_committee_size < 4 {
             return Err(Error::invalid_config(
@@ -237,43 +249,7 @@ pub struct ElasticoSim {
     epoch: EpochId,
     randomness: Hash32,
     obs: Obs,
-    threads: usize,
     scratch: EpochScratch,
-}
-
-/// One committee's stage-3 consensus inputs, with both RNG streams
-/// pre-forked in committee order — the serial draw-order contract that
-/// makes the parallel fan-out byte-identical to a serial run.
-struct PbftTask {
-    n: u32,
-    txs: u64,
-    digest: Hash32,
-    label: String,
-    net_rng: SimRng,
-    run_rng: SimRng,
-}
-
-/// One committee's stage-3 products: the consensus result (or the error a
-/// serial run would have stopped at) plus the telemetry it emitted,
-/// captured for index-order replay.
-type PbftOutcome = (Result<ConsensusResult>, Vec<Event>);
-
-/// Executes one PBFT run from pre-forked RNG streams.
-fn execute_pbft(config: &ElasticoConfig, task: PbftTask, obs: Obs) -> Result<ConsensusResult> {
-    let mut pbft = PbftConfig::new(task.n.max(4))?;
-    pbft.block_bytes = (task.txs as usize).saturating_mul(config.bytes_per_tx);
-    pbft.verify_delay = config.consensus_verify;
-    pbft.view_timeout = config.view_timeout;
-    pbft.deadline = config.consensus_deadline;
-    let net_nodes = task.n.max(4).max(config.net.nodes);
-    let net_config = NetworkConfig {
-        nodes: net_nodes,
-        ..config.net
-    };
-    let network = Network::new(net_config, task.net_rng)?;
-    PbftRunner::new(pbft, network, task.run_rng)
-        .with_obs(obs, &task.label)
-        .run(task.digest)
 }
 
 impl ElasticoSim {
@@ -295,29 +271,8 @@ impl ElasticoSim {
             epoch: EpochId::GENESIS,
             randomness: Hash32::digest(b"elastico-genesis-randomness"),
             obs: Obs::off(),
-            threads: 1,
             scratch: EpochScratch::default(),
         })
-    }
-
-    /// Sets the stage-3 worker-thread count: intra-committee PBFT runs
-    /// fan out across `threads` workers between the formation barrier
-    /// and the final consensus. Per-committee RNG streams are pre-forked
-    /// in committee order and telemetry is replayed in committee index
-    /// order after the join, so the epoch — report, RNG evolution and
-    /// event bytes — is identical at any thread count (pinned by tests).
-    ///
-    /// # Panics
-    ///
-    /// When `threads` is 0; pass 1 for a serial run.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> ElasticoSim {
-        assert!(
-            threads >= 1,
-            "with_threads precondition: threads must be >= 1, got 0 (use 1 for a serial run)"
-        );
-        self.threads = threads;
-        self
     }
 
     /// Attaches a telemetry handle: every subsequent epoch emits the
@@ -360,7 +315,9 @@ impl ElasticoSim {
     /// # Errors
     ///
     /// [`Error::Simulation`] when no committee survives formation or the
-    /// final committee cannot be seated.
+    /// final committee cannot be seated. After an error the simulator's
+    /// state (epoch, randomness, RNG position) is unspecified: build a new
+    /// one rather than run it again.
     pub fn run_epoch_with<S: ShardSelector>(&mut self, selector: &mut S) -> Result<EpochReport> {
         let stages = self.run_stages()?;
         let included = selector.select(&stages.shards);
@@ -499,16 +456,12 @@ impl ElasticoSim {
         let mut sample_rng = rng::fork(&mut self.rng, "shards");
         let tx_counts = sampler.sample_tx_counts(formed.len(), &mut sample_rng)?;
 
-        // Stage 3: intra-committee PBFT per committee. Committees are
-        // independent between the formation barrier and the final
-        // consensus, so they fan out across `self.threads` `ordered_map`
-        // workers. The determinism contract: per-committee RNG pairs are
-        // forked here, serially, in committee order — exactly the draw
-        // order of the serial loop, each beside the seed of that
-        // committee's telemetry handle — and each worker's events come
-        // back with its result, replayed in committee index order after
-        // the join, so the epoch is byte-identical at any thread count.
-        let mut tasks = Vec::with_capacity(formed.len());
+        // Stage 3: intra-committee PBFT per committee. Committees run
+        // concurrently in virtual time — each `l_i` is read off its own
+        // simulated clock — so they run here one after another, in
+        // committee order, which is also the RNG fork order.
+        let mut shards = Vec::with_capacity(formed.len());
+        let mut consensus = Vec::with_capacity(formed.len());
         for (committee, txs) in formed.iter().zip(&tx_counts) {
             self.scratch.digest_bytes.clear();
             self.scratch
@@ -522,31 +475,7 @@ impl ElasticoSim {
                 .extend_from_slice(&txs.to_le_bytes());
             let digest = Hash32::digest(&self.scratch.digest_bytes);
             let label = format!("pbft-{}", committee.id);
-            let net_rng = rng::fork(&mut self.rng, &format!("{label}-net"));
-            let run_rng = rng::fork(&mut self.rng, &label);
-            let task = PbftTask {
-                n: committee.members.len() as u32,
-                txs: *txs,
-                digest,
-                label,
-                net_rng,
-                run_rng,
-            };
-            tasks.push((task, self.obs.fork()));
-        }
-        let outcomes: Vec<PbftOutcome> = ordered_map(self.threads, tasks, |(task, seed)| {
-            let obs = seed.open();
-            let result = execute_pbft(&self.config, task, obs.clone());
-            (result, obs.take_captured())
-        });
-        let mut shards = Vec::with_capacity(formed.len());
-        let mut consensus = Vec::with_capacity(formed.len());
-        for ((committee, txs), (result, events)) in formed.iter().zip(&tx_counts).zip(outcomes) {
-            // Replay before inspecting the result: on an error, the
-            // events a serial run emitted before failing are already
-            // captured.
-            self.obs.replay(events);
-            let result = result?;
+            let result = self.run_pbft(committee.members.len() as u32, *txs, digest, &label)?;
             self.obs.emit(
                 "committee_consensus",
                 (committee.formation_latency + result.latency).as_secs(),
@@ -698,6 +627,9 @@ impl ElasticoSim {
         rng::fork(&mut self.rng, label)
     }
 
+    /// One PBFT run on its own network, both RNG streams forked off the
+    /// master stream under `label` — the path every member committee and
+    /// the final committee take.
     fn run_pbft(
         &mut self,
         n: u32,
@@ -707,18 +639,19 @@ impl ElasticoSim {
     ) -> Result<ConsensusResult> {
         let net_rng = rng::fork(&mut self.rng, &format!("{label}-net"));
         let run_rng = rng::fork(&mut self.rng, label);
-        execute_pbft(
-            &self.config,
-            PbftTask {
-                n,
-                txs,
-                digest,
-                label: label.to_string(),
-                net_rng,
-                run_rng,
-            },
-            self.obs.clone(),
-        )
+        let mut pbft = PbftConfig::new(n.max(4))?;
+        pbft.block_bytes = (txs as usize).saturating_mul(self.config.bytes_per_tx);
+        pbft.verify_delay = self.config.consensus_verify;
+        pbft.view_timeout = self.config.view_timeout;
+        pbft.deadline = self.config.consensus_deadline;
+        let net_config = NetworkConfig {
+            nodes: n.max(4).max(self.config.net.nodes),
+            ..self.config.net
+        };
+        let network = Network::new(net_config, net_rng)?;
+        PbftRunner::new(pbft, network, run_rng)
+            .with_obs(self.obs.clone(), label)
+            .run(digest)
     }
 }
 
@@ -908,46 +841,27 @@ mod tests {
         assert!(claimed_total > true_total, "misreporters inflate claims");
     }
 
+    /// The simulator's stream across commits: seed 17, two epochs, every
+    /// event. The constants were captured at 795be95, where stage 3 fanned
+    /// committees out across threads, and equal at one and four workers.
     #[test]
-    fn epoch_is_byte_identical_at_any_thread_count() {
-        let run = |threads: usize| {
-            let (obs, buf) = Obs::memory(mvcom_obs::ObsLevel::Trace);
-            let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 17)
-                .unwrap()
-                .with_obs(obs.clone())
-                .with_threads(threads);
-            let reports: Vec<EpochReport> = (0..2).map(|_| sim.run_epoch().unwrap()).collect();
-            assert_eq!(obs.invalid_dropped(), 0);
-            let committed = obs
-                .metrics()
-                .map(|m| m.counter("pbft.committed"))
-                .unwrap_or(0);
-            (reports, buf.contents(), committed)
+    fn two_epochs_reproduce_the_pinned_stream() {
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
         };
-        let baseline = run(1);
-        for threads in [2, 3, 4, 16] {
-            let parallel = run(threads);
-            assert_eq!(
-                baseline.0, parallel.0,
-                "reports differ at {threads} threads"
-            );
-            assert_eq!(
-                baseline.1, parallel.1,
-                "event bytes differ at {threads} threads"
-            );
-            assert_eq!(
-                baseline.2, parallel.2,
-                "counters differ at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "with_threads precondition")]
-    fn with_threads_rejects_zero() {
-        let _ = ElasticoSim::new(ElasticoConfig::small_test(), 1)
+        let (obs, buf) = Obs::memory(mvcom_obs::ObsLevel::Trace);
+        let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 17)
             .unwrap()
-            .with_threads(0);
+            .with_obs(obs.clone());
+        let reports: Vec<EpochReport> = (0..2).map(|_| sim.run_epoch().unwrap()).collect();
+        assert_eq!(obs.invalid_dropped(), 0);
+        let mut json = String::new();
+        reports.write_json(&mut json);
+        assert_eq!(fnv(buf.contents().as_bytes()), 0xbd17_7df8_333b_8a16);
+        assert_eq!(obs.metrics().map(|m| m.counter("pbft.commits")), Some(10));
+        assert_eq!(fnv(json.as_bytes()), 0xf752_93f6_1e63_a0bf);
     }
 
     #[test]
@@ -961,6 +875,11 @@ mod tests {
         let mut c = ElasticoConfig::small_test();
         c.bytes_per_tx = 0;
         assert!(c.validate().is_err());
+        let mut c = ElasticoConfig::small_test();
+        c.n_nodes = MAX_NODES + 1;
+        assert!(c.validate().unwrap_err().to_string().contains("n_nodes"));
+        c.n_nodes = MAX_NODES;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! `mvcom-lint`: exhaustive interleaving proofs of the workspace's two
-//! threaded protocols.
+//! `mvcom-lint`: an exhaustive interleaving proof of the workspace's one
+//! threaded protocol.
 //!
 //! [`model`] is a small interleaving-model DSL (states, atomic steps,
-//! memoized exhaustive exploration, invariant closures) with two models
-//! on it: the `ordered_map` claim/write protocol ([`model::merge`]) and
-//! the `Obs` capture/replay protocol ([`model::deferred`]), each beside a
-//! deliberately broken twin. The proofs are this crate's unit tests;
+//! memoized exhaustive exploration, invariant closures) with one model on
+//! it: the `ordered_map` claim/write protocol ([`model::merge`]), beside a
+//! deliberately broken twin. The proof is this crate's unit tests;
 //! `cargo test -p mvcom-lint` runs them.
 //!
 //! The workspace's *static* invariants (determinism, panic-freedom, float

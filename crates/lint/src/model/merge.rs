@@ -1,8 +1,8 @@
 //! Interleaving model of the `ordered_map` claim/write protocol.
 //!
 //! `mvcom_simnet::fanout::ordered_map` is the workspace's one fan-out —
-//! the SE replica race, elastico's stage-3 committee pool and the figure
-//! sweeps all run it, so this proof covers every threaded path. Each worker claims the next `(index, item)` off a shared queue
+//! the SE replica race and the figure sweeps both run it, so this proof
+//! covers every threaded path. Each worker claims the next `(index, item)` off a shared queue
 //! (one step: the queue's lock makes reading and advancing the position
 //! atomic), computes the item (seeded by its *index*, not its worker),
 //! and writes the result into the slot *of that index*. The merged output

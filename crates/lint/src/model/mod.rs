@@ -20,16 +20,11 @@
 //! spaces here in milliseconds. A violation comes back with the exact
 //! schedule (thread id per step) that reaches it.
 //!
-//! Two models ship on this engine:
-//!
-//! * the `ordered_map` claim/write protocol every threaded path runs
-//!   ([`merge`]),
-//! * the `Obs` capture/replay protocol ([`deferred`]).
-//!
-//! Each pairs the shipped protocol with a deliberately broken twin (the
-//! bug the design avoids) so the checker demonstrably has teeth.
+//! One model ships on this engine: the `ordered_map` claim/write protocol
+//! every threaded path runs ([`merge`]). It pairs the shipped protocol
+//! with a deliberately broken twin (the bug the design avoids) so the
+//! checker demonstrably has teeth.
 
-pub mod deferred;
 pub mod merge;
 
 use std::collections::BTreeSet;

@@ -4,7 +4,7 @@
 //!
 //! * an [`Obs`] handle that filters, sequences and encodes [`Event`]s to a
 //!   JSONL sink (file, in-memory buffer, or nothing);
-//! * a lock-cheap [`MetricsRegistry`] — counters, gauges and fixed-bucket
+//! * a single-thread [`MetricsRegistry`] — counters, gauges and fixed-bucket
 //!   histograms keyed by static names;
 //! * a span API ([`Obs::span`] / [`span!`]) whose timestamps come from the
 //!   emitting site's *logical* clock (virtual time, simulated seconds, or
@@ -52,114 +52,54 @@
 //! # One handle per thread
 //!
 //! An [`Obs`] is `Rc` + `RefCell` inside, so it is neither `Send` nor
-//! `Sync`: no worker can reach the thread that orders the lines. A
-//! fan-out hands telemetry to a worker the way it hands it randomness —
-//! [`Obs::fork`] one [`ObsSeed`] per task where the task's RNG is forked,
-//! [`ObsSeed::open`] it inside the worker, return
-//! [`Obs::take_captured`] with the task's result, and [`Obs::replay`] the
-//! results in task order:
+//! `Sync`: no worker can reach the thread that orders the lines, and
+//! nothing is emitted inside a fan-out. Workers return values; the caller
+//! emits after the join, in task order — SE's replica merge:
 //!
 //! ```
 //! use mvcom_obs::{obs_event, Obs, ObsLevel};
 //! use mvcom_simnet::ordered_map;
 //!
 //! let (obs, buffer) = Obs::memory(ObsLevel::Events);
-//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
-//! let captures = ordered_map(2, seeds, |seed| {
-//!     let worker = seed.open();
-//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
-//!     worker.take_captured()
+//! let utilities = ordered_map(2, vec![1.0, 2.0, 3.0], |u: f64| {
+//!     u * 10.0
 //! });
-//! captures.into_iter().for_each(|events| obs.replay(events));
+//! for (iter, utility) in (0u64..).zip(utilities) {
+//!     obs_event!(obs, "se_improve", 0.0, "iter" => iter, "utility" => utility);
+//! }
 //! assert_eq!(buffer.lines().len(), 3);
 //! ```
 //!
-//! The same fan-out with the worker borrowing the caller's handle is a
-//! compile error (`Rc<..>` cannot be shared between threads safely) — the
-//! one changed line is `let worker = …`:
+//! A worker emitting on the caller's handle is a compile error (`Rc<..>`
+//! cannot be shared between threads safely) — the one changed line is the
+//! closure body:
 //!
 //! ```compile_fail
 //! use mvcom_obs::{obs_event, Obs, ObsLevel};
 //! use mvcom_simnet::ordered_map;
 //!
 //! let (obs, buffer) = Obs::memory(ObsLevel::Events);
-//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
-//! let captures = ordered_map(2, seeds, |seed| {
-//!     let worker = obs.clone();
-//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
-//!     worker.take_captured()
+//! let utilities = ordered_map(2, vec![1.0, 2.0, 3.0], |u: f64| {
+//!     obs_event!(obs, "se_improve", 0.0, "iter" => 0u64, "utility" => u); u * 10.0
 //! });
-//! captures.into_iter().for_each(|events| obs.replay(events));
-//! assert_eq!(buffer.lines().len(), 3);
-//! ```
-//!
-//! Moving a clone into the closure does not help: the closure must be
-//! `Sync` and now owns an `Rc`. This compiles …
-//!
-//! ```
-//! use mvcom_obs::{obs_event, Obs, ObsLevel};
-//! use mvcom_simnet::ordered_map;
-//!
-//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
-//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
-//! let handle = obs.clone();
-//! let captures = ordered_map(2, seeds, move |seed| {
-//!     let worker = seed.open();
-//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
-//!     worker.take_captured()
-//! });
-//! captures.into_iter().for_each(|events| obs.replay(events));
-//! assert_eq!(buffer.lines().len(), 3);
-//! ```
-//!
-//! … and this does not:
-//!
-//! ```compile_fail
-//! use mvcom_obs::{obs_event, Obs, ObsLevel};
-//! use mvcom_simnet::ordered_map;
-//!
-//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
-//! let seeds: Vec<_> = (0..3).map(|_| obs.fork()).collect();
-//! let handle = obs.clone();
-//! let captures = ordered_map(2, seeds, move |seed| {
-//!     let worker = handle.clone();
-//!     obs_event!(worker, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
-//!     worker.take_captured()
-//! });
-//! captures.into_iter().for_each(|events| obs.replay(events));
+//! for (iter, utility) in (0u64..).zip(utilities) {
+//!     obs_event!(obs, "se_improve", 0.0, "iter" => iter, "utility" => utility);
+//! }
 //! assert_eq!(buffer.lines().len(), 3);
 //! ```
 //!
 //! Nor does a bare thread get one (`Rc<..>` cannot be sent between
-//! threads safely). A seed crosses …
-//!
-//! ```
-//! use mvcom_obs::{obs_event, Obs, ObsLevel};
-//!
-//! let (obs, buffer) = Obs::memory(ObsLevel::Events);
-//! let (seed, handle) = (obs.fork(), obs.clone());
-//! let worker = std::thread::spawn(move || {
-//!     let local = seed.open();
-//!     obs_event!(local, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
-//!     local.take_captured()
-//! });
-//! obs.replay(worker.join().expect("the worker does not panic"));
-//! assert_eq!(buffer.lines().len(), 1);
-//! ```
-//!
-//! … a handle does not:
+//! threads safely):
 //!
 //! ```compile_fail
 //! use mvcom_obs::{obs_event, Obs, ObsLevel};
 //!
 //! let (obs, buffer) = Obs::memory(ObsLevel::Events);
-//! let (seed, handle) = (obs.fork(), obs.clone());
+//! let handle = obs.clone();
 //! let worker = std::thread::spawn(move || {
-//!     let local = handle;
-//!     obs_event!(local, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
-//!     local.take_captured()
+//!     obs_event!(handle, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.0);
 //! });
-//! obs.replay(worker.join().expect("the worker does not panic"));
+//! worker.join().expect("the worker does not panic");
 //! assert_eq!(buffer.lines().len(), 1);
 //! ```
 
@@ -183,7 +123,6 @@ mod summary;
 use std::cell::{Cell, RefCell};
 use std::io::Write;
 use std::rc::Rc;
-use std::sync::Arc;
 
 pub use event::{Event, Value};
 pub use metrics::{Histogram, MetricsRegistry, SECONDS_BUCKETS};
@@ -230,30 +169,32 @@ impl ObsLevel {
     }
 }
 
-struct Sinked {
+/// Where a handle's events go: validated, sequenced and written as JSONL
+/// lines.
+struct Sink {
     seq: u64,
     dropped: u64,
-    out: Box<dyn Write + Send>,
+    out: Box<dyn Write>,
+    /// The first failed write or flush; see [`Obs::write_error`].
+    error: Option<std::io::Error>,
 }
 
-impl std::fmt::Debug for Sinked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sinked")
-            .field("seq", &self.seq)
-            .field("dropped", &self.dropped)
-            .finish_non_exhaustive()
+impl Sink {
+    fn keep_first_error(&mut self, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.error.get_or_insert(e);
+        }
     }
 }
 
-/// Where a handle's events go.
-#[derive(Debug)]
-enum Sink {
-    /// Validated, sequenced and written as JSONL lines.
-    Write(Sinked),
-    /// A worker handle ([`ObsSeed::open`]): buffered in emission order,
-    /// before `seq` assignment and schema validation, until
-    /// [`Obs::take_captured`] drains them for [`Obs::replay`].
-    Capture(Vec<Event>),
+impl std::fmt::Debug for Sink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sink")
+            .field("seq", &self.seq)
+            .field("dropped", &self.dropped)
+            .field("error", &self.error)
+            .finish_non_exhaustive()
+    }
 }
 
 #[derive(Debug)]
@@ -261,36 +202,7 @@ struct ObsInner {
     level: ObsLevel,
     span_ids: Cell<u64>,
     sink: RefCell<Sink>,
-    /// Shared (`Arc`) so a worker handle updates the *parent's* counters
-    /// directly: counter additions commute, so fan-out workers reproduce
-    /// the serial totals regardless of interleaving.
-    metrics: Arc<MetricsRegistry>,
-}
-
-/// What crosses a fan-out in place of an [`Obs`]: the level and the shared
-/// registry, nothing that orders lines. `Send`, unlike the handle it was
-/// [`Obs::fork`]ed from and the one it [`ObsSeed::open`]s into.
-#[derive(Debug)]
-pub struct ObsSeed {
-    inner: Option<(ObsLevel, Arc<MetricsRegistry>)>,
-}
-
-impl ObsSeed {
-    /// Opens the worker's own handle, on the worker's thread: events
-    /// emitted on it are buffered (see [`Obs::take_captured`]), metric
-    /// updates land in the forking handle's registry. The seed of a
-    /// disabled handle opens a disabled handle.
-    ///
-    /// Spans opened on a worker handle draw ids from that handle's own
-    /// counter, so fan-out sections needing byte-stable span ids must
-    /// keep spans on the parent handle (the epoch runner's stage 3 emits
-    /// plain events only).
-    pub fn open(self) -> Obs {
-        let Some((level, metrics)) = self.inner else {
-            return Obs::off();
-        };
-        Obs::build(level, Sink::Capture(Vec::new()), metrics)
-    }
+    metrics: MetricsRegistry,
 }
 
 /// The telemetry handle threaded through the pipeline.
@@ -312,62 +224,22 @@ impl Obs {
     }
 
     /// An enabled handle writing JSONL lines to `out`.
-    pub fn writer(level: ObsLevel, out: Box<dyn Write + Send>) -> Obs {
+    pub fn writer(level: ObsLevel, out: Box<dyn Write>) -> Obs {
         if level == ObsLevel::Off {
             return Obs::off();
         }
-        let sink = Sink::Write(Sinked {
-            seq: 0,
-            dropped: 0,
-            out,
-        });
-        Obs::build(level, sink, Arc::new(MetricsRegistry::new()))
-    }
-
-    fn build(level: ObsLevel, sink: Sink, metrics: Arc<MetricsRegistry>) -> Obs {
         Obs {
             inner: Some(Rc::new(ObsInner {
                 level,
                 span_ids: Cell::new(1),
-                sink: RefCell::new(sink),
-                metrics,
+                sink: RefCell::new(Sink {
+                    seq: 0,
+                    dropped: 0,
+                    out,
+                    error: None,
+                }),
+                metrics: MetricsRegistry::new(),
             })),
-        }
-    }
-
-    /// Forks the seed of a worker handle, for fan-out sections whose event
-    /// lines must not interleave. Call it on this handle's thread, once
-    /// per task, where the task's RNG is forked; the task carries the
-    /// [`ObsSeed`] to its worker.
-    pub fn fork(&self) -> ObsSeed {
-        ObsSeed {
-            inner: self
-                .inner
-                .as_ref()
-                .map(|inner| (inner.level, Arc::clone(&inner.metrics))),
-        }
-    }
-
-    /// Drains the events a worker handle ([`ObsSeed::open`]) buffered,
-    /// oldest first; empty on any other handle. [`Obs::replay`]ing them on
-    /// the forking handle produces exactly the lines — and schema-drop
-    /// counts — that emitting the same events there directly would have:
-    /// validation and `seq` assignment happen at replay time.
-    pub fn take_captured(&self) -> Vec<Event> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        match &mut *inner.sink.borrow_mut() {
-            Sink::Capture(events) => std::mem::take(events),
-            Sink::Write(_) => Vec::new(),
-        }
-    }
-
-    /// Re-emits `events` on this handle in order — the caller's half of
-    /// the [`Obs::fork`] protocol.
-    pub fn replay(&self, events: Vec<Event>) {
-        for event in events {
-            self.emit(event.kind, event.t, &event.fields);
         }
     }
 
@@ -409,21 +281,17 @@ impl Obs {
         }
         let event = Event::new(kind, t, fields);
         let mut sink = inner.sink.borrow_mut();
-        let sink = match &mut *sink {
-            // A worker handle buffers anything that would reach the sink
-            // *or* the dropped counter (unknown kinds, invalid payloads);
-            // replay reproduces both.
-            Sink::Capture(events) => return events.push(event),
-            Sink::Write(sink) => sink,
-        };
         if schema::validate(&event).is_err() {
             sink.dropped += 1;
             return;
         }
         let line = event::encode_line(sink.seq, &event);
         sink.seq += 1;
-        let _ = sink.out.write_all(line.as_bytes());
-        let _ = sink.out.write_all(b"\n");
+        let written = sink
+            .out
+            .write_all(line.as_bytes())
+            .and_then(|()| sink.out.write_all(b"\n"));
+        sink.keep_first_error(written);
     }
 
     /// Opens a span named `name` at logical time `t` with extra context
@@ -445,19 +313,27 @@ impl Obs {
     /// Events dropped because they failed schema validation (0 in a
     /// correct program; tests assert on this).
     pub fn invalid_dropped(&self) -> u64 {
-        let Some(inner) = &self.inner else { return 0 };
-        match &*inner.sink.borrow() {
-            Sink::Write(sink) => sink.dropped,
-            Sink::Capture(_) => 0,
-        }
+        self.inner
+            .as_ref()
+            .map_or(0, |inner| inner.sink.borrow().dropped)
     }
 
-    /// Flushes the sink's buffer to its destination.
+    /// The first error writing or flushing the sink, if any. Emission
+    /// never fails, so a caller that must know its lines landed checks
+    /// this after its final [`Obs::flush`].
+    pub fn write_error(&self) -> Option<String> {
+        let inner = self.inner.as_ref()?;
+        let sink = inner.sink.borrow();
+        sink.error.as_ref().map(ToString::to_string)
+    }
+
+    /// Flushes the sink's buffer to its destination; a failure is kept
+    /// for [`Obs::write_error`].
     pub fn flush(&self) {
         let Some(inner) = &self.inner else { return };
-        if let Sink::Write(sink) = &mut *inner.sink.borrow_mut() {
-            let _ = sink.out.flush();
-        }
+        let mut sink = inner.sink.borrow_mut();
+        let flushed = sink.out.flush();
+        sink.keep_first_error(flushed);
     }
 
     // ---- metrics ------------------------------------------------------
@@ -490,9 +366,9 @@ impl Obs {
         }
     }
 
-    /// The shared registry, when the handle is enabled.
+    /// The handle's registry, when the handle is enabled.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.inner.as_deref().map(|i| i.metrics.as_ref())
+        self.inner.as_deref().map(|i| &i.metrics)
     }
 
     /// Emits the registry as `metric`/`metric_hist` events stamped `t`
@@ -640,101 +516,26 @@ mod tests {
     }
 
     #[test]
-    fn only_the_seed_and_the_capture_cross_threads() {
-        fn assert_send<T: Send>() {}
-        assert_send::<ObsSeed>();
-        assert_send::<Vec<Event>>();
-    }
-
-    #[test]
-    fn worker_replay_is_byte_identical_to_direct_emission() {
-        let emit_all = |obs: &Obs| {
-            obs_event!(obs, "se_improve", 0.0, "iter" => 0u64, "utility" => 1.5);
-            obs_event!(obs, "se_point", 1.0,
-                "iter" => 1u64, "current_best" => 2.0, "best_so_far" => 2.0);
-            obs.emit("no_such_kind", 2.0, &[]); // dropped either way
-            obs.emit("se_improve", 3.0, &[("iter", Value::U64(3))]); // invalid
-        };
-        let (direct, direct_buf) = Obs::memory(ObsLevel::Events);
-        obs_event!(direct, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
-        emit_all(&direct);
-
-        let (parent, parent_buf) = Obs::memory(ObsLevel::Events);
-        obs_event!(parent, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
-        let seed = parent.fork();
-        // The seed is opened where a fan-out opens it: on another thread.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a bare second thread is the property under test: the seed crosses, the handle does not"
-        )]
-        let captured = std::thread::scope(|scope| {
-            let worker = scope.spawn(|| {
-                let worker = seed.open();
-                emit_all(&worker);
-                assert_eq!(worker.invalid_dropped(), 0, "counted at replay");
-                let captured = worker.take_captured();
-                assert!(worker.take_captured().is_empty(), "take drains");
-                captured
-            });
-            worker.join().unwrap()
-        });
-        // Nothing reaches the parent sink until replay.
-        assert_eq!(parent_buf.lines().len(), 1);
-        parent.replay(captured);
-
-        assert_eq!(parent_buf.contents(), direct_buf.contents());
-        assert_eq!(parent.invalid_dropped(), direct.invalid_dropped());
-        assert_eq!(parent.invalid_dropped(), 2);
-        assert!(
-            parent.take_captured().is_empty(),
-            "a writer captures nothing"
-        );
-    }
-
-    #[test]
-    fn worker_level_filters_like_the_parent() {
-        let (parent, buf) = Obs::memory(ObsLevel::Summary);
-        let worker = parent.fork().open();
-        // se_point is Events-level: filtered on a Summary handle, so it
-        // must not be captured either.
-        obs_event!(worker, "se_point", 0.0,
-            "iter" => 0u64, "current_best" => 0.0, "best_so_far" => 0.0);
-        obs_event!(worker, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
-        let captured = worker.take_captured();
-        assert_eq!(captured.len(), 1);
-        parent.replay(captured);
-        assert_eq!(buf.lines().len(), 1);
-        assert!(buf.contents().contains("\"kind\":\"epoch_start\""));
-    }
-
-    #[test]
-    fn worker_metrics_land_in_the_parent_registry() {
-        let (parent, _buf) = Obs::memory(ObsLevel::Events);
-        let worker = parent.fork().open();
-        worker.incr("pbft.committed");
-        worker.add("pbft.committed", 2);
-        worker.observe("pbft.latency_s", 1.0);
-        assert_eq!(
-            parent.metrics().map(|m| m.counter("pbft.committed")),
-            Some(3)
-        );
-        assert_eq!(
-            parent
-                .metrics()
-                .and_then(|m| m.histogram("pbft.latency_s"))
-                .map(|h| h.count()),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn the_seed_of_a_disabled_handle_opens_a_disabled_handle() {
-        let worker = Obs::off().fork().open();
-        assert_eq!(worker.level(), ObsLevel::Off);
-        obs_event!(worker, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
-        let captured = worker.take_captured();
-        assert!(captured.is_empty());
-        Obs::off().replay(captured);
+    fn the_first_failed_write_or_flush_is_kept() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("no space left"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("flush failed"))
+            }
+        }
+        let obs = Obs::writer(ObsLevel::Events, Box::new(Full));
+        assert_eq!(obs.write_error(), None);
+        obs.flush();
+        obs_event!(obs, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
+        assert_eq!(obs.write_error().as_deref(), Some("flush failed"));
+        assert_eq!(Obs::off().write_error(), None);
+        let (obs, _buffer) = Obs::memory(ObsLevel::Events);
+        obs_event!(obs, "epoch_start", 0.0, "epoch" => 0u64, "nodes" => 8u64);
+        obs.flush();
+        assert_eq!(obs.write_error(), None);
     }
 
     #[test]

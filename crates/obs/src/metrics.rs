@@ -1,23 +1,18 @@
-//! A lock-cheap metrics registry: counters, gauges and fixed-bucket
+//! A single-thread metrics registry: counters, gauges and fixed-bucket
 //! histograms keyed by `&'static str` names.
 //!
 //! Naming convention (checked by a test here and documented in
 //! OBSERVABILITY.md): `area.noun` or `area.noun_unit`, all lowercase,
 //! e.g. `se.improvements`, `epoch.final_latency_s`, `chaos.dropped`.
 //!
-//! The registry is shared behind the [`Obs`](crate::Obs) handle; updates
-//! take one uncontended `Mutex` acquisition and a `BTreeMap` probe — cheap
-//! enough for per-event hot paths, and the `BTreeMap` keeps snapshot and
-//! flush order deterministic (`clippy.toml` bans iteration-order-unstable
-//! containers).
+//! The registry lives behind the [`Obs`](crate::Obs) handle, on the one
+//! thread that owns it; updates take one `RefCell` borrow and a `BTreeMap`
+//! probe — cheap enough for per-event hot paths, and the `BTreeMap` keeps
+//! snapshot and flush order deterministic (`clippy.toml` bans
+//! iteration-order-unstable containers).
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the registry is the one value fan-out workers share (an ObsSeed carries its Arc): workers only add to counters, adds commute, and snapshots iterate BTreeMaps, so no output depends on who took the lock first"
-)]
-
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use crate::event::{Event, Value};
 
@@ -121,7 +116,7 @@ struct Inner {
 /// The registry. See the [module docs](self) for the naming convention.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl MetricsRegistry {
@@ -130,15 +125,9 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A panicking holder cannot corrupt plain counters; recover the
-        // data rather than propagating the poison.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Adds `n` to the counter `name` (registering it at 0 first).
     pub fn add(&self, name: &'static str, n: u64) {
-        *self.lock().counters.entry(name).or_insert(0) += n;
+        *self.inner.borrow_mut().counters.entry(name).or_insert(0) += n;
     }
 
     /// Increments the counter `name` by one.
@@ -148,23 +137,24 @@ impl MetricsRegistry {
 
     /// Reads a counter (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
+        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
     }
 
     /// Sets the gauge `name`.
     pub fn set_gauge(&self, name: &'static str, value: f64) {
-        self.lock().gauges.insert(name, value);
+        self.inner.borrow_mut().gauges.insert(name, value);
     }
 
     /// Reads a gauge.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
+        self.inner.borrow().gauges.get(name).copied()
     }
 
     /// Registers the histogram `name` with explicit bucket bounds
     /// (idempotent; existing observations are kept).
     pub fn register_histogram(&self, name: &'static str, bounds: &[f64]) {
-        self.lock()
+        self.inner
+            .borrow_mut()
             .histograms
             .entry(name)
             .or_insert_with(|| Histogram::new(bounds));
@@ -173,7 +163,8 @@ impl MetricsRegistry {
     /// Records an observation into the histogram `name`, registering it
     /// with [`SECONDS_BUCKETS`] on first use.
     pub fn observe(&self, name: &'static str, value: f64) {
-        self.lock()
+        self.inner
+            .borrow_mut()
             .histograms
             .entry(name)
             .or_insert_with(|| Histogram::new(SECONDS_BUCKETS))
@@ -182,14 +173,14 @@ impl MetricsRegistry {
 
     /// A copy of the histogram `name`, if registered.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().histograms.get(name).cloned()
+        self.inner.borrow().histograms.get(name).cloned()
     }
 
     /// Turns the registry into `metric` / `metric_hist` events timestamped
     /// `t`, in deterministic (sorted-name) order. Used by
     /// [`Obs::flush_metrics`](crate::Obs::flush_metrics).
     pub(crate) fn snapshot_events(&self, t: f64) -> Vec<Event> {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         let mut events = Vec::new();
         for (name, value) in &inner.counters {
             events.push(Event::new(
@@ -234,7 +225,7 @@ impl MetricsRegistry {
     /// `mvcom-daemon` metrics endpoint serves.
     pub fn snapshot_json(&self) -> String {
         use crate::event::{write_f64, write_str};
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         let mut out = String::with_capacity(256);
         out.push_str("{\"counters\":{");
         for (idx, (name, value)) in inner.counters.iter().enumerate() {
@@ -276,7 +267,7 @@ impl MetricsRegistry {
     /// Renders the registry as an aligned, human-readable table (sorted by
     /// name; histograms report count/mean/p50/p95 bucket bounds).
     pub fn render_table(&self) -> String {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         let mut rows: Vec<(String, String)> = Vec::new();
         for (name, value) in &inner.counters {
             rows.push(((*name).to_string(), value.to_string()));

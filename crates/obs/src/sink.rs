@@ -1,18 +1,14 @@
 //! Event sinks: where encoded JSONL lines go.
 //!
-//! A sink is any `io::Write + Send`; the [`Obs`](crate::Obs) handle owns
-//! it together with the sequence counter, on one thread, so line order
-//! and `seq` always agree. File sinks buffer through an 8 KiB
-//! `BufWriter`; lines are durable after [`Obs::flush`](crate::Obs::flush)
-//! or when the last `Obs` handle drops (buffered bytes flush on drop).
+//! A sink is any `io::Write`; the [`Obs`](crate::Obs) handle owns it
+//! together with the sequence counter, on one thread, so line order and
+//! `seq` always agree. File sinks buffer through an 8 KiB `BufWriter`;
+//! lines are durable after [`Obs::flush`](crate::Obs::flush) or when the
+//! last `Obs` handle drops (buffered bytes flush on drop).
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "SharedBuffer has one writer, the thread that owns the Obs; the lock only lets a clone read the bytes back, and `Obs::writer` takes a `Write + Send` sink"
-)]
-
+use std::cell::RefCell;
 use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// An in-memory sink readable while (and after) events are emitted —
 /// the test and post-processing workhorse.
@@ -20,7 +16,7 @@ use std::sync::{Arc, Mutex};
 /// Cloning shares the underlying buffer.
 #[derive(Debug, Clone, Default)]
 pub struct SharedBuffer {
-    bytes: Arc<Mutex<Vec<u8>>>,
+    bytes: Rc<RefCell<Vec<u8>>>,
 }
 
 impl SharedBuffer {
@@ -31,8 +27,7 @@ impl SharedBuffer {
 
     /// Everything written so far, as UTF-8.
     pub fn contents(&self) -> String {
-        let bytes = self.bytes.lock().unwrap_or_else(|p| p.into_inner());
-        String::from_utf8_lossy(&bytes).into_owned()
+        String::from_utf8_lossy(&self.bytes.borrow()).into_owned()
     }
 
     /// The JSONL lines written so far.
@@ -43,10 +38,7 @@ impl SharedBuffer {
 
 impl Write for SharedBuffer {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.bytes
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .extend_from_slice(buf);
+        self.bytes.borrow_mut().extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -60,7 +52,7 @@ impl Write for SharedBuffer {
 /// # Errors
 ///
 /// Propagates the underlying `File::create` error.
-pub fn file_sink(path: &std::path::Path) -> io::Result<Box<dyn Write + Send>> {
+pub fn file_sink(path: &std::path::Path) -> io::Result<Box<dyn Write>> {
     let file = std::fs::File::create(path)?;
     Ok(Box::new(io::BufWriter::new(file)))
 }

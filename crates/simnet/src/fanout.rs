@@ -1,8 +1,7 @@
 //! The workspace's one deterministic fan-out: [`ordered_map`].
 //!
 //! Every threaded path — the Γ solution replicas of an SE round, the
-//! member committees of an Elastico epoch, the parameter points of a
-//! figure experiment — is the same shape: independent items whose seeds
+//! parameter points of a figure experiment — is the same shape: independent items whose seeds
 //! were forked ([`crate::rng::fork`]) *before* the fan-out, in item
 //! order, so an item's result depends on its index and never on which
 //! worker ran it or when. `ordered_map` is the only thing a `--threads`

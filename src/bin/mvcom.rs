@@ -22,8 +22,8 @@
 //!
 //! `--obs-out FILE` streams the structured telemetry documented in
 //! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity. The
-//! event file is byte-identical across same-seed runs and across
-//! `--threads` values.
+//! event file is byte-identical across same-seed runs and, for `solve`,
+//! across `--threads` values. A line that cannot be written fails the run.
 
 use std::process::ExitCode;
 
@@ -62,9 +62,7 @@ fn main() -> ExitCode {
     }
 }
 
-// Rows three tables share.
-#[rustfmt::skip]
-const THREADS: FlagSpec = FlagSpec::new("--threads", "T", "1", "fan-out workers; same bytes at any count");
+// Rows two tables share.
 #[rustfmt::skip]
 const OBS_OUT: FlagSpec = FlagSpec::new("--obs-out", "FILE", "", "write telemetry events as JSONL to FILE");
 #[rustfmt::skip]
@@ -88,7 +86,8 @@ const SOLVE_FLAGS: &[FlagSpec] = &[
     FlagSpec::new("--solver", "se|sa|dp|woa|greedy|bnb", "se", "scheduling algorithm"),
     FlagSpec::new("--seed", "S", "0", "trace, epoch and solver seed"),
     FlagSpec::new("--trace", "FILE", "", "JSON or CSV trace to sample the epoch from (default: generated)"),
-    THREADS, OBS_OUT, OBS_LEVEL,
+    FlagSpec::new("--threads", "T", "1", "fan-out workers; same bytes at any count"),
+    OBS_OUT, OBS_LEVEL,
 ];
 
 /// Flags `mvcom simulate` declares.
@@ -98,7 +97,6 @@ const SIMULATE_FLAGS: &[FlagSpec] = &[
     FlagSpec::new("--epochs", "E", "3", "epochs to run"),
     FlagSpec::new("--seed", "S", "0", "simulation seed"),
     FlagSpec::new("--scheduler", "se|all", "all", "final-committee admission: MVCom SE, or wait for all"),
-    THREADS,
     FlagSpec::new("--chaos-drop", "P", "0", "submission-link loss probability (fault-tolerant runner)"),
     FlagSpec::new("--crash", "IDX@SECS[..SECS]", "", "crash (and restart) a submission node; repeatable"),
     FlagSpec::new("--heartbeat", "SECS", "30", "heartbeat interval of the failure detector"),
@@ -195,6 +193,19 @@ fn obs_from_flags(flags: &Flags, tool: &str, seed: u64) -> Result<Obs> {
         ],
     );
     Ok(obs)
+}
+
+/// Flushes the telemetry sink and fails the run when any line of
+/// `--obs-out` could not be written (a full disk, `/dev/full`).
+fn flush_obs(flags: &Flags, obs: &Obs) -> Result<()> {
+    obs.flush();
+    match obs.write_error() {
+        None => Ok(()),
+        Some(e) => Err(Error::invalid_config(
+            "obs-out",
+            format!("--obs-out {}: {e}", flags.value("obs-out")),
+        )),
+    }
 }
 
 /// Minimal flag parser over one subcommand's [`FlagSpec`] table: `--key
@@ -504,7 +515,7 @@ fn solve(args: &[String]) -> Result<()> {
     println!("  epoch throughput: {:.2} TX/s", metrics.tps);
     span.close(t_end);
     obs.flush_metrics(t_end);
-    obs.flush();
+    flush_obs(&flags, &obs)?;
     if let Some(table) = obs.metrics_table() {
         println!("metrics:\n{table}");
     }
@@ -564,12 +575,9 @@ fn simulate(args: &[String]) -> Result<()> {
         ));
     }
 
-    // Committee-parallel stage 3 (DESIGN.md §11).
-    let threads = flags.threads()?;
     let obs = obs_from_flags(&flags, "mvcom simulate", seed)?;
-    let mut sim = ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?
-        .with_obs(obs.clone())
-        .with_threads(threads);
+    let mut sim =
+        ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?.with_obs(obs.clone());
     let mut se_selector = SeSelector::adaptive(seed, 0.6).with_obs(obs.clone());
     let recovery = {
         let mut chaos = ChaosConfig::lossy(chaos_drop);
@@ -743,7 +751,7 @@ fn simulate(args: &[String]) -> Result<()> {
         );
     }
     obs.flush_metrics(0.0);
-    obs.flush();
+    flush_obs(&flags, &obs)?;
     if let Some(table) = obs.metrics_table() {
         println!("metrics:\n{table}");
     }
@@ -840,7 +848,7 @@ fn daemon(args: &[String]) -> Result<()> {
         source,
         std::path::Path::new(&history_path),
         resume,
-        obs,
+        obs.clone(),
         alerts,
     )
     .map_err(daemon_err)?;
@@ -882,6 +890,7 @@ fn daemon(args: &[String]) -> Result<()> {
             );
         })
         .map_err(daemon_err)?;
+    flush_obs(&flags, &obs)?;
     println!(
         "daemon: {closed} epoch(s) closed this run, history {} bytes at {history_path}",
         daemon.history_bytes(),

@@ -276,6 +276,14 @@ fn out_of_domain_operands_are_config_errors_not_panics() {
             &["daemon", "--alert-min-utility", "nan"][..],
             "--alert-min-utility takes a finite number, got `nan`",
         ),
+        (
+            &["simulate", "--nodes", "4294967295", "--epochs", "1"][..],
+            "`n_nodes`: at most 1048576 nodes, got 4294967295",
+        ),
+        (
+            &["simulate", "--nodes", "100000000", "--epochs", "1"][..],
+            "`n_nodes`: at most 1048576 nodes, got 100000000",
+        ),
     ] {
         let out = mvcom(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -283,4 +291,62 @@ fn out_of_domain_operands_are_config_errors_not_panics() {
         assert!(stderr.contains(message), "{args:?} stderr: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?} stderr: {stderr}");
     }
+}
+
+/// `simulate` runs one thread per epoch; `--threads` is `solve`'s alone.
+#[test]
+fn threads_is_a_solve_flag_only() {
+    let out = mvcom(&[
+        "simulate",
+        "--nodes",
+        "60",
+        "--epochs",
+        "1",
+        "--threads",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--threads` for `mvcom simulate`"),
+        "stderr: {stderr}"
+    );
+    let out = mvcom(&["solve", "--committees", "20", "--threads", "2"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+}
+
+/// Telemetry that cannot be written used to be dropped with exit 0: every
+/// `--obs-out` path now fails the run and names the file.
+#[test]
+fn unwritable_telemetry_fails_the_run() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("mvcom-cli-full-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let history = dir.join("history.log");
+    let history = history.to_str().expect("utf-8 temp path");
+    for args in [
+        &["simulate", "--nodes", "60", "--epochs", "1"][..],
+        &["solve", "--committees", "40"][..],
+        &[
+            "daemon",
+            "--epochs",
+            "1",
+            "--resume",
+            "off",
+            "--history",
+            history,
+        ][..],
+    ] {
+        let out = mvcom(&[args, &["--obs-out", "/dev/full"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {stderr}");
+        assert!(
+            stderr.contains("--obs-out /dev/full: "),
+            "{args:?} stderr: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
