@@ -1,5 +1,5 @@
 //! fig-scale — the fig11-shaped sweep extended to the 10⁴–10⁵ committee
-//! regime (ROADMAP open item 2): SE against the sparse DP and greedy
+//! regime (DESIGN.md §11): SE against the sparse DP and greedy
 //! baselines over [`streamed_instance`]s.
 //!
 //! SA and WOA are deliberately absent: their per-iteration cost is

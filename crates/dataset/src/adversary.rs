@@ -382,20 +382,19 @@ impl StrategicPopulation {
 
     /// One epoch's ground-truth shard set.
     pub fn honest_epoch(&self, epoch: u64) -> Vec<ShardInfo> {
-        use rand_distr::Distribution;
+        use rand_distr::{Distribution, StandardNormal};
         let sigma = 0.35f64;
         // E[lognormal] = exp(mu + sigma²/2); solve mu for the target mean.
-        let mu = self.mean_txs.max(1.0).ln() - sigma * sigma / 2.0;
-        #[expect(
-            clippy::expect_used,
-            reason = "mu is finite and sigma is a positive constant"
-        )]
-        let sizes = rand_distr::LogNormal::new(mu, sigma).expect("valid log-normal parameters");
+        // Clamping the mean into [1, f64::MAX] keeps mu finite (a NaN mean
+        // stays NaN and every draw lands on the 1-tx floor), so the
+        // log-normal draw needs no fallible constructor.
+        let mu = self.mean_txs.clamp(1.0, f64::MAX).ln() - sigma * sigma / 2.0;
         (0..self.n)
             .map(|i| {
                 let id = CommitteeId(i as u32);
                 let mut r = draw(self.seed, epoch, id, "population");
-                let txs = sizes.sample(&mut r).round().max(1.0) as u64;
+                let size = (mu + sigma * StandardNormal.sample(&mut r)).exp();
+                let txs = size.round().max(1.0) as u64;
                 ShardInfo::new(id, txs, self.latency.sample(&mut r))
             })
             .collect()
@@ -553,6 +552,21 @@ mod tests {
             / epoch.len() as f64;
         assert!((900.0..1_300.0).contains(&mean_s), "mean s {mean_s}");
         assert!((550.0..750.0).contains(&mean_l), "mean l {mean_l}");
+    }
+
+    #[test]
+    fn population_clamps_a_non_finite_mean_instead_of_panicking() {
+        let epoch = |mean_txs| {
+            StrategicPopulation {
+                mean_txs,
+                ..StrategicPopulation::new(50, 3)
+            }
+            .honest_epoch(0)
+        };
+        // ∞ draws as the largest finite mean; NaN puts every shard on the
+        // 1-tx floor.
+        assert_eq!(epoch(f64::INFINITY), epoch(f64::MAX));
+        assert!(epoch(f64::NAN).iter().all(|s| s.tx_count() == 1));
     }
 
     #[test]

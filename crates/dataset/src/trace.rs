@@ -51,33 +51,49 @@ impl TraceConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration: `Ok` exactly when
+    /// [`Trace::generate`] accepts it.
     pub fn validate(&self) -> Result<()> {
+        self.distributions().map(drop)
+    }
+
+    /// The inter-block time and per-block TX count distributions, or the
+    /// error naming the first field they cannot be built from.
+    fn distributions(&self) -> Result<(Exp, LogNormal)> {
         if self.n_blocks == 0 {
             return Err(Error::invalid_config(
                 "n_blocks",
                 "trace needs at least one block",
             ));
         }
-        if !(self.mean_interval_secs.is_finite() && self.mean_interval_secs > 0.0) {
-            return Err(Error::invalid_config(
+        // A positive interval can still be so small that its rate is ∞.
+        let interval = Exp::new(1.0 / self.mean_interval_secs).map_err(|_| {
+            Error::invalid_config(
                 "mean_interval_secs",
-                format!("must be positive, got {}", self.mean_interval_secs),
-            ));
-        }
+                format!(
+                    "must be positive with a finite rate, got {}",
+                    self.mean_interval_secs
+                ),
+            )
+        })?;
         if !(self.mean_txs_per_block.is_finite() && self.mean_txs_per_block >= 1.0) {
             return Err(Error::invalid_config(
                 "mean_txs_per_block",
                 format!("must be >= 1, got {}", self.mean_txs_per_block),
             ));
         }
-        if !(self.txs_cv.is_finite() && self.txs_cv > 0.0) {
-            return Err(Error::invalid_config(
+        // Log-normal parameters from desired mean m and CV c:
+        // sigma^2 = ln(1 + c^2), mu = ln m - sigma^2 / 2. With m checked,
+        // only a CV whose square overflows makes them non-finite.
+        let sigma2 = (1.0 + self.txs_cv * self.txs_cv).ln();
+        let mu = self.mean_txs_per_block.ln() - sigma2 / 2.0;
+        match LogNormal::new(mu, sigma2.sqrt()) {
+            Ok(txs) if self.txs_cv > 0.0 => Ok((interval, txs)),
+            _ => Err(Error::invalid_config(
                 "txs_cv",
-                format!("must be positive, got {}", self.txs_cv),
-            ));
+                format!("must be positive and finite, got {}", self.txs_cv),
+            )),
         }
-        Ok(())
     }
 }
 
@@ -93,30 +109,15 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid; use [`TraceConfig::validate`] to check
-    /// untrusted configurations first.
+    /// Panics exactly when [`TraceConfig::validate`] returns `Err`; check
+    /// untrusted configurations with it first.
     pub fn generate(config: TraceConfig, seed: u64) -> Trace {
         #[expect(
             clippy::expect_used,
             reason = "documented panic contract; untrusted configs call validate() first"
         )]
-        config.validate().expect("invalid trace configuration");
+        let (interval, txs_dist) = config.distributions().expect("invalid trace configuration");
         let mut rng = mvcom_simnet::rng::master(seed);
-        #[expect(
-            clippy::expect_used,
-            reason = "validate() requires mean_interval_secs > 0"
-        )]
-        let interval = Exp::new(1.0 / config.mean_interval_secs).expect("validated");
-        // Log-normal parameters from desired mean m and CV c:
-        // sigma^2 = ln(1 + c^2), mu = ln m - sigma^2 / 2.
-        let sigma2 = (1.0 + config.txs_cv * config.txs_cv).ln();
-        let mu = config.mean_txs_per_block.ln() - sigma2 / 2.0;
-        #[expect(
-            clippy::expect_used,
-            reason = "validate() bounds the CV, so sigma is finite and non-negative"
-        )]
-        let txs_dist = LogNormal::new(mu, sigma2.sqrt()).expect("validated");
-
         let mut btime = config.start_unix as f64;
         let blocks = (0..config.n_blocks)
             .map(|i| {
@@ -162,11 +163,9 @@ impl Trace {
 
     /// Serializes the trace to a JSON string (the on-disk dataset format).
     pub fn to_json(&self) -> String {
-        #[expect(
-            clippy::expect_used,
-            reason = "serializing an in-memory trace cannot fail"
-        )]
-        serde_json::to_string(self).expect("trace serialization cannot fail")
+        let mut json = String::new();
+        self.write_json(&mut json);
+        json
     }
 
     /// Loads a trace previously produced by [`Trace::to_json`].
@@ -373,6 +372,16 @@ mod tests {
         let mut c = TraceConfig::jan_2016();
         c.txs_cv = -1.0;
         assert!(c.validate().is_err());
+        // Positive and finite, yet the rate 1/x or the variance ln(1 + c²)
+        // overflows: errors naming the field, not a panic in `generate`.
+        let mut c = TraceConfig::jan_2016();
+        c.mean_interval_secs = 1e-320;
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("mean_interval_secs"), "{err}");
+        let mut c = TraceConfig::jan_2016();
+        c.txs_cv = 1e200;
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("txs_cv"), "{err}");
     }
 
     #[test]

@@ -7,17 +7,21 @@
 //! worker ran it or when. `ordered_map` is the only thing a `--threads`
 //! value reaches; its output is the serial `map` at any count.
 //!
-//! Protocol (the one `mvcom-lint`'s `merge` model explores): a worker
-//! *claims* the next `(index, item)` off one shared queue — a single
-//! atomic step — runs `f` with no lock held, and *writes* the result to
-//! `slots[index]`; the caller reads the slots in index order after every
-//! worker has joined. Each index is claimed once, so each slot is written
-//! once, and completion order never shows.
+//! Protocol: a worker *claims* the next `(index, item)` off one shared
+//! queue — a single locked step — runs `f` with no lock held, and keeps
+//! `(index, result)` in a `Vec` of its own, which it returns through its
+//! join handle. The caller concatenates the workers' pairs, sorts them by
+//! index and drops the indices. The claim queue is the only shared state:
+//! each index is claimed once, so each result comes back once, and
+//! completion order never shows. The tests below are the whole contract:
+//! five force skew, a panic and the serial path; one forces every
+//! completion order of three items on three workers, and one forces a
+//! worker to return non-adjacent items.
 
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
-    reason = "this module is the one fan-out: the claim/write protocol above is what its barrier-forced tests pin and what mvcom-lint's `merge` model explores exhaustively"
+    reason = "this module is the one fan-out: its only shared state is the claim queue above, and its barrier-forced tests pin skew, panics, the serial path and every completion order"
 )]
 
 use std::sync::{Mutex, PoisonError};
@@ -106,50 +110,45 @@ where
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let queue = Mutex::new(items.into_iter().enumerate());
-    std::thread::scope(|scope| {
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| loop {
-                    // Neither lock is ever held across code that can
-                    // panic (`f` runs between them), so neither can be
-                    // poisoned; `into_inner` says so without a panic path.
-                    let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                    let Some((index, item)) = claimed else {
-                        break;
-                    };
-                    let result = f(item);
-                    // The queue guard is a temporary dropped at the end of the claim statement, before `f` runs; the two guards never overlap, and each slot cell is private to the index its one claimant drew.
-                    *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // The guard is a temporary dropped at the end of
+                        // the claim statement, before `f` runs, so the lock
+                        // is never held across code that can panic and is
+                        // never poisoned; `into_inner` says so without a
+                        // panic path.
+                        let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((index, item)) = claimed else {
+                            return mine;
+                        };
+                        mine.push((index, f(item)));
+                    }
                 })
             })
             .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            #[expect(
-                clippy::expect_used,
-                reason = "the queue handed out every index exactly once and every worker joined without a panic, so every slot was written"
-            )]
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every claimed index was written before the join")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
+    use std::sync::{Barrier, Condvar};
     use std::thread;
 
     #[test]
@@ -229,5 +228,62 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn every_completion_order_returns_the_serial_map() {
+        const ORDERS: [[usize; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in ORDERS {
+            // `finished` is the turn counter: item `i` finishes only when
+            // as many items have finished as its rank in `order`. Three
+            // workers for three items, so whichever item's turn it is has
+            // been or can be claimed by a worker that is not waiting.
+            let finished = Mutex::new(Vec::new());
+            let turn = Condvar::new();
+            let out = ordered_map(3, vec![0usize, 1, 2], |i| {
+                let rank = order.iter().position(|&item| item == i).unwrap();
+                let mut done = turn
+                    .wait_while(finished.lock().unwrap(), |done| done.len() < rank)
+                    .unwrap();
+                done.push(i);
+                turn.notify_all();
+                i * 10
+            });
+            assert_eq!(out, [0, 10, 20], "order={order:?}");
+            // Equal to a permutation of the three items: each ran once, in
+            // the forced order.
+            assert_eq!(finished.into_inner().unwrap(), order);
+        }
+    }
+
+    #[test]
+    fn a_worker_holding_non_adjacent_items_still_returns_item_order() {
+        // Forced claims on two workers: item 0 cannot finish before item 1
+        // has started, so they run on different workers; item 1 cannot
+        // finish before item 2 has, so item 2 goes to item 0's worker. That
+        // worker returns items 0 and 2, the other item 1: concatenated in
+        // either join order, the pairs are out of index order.
+        let both_started = Barrier::new(2);
+        let two_done = Barrier::new(2);
+        let out = ordered_map(2, vec![0usize, 1, 2], |i| {
+            if i < 2 {
+                both_started.wait();
+            }
+            if i > 0 {
+                two_done.wait();
+            }
+            (i, thread::current().id())
+        });
+        let [(0, w0), (1, w1), (2, w2)] = out[..] else {
+            panic!("results out of item order: {out:?}");
+        };
+        assert!(w0 == w2 && w0 != w1, "the claims were not forced");
     }
 }

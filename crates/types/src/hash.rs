@@ -84,12 +84,9 @@ impl Hash32 {
     /// Interprets the first 8 bytes as a little-endian `u64` — used to
     /// compare a PoW trial against a difficulty target.
     #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "Hash32 wraps a fixed [u8; 32]; the first 8 bytes always exist"
-    )]
     pub fn prefix_u64(&self) -> u64 {
-        u64::from_le_bytes(self.0[..8].try_into().expect("slice is 8 bytes"))
+        let [a, b, c, d, e, f, g, h, ..] = self.0;
+        u64::from_le_bytes([a, b, c, d, e, f, g, h])
     }
 
     /// Number of leading zero *bits*, reading the hash as a big-endian
