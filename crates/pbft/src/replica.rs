@@ -2,14 +2,16 @@
 //!
 //! Quorum votes are tracked in fixed-width bitmask voter sets
 //! (`VoterMask`) instead of hash maps: a committee of `n ≤ 128` fits in
-//! one `u128`, so recording a vote is one OR and a quorum check is one
-//! popcount — no hashing, no heap traffic — which matters because the
-//! simulation layer delivers O(n²) votes per consensus instance. Larger
-//! committees fall back to a word vector with identical semantics. The
-//! original hash-map implementation survives outside the library as the
-//! test-only `ReferenceReplica` (`tests/support/reference.rs`), and
-//! `tests/bitmask_differential.rs` checks the two machines agree
-//! message-for-message on randomized schedules.
+//! one `u128`, so recording a vote is one test-and-set that tells whether
+//! the voter is new, and a running count beside the mask makes a quorum
+//! check one compare — no hashing, no heap traffic, no popcount — which
+//! matters because the simulation layer delivers O(n²) votes per
+//! consensus instance. Larger committees fall back to a word vector with
+//! identical semantics. The original hash-map implementation survives
+//! outside the library as the test-only `ReferenceReplica`
+//! (`tests/support/reference.rs`), and `tests/bitmask_differential.rs`
+//! checks the two machines agree message-for-message on randomized
+//! schedules.
 
 use serde::{Deserialize, Serialize};
 
@@ -49,8 +51,7 @@ pub struct Outbound {
     pub message: Message,
 }
 
-/// A set of committee-local voter indices with O(1) insert and popcount
-/// cardinality.
+/// A set of committee-local voter indices with O(1) insert.
 ///
 /// Committees of `n ≤ 128` — every committee size the paper's evaluation
 /// produces — use the inline `u128`; anything larger spills to a word
@@ -74,15 +75,27 @@ impl VoterMask {
         }
     }
 
-    /// Records voter `i` (idempotent).
-    fn insert(&mut self, i: u32) {
+    /// Records voter `i` (idempotent); `true` if `i` was not yet recorded.
+    fn insert(&mut self, i: u32) -> bool {
         match self {
-            VoterMask::Small(bits) => *bits |= 1u128 << i,
-            VoterMask::Large(words) => words[(i / 64) as usize] |= 1u64 << (i % 64),
+            VoterMask::Small(bits) => {
+                let bit = 1u128 << i;
+                let new = *bits & bit == 0;
+                *bits |= bit;
+                new
+            }
+            VoterMask::Large(words) => {
+                let (word, bit) = (&mut words[(i / 64) as usize], 1u64 << (i % 64));
+                let new = *word & bit == 0;
+                *word |= bit;
+                new
+            }
         }
     }
 
-    /// Number of distinct voters recorded.
+    /// Number of distinct voters recorded: the recount of what a `Tally`
+    /// keeps running.
+    #[cfg(test)]
     fn count(&self) -> u32 {
         match self {
             VoterMask::Small(bits) => bits.count_ones(),
@@ -91,20 +104,33 @@ impl VoterMask {
     }
 }
 
-/// Records `from`'s vote for `digest` in a per-digest tally list and
-/// returns the digest's updated vote count. A view sees at most two
-/// distinct digests (one honest, one equivocated), so a linear scan beats
-/// any map.
-fn tally(entries: &mut Vec<(Hash32, VoterMask)>, n: u32, digest: Hash32, from: u32) -> u32 {
-    let slot = match entries.iter().position(|(d, _)| *d == digest) {
+/// The votes for one key (a digest, or a view to enter): who cast them
+/// and how many distinct voters that is.
+#[derive(Debug, Clone)]
+struct Tally<K> {
+    key: K,
+    voters: VoterMask,
+    count: u32,
+}
+
+/// Records `from`'s vote for `key` in a per-key tally list and returns the
+/// key's updated vote count. A view sees at most two distinct digests (one
+/// honest, one equivocated), so a linear scan beats any map.
+fn tally<K: PartialEq>(entries: &mut Vec<Tally<K>>, n: u32, key: K, from: u32) -> u32 {
+    let slot = match entries.iter().position(|tally| tally.key == key) {
         Some(i) => i,
         None => {
-            entries.push((digest, VoterMask::new(n)));
+            entries.push(Tally {
+                key,
+                voters: VoterMask::new(n),
+                count: 0,
+            });
             entries.len() - 1
         }
     };
-    entries[slot].1.insert(from);
-    entries[slot].1.count()
+    let tally = &mut entries[slot];
+    tally.count += u32::from(tally.voters.insert(from));
+    tally.count
 }
 
 /// Monotone replacement for the old per-view `HashSet<u64>` sent-guards:
@@ -143,11 +169,11 @@ pub struct Replica {
     /// Digest accepted from the current view's pre-prepare.
     accepted: Option<Hash32>,
     /// Prepare votes per digest, current view only.
-    prepares: Vec<(Hash32, VoterMask)>,
+    prepares: Vec<Tally<Hash32>>,
     /// Commit votes per digest, current view only.
-    commits: Vec<(Hash32, VoterMask)>,
+    commits: Vec<Tally<Hash32>>,
     /// View-change votes for views above the current one.
-    view_votes: Vec<(u64, VoterMask)>,
+    view_votes: Vec<Tally<u64>>,
     sent_proposal: Option<u64>,
     sent_prepare: Option<u64>,
     sent_commit: Option<u64>,
@@ -384,15 +410,7 @@ impl Replica {
         if msg.view <= self.view {
             return;
         }
-        let slot = match self.view_votes.iter().position(|(v, _)| *v == msg.view) {
-            Some(i) => i,
-            None => {
-                self.view_votes.push((msg.view, VoterMask::new(self.n)));
-                self.view_votes.len() - 1
-            }
-        };
-        self.view_votes[slot].1.insert(msg.from);
-        if self.view_votes[slot].1.count() > 2 * self.f {
+        if tally(&mut self.view_votes, self.n, msg.view, msg.from) > 2 * self.f {
             // Enter the new view; state for the old view is abandoned
             // (single-decision instance: nothing prepared carries over
             // unless we had committed, which short-circuits earlier).
@@ -403,7 +421,7 @@ impl Replica {
             self.prepares.clear();
             self.commits.clear();
             let entered = self.view;
-            self.view_votes.retain(|(v, _)| *v > entered);
+            self.view_votes.retain(|tally| tally.key > entered);
         }
     }
 }
@@ -637,10 +655,33 @@ mod tests {
         for n in [4, 128, 129, 200] {
             let mut mask = VoterMask::new(n);
             assert_eq!(mask.count(), 0);
-            mask.insert(0);
-            mask.insert(n - 1);
-            mask.insert(0); // idempotent
+            assert!(mask.insert(0));
+            assert!(mask.insert(n - 1));
+            assert!(!mask.insert(0)); // idempotent
             assert_eq!(mask.count(), 2, "n={n}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The running count `tally` returns is the recount of its mask,
+        /// for votes split over two digests and repeated voters, on both
+        /// sides of the `u128` / word-vector boundary.
+        #[test]
+        fn running_vote_count_is_the_recount(
+            pick in 0usize..5,
+            votes in proptest::collection::vec((0u32..1_000, 0u8..2), 0..400),
+        ) {
+            let n = [4u32, 100, 128, 129, 200][pick];
+            let mut tallies = Vec::new();
+            for (voter, key) in votes {
+                let digest = Hash32::digest(&[key]);
+                let count = tally(&mut tallies, n, digest, voter % n);
+                let entry = tallies.iter().find(|t| t.key == digest);
+                proptest::prop_assert_eq!(
+                    entry.map(|t| (t.count, t.voters.count())),
+                    Some((count, count))
+                );
+            }
         }
     }
 }

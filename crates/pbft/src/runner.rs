@@ -106,12 +106,16 @@ pub struct ConsensusResult {
     pub messages_delivered: u64,
 }
 
-/// Internal simulation events.
+/// Internal simulation events. A delivery names its message by index into
+/// the run's message table, so an event is 16 bytes however large a
+/// [`Message`] is.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    Deliver { to: u32, msg: Message },
+    Deliver { to: u32, msg: usize },
     ViewTimeout { replica: u32, view: u64 },
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 /// Runs one PBFT instance over a simulated network.
 pub struct PbftRunner {
@@ -120,6 +124,8 @@ pub struct PbftRunner {
     rng: SimRng,
     obs: Obs,
     label: String,
+    /// Every message sent this run, once: `Event::Deliver` indexes it.
+    messages: Vec<Message>,
 }
 
 impl PbftRunner {
@@ -132,6 +138,7 @@ impl PbftRunner {
             rng,
             obs: Obs::off(),
             label: String::from("pbft"),
+            messages: Vec::new(),
         }
     }
 
@@ -182,9 +189,8 @@ impl PbftRunner {
     /// never changes a view or commit status — it only emits votes), so
     /// the timeout re-arm, the leader re-propose, the view-change
     /// telemetry, and the commit-quorum count all inspect `to` alone
-    /// instead of rescanning the whole committee. Deliveries are drained
-    /// in same-instant batches ([`Scheduler::next_batch`]), which is
-    /// order-identical to popping one event at a time.
+    /// instead of rescanning the whole committee. Each event is one
+    /// [`Scheduler::next_event`] pop.
     ///
     /// # Errors
     ///
@@ -204,18 +210,14 @@ impl PbftRunner {
         let mut replicas: Vec<Replica> = (0..n)
             .map(|i| Replica::new(i, n, self.config.behaviors[i as usize]))
             .collect();
-        // Verification delays are folded into send times, so every
-        // replica's prepare broadcast is queued as soon as the pre-prepare
-        // lands: the peak is n² deliveries beside n timers (10,100 pending
-        // in ≤ 135 sorted runs, measured at n = 100), and only a commit
-        // wave that overlaps the prepares exceeds it.
-        let mut sched: Scheduler<Event> = Scheduler::with_capacity((n * n + n) as usize);
+        // Nothing is sized by n²: the queue's run storage grows with the
+        // bursts actually pushed and is recycled as runs drain.
+        let mut sched: Scheduler<Event> = Scheduler::new();
         let mut delivered: u64 = 0;
         // Highest view for which each replica has an armed timeout timer.
         let mut armed_view: Vec<u64> = vec![0; n as usize];
-        // Reused buffers: state-machine output and the current event batch.
+        // Reused state-machine output buffer.
         let mut out: Vec<Outbound> = Vec::with_capacity(n as usize + 2);
-        let mut batch: Vec<Event> = Vec::with_capacity(n as usize);
 
         // Kick off: leader proposes, every replica arms its view-0 timer.
         replicas[0].propose_into(digest, &mut out);
@@ -237,112 +239,106 @@ impl PbftRunner {
             );
         }
 
-        while let Some(now) = sched.next_batch(&mut batch) {
+        while let Some((now, event)) = sched.next_event() {
             if now > self.config.deadline {
                 break;
             }
-            for event in batch.drain(..) {
-                match event {
-                    Event::Deliver { to, msg } => {
-                        delivered += 1;
-                        let replica = &mut replicas[to as usize];
-                        let was_committed = replica.committed().is_some();
-                        // Verification cost for proposals.
-                        if matches!(
-                            msg.kind,
-                            crate::message::MessageKind::PrePrepare
-                                | crate::message::MessageKind::NewView
-                        ) {
-                            // The verification delay is modelled as already
-                            // elapsed: sample and fold into the outbound sends.
-                            let delay = self.config.verify_delay.sample(&mut self.rng);
-                            replica.on_message_into(msg, &mut out);
-                            self.dispatch_delayed(&mut out, to, &mut sched, delay);
-                        } else {
-                            replica.on_message_into(msg, &mut out);
+            match event {
+                Event::Deliver { to, msg } => {
+                    delivered += 1;
+                    let msg = self.messages[msg];
+                    let replica = &mut replicas[to as usize];
+                    let was_committed = replica.committed().is_some();
+                    // Verification cost for proposals.
+                    if matches!(
+                        msg.kind,
+                        crate::message::MessageKind::PrePrepare
+                            | crate::message::MessageKind::NewView
+                    ) {
+                        // The verification delay is modelled as already
+                        // elapsed: sample and fold into the outbound sends.
+                        let delay = self.config.verify_delay.sample(&mut self.rng);
+                        replica.on_message_into(msg, &mut out);
+                        self.dispatch_delayed(&mut out, to, &mut sched, delay);
+                    } else {
+                        replica.on_message_into(msg, &mut out);
+                        self.dispatch(&mut out, to, &mut sched);
+                    }
+                    // Only `to` can have changed state. Entering a new view
+                    // re-arms its timeout — even when the new leader is
+                    // faulty and never proposes, so successive view changes
+                    // stay live.
+                    let replica = &mut replicas[to as usize];
+                    let view = replica.view();
+                    if view > armed_view[to as usize] && replica.committed().is_none() {
+                        armed_view[to as usize] = view;
+                        sched.schedule_in(
+                            self.config.view_timeout,
+                            Event::ViewTimeout { replica: to, view },
+                        );
+                    }
+                    // A view change that reached quorum makes the new
+                    // leader re-propose (at most once per view).
+                    if replica.is_leader() && view > 0 && replica.committed().is_none() {
+                        replica.propose_into(digest, &mut out);
+                        if !out.is_empty() {
+                            self.emit_phase(now, view, "pre-prepare");
                             self.dispatch(&mut out, to, &mut sched);
                         }
-                        // Only `to` can have changed state. Entering a new
-                        // view re-arms its timeout — even when the new
-                        // leader is faulty and never proposes, so
-                        // successive view changes stay live.
-                        let replica = &mut replicas[to as usize];
-                        let view = replica.view();
-                        if view > armed_view[to as usize] && replica.committed().is_none() {
-                            armed_view[to as usize] = view;
-                            sched.schedule_in(
-                                self.config.view_timeout,
-                                Event::ViewTimeout { replica: to, view },
-                            );
-                        }
-                        // A view change that reached quorum makes the new
-                        // leader re-propose (at most once per view).
-                        if replica.is_leader() && view > 0 && replica.committed().is_none() {
-                            replica.propose_into(digest, &mut out);
-                            if !out.is_empty() {
-                                self.emit_phase(now, view, "pre-prepare");
-                                self.dispatch(&mut out, to, &mut sched);
-                            }
-                        }
-                        while view > top_view {
-                            // Report each abandoned view once, even if a
-                            // replica skipped several views in one delivery.
-                            self.obs.emit(
-                                "pbft_view_change",
-                                now.as_secs(),
-                                &[
-                                    ("label", Value::from(self.label.as_str())),
-                                    ("view", Value::U64(top_view)),
-                                ],
-                            );
-                            self.obs.incr("pbft.view_changes");
-                            top_view += 1;
-                        }
-                        let newly_committed =
-                            !was_committed && replicas[to as usize].committed().is_some();
-                        if newly_committed {
-                            committed_count += 1;
-                            if !locally_committed {
-                                // The first local commit is the earliest point
-                                // at which a prepared certificate is visible.
-                                locally_committed = true;
-                                self.emit_phase(now, replicas[to as usize].view(), "prepared");
-                            }
-                        }
-                        // Termination: quorum of commits.
-                        if committed_count >= quorum {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "committed_count >= quorum >= 1 guarantees a committed replica"
-                            )]
-                            let d = replicas
-                                .iter()
-                                .find_map(|r| r.committed())
-                                .expect("counted commits");
-                            let final_view = replicas
-                                .iter()
-                                .find(|r| r.committed().is_some())
-                                .map(|r| r.view())
-                                .unwrap_or(0);
-                            self.emit_phase(now, final_view, "committed");
-                            let result = ConsensusResult {
-                                committed: true,
-                                latency: now,
-                                digest: d,
-                                final_view,
-                                messages_delivered: delivered,
-                            };
-                            self.emit_done(&result);
-                            return Ok(result);
+                    }
+                    while view > top_view {
+                        // Report each abandoned view once, even if a
+                        // replica skipped several views in one delivery.
+                        self.obs.emit(
+                            "pbft_view_change",
+                            now.as_secs(),
+                            &[
+                                ("label", Value::from(self.label.as_str())),
+                                ("view", Value::U64(top_view)),
+                            ],
+                        );
+                        self.obs.incr("pbft.view_changes");
+                        top_view += 1;
+                    }
+                    let newly_committed =
+                        !was_committed && replicas[to as usize].committed().is_some();
+                    if newly_committed {
+                        committed_count += 1;
+                        if !locally_committed {
+                            // The first local commit is the earliest point
+                            // at which a prepared certificate is visible.
+                            locally_committed = true;
+                            self.emit_phase(now, replicas[to as usize].view(), "prepared");
                         }
                     }
-                    Event::ViewTimeout { replica, view } => {
-                        if replicas[replica as usize].view() == view
-                            && replicas[replica as usize].committed().is_none()
-                        {
-                            replicas[replica as usize].on_timeout_into(&mut out);
-                            self.dispatch(&mut out, replica, &mut sched);
-                        }
+                    // Termination: quorum of commits, reported with the
+                    // first committed replica's digest and view.
+                    if committed_count < quorum {
+                        continue;
+                    }
+                    let Some((d, final_view)) = replicas
+                        .iter()
+                        .find_map(|r| Some((r.committed()?, r.view())))
+                    else {
+                        continue;
+                    };
+                    self.emit_phase(now, final_view, "committed");
+                    let result = ConsensusResult {
+                        committed: true,
+                        latency: now,
+                        digest: d,
+                        final_view,
+                        messages_delivered: delivered,
+                    };
+                    self.emit_done(&result);
+                    return Ok(result);
+                }
+                Event::ViewTimeout { replica, view } => {
+                    if replicas[replica as usize].view() == view
+                        && replicas[replica as usize].committed().is_none()
+                    {
+                        replicas[replica as usize].on_timeout_into(&mut out);
+                        self.dispatch(&mut out, replica, &mut sched);
                     }
                 }
             }
@@ -363,7 +359,8 @@ impl PbftRunner {
     }
 
     /// Schedules every queued [`Outbound`], draining (and thereby reusing)
-    /// the caller's buffer.
+    /// the caller's buffer. Each message enters the run's table once,
+    /// whatever the number of recipients.
     fn dispatch_delayed(
         &mut self,
         out: &mut Vec<Outbound>,
@@ -375,8 +372,10 @@ impl PbftRunner {
         let sender = NodeId(from);
         for Outbound { target, message } in out.drain(..) {
             let size = message.wire_size(self.config.block_bytes);
+            let msg = self.messages.len();
+            self.messages.push(message);
             let mut deliver = |to: u32, at: SimTime| {
-                sched.schedule_at(at, Event::Deliver { to, msg: message });
+                sched.schedule_at(at, Event::Deliver { to, msg });
             };
             match target {
                 // The sender's own copy is immediate, and is scheduled

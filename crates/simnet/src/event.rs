@@ -1,90 +1,90 @@
 //! Time-ordered event queue and simulation clock.
 //!
-//! The heart of the discrete-event engine: events carry a firing time and an
-//! arbitrary payload. [`EventQueue`] pops events in time order with **stable
-//! FIFO tie-breaking** (two events scheduled for the same instant fire in
-//! insertion order), which keeps whole simulations deterministic.
+//! The heart of the discrete-event engine: events carry a firing time and a
+//! small `Copy` payload. [`EventQueue`] pops events in time order with
+//! **stable FIFO tie-breaking** (two events scheduled for the same instant
+//! fire in insertion order), which keeps whole simulations deterministic.
 //!
 //! Simulations push in bursts — a PBFT replica schedules one delivery per
-//! peer for every message it handles — so the queue does not sift each key
-//! through one big heap. Pushes are *staged* in push order; the next pop
-//! *seals* the stage into one run sorted by `(time, seq)`, and pops merge
-//! the runs through a small heap that holds one entry per live run.
+//! peer for every message it handles — so the queue does not sift each
+//! event through one big heap. Pushes are *staged* in push order; the next
+//! pop *seals* the stage into one run sorted by `(time, seq)`, and pops
+//! merge the runs through a small heap that holds one entry per live run.
+//! A payload travels inside its run entry, so a pop copies it straight out
+//! of the run it was sorted into.
 
-use std::cmp::Ordering;
+use std::hint::select_unpredictable;
 
 use mvcom_types::SimTime;
 
 #[cfg(test)]
 mod reference;
 
-/// A pending event's place in the order: `(time, sequence, payload slot)`.
-///
-/// The payload itself lives in the queue's slab — sorting and merging move
-/// only this fixed 24-byte key, not the (potentially much larger) event.
-///
-/// The earliest time (and, within a time, the lowest sequence number) is
-/// popped first.
+/// A position in the pop order, packed into one integer: the bits of the
+/// time above the sequence number. A [`SimTime`] is never negative or NaN,
+/// so the bit pattern of its seconds orders like its value, and `seq` is
+/// unique, so no two pending events share an order.
+fn order(time: SimTime, seq: u64) -> u128 {
+    u128::from(time.as_secs().to_bits()) << 64 | u128::from(seq)
+}
+
+/// A pending event: its firing time, its push sequence number and its
+/// payload. The earliest time (and, within a time, the lowest sequence
+/// number) is popped first.
 #[derive(Debug, Clone, Copy)]
-struct Key {
+struct Entry<E> {
     time: SimTime,
     seq: u64,
-    slot: u32,
+    payload: E,
 }
 
-impl Key {
-    /// The key's position as integers: a [`SimTime`] is never negative or
-    /// NaN, so the bit pattern of its seconds orders like its value.
-    fn order(&self) -> (u64, u64) {
-        (self.time.as_secs().to_bits(), self.seq)
+impl<E> Entry<E> {
+    fn order(&self) -> u128 {
+        order(self.time, self.seq)
     }
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.order() == other.order()
-    }
-}
-
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.order().cmp(&other.order())
-    }
-}
-
-/// A sealed burst of pushes: its keys ascending, the first `next` of them
-/// already popped.
-#[derive(Debug, Default)]
-struct Run {
-    keys: Vec<Key>,
+/// A sealed burst of pushes: its entries ascending, the first `next` of
+/// them already popped.
+#[derive(Debug)]
+struct Run<E> {
+    entries: Vec<Entry<E>>,
     next: usize,
 }
 
-/// A heap entry: the earliest unpopped key of run `run`.
+/// A heap entry: the order of the earliest unpopped entry of run `run`.
 #[derive(Debug, Clone, Copy)]
 struct Head {
-    key: Key,
-    run: u32,
+    time: SimTime,
+    seq: u64,
+    run: usize,
 }
 
-/// A 4-ary min-heap of run [`Head`]s, ordered by their keys.
+impl Head {
+    fn of<E>(entry: &Entry<E>, run: usize) -> Head {
+        Head {
+            time: entry.time,
+            seq: entry.seq,
+            run,
+        }
+    }
+
+    fn order(&self) -> u128 {
+        order(self.time, self.seq)
+    }
+}
+
+/// A 4-ary min-heap of run [`Head`]s, ordered by their packed orders.
 ///
 /// A pop's sift-down walks the heap's depth with a data-dependent read per
-/// level; a 4-ary layout halves the depth vs a binary heap while the four
-/// children of a node share at most two cache lines.
+/// level; a 4-ary layout halves the depth vs a binary heap, and a node's
+/// four children are compared as a branch-free tournament, so which child
+/// wins is never a mispredicted jump.
 ///
-/// Determinism: keys are totally ordered (`seq` is unique), so the pop
-/// sequence is exactly ascending `(time, seq)` regardless of how pushes
-/// were grouped into runs or of the heap's arity or layout — no choice
-/// made here can reorder any simulation.
+/// Determinism: orders are unique, so the pop sequence is exactly
+/// ascending `(time, seq)` regardless of how pushes were grouped into runs
+/// or of the heap's arity or layout — no choice made here can reorder any
+/// simulation.
 #[derive(Debug, Default)]
 struct MinHeap {
     heads: Vec<Head>,
@@ -99,15 +99,23 @@ impl MinHeap {
     }
 
     fn push(&mut self, head: Head) {
+        let mut i = self.heads.len();
         self.heads.push(head);
-        self.sift_up(self.heads.len() - 1);
+        while i > 0 {
+            let parent = (i - 1) / D;
+            if self.heads[parent].order() < head.order() {
+                break;
+            }
+            self.heads[i] = self.heads[parent];
+            i = parent;
+        }
+        self.heads[i] = head;
     }
 
     /// Puts `head` where the top entry was.
     fn replace_top(&mut self, head: Head) {
-        if let Some(top) = self.heads.first_mut() {
-            *top = head;
-            self.sift_down(0);
+        if !self.heads.is_empty() {
+            self.sift_down(head);
         }
     }
 
@@ -122,38 +130,34 @@ impl MinHeap {
         self.heads.clear();
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if self.heads[i].key < self.heads[parent].key {
-                self.heads.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
+    /// The earlier of the heads at `a` and `b`.
+    fn earlier(&self, a: usize, b: usize) -> usize {
+        select_unpredictable(self.heads[b].order() < self.heads[a].order(), b, a)
     }
 
-    fn sift_down(&mut self, mut i: usize) {
+    /// Moves `head` down from the root (whose entry it replaces) until no
+    /// child precedes it.
+    fn sift_down(&mut self, head: Head) {
         let len = self.heads.len();
+        let mut i = 0;
         loop {
-            let first_child = i * D + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut min = first_child;
-            for child in (first_child + 1)..(first_child + D).min(len) {
-                if self.heads[child].key < self.heads[min].key {
-                    min = child;
-                }
-            }
-            if self.heads[min].key < self.heads[i].key {
-                self.heads.swap(i, min);
-                i = min;
+            let first = i * D + 1;
+            let min = if first + D <= len {
+                let left = self.earlier(first, first + 1);
+                let right = self.earlier(first + 2, first + 3);
+                self.earlier(left, right)
+            } else if first < len {
+                (first + 1..len).fold(first, |min, child| self.earlier(min, child))
             } else {
                 break;
+            };
+            if head.order() < self.heads[min].order() {
+                break;
             }
+            self.heads[i] = self.heads[min];
+            i = min;
         }
+        self.heads[i] = head;
     }
 }
 
@@ -173,43 +177,40 @@ impl MinHeap {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Keys pushed since the last pop, in push — hence `seq` — order, and
-    /// the scratch their sort goes through.
-    stage: Vec<Key>,
+    /// Entries pushed since the last pop, in push — hence `seq` — order,
+    /// and the scratch their sort goes through.
+    stage: Vec<Entry<E>>,
     tags: Vec<u64>,
-    /// Sealed runs by id; `free_runs` lists the drained ones, whose key
+    /// Sealed runs by id; `free_runs` lists the drained ones, whose entry
     /// storage the next seal reuses, so the footprint tracks the peak.
-    runs: Vec<Run>,
-    free_runs: Vec<u32>,
+    runs: Vec<Run<E>>,
+    free_runs: Vec<usize>,
     /// One head per live (sealed, not yet drained) run.
     heap: MinHeap,
-    /// Payload slab: keys index into it, `free` recycles vacated slots so
-    /// the slab's footprint tracks the peak pending count.
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
+    len: usize,
     next_seq: u64,
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue::with_capacity(0)
-    }
-
-    /// Creates an empty queue whose payload slab is pre-sized for
-    /// `capacity` pending events, so a simulation that knows its peak
-    /// (PBFT broadcasts schedule O(n²) deliveries) never moves the slab
-    /// mid-run. Key storage grows per burst and is recycled.
-    pub fn with_capacity(capacity: usize) -> EventQueue<E> {
         EventQueue {
             stage: Vec::new(),
             tags: Vec::new(),
             runs: Vec::new(),
             free_runs: Vec::new(),
             heap: MinHeap::default(),
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            len: 0,
             next_seq: 0,
+        }
+    }
+
+    /// Creates an empty queue whose stage holds `capacity` pushes before
+    /// it first grows. Run storage grows per burst and is recycled.
+    pub fn with_capacity(capacity: usize) -> EventQueue<E> {
+        EventQueue {
+            stage: Vec::with_capacity(capacity),
+            ..EventQueue::new()
         }
     }
 
@@ -217,19 +218,8 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len())
-                    .unwrap_or_else(|_| panic!("event queue exceeded {} live events", u32::MAX));
-                self.slots.push(Some(payload));
-                slot
-            }
-        };
-        self.stage.push(Key { time, seq, slot });
+        self.len += 1;
+        self.stage.push(Entry { time, seq, payload });
     }
 
     /// Turns the staged pushes into one more sorted run.
@@ -238,111 +228,78 @@ impl<E> EventQueue<E> {
             return;
         };
         let id = self.free_runs.pop().unwrap_or_else(|| {
-            self.runs.push(Run::default());
-            // Every live run holds a slab slot, so run ids fit the slab's
-            // `u32` index too.
-            (self.runs.len() - 1) as u32
+            self.runs.push(Run {
+                entries: Vec::new(),
+                next: 0,
+            });
+            self.runs.len() - 1
         });
-        let run = &mut self.runs[id as usize];
+        let run = &mut self.runs[id];
         run.next = 0;
-        // Plain `u64`s sort several times faster than keys do, so each
-        // staged key is stood in for by a tag: the bits of its time with
+        // Plain `u64`s sort several times faster than entries do, so each
+        // staged entry is stood in for by a tag: the bits of its time with
         // the low `width` bits — enough for any stage index — replaced by
         // its index. Stage order is `seq` order, so tags order exactly like
         // `(time, seq)` unless two times differ only inside those low bits;
         // the rare stage where that matters is put right by sorting its
-        // keys, which are unique and therefore have one sorted order.
+        // entries, whose orders are unique and therefore have one sorting.
         let width = usize::BITS - last.leading_zeros();
         let index = (1u64 << width) - 1;
         self.tags.clear();
         self.tags.extend(
             (0u64..)
                 .zip(&self.stage)
-                .map(|(i, key)| key.order().0 & !index | i),
+                .map(|(i, entry)| entry.time.as_secs().to_bits() & !index | i),
         );
         self.tags.sort_unstable();
         let sorted = self
             .tags
             .iter()
             .map(|tag| self.stage[(tag & index) as usize]);
-        run.keys.extend(sorted);
+        run.entries.extend(sorted);
         self.stage.clear();
-        if !run.keys.is_sorted() {
-            run.keys.sort_unstable();
+        if !run.entries.is_sorted_by_key(Entry::order) {
+            run.entries.sort_unstable_by_key(Entry::order);
         }
-        self.heap.push(Head {
-            key: run.keys[0],
-            run: id,
-        });
-    }
-
-    /// Removes the earliest sealed key if it satisfies `wanted`.
-    fn take_head(&mut self, wanted: impl FnOnce(&Key) -> bool) -> Option<Key> {
-        let Head { key, run: id } = *self.heap.peek().filter(|head| wanted(&head.key))?;
-        let run = &mut self.runs[id as usize];
-        run.next += 1;
-        match run.keys.get(run.next) {
-            Some(&key) => self.heap.replace_top(Head { key, run: id }),
-            None => {
-                self.heap.remove_top();
-                run.keys.clear();
-                self.free_runs.push(id);
-            }
-        }
-        Some(key)
-    }
-
-    /// Takes the payload out of `slot`, returning the slot to the free
-    /// list. Every key points at an occupied slot.
-    fn vacate(&mut self, slot: u32) -> Option<E> {
-        self.free.push(slot);
-        self.slots[slot as usize].take()
+        self.heap.push(Head::of(&run.entries[0], id));
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty. Ties fire in insertion order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.seal();
-        let key = self.take_head(|_| true)?;
-        let payload = self.vacate(key.slot)?;
-        Some((key.time, payload))
+        let id = self.heap.peek()?.run;
+        let run = &mut self.runs[id];
+        let Entry { time, payload, .. } = run.entries[run.next];
+        run.next += 1;
+        match run.entries.get(run.next) {
+            Some(entry) => self.heap.replace_top(Head::of(entry, id)),
+            None => {
+                self.heap.remove_top();
+                run.entries.clear();
+                self.free_runs.push(id);
+            }
+        }
+        self.len -= 1;
+        Some((time, payload))
     }
 
     /// Returns the firing time of the earliest event without removing it
     /// (a scan of the pushes made since the last pop, plus one lookup).
     pub fn peek_time(&self) -> Option<SimTime> {
-        let sealed = self.heap.peek().map(|head| head.key.time);
-        let staged = self.stage.iter().map(|key| key.time).min();
+        let sealed = self.heap.peek().map(|head| head.time);
+        let staged = self.stage.iter().map(|entry| entry.time).min();
         sealed.into_iter().chain(staged).min()
-    }
-
-    /// Drains every event scheduled for the earliest pending instant into
-    /// `batch` (cleared first), in FIFO order, and returns that instant.
-    ///
-    /// Popping a batch is equivalent to repeated [`EventQueue::pop`] calls:
-    /// events pushed *while processing* a batch — even for the same instant
-    /// — carry higher sequence numbers than everything already queued, so
-    /// they land in a later batch exactly as they would pop later
-    /// one-at-a-time. Batching only saves the per-event peek/round-trip,
-    /// it never reorders deliveries.
-    pub fn pop_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
-        batch.clear();
-        self.seal();
-        let time = self.heap.peek()?.key.time;
-        while let Some(key) = self.take_head(|key| key.time == time) {
-            batch.extend(self.vacate(key.slot));
-        }
-        Some(time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.len
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Drops every pending event.
@@ -351,12 +308,11 @@ impl<E> EventQueue<E> {
         self.runs.clear();
         self.free_runs.clear();
         self.heap.clear();
-        self.slots.clear();
-        self.free.clear();
+        self.len = 0;
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
     }
@@ -373,20 +329,11 @@ pub struct Scheduler<E> {
     now: SimTime,
 }
 
-impl<E> Scheduler<E> {
+impl<E: Copy> Scheduler<E> {
     /// Creates a scheduler with the clock at time zero.
     pub fn new() -> Scheduler<E> {
         Scheduler {
             queue: EventQueue::new(),
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Creates a scheduler whose queue is pre-sized for `capacity` pending
-    /// events (see [`EventQueue::with_capacity`]).
-    pub fn with_capacity(capacity: usize) -> Scheduler<E> {
-        Scheduler {
-            queue: EventQueue::with_capacity(capacity),
             now: SimTime::ZERO,
         }
     }
@@ -423,17 +370,6 @@ impl<E> Scheduler<E> {
         Some((time, payload))
     }
 
-    /// Pops *every* event scheduled for the earliest pending instant into
-    /// `batch` (FIFO order), advancing the clock once for the whole batch.
-    /// Returns the batch's firing time, or `None` when idle. Equivalent to
-    /// repeated [`Scheduler::next_event`] calls at one instant — see
-    /// [`EventQueue::pop_batch`] for the ordering argument.
-    pub fn next_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
-        let time = self.queue.pop_batch(batch)?;
-        self.now = time;
-        Some(time)
-    }
-
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
@@ -450,7 +386,7 @@ impl<E> Scheduler<E> {
     }
 }
 
-impl<E> Default for Scheduler<E> {
+impl<E: Copy> Default for Scheduler<E> {
     fn default() -> Self {
         Scheduler::new()
     }
@@ -468,7 +404,7 @@ mod tests {
     #[test]
     fn pops_like_the_heap_per_event_queue_on_random_schedules() {
         for seed in 0..4 {
-            let ops = random_ops(&mut crate::rng::master(seed), 12_000);
+            let ops = random_ops(&mut crate::rng::master(seed), 24_000);
             assert!(assert_same_schedule(&ops) > 10_000, "seed {seed}");
         }
     }
@@ -481,7 +417,7 @@ mod tests {
         let descending = (0..300u64).map(|i| f64::from_bits(base + 63 - i % 64));
         let ops = [Op::Burst(descending.collect())]
             .into_iter()
-            .chain((0..300).map(|i| if i % 2 == 0 { Op::Pop } else { Op::PopBatch }))
+            .chain((0..300).map(|_| Op::Pop))
             .collect::<Vec<_>>();
         assert_eq!(assert_same_schedule(&ops), 300);
     }
@@ -509,8 +445,8 @@ mod tests {
             }
         };
         let storage = |q: &EventQueue<usize>| {
-            let keys: usize = q.runs.iter().map(|run| run.keys.capacity()).sum();
-            (q.runs.len(), keys, q.slots.capacity())
+            let entries: usize = q.runs.iter().map(|run| run.entries.capacity()).sum();
+            (q.runs.len(), entries)
         };
         wave(&mut q);
         assert!(q.is_empty() && q.heap.heads.is_empty());
@@ -601,51 +537,6 @@ mod tests {
         s.schedule_in(secs(2.0), 2);
         assert_eq!(s.pending(), 2);
         assert_eq!(s.peek_time(), Some(secs(1.0)));
-    }
-
-    #[test]
-    fn pop_batch_matches_one_at_a_time_pop() {
-        let build = || {
-            let mut q = EventQueue::with_capacity(16);
-            q.push(secs(1.0), 'a');
-            q.push(secs(2.0), 'c');
-            q.push(secs(1.0), 'b');
-            q.push(secs(2.0), 'd');
-            q.push(secs(3.0), 'e');
-            q
-        };
-        let mut serial = Vec::new();
-        let mut q = build();
-        while let Some((t, e)) = q.pop() {
-            serial.push((t, e));
-        }
-        let mut batched = Vec::new();
-        let mut q = build();
-        let mut batch = Vec::new();
-        while let Some(t) = q.pop_batch(&mut batch) {
-            batched.extend(batch.iter().map(|&e| (t, e)));
-        }
-        assert_eq!(serial, batched);
-    }
-
-    #[test]
-    fn pushes_during_a_batch_land_in_a_later_batch() {
-        let mut s: Scheduler<u32> = Scheduler::with_capacity(8);
-        s.schedule_in(secs(1.0), 1);
-        s.schedule_in(secs(1.0), 2);
-        let mut batch = Vec::new();
-        let t = s.next_batch(&mut batch).unwrap();
-        assert_eq!((t, batch.as_slice()), (secs(1.0), [1, 2].as_slice()));
-        // A same-instant push while "processing" the batch fires next, in
-        // its own batch — exactly as one-at-a-time popping would order it.
-        s.schedule_at(secs(1.0), 3);
-        s.schedule_in(secs(1.0), 4);
-        let t = s.next_batch(&mut batch).unwrap();
-        assert_eq!((t, batch.as_slice()), (secs(1.0), [3].as_slice()));
-        assert_eq!(s.next_batch(&mut batch), Some(secs(2.0)));
-        assert_eq!(batch, vec![4]);
-        assert!(s.next_batch(&mut batch).is_none());
-        assert!(batch.is_empty());
     }
 
     #[test]

@@ -107,15 +107,6 @@ impl<E> HeapQueue<E> {
         self.keys.first().map(|key| key.time)
     }
 
-    pub fn pop_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
-        batch.clear();
-        let time = self.peek_time()?;
-        while self.peek_time() == Some(time) {
-            batch.extend(self.pop().map(|(_, payload)| payload));
-        }
-        Some(time)
-    }
-
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -141,7 +132,6 @@ pub enum Op {
     /// while its batch is being processed.
     AtNow(Vec<f64>),
     Pop,
-    PopBatch,
     Clear,
 }
 
@@ -170,8 +160,7 @@ pub fn random_ops(rng: &mut impl Rng, count: usize) -> Vec<Op> {
                         .map(|_| f64::from(rng.gen_range(0..3u32)) * rng.gen_range(0.0..2.0))
                         .collect(),
                 ),
-                45..=69 => Op::Pop,
-                70..=98 => Op::PopBatch,
+                45..=98 => Op::Pop,
                 _ => Op::Clear,
             }
         })
@@ -185,7 +174,6 @@ pub fn random_ops(rng: &mut impl Rng, count: usize) -> Vec<Op> {
 pub fn assert_same_schedule(ops: &[Op]) -> usize {
     let mut new: EventQueue<u64> = EventQueue::new();
     let mut old: HeapQueue<u64> = HeapQueue::new();
-    let (mut new_batch, mut old_batch) = (Vec::new(), Vec::new());
     let mut now = SimTime::ZERO;
     let mut payload = 0u64;
     let mut popped = 0;
@@ -209,13 +197,6 @@ pub fn assert_same_schedule(ops: &[Op]) -> usize {
                     now = at;
                     popped += 1;
                 }
-            }
-            Op::PopBatch => {
-                let at = new.pop_batch(&mut new_batch);
-                assert_eq!(at, old.pop_batch(&mut old_batch), "step {step}: batch time");
-                assert_eq!(new_batch, old_batch, "step {step}: batch");
-                now = at.unwrap_or(now);
-                popped += new_batch.len();
             }
             Op::Clear => {
                 new.clear();

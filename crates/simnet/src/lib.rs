@@ -7,8 +7,9 @@
 //! * [`rng`] — reproducible random-number streams: every stochastic
 //!   component draws from a [`rng::SimRng`] forked from a single master
 //!   seed, so a whole simulation replays bit-for-bit.
-//! * [`event`] — a time-ordered [`event::EventQueue`] with stable FIFO
-//!   tie-breaking, plus the [`event::Scheduler`] clock wrapper.
+//! * [`event`] — a time-ordered [`event::EventQueue`] of `Copy` payloads
+//!   with stable FIFO tie-breaking, plus the [`event::Scheduler`] clock
+//!   wrapper.
 //! * [`latency`] — parametric [`latency::LatencyModel`]s (constant,
 //!   uniform, exponential, log-normal, shifted variants) used for PoW solve
 //!   times, link delays and verification costs.
@@ -31,7 +32,7 @@
 //! use mvcom_simnet::event::Scheduler;
 //! use mvcom_types::SimTime;
 //!
-//! #[derive(Debug, PartialEq)]
+//! #[derive(Debug, Clone, Copy, PartialEq)]
 //! enum Ev { Ping, Pong }
 //!
 //! let mut sched = Scheduler::new();
