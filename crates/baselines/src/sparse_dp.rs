@@ -198,12 +198,7 @@ impl Solver for SparseDpSolver {
         // Reconstruct from the best (last, by the strict value ordering)
         // state: every take lands exactly on its parent state's weight.
         let mut solution = Solution::empty(n);
-        #[expect(
-            clippy::expect_used,
-            reason = "run_frontier always seeds the zero state"
-        )]
-        let best = frontier.last().expect("frontier holds the zero state");
-        let mut w = best.weight;
+        let mut w = frontier.last().map_or(0, |best| best.weight);
         for i in (0..n).rev() {
             if keep.get(i, w) {
                 solution.insert(i, instance);

@@ -205,7 +205,7 @@ fn run_arm(
             capacity,
             se,
             Obs::off(),
-        );
+        )?;
         admission.advance(se.max_iterations);
         let admitted: BTreeSet<CommitteeId> = admission.finish().admitted.into_iter().collect();
         let (utility, honest_admitted, adv_admitted) = settle_epoch(&reports, &admitted);

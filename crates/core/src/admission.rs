@@ -2,13 +2,13 @@
 //!
 //! Stop listening at `N_max`, require `N_min`, cap the block at `Ĉ`, run
 //! SE, admit the converged set — and when the epoch is degenerate (fewer
-//! than two shards, no selection satisfies the constraints, the engine
-//! refuses to build) admit everything that arrived, like vanilla Elastico.
-//! The Elastico selectors of the `mvcom` facade, the daemon's epoch close
-//! and the `fig_adv` arms all run this module (DESIGN.md "One final
-//! committee"); [`EpochChain`](crate::epoch_chain::EpochChain) poses its
-//! epochs with [`EpochPolicy`] but does not yet solve through
-//! [`Admission`] (ROADMAP 5b).
+//! than two shards, or no selection satisfies the constraints) admit
+//! everything that arrived, like vanilla Elastico. An epoch that cannot
+//! be posed at all (a repeated committee, an infinite latency) or an SE
+//! configuration the engine refuses is an error, never degenerate. The
+//! Elastico selectors of the `mvcom` facade, the daemon's epoch close,
+//! the `fig_adv` arms and [`EpochChain`](crate::epoch_chain::EpochChain)
+//! all run this module (DESIGN.md "One final committee").
 //!
 //! What differs between those callers is *data*, passed in: which count
 //! `N_min` is a fraction of, which shards `Ĉ` scales with, the per-epoch
@@ -170,8 +170,12 @@ impl Admission {
     /// `arrived` is everything the final committee heard from — what the
     /// degenerate case admits; `posed` is what the scheduler chooses among
     /// (the same shards, or the ones [`cutoff`] kept). Fewer than two
-    /// posed shards, an instance that cannot be built and an engine that
-    /// refuses to build are all degenerate, never an error.
+    /// posed shards and an [`Error::Infeasible`] epoch are degenerate.
+    ///
+    /// # Errors
+    ///
+    /// [`EpochPolicy::pose`]'s [`Error::InvalidInstance`] (e.g. a repeated
+    /// committee) and [`SeEngine::new`]'s [`Error::InvalidConfig`].
     pub fn open(
         policy: &EpochPolicy,
         arrived: &[ShardInfo],
@@ -180,24 +184,24 @@ impl Admission {
         capacity: u64,
         se: SeConfig,
         obs: Obs,
-    ) -> Admission {
+    ) -> Result<Admission> {
         let engine = if posed.len() < 2 {
-            None
+            Err(Error::infeasible("fewer than two shards to choose among"))
         } else {
             policy
                 .pose(posed, n_min, capacity)
                 .and_then(|instance| SeEngine::new(&instance, se))
-                .ok()
         };
         let state = match engine {
-            Some(engine) => State::Solving(Box::new(engine.with_obs(obs.clone()))),
-            None => State::AdmitAll(arrived.to_vec()),
+            Ok(engine) => State::Solving(Box::new(engine.with_obs(obs.clone()))),
+            Err(Error::Infeasible { .. }) => State::AdmitAll(arrived.to_vec()),
+            Err(e) => return Err(e),
         };
-        Admission {
+        Ok(Admission {
             alpha: policy.alpha,
             obs,
             state,
-        }
+        })
     }
 
     /// Up to `n` more SE rounds, stopping early on convergence.
@@ -265,15 +269,11 @@ impl Admission {
                 }
             }
             State::AdmitAll(shards) => {
-                let ddl_s = shards
-                    .iter()
-                    .map(|s| s.two_phase_latency().as_secs())
-                    .fold(0.0_f64, f64::max);
+                let secs = |s: &ShardInfo| s.two_phase_latency().as_secs();
+                let ddl_s = shards.iter().map(secs).fold(0.0_f64, f64::max);
                 let utility = shards
                     .iter()
-                    .map(|s| {
-                        self.alpha * s.tx_count() as f64 - (ddl_s - s.two_phase_latency().as_secs())
-                    })
+                    .map(|s| self.alpha * s.tx_count() as f64 - (ddl_s - secs(s)))
                     .sum();
                 Admitted {
                     admitted: shards.iter().map(ShardInfo::committee).collect(),
@@ -322,7 +322,7 @@ mod tests {
         let n_min = policy.n_min(shards.len());
         let capacity = policy.capacity.of(shards);
         let posed = shards.to_vec();
-        Admission::open(policy, shards, posed, n_min, capacity, se, Obs::off())
+        Admission::open(policy, shards, posed, n_min, capacity, se, Obs::off()).unwrap()
     }
 
     #[test]
@@ -399,20 +399,42 @@ mod tests {
         // No selection satisfies the constraints: N_min = 2 shards of at
         // least 100 TXs each never fit in Ĉ = 150.
         let posed = three.to_vec();
-        let unbuildable = Admission::open(&policy, &three, posed, 2, 150, se, Obs::off());
+        let unbuildable = Admission::open(&policy, &three, posed, 2, 150, se, Obs::off()).unwrap();
         assert!(unbuildable.engine().is_none());
         assert_eq!(unbuildable.finish(), all_three);
-
-        // The engine refuses to build (Γ = 0) over a well-posed epoch.
-        let refused = open(&policy, &three, se.with_gamma(0));
-        assert!(refused.engine().is_none());
-        assert_eq!(refused.finish(), all_three);
 
         // What was posed may be narrower than what arrived; the fallback
         // is everything that arrived, in arrival-list order.
         let posed = three[..1].to_vec();
-        let narrowed = Admission::open(&policy, &three, posed, 1, 1_000, se, Obs::off());
+        let narrowed = Admission::open(&policy, &three, posed, 1, 1_000, se, Obs::off()).unwrap();
         assert_eq!(narrowed.finish(), all_three);
+    }
+
+    #[test]
+    fn an_unposable_epoch_or_a_refused_config_is_an_error_not_degenerate() {
+        let policy = EpochPolicy::paper();
+        let three = [
+            shard(0, 100, 10.0),
+            shard(1, 200, 30.0),
+            shard(2, 300, 20.0),
+        ];
+        let open = |shards: &[ShardInfo], se: SeConfig| {
+            Admission::open(&policy, shards, shards.to_vec(), 1, 1_000, se, Obs::off())
+        };
+        let se = SeConfig::fast_test(1);
+
+        // The engine refuses Γ = 0 over a well-posed epoch.
+        let err = open(&three, se.with_gamma(0)).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
+
+        // A committee that reports twice cannot be posed.
+        let repeated = [three[0], three[1], three[0]];
+        let err = open(&repeated, se).unwrap_err();
+        assert!(matches!(err, Error::InvalidInstance { .. }), "{err}");
+        assert!(
+            err.to_string().contains("duplicate shard for committee-0"),
+            "{err}"
+        );
     }
 
     #[test]

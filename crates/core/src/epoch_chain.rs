@@ -10,16 +10,21 @@
 //! [`EpochChain`] implements exactly that bookkeeping: each epoch merges
 //! freshly arrived shards with the carried-over refusals (latencies
 //! reduced by the previous deadline, clamped at zero), schedules the epoch
-//! with the SE engine, and queues this epoch's refusals for the next. The
-//! per-epoch [`EpochOutcome`]s accumulate the paper's two performance
-//! quantities — admitted throughput and cumulative age.
+//! through the final committee's [`Admission`], and queues this epoch's
+//! refusals for the next. The per-epoch [`EpochOutcome`]s accumulate the
+//! paper's two performance quantities — admitted throughput and
+//! cumulative age.
+
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
+use mvcom_obs::Obs;
 use mvcom_types::{EpochId, Result, ShardInfo, SimTime};
 
-use crate::admission::EpochPolicy;
-use crate::se::{SeConfig, SeEngine};
+use crate::admission::{Admission, EpochPolicy};
+use crate::problem::DdlPolicy;
+use crate::se::SeConfig;
 
 /// Configuration of a multi-epoch scheduling run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -143,20 +148,22 @@ impl EpochChain {
     }
 
     /// Schedules one epoch: merges `fresh` shards with the carried-over
-    /// refusals, runs SE, and queues this epoch's refusals (with their
-    /// latencies reduced by the epoch deadline, per Fig. 3).
+    /// refusals, solves it through [`Admission`], and queues this epoch's
+    /// refusals (with their latencies reduced by the epoch deadline, per
+    /// Fig. 3).
     ///
     /// Committees appearing both fresh and carried keep the *fresh* entry
-    /// (they re-formed this epoch; the stale refusal is dropped).
+    /// (they re-formed this epoch; the stale refusal is dropped). A
+    /// degenerate epoch — fewer than two shards, or none that fit the
+    /// constraints — admits everything and carries nothing forward.
     ///
     /// # Errors
     ///
-    /// [`EpochPolicy::pose`]'s, when the merged epoch violates the
-    /// constraints — a chain has no admit-everything fallback.
+    /// [`Admission::open`]'s: a committee repeated within `fresh`, a shard
+    /// of infinite latency.
     pub fn run_epoch(&mut self, fresh: Vec<ShardInfo>) -> Result<EpochOutcome> {
         let mut shards = fresh;
-        let fresh_ids: std::collections::BTreeSet<_> =
-            shards.iter().map(|s| s.committee()).collect();
+        let fresh_ids: BTreeSet<_> = shards.iter().map(|s| s.committee()).collect();
         let carried: Vec<CarriedShard> = self
             .pending
             .drain(..)
@@ -167,39 +174,42 @@ impl EpochChain {
 
         let n = shards.len();
         let policy = &self.config.policy;
+        let n_min = policy.n_min(n).min(n);
         let capacity = policy.capacity.of(&shards);
-        let instance = policy.pose(shards, policy.n_min(n).min(n), capacity)?;
-
-        let se_config = SeConfig {
+        let se = SeConfig {
             seed: self.config.se.seed ^ self.epoch.value().wrapping_mul(0x9E37_79B9),
             ..self.config.se
         };
-        let outcome = SeEngine::new(&instance, se_config)?.run();
+        let posed = shards.clone();
+        let mut admission =
+            Admission::open(policy, &shards, posed, n_min, capacity, se, Obs::off())?;
+        admission.advance(se.max_iterations);
+        let settled = admission.finish();
 
-        let ddl = instance.ddl();
-        let mut admitted = Vec::with_capacity(outcome.best_solution.selected_count());
-        let mut refused = Vec::new();
-        for (i, shard) in instance.shards().iter().enumerate() {
-            if outcome.best_solution.contains(i) {
-                admitted.push(*shard);
-            } else {
-                refused.push(*shard);
-            }
-        }
+        let admitted_ids: BTreeSet<_> = settled.admitted.into_iter().collect();
+        let (admitted, refused): (Vec<ShardInfo>, Vec<ShardInfo>) = shards
+            .into_iter()
+            .partition(|s| admitted_ids.contains(&s.committee()));
+        // The posed instance's cumulative age: its deadline, in shard order.
+        let secs = |s: &ShardInfo| s.two_phase_latency().as_secs();
+        let t = match policy.ddl_policy {
+            DdlPolicy::MaxArrival => settled.ddl.as_secs(),
+            DdlPolicy::MaxSelected => admitted.iter().map(secs).fold(0.0, f64::max),
+        };
+        let cumulative_age = admitted.iter().map(|s| (t - secs(s)).max(0.0)).sum();
         // Fig. 3 carry-over: refused latency is reduced by this epoch's
         // DDL; committees refused too many times are dropped.
         let refusal_count = |committee| {
             carried
                 .iter()
                 .find(|c| c.shard.committee() == committee)
-                .map(|c| c.refusals)
-                .unwrap_or(0)
+                .map_or(0, |c| c.refusals)
         };
         self.pending = refused
             .into_iter()
             .map(|s| CarriedShard {
                 refusals: refusal_count(s.committee()) + 1,
-                shard: s.carried_over(ddl),
+                shard: s.carried_over(settled.ddl),
             })
             .filter(|c| c.refusals <= self.config.max_carry_epochs)
             .collect();
@@ -208,11 +218,11 @@ impl EpochChain {
             epoch: self.epoch,
             arrived: n,
             carried_in,
-            ddl,
+            ddl: settled.ddl,
             admitted_txs: admitted.iter().map(|s| s.tx_count()).sum(),
-            cumulative_age: instance.cumulative_age(&outcome.best_solution),
+            cumulative_age,
             carried_out: self.pending.len(),
-            utility: outcome.best_utility,
+            utility: settled.utility,
             admitted,
         };
         self.epoch = self.epoch.next();
@@ -223,6 +233,7 @@ impl EpochChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::Capacity;
     use mvcom_types::{CommitteeId, TwoPhaseLatency};
 
     fn shard(id: u32, txs: u64, latency: f64) -> ShardInfo {
@@ -354,6 +365,107 @@ mod tests {
         }
         assert!(total_txs > 0);
         assert_eq!(chain.current_epoch(), EpochId(5));
+    }
+
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV of each epoch's serialized `EpochOutcome`, and `pending()` after
+    /// it, over six chained epochs with carry-over. Captured at bf43591,
+    /// when `run_epoch` built and ran its own engine; the chain now solves
+    /// through `Admission` and must not move a byte. Each epoch has a
+    /// 4,000 s straggler, so the two deadline policies settle differently.
+    #[test]
+    fn six_chained_epochs_keep_the_pinned_outcomes() {
+        let pinned = [
+            (
+                DdlPolicy::MaxArrival,
+                [
+                    (0x32de_fe2b_47b0_b567, 6),
+                    (0x849d_50c0_6565_645e, 10),
+                    (0x0697_649a_d6de_b840, 12),
+                    (0x611f_71b9_cbb3_702d, 14),
+                    (0x2e33_651e_e6bb_e40e, 10),
+                    (0xbf84_4687_1fc1_dcfd, 10),
+                ],
+            ),
+            (
+                DdlPolicy::MaxSelected,
+                [
+                    (0x8f0a_489b_aecf_4400, 2),
+                    (0xd598_5f02_a2d8_811d, 1),
+                    (0x1feb_3f7d_6bf7_8436, 1),
+                    (0xb1a3_cd5c_3d8f_3c89, 1),
+                    (0x9372_ea3f_1778_38b3, 1),
+                    (0x10bf_81b1_1071_ebf9, 1),
+                ],
+            ),
+        ];
+        for (ddl_policy, expected) in pinned {
+            let mut cfg = config(7);
+            cfg.policy.ddl_policy = ddl_policy;
+            let mut chain = EpochChain::new(cfg).unwrap();
+            let got: Vec<(u64, usize)> = (0..6u32)
+                .map(|e| {
+                    let mut fresh = epoch(100 * e, 12 + e as usize);
+                    fresh.push(shard(100 * e + 99, 900, 4_000.0));
+                    let outcome = chain.run_epoch(fresh).unwrap();
+                    (
+                        fnv(&serde_json::to_string(&outcome).unwrap()),
+                        chain.pending(),
+                    )
+                })
+                .collect();
+            assert_eq!(got, expected, "{ddl_policy:?}");
+        }
+    }
+
+    #[test]
+    fn an_infeasible_epoch_admits_everything_and_carries_nothing() {
+        let mut chain = EpochChain::new(config(8)).unwrap();
+        chain.run_epoch(epoch(0, 16)).unwrap();
+        let carried = chain.pending();
+        assert!(carried > 0);
+        // Ĉ below the smallest shard: no selection of N_min shards fits.
+        chain.config.policy.capacity = Capacity::Absolute(100);
+        let fresh = epoch(100, 6);
+        let outcome = chain.run_epoch(fresh).unwrap();
+        assert_eq!(outcome.arrived, 6 + carried);
+        assert_eq!(outcome.admitted.len(), outcome.arrived);
+        assert_eq!((outcome.carried_out, chain.pending()), (0, 0));
+        assert_eq!(chain.current_epoch(), EpochId(2));
+    }
+
+    #[test]
+    fn an_empty_epoch_settles_to_an_empty_outcome() {
+        let mut chain = EpochChain::new(config(9)).unwrap();
+        let outcome = chain.run_epoch(Vec::new()).unwrap();
+        assert_eq!((outcome.arrived, outcome.carried_in), (0, 0));
+        assert!(outcome.admitted.is_empty());
+        assert_eq!((outcome.carried_out, outcome.admitted_txs), (0, 0));
+        assert_eq!(outcome.ddl, SimTime::ZERO);
+        assert_eq!((outcome.utility, outcome.cumulative_age), (0.0, 0.0));
+        assert_eq!(chain.current_epoch(), EpochId(1));
+    }
+
+    #[test]
+    fn a_repeated_fresh_committee_is_still_an_error() {
+        let mut chain = EpochChain::new(config(10)).unwrap();
+        let mut fresh = epoch(0, 8);
+        fresh.push(fresh[3]);
+        let err = chain.run_epoch(fresh).unwrap_err().to_string();
+        assert!(err.contains("duplicate shard for committee-3"), "{err}");
+        // A shard of infinite latency is refused the same way.
+        let mut fresh = epoch(0, 8);
+        fresh.push(ShardInfo::new(
+            CommitteeId(50),
+            900,
+            TwoPhaseLatency::from_total(SimTime::INFINITY),
+        ));
+        assert!(chain.run_epoch(fresh).is_err());
     }
 
     #[test]

@@ -38,9 +38,8 @@
 //! (Alg. 1 lines 22–30) once: stop listening at `N_max`, require `N_min`,
 //! cap the block at `Ĉ`, run SE, admit the converged set — or, for a
 //! degenerate epoch, admit everything like vanilla Elastico. The Elastico
-//! selectors, the daemon and the adversarial figure go through it;
-//! [`epoch_chain`] only poses its epochs there and still solves with its
-//! own `SeEngine::run` (ROADMAP 5b).
+//! selectors, the daemon, the adversarial figure and the cross-epoch
+//! [`epoch_chain`] all go through it.
 //!
 //! # The theory
 //!

@@ -471,9 +471,9 @@ impl InstanceBuilder {
     /// * [`Error::Infeasible`] — no selection can satisfy both constraints:
     ///   `N_min > |I|`, or the `N_min` smallest shards already exceed `Ĉ`.
     pub fn build(self) -> Result<Instance> {
-        if self.shards.is_empty() {
+        let Some(ddl) = self.shards.iter().map(|s| s.two_phase_latency()).max() else {
             return Err(Error::invalid_instance("an epoch needs at least one shard"));
-        }
+        };
         if !self.alpha.is_finite() || self.alpha <= 0.0 {
             return Err(Error::invalid_instance(format!(
                 "alpha must be positive and finite, got {}",
@@ -507,16 +507,6 @@ impl InstanceBuilder {
                 self.shards.len()
             )));
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "build() rejects an empty shard list at entry"
-        )]
-        let ddl = self
-            .shards
-            .iter()
-            .map(|s| s.two_phase_latency())
-            .max()
-            .expect("non-empty");
         let instance = Instance {
             shards: self.shards,
             alpha: self.alpha,

@@ -499,7 +499,8 @@ impl Daemon {
         };
         let quarantined = (reported.len() - screened.len()) as u64;
         // 3. SE schedules over the screened reports (DESIGN.md "One final
-        // committee"); a degenerate epoch admits all of them.
+        // committee"); a degenerate epoch admits all of them, and a
+        // committee that reported twice ends the run.
         let n_min = n_min.min(screened.len());
         let capacity = self.policy.capacity.of(&screened);
         let mut se_config = SeConfig::paper(self.config.seed ^ epoch.wrapping_mul(EPOCH_SEED_MIX));
@@ -514,7 +515,7 @@ impl Daemon {
             capacity,
             se_config,
             self.obs.clone(),
-        );
+        )?;
         admission.advance(se_config.max_iterations);
         // The checkpoint captures the solver state *before* finalization:
         // `SeEngine::from_checkpoint(…)` + `finish()` reproduces the

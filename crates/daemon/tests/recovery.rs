@@ -13,7 +13,8 @@
 //! Each truncated file is resumed to the reference epoch count and the
 //! bytes compared with `assert_eq!`. A *complete* frame whose payload was
 //! corrupted is a different story — that is not a crash artifact, and
-//! recovery must refuse it.
+//! recovery must refuse it. Neither may an epoch that cannot be posed
+//! reach the file: it ends the run with nothing appended.
 
 #![expect(
     clippy::unwrap_used,
@@ -22,8 +23,8 @@
 use std::path::{Path, PathBuf};
 
 use mvcom_daemon::{
-    read_history, AlertConfig, AlertEngine, Daemon, DaemonConfig, HistoryRecord, SeededSource,
-    Startup,
+    read_history, AlertConfig, AlertEngine, Daemon, DaemonConfig, HistoryRecord, JsonlSource,
+    SeededSource, Startup,
 };
 use mvcom_obs::Obs;
 
@@ -263,5 +264,38 @@ fn history_records_are_well_formed_and_summaries_match_callbacks() {
         }
     }
     assert_eq!(epochs, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_committee_reporting_twice_ends_the_run_before_its_epoch_is_written() {
+    // Four 900-tx reports at Ĉ = 500·4: four distinct committees admit two
+    // shards, but committee 1 reports twice and the epoch cannot be posed.
+    // Admitting it whole would put 3,600 txs in a 2,000-tx block.
+    let dir = scratch("duplicate");
+    let path = dir.join("run.log");
+    let feed: String = [1, 2, 3, 1]
+        .map(|c| format!("{{\"committee\":{c},\"txs\":900,\"latency_s\":700.5}}\n"))
+        .concat();
+    let cfg = DaemonConfig {
+        batch_size: 4,
+        reports_per_epoch: 4,
+        capacity_per_committee: 500,
+        ..DaemonConfig::default()
+    };
+    let mut daemon = Daemon::open(
+        cfg,
+        Box::new(JsonlSource::new(std::io::Cursor::new(feed))),
+        &path,
+        false,
+        Obs::off(),
+        AlertEngine::new(AlertConfig::default()),
+    )
+    .unwrap();
+    let err = daemon.run(|_| {}).unwrap_err().to_string();
+    assert!(err.contains("duplicate shard for committee-1"), "{err}");
+    drop(daemon);
+    let records = read_history(&path).unwrap().records;
+    assert!(matches!(records.as_slice(), [HistoryRecord::Header(_)]));
     let _ = std::fs::remove_dir_all(&dir);
 }

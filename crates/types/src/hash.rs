@@ -106,11 +106,11 @@ impl Hash32 {
 
     /// Lowercase hexadecimal rendering (64 characters).
     pub fn to_hex(&self) -> String {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for byte in self.0 {
-            use fmt::Write;
-            #[expect(clippy::expect_used, reason = "fmt::Write to a String is infallible")]
-            write!(s, "{byte:02x}").expect("writing to String cannot fail");
+            s.push(char::from(NIBBLES[usize::from(byte >> 4)]));
+            s.push(char::from(NIBBLES[usize::from(byte & 0xf)]));
         }
         s
     }
@@ -168,6 +168,12 @@ mod tests {
         assert!(hex
             .chars()
             .all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase()));
+        // The nibble table writes what `{:02x}` would, for every byte value.
+        for chunk in 0..8u8 {
+            let bytes: [u8; 32] = std::array::from_fn(|i| chunk * 32 + i as u8);
+            let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(Hash32(bytes).to_hex(), formatted);
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
 use mvcom_core::dynamics::{DynamicsPolicy, EventRecord};
 use mvcom_core::se::{SeCheckpoint, SeConfig};
 use mvcom_dataset::{Adversary, CommitteeReport};
-use mvcom_elastico::epoch::{ElasticoSim, EpochReport, ShardSelector};
+use mvcom_elastico::epoch::{ElasticoSim, EpochReport, ShardSelector, WaitForAll};
 use mvcom_elastico::recovery::RecoverySelector;
 use mvcom_types::{CommitteeId, Result as MvResult, ShardInfo};
 
@@ -232,7 +232,7 @@ impl SeSelector {
 
     /// Opens the admission over `posed`; a degenerate epoch admits all of
     /// `arrived`.
-    fn open(&self, arrived: &[ShardInfo], posed: Vec<ShardInfo>) -> Admission {
+    fn open(&self, arrived: &[ShardInfo], posed: Vec<ShardInfo>) -> MvResult<Admission> {
         let n_min = self.policy.n_min(posed.len());
         let capacity = self.policy.capacity.of(&posed);
         let obs = self.obs.clone();
@@ -242,7 +242,12 @@ impl SeSelector {
 
 impl ShardSelector for SeSelector {
     fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId> {
-        let mut admission = self.open(shards, cutoff(shards, self.n_max_fraction));
+        let Ok(mut admission) = self.open(shards, cutoff(shards, self.n_max_fraction)) else {
+            // `ShardSelector::select` has no error channel, so an epoch
+            // that cannot be posed (a repeated committee, a refused SE
+            // config) admits every input committee, as vanilla Elastico.
+            return WaitForAll.select(shards);
+        };
         admission.advance(self.se.max_iterations);
         admission.finish().admitted
     }
@@ -250,7 +255,7 @@ impl ShardSelector for SeSelector {
 
 impl RecoverySelector for SeSelector {
     fn begin(&mut self, shards: &[ShardInfo]) -> MvResult<()> {
-        self.admission = Some(self.open(shards, shards.to_vec()));
+        self.admission = Some(self.open(shards, shards.to_vec())?);
         Ok(())
     }
 
@@ -457,6 +462,18 @@ mod tests {
         let shards = vec![shard(0, 1_000_000, 100.0)];
         let mut selector = SeSelector::paper(3);
         assert_eq!(selector.select(&shards), vec![CommitteeId(0)]);
+    }
+
+    #[test]
+    fn a_refused_engine_config_selects_like_vanilla_elastico() {
+        // `open` returns `Err` for Γ = 0; `select` has no error channel.
+        let shards: Vec<ShardInfo> = (0..10)
+            .map(|i| shard(i, 800, 500.0 + 100.0 * f64::from(i)))
+            .collect();
+        let mut selector = SeSelector::paper(9);
+        selector.se = selector.se.with_gamma(0);
+        assert_eq!(selector.select(&shards), WaitForAll.select(&shards));
+        assert!(selector.begin(&shards).is_err());
     }
 
     #[test]
