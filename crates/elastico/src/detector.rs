@@ -11,10 +11,12 @@
 //! with round-trips far above the population median is a **straggler**
 //! (the slow committees of paper Fig. 1 that MVCom's scheduler leaves out).
 //!
-//! Detections feed the running SE engine as `Leave` events with
-//! `DynamicsPolicy::Trim` — the §V solution-space surgery — rather than as
-//! scripted [`TimedEvent`](mvcom_core-free) sequences; the epoch runner in
-//! [`crate::epoch`] owns that wiring.
+//! Detections reach the scheduler through
+//! [`ShardSelector::on_failure`](crate::epoch::ShardSelector::on_failure)
+//! (the MVCom selector trims its SE engine with `DynamicsPolicy::Trim` —
+//! the §V solution-space surgery — rather than replaying scripted
+//! `TimedEvent` sequences); the fault-tolerant runner in
+//! [`crate::recovery`] owns that wiring.
 
 use std::collections::BTreeMap;
 

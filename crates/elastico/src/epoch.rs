@@ -15,8 +15,13 @@ use mvcom_types::{
 use crate::formation::{CommitteeFormation, FormedCommittee, OverlayConfig};
 use crate::pow::{run_lottery, PowConfig};
 
-/// Chooses which submitted shards the final committee admits — the seam
-/// where the MVCom scheduler plugs in.
+/// Chooses which submitted shards the final committee admits — stage 4,
+/// the one seam where the MVCom scheduler plugs in.
+///
+/// [`ElasticoSim::run_epoch_with`] calls `select` once. The fault-tolerant
+/// runner ([`crate::recovery`]) calls `begin`, then per heartbeat round
+/// `on_failure` for each committee declared dead and `advance`, then
+/// `finish`; the provided verbs make that one `select` over the survivors.
 ///
 /// The default [`WaitForAll`] selector reproduces vanilla Elastico: the
 /// final committee waits for every shard, so the slowest member committee
@@ -24,6 +29,27 @@ use crate::pow::{run_lottery, PowConfig};
 pub trait ShardSelector {
     /// Returns the committees whose shards join the final block.
     fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId>;
+
+    /// Builds the problem over the shards that survived submission; an
+    /// error aborts the epoch.
+    fn begin(&mut self, _shards: &[ShardInfo]) -> Result<()> {
+        Ok(())
+    }
+
+    /// Runs `iterations` more solver steps between heartbeat rounds.
+    fn advance(&mut self, _iterations: u64) {}
+
+    /// Removes a committee declared failed from the solution space; an
+    /// error aborts the epoch.
+    fn on_failure(&mut self, _committee: CommitteeId) -> Result<()> {
+        Ok(())
+    }
+
+    /// Returns the admitted committees, given the submitted shards minus
+    /// detected failures, in submission order.
+    fn finish(&mut self, survivors: &[ShardInfo]) -> Vec<CommitteeId> {
+        self.select(survivors)
+    }
 }
 
 /// Vanilla Elastico: admit every submitted shard.
@@ -318,7 +344,10 @@ impl ElasticoSim {
     /// final committee cannot be seated. After an error the simulator's
     /// state (epoch, randomness, RNG position) is unspecified: build a new
     /// one rather than run it again.
-    pub fn run_epoch_with<S: ShardSelector>(&mut self, selector: &mut S) -> Result<EpochReport> {
+    pub fn run_epoch_with<S: ShardSelector + ?Sized>(
+        &mut self,
+        selector: &mut S,
+    ) -> Result<EpochReport> {
         let stages = self.run_stages()?;
         let included = selector.select(&stages.shards);
         self.finish_epoch(stages, included, None)
@@ -342,7 +371,7 @@ impl ElasticoSim {
     /// # Errors
     ///
     /// See [`ElasticoSim::run_epoch_with`].
-    pub fn run_epoch_adversarial<S: ShardSelector>(
+    pub fn run_epoch_adversarial<S: ShardSelector + ?Sized>(
         &mut self,
         selector: &mut S,
         adversary: &dyn Adversary,

@@ -24,12 +24,15 @@
 //! * [`formation`] — grouping solved identities into committees and
 //!   timing the overlay configuration.
 //! * [`epoch`] — the full five-stage epoch runner producing
-//!   [`ShardInfo`](mvcom_types::ShardInfo)s and a final block.
+//!   [`ShardInfo`](mvcom_types::ShardInfo)s and a final block, and
+//!   [`ShardSelector`](epoch::ShardSelector), the one stage-4 seam both
+//!   runners drive.
 //! * [`detector`] — the phi-accrual heartbeat failure detector the final
 //!   committee runs over its member committees (paper §V-A).
 //! * [`recovery`] — the fault-tolerant epoch runner: chaos-wrapped shard
 //!   submission with retries, heartbeat-driven failure detection, online
-//!   re-solving, and graceful degradation to a survivors-only block.
+//!   re-solving through the selector's online verbs, and graceful
+//!   degradation to a block of survivors.
 //!
 //! # Example
 //!
@@ -67,4 +70,4 @@ pub use directory::DirectoryConfig;
 pub use epoch::{ElasticoConfig, ElasticoSim, EpochReport, FinalBlock};
 pub use formation::{CommitteeFormation, FormedCommittee};
 pub use pow::{PowConfig, PowSolution};
-pub use recovery::{RecoveryConfig, RecoverySelector, RobustnessReport, SurvivorsOnly};
+pub use recovery::{RecoveryConfig, RobustnessReport};

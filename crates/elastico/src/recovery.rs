@@ -16,9 +16,11 @@
 //!    turns missed pongs into failure verdicts (paper §V-A: a failed
 //!    committee is perceived as infinite ping latency).
 //! 3. **Online re-solving** — each detected failure is forwarded to the
-//!    [`RecoverySelector`], which removes the committee from the
-//!    scheduler's solution space (the MVCom implementation trims the SE
-//!    engine via `DynamicsPolicy::Trim`) and keeps iterating.
+//!    [`ShardSelector`], which removes the committee from the scheduler's
+//!    solution space (the MVCom implementation trims the SE engine via
+//!    `DynamicsPolicy::Trim`) and keeps iterating. A batch-only selector
+//!    such as [`WaitForAll`](crate::epoch::WaitForAll) is handed the
+//!    survivors at the end instead.
 //! 4. **Graceful degradation** — the final block is assembled from the
 //!    surviving admitted committees; a detected failure degrades the block
 //!    instead of aborting the epoch.
@@ -34,70 +36,21 @@ use mvcom_simnet::{ChaosConfig, ChaosInjector, ChaosStats, Network, NetworkConfi
 use mvcom_types::{CommitteeId, Error, NodeId, Result, ShardInfo, SimTime};
 
 use crate::detector::{CommitteeHealth, HeartbeatConfig, HeartbeatMonitor};
-use crate::epoch::{ElasticoSim, EpochReport};
+use crate::epoch::{ElasticoSim, EpochReport, ShardSelector};
 
 /// The final committee's node id on the submission network.
 pub const FINAL_NODE: NodeId = NodeId(0);
+
+/// The most heartbeat rounds one epoch may run (`consensus_deadline /
+/// interval`); each round pings every submitted committee, so a tiny
+/// positive interval would otherwise run for hours.
+pub const MAX_HEARTBEAT_ROUNDS: u64 = 1_000_000;
 
 /// The submission-network node id of the `i`-th surviving shard (in
 /// [`EpochReport::shards`] order). Chaos crash schedules that should kill
 /// an admitted committee mid-epoch address this id.
 pub fn submission_node(shard_index: usize) -> NodeId {
     NodeId(shard_index as u32 + 1)
-}
-
-/// An online admission strategy that can react to committee failures —
-/// the seam where the MVCom SE engine plugs into the recovering epoch
-/// runner (its implementation lives in the root crate, which wires
-/// detected failures into `SeEngine::handle_leave` with
-/// `DynamicsPolicy::Trim`).
-pub trait RecoverySelector {
-    /// Called once with the shards that survived submission; builds the
-    /// scheduling problem.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-defined; aborts the epoch.
-    fn begin(&mut self, shards: &[ShardInfo]) -> Result<()>;
-
-    /// Runs `iterations` more solver steps. Called between heartbeat
-    /// rounds so detection latency and solving overlap.
-    fn advance(&mut self, iterations: u64);
-
-    /// A committee was declared failed; remove it from the solution space.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-defined; aborts the epoch.
-    fn on_failure(&mut self, committee: CommitteeId) -> Result<()>;
-
-    /// Returns the final admitted committee set.
-    fn finish(&mut self) -> Vec<CommitteeId>;
-}
-
-/// The trivial recovery strategy: admit every submitted shard, drop the
-/// ones that die. Reproduces wait-for-all Elastico, but fault-tolerant.
-#[derive(Debug, Clone, Default)]
-pub struct SurvivorsOnly {
-    admitted: Vec<CommitteeId>,
-}
-
-impl RecoverySelector for SurvivorsOnly {
-    fn begin(&mut self, shards: &[ShardInfo]) -> Result<()> {
-        self.admitted = shards.iter().map(|s| s.committee()).collect();
-        Ok(())
-    }
-
-    fn advance(&mut self, _iterations: u64) {}
-
-    fn on_failure(&mut self, committee: CommitteeId) -> Result<()> {
-        self.admitted.retain(|&c| c != committee);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Vec<CommitteeId> {
-        self.admitted.clone()
-    }
 }
 
 /// Tunables of the fault-tolerant epoch runner.
@@ -113,7 +66,7 @@ pub struct RecoveryConfig {
     pub backoff_base: SimTime,
     /// Upper bound on any single retry delay.
     pub backoff_cap: SimTime,
-    /// Solver iterations granted to the [`RecoverySelector`] per heartbeat
+    /// Solver iterations granted to the [`ShardSelector`] per heartbeat
     /// round.
     pub solver_iterations_per_round: u64,
 }
@@ -191,16 +144,30 @@ impl ElasticoSim {
     ///
     /// [`Error::Simulation`] when stages 1–3 fail, when no shard survives
     /// submission, or when every submitted committee dies before the final
-    /// consensus; configuration errors from an invalid `recovery`.
-    pub fn run_epoch_recovering<S: RecoverySelector>(
+    /// consensus; configuration errors from an invalid `recovery`, and
+    /// [`Error::InvalidConfig`] naming `interval` when the consensus
+    /// deadline holds more than [`MAX_HEARTBEAT_ROUNDS`] heartbeats.
+    pub fn run_epoch_recovering<S: ShardSelector + ?Sized>(
         &mut self,
         selector: &mut S,
         recovery: &RecoveryConfig,
     ) -> Result<EpochReport> {
         recovery.validate()?;
+        let deadline = self.config().consensus_deadline;
+        let interval = recovery.heartbeat.interval.as_secs();
+        let rounds = deadline.as_secs() / interval;
+        if rounds > MAX_HEARTBEAT_ROUNDS as f64 {
+            return Err(Error::invalid_config(
+                "interval",
+                format!(
+                    "at most {MAX_HEARTBEAT_ROUNDS} heartbeat rounds per epoch, got {rounds:.0} \
+                     ({}s deadline / {interval}s)",
+                    deadline.as_secs()
+                ),
+            ));
+        }
         let stages = self.run_stages()?;
         let obs = self.obs().clone();
-        let deadline = self.config().consensus_deadline;
         let bytes_per_tx = self.config().bytes_per_tx;
         obs.add(
             "chaos.crashes_injected",
@@ -324,25 +291,25 @@ impl ElasticoSim {
         }
 
         // Phase 3: assemble the final block from the admitted survivors.
-        let survivors: Vec<CommitteeId> = submitted
-            .iter()
-            .map(|(s, ..)| s.committee())
-            .filter(|c| !failures_detected.iter().any(|(f, _)| f == c))
+        let survivors: Vec<ShardInfo> = shards_in
+            .into_iter()
+            .filter(|s| !failures_detected.iter().any(|(f, _)| *f == s.committee()))
             .collect();
         if survivors.is_empty() {
             return Err(Error::simulation(
                 "every submitted committee failed before the final consensus",
             ));
         }
-        let chosen = selector.finish();
-        let mut included: Vec<CommitteeId> = chosen
+        let live = |c: &CommitteeId| survivors.iter().any(|s| s.committee() == *c);
+        let mut included: Vec<CommitteeId> = selector
+            .finish(&survivors)
             .into_iter()
-            .filter(|c| survivors.contains(c))
+            .filter(live)
             .collect();
         if included.is_empty() {
             // Graceful degradation: never let a confused scheduler produce
             // an empty block while live committees exist.
-            included = survivors;
+            included = survivors.iter().map(|s| s.committee()).collect();
         }
 
         let stragglers: Vec<CommitteeId> = monitor
@@ -369,8 +336,83 @@ impl ElasticoSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::ElasticoConfig;
+    use crate::epoch::{ElasticoConfig, WaitForAll};
     use mvcom_simnet::CrashEvent;
+
+    /// A batch-only selector: records what `select` was asked and keeps
+    /// the first half of it, so only the provided online verbs run.
+    #[derive(Default)]
+    struct FirstHalf {
+        asked: Vec<CommitteeId>,
+    }
+
+    impl ShardSelector for FirstHalf {
+        fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId> {
+            self.asked = shards.iter().map(|s| s.committee()).collect();
+            self.asked[..shards.len().div_ceil(2)].to_vec()
+        }
+    }
+
+    #[test]
+    fn a_batch_only_selector_is_asked_about_the_survivors_only() {
+        let recovery = RecoveryConfig {
+            chaos: ChaosConfig::none().with_crash(CrashEvent::permanent(
+                submission_node(1),
+                SimTime::from_secs(2_500.0),
+            )),
+            ..RecoveryConfig::paper()
+        };
+        let run = || {
+            let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 19).unwrap();
+            let mut selector = FirstHalf::default();
+            let report = sim.run_epoch_recovering(&mut selector, &recovery).unwrap();
+            let mut json = String::new();
+            report.write_json(&mut json);
+            (report, selector.asked, json)
+        };
+        let (report, asked, json) = run();
+        let victim = report.shards[1].committee();
+        let robustness = report.robustness.clone().unwrap();
+        assert_eq!(robustness.failures_detected.len(), 1);
+        assert_eq!(robustness.failures_detected[0].0, victim);
+        let survivors: Vec<CommitteeId> = report
+            .shards
+            .iter()
+            .map(|s| s.committee())
+            .filter(|&c| c != victim)
+            .collect();
+        assert_eq!(asked, survivors, "select sees the survivors in order");
+        assert_eq!(
+            report.final_block.included,
+            survivors[..survivors.len().div_ceil(2)]
+        );
+        assert!(!report.final_block.included.contains(&victim));
+        assert_eq!(run().2, json, "the same seed writes the same report");
+    }
+
+    #[test]
+    fn more_heartbeat_rounds_than_the_cap_are_refused_before_stage_1() {
+        let mut recovery = RecoveryConfig::paper();
+        recovery.heartbeat.interval = SimTime::from_secs(1e-6);
+        let (obs, buf) = mvcom_obs::Obs::memory(mvcom_obs::ObsLevel::Events);
+        let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 19)
+            .unwrap()
+            .with_obs(obs);
+        let err = sim
+            .run_epoch_recovering(&mut WaitForAll, &recovery)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::InvalidConfig {
+                    parameter: "interval",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(buf.contents().is_empty(), "no stage ran");
+    }
 
     #[test]
     fn config_validation_rejects_degenerates() {
@@ -390,7 +432,7 @@ mod tests {
     fn fault_free_recovery_matches_wait_for_all_admission() {
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 11).unwrap();
         let report = sim
-            .run_epoch_recovering(&mut SurvivorsOnly::default(), &RecoveryConfig::paper())
+            .run_epoch_recovering(&mut WaitForAll, &RecoveryConfig::paper())
             .unwrap();
         assert!(report.final_block.committed);
         assert_eq!(report.final_block.included.len(), report.shards.len());
@@ -412,7 +454,7 @@ mod tests {
         };
         let run = || {
             let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 13).unwrap();
-            sim.run_epoch_recovering(&mut SurvivorsOnly::default(), &recovery)
+            sim.run_epoch_recovering(&mut WaitForAll, &recovery)
                 .unwrap()
         };
         assert_eq!(run(), run());
@@ -426,7 +468,7 @@ mod tests {
         };
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 17).unwrap();
         let report = sim
-            .run_epoch_recovering(&mut SurvivorsOnly::default(), &recovery)
+            .run_epoch_recovering(&mut WaitForAll, &recovery)
             .unwrap();
         assert!(report.final_block.committed);
         let robustness = report.robustness.unwrap();
@@ -449,7 +491,7 @@ mod tests {
         };
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 19).unwrap();
         let report = sim
-            .run_epoch_recovering(&mut SurvivorsOnly::default(), &recovery)
+            .run_epoch_recovering(&mut WaitForAll, &recovery)
             .unwrap();
         let victim = report.shards[1].committee();
         let robustness = report.robustness.clone().unwrap();
@@ -483,7 +525,7 @@ mod tests {
             .unwrap()
             .with_obs(obs.clone());
         let report = sim
-            .run_epoch_recovering(&mut SurvivorsOnly::default(), &recovery)
+            .run_epoch_recovering(&mut WaitForAll, &recovery)
             .unwrap();
         let victim = report.shards[1].committee();
         let text = buf.contents();
@@ -511,7 +553,7 @@ mod tests {
         };
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 23).unwrap();
         let report = sim
-            .run_epoch_recovering(&mut SurvivorsOnly::default(), &recovery)
+            .run_epoch_recovering(&mut WaitForAll, &recovery)
             .unwrap();
         let victim = report.shards[0].committee();
         let robustness = report.robustness.clone().unwrap();

@@ -578,7 +578,13 @@ fn simulate(args: &[String]) -> Result<()> {
     let obs = obs_from_flags(&flags, "mvcom simulate", seed)?;
     let mut sim =
         ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?.with_obs(obs.clone());
+    // One stage-4 selector, whichever runner drives it, for every epoch.
     let mut se_selector = SeSelector::adaptive(seed, 0.6).with_obs(obs.clone());
+    let selector: &mut dyn ShardSelector = if scheduler == "se" {
+        &mut se_selector
+    } else {
+        &mut WaitForAll
+    };
     let recovery = {
         let mut chaos = ChaosConfig::lossy(chaos_drop);
         chaos.crashes = crashes;
@@ -607,31 +613,13 @@ fn simulate(args: &[String]) -> Result<()> {
     );
     let mut robustness_reports = Vec::new();
     for _ in 0..epochs {
-        let mut adversary_reports = Vec::new();
-        let report = match &adversary {
-            Some(adversary) => {
-                let (report, reports) = match (scheduler, defense_on) {
-                    ("se", true) => defended.run_epoch(&mut sim, adversary.as_ref())?,
-                    ("se", false) => {
-                        sim.run_epoch_adversarial(&mut se_selector, adversary.as_ref())?
-                    }
-                    _ => sim.run_epoch_adversarial(&mut WaitForAll, adversary.as_ref())?,
-                };
-                adversary_reports = reports;
-                report
+        let (report, adversary_reports) = match &adversary {
+            Some(adversary) if defense_on && scheduler == "se" => {
+                defended.run_epoch(&mut sim, adversary.as_ref())?
             }
-            None => match (scheduler, fault_tolerant) {
-                ("se", false) => sim.run_epoch_with(&mut se_selector)?,
-                ("all", false) => sim.run_epoch_with(&mut WaitForAll)?,
-                ("se", true) => {
-                    let mut selector = SeSelector::adaptive(seed, 0.6).with_obs(obs.clone());
-                    sim.run_epoch_recovering(&mut selector, &recovery)?
-                }
-                ("all", true) => {
-                    sim.run_epoch_recovering(&mut SurvivorsOnly::default(), &recovery)?
-                }
-                _ => unreachable!("scheduler validated above"),
-            },
+            Some(adversary) => sim.run_epoch_adversarial(selector, adversary.as_ref())?,
+            None if fault_tolerant => (sim.run_epoch_recovering(selector, &recovery)?, Vec::new()),
+            None => (sim.run_epoch_with(selector)?, Vec::new()),
         };
         let start = report
             .shards

@@ -20,7 +20,8 @@
 //! This facade crate re-exports the public API and contributes the glue
 //! the layering keeps out of the lower crates: [`SeSelector`] and
 //! [`DefendedSeSelector`], which bind the final committee's admission
-//! procedure ([`mvcom_core::admission`]) to Elastico's selector traits.
+//! procedure ([`mvcom_core::admission`]) to Elastico's one stage-4 seam,
+//! [`ShardSelector`].
 //!
 //! # Quick start: schedule one epoch
 //!
@@ -78,7 +79,6 @@ use mvcom_core::dynamics::{DynamicsPolicy, EventRecord};
 use mvcom_core::se::{SeCheckpoint, SeConfig};
 use mvcom_dataset::{Adversary, CommitteeReport};
 use mvcom_elastico::epoch::{ElasticoSim, EpochReport, ShardSelector, WaitForAll};
-use mvcom_elastico::recovery::RecoverySelector;
 use mvcom_types::{CommitteeId, Result as MvResult, ShardInfo};
 
 /// Everything most programs need, one import away.
@@ -103,8 +103,7 @@ pub mod prelude {
     pub use mvcom_elastico::detector::{CommitteeHealth, HeartbeatConfig, HeartbeatMonitor};
     pub use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim, ShardSelector, WaitForAll};
     pub use mvcom_elastico::recovery::{
-        submission_node, RecoveryConfig, RecoverySelector, RobustnessReport, SurvivorsOnly,
-        FINAL_NODE,
+        submission_node, RecoveryConfig, RobustnessReport, FINAL_NODE,
     };
     pub use mvcom_obs::{Obs, ObsLevel};
     pub use mvcom_simnet::{ChaosConfig, ChaosInjector, ChaosStats, CrashEvent};
@@ -116,20 +115,26 @@ pub mod prelude {
     pub use crate::{DefendedSeSelector, SeSelector};
 }
 
+/// The arrival cutoff `N_max` of the batch question, as a fraction of the
+/// submitted shards (paper §VI-A: 80%).
+const N_MAX_FRACTION: f64 = 0.8;
+
 /// The MVCom Stochastic-Exploration scheduler as an Elastico final
 /// committee — the paper's system, end to end. The per-epoch procedure is
-/// [`mvcom_core::admission`]; this type binds it to Elastico's two seams.
+/// [`mvcom_core::admission`]; this type binds it to Elastico's stage-4
+/// seam, [`ShardSelector`], whichever runner drives it.
 ///
-/// As a [`ShardSelector`] it answers one batch question at stage 4: keep
-/// the earliest `N_max` arrivals ([`cutoff`], Alg. 1 lines 29–30), pose
-/// the epoch over them, run SE to convergence or the budget and admit the
+/// Asked the batch question ([`ShardSelector::select`]) it keeps the
+/// earliest `N_max` arrivals ([`cutoff`], Alg. 1 lines 29–30), poses the
+/// epoch over them, runs SE to convergence or the budget and admits the
 /// result — or, for a degenerate epoch, every committee that submitted.
 ///
-/// As a [`RecoverySelector`] for the fault-tolerant epoch runner
+/// Under the fault-tolerant epoch runner
 /// ([`ElasticoSim::run_epoch_recovering`](mvcom_elastico::recovery)) it
-/// keeps the admission open (no cutoff: the runner's own deadline decides
-/// who submitted) while the heartbeat detector watches the member
-/// committees. When one is declared failed mid-epoch:
+/// keeps the admission open from `begin` to `finish` (no cutoff: the
+/// runner's own deadline decides who submitted) while the heartbeat
+/// detector watches the member committees. When one is declared failed
+/// mid-epoch:
 ///
 /// 1. the engine's state is **checkpointed** (version-stamped, serialized
 ///    through `serde_json` and restored — exercising the same path a
@@ -161,9 +166,6 @@ pub struct SeSelector {
     /// How each epoch is posed; `N_min` and `Ĉ` scale with the shards the
     /// scheduler chooses among.
     pub policy: EpochPolicy,
-    /// Arrival cutoff `N_max` as a fraction of submitted shards
-    /// (paper: 0.8).
-    pub n_max_fraction: f64,
     /// The SE engine configuration.
     pub se: SeConfig,
     obs: mvcom_obs::Obs,
@@ -178,7 +180,6 @@ impl SeSelector {
     pub fn paper(seed: u64) -> SeSelector {
         SeSelector {
             policy: EpochPolicy::paper(),
-            n_max_fraction: 0.8,
             se: SeConfig::paper(seed),
             obs: mvcom_obs::Obs::off(),
             admission: None,
@@ -223,13 +224,6 @@ impl SeSelector {
         self.chains_restored
     }
 
-    /// The live engine's current best utility, while an admission is open
-    /// over a schedulable epoch.
-    pub fn current_best_utility(&self) -> Option<f64> {
-        let engine = self.admission.as_ref()?.engine()?;
-        Some(engine.current_best_utility())
-    }
-
     /// Opens the admission over `posed`; a degenerate epoch admits all of
     /// `arrived`.
     fn open(&self, arrived: &[ShardInfo], posed: Vec<ShardInfo>) -> MvResult<Admission> {
@@ -242,7 +236,7 @@ impl SeSelector {
 
 impl ShardSelector for SeSelector {
     fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId> {
-        let Ok(mut admission) = self.open(shards, cutoff(shards, self.n_max_fraction)) else {
+        let Ok(mut admission) = self.open(shards, cutoff(shards, N_MAX_FRACTION)) else {
             // `ShardSelector::select` has no error channel, so an epoch
             // that cannot be posed (a repeated committee, a refused SE
             // config) admits every input committee, as vanilla Elastico.
@@ -251,9 +245,7 @@ impl ShardSelector for SeSelector {
         admission.advance(self.se.max_iterations);
         admission.finish().admitted
     }
-}
 
-impl RecoverySelector for SeSelector {
     fn begin(&mut self, shards: &[ShardInfo]) -> MvResult<()> {
         self.admission = Some(self.open(shards, shards.to_vec())?);
         Ok(())
@@ -303,7 +295,9 @@ impl RecoverySelector for SeSelector {
         Ok(())
     }
 
-    fn finish(&mut self) -> Vec<CommitteeId> {
+    fn finish(&mut self, _survivors: &[ShardInfo]) -> Vec<CommitteeId> {
+        // Every failure the runner detected was already trimmed out of the
+        // open admission.
         let admission = self.admission.take();
         admission.map_or_else(Vec::new, |a| a.finish().admitted)
     }
@@ -313,10 +307,11 @@ impl RecoverySelector for SeSelector {
 /// through a [`DefenseEngine`] before the SE scheduler sees it, and feeds
 /// realized-vs-reported evidence back after each epoch settles.
 ///
-/// This is the glue the adversarial evaluation (`fig_adv`, the
-/// `--adv-fraction` CLI path) runs: strategic committees lie at formation,
-/// the reputation layer corrects/discounts/quarantines, and the SE engine
-/// schedules over the screened estimates.
+/// This is the glue `mvcom simulate --adv-fraction … --defense on` runs:
+/// strategic committees lie at formation, the reputation layer
+/// corrects/discounts/quarantines, and the SE engine schedules over the
+/// screened estimates. (`fig_adv` screens the same way but opens its
+/// [`Admission`] directly.)
 ///
 /// # Example
 ///
@@ -521,11 +516,10 @@ mod tests {
             .collect();
         let batch = SeSelector::adaptive(8, 0.6).select(&shards);
         let mut online = SeSelector::adaptive(8, 0.6);
-        online
-            .begin(&cutoff(&shards, online.n_max_fraction))
-            .unwrap();
+        let kept = cutoff(&shards, N_MAX_FRACTION);
+        online.begin(&kept).unwrap();
         online.advance(online.se.max_iterations);
-        assert_eq!(batch, online.finish());
+        assert_eq!(batch, online.finish(&kept));
         assert!(batch.len() >= 6 && batch.len() < 12, "{batch:?}");
         // The three slowest arrivals (ids 0–2) were never listened to.
         assert!(batch.iter().all(|c| c.0 >= 3), "{batch:?}");
@@ -545,7 +539,7 @@ mod tests {
         let mut selector = SeSelector::adaptive(4, 0.6);
         selector.begin(&shards).unwrap();
         selector.advance(2_000);
-        let included = selector.finish();
+        let included = selector.finish(&shards);
         assert!(!included.is_empty());
         assert!(included.len() < shards.len(), "selection must be strict");
         assert!(selector.events().is_empty());
@@ -568,7 +562,7 @@ mod tests {
         selector.advance(300);
         selector.on_failure(CommitteeId(3)).unwrap();
         selector.advance(1_000);
-        let included = selector.finish();
+        let included = selector.finish(&shards);
         assert!(!included.contains(&CommitteeId(3)));
         assert!(!included.is_empty());
         // The failure was handled through a serialized checkpoint restore.
@@ -591,7 +585,7 @@ mod tests {
         let mut degenerate = SeSelector::adaptive(7, 0.6);
         degenerate.begin(&shards[..1]).unwrap();
         degenerate.advance(100);
-        assert_eq!(degenerate.finish(), vec![CommitteeId(0)]);
+        assert_eq!(degenerate.finish(&shards[..1]), vec![CommitteeId(0)]);
     }
 
     #[test]

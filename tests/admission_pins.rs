@@ -1,11 +1,12 @@
-//! Pinned admitted sets of the three `mvcom simulate` modes.
+//! Pinned admitted sets of the four `mvcom simulate` modes.
 //!
-//! The constants were captured at 978133f, when `SeSelector::select` and
-//! a separate recovery selector each built their own instance, ran their
-//! own loop and kept their own admit-everything fallback. They hold the
-//! one `mvcom::core::admission` path to the same arrival cutoff, the
-//! same `N_min`/`Ĉ` bases, the same RNG streams and the same fallback
-//! set (every *input* committee, not only the ones the cutoff kept).
+//! The first three constants were captured at 978133f, when
+//! `SeSelector::select` and a separate recovery selector each built their
+//! own instance, ran their own loop and kept their own admit-everything
+//! fallback. They hold the one `mvcom::core::admission` path to the same
+//! arrival cutoff, the same `N_min`/`Ĉ` bases, the same RNG streams and
+//! the same fallback set (every *input* committee, not only the ones the
+//! cutoff kept). The fourth was captured later; its test says when.
 
 #![expect(
     clippy::unwrap_used,
@@ -120,4 +121,51 @@ fn recovering_runner_admits_the_pinned_sets_around_a_crash() {
     );
     assert!(observed[0].2 > 0, "the restore path must run");
     assert_eq!(fnv(&format!("{observed:?}")), 0x0312_7f32_854c_8922);
+}
+
+/// `simulate --scheduler all --crash 1@2500 --chaos-drop 0.1`: the
+/// wait-for-all selector under the recovering runner, with lossy links
+/// that also get healthy committees declared dead. The FNVs of each
+/// epoch's serialized report were captured at 3b83955, where this path
+/// was a recovery strategy of its own that pruned its admitted list on
+/// each failure; here `WaitForAll` is asked only about the survivors.
+#[test]
+fn wait_for_all_recovering_runner_writes_the_pinned_reports() {
+    let recovery = RecoveryConfig {
+        chaos: ChaosConfig::lossy(0.1).with_crash(CrashEvent::permanent(
+            submission_node(1),
+            SimTime::from_secs(2_500.0),
+        )),
+        ..RecoveryConfig::paper()
+    };
+    let mut sim = sim(240);
+    let reports: Vec<_> = (0..EPOCHS)
+        .map(|_| {
+            sim.run_epoch_recovering(&mut WaitForAll, &recovery)
+                .unwrap()
+        })
+        .collect();
+    // Of 16 shards per epoch: (declared dead, admitted).
+    let shape: Vec<(usize, usize)> = reports
+        .iter()
+        .map(|r| {
+            (
+                r.robustness.as_ref().unwrap().failures_detected.len(),
+                r.final_block.included.len(),
+            )
+        })
+        .collect();
+    assert_eq!(shape, [(2, 14), (4, 12), (1, 14)]);
+    let digests: Vec<u64> = reports
+        .iter()
+        .map(|r| fnv(&serde_json::to_string(r).unwrap()))
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            0x3614_6038_ded1_0c6b,
+            0x07c6_8611_0880_fcbc,
+            0x1399_3dac_6974_ac55
+        ]
+    );
 }

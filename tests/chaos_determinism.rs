@@ -12,13 +12,11 @@
 use mvcom::prelude::*;
 use proptest::prelude::*;
 
-/// Runs one recovering epoch with the trivial survivors-only strategy and
-/// returns its serialized report.
+/// Runs one recovering epoch with the wait-for-all selector (every
+/// survivor is admitted) and returns its serialized report.
 fn survivors_report_json(seed: u64, recovery: &RecoveryConfig) -> String {
     let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), seed).unwrap();
-    let report = sim
-        .run_epoch_recovering(&mut SurvivorsOnly::default(), recovery)
-        .unwrap();
+    let report = sim.run_epoch_recovering(&mut WaitForAll, recovery).unwrap();
     serde_json::to_string(&report).unwrap()
 }
 
@@ -72,7 +70,7 @@ fn recovering_runner_does_not_perturb_the_epoch_stages() {
     let baseline = vanilla.run_epoch().unwrap();
     let mut recovering = ElasticoSim::new(ElasticoConfig::small_test(), 97).unwrap();
     let report = recovering
-        .run_epoch_recovering(&mut SurvivorsOnly::default(), &RecoveryConfig::paper())
+        .run_epoch_recovering(&mut WaitForAll, &RecoveryConfig::paper())
         .unwrap();
     assert_eq!(
         serde_json::to_string(&baseline.formed).unwrap(),

@@ -253,6 +253,11 @@ fn out_of_domain_operands_are_config_errors_not_panics() {
             "--heartbeat takes seconds >= 0, got `-1`",
         ),
         (
+            // 7.2e9 heartbeat rounds: refused before stage 1, not run.
+            &[&simulate[..], &["--heartbeat", "1e-6"]].concat(),
+            "`interval`: at most 1000000 heartbeat rounds per epoch",
+        ),
+        (
             &[&simulate[..], &["--crash", "1@nan"]].concat(),
             "--crash takes seconds >= 0, got `nan`",
         ),

@@ -210,7 +210,7 @@ fn chaos_crashed_committee_recovers_within_the_theorem_2_bound() {
     // The re-solve went through the checkpoint/restore path and its
     // utility drop respects Theorem 2: |U_before − U_after| is bounded by
     // the best utility reachable in the trimmed space, which the
-    // converged post-trim optimum witnesses.
+    // restored engine's best utility right after the trim witnesses.
     assert!(selector.chains_restored() > 0, "restore path must run");
     let record = selector
         .events()
@@ -218,10 +218,7 @@ fn chaos_crashed_committee_recovers_within_the_theorem_2_bound() {
         .find(|e| !e.is_join)
         .expect("the trim must be recorded");
     let perturbation = (record.utility_before - record.utility_after).abs();
-    let trimmed_best = selector
-        .current_best_utility()
-        .unwrap_or(record.utility_after)
-        .max(record.utility_after);
+    let trimmed_best = record.utility_after;
     assert!(
         perturbation <= mvcom::core::theory::perturbation_bound(trimmed_best) + 1e-6,
         "perturbation {perturbation} exceeds the Theorem 2 bound {trimmed_best}"
