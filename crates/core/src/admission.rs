@@ -212,16 +212,20 @@ impl Admission {
     }
 
     /// A committee left or was declared failed. A live engine trims it out
-    /// of the solution space per `policy` and keeps solving; if the
-    /// survivors can no longer be posed, the admission degrades to
+    /// of the solution space ([`DynamicsPolicy::Trim`]) and keeps solving;
+    /// if the survivors can no longer be posed, the admission degrades to
     /// admitting every survivor. A committee the epoch never contained is
     /// ignored.
-    pub fn leave(&mut self, committee: CommitteeId, policy: DynamicsPolicy) {
+    pub fn leave(&mut self, committee: CommitteeId) {
         match &mut self.state {
             State::AdmitAll(shards) => shards.retain(|s| s.committee() != committee),
             State::Solving(engine) => {
                 let known = engine.instance().index_of(committee).is_some();
-                if known && engine.handle_leave(committee, policy).is_err() {
+                if known
+                    && engine
+                        .handle_leave(committee, DynamicsPolicy::Trim)
+                        .is_err()
+                {
                     let survivors = engine.instance().shards().iter().copied();
                     self.state =
                         State::AdmitAll(survivors.filter(|s| s.committee() != committee).collect());
@@ -480,7 +484,7 @@ mod tests {
 
         // Unknown committee: the engine is untouched.
         let before = admission.engine().unwrap().chain_utilities();
-        admission.leave(CommitteeId(99), DynamicsPolicy::Trim);
+        admission.leave(CommitteeId(99));
         assert_eq!(admission.engine().unwrap().chain_utilities(), before);
 
         // A checkpoint swap keeps the epoch and the clock.
@@ -490,7 +494,7 @@ mod tests {
         assert_eq!(admission.engine().unwrap().iteration(), 100);
 
         // Known committee: trimmed, still solving, never admitted.
-        admission.leave(CommitteeId(3), DynamicsPolicy::Trim);
+        admission.leave(CommitteeId(3));
         assert_eq!(admission.engine().unwrap().instance().len(), 11);
         admission.advance(200);
         let settled = admission.finish();
@@ -510,11 +514,11 @@ mod tests {
         };
         let mut tight = open(&all, &three, SeConfig::fast_test(6));
         assert!(tight.engine().is_some());
-        tight.leave(CommitteeId(1), DynamicsPolicy::Trim);
+        tight.leave(CommitteeId(1));
         assert!(tight.engine().is_none());
         assert_eq!(tight.restore(&ckpt).unwrap(), 0);
         // A later departure shrinks the admit-all set.
-        tight.leave(CommitteeId(0), DynamicsPolicy::Trim);
+        tight.leave(CommitteeId(0));
         tight.advance(10);
         let settled = tight.finish();
         assert_eq!(settled.admitted, [CommitteeId(2)]);

@@ -12,7 +12,7 @@
 //!    deadline is excluded (and recorded as timed out).
 //! 2. **Heartbeat monitoring** — while the scheduler works, the final
 //!    committee pings every submitted committee at a fixed interval
-//!    through [`Network::ping_at`]; the phi-accrual [`HeartbeatMonitor`]
+//!    through [`Network::ping`]; the phi-accrual [`HeartbeatMonitor`]
 //!    turns missed pongs into failure verdicts (paper §V-A: a failed
 //!    committee is perceived as infinite ping latency).
 //! 3. **Online re-solving** — each detected failure is forwarded to the
@@ -256,7 +256,7 @@ impl ElasticoSim {
                 if failures_detected.iter().any(|(c, _)| *c == committee) {
                     continue;
                 }
-                let rtt = net.ping_at(FINAL_NODE, *node, now);
+                let rtt = net.ping(FINAL_NODE, *node, now);
                 monitor.observe(committee, rtt, now);
                 let phi = monitor.phi(committee, now);
                 // Sample the suspicion trajectory once it becomes

@@ -1,17 +1,17 @@
 //! Seeded, deterministic fault injection for the simulated network.
 //!
-//! A [`ChaosInjector`] composes with [`Network`](crate::Network): once
-//! installed via [`Network::set_chaos`](crate::Network::set_chaos), every
-//! protocol built on the network — PBFT, shard submission — runs
-//! under the configured fault model *without any call-site changes*,
-//! because all of them reach the wire through `Network::send`.
+//! A [`ChaosInjector`] is the only fault model of
+//! [`Network`](crate::Network): once installed via
+//! [`Network::set_chaos`](crate::Network::set_chaos), every protocol built
+//! on the network — PBFT, shard submission — runs under the configured
+//! fault model *without any call-site changes*, because all of them reach
+//! the wire through `Network::send`.
 //!
 //! Three fault classes are modelled, all driven by a dedicated RNG stream
 //! so that enabling chaos never perturbs the network's own latency draws:
 //!
 //! * **message drops** — each accepted send is dropped with probability
-//!   `drop_prob`, counted in
-//!   [`NetworkStats::chaos_dropped`](crate::net::NetworkStats);
+//!   `drop_prob`, counted in [`ChaosStats::dropped`];
 //! * **latency spikes** — with probability `spike_prob` a delivery pays an
 //!   extra delay sampled from `spike`, modelling transient congestion;
 //! * **scheduled crashes** — a node goes down at a simulated time and

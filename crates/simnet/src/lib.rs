@@ -14,11 +14,12 @@
 //!   uniform, exponential, log-normal, shifted variants) used for PoW solve
 //!   times, link delays and verification costs.
 //! * [`net`] — a simulated P2P [`net::Network`]: point-to-point messages
-//!   with sampled delay, broadcast, node up/down status, partitions, and
-//!   delivery statistics.
+//!   with sampled delay, broadcast, and a ping whose latency is infinite
+//!   across a fault.
 //! * [`chaos`] — seeded deterministic fault injection (message drops,
-//!   latency spikes, scheduled node outages) that composes with [`net`] so
-//!   every protocol above it can be chaos-wrapped without code changes.
+//!   latency spikes, scheduled node outages), the network's only fault
+//!   model, so every protocol above it can be chaos-wrapped without code
+//!   changes.
 //! * [`fanout`] — [`fanout::ordered_map`], the workspace's one
 //!   deterministic fan-out and the only thing a `--threads` value reaches;
 //!   it lives beside the [`rng::fork`] seed-per-task helper it is always

@@ -2,13 +2,12 @@
 //!
 //! [`Network`] models message delivery between nodes: each send samples a
 //! delay from a [`LatencyModel`] and returns the arrival time, which callers
-//! feed into their [`Scheduler`](crate::event::Scheduler). Nodes can crash
-//! and recover, and arbitrary partitions can be installed; messages to or
-//! from an unreachable node are dropped (returning `None`), which is exactly
-//! how the final committee "perceives a failed member committee by using the
-//! ping network protocol" — the observed latency becomes infinite.
-
-use std::collections::BTreeSet;
+//! feed into their [`Scheduler`](crate::event::Scheduler). Every fault is a
+//! [`ChaosInjector`] installed with [`Network::set_chaos`]: a message it
+//! drops, or one to or from a node inside a scheduled outage, returns
+//! `None`, and a ping across it observes an infinite latency — exactly how
+//! the final committee "perceives a failed member committee by using the
+//! ping network protocol".
 
 use serde::{Deserialize, Serialize};
 
@@ -72,23 +71,7 @@ impl NetworkConfig {
     }
 }
 
-/// Counters describing everything a [`Network`] delivered or dropped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetworkStats {
-    /// Messages accepted for delivery.
-    pub delivered: u64,
-    /// Messages dropped for any reason (endpoint down, partitioned away,
-    /// or killed by the chaos injector). `delivered + dropped` always
-    /// equals the number of `send` calls, whatever faults are active.
-    pub dropped: u64,
-    /// Of `dropped`, the messages killed by the chaos injector (lossy
-    /// links and scheduled outages).
-    pub chaos_dropped: u64,
-    /// Total payload bytes accepted for delivery.
-    pub bytes: u64,
-}
-
-/// A simulated P2P network with crashes and partitions.
+/// A simulated P2P network whose faults are a [`ChaosInjector`] schedule.
 ///
 /// The network is *timeless*: it computes arrival times but does not own the
 /// event queue, so several protocols can share one network while driving
@@ -111,11 +94,6 @@ pub struct Network {
     /// `config.link_latency`, prepared once.
     link: Sampler,
     rng: crate::rng::SimRng,
-    down: BTreeSet<NodeId>,
-    /// Partition groups: nodes in different groups cannot communicate.
-    /// Empty means fully connected.
-    partition: Vec<BTreeSet<NodeId>>,
-    stats: NetworkStats,
     chaos: Option<ChaosInjector>,
 }
 
@@ -127,9 +105,6 @@ impl Network {
             config,
             link: config.link_latency.sampler(),
             rng,
-            down: BTreeSet::new(),
-            partition: Vec::new(),
-            stats: NetworkStats::default(),
             chaos: None,
         })
     }
@@ -141,11 +116,6 @@ impl Network {
         self.chaos = Some(injector);
     }
 
-    /// Removes the fault injector, returning it (with its counters).
-    pub fn clear_chaos(&mut self) -> Option<ChaosInjector> {
-        self.chaos.take()
-    }
-
     /// Fault counters of the installed injector, if any.
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
         self.chaos.as_ref().map(ChaosInjector::stats)
@@ -154,11 +124,6 @@ impl Network {
     /// The network's static configuration.
     pub fn config(&self) -> &NetworkConfig {
         &self.config
-    }
-
-    /// Delivery/drop counters so far.
-    pub fn stats(&self) -> NetworkStats {
-        self.stats
     }
 
     /// Number of nodes.
@@ -172,43 +137,9 @@ impl Network {
         self.config.nodes == 0
     }
 
-    /// Marks `node` as crashed: every message to or from it is dropped.
-    pub fn crash(&mut self, node: NodeId) {
-        self.down.insert(node);
-    }
-
-    /// Recovers a crashed node.
-    pub fn recover(&mut self, node: NodeId) {
-        self.down.remove(&node);
-    }
-
-    /// Returns `true` if `node` is currently up.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        node.0 < self.config.nodes && !self.down.contains(&node)
-    }
-
-    /// Installs a partition: nodes in different groups cannot exchange
-    /// messages. Nodes absent from every group remain connected to each
-    /// other (they form an implicit extra group).
-    pub fn set_partition(&mut self, groups: Vec<BTreeSet<NodeId>>) {
-        self.partition = groups;
-    }
-
-    /// Removes any partition.
-    pub fn heal_partition(&mut self) {
-        self.partition.clear();
-    }
-
-    fn group_of(&self, node: NodeId) -> Option<usize> {
-        self.partition.iter().position(|g| g.contains(&node))
-    }
-
-    /// Returns `true` if `a` and `b` can currently exchange messages.
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        if !self.is_up(a) || !self.is_up(b) {
-            return false;
-        }
-        self.group_of(a) == self.group_of(b)
+    /// Whether `node` is one of the network's `0..nodes`.
+    fn in_range(&self, node: NodeId) -> bool {
+        node.0 < self.config.nodes
     }
 
     /// The bandwidth term of one `payload_bytes` message.
@@ -216,24 +147,16 @@ impl Network {
         SimTime::from_secs(self.config.secs_per_kib * (payload_bytes as f64 / 1024.0))
     }
 
-    /// Books one accepted message and draws its arrival time.
-    fn deliver(
-        &mut self,
-        payload_bytes: usize,
-        sent_at: SimTime,
-        transfer: SimTime,
-        extra: SimTime,
-    ) -> SimTime {
-        self.stats.delivered += 1;
-        self.stats.bytes += payload_bytes as u64;
+    /// Draws the arrival time of one accepted message.
+    fn arrival(&mut self, sent_at: SimTime, transfer: SimTime, extra: SimTime) -> SimTime {
         sent_at + self.link.sample(&mut self.rng) + transfer + extra
     }
 
     /// Sends `payload_bytes` from `from` to `to` at time `sent_at`.
     ///
-    /// Returns the arrival time, or `None` if the message is dropped
-    /// (either endpoint down or partitioned away). Self-sends arrive
-    /// immediately (zero network delay).
+    /// Returns the arrival time, or `None` if the message is dropped: an
+    /// endpoint outside `0..nodes`, an endpoint inside a scheduled outage,
+    /// or a lossy link. Self-sends arrive immediately (zero network delay).
     pub fn send(
         &mut self,
         from: NodeId,
@@ -241,44 +164,32 @@ impl Network {
         payload_bytes: usize,
         sent_at: SimTime,
     ) -> Option<SimTime> {
-        if !self.connected(from, to) {
-            self.stats.dropped += 1;
+        if !self.in_range(from) || !self.in_range(to) {
             return None;
         }
         let mut extra = SimTime::ZERO;
         if let Some(chaos) = &mut self.chaos {
             if chaos.node_down_at(from, sent_at) || chaos.node_down_at(to, sent_at) {
                 chaos.count_crash_drop();
-                self.stats.dropped += 1;
-                self.stats.chaos_dropped += 1;
                 return None;
             }
-            match chaos.judge_message() {
-                None => {
-                    self.stats.dropped += 1;
-                    self.stats.chaos_dropped += 1;
-                    return None;
-                }
-                Some(spike) => extra = spike,
-            }
+            extra = chaos.judge_message()?;
         }
         if from == to {
-            self.stats.delivered += 1;
-            self.stats.bytes += payload_bytes as u64;
             return Some(sent_at + extra);
         }
         let transfer = self.transfer(payload_bytes);
-        Some(self.deliver(payload_bytes, sent_at, transfer, extra))
+        Some(self.arrival(sent_at, transfer, extra))
     }
 
     /// Broadcasts from `from` to every node in `recipients`, returning
     /// `(recipient, arrival)` for each message that was delivered.
     ///
     /// Exactly the [`Network::send`] loop over `recipients` minus `from` —
-    /// same draws in the same order, same counters — with what does not
-    /// depend on the recipient decided once: while no node is crashed, no
-    /// partition is installed and no chaos injector is attached, every
-    /// in-range recipient is reachable.
+    /// same draws in the same order, same fault counters — with what does
+    /// not depend on the recipient decided once: while `from` is in range
+    /// and no chaos injector is installed, every in-range recipient is
+    /// reachable.
     pub fn broadcast<I>(
         &mut self,
         from: NodeId,
@@ -291,15 +202,11 @@ impl Network {
     {
         let recipients = recipients.into_iter();
         let mut deliveries = Vec::with_capacity(recipients.size_hint().0);
-        let nodes = self.config.nodes;
-        let all_reachable = from.0 < nodes
-            && self.down.is_empty()
-            && self.partition.is_empty()
-            && self.chaos.is_none();
+        let all_reachable = self.in_range(from) && self.chaos.is_none();
         let transfer = self.transfer(payload_bytes);
         for to in recipients.filter(|&to| to != from) {
-            let arrival = if all_reachable && to.0 < nodes {
-                Some(self.deliver(payload_bytes, sent_at, transfer, SimTime::ZERO))
+            let arrival = if all_reachable && self.in_range(to) {
+                Some(self.arrival(sent_at, transfer, SimTime::ZERO))
             } else {
                 self.send(from, to, payload_bytes, sent_at)
             };
@@ -308,63 +215,56 @@ impl Network {
         deliveries
     }
 
-    /// The latency a `ping` from `from` to `to` would observe: a sampled
-    /// round trip, or [`SimTime::INFINITY`] when unreachable — the failure
-    /// detector the paper describes in §V-A.
-    pub fn ping(&mut self, from: NodeId, to: NodeId) -> SimTime {
-        if !self.connected(from, to) {
-            return SimTime::INFINITY;
-        }
-        let out = self.link.sample(&mut self.rng);
-        let back = self.link.sample(&mut self.rng);
-        out + back
-    }
-
-    /// Like [`Network::ping`], but evaluated at simulated time `now` so the
-    /// chaos injector's scheduled outages apply: pinging a node inside its
-    /// outage window observes [`SimTime::INFINITY`]. This is the heartbeat
-    /// primitive the failure detector drives.
-    pub fn ping_at(&mut self, from: NodeId, to: NodeId, now: SimTime) -> SimTime {
+    /// The latency a ping from `from` to `to` observes at simulated time
+    /// `now`: a sampled round trip, or [`SimTime::INFINITY`] when an
+    /// endpoint is outside `0..nodes` or inside a scheduled outage, or the
+    /// lossy link loses the ping or its pong — the failure detector the
+    /// paper describes in §V-A. An outage does not count a ping as a
+    /// dropped message; the lossy link judges it like any message pair.
+    pub fn ping(&mut self, from: NodeId, to: NodeId, now: SimTime) -> SimTime {
         if let Some(chaos) = &self.chaos {
             if chaos.node_down_at(from, now) || chaos.node_down_at(to, now) {
                 return SimTime::INFINITY;
             }
         }
-        let rtt = self.ping(from, to);
-        if rtt.is_infinite() {
-            return rtt;
+        if !self.in_range(from) || !self.in_range(to) {
+            return SimTime::INFINITY;
         }
+        let out = self.link.sample(&mut self.rng);
+        let back = self.link.sample(&mut self.rng);
+        let rtt = out + back;
         // A lossy link loses the ping (or its pong) with the same
         // probability it loses any other message pair.
-        if let Some(chaos) = &mut self.chaos {
-            match (chaos.judge_message(), chaos.judge_message()) {
-                (Some(a), Some(b)) => return rtt + a + b,
-                _ => return SimTime::INFINITY,
-            }
+        match &mut self.chaos {
+            None => rtt,
+            Some(chaos) => match (chaos.judge_message(), chaos.judge_message()) {
+                (Some(a), Some(b)) => rtt + a + b,
+                _ => SimTime::INFINITY,
+            },
         }
-        rtt
-    }
-
-    /// Mutable access to the RNG stream, for callers that need correlated
-    /// auxiliary draws (e.g. jittering retry timers).
-    pub fn rng_mut(&mut self) -> &mut crate::rng::SimRng {
-        &mut self.rng
-    }
-
-    /// Convenience: draw from an arbitrary distribution using the network's
-    /// RNG stream.
-    pub fn sample_from(&mut self, model: &LatencyModel) -> SimTime {
-        model.sample(&mut self.rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosConfig, CrashEvent};
     use crate::rng;
 
     fn net(nodes: u32) -> Network {
         Network::new(NetworkConfig::lan(nodes), rng::master(11)).unwrap()
+    }
+
+    /// `config` installed on `n` with a fixed injector seed.
+    fn with_chaos(mut n: Network, config: ChaosConfig) -> Network {
+        n.set_chaos(ChaosInjector::new(config, rng::master(6)).unwrap());
+        n
+    }
+
+    /// Every message the injector refused: lossy links plus outages.
+    fn fault_drops(n: &Network) -> u64 {
+        let stats = n.chaos_stats().unwrap();
+        stats.dropped + stats.crash_dropped
     }
 
     #[test]
@@ -384,8 +284,7 @@ mod tests {
         let sent = SimTime::from_secs(10.0);
         let arrival = n.send(NodeId(0), NodeId(1), 128, sent).unwrap();
         assert!(arrival > sent);
-        assert_eq!(n.stats().delivered, 1);
-        assert_eq!(n.stats().bytes, 128);
+        assert!(!n.ping(NodeId(0), NodeId(1), sent).is_infinite());
     }
 
     #[test]
@@ -396,53 +295,32 @@ mod tests {
     }
 
     #[test]
-    fn crash_drops_messages_and_ping_is_infinite() {
-        let mut n = net(3);
-        n.crash(NodeId(2));
-        assert!(!n.is_up(NodeId(2)));
-        assert_eq!(n.send(NodeId(0), NodeId(2), 10, SimTime::ZERO), None);
-        assert_eq!(n.send(NodeId(2), NodeId(0), 10, SimTime::ZERO), None);
-        assert_eq!(n.ping(NodeId(0), NodeId(2)), SimTime::INFINITY);
-        // Pings are observations, not messages: only the two sends count.
-        assert_eq!(n.stats().dropped, 2);
-        n.recover(NodeId(2));
-        assert!(n.is_up(NodeId(2)));
-        assert!(n.send(NodeId(0), NodeId(2), 10, SimTime::ZERO).is_some());
-        assert!(!n.ping(NodeId(0), NodeId(2)).is_infinite());
-    }
-
-    #[test]
-    fn out_of_range_node_is_down() {
-        let n = net(3);
-        assert!(!n.is_up(NodeId(3)));
-    }
-
-    #[test]
-    fn partition_blocks_cross_group_traffic() {
-        let mut n = net(4);
-        n.set_partition(vec![
-            [NodeId(0), NodeId(1)].into_iter().collect(),
-            [NodeId(2)].into_iter().collect(),
-        ]);
-        assert!(n.connected(NodeId(0), NodeId(1)));
-        assert!(!n.connected(NodeId(0), NodeId(2)));
-        // Node 3 is in no explicit group: it forms the implicit group.
-        assert!(!n.connected(NodeId(3), NodeId(0)));
-        assert!(n.connected(NodeId(3), NodeId(3)));
-        n.heal_partition();
-        assert!(n.connected(NodeId(0), NodeId(2)));
+    fn out_of_range_endpoints_are_refused() {
+        let mut n = with_chaos(net(3), ChaosConfig::none());
+        for (from, to) in [(NodeId(0), NodeId(3)), (NodeId(3), NodeId(0))] {
+            assert_eq!(n.send(from, to, 10, SimTime::ZERO), None);
+            assert_eq!(n.ping(from, to, SimTime::ZERO), SimTime::INFINITY);
+        }
+        assert!(n
+            .broadcast(NodeId(3), (0..3).map(NodeId), 10, SimTime::ZERO)
+            .is_empty());
+        // A refused endpoint is an input error, not an injected fault.
+        assert_eq!(fault_drops(&n), 0);
     }
 
     #[test]
     fn broadcast_skips_sender_and_dead_nodes() {
-        let mut n = net(5);
-        n.crash(NodeId(4));
-        let deliveries = n.broadcast(NodeId(0), (0..5).map(NodeId), 32, SimTime::ZERO);
+        let mut n = with_chaos(
+            net(5),
+            ChaosConfig::none().with_crash(CrashEvent::permanent(NodeId(4), SimTime::ZERO)),
+        );
+        let deliveries = n.broadcast(NodeId(0), (0..6).map(NodeId), 32, SimTime::ZERO);
         let recipients: Vec<u32> = deliveries.iter().map(|(id, _)| id.0).collect();
         assert_eq!(recipients, vec![1, 2, 3]);
         for (_, t) in deliveries {
             assert!(t > SimTime::ZERO);
         }
+        assert_eq!(n.chaos_stats().unwrap().crash_dropped, 1);
     }
 
     /// `broadcast` as the `send` loop it used to be.
@@ -460,57 +338,55 @@ mod tests {
 
     #[test]
     fn broadcast_is_the_send_loop_under_every_fault() {
-        use crate::chaos::{ChaosConfig, ChaosInjector, CrashEvent};
-        use rand::Rng;
-        let build = |faults: u32| {
-            let mut n = Network::new(NetworkConfig::wan(12), rng::master(21)).unwrap();
-            if faults & 1 != 0 {
-                n.crash(NodeId(5));
-            }
-            if faults & 2 != 0 {
-                n.set_partition(vec![
-                    (0..4).map(NodeId).collect(),
-                    (4..9).map(NodeId).collect(),
-                ]);
-            }
-            if faults & 4 != 0 {
-                let config = ChaosConfig {
+        let outage =
+            CrashEvent::with_restart(NodeId(7), SimTime::from_secs(3.0), SimTime::from_secs(6.0));
+        let faults = [
+            None,
+            // Outages alone: the slow path with no injector draws.
+            Some(
+                ChaosConfig::none()
+                    .with_crash(outage)
+                    .with_crash(CrashEvent::permanent(NodeId(5), SimTime::ZERO)),
+            ),
+            Some(
+                ChaosConfig {
                     spike_prob: 0.3,
                     spike: LatencyModel::Constant { secs: 2.0 },
                     ..ChaosConfig::lossy(0.25)
                 }
-                .with_crash(CrashEvent::with_restart(
-                    NodeId(7),
-                    SimTime::from_secs(3.0),
-                    SimTime::from_secs(6.0),
-                ));
-                n.set_chaos(ChaosInjector::new(config, rng::master(22)).unwrap());
+                .with_crash(outage),
+            ),
+        ];
+        let build = |chaos: &Option<ChaosConfig>| {
+            let n = Network::new(NetworkConfig::wan(12), rng::master(21)).unwrap();
+            match chaos {
+                Some(config) => with_chaos(n, config.clone()),
+                None => n,
             }
-            n
         };
         // In range, out of range (13, 40) and the sender itself, twice.
         let recipients: Vec<NodeId> = (0..14).chain([2, 40, 3]).map(NodeId).collect();
-        for faults in 0..8 {
-            let (mut looped, mut hoisted) = (build(faults), build(faults));
+        for (case, chaos) in faults.iter().enumerate() {
+            let (mut looped, mut hoisted) = (build(chaos), build(chaos));
             for round in 0..40u32 {
                 let from = NodeId(round % 13);
                 let at = SimTime::from_secs(f64::from(round) * 0.25);
                 assert_eq!(
                     hoisted.broadcast(from, recipients.iter().copied(), 700, at),
                     send_loop(&mut looped, from, &recipients, at),
-                    "faults {faults:#b} round {round}"
-                );
-                assert_eq!(
-                    hoisted.stats(),
-                    looped.stats(),
-                    "faults {faults:#b} round {round}"
+                    "case {case} round {round}"
                 );
                 assert_eq!(hoisted.chaos_stats(), looped.chaos_stats());
             }
+            // Both link streams stand at the same draw: the next delivered
+            // message arrives at the same time on both.
+            let late = SimTime::from_secs(100.0);
+            let next =
+                |n: &mut Network| (0..).find_map(|_| n.send(NodeId(0), NodeId(1), 700, late));
             assert_eq!(
-                hoisted.rng_mut().gen::<u64>(),
-                looped.rng_mut().gen::<u64>(),
-                "faults {faults:#b}: RNG position"
+                next(&mut hoisted),
+                next(&mut looped),
+                "case {case}: RNG position"
             );
         }
     }
@@ -547,64 +423,68 @@ mod tests {
 
     #[test]
     fn chaos_drops_are_counted_and_conserved() {
-        use crate::chaos::{ChaosConfig, ChaosInjector};
-        let mut n = net(4);
-        n.set_chaos(ChaosInjector::new(ChaosConfig::lossy(0.5), rng::master(5)).unwrap());
+        let config = ChaosConfig::lossy(0.5).with_crash(CrashEvent::with_restart(
+            NodeId(2),
+            SimTime::from_secs(500.0),
+            SimTime::from_secs(1_000.0),
+        ));
+        let mut n = with_chaos(net(4), config);
         let sends = 2_000u64;
+        let mut refused = 0;
         for i in 0..sends {
-            let _ = n.send(NodeId((i % 3) as u32), NodeId(3), 64, SimTime::ZERO);
+            let at = SimTime::from_secs(i as f64);
+            refused += u64::from(n.send(NodeId((i % 3) as u32), NodeId(3), 64, at).is_none());
         }
-        let stats = n.stats();
-        assert_eq!(stats.delivered + stats.dropped, sends);
-        assert_eq!(stats.chaos_dropped, stats.dropped);
-        assert!(stats.dropped > sends / 3 && stats.dropped < 2 * sends / 3);
-        let chaos = n.clear_chaos().unwrap();
-        assert_eq!(chaos.stats().dropped, stats.chaos_dropped);
+        // Every `None` is counted once, in exactly one bucket.
+        assert_eq!(fault_drops(&n), refused);
+        let stats = n.chaos_stats().unwrap();
+        assert_eq!(
+            stats.crash_dropped,
+            (500..1_000u64).filter(|i| i % 3 == 2).count() as u64
+        );
+        let lossy = sends - stats.crash_dropped;
+        assert!(stats.dropped > lossy / 3 && stats.dropped < 2 * lossy / 3);
     }
 
     #[test]
     fn scheduled_outage_blackholes_sends_and_pings() {
-        use crate::chaos::{ChaosConfig, ChaosInjector, CrashEvent};
-        let mut n = net(3);
         let config = ChaosConfig::none().with_crash(CrashEvent::with_restart(
             NodeId(2),
             SimTime::from_secs(100.0),
             SimTime::from_secs(300.0),
         ));
-        n.set_chaos(ChaosInjector::new(config, rng::master(6)).unwrap());
+        let mut n = with_chaos(net(3), config);
         // Before the outage: alive.
         assert!(n
             .send(NodeId(0), NodeId(2), 8, SimTime::from_secs(50.0))
             .is_some());
         assert!(!n
-            .ping_at(NodeId(0), NodeId(2), SimTime::from_secs(50.0))
+            .ping(NodeId(0), NodeId(2), SimTime::from_secs(50.0))
             .is_infinite());
-        // During: dead, and the drop is attributed to chaos.
-        assert!(n
-            .send(NodeId(0), NodeId(2), 8, SimTime::from_secs(150.0))
-            .is_none());
-        assert!(n
-            .ping_at(NodeId(0), NodeId(2), SimTime::from_secs(150.0))
-            .is_infinite());
-        assert_eq!(n.stats().chaos_dropped, 1);
+        // During: dead both ways, and each drop is attributed to the outage.
+        let during = SimTime::from_secs(150.0);
+        assert!(n.send(NodeId(0), NodeId(2), 8, during).is_none());
+        assert!(n.send(NodeId(2), NodeId(0), 8, during).is_none());
+        assert!(n.ping(NodeId(0), NodeId(2), during).is_infinite());
+        assert!(n.ping(NodeId(2), NodeId(0), during).is_infinite());
+        // Pings are observations, not messages: only the two sends count.
+        assert_eq!(n.chaos_stats().unwrap().crash_dropped, 2);
         // After the restart: alive again.
         assert!(n
             .send(NodeId(0), NodeId(2), 8, SimTime::from_secs(350.0))
             .is_some());
         assert!(!n
-            .ping_at(NodeId(0), NodeId(2), SimTime::from_secs(350.0))
+            .ping(NodeId(0), NodeId(2), SimTime::from_secs(350.0))
             .is_infinite());
     }
 
     #[test]
     fn chaos_does_not_perturb_the_base_latency_stream() {
-        use crate::chaos::{ChaosConfig, ChaosInjector};
         // Same network seed, chaos with drop_prob 0 installed on one of
         // them: deliveries must see identical arrival times because the
         // injector draws from its own stream.
         let mut plain = net(4);
-        let mut chaotic = net(4);
-        chaotic.set_chaos(ChaosInjector::new(ChaosConfig::none(), rng::master(77)).unwrap());
+        let mut chaotic = with_chaos(net(4), ChaosConfig::none());
         for i in 0..100u32 {
             let from = NodeId(i % 4);
             let to = NodeId((i + 1) % 4);
@@ -617,23 +497,18 @@ mod tests {
 
     #[test]
     fn latency_spikes_delay_delivery() {
-        use crate::chaos::{ChaosConfig, ChaosInjector};
         let config = NetworkConfig {
             nodes: 2,
             link_latency: LatencyModel::Constant { secs: 0.1 },
             secs_per_kib: 0.0,
         };
-        let mut n = Network::new(config, rng::master(0)).unwrap();
-        n.set_chaos(
-            ChaosInjector::new(
-                ChaosConfig {
-                    spike_prob: 1.0,
-                    spike: LatencyModel::Constant { secs: 3.0 },
-                    ..ChaosConfig::none()
-                },
-                rng::master(1),
-            )
-            .unwrap(),
+        let mut n = with_chaos(
+            Network::new(config, rng::master(0)).unwrap(),
+            ChaosConfig {
+                spike_prob: 1.0,
+                spike: LatencyModel::Constant { secs: 3.0 },
+                ..ChaosConfig::none()
+            },
         );
         let arrival = n.send(NodeId(0), NodeId(1), 16, SimTime::ZERO).unwrap();
         assert!((arrival.as_secs() - 3.1).abs() < 1e-9);

@@ -3,7 +3,9 @@
 #![expect(clippy::float_cmp, reason = "asserts bit-identical floats")]
 use mvcom_simnet::event::EventQueue;
 use mvcom_simnet::stats::{Ecdf, Summary};
-use mvcom_simnet::{rng, ChaosConfig, ChaosInjector, LatencyModel, Network, NetworkConfig};
+use mvcom_simnet::{
+    rng, ChaosConfig, ChaosInjector, CrashEvent, LatencyModel, Network, NetworkConfig,
+};
 use mvcom_types::{NodeId, SimTime};
 use proptest::prelude::*;
 
@@ -102,11 +104,9 @@ proptest! {
             now += SimTime::from_secs(0.5);
             let from = NodeId((k % 6) as u32);
             let to = NodeId(((k + 1) % 6) as u32);
-            if let Some(arrival) = net.send(from, to, 100, now) {
-                prop_assert!(arrival > now, "message arrived before it was sent");
-            }
+            let arrival = net.send(from, to, 100, now);
+            prop_assert!(arrival.is_some_and(|a| a > now), "no fault installed, yet {arrival:?}");
         }
-        prop_assert_eq!(net.stats().delivered, sends as u64);
     }
 
     #[test]
@@ -114,37 +114,31 @@ proptest! {
         seed in 0u64..500,
         drop_prob in 0.0f64..1.0,
         sends in 1usize..80,
+        crash_at in 0u32..100,
     ) {
-        // Whatever loss the injector applies, every `send` call lands in
-        // exactly one bucket: delivered + dropped == sends, and chaos can
-        // only ever claim messages that were counted as dropped.
+        // Whatever loss the injector applies, every `send` that returns
+        // `None` is counted exactly once, as a lossy drop or an outage
+        // drop, and nothing sent to or from a crashed node gets through.
+        let crashed = NodeId(2);
+        let crash_at = SimTime::from_secs(f64::from(crash_at));
+        let config = ChaosConfig::lossy(drop_prob).with_crash(CrashEvent::permanent(crashed, crash_at));
         let mut net = Network::new(NetworkConfig::wan(5), rng::master(seed)).unwrap();
-        net.set_chaos(
-            ChaosInjector::new(ChaosConfig::lossy(drop_prob), rng::master(seed ^ 0xC4A0)).unwrap(),
-        );
+        net.set_chaos(ChaosInjector::new(config, rng::master(seed ^ 0xC4A0)).unwrap());
+        let mut refused = 0;
         for k in 0..sends {
             let from = NodeId((k % 5) as u32);
             let to = NodeId(((k + 2) % 5) as u32);
-            net.send(from, to, 64, SimTime::from_secs(k as f64));
+            let at = SimTime::from_secs(k as f64);
+            let arrival = net.send(from, to, 64, at);
+            if at >= crash_at && (from == crashed || to == crashed) {
+                prop_assert!(arrival.is_none(), "a crashed node delivered at {at}");
+            }
+            refused += u64::from(arrival.is_none());
         }
-        let stats = net.stats();
-        prop_assert_eq!(stats.delivered + stats.dropped, sends as u64);
-        prop_assert!(stats.chaos_dropped <= stats.dropped);
         let chaos = net.chaos_stats().expect("injector installed");
-        prop_assert_eq!(chaos.dropped + chaos.crash_dropped, stats.chaos_dropped);
+        prop_assert_eq!(chaos.dropped + chaos.crash_dropped, refused);
         if drop_prob == 0.0 {
-            prop_assert_eq!(stats.chaos_dropped, 0);
-        }
-    }
-
-    #[test]
-    fn crashed_nodes_never_deliver(seed in 0u64..200) {
-        let mut net = Network::new(NetworkConfig::lan(4), rng::master(seed)).unwrap();
-        net.crash(NodeId(2));
-        for k in 0..20u64 {
-            let from = NodeId((k % 4) as u32);
-            let result = net.send(from, NodeId(2), 10, SimTime::ZERO);
-            prop_assert!(result.is_none());
+            prop_assert_eq!(chaos.dropped, 0);
         }
     }
 }

@@ -12,13 +12,13 @@
 //!
 //! `--adv-fraction` / `--adv-strategy` switch `simulate` to the
 //! *strategic* fault model instead: the given fraction of committees lies
-//! at formation time (see DESIGN.md §10). With `--defense on` (the
-//! default) the SE scheduler runs behind the reputation layer —
-//! median-of-window estimate correction, trust-weighted utility
-//! discounting and quarantine-with-backoff; `--defense off` schedules on
-//! the raw claims. Fractions (`--adv-fraction`, `--chaos-drop`) must lie
-//! in `[0, 1]`. Adversarial and fault-tolerant modes are mutually
-//! exclusive.
+//! at formation time (see DESIGN.md §10). With `--scheduler se` and
+//! `--defense on` (the default) the SE scheduler runs behind the
+//! reputation layer — median-of-window estimate correction, trust-weighted
+//! utility discounting and quarantine-with-backoff; `--defense off`, or
+//! wait-for-all, schedules on the raw claims. Fractions (`--adv-fraction`,
+//! `--chaos-drop`) must lie in `[0, 1]`. Adversarial and fault-tolerant
+//! modes are mutually exclusive.
 //!
 //! `--obs-out FILE` streams the structured telemetry documented in
 //! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity. The
@@ -597,8 +597,9 @@ fn simulate(args: &[String]) -> Result<()> {
             ..RecoveryConfig::paper()
         }
     };
-    // Adversarial mode keeps one adversary and one reputation engine alive
-    // across epochs — the defense's value is exactly its memory.
+    // Adversarial mode keeps one adversary alive across epochs, and with
+    // `--defense on --scheduler se` one reputation engine — the defense's
+    // value is exactly its memory. Wait-for-all has no defense to run.
     let adversary = if adversarial {
         Some(build_adversary(
             flags.value("adv-strategy"),
@@ -607,19 +608,25 @@ fn simulate(args: &[String]) -> Result<()> {
     } else {
         None
     };
-    let mut defended = DefendedSeSelector::new(
-        SeSelector::adaptive(seed, 0.6).with_obs(obs.clone()),
-        DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs.clone()),
-    );
+    let mut defended = if adversarial && defense_on && scheduler == "se" {
+        Some(DefendedSeSelector::new(
+            SeSelector::adaptive(seed, 0.6).with_obs(obs.clone()),
+            DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs.clone()),
+        ))
+    } else {
+        None
+    };
     let mut robustness_reports = Vec::new();
     for _ in 0..epochs {
-        let (report, adversary_reports) = match &adversary {
-            Some(adversary) if defense_on && scheduler == "se" => {
+        let (report, adversary_reports) = match (&adversary, &mut defended) {
+            (Some(adversary), Some(defended)) => {
                 defended.run_epoch(&mut sim, adversary.as_ref())?
             }
-            Some(adversary) => sim.run_epoch_adversarial(selector, adversary.as_ref())?,
-            None if fault_tolerant => (sim.run_epoch_recovering(selector, &recovery)?, Vec::new()),
-            None => (sim.run_epoch_with(selector)?, Vec::new()),
+            (Some(adversary), None) => sim.run_epoch_adversarial(selector, adversary.as_ref())?,
+            (None, _) if fault_tolerant => {
+                (sim.run_epoch_recovering(selector, &recovery)?, Vec::new())
+            }
+            (None, _) => (sim.run_epoch_with(selector)?, Vec::new()),
         };
         let start = report
             .shards
@@ -644,21 +651,23 @@ fn simulate(args: &[String]) -> Result<()> {
                 .iter()
                 .filter(|r| report.final_block.included.contains(&r.committee()))
                 .count();
-            let quarantined = adversary_reports
-                .iter()
-                .filter(|r| {
-                    defended
-                        .defense
-                        .is_quarantined(r.committee(), report.epoch.value())
-                })
-                .count();
+            let quarantined = defended.as_ref().map_or(0, |defended| {
+                adversary_reports
+                    .iter()
+                    .filter(|r| {
+                        defended
+                            .defense
+                            .is_quarantined(r.committee(), report.epoch.value())
+                    })
+                    .count()
+            });
             println!(
                 "  adversary: {} × {} committee(s), {} admitted into the block, \
                  defense {} ({} quarantined)",
                 liars.len(),
                 adversary.name(),
                 admitted_liars,
-                if defense_on { "on" } else { "off" },
+                if defended.is_some() { "on" } else { "off" },
                 quarantined,
             );
         }

@@ -75,7 +75,7 @@ pub use mvcom_types::{Error, Result};
 
 use mvcom_core::admission::{cutoff, Admission, Capacity, EpochPolicy};
 use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
-use mvcom_core::dynamics::{DynamicsPolicy, EventRecord};
+use mvcom_core::dynamics::EventRecord;
 use mvcom_core::se::{SeCheckpoint, SeConfig};
 use mvcom_dataset::{Adversary, CommitteeReport};
 use mvcom_elastico::epoch::{ElasticoSim, EpochReport, ShardSelector, WaitForAll};
@@ -140,9 +140,9 @@ const N_MAX_FRACTION: f64 = 0.8;
 ///    through `serde_json` and restored — exercising the same path a
 ///    killed distributed solver process would take, per §IV-D);
 /// 2. the restored engine **trims** the dead committee out of the solution
-///    space via [`DynamicsPolicy::Trim`] (paper §V, `F → G`) and keeps
-///    iterating — no scripted [`TimedEvent`](mvcom_core::dynamics)
-///    sequence involved;
+///    space via [`DynamicsPolicy::Trim`](prelude::DynamicsPolicy::Trim)
+///    (paper §V, `F → G`) and keeps iterating — no scripted
+///    [`TimedEvent`](mvcom_core::dynamics) sequence involved;
 /// 3. the utility perturbation is recorded as an [`EventRecord`], so tests
 ///    can check it against the Theorem 2 bound.
 ///
@@ -267,7 +267,7 @@ impl ShardSelector for SeSelector {
         let Some(engine) = solving else {
             // No engine is solving over this committee; at most the
             // admit-all set shrinks.
-            admission.leave(committee, DynamicsPolicy::Trim);
+            admission.leave(committee);
             return Ok(());
         };
         let utility_before = engine.current_best_utility();
@@ -283,7 +283,7 @@ impl ShardSelector for SeSelector {
         // §V solution-space surgery: trim the dead committee, keep going.
         // A trimmed epoch the scheduler cannot pose (e.g. too few
         // survivors) degrades to admit-all-survivors and records nothing.
-        admission.leave(committee, DynamicsPolicy::Trim);
+        admission.leave(committee);
         if let Some(engine) = admission.engine() {
             self.events.push(EventRecord {
                 at_iteration,

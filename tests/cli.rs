@@ -232,6 +232,34 @@ fn repeated_crash_flags_are_both_accepted() {
     assert!(stderr.contains("`bogus`"), "stderr: {stderr}");
 }
 
+/// The reputation layer guards the SE scheduler only. Under the default
+/// `--scheduler all` an adversarial run used to print `defense on` for a
+/// defense that never ran.
+#[test]
+fn the_defense_label_names_the_runner_that_ran() {
+    for (scheduler, label) in [("all", "defense off"), ("se", "defense on")] {
+        let out = mvcom(&[
+            "simulate",
+            "--nodes",
+            "60",
+            "--epochs",
+            "1",
+            "--seed",
+            "5",
+            "--adv-fraction",
+            "0.33",
+            "--adv-strategy",
+            "starver",
+            "--scheduler",
+            scheduler,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "stderr: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(label), "--scheduler {scheduler}: {stdout}");
+    }
+}
+
 /// Operands that used to reach a panicking constructor (`SimTime::from_secs`,
 /// `Trace::generate`), wrap `IDX + 1` onto the final committee's node, or
 /// arm an alert that can never fire. The CLI is the boundary: each is a
