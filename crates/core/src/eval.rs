@@ -9,13 +9,13 @@
 //! and recomputes `U(f)` from scratch — `O(n)` allocation-heavy work per
 //! *proposed* (not just committed) move.
 //!
-//! [`EvalCache`] removes that cost. The epoch's shards are keyed by their
-//! latency rank once per instance ([`ShardColumns`], `O(n log n)`), and each
-//! cache maintains a Fenwick tree of selected-shard counts over those
-//! ranks. Order statistics of the selected latencies — the induced
-//! deadline, and the deadline *excluding one shard* (what a remove/swap
-//! needs) — are then `O(log n)` queries, and
-//! combined with the running aggregates cached inside [`Solution`]
+//! [`EvalCache`] removes that cost. Under MaxSelected the epoch's shards
+//! are keyed by their latency rank once per instance ([`ShardColumns`],
+//! `O(n log n)`), and each cache maintains a Fenwick tree of
+//! selected-shard counts over those ranks. Order statistics of the
+//! selected latencies — the induced deadline, and the deadline *excluding
+//! one shard* (what a remove/swap needs) — are then `O(log n)` queries,
+//! and combined with the running aggregates cached inside [`Solution`]
 //! (`selected_count`, `tx_total`, `lat_total`) every delta closes to:
 //!
 //! ```text
@@ -25,41 +25,46 @@
 //!               where t' = max(l_i, max_{sel∖o} l)
 //! ```
 //!
-//! with no allocation and no pass over the selection. The per-shard
-//! inputs (`l_i`, `s_i`, and the MaxArrival marginals) are held as dense
-//! struct-of-arrays columns copied bit-for-bit out of the instance, so at
-//! 10⁴–10⁵ committees the delta loop walks 8-byte strides instead of
-//! cache-missing across interleaved `ShardInfo` records. A second Fenwick
-//! tree over *shard indices* powers
-//! `O(log n)` order statistics in index order — select-kth-one and
-//! select-kth-zero — which replace the `O(n)` `iter_*().nth()` fallback
-//! of the SE sampler's rejection loop
-//! ([`EvalCache::random_selected`]/[`EvalCache::random_unselected`]).
+//! with no allocation and no pass over the selection. MaxArrival deltas
+//! read no order statistic, so a MaxArrival cache has no rank tree at all.
+//! The per-shard inputs (`l_i`, `s_i`, and the MaxArrival marginals) are
+//! held as dense struct-of-arrays columns copied bit-for-bit out of the
+//! instance, so at 10⁴–10⁵ committees the delta loop walks 8-byte strides
+//! instead of cache-missing across interleaved `ShardInfo` records.
+//!
+//! Membership is a bitset, one bit per shard, with one `u32` count of
+//! selected shards per 512-shard block (eight words, one cache line). The
+//! `k`-th selected (or unselected) shard *in index order* — what the SE
+//! sampler's rejection-loop fallback resolves
+//! ([`EvalCache::random_selected`]/[`EvalCache::random_unselected`]) —
+//! is a walk over the block counts, then a select within at most eight
+//! words.
 //!
 //! # Instance half, chain half
 //!
 //! Algorithm 2 spawns one chain per feasible cardinality × Γ replicas over
 //! *one* epoch's shards, so everything that depends only on the instance —
-//! the latency-rank permutation, `lat_by_rank`, the `lat`/`tx`/`marginal`
-//! columns, the exact `u64` sizes and the by-size order of the
-//! initialization fallback — lives in one immutable [`ShardColumns`], built
-//! once per engine build and held by every cache behind an [`Arc`]. What a
-//! chain owns is what its walk mutates: the two Fenwick trees, the selected
-//! count and the memoized deadline — 8 bytes per shard, against the 48 of
-//! the columns it shares. [`EvalCache::new`] is "build columns, then
-//! [`EvalCache::attach`]"; there is no other construction path.
+//! the `lat`/`tx`/`marginal` columns, the exact `u64` sizes, the by-size
+//! order of the initialization fallback and, under MaxSelected, the
+//! latency-rank permutation and `lat_by_rank` — lives in one immutable
+//! [`ShardColumns`], built once per engine build and held by every cache
+//! behind an [`Arc`]. What a chain owns is what its walk mutates: the
+//! counted bitset and the selected count, plus the rank tree and the
+//! memoized deadline under MaxSelected. [`EvalCache::new`] is "build
+//! columns, then [`EvalCache::attach`]"; there is no other construction
+//! path.
 //!
-//! Per-op complexity:
+//! Per-op complexity, over `N = |I|` shards with `n` selected:
 //!
-//! | operation                       | naive            | cached      |
-//! |---------------------------------|------------------|-------------|
-//! | `utility`                       | `O(n)`           | `O(1)`      |
-//! | `selected_ddl`                  | `O(n)`           | `O(1)`      |
-//! | `swap/insert/remove_delta`      | `O(n)` + 2 allocs| `O(log n)`  |
-//! | commit (`insert`/`remove`/`swap`)| `O(1)`          | `O(log n)`  |
-//! | `random_selected/unselected` fallback | `O(n)`     | `O(log n)`  |
-//! | build / rebuild                 | —                | `O(n log n)` once per instance, `O(n)` per chain |
-//! | memory                          | —                | 48 B/shard once per instance, 8 B/shard per chain |
+//! | operation                       | naive            | MaxArrival | MaxSelected |
+//! |---------------------------------|------------------|------------|-------------|
+//! | `utility`                       | `O(n)`           | `O(1)`     | `O(1)`      |
+//! | `selected_ddl`                  | `O(n)`           | `O(N)`, off the hot path | `O(1)` |
+//! | `swap/insert/remove_delta`      | `O(n)` + 2 allocs| `O(1)`     | `O(log N)`  |
+//! | commit (`insert`/`remove`/`swap`)| `O(1)`          | `O(1)`     | `O(log N)`  |
+//! | `random_selected/unselected` fallback | `O(N)`     | `O(N/512)` | `O(N/512)`  |
+//! | columns, once per instance      | —                | `O(N log N)`, 36 B/shard | `O(N log N)`, 48 B/shard |
+//! | cache, per chain                | —                | `O(N/64 + n)`, ≈0.13 B/shard | `O(N)`, ≈4.13 B/shard |
 //!
 //! The cache is *not* serialized: a checkpointed solver records only the
 //! selected indices ([`crate::se::SeCheckpoint`]) and every restore path
@@ -75,8 +80,9 @@
 //! preconditions — in release builds too — and cheap sync invariants, so a
 //! desynchronized cache panics instead of silently returning garbage.
 //! Likewise [`EvalCache::attach`] `assert!`s that the columns were built
-//! from the instance it is handed, so columns from before a committee
-//! join/leave can never price a chain of the changed epoch.
+//! from the instance it is handed, deadline policy included, so columns
+//! from before a committee join/leave can never price a chain of the
+//! changed epoch.
 
 use std::sync::Arc;
 
@@ -85,6 +91,12 @@ use rand::Rng;
 
 use crate::problem::{DdlPolicy, Instance};
 use crate::solution::Solution;
+
+/// Words per counted block of an [`EvalCache`]'s bitset: 512 shards, one
+/// 64-byte cache line.
+const BLOCK_WORDS: usize = 8;
+/// Shards per counted block.
+const BLOCK: usize = 64 * BLOCK_WORDS;
 
 /// The instance half of the evaluator: every per-shard quantity the SE
 /// chains read but never write, derived from one [`Instance`] and shared —
@@ -110,6 +122,7 @@ use crate::solution::Solution;
 ///     .unwrap();
 /// let columns = Arc::new(ShardColumns::new(&instance));
 /// assert_eq!(columns.tx_total(&[0, 3]), 500);
+/// assert_eq!(columns.size(1), 300);
 /// assert_eq!(columns.smallest(2).collect::<Vec<_>>(), [3, 2]);
 /// // Any number of caches attach to the one set of columns.
 /// let a = EvalCache::attach(columns.clone(), &instance, &Solution::empty(4));
@@ -119,8 +132,10 @@ use crate::solution::Solution;
 #[derive(Debug)]
 pub struct ShardColumns {
     /// Shard index → rank in latency-sorted order (ties broken by index).
+    /// Empty under [`DdlPolicy::MaxArrival`], whose deltas read no order
+    /// statistic.
     rank: Vec<u32>,
-    /// Rank → latency in seconds (ascending).
+    /// Rank → latency in seconds (ascending). Empty under MaxArrival.
     lat_by_rank: Vec<f64>,
     /// Struct-of-arrays projections of the instance's shard records, by
     /// shard index. The AoS `ShardInfo` layout interleaves the committee
@@ -136,15 +151,18 @@ pub struct ShardColumns {
     tx: Vec<f64>,
     marginal: Vec<f64>,
     /// Exact shard sizes `s_i`, by shard index: Algorithm 2 tests a
-    /// candidate subset against `Ĉ` with an integer sum over this column.
+    /// candidate subset against `Ĉ` with an integer sum over this column,
+    /// and Algorithm 3 a candidate swap.
     size: Vec<u64>,
     /// Shard indices under a *stable* sort by size (ties by index) — the
     /// order whose first `n` entries are Algorithm 2's fallback selection.
     by_size: Vec<u32>,
-    /// The `α` and MaxArrival deadline the marginals were derived under;
-    /// with the length, what [`EvalCache::attach`] checks an instance by.
+    /// The `α`, MaxArrival deadline and deadline policy the columns were
+    /// derived under; with the length, what [`EvalCache::attach`] checks
+    /// an instance by.
     alpha: f64,
     ddl: SimTime,
+    policy: DdlPolicy,
 }
 
 impl ShardColumns {
@@ -152,25 +170,31 @@ impl ShardColumns {
     pub fn new(instance: &Instance) -> ShardColumns {
         let shards = instance.shards();
         let n = shards.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| {
-            let la = shards[a as usize].two_phase_latency();
-            let lb = shards[b as usize].two_phase_latency();
-            la.cmp(&lb).then(a.cmp(&b))
-        });
-        let mut rank = vec![0u32; n];
-        for (r, &i) in order.iter().enumerate() {
-            rank[i as usize] = r as u32;
-        }
         let lat: Vec<f64> = shards
             .iter()
             .map(|s| s.two_phase_latency().as_secs())
             .collect();
+        let (rank, lat_by_rank) = match instance.ddl_policy() {
+            DdlPolicy::MaxArrival => (Vec::new(), Vec::new()),
+            DdlPolicy::MaxSelected => {
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.sort_by(|&a, &b| {
+                    let la = shards[a as usize].two_phase_latency();
+                    let lb = shards[b as usize].two_phase_latency();
+                    la.cmp(&lb).then(a.cmp(&b))
+                });
+                let mut rank = vec![0u32; n];
+                for (r, &i) in order.iter().enumerate() {
+                    rank[i as usize] = r as u32;
+                }
+                (rank, order.iter().map(|&i| lat[i as usize]).collect())
+            }
+        };
         let size: Vec<u64> = shards.iter().map(|s| s.tx_count()).collect();
         let mut by_size: Vec<u32> = (0..n as u32).collect();
         by_size.sort_by_key(|&i| size[i as usize]);
         ShardColumns {
-            lat_by_rank: order.iter().map(|&i| lat[i as usize]).collect(),
+            lat_by_rank,
             rank,
             tx: size.iter().map(|&s| s as f64).collect(),
             marginal: (0..n).map(|i| instance.marginal_utility(i)).collect(),
@@ -179,17 +203,28 @@ impl ShardColumns {
             by_size,
             alpha: instance.alpha(),
             ddl: instance.ddl(),
+            policy: instance.ddl_policy(),
         }
     }
 
     /// Number of shard slots.
     pub fn len(&self) -> usize {
-        self.rank.len()
+        self.size.len()
     }
 
     /// `true` iff the epoch has no shards.
     pub fn is_empty(&self) -> bool {
-        self.rank.is_empty()
+        self.size.is_empty()
+    }
+
+    /// The exact size `s_i` of shard `i` — `instance.shards()[i].tx_count()`
+    /// read from the dense column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn size(&self, i: usize) -> u64 {
+        self.size[i]
     }
 
     /// `Σ s_i` over `indices`, accumulated in slice order — the value (and
@@ -211,26 +246,32 @@ impl ShardColumns {
 
     /// The attach-path tripwire, in release builds too: columns derived
     /// from another instance (a stale epoch shape after a join/leave, a
-    /// different `α`) must never price this one.
+    /// different `α`, the other deadline policy — a MaxArrival cache has
+    /// no rank tree to price a MaxSelected delta with) must never price
+    /// this one.
     fn assert_built_from(&self, instance: &Instance) {
         assert!(
             self.len() == instance.len()
                 && self.alpha.to_bits() == instance.alpha().to_bits()
-                && self.ddl == instance.ddl(),
+                && self.ddl == instance.ddl()
+                && self.policy == instance.ddl_policy(),
             "shard columns were built from a different instance \
-             ({} shards, alpha {}, ddl {:?}; the instance has {}, {}, {:?})",
+             ({} shards, alpha {}, ddl {:?}, {:?}; the instance has {}, {}, {:?}, {:?})",
             self.len(),
             self.alpha,
             self.ddl,
+            self.policy,
             instance.len(),
             instance.alpha(),
             instance.ddl(),
+            instance.ddl_policy(),
         );
     }
 }
 
-/// Incremental evaluator: latency order statistics of the selected shards,
-/// maintained as a Fenwick tree over latency ranks.
+/// Incremental evaluator: the selection as a counted bitset, plus — under
+/// [`DdlPolicy::MaxSelected`] — latency order statistics of the selected
+/// shards, maintained as a Fenwick tree over latency ranks.
 ///
 /// # Example
 ///
@@ -265,18 +306,81 @@ impl ShardColumns {
 pub struct EvalCache {
     /// The instance half, shared with every other cache of the epoch.
     columns: Arc<ShardColumns>,
-    /// Fenwick tree (1-based) over ranks; counts selected shards.
-    tree: Vec<u32>,
-    /// Fenwick tree (1-based) over *shard indices*; counts selected
-    /// shards in index order, so the `k`-th selected (or unselected)
-    /// shard *by index* is an `O(log n)` binary-lifting descent — the
-    /// exact order statistic `iter_selected().nth(k)` scans for.
-    idx_tree: Vec<u32>,
+    /// The selection, one bit per shard in [`Solution`]'s layout.
+    words: Vec<u64>,
+    /// Selected shards per [`BLOCK`]-shard block of `words`.
+    counts: Vec<u32>,
     /// Mirror of the selected count, for O(1) sync checks.
     selected: usize,
+    /// The latency-rank tree: present iff the columns were built under
+    /// [`DdlPolicy::MaxSelected`], the one policy whose deltas read it.
+    ranked: Option<RankTree>,
+}
+
+/// The MaxSelected half of a cache: what the induced-deadline deltas
+/// query.
+#[derive(Debug, Clone)]
+struct RankTree {
+    /// Fenwick tree (1-based) over latency ranks; counts selected shards.
+    tree: Vec<u32>,
     /// Memoized max selected latency (`0` when empty): `O(1)` reads of the
     /// induced deadline; refreshed in `O(log n)` when a removal evicts it.
     ddl: f64,
+}
+
+impl RankTree {
+    /// The tree of `solution`'s latency ranks — `O(n)`: leaf counts, then
+    /// one propagation pass.
+    fn new(columns: &ShardColumns, solution: &Solution) -> RankTree {
+        let n = columns.len();
+        let mut tree = vec![0u32; n + 1];
+        for i in solution.iter_selected() {
+            tree[columns.rank[i] as usize + 1] = 1;
+        }
+        for pos in 1..=n {
+            let parent = pos + (pos & pos.wrapping_neg());
+            if parent <= n {
+                tree[parent] += tree[pos];
+            }
+        }
+        let mut ranked = RankTree { tree, ddl: 0.0 };
+        let selected = solution.selected_count() as u32;
+        if selected > 0 {
+            ranked.ddl = columns.lat_by_rank[ranked.kth(selected)];
+        }
+        ranked
+    }
+
+    fn bump(&mut self, mut pos: usize, delta: i32) {
+        let n = self.tree.len() - 1;
+        while pos <= n {
+            self.tree[pos] = (self.tree[pos] as i64 + delta as i64) as u32;
+            pos += pos & pos.wrapping_neg();
+        }
+    }
+
+    /// The 0-based rank of the `k`-th smallest selected latency
+    /// (1-indexed `k`): the Fenwick binary-lifting descent. `O(log n)`.
+    fn kth(&self, k: u32) -> usize {
+        let n = self.tree.len() - 1;
+        debug_assert!(k >= 1 && k as usize <= n);
+        let mut pos = 0usize;
+        let mut rem = k;
+        let mut step = n.next_power_of_two();
+        while step > 0 {
+            let next = pos + step;
+            // `pos`'s set bits all exceed `step`, so lowbit(next) is
+            // exactly `step` and the node covers `step` positions.
+            if next <= n && self.tree[next] < rem {
+                pos = next;
+                rem -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        // `pos` positions hold fewer than `k` selected ⇒ the k-th sits at
+        // 1-based position pos+1, i.e. 0-based `pos`.
+        pos
+    }
 }
 
 impl EvalCache {
@@ -294,13 +398,14 @@ impl EvalCache {
     }
 
     /// Builds the chain half of the cache for `solution` over columns
-    /// already derived from `instance` — `O(n)`.
+    /// already derived from `instance`: `O(|I|/64 + n)` for the bitset,
+    /// plus `O(|I|)` for the rank tree under MaxSelected.
     ///
     /// # Panics
     ///
     /// Panics — in release builds too — if `columns` were not built from
-    /// `instance` (length, `α` or deadline differ) or the solution's
-    /// length does not match the instance.
+    /// `instance` (length, `α`, deadline or deadline policy differ) or the
+    /// solution's length does not match the instance.
     pub fn attach(
         columns: Arc<ShardColumns>,
         instance: &Instance,
@@ -313,30 +418,25 @@ impl EvalCache {
             "solution is over a different shard set than the instance"
         );
         let n = instance.len();
-        let mut cache = EvalCache {
-            columns,
-            tree: vec![0u32; n + 1],
-            idx_tree: vec![0u32; n + 1],
-            selected: 0,
-            ddl: 0.0,
-        };
-        // O(n) Fenwick construction: leaf counts, then one propagation pass.
+        let mut words = vec![0u64; n.div_ceil(64)];
+        let mut counts = vec![0u32; n.div_ceil(BLOCK)];
+        let mut selected = 0;
         for i in solution.iter_selected() {
-            cache.tree[cache.columns.rank[i] as usize + 1] = 1;
-            cache.idx_tree[i + 1] = 1;
-            cache.selected += 1;
+            words[i / 64] |= 1 << (i % 64);
+            counts[i / BLOCK] += 1;
+            selected += 1;
         }
-        for pos in 1..=n {
-            let parent = pos + (pos & pos.wrapping_neg());
-            if parent <= n {
-                cache.tree[parent] += cache.tree[pos];
-                cache.idx_tree[parent] += cache.idx_tree[pos];
-            }
+        let ranked = match columns.policy {
+            DdlPolicy::MaxArrival => None,
+            DdlPolicy::MaxSelected => Some(RankTree::new(&columns, solution)),
+        };
+        EvalCache {
+            columns,
+            words,
+            counts,
+            selected,
+            ranked,
         }
-        if cache.selected > 0 {
-            cache.ddl = cache.columns.lat_by_rank[cache.kth(cache.selected as u32)];
-        }
-        cache
     }
 
     /// The instance half this cache reads — the same allocation for every
@@ -360,35 +460,62 @@ impl EvalCache {
         self.selected
     }
 
-    /// Whether the cache's Fenwick tree marks shard `i` selected.
-    pub fn contains(&self, i: usize) -> bool {
-        let pos = self.columns.rank[i] as usize + 1;
-        self.prefix(pos) - self.prefix(pos - 1) == 1
-    }
-
-    /// The deadline induced by the mirrored selection under
-    /// [`DdlPolicy::MaxSelected`]: the maximum selected latency, `0` for
-    /// the empty selection. `O(1)` — memoized across mutations.
-    pub fn selected_ddl(&self) -> f64 {
-        self.ddl
-    }
-
-    /// The maximum selected latency with shard `i` excluded (`0` when `i`
-    /// is the only selected shard). `O(log n)`.
+    /// Whether the cache's bitset marks shard `i` selected.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not selected.
+    /// Panics if `i >= len()`.
+    pub fn contains(&self, i: usize) -> bool {
+        assert!(i < self.len(), "shard index {i} out of range {}", self.len());
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The maximum selected latency, `0` for the empty selection: the
+    /// deadline the mirrored selection induces under
+    /// [`DdlPolicy::MaxSelected`], where it is memoized across mutations
+    /// and `O(1)`. Under [`DdlPolicy::MaxArrival`] it is computed on
+    /// demand by a scan of the bitset, `O(|I|)`: nothing on the hot path
+    /// reads it there, because [`EvalCache::utility`] prices that policy
+    /// with the instance deadline.
+    pub fn selected_ddl(&self) -> f64 {
+        match &self.ranked {
+            Some(ranked) => ranked.ddl,
+            None => (0..self.len())
+                .filter(|&i| self.contains(i))
+                .map(|i| self.columns.lat[i])
+                .fold(0.0, f64::max),
+        }
+    }
+
+    /// The rank tree a MaxSelected delta reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was attached under MaxArrival.
+    fn ranked(&self) -> &RankTree {
+        match &self.ranked {
+            Some(ranked) => ranked,
+            None => panic!("a MaxArrival eval cache holds no rank tree to price MaxSelected"),
+        }
+    }
+
+    /// The maximum selected latency with shard `i` excluded (`0` when `i`
+    /// is the only selected shard). `O(log n)`, MaxSelected only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not selected or the cache has no rank tree.
     fn max_excluding(&self, i: usize) -> f64 {
         assert!(self.contains(i), "shard {i} not selected in the eval cache");
-        let top = self.kth(self.selected as u32);
+        let ranked = self.ranked();
+        let top = ranked.kth(self.selected as u32);
         if top != self.columns.rank[i] as usize {
             return self.columns.lat_by_rank[top];
         }
         if self.selected == 1 {
             return 0.0;
         }
-        self.columns.lat_by_rank[self.kth(self.selected as u32 - 1)]
+        self.columns.lat_by_rank[ranked.kth(self.selected as u32 - 1)]
     }
 
     /// The objective value `U(f)` of the mirrored selection — `O(1)`
@@ -402,7 +529,7 @@ impl EvalCache {
         }
         let t = match instance.ddl_policy() {
             DdlPolicy::MaxArrival => instance.ddl().as_secs(),
-            DdlPolicy::MaxSelected => self.selected_ddl(),
+            DdlPolicy::MaxSelected => self.ranked().ddl,
         };
         let k = solution.selected_count() as f64;
         instance.alpha() * solution.tx_total() as f64 - (k * t - solution.lat_total())
@@ -432,7 +559,7 @@ impl EvalCache {
             DdlPolicy::MaxArrival => self.columns.marginal[inc] - self.columns.marginal[out],
             DdlPolicy::MaxSelected => {
                 let (l_out, l_inc) = (self.columns.lat[out], self.columns.lat[inc]);
-                let t = self.selected_ddl();
+                let t = self.ranked().ddl;
                 let t_new = self.max_excluding(out).max(l_inc);
                 let k = self.selected as f64;
                 instance.alpha() * (self.columns.tx[inc] - self.columns.tx[out]) + (l_inc - l_out)
@@ -442,7 +569,7 @@ impl EvalCache {
     }
 
     /// The exact utility change from selecting the unselected shard `i`.
-    /// `O(1)` under MaxArrival, `O(log n)` under MaxSelected.
+    /// `O(1)` under either policy.
     ///
     /// # Panics
     ///
@@ -458,7 +585,7 @@ impl EvalCache {
             DdlPolicy::MaxArrival => self.columns.marginal[i],
             DdlPolicy::MaxSelected => {
                 let l_i = self.columns.lat[i];
-                let t = self.selected_ddl();
+                let t = self.ranked().ddl;
                 let t_new = t.max(l_i);
                 let k = self.selected as f64;
                 // U' − U = α·s_i + l_i − (k+1)·t' + k·t.
@@ -484,7 +611,7 @@ impl EvalCache {
             DdlPolicy::MaxArrival => -self.columns.marginal[i],
             DdlPolicy::MaxSelected => {
                 let l_i = self.columns.lat[i];
-                let t = self.selected_ddl();
+                let t = self.ranked().ddl;
                 let t_new = self.max_excluding(i);
                 let k = self.selected as f64;
                 // U' − U = −α·s_i − l_i − (k−1)·t' + k·t.
@@ -494,7 +621,8 @@ impl EvalCache {
     }
 
     /// Marks shard `i` selected — the cache-side half of
-    /// [`Solution::insert`]. `O(log n)`.
+    /// [`Solution::insert`]. `O(1)` under MaxArrival, `O(log n)` under
+    /// MaxSelected.
     ///
     /// # Panics
     ///
@@ -504,33 +632,40 @@ impl EvalCache {
             !self.contains(i),
             "shard {i} already selected in the eval cache"
         );
-        Self::bump(&mut self.tree, self.columns.rank[i] as usize + 1, 1);
-        Self::bump(&mut self.idx_tree, i + 1, 1);
+        self.words[i / 64] |= 1 << (i % 64);
+        self.counts[i / BLOCK] += 1;
         self.selected += 1;
-        self.ddl = self.ddl.max(self.columns.lat[i]);
+        if let Some(ranked) = &mut self.ranked {
+            ranked.bump(self.columns.rank[i] as usize + 1, 1);
+            ranked.ddl = ranked.ddl.max(self.columns.lat[i]);
+        }
     }
 
     /// Marks shard `i` unselected — the cache-side half of
-    /// [`Solution::remove`]. `O(log n)`.
+    /// [`Solution::remove`]. `O(1)` under MaxArrival, `O(log n)` under
+    /// MaxSelected.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range or not marked selected.
     pub fn remove(&mut self, i: usize) {
         assert!(self.contains(i), "shard {i} not selected in the eval cache");
-        Self::bump(&mut self.tree, self.columns.rank[i] as usize + 1, -1);
-        Self::bump(&mut self.idx_tree, i + 1, -1);
+        self.words[i / 64] &= !(1 << (i % 64));
+        self.counts[i / BLOCK] -= 1;
         self.selected -= 1;
-        if self.selected == 0 {
-            self.ddl = 0.0;
-        } else if self.columns.lat[i] >= self.ddl {
-            // The evicted shard may have pinned the deadline; re-query the
-            // max selected rank (O(log n)).
-            self.ddl = self.columns.lat_by_rank[self.kth(self.selected as u32)];
+        if let Some(ranked) = &mut self.ranked {
+            ranked.bump(self.columns.rank[i] as usize + 1, -1);
+            if self.selected == 0 {
+                ranked.ddl = 0.0;
+            } else if self.columns.lat[i] >= ranked.ddl {
+                // The evicted shard may have pinned the deadline; re-query
+                // the max selected rank (O(log n)).
+                ranked.ddl = self.columns.lat_by_rank[ranked.kth(self.selected as u32)];
+            }
         }
     }
 
-    /// Applies the Markov-chain swap transition to the cache. `O(log n)`.
+    /// Applies the Markov-chain swap transition to the cache.
     pub fn swap(&mut self, out: usize, inc: usize) {
         self.remove(out);
         self.insert(inc);
@@ -547,53 +682,73 @@ impl EvalCache {
         );
     }
 
-    /// Count of selected shards at Fenwick positions `1..=pos`.
-    fn prefix(&self, mut pos: usize) -> u32 {
-        let mut sum = 0;
-        while pos > 0 {
-            sum += self.tree[pos];
-            pos &= pos - 1;
-        }
-        sum
-    }
-
-    fn bump(tree: &mut [u32], mut pos: usize, delta: i32) {
-        let n = tree.len() - 1;
-        while pos <= n {
-            tree[pos] = (tree[pos] as i64 + delta as i64) as u32;
-            pos += pos & pos.wrapping_neg();
-        }
-    }
-
-    /// The 0-based rank of the `k`-th smallest selected latency
-    /// (1-indexed `k`). `O(log n)`.
-    fn kth(&self, k: u32) -> usize {
-        debug_assert!(k >= 1 && k as usize <= self.selected);
-        select::<true>(&self.tree, k)
-    }
-
     /// The shard index of the `k`-th selected shard in increasing index
     /// order (0-indexed `k`) — `solution.iter_selected().nth(k)` in
-    /// `O(log n)`.
+    /// `O(|I|/512)`.
     ///
     /// # Panics
     ///
     /// Panics (debug) when `k >= selected_count()`.
     pub fn select_kth_selected(&self, k: usize) -> usize {
         debug_assert!(k < self.selected);
-        select::<true>(&self.idx_tree, k as u32 + 1)
+        self.select::<true>(k)
     }
 
     /// The shard index of the `k`-th *unselected* shard in increasing
     /// index order (0-indexed `k`) — `solution.iter_unselected().nth(k)`
-    /// in `O(log n)`.
+    /// in `O(|I|/512)`.
     ///
     /// # Panics
     ///
     /// Panics (debug) when `k >= len() − selected_count()`.
     pub fn select_kth_unselected(&self, k: usize) -> usize {
         debug_assert!(k < self.len() - self.selected);
-        select::<false>(&self.idx_tree, k as u32 + 1)
+        self.select::<false>(k)
+    }
+
+    /// The one select: the index of the `k`-th (0-indexed) selected shard,
+    /// or with `ONES` false the `k`-th unselected one. Walks the block
+    /// counts to the block holding it, then that block's words; `ONES` is
+    /// resolved at compile time.
+    #[inline]
+    fn select<const ONES: bool>(&self, mut k: usize) -> usize {
+        let len = self.len();
+        let mut block = 0;
+        loop {
+            let ones = self.counts[block] as usize;
+            let hits = if ONES {
+                ones
+            } else {
+                (len - block * BLOCK).min(BLOCK) - ones
+            };
+            if k < hits {
+                break;
+            }
+            k -= hits;
+            block += 1;
+        }
+        let mut w = block * BLOCK_WORDS;
+        loop {
+            let word = if ONES {
+                self.words[w]
+            } else {
+                // Bits past `len` are never set: mask them out of the
+                // complement of the last word.
+                let tail = len - w * 64;
+                !self.words[w]
+                    & if tail < 64 {
+                        (1 << tail) - 1
+                    } else {
+                        u64::MAX
+                    }
+            };
+            let hits = word.count_ones() as usize;
+            if k < hits {
+                return w * 64 + select_in_word(word, k as u32) as usize;
+            }
+            k -= hits;
+            w += 1;
+        }
     }
 
     /// A uniformly random selected index, or `None` if empty — a drop-in
@@ -602,7 +757,7 @@ impl EvalCache {
     /// fallback draw over `0..selected`) and the fallback resolves the
     /// same order statistic, so for any RNG state this returns the same
     /// index as the `Solution` method bit for bit — only the fallback's
-    /// `O(|I|)` bitset scan becomes an `O(log |I|)` Fenwick select. At
+    /// `O(|I|)` bit-by-bit scan becomes a walk over the block counts. At
     /// the sparse densities of a 10⁴–10⁵-committee sweep (n ≪ |I|) the
     /// rejection loop fails ≈`(1−n/|I|)⁶⁴` of the time, so this fallback
     /// *is* the hot path.
@@ -626,8 +781,8 @@ impl EvalCache {
     }
 
     /// The one sampler body: 64 rejection draws against the solution's
-    /// bitset (`O(1)` membership), then one draw resolved by [`select`]
-    /// over the index tree. `SELECTED` picks the side at compile time.
+    /// bitset (`O(1)` membership), then one draw resolved by
+    /// [`EvalCache::select`]. `SELECTED` picks the side at compile time.
     #[inline]
     fn sample<const SELECTED: bool, R: Rng + ?Sized>(
         &self,
@@ -651,40 +806,19 @@ impl EvalCache {
             }
         }
         let target = rng.gen_range(0..pool);
-        Some(select::<SELECTED>(&self.idx_tree, target as u32 + 1))
+        Some(self.select::<SELECTED>(target))
     }
 }
 
-/// The one Fenwick binary-lifting descent: the 0-based position of the
-/// `k`-th (1-indexed) one of a 1-based count tree — or, with `ONES` false,
-/// of its `k`-th zero. `O(log n)`; `ONES` is resolved at compile time, so
-/// each side is the straight-line loop it was when written out by hand.
+/// The bit position of the `k`-th (0-indexed) one of `word`, which must
+/// hold more than `k` ones. The fallback fires only when its side of the
+/// selection is sparse, so `k` is small there.
 #[inline]
-fn select<const ONES: bool>(tree: &[u32], k: u32) -> usize {
-    let n = tree.len() - 1;
-    let mut pos = 0usize;
-    let mut rem = k;
-    let mut step = n.next_power_of_two();
-    while step > 0 {
-        let next = pos + step;
-        if next <= n {
-            // `pos`'s set bits all exceed `step`, so lowbit(next) is
-            // exactly `step` and the node covers `step` positions.
-            let count = if ONES {
-                tree[next]
-            } else {
-                step as u32 - tree[next]
-            };
-            if count < rem {
-                pos = next;
-                rem -= count;
-            }
-        }
-        step >>= 1;
+fn select_in_word(mut word: u64, k: u32) -> u32 {
+    for _ in 0..k {
+        word &= word - 1;
     }
-    // `pos` positions hold fewer than `k` hits ⇒ the k-th sits at 1-based
-    // position pos+1, i.e. 0-based `pos`.
-    pos
+    word.trailing_zeros()
 }
 
 #[cfg(test)]
@@ -926,6 +1060,52 @@ mod tests {
         let k = sol.selected_count() as f64;
         let aos = inst.alpha() * (tx(inc) - tx(out)) + (lat(inc) - lat(out)) - k * (t_new - t);
         assert_eq!(cache.swap_delta(&inst, &sol, out, inc), aos);
+    }
+
+    #[test]
+    fn only_a_max_selected_cache_holds_a_rank_tree() {
+        // 600 shards: two counted blocks, the second one partial.
+        let inst = instance(600, DdlPolicy::MaxArrival);
+        let sol = Solution::from_indices(600, (0..600).step_by(7), &inst);
+        let cache = EvalCache::new(&inst, &sol);
+        assert!(cache.ranked.is_none());
+        assert!(cache.columns().rank.is_empty() && cache.columns().lat_by_rank.is_empty());
+        assert_eq!((cache.words.len(), cache.counts.len()), (10, 2));
+        assert_eq!(cache.counts, [74, 12]);
+        // The on-demand deadline is the naive one, bit for bit.
+        assert_eq!(cache.selected_ddl(), inst.selected_ddl(&sol));
+
+        let inst = instance(600, DdlPolicy::MaxSelected);
+        let sol = Solution::from_indices(600, (0..600).step_by(7), &inst);
+        let cache = EvalCache::new(&inst, &sol);
+        let ranked = cache.ranked.as_ref().unwrap();
+        assert_eq!(ranked.tree.len(), 601);
+        assert_eq!(cache.columns().rank.len(), 600);
+        assert_eq!(ranked.ddl, inst.selected_ddl(&sol));
+    }
+
+    #[test]
+    fn attach_panics_on_columns_built_under_the_other_ddl_policy() {
+        // Same shards, α and deadline: only the policy tells the two
+        // instances apart, and a MaxArrival cache has no rank tree for a
+        // MaxSelected delta to read.
+        let arrival = instance(40, DdlPolicy::MaxArrival);
+        let selected = instance(40, DdlPolicy::MaxSelected);
+        assert_eq!(arrival.shards(), selected.shards());
+        assert_eq!(arrival.alpha().to_bits(), selected.alpha().to_bits());
+        assert_eq!(arrival.ddl(), selected.ddl());
+        for (built_from, attached_to) in [(&arrival, &selected), (&selected, &arrival)] {
+            let columns = Arc::new(ShardColumns::new(built_from));
+            let attach = || {
+                EvalCache::attach(Arc::clone(&columns), attached_to, &Solution::empty(40))
+            };
+            assert!(
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(attach)).is_err(),
+                "{:?} columns attached to a {:?} instance",
+                built_from.ddl_policy(),
+                attached_to.ddl_policy()
+            );
+        }
     }
 
     #[test]

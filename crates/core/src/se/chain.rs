@@ -39,7 +39,8 @@ pub struct Proposal {
 ///
 /// Besides the solution and its cached utility, the chain owns an
 /// [`EvalCache`] mirroring the solution, so every [`Chain::propose`] call
-/// prices its swap in `O(log n)` without cloning the solution — the hot
+/// prices its swap without cloning the solution — `O(1)` under
+/// `MaxArrival`, `O(log n)` under `MaxSelected` — the hot
 /// path of Algorithm 1. The cache is rebuilt (never serialized) whenever
 /// the chain is constructed from scratch, restored from a checkpoint, or
 /// the instance itself changes — only its chain half, though: the
@@ -204,8 +205,8 @@ impl Chain {
         for _ in 0..SWAP_ATTEMPTS {
             let out = self.cache.random_selected(&self.solution, rng)?;
             let inc = self.cache.random_unselected(&self.solution, rng)?;
-            let new_total = self.solution.tx_total() - instance.shards()[out].tx_count()
-                + instance.shards()[inc].tx_count();
+            let size = |i| self.cache.columns().size(i);
+            let new_total = self.solution.tx_total() - size(out) + size(inc);
             if new_total > instance.capacity() {
                 continue;
             }

@@ -34,7 +34,8 @@ pub struct SeConfig {
     /// Upper bound on the chains per replica. Algorithm 2 spawns one
     /// chain per feasible cardinality; at `|I| = 10⁴–10⁵` that range is
     /// `O(|I|)` wide and every chain carries an `O(|I|)` bitset plus the
-    /// two Fenwick trees of its evaluation cache (8 bytes per shard; the
+    /// counted bitset of its evaluation cache (≈0.13 bytes per shard, and
+    /// a 4-byte-per-shard rank tree under `DdlPolicy::MaxSelected`; the
     /// per-shard columns are one [`ShardColumns`](crate::eval::ShardColumns)
     /// shared by the whole family) and pays an `O(|I|)` shuffle per
     /// initialization attempt, so the scale regime strides the range down

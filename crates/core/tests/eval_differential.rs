@@ -2,10 +2,12 @@
 //! clone-and-recompute paths of [`Instance`], under both deadline policies.
 //!
 //! The cache answers the same questions as `Instance::{utility, selected_ddl,
-//! swap_delta, insert_delta, remove_delta}` via closed forms over Fenwick
-//! order statistics; these properties drive both implementations through
-//! random instances and random operation sequences and require agreement to
-//! 1e-9 relative at every step. Caches attached to one shared
+//! swap_delta, insert_delta, remove_delta}` via closed forms — over the
+//! instance's marginals under `MaxArrival`, where `selected_ddl` is a scan
+//! of the cache's own bitset, and over Fenwick order statistics of the
+//! latency ranks under `MaxSelected`. These properties drive both
+//! implementations through random instances and random operation
+//! sequences and require agreement to 1e-9 relative at every step. Caches attached to one shared
 //! [`ShardColumns`] must additionally agree *bit for bit* with a cache built
 //! alone through [`EvalCache::new`], however their walks interleave.
 

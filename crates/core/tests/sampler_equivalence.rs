@@ -4,10 +4,12 @@
 //! a *bit-identical* contract with [`Solution::random_selected`]/
 //! [`Solution::random_unselected`]: the same RNG draw sequence (64
 //! rejection draws, then one fallback draw) and the same returned index,
-//! with only the fallback's `O(|I|)` scan replaced by an `O(log |I|)`
-//! Fenwick select. These tests pin that contract three ways: the order
-//! statistics themselves (select-kth-one/zero vs `iter_*().nth(k)` on
-//! arbitrary bitsets), the sampler outputs under shared seeds across
+//! with only the fallback's bit-by-bit scan replaced by a walk over the
+//! cache's per-512-shard block counts and a select within one block.
+//! These tests pin that contract three ways: the order statistics
+//! themselves (select-kth-one/zero and membership vs `iter_*().nth(k)` on
+//! arbitrary bitsets, within one block and across several, at block and
+//! word boundaries), the sampler outputs under shared seeds across
 //! density regimes (dense, sparse, empty-adjacent, full-adjacent — the
 //! sparse regimes are where the fallback actually fires), and whole
 //! seeded [`SeEngine`] runs against pinned outcomes of the scan sampler
@@ -60,8 +62,20 @@ fn arb_bitset() -> impl Strategy<Value = (usize, Vec<usize>)> {
     })
 }
 
+/// An arbitrary bitset spanning up to five 512-shard blocks, the last one
+/// usually partial, at any density from empty to about half full.
+fn arb_multi_block_bitset() -> impl Strategy<Value = (usize, Vec<usize>)> {
+    (2usize..2100).prop_flat_map(|len| {
+        (
+            Just(len),
+            proptest::collection::btree_set(0..len, 0..(len / 2).max(1)),
+        )
+            .prop_map(|(len, set)| (len, set.into_iter().collect()))
+    })
+}
+
 proptest! {
-    /// Fenwick select-kth-one agrees with `iter_selected().nth(k)` and
+    /// Select-kth-one agrees with `iter_selected().nth(k)` and
     /// select-kth-zero with `iter_unselected().nth(k)` for every valid
     /// `k` of an arbitrary bitset.
     #[test]
@@ -114,19 +128,69 @@ proptest! {
             }
         }
     }
+
+    /// The block walk through inserts, removes and swaps across block
+    /// boundaries: after every mutation, select-kth-one/zero equal
+    /// `iter_*().nth(k)` (collected once per state) for every valid `k`,
+    /// and `contains` equals the solution's membership for every shard.
+    #[test]
+    fn select_kth_and_contains_match_nth_across_blocks_after_mutations(
+        (len, picks) in arb_multi_block_bitset(),
+        seed in 0u64..32,
+    ) {
+        let inst = instance(len);
+        let mut sol = Solution::from_indices(len, picks.iter().copied(), &inst);
+        let mut cache = EvalCache::new(&inst, &sol);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..24 {
+            match rng.gen_range(0..3) {
+                0 => {
+                    if let Some(i) = sol.random_unselected(&mut rng) {
+                        sol.insert(i, &inst);
+                        cache.insert(i);
+                    }
+                }
+                1 => {
+                    if let Some(i) = sol.random_selected(&mut rng) {
+                        sol.remove(i, &inst);
+                        cache.remove(i);
+                    }
+                }
+                _ => {
+                    let (out, inc) = (sol.random_selected(&mut rng), sol.random_unselected(&mut rng));
+                    if let (Some(out), Some(inc)) = (out, inc) {
+                        sol.swap(out, inc, &inst);
+                        cache.swap(out, inc);
+                    }
+                }
+            }
+            let selected: Vec<usize> = sol.iter_selected().collect();
+            let unselected: Vec<usize> = sol.iter_unselected().collect();
+            for (k, &i) in selected.iter().enumerate() {
+                prop_assert_eq!(cache.select_kth_selected(k), i);
+            }
+            for (k, &i) in unselected.iter().enumerate() {
+                prop_assert_eq!(cache.select_kth_unselected(k), i);
+            }
+            for i in 0..len {
+                prop_assert_eq!(cache.contains(i), sol.contains(i));
+            }
+        }
+    }
 }
 
-/// The descent's boundary shapes, which the arbitrary bitsets above reach
-/// only by luck (lengths 2..300, at most 63 picks, never all selected):
-/// tree lengths 1, 2ᵏ and 2ᵏ±1 — where the top lifting step equals,
-/// undershoots or overshoots the tree — against none, all, one end, the
-/// other end and every other shard selected.
+/// The select's boundary shapes, which the arbitrary bitsets above reach
+/// only by luck (never all selected): lengths 1, 2ᵏ and 2ᵏ±1 — a last
+/// word or a last 512-shard block that is full, one short, or holds one
+/// shard — and 1535/1536/1537 around a three-block edge, against none,
+/// all, one end, the other end and every other shard selected.
 #[test]
 fn select_kth_matches_nth_at_power_of_two_boundaries_and_full_or_empty_trees() {
     let mut lens = vec![1usize];
-    for k in 1..=9 {
+    for k in 1..=10 {
         lens.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
     }
+    lens.extend([1535, 1536, 1537]);
     for len in lens {
         let inst = instance(len);
         let shapes: [Vec<usize>; 5] = [
@@ -200,9 +264,20 @@ fn samplers_agree_dense() {
 fn samplers_agree_sparse() {
     // 3 of 4096 (≈0.07% density): `random_selected`'s rejection loop
     // fails with probability ≈(1−3/4096)⁶⁴ ≈ 95% — the fallback *is* the
-    // hot path here, exactly the regime the Fenwick select exists for.
+    // hot path here, exactly the regime the block select exists for.
     for seed in 0..4 {
         assert_samplers_agree(4096, &[7, 2048, 4095], seed, 200);
+    }
+}
+
+#[test]
+fn samplers_agree_sparse_across_blocks() {
+    // 5 of 1537 (≈0.3% density) over three full 512-shard blocks and a
+    // one-shard fourth: `random_selected`'s rejection loop fails ≈81% of
+    // the time, and the fallback walks block counts to every pick,
+    // including the last block's lone shard.
+    for seed in 0..4 {
+        assert_samplers_agree(1537, &[3, 511, 512, 1100, 1536], seed, 200);
     }
 }
 
