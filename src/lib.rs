@@ -77,9 +77,9 @@ use mvcom_core::admission::{cutoff, Admission, Capacity, EpochPolicy};
 use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
 use mvcom_core::dynamics::EventRecord;
 use mvcom_core::se::{SeCheckpoint, SeConfig};
-use mvcom_dataset::{Adversary, CommitteeReport};
-use mvcom_elastico::epoch::{ElasticoSim, EpochReport, ShardSelector, WaitForAll};
-use mvcom_types::{CommitteeId, Result as MvResult, ShardInfo};
+use mvcom_dataset::CommitteeReport;
+use mvcom_elastico::epoch::{ShardSelector, WaitForAll};
+use mvcom_types::{CommitteeId, EpochId, Result as MvResult, ShardInfo};
 
 /// Everything most programs need, one import away.
 pub mod prelude {
@@ -101,7 +101,9 @@ pub mod prelude {
         LatencyConfig, Misreport, Starver, StrategicPopulation, Trace, TraceConfig,
     };
     pub use mvcom_elastico::detector::{CommitteeHealth, HeartbeatConfig, HeartbeatMonitor};
-    pub use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim, ShardSelector, WaitForAll};
+    pub use mvcom_elastico::epoch::{
+        ElasticoConfig, ElasticoSim, EpochEnv, ShardSelector, WaitForAll,
+    };
     pub use mvcom_elastico::recovery::{
         submission_node, RecoveryConfig, RobustnessReport, FINAL_NODE,
     };
@@ -129,12 +131,10 @@ const N_MAX_FRACTION: f64 = 0.8;
 /// epoch over them, runs SE to convergence or the budget and admits the
 /// result — or, for a degenerate epoch, every committee that submitted.
 ///
-/// Under the fault-tolerant epoch runner
-/// ([`ElasticoSim::run_epoch_recovering`](mvcom_elastico::recovery)) it
-/// keeps the admission open from `begin` to `finish` (no cutoff: the
-/// runner's own deadline decides who submitted) while the heartbeat
-/// detector watches the member committees. When one is declared failed
-/// mid-epoch:
+/// Under chaos delivery ([`mvcom_elastico::recovery`]) it keeps the
+/// admission open from `begin` to `finish` (no cutoff: the runner's own
+/// deadline decides who submitted) while the heartbeat detector watches
+/// the member committees. When one is declared failed mid-epoch:
 ///
 /// 1. the engine's state is **checkpointed** (version-stamped, serialized
 ///    through `serde_json` and restored — exercising the same path a
@@ -150,12 +150,12 @@ const N_MAX_FRACTION: f64 = 0.8;
 ///
 /// ```
 /// use mvcom::SeSelector;
-/// use mvcom::elastico::epoch::{ElasticoConfig, ElasticoSim};
+/// use mvcom::elastico::epoch::{ElasticoConfig, ElasticoSim, EpochEnv};
 ///
 /// # fn main() -> Result<(), mvcom::Error> {
 /// let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 11)?;
 /// let mut selector = SeSelector::paper(11);
-/// let report = sim.run_epoch_with(&mut selector)?;
+/// let (report, _) = sim.run_epoch_in(&mut selector, &EpochEnv::default())?;
 /// assert!(report.final_block.committed);
 /// assert!(!report.final_block.included.is_empty());
 /// # Ok(())
@@ -305,13 +305,14 @@ impl ShardSelector for SeSelector {
 
 /// A defense-hardened [`SeSelector`]: screens every formation-time report
 /// through a [`DefenseEngine`] before the SE scheduler sees it, and feeds
-/// realized-vs-reported evidence back after each epoch settles.
+/// realized-vs-reported evidence back once each epoch settles.
 ///
-/// This is the glue `mvcom simulate --adv-fraction … --defense on` runs:
-/// strategic committees lie at formation, the reputation layer
+/// This is the selector `mvcom simulate --adv-fraction … --defense on`
+/// runs: strategic committees lie at formation, the reputation layer
 /// corrects/discounts/quarantines, and the SE engine schedules over the
 /// screened estimates. (`fig_adv` screens the same way but opens its
-/// [`Admission`] directly.)
+/// [`Admission`] directly.) Under chaos delivery it keeps the provided
+/// online verbs, so it answers at `finish` over the screened survivors.
 ///
 /// # Example
 ///
@@ -322,7 +323,11 @@ impl ShardSelector for SeSelector {
 /// let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 13)?;
 /// let adversary = Misreport::new(AdversaryConfig::new(0.25, 13)?);
 /// let mut selector = DefendedSeSelector::paper(13)?;
-/// let (report, reports) = selector.run_epoch(&mut sim, &adversary)?;
+/// let env = EpochEnv {
+///     adversary: Some(&adversary),
+///     ..EpochEnv::default()
+/// };
+/// let (report, reports) = sim.run_epoch_in(&mut selector, &env)?;
 /// assert!(report.final_block.committed);
 /// assert!(reports.iter().any(|r| r.adversarial));
 /// # Ok(())
@@ -334,7 +339,9 @@ pub struct DefendedSeSelector {
     pub selector: SeSelector,
     /// The reputation layer: robust estimation, trust, quarantine.
     pub defense: DefenseEngine,
-    epoch: u64,
+    /// The epoch the next screen runs in: the one after the last settled
+    /// epoch, genesis before any.
+    epoch: EpochId,
 }
 
 impl DefendedSeSelector {
@@ -344,11 +351,10 @@ impl DefendedSeSelector {
     ///
     /// Propagates [`DefenseConfig`] validation.
     pub fn paper(seed: u64) -> Result<DefendedSeSelector> {
-        Ok(DefendedSeSelector {
-            selector: SeSelector::paper(seed),
-            defense: DefenseEngine::new(DefenseConfig::paper())?,
-            epoch: 0,
-        })
+        Ok(DefendedSeSelector::new(
+            SeSelector::paper(seed),
+            DefenseEngine::new(DefenseConfig::paper())?,
+        ))
     }
 
     /// Wraps an existing selector/defense pair.
@@ -356,7 +362,7 @@ impl DefendedSeSelector {
         DefendedSeSelector {
             selector,
             defense,
-            epoch: 0,
+            epoch: EpochId::GENESIS,
         }
     }
 
@@ -369,24 +375,18 @@ impl DefendedSeSelector {
         self.defense = self.defense.with_obs(obs);
         self
     }
+}
 
-    /// Runs one adversarial epoch end to end: strategic committees file
-    /// reports, the defense screens them, the SE engine schedules, stage 4
-    /// settles on realized behaviour, and the defense ingests the
-    /// observed-vs-reported evidence (true latency for every committee,
-    /// true size only for admitted shards).
-    ///
-    /// # Errors
-    ///
-    /// See [`ElasticoSim::run_epoch_with`].
-    pub fn run_epoch(
-        &mut self,
-        sim: &mut ElasticoSim,
-        adversary: &dyn Adversary,
-    ) -> Result<(EpochReport, Vec<CommitteeReport>)> {
-        self.epoch = sim.current_epoch().value();
-        let (report, reports) = sim.run_epoch_adversarial(self, adversary)?;
-        let included = &report.final_block.included;
+impl ShardSelector for DefendedSeSelector {
+    fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId> {
+        let n_min = self.selector.policy.n_min(shards.len());
+        let screened = self.defense.admissible(self.epoch.value(), shards, n_min);
+        self.selector.select(&screened)
+    }
+
+    /// Feeds the defense the observed-vs-reported evidence: true latency
+    /// for every committee, true size only for admitted shards.
+    fn settle(&mut self, epoch: EpochId, reports: &[CommitteeReport], included: &[CommitteeId]) {
         let observations: Vec<DefenseObservation> = reports
             .iter()
             .map(|r| {
@@ -394,16 +394,8 @@ impl DefendedSeSelector {
                 DefenseObservation::settled(&r.reported, &r.truth, admitted)
             })
             .collect();
-        self.defense.end_epoch(self.epoch, &observations);
-        Ok((report, reports))
-    }
-}
-
-impl ShardSelector for DefendedSeSelector {
-    fn select(&mut self, shards: &[ShardInfo]) -> Vec<CommitteeId> {
-        let n_min = self.selector.policy.n_min(shards.len());
-        let screened = self.defense.admissible(self.epoch, shards, n_min);
-        self.selector.select(&screened)
+        self.defense.end_epoch(epoch.value(), &observations);
+        self.epoch = epoch.next();
     }
 }
 
@@ -591,13 +583,17 @@ mod tests {
     #[test]
     fn defended_selector_runs_epochs_and_learns_distrust() {
         use mvcom_dataset::{AdversaryConfig, Misreport};
-        use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim};
+        use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim, EpochEnv};
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 17).unwrap();
         let adversary = Misreport::new(AdversaryConfig::new(0.5, 17).unwrap());
+        let env = EpochEnv {
+            adversary: Some(&adversary),
+            ..EpochEnv::default()
+        };
         let mut selector = DefendedSeSelector::paper(17).unwrap();
         let mut lied = std::collections::BTreeSet::new();
         for _ in 0..4 {
-            let (report, reports) = selector.run_epoch(&mut sim, &adversary).unwrap();
+            let (report, reports) = sim.run_epoch_in(&mut selector, &env).unwrap();
             assert!(report.final_block.committed);
             lied.extend(
                 reports
@@ -617,15 +613,19 @@ mod tests {
     #[test]
     fn defended_selector_is_deterministic() {
         use mvcom_dataset::{AdversaryConfig, Starver};
-        use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim};
+        use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim, EpochEnv};
         let run = || {
             let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 19).unwrap();
             let adversary = Starver::new(AdversaryConfig::new(0.33, 19).unwrap());
+            let env = EpochEnv {
+                adversary: Some(&adversary),
+                ..EpochEnv::default()
+            };
             let mut selector = DefendedSeSelector::paper(19).unwrap();
             selector.selector.se = SeConfig::fast_test(19);
             let mut reports = Vec::new();
             for _ in 0..3 {
-                reports.push(selector.run_epoch(&mut sim, &adversary).unwrap());
+                reports.push(sim.run_epoch_in(&mut selector, &env).unwrap());
             }
             (
                 reports,

@@ -1,4 +1,4 @@
-//! Pinned admitted sets of the four `mvcom simulate` modes.
+//! Pinned admitted sets of the five `mvcom simulate` modes.
 //!
 //! The first three constants were captured at 978133f, when
 //! `SeSelector::select` and a separate recovery selector each built their
@@ -6,7 +6,8 @@
 //! fallback. They hold the one `mvcom::core::admission` path to the same
 //! arrival cutoff, the same `N_min`/`Ĉ` bases, the same RNG streams and
 //! the same fallback set (every *input* committee, not only the ones the
-//! cutoff kept). The fourth was captured later; its test says when.
+//! cutoff kept). The fourth and fifth were captured later; their tests
+//! say when.
 
 #![expect(
     clippy::unwrap_used,
@@ -27,6 +28,17 @@ fn sim(nodes: u32) -> ElasticoSim {
     ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), SEED).unwrap()
 }
 
+/// `--crash 1@2500 --chaos-drop 0.1`.
+fn crash_and_drop() -> RecoveryConfig {
+    RecoveryConfig {
+        chaos: ChaosConfig::lossy(0.1).with_crash(CrashEvent::permanent(
+            submission_node(1),
+            SimTime::from_secs(2_500.0),
+        )),
+        ..RecoveryConfig::paper()
+    }
+}
+
 /// `simulate --scheduler se`: the batch selector, once over 16 committees
 /// (a real knapsack) and once over 4, where the three kept shards cannot
 /// be posed and every arrival — the cut-off one included — is admitted.
@@ -37,8 +49,9 @@ fn adaptive_selector_admits_the_pinned_sets() {
         let mut selector = SeSelector::adaptive(SEED, 0.6);
         (0..EPOCHS)
             .map(|_| {
-                sim.run_epoch_with(&mut selector)
+                sim.run_epoch_in(&mut selector, &EpochEnv::default())
                     .unwrap()
+                    .0
                     .final_block
                     .included
             })
@@ -64,9 +77,13 @@ fn defended_selector_admits_the_pinned_sets_against_a_starver() {
         SeSelector::adaptive(SEED, 0.6),
         DefenseEngine::new(DefenseConfig::paper()).unwrap(),
     );
+    let env = EpochEnv {
+        adversary: Some(&adversary),
+        ..EpochEnv::default()
+    };
     let included: Vec<_> = (0..EPOCHS)
         .map(|_| {
-            let (report, _) = defended.run_epoch(&mut sim, &adversary).unwrap();
+            let (report, _) = sim.run_epoch_in(&mut defended, &env).unwrap();
             report.final_block.included
         })
         .collect();
@@ -86,11 +103,15 @@ fn recovering_runner_admits_the_pinned_sets_around_a_crash() {
         )),
         ..RecoveryConfig::paper()
     };
+    let env = EpochEnv {
+        recovery: Some(&recovery),
+        ..EpochEnv::default()
+    };
     let mut sim = sim(240);
     let mut observed = Vec::new();
     for _ in 0..EPOCHS {
         let mut selector = SeSelector::adaptive(SEED, 0.6);
-        let report = sim.run_epoch_recovering(&mut selector, &recovery).unwrap();
+        let (report, _) = sim.run_epoch_in(&mut selector, &env).unwrap();
         let events: Vec<(u64, u64, u64, bool)> = selector
             .events()
             .iter()
@@ -131,19 +152,14 @@ fn recovering_runner_admits_the_pinned_sets_around_a_crash() {
 /// each failure; here `WaitForAll` is asked only about the survivors.
 #[test]
 fn wait_for_all_recovering_runner_writes_the_pinned_reports() {
-    let recovery = RecoveryConfig {
-        chaos: ChaosConfig::lossy(0.1).with_crash(CrashEvent::permanent(
-            submission_node(1),
-            SimTime::from_secs(2_500.0),
-        )),
-        ..RecoveryConfig::paper()
+    let recovery = crash_and_drop();
+    let env = EpochEnv {
+        recovery: Some(&recovery),
+        ..EpochEnv::default()
     };
     let mut sim = sim(240);
     let reports: Vec<_> = (0..EPOCHS)
-        .map(|_| {
-            sim.run_epoch_recovering(&mut WaitForAll, &recovery)
-                .unwrap()
-        })
+        .map(|_| sim.run_epoch_in(&mut WaitForAll, &env).unwrap().0)
         .collect();
     // Of 16 shards per epoch: (declared dead, admitted).
     let shape: Vec<(usize, usize)> = reports
@@ -168,4 +184,56 @@ fn wait_for_all_recovering_runner_writes_the_pinned_reports() {
             0x1399_3dac_6974_ac55
         ]
     );
+}
+
+/// `simulate --scheduler se --adv-fraction 0.33 --adv-strategy starver
+/// --defense on --crash 1@2500 --chaos-drop 0.1`: adversaries and faults
+/// in one epoch. The starvers' reports reach the defended selector over
+/// the chaos network; it answers at `finish` over the screened
+/// survivors, and the defense settles on every committee's truth. The
+/// constants were captured at the commit that added `run_epoch_in`, the
+/// first where this mode could run.
+#[test]
+fn defended_selector_admits_the_pinned_sets_against_a_starver_under_faults() {
+    let recovery = crash_and_drop();
+    let adversary = Starver::new(AdversaryConfig::new(0.33, SEED).unwrap());
+    let env = EpochEnv {
+        adversary: Some(&adversary),
+        recovery: Some(&recovery),
+    };
+    let mut sim = sim(240);
+    let mut defended = DefendedSeSelector::new(
+        SeSelector::adaptive(SEED, 0.6),
+        DefenseEngine::new(DefenseConfig::paper()).unwrap(),
+    );
+    let (reports, committee_reports): (Vec<_>, Vec<_>) = (0..EPOCHS)
+        .map(|_| sim.run_epoch_in(&mut defended, &env).unwrap())
+        .unzip();
+    // Per epoch: (starvers, declared dead, admitted).
+    let shape: Vec<(usize, usize, usize)> = reports
+        .iter()
+        .zip(&committee_reports)
+        .map(|(r, filed)| {
+            (
+                filed.iter().filter(|c| c.adversarial).count(),
+                r.robustness.as_ref().unwrap().failures_detected.len(),
+                r.final_block.included.len(),
+            )
+        })
+        .collect();
+    let digests: Vec<u64> = reports
+        .iter()
+        .map(|r| fnv(&serde_json::to_string(r).unwrap()))
+        .collect();
+    assert_eq!(shape, [(5, 2, 7), (5, 4, 5), (5, 1, 4)]);
+    assert_eq!(
+        digests,
+        [
+            0xbaa8_fbc5_9bfc_11e0,
+            0x6436_f01f_876f_2b24,
+            0x3b23_0b3e_c30e_36b2
+        ]
+    );
+    let defense = serde_json::to_string(&defended.defense.checkpoint()).unwrap();
+    assert_eq!(fnv(&defense), 0x3557_491e_7a30_f65a);
 }

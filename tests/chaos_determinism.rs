@@ -9,14 +9,28 @@
     clippy::unwrap_used,
     reason = "helpers outside #[test] fns panic like their callers"
 )]
+use mvcom::elastico::EpochReport;
 use mvcom::prelude::*;
 use proptest::prelude::*;
+
+/// One epoch whose shards reach the final committee over the chaos network.
+fn recovering<S: ShardSelector + ?Sized>(
+    sim: &mut ElasticoSim,
+    selector: &mut S,
+    recovery: &RecoveryConfig,
+) -> EpochReport {
+    let env = EpochEnv {
+        recovery: Some(recovery),
+        ..EpochEnv::default()
+    };
+    sim.run_epoch_in(selector, &env).unwrap().0
+}
 
 /// Runs one recovering epoch with the wait-for-all selector (every
 /// survivor is admitted) and returns its serialized report.
 fn survivors_report_json(seed: u64, recovery: &RecoveryConfig) -> String {
     let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), seed).unwrap();
-    let report = sim.run_epoch_recovering(&mut WaitForAll, recovery).unwrap();
+    let report = recovering(&mut sim, &mut WaitForAll, recovery);
     serde_json::to_string(&report).unwrap()
 }
 
@@ -54,7 +68,7 @@ fn se_recovery_pipeline_is_deterministic_under_crash_and_loss() {
     let run = || {
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 41).unwrap();
         let mut selector = SeSelector::adaptive(41, 0.6);
-        let report = sim.run_epoch_recovering(&mut selector, &recovery).unwrap();
+        let report = recovering(&mut sim, &mut selector, &recovery);
         serde_json::to_string(&report).unwrap()
     };
     assert_eq!(run(), run());
@@ -62,16 +76,14 @@ fn se_recovery_pipeline_is_deterministic_under_crash_and_loss() {
 
 #[test]
 fn recovering_runner_does_not_perturb_the_epoch_stages() {
-    // The recovering runner forks its submission-network and chaos RNG
-    // streams *after* the stage 1–3 forks, so for the same sim seed the
+    // Chaos delivery forks its submission-network and chaos RNG streams
+    // *after* the stage 1–3 forks, so for the same sim seed the
     // formed committees and measured shards are byte-identical to the
     // vanilla wait-for-all epoch — fault tolerance is pay-as-you-go.
     let mut vanilla = ElasticoSim::new(ElasticoConfig::small_test(), 97).unwrap();
     let baseline = vanilla.run_epoch().unwrap();
-    let mut recovering = ElasticoSim::new(ElasticoConfig::small_test(), 97).unwrap();
-    let report = recovering
-        .run_epoch_recovering(&mut WaitForAll, &RecoveryConfig::paper())
-        .unwrap();
+    let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 97).unwrap();
+    let report = recovering(&mut sim, &mut WaitForAll, &RecoveryConfig::paper());
     assert_eq!(
         serde_json::to_string(&baseline.formed).unwrap(),
         serde_json::to_string(&report.formed).unwrap(),

@@ -260,6 +260,46 @@ fn the_defense_label_names_the_runner_that_ran() {
     }
 }
 
+/// Adversaries and faults run in one epoch: the run used to be refused
+/// with "adversarial mode does not compose". Each epoch reports both.
+#[test]
+fn adversaries_and_faults_compose_in_one_run() {
+    let out = mvcom(&[
+        "simulate",
+        "--nodes",
+        "240",
+        "--epochs",
+        "2",
+        "--seed",
+        "5",
+        "--scheduler",
+        "se",
+        "--adv-fraction",
+        "0.33",
+        "--adv-strategy",
+        "starver",
+        "--defense",
+        "on",
+        "--crash",
+        "1@2500",
+        "--chaos-drop",
+        "0.1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let count = |prefix: &str| {
+        stdout
+            .lines()
+            .filter(|l| l.trim_start().starts_with(prefix))
+            .count()
+    };
+    assert_eq!(count("epoch "), 2, "stdout: {stdout}");
+    assert_eq!(count("adversary:"), 2, "stdout: {stdout}");
+    assert_eq!(count("robustness:"), 2, "stdout: {stdout}");
+    assert!(stdout.contains("defense on"), "stdout: {stdout}");
+}
+
 /// Operands that used to reach a panicking constructor (`SimTime::from_secs`,
 /// `Trace::generate`), wrap `IDX + 1` onto the final committee's node, or
 /// arm an alert that can never fire. The CLI is the boundary: each is a

@@ -1,7 +1,7 @@
 //! End-to-end integration: dataset → Elastico protocol → MVCom scheduling
 //! → final block, across multiple epochs.
 
-use mvcom::elastico::epoch::{EpochReport, WaitForAll};
+use mvcom::elastico::epoch::EpochReport;
 use mvcom::prelude::*;
 
 fn final_start(report: &EpochReport) -> SimTime {
@@ -38,8 +38,10 @@ fn mvcom_accelerates_block_formation_over_wait_for_all() {
     let mut vanilla_age_total = 0.0;
     let mut mvcom_age_total = 0.0;
     for epoch in 0..epochs {
-        let vanilla = vanilla_sim.run_epoch_with(&mut WaitForAll).unwrap();
-        let scheduled = mvcom_sim.run_epoch_with(&mut selector).unwrap();
+        let vanilla = vanilla_sim.run_epoch().unwrap();
+        let (scheduled, _) = mvcom_sim
+            .run_epoch_in(&mut selector, &EpochEnv::default())
+            .unwrap();
         assert!(vanilla.final_block.committed);
         assert!(scheduled.final_block.committed);
         // Identical seeds → identical shard populations at epoch 0 only:

@@ -162,7 +162,11 @@ fn chaos_crashed_committee_recovers_within_the_theorem_2_bound() {
     let run = || {
         let mut sim = ElasticoSim::new(ElasticoConfig::small_test(), 29).unwrap();
         let mut selector = SeSelector::adaptive(29, 0.6);
-        let report = sim.run_epoch_recovering(&mut selector, &recovery).unwrap();
+        let env = EpochEnv {
+            recovery: Some(&recovery),
+            ..EpochEnv::default()
+        };
+        let (report, _) = sim.run_epoch_in(&mut selector, &env).unwrap();
         (serde_json::to_string(&report).unwrap(), report, selector)
     };
     let (bytes_a, report, selector) = run();
