@@ -1,53 +1,7 @@
-//! Byte-identical replay regression for roster assembly (DESIGN.md §7).
-//!
-//! The directory protocol's roster maps are `BTreeMap`s, so the `Debug`
-//! rendering of the configured committees — members, PoW completion,
-//! formation latency — is a total fingerprint of stage 1–2. A
-//! reintroduced `HashMap` (or any ambient entropy) in the lottery,
-//! bucketing, or overlay path breaks byte-identity and this test names
-//! the seed.
+//! The simulator's report at the benchmark's scale, pinned across commits.
 
-#![expect(
-    clippy::unwrap_used,
-    reason = "helpers outside #[test] fns panic like their callers"
-)]
-use mvcom_elastico::directory::{configure_overlay, DirectoryConfig};
 use mvcom_elastico::epoch::{ElasticoConfig, ElasticoSim};
-use mvcom_elastico::formation::{CommitteeFormation, OverlayConfig};
-use mvcom_elastico::pow::{run_lottery, PowConfig};
-use mvcom_simnet::{rng, Network, NetworkConfig};
-use mvcom_types::Hash32;
 use serde::Serialize;
-
-fn fingerprint(seed: u64) -> String {
-    let n = 150;
-    let pow = PowConfig::paper(3);
-    let mut master = rng::master(seed);
-    let sols = run_lottery(&pow, n, Hash32::digest(b"replay"), &mut master).unwrap();
-    let formation = CommitteeFormation::new(OverlayConfig::paper(), 4);
-    let committees = formation
-        .form(&pow, &sols, n, &mut rng::fork(&mut master, "form"))
-        .unwrap();
-    let mut network = Network::new(NetworkConfig::lan(n), rng::fork(&mut master, "net")).unwrap();
-    let configured =
-        configure_overlay(&DirectoryConfig::paper(), &sols, &committees, &mut network).unwrap();
-    format!("{configured:?}")
-}
-
-#[test]
-fn roster_assembly_is_byte_identical_for_two_seeds() {
-    for seed in [11, 40_417] {
-        let first = fingerprint(seed);
-        let second = fingerprint(seed);
-        assert_eq!(first, second, "seed {seed} did not replay byte-identically");
-        assert!(first.len() > 100, "fingerprint suspiciously small: {first}");
-    }
-}
-
-#[test]
-fn different_seeds_produce_different_rosters() {
-    assert_ne!(fingerprint(11), fingerprint(40_417));
-}
 
 /// One epoch in the benchmark's regime: eight committees of ~100 replicas
 /// with Exp(70 s) verification, where a third of the pushed deliveries are

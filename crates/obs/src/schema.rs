@@ -320,11 +320,11 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "simulated seconds",
         site: "mvcom-elastico::epoch",
-        doc: "",
+        doc: "Stage 2 has one model, the parametric overlay cost, so `directory` is always `false`; the key stays so that pinned streams hold.",
         fields: &[
             req("epoch", U64, "epoch id"),
             req("committees", U64, "committees at/above the minimum size"),
-            req("directory", Bool, "message-level directory protocol used"),
+            req("directory", Bool, "always `false`"),
         ],
         open: false,
     },
@@ -459,7 +459,7 @@ pub const KINDS: &[KindSpec] = &[
         level: ObsLevel::Events,
         clock: "epoch index",
         site: "mvcom-elastico::epoch / mvcom-bench::fig_adv",
-        doc: "Emitted where the lie enters the system (`run_epoch_adversarial`, or `fig_adv`'s arm runner). With `flagged`, `quarantine` and `rehabilitated` — all three from `DefenseEngine` — it traces the strategic fault model of DESIGN.md §10: what the coalition claimed, and how the defense layer reacted.",
+        doc: "Emitted where the lie enters the system (`ElasticoSim::run_epoch_in` with an adversary, under direct or chaos delivery, or `fig_adv`'s arm runner). With `flagged`, `quarantine` and `rehabilitated` — all three from `DefenseEngine` — it traces the strategic fault model of DESIGN.md §10: what the coalition claimed, and how the defense layer reacted.",
         fields: &[
             req("committee", U64, "acting committee id"),
             req("epoch", U64, "epoch index"),
