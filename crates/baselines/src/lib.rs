@@ -19,13 +19,11 @@
 //!   a binary variant using a sigmoid transfer function, with feasibility
 //!   repair.
 //!
-//! Three reference solvers support testing and calibration:
+//! Two reference solvers support testing and calibration:
 //!
 //! * [`greedy`] — density-greedy selection, the natural lower bar.
 //! * [`exhaustive`] — exact optimum by enumeration (≤ 26 shards), the
 //!   ground truth for property tests.
-//! * [`branch_and_bound`] — exact optimum via LP-bounded DFS, the ground
-//!   truth for medium instances (~40–60 shards) beyond enumeration reach.
 //!
 //! Every solver implements the [`Solver`] trait and records a best-so-far
 //! trajectory, so the figure harness can overlay convergence curves of SE
@@ -40,7 +38,6 @@
         reason = "unit tests compare floats bit for bit and use hash sets and locks as scaffolding"
     )
 )]
-pub mod branch_and_bound;
 pub mod dp;
 pub mod exhaustive;
 pub mod greedy;
@@ -52,7 +49,6 @@ use mvcom_core::{Instance, Solution};
 use mvcom_types::Result;
 use serde::{Deserialize, Serialize};
 
-pub use branch_and_bound::BnbSolver;
 pub use dp::DpSolver;
 pub use exhaustive::ExhaustiveSolver;
 pub use greedy::GreedySolver;

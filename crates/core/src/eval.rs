@@ -466,7 +466,11 @@ impl EvalCache {
     ///
     /// Panics if `i >= len()`.
     pub fn contains(&self, i: usize) -> bool {
-        assert!(i < self.len(), "shard index {i} out of range {}", self.len());
+        assert!(
+            i < self.len(),
+            "shard index {i} out of range {}",
+            self.len()
+        );
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
@@ -735,12 +739,7 @@ impl EvalCache {
                 // Bits past `len` are never set: mask them out of the
                 // complement of the last word.
                 let tail = len - w * 64;
-                !self.words[w]
-                    & if tail < 64 {
-                        (1 << tail) - 1
-                    } else {
-                        u64::MAX
-                    }
+                !self.words[w] & if tail < 64 { (1 << tail) - 1 } else { u64::MAX }
             };
             let hits = word.count_ones() as usize;
             if k < hits {
@@ -1096,9 +1095,8 @@ mod tests {
         assert_eq!(arrival.ddl(), selected.ddl());
         for (built_from, attached_to) in [(&arrival, &selected), (&selected, &arrival)] {
             let columns = Arc::new(ShardColumns::new(built_from));
-            let attach = || {
-                EvalCache::attach(Arc::clone(&columns), attached_to, &Solution::empty(40))
-            };
+            let attach =
+                || EvalCache::attach(Arc::clone(&columns), attached_to, &Solution::empty(40));
             assert!(
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(attach)).is_err(),
                 "{:?} columns attached to a {:?} instance",

@@ -90,13 +90,6 @@ impl SeConfig {
         self
     }
 
-    /// Sets β, returning the modified configuration.
-    #[must_use]
-    pub fn with_beta(mut self, beta: f64) -> SeConfig {
-        self.beta = beta;
-        self
-    }
-
     /// Sets the iteration budget, returning the modified configuration.
     #[must_use]
     pub fn with_max_iterations(mut self, max_iterations: u64) -> SeConfig {
@@ -163,12 +156,8 @@ mod tests {
 
     #[test]
     fn builder_style_setters() {
-        let c = SeConfig::paper(0)
-            .with_gamma(25)
-            .with_beta(4.0)
-            .with_max_iterations(10);
+        let c = SeConfig::paper(0).with_gamma(25).with_max_iterations(10);
         assert_eq!(c.gamma, 25);
-        assert_eq!(c.beta, 4.0);
         assert_eq!(c.max_iterations, 10);
     }
 

@@ -22,12 +22,6 @@ use mvcom_types::{Error, Result};
 use crate::problem::Instance;
 use crate::solution::Solution;
 
-/// `log₂|F|` for an epoch with `n` shards: the solution space is all
-/// subsets, `|F| = 2^n` (paper §IV-F).
-pub fn log2_solution_space(n: usize) -> f64 {
-    n as f64
-}
-
 /// Remark 1: solving the log-sum-exp approximation MVCom(β) instead of
 /// MVCom loses at most `(1/β)·log|F| = n·ln2/β` utility.
 ///

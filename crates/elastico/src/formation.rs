@@ -10,7 +10,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mvcom_simnet::LatencyModel;
 use mvcom_types::{CommitteeId, NodeId, Result, SimTime};
 
 use crate::pow::{PowConfig, PowSolution};
@@ -125,20 +124,6 @@ impl CommitteeFormation {
         }
         Ok(formed)
     }
-
-    /// The formation-latency model used when an experiment wants the
-    /// marginal distribution without running a lottery: the max of `k`
-    /// exponential solves plus the overlay cost.
-    pub fn marginal_model(&self, pow: &PowConfig, expected_members: u32) -> LatencyModel {
-        // E[max of k Exp(m)] = m·H_k; approximate with a shifted
-        // exponential of the same mean (upper order statistics of
-        // exponentials are exponential-tailed).
-        let k = expected_members.max(1);
-        let harmonic: f64 = (1..=k).map(|i| 1.0 / f64::from(i)).sum();
-        LatencyModel::Exponential {
-            mean_secs: pow.mean_solve_secs * harmonic,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -207,17 +192,6 @@ mod tests {
         for c in &formed {
             assert!(c.members.len() >= 4);
         }
-    }
-
-    #[test]
-    fn marginal_model_mean_grows_with_membership() {
-        let formation = CommitteeFormation::new(OverlayConfig::paper(), 4);
-        let pow = PowConfig::paper(3);
-        let small = formation.marginal_model(&pow, 4).mean();
-        let large = formation.marginal_model(&pow, 64).mean();
-        assert!(large > small);
-        // H_4 ≈ 2.083: mean ≈ 1250 s.
-        assert!((small - 600.0 * (1.0 + 0.5 + 1.0 / 3.0 + 0.25)).abs() < 1e-9);
     }
 
     #[test]

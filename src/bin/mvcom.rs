@@ -24,37 +24,66 @@
 //! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity. The
 //! event file is byte-identical across same-seed runs and, for `solve`,
 //! across `--threads` values. A line that cannot be written fails the run.
+//!
+//! A reader that hangs up (`mvcom simulate | head -1`) ends `dataset`,
+//! `solve` and `simulate` quietly with exit 1: no panic, no stderr line.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
+use mvcom::baselines::{dp::DpConfig, sa::SaConfig, solve_observed, woa::WoaConfig};
 use mvcom::daemon::{FlagSpec, DAEMON_FLAGS};
 use mvcom::obs::Value;
 use mvcom::prelude::*;
 
+/// Why a subcommand stopped.
+enum Failure {
+    /// The run itself failed; reported with the usage on stderr.
+    Run(Error),
+    /// Stdout could not be written.
+    Stdout(io::Error),
+}
+
+impl From<Error> for Failure {
+    fn from(e: Error) -> Failure {
+        Failure::Run(e)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let wants_help = args.iter().any(|a| a == "--help" || a == "-h");
+    // One locked handle for the whole run. `daemon` still prints its
+    // epoch lines from `Daemon::run`'s callback, which re-enters this lock.
+    let mut out = io::stdout().lock();
     let result = match args.first().map(String::as_str) {
         Some(sub @ ("dataset" | "solve" | "schedule" | "simulate" | "daemon")) if wants_help => {
-            print!("{}", subcommand_help(sub));
-            Ok(())
+            write!(out, "{}", subcommand_help(sub)).map_err(Failure::from)
         }
-        Some("dataset") => dataset(&args[1..]),
-        Some("solve" | "schedule") => solve(&args[1..]),
-        Some("simulate") => simulate(&args[1..]),
-        Some("daemon") => daemon(&args[1..]),
-        Some("--help" | "-h") | None => {
-            print!("{}", usage());
-            Ok(())
-        }
-        Some(other) => Err(Error::invalid_config(
+        Some("dataset") => dataset(&args[1..], &mut out),
+        Some("solve" | "schedule") => solve(&args[1..], &mut out),
+        Some("simulate") => simulate(&args[1..], &mut out),
+        Some("daemon") => daemon(&args[1..]).map_err(Failure::from),
+        Some("--help" | "-h") | None => write!(out, "{}", usage()).map_err(Failure::from),
+        Some(other) => Err(Failure::Run(Error::invalid_config(
             "subcommand",
             format!("unknown subcommand `{other}`"),
-        )),
+        ))),
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::FAILURE,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error writing to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(e)) => {
             eprintln!("error: {e}");
             eprint!("{}", usage());
             ExitCode::FAILURE
@@ -83,11 +112,24 @@ const SOLVE_FLAGS: &[FlagSpec] = &[
     FlagSpec::new("--alpha", "A", "1.5", "throughput weight of the objective"),
     FlagSpec::new("--capacity", "C", "", "final-block capacity in TXs (default: 1000 per committee)"),
     FlagSpec::new("--n-min", "K", "", "minimum admitted committees (default: half of them)"),
-    FlagSpec::new("--solver", "se|sa|dp|woa|greedy|bnb", "se", "scheduling algorithm"),
+    FlagSpec::new("--solver", "se|sa|dp|woa|greedy", "se", "scheduling algorithm"),
     FlagSpec::new("--seed", "S", "0", "trace, epoch and solver seed"),
     FlagSpec::new("--trace", "FILE", "", "JSON or CSV trace to sample the epoch from (default: generated)"),
     FlagSpec::new("--threads", "T", "1", "fan-out workers; same bytes at any count"),
     OBS_OUT, OBS_LEVEL,
+];
+
+/// Builds a baseline solver for a seed.
+type MakeSolver = fn(u64) -> Box<dyn Solver>;
+
+/// The baselines `mvcom solve` runs besides SE: the `--solver` value, the
+/// name the report prints, and the solver at a seed.
+#[rustfmt::skip]
+const BASELINES: &[(&str, &str, MakeSolver)] = &[
+    ("sa", "SA", |seed| Box::new(SaSolver::new(SaConfig::paper(seed)))),
+    ("dp", "DP", |_| Box::new(DpSolver::new(DpConfig::paper()))),
+    ("woa", "WOA", |seed| Box::new(WoaSolver::new(WoaConfig::paper(seed)))),
+    ("greedy", "greedy", |_| Box::new(GreedySolver::new())),
 ];
 
 /// Flags `mvcom simulate` declares.
@@ -370,7 +412,7 @@ fn read_trace(path: &str) -> Result<Trace> {
     }
 }
 
-fn dataset(args: &[String]) -> Result<()> {
+fn dataset(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let rest = args.get(1..).unwrap_or(&[]);
     match args.first().map(String::as_str) {
         Some("generate") => {
@@ -386,13 +428,14 @@ fn dataset(args: &[String]) -> Result<()> {
                     std::fs::write(path, &json).map_err(|e| {
                         Error::invalid_config("out", format!("writing {path}: {e}"))
                     })?;
-                    println!(
+                    writeln!(
+                        out,
                         "wrote {path}: {} blocks, {} TXs",
                         trace.blocks().len(),
                         trace.total_txs()
-                    );
+                    )?;
                 }
-                None => println!("{json}"),
+                None => writeln!(out, "{json}")?,
             }
             Ok(())
         }
@@ -403,30 +446,27 @@ fn dataset(args: &[String]) -> Result<()> {
             })?;
             let trace = read_trace(path)?;
             let blocks = trace.blocks();
-            println!("blocks:        {}", blocks.len());
-            println!("transactions:  {}", trace.total_txs());
-            println!("mean txs/blk:  {:.1}", trace.mean_txs());
+            writeln!(out, "blocks:        {}", blocks.len())?;
+            writeln!(out, "transactions:  {}", trace.total_txs())?;
+            writeln!(out, "mean txs/blk:  {:.1}", trace.mean_txs())?;
             let (first_btime, last_btime) = match (blocks.first(), blocks.last()) {
                 (Some(first), Some(last)) => (first.btime, last.btime),
                 _ => (0, 0),
             };
-            println!(
+            writeln!(
+                out,
                 "time span:     {}s ({} → {})",
                 last_btime - first_btime,
                 first_btime,
                 last_btime,
-            );
+            )?;
             Ok(())
         }
-        _ => Err(Error::invalid_config(
-            "dataset",
-            "expected `generate` or `stats`",
-        )),
+        _ => Err(Error::invalid_config("dataset", "expected `generate` or `stats`").into()),
     }
 }
 
-fn solve(args: &[String]) -> Result<()> {
-    use mvcom::baselines::{dp::DpConfig, sa::SaConfig, solve_observed, woa::WoaConfig};
+fn solve(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse("solve", SOLVE_FLAGS, 0, args)?;
     let committees: usize = flags.num("committees")?;
     let alpha: f64 = flags.num("alpha")?;
@@ -452,72 +492,59 @@ fn solve(args: &[String]) -> Result<()> {
 
     let obs = obs_from_flags(&flags, "mvcom solve", seed)?;
     let span = obs.span("solve", 0.0, &[("solver", Value::from(solver))]);
-    // The logical end of the run on the solver's iteration clock.
-    let mut t_end = 0.0f64;
-    let (name, solution): (String, Solution) = match solver {
-        "se" => {
-            let outcome = SeEngine::new(&instance, SeConfig::paper(seed))?
-                .with_threads(threads)
-                .with_obs(obs.clone())
-                .run();
-            t_end = outcome.iterations as f64;
-            obs.emit(
-                "solver_done",
-                t_end,
-                &[
-                    ("solver", Value::from("se")),
-                    ("iters", Value::U64(outcome.iterations)),
-                    ("best", Value::F64(outcome.best_utility)),
-                ],
-            );
-            ("SE".into(), outcome.best_solution)
-        }
-        "sa" => {
-            let o = solve_observed(&SaSolver::new(SaConfig::paper(seed)), &instance, &obs)?;
-            t_end = o.trajectory.last().map_or(0.0, |&(i, _)| i as f64);
-            ("SA".into(), o.best_solution)
-        }
-        "dp" => {
-            let o = solve_observed(&DpSolver::new(DpConfig::paper()), &instance, &obs)?;
-            ("DP".into(), o.best_solution)
-        }
-        "woa" => {
-            let o = solve_observed(&WoaSolver::new(WoaConfig::paper(seed)), &instance, &obs)?;
-            t_end = o.trajectory.last().map_or(0.0, |&(i, _)| i as f64);
-            ("WOA".into(), o.best_solution)
-        }
-        "greedy" => {
-            let o = solve_observed(&GreedySolver::new(), &instance, &obs)?;
-            ("greedy".into(), o.best_solution)
-        }
-        "bnb" => {
-            let o = solve_observed(&BnbSolver::default(), &instance, &obs)?;
-            ("branch-and-bound".into(), o.best_solution)
-        }
-        other => {
-            return Err(Error::invalid_config(
-                "solver",
-                format!("unknown solver `{other}`"),
-            ))
-        }
+    // `t_end` is the logical end of the run on the solver's iteration
+    // clock: the last trajectory point, 0 for one-shot solvers.
+    let (name, solution, t_end) = if solver == "se" {
+        let outcome = SeEngine::new(&instance, SeConfig::paper(seed))?
+            .with_threads(threads)
+            .with_obs(obs.clone())
+            .run();
+        let t_end = outcome.iterations as f64;
+        obs.emit(
+            "solver_done",
+            t_end,
+            &[
+                ("solver", Value::from("se")),
+                ("iters", Value::U64(outcome.iterations)),
+                ("best", Value::F64(outcome.best_utility)),
+            ],
+        );
+        ("SE", outcome.best_solution, t_end)
+    } else {
+        let &(_, name, make) = BASELINES
+            .iter()
+            .find(|row| row.0 == solver)
+            .ok_or_else(|| Error::invalid_config("solver", format!("unknown solver `{solver}`")))?;
+        let o = solve_observed(&*make(seed), &instance, &obs)?;
+        let t_end = o.trajectory.last().map_or(0.0, |&(iter, _)| iter as f64);
+        (name, o.best_solution, t_end)
     };
     let metrics = ScheduleMetrics::compute(&instance, &solution);
-    println!(
+    writeln!(
+        out,
         "{name} schedule over |I| = {} (α = {alpha}, Ĉ = {capacity}, N_min = {n_min}):",
         instance.len()
-    );
-    println!("  utility:          {:.1}", instance.utility(&solution));
-    println!("  admitted:         {} committees", metrics.admitted);
-    println!("  block txs:        {} / {capacity}", metrics.admitted_txs);
-    println!("  deadline:         {:.1}s", metrics.ddl_secs);
-    println!("  cumulative age:   {:.1}s", metrics.cumulative_age);
-    println!("  mean tx age:      {:.1}s", metrics.mean_tx_age_secs);
-    println!("  epoch throughput: {:.2} TX/s", metrics.tps);
+    )?;
+    writeln!(
+        out,
+        "  utility:          {:.1}",
+        instance.utility(&solution)
+    )?;
+    writeln!(out, "  admitted:         {} committees", metrics.admitted)?;
+    writeln!(
+        out,
+        "  block txs:        {} / {capacity}",
+        metrics.admitted_txs
+    )?;
+    writeln!(out, "  deadline:         {:.1}s", metrics.ddl_secs)?;
+    writeln!(out, "  cumulative age:   {:.1}s", metrics.cumulative_age)?;
+    writeln!(out, "  mean tx age:      {:.1}s", metrics.mean_tx_age_secs)?;
+    writeln!(out, "  epoch throughput: {:.2} TX/s", metrics.tps)?;
     span.close(t_end);
     obs.flush_metrics(t_end);
     flush_obs(&flags, &obs)?;
     if let Some(table) = obs.metrics_table() {
-        println!("metrics:\n{table}");
+        writeln!(out, "metrics:\n{table}")?;
     }
     Ok(())
 }
@@ -547,7 +574,7 @@ fn parse_crash(raw: &str) -> Result<CrashEvent> {
     }
 }
 
-fn simulate(args: &[String]) -> Result<()> {
+fn simulate(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let flags = Flags::parse("simulate", SIMULATE_FLAGS, 0, args)?;
     let nodes: u32 = flags.num("nodes")?;
     let epochs: usize = flags.num("epochs")?;
@@ -562,7 +589,8 @@ fn simulate(args: &[String]) -> Result<()> {
         return Err(Error::invalid_config(
             "scheduler",
             format!("unknown scheduler `{scheduler}` (use se|all)"),
-        ));
+        )
+        .into());
     }
     let adv_fraction: f64 = flags.fraction("adv-fraction")?;
     let adversarial = flags.get("adv-fraction").is_some() || flags.get("adv-strategy").is_some();
@@ -624,7 +652,8 @@ fn simulate(args: &[String]) -> Result<()> {
             .map(|s| s.two_phase_latency())
             .max()
             .unwrap_or(SimTime::ZERO);
-        println!(
+        writeln!(
+            out,
             "epoch {}: {} committees, {} shards, {} admitted, final consensus from {:.0}s, block {} TXs ({})",
             report.epoch.value(),
             report.formed.len(),
@@ -633,7 +662,7 @@ fn simulate(args: &[String]) -> Result<()> {
             start.as_secs(),
             report.final_block.total_txs,
             if report.final_block.committed { "committed" } else { "FAILED" },
-        );
+        )?;
         if let Some(adversary) = &adversary {
             let liars: Vec<_> = adversary_reports.iter().filter(|r| r.adversarial).collect();
             let admitted_liars = liars
@@ -650,7 +679,8 @@ fn simulate(args: &[String]) -> Result<()> {
                     })
                     .count()
             });
-            println!(
+            writeln!(
+                out,
                 "  adversary: {} × {} committee(s), {} admitted into the block, \
                  defense {} ({} quarantined)",
                 liars.len(),
@@ -658,7 +688,7 @@ fn simulate(args: &[String]) -> Result<()> {
                 admitted_liars,
                 if defended.is_some() { "on" } else { "off" },
                 quarantined,
-            );
+            )?;
         }
         if obs.enabled(ObsLevel::Summary) {
             let mut table = mvcom::obs::Table::new(&[
@@ -701,10 +731,11 @@ fn simulate(args: &[String]) -> Result<()> {
                     .to_string(),
                 ]);
             }
-            print!("{}", table.render());
+            write!(out, "{}", table.render())?;
         }
         if let Some(r) = report.robustness {
-            println!(
+            writeln!(
+                out,
                 "  robustness: {} heartbeats ({} missed), {} failures detected, {} stragglers, \
                  {} submission retries, {} timed out, {} chaos drops{}",
                 r.heartbeats_sent,
@@ -715,16 +746,21 @@ fn simulate(args: &[String]) -> Result<()> {
                 r.submissions_timed_out.len(),
                 r.chaos.dropped + r.chaos.crash_dropped,
                 if r.degraded { " [degraded]" } else { "" },
-            );
+            )?;
             for (committee, at) in &r.failures_detected {
-                println!("    failure: {committee} detected at {:.0}s", at.as_secs());
+                writeln!(
+                    out,
+                    "    failure: {committee} detected at {:.0}s",
+                    at.as_secs()
+                )?;
             }
             robustness_reports.push(r);
         }
     }
     if robustness_reports.len() > 1 {
         let m = RobustnessMetrics::aggregate(&robustness_reports);
-        println!(
+        writeln!(
+            out,
             "total over {} epochs: {} heartbeats ({} missed), {} failures, {} retries, \
              {} chaos drops, {} degraded epochs",
             m.epochs,
@@ -734,12 +770,12 @@ fn simulate(args: &[String]) -> Result<()> {
             m.submission_retries,
             m.chaos_dropped,
             m.degraded_epochs,
-        );
+        )?;
     }
     obs.flush_metrics(0.0);
     flush_obs(&flags, &obs)?;
     if let Some(table) = obs.metrics_table() {
-        println!("metrics:\n{table}");
+        writeln!(out, "metrics:\n{table}")?;
     }
     Ok(())
 }

@@ -84,8 +84,7 @@ use mvcom_types::{CommitteeId, EpochId, Result as MvResult, ShardInfo};
 /// Everything most programs need, one import away.
 pub mod prelude {
     pub use mvcom_baselines::{
-        BnbSolver, DpSolver, ExhaustiveSolver, GreedySolver, SaSolver, Solver, SolverOutcome,
-        WoaSolver,
+        DpSolver, ExhaustiveSolver, GreedySolver, SaSolver, Solver, SolverOutcome, WoaSolver,
     };
     pub use mvcom_core::admission::{Admission, Capacity, EpochPolicy};
     pub use mvcom_core::defense::{

