@@ -453,7 +453,7 @@ impl<R: BufRead> Frames<R> {
 
 fn decode(offset: u64, payload: &str) -> Result<HistoryRecord> {
     serde_json::from_str(payload)
-        .map_err(|e| DaemonError::history(format!("record at byte {offset} fails to parse: {e:?}")))
+        .map_err(|e| DaemonError::history(format!("record at byte {offset} fails to parse: {e}")))
 }
 
 /// The result of replaying a history file.

@@ -22,7 +22,7 @@
 use std::io::{BufRead, Read as _};
 
 use rand::Rng as _;
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 
 use mvcom_dataset::{LatencyConfig, Trace, TraceConfig};
 use mvcom_simnet::SimRng;
@@ -133,12 +133,16 @@ impl IngestSource for SeededSource {
     }
 }
 
-/// One line of a JSONL ingest feed.
-#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
-struct JsonlReport {
-    committee: u32,
-    txs: u64,
-    latency_s: f64,
+/// One line of a JSONL ingest feed: the wire schema [`JsonlSource`]
+/// decodes each line into before it checks the values.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct JsonlReport {
+    /// The reporting committee's id.
+    pub committee: u32,
+    /// Transactions in the committee's shard.
+    pub txs: u64,
+    /// The shard's total two-phase latency, in seconds.
+    pub latency_s: f64,
 }
 
 /// Longest accepted feed line in bytes, terminator included. A report is
@@ -199,7 +203,7 @@ impl<R: BufRead> JsonlSource<R> {
                 continue;
             }
             let report: JsonlReport = serde_json::from_str(line).map_err(|e| {
-                DaemonError::ingest(format!("line {}: malformed report: {e:?}", self.line_no))
+                DaemonError::ingest(format!("line {}: malformed report: {e}", self.line_no))
             })?;
             if !report.latency_s.is_finite() || report.latency_s <= 0.0 {
                 return Err(DaemonError::ingest(format!(

@@ -82,7 +82,7 @@ pub use history::{
     LoadedHistory, RunHeader, HISTORY_VERSION, RECORD_KINDS,
 };
 pub use http::{MetricsServer, SnapshotCell};
-pub use ingest::{IngestSource, JsonlSource, SeededSource};
+pub use ingest::{IngestSource, JsonlReport, JsonlSource, SeededSource};
 
 /// One CLI flag of an `mvcom` subcommand.
 ///

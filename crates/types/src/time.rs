@@ -115,17 +115,25 @@ impl SimTime {
 
 impl Eq for SimTime {}
 
+/// The checks of [`SimTime::from_secs`] as an error: a number read from a
+/// file must not be able to build what the constructor refuses.
+fn checked_secs(secs: f64) -> Result<SimTime, serde::Error> {
+    if secs.is_nan() || secs < 0.0 {
+        return Err(serde::Error::custom(format!(
+            "SimTime must be a non-negative number of seconds, got {secs}"
+        )));
+    }
+    Ok(SimTime::from_secs(secs))
+}
+
 impl Deserialize for SimTime {
-    /// The checks of [`SimTime::from_secs`] as an error: a number read from
-    /// a file must not be able to build what the constructor refuses.
+    fn read_json(parser: &mut serde::Parser<'_>) -> Result<SimTime, serde::Error> {
+        let at = parser.offset();
+        checked_secs(f64::read_json(parser)?).map_err(|e| e.at(at))
+    }
+
     fn from_value(value: &serde::Value) -> Result<SimTime, serde::Error> {
-        let secs = f64::from_value(value)?;
-        if secs.is_nan() || secs < 0.0 {
-            return Err(serde::Error::custom(format!(
-                "SimTime must be a non-negative number of seconds, got {secs}"
-            )));
-        }
-        Ok(SimTime::from_secs(secs))
+        checked_secs(f64::from_value(value)?)
     }
 }
 

@@ -1,12 +1,38 @@
 //! Offline shim for the subset of `serde` used by this workspace.
 //!
 //! Instead of serde's visitor-based, format-agnostic architecture, this
-//! shim knows one format. [`Serialize`] appends a value's compact JSON
-//! straight to a `String` — no intermediate tree, no per-field allocation
-//! — and [`Deserialize`] lifts a parsed [`Value`] tree into a type;
-//! `serde_json` owns the parser and the entry points. That is sufficient
-//! here because the workspace (a) only ever derives the traits — there
-//! are no manual `impl Serialize` blocks — and (b) only uses JSON.
+//! shim knows one format, and both directions work on its text directly.
+//! [`Serialize`] appends a value's compact JSON to a `String` — no
+//! intermediate tree, no per-field allocation — and [`Deserialize`] is its
+//! dual: [`Deserialize::read_json`] decodes a type straight off the
+//! byte-indexed [`Parser`], which lives here so that derived code can
+//! reach it. A derived struct matches field names as they stream past, an
+//! array pushes straight into its `Vec`, and a value nobody asked for (an
+//! unknown key, a later duplicate) is validated by [`Parser::skip`]
+//! without being built. `serde_json` owns the entry points. That is
+//! sufficient here because the workspace (a) only ever derives the traits
+//! — the one hand-written impl, `SimTime`'s `Deserialize`, delegates to
+//! `f64`'s — and (b) only uses JSON.
+//!
+//! [`Value`] is the owned tree that [`Parser::value`] builds for the
+//! untyped readers (event files, the benchmark's manifest).
+//! [`Deserialize::from_value`] lifts such a tree into a type; no reader
+//! calls it, and it is kept as the reference `read_json` is tested
+//! against.
+//!
+//! What typed decoding accepts is exactly what the reference accepts:
+//! - every number goes through the one lexeme classifier ([`Number`]), and
+//!   the integer types take an integral float inside their range, so `7.0`
+//!   is a valid `u64` and `-0` reads as `+0.0` for an `f64`;
+//! - an unknown key is ignored, and a repeated key keeps its first value;
+//! - a missing key reads as `null`, so an `Option` gives `None` and a
+//!   `#[serde(default)]` field gives its default;
+//! - nesting is limited to [`MAX_DEPTH`] levels, counted from the
+//!   document root, skipped values included.
+//!
+//! A decode error names the field path and the byte it failed at, e.g.
+//! `Epoch.checkpoint.se.replicas[3][7].selected[12]: expected an integer,
+//! found a string at byte 48213`.
 //!
 //! Encoding conventions match serde + serde_json defaults for the shapes
 //! the workspace uses:
@@ -31,10 +57,15 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+mod parse;
+
+pub use parse::{Number, Parser, MAX_DEPTH};
+
 use std::fmt::{self, Write as _};
 
-/// An owned JSON data tree: what the parser produces and what
-/// [`Deserialize`] lifts from. It serializes like any other type.
+/// An owned JSON data tree: what [`Parser::value`] produces and what
+/// [`Deserialize::from_value`] lifts from. It serializes like any other
+/// type.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Null,
@@ -65,23 +96,102 @@ impl Value {
     }
 }
 
-/// Error raised while lifting a [`Value`] back into a typed structure.
+/// One step from a document's root toward the value that failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Error(String);
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// A parse or decode error: what went wrong, the byte of the input it was
+/// found at, and the path of keys and indices that leads there. Boxed, so
+/// that a `Result` the decoders pass back stays two words wide.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Error(Box<ErrorInner>);
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ErrorInner {
+    message: String,
+    byte: Option<usize>,
+    /// Innermost step first: containers add theirs as the error leaves them.
+    path: Vec<Step>,
+}
 
 impl Error {
     pub fn custom(msg: impl Into<String>) -> Error {
-        Error(msg.into())
+        Error(Box::new(ErrorInner {
+            message: msg.into(),
+            byte: None,
+            path: Vec::new(),
+        }))
     }
 
     pub fn expected(what: &str, got: &Value) -> Error {
-        Error(format!("expected {what}, found {}", got.kind()))
+        Error::custom(format!("expected {what}, found {}", got.kind()))
+    }
+
+    /// Places the error at `byte` of the input, unless it already has a
+    /// place.
+    #[must_use]
+    pub fn at(mut self, byte: usize) -> Error {
+        self.0.byte.get_or_insert(byte);
+        self
+    }
+
+    /// Records that the error happened inside the value of key `key`.
+    #[must_use]
+    pub fn in_field(mut self, key: &str) -> Error {
+        self.0.path.push(Step::Key(key.to_string()));
+        self
+    }
+
+    /// Records that the error happened inside array element `index`.
+    #[must_use]
+    pub fn in_index(mut self, index: usize) -> Error {
+        self.0.path.push(Step::Index(index));
+        self
+    }
+
+    /// What went wrong, without place or path.
+    pub fn message(&self) -> &str {
+        &self.0.message
+    }
+
+    /// The byte of the input the error was found at, if it came from one.
+    pub fn byte(&self) -> Option<usize> {
+        self.0.byte
+    }
+
+    /// The keys and indices from the root to the failing value, as
+    /// `a.b[3].c`; empty at the root.
+    pub fn path(&self) -> String {
+        let mut out = String::new();
+        for step in self.0.path.iter().rev() {
+            match step {
+                Step::Key(key) if out.is_empty() => out.push_str(key),
+                Step::Key(key) => {
+                    out.push('.');
+                    out.push_str(key);
+                }
+                Step::Index(i) => {
+                    let _ = write!(out, "[{i}]");
+                }
+            }
+        }
+        out
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        if !self.0.path.is_empty() {
+            write!(f, "{}: ", self.path())?;
+        }
+        f.write_str(&self.0.message)?;
+        if let Some(byte) = self.0.byte {
+            write!(f, " at byte {byte}")?;
+        }
+        Ok(())
     }
 }
 
@@ -92,8 +202,14 @@ pub trait Serialize {
     fn write_json(&self, out: &mut String);
 }
 
-/// Lifts a [`Value`] tree back into `Self`.
+/// Decodes `Self` from JSON: the dual of [`Serialize::write_json`].
 pub trait Deserialize: Sized {
+    /// Reads one value off `parser` — the whitespace before it already
+    /// skipped — and leaves the parser just past it.
+    fn read_json(parser: &mut Parser<'_>) -> Result<Self, Error>;
+
+    /// Lifts an already-parsed [`Value`] tree: the reference decoder that
+    /// [`Deserialize::read_json`] must agree with.
     fn from_value(value: &Value) -> Result<Self, Error>;
 }
 
@@ -114,6 +230,15 @@ pub fn get_field<'a>(fields: &'a [(String, Value)], name: &str) -> &'a Value {
 #[doc(hidden)]
 pub fn find_field<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
     fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+}
+
+/// The value of a key the object starting at `object` lacks: whatever
+/// `null` decodes to (`None` for an `Option`), else an error naming the
+/// key.
+#[doc(hidden)]
+pub fn missing_field<T: Deserialize>(name: &str, object: usize) -> Result<T, Error> {
+    T::read_json(&mut Parser::new("null"))
+        .map_err(|_| Error::custom(format!("missing field `{name}`")).at(object))
 }
 
 #[doc(hidden)]
@@ -262,12 +387,38 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
+    #[inline]
+    fn read_json(p: &mut Parser<'_>) -> Result<bool, Error> {
+        p.bool()
+    }
+
     fn from_value(value: &Value) -> Result<bool, Error> {
         match value {
             Value::Bool(b) => Ok(*b),
             other => Err(Error::expected("bool", other)),
         }
     }
+}
+
+/// The number a tree holds, as the classifier produced it.
+fn number_of(value: &Value, what: &str) -> Result<Number, Error> {
+    match value {
+        Value::U64(x) => Ok(Number::U64(*x)),
+        Value::I64(x) => Ok(Number::I64(*x)),
+        Value::F64(x) => Ok(Number::F64(*x)),
+        other => Err(Error::expected(what, other)),
+    }
+}
+
+/// Reads a number, and places an error in converting it at its first byte.
+#[inline]
+fn read_number<T>(
+    p: &mut Parser<'_>,
+    what: &str,
+    convert: impl FnOnce(Number) -> Result<T, Error>,
+) -> Result<T, Error> {
+    let at = p.offset();
+    convert(p.number(what)?).map_err(|e| e.at(at))
 }
 
 /// 2⁶⁴ and 2⁶³: the first floats past `u64::MAX` and `i64::MAX`. An
@@ -280,62 +431,81 @@ fn out_of_range(x: impl fmt::Display) -> Error {
     Error::custom(format!("integer {x} out of range"))
 }
 
-macro_rules! impl_serde_uint {
-    ($($t:ty),* $(,)?) => {$(
-        impl Serialize for $t {
-            fn write_json(&self, out: &mut String) {
-                write_u64(*self as u64, out);
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<$t, Error> {
-                let raw = match value {
-                    Value::U64(x) => *x,
-                    Value::I64(x) if *x >= 0 => *x as u64,
-                    Value::F64(x) if x.fract() == 0.0 && *x >= 0.0 => {
-                        if *x >= TWO_POW_64 {
-                            return Err(out_of_range(x));
-                        }
-                        *x as u64
-                    }
-                    other => return Err(Error::expected("unsigned integer", other)),
-                };
-                <$t>::try_from(raw).map_err(|_| out_of_range(raw))
-            }
-        }
-    )*};
+fn not_an_integer(n: Number) -> Error {
+    let shown = match n {
+        Number::U64(x) => x.to_string(),
+        Number::I64(x) => x.to_string(),
+        Number::F64(x) => x.to_string(),
+    };
+    Error::custom(format!("expected an integer, found {shown}"))
 }
 
-impl_serde_uint!(u8, u16, u32, u64, usize);
+#[inline]
+fn to_u64(n: Number) -> Result<u64, Error> {
+    match n {
+        Number::U64(x) => Ok(x),
+        Number::I64(x) if x >= 0 => Ok(x as u64),
+        Number::F64(x) if x.fract() == 0.0 && x >= 0.0 => {
+            if x >= TWO_POW_64 {
+                return Err(out_of_range(x));
+            }
+            Ok(x as u64)
+        }
+        Number::I64(x) => Err(out_of_range(x)),
+        other => Err(not_an_integer(other)),
+    }
+}
+
+#[inline]
+fn to_i64(n: Number) -> Result<i64, Error> {
+    match n {
+        Number::I64(x) => Ok(x),
+        Number::U64(x) => i64::try_from(x).map_err(|_| out_of_range(x)),
+        Number::F64(x) if x.fract() == 0.0 => {
+            if !(-TWO_POW_63..TWO_POW_63).contains(&x) {
+                return Err(out_of_range(x));
+            }
+            Ok(x as i64)
+        }
+        other => Err(not_an_integer(other)),
+    }
+}
+
+#[inline]
+fn to_f64(n: Number) -> Result<f64, Error> {
+    Ok(match n {
+        Number::F64(x) => x,
+        Number::U64(x) => x as f64,
+        Number::I64(x) => x as f64,
+    })
+}
 
 macro_rules! impl_serde_int {
-    ($($t:ty),* $(,)?) => {$(
+    ($write:ident, $wide:ident, $read:ident: $($t:ty),* $(,)?) => {$(
         impl Serialize for $t {
             fn write_json(&self, out: &mut String) {
-                write_i64(*self as i64, out);
+                $write(*self as $wide, out);
             }
         }
         impl Deserialize for $t {
+            #[inline]
+            fn read_json(p: &mut Parser<'_>) -> Result<$t, Error> {
+                read_number(p, "an integer", |n| {
+                    let raw = $read(n)?;
+                    <$t>::try_from(raw).map_err(|_| out_of_range(raw))
+                })
+            }
+
             fn from_value(value: &Value) -> Result<$t, Error> {
-                let raw = match value {
-                    Value::I64(x) => *x,
-                    Value::U64(x) => i64::try_from(*x)
-                        .map_err(|_| Error::custom("integer out of i64 range"))?,
-                    Value::F64(x) if x.fract() == 0.0 => {
-                        if !(-TWO_POW_63..TWO_POW_63).contains(x) {
-                            return Err(out_of_range(x));
-                        }
-                        *x as i64
-                    }
-                    other => return Err(Error::expected("integer", other)),
-                };
+                let raw = $read(number_of(value, "integer")?)?;
                 <$t>::try_from(raw).map_err(|_| out_of_range(raw))
             }
         }
     )*};
 }
 
-impl_serde_int!(i8, i16, i32, i64, isize);
+impl_serde_int!(write_u64, u64, to_u64: u8, u16, u32, u64, usize);
+impl_serde_int!(write_i64, i64, to_i64: i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn write_json(&self, out: &mut String) {
@@ -344,13 +514,13 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
+    #[inline]
+    fn read_json(p: &mut Parser<'_>) -> Result<f64, Error> {
+        read_number(p, "a number", to_f64)
+    }
+
     fn from_value(value: &Value) -> Result<f64, Error> {
-        match value {
-            Value::F64(x) => Ok(*x),
-            Value::U64(x) => Ok(*x as f64),
-            Value::I64(x) => Ok(*x as f64),
-            other => Err(Error::expected("number", other)),
-        }
+        to_f64(number_of(value, "number")?)
     }
 }
 
@@ -361,6 +531,10 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
+    fn read_json(p: &mut Parser<'_>) -> Result<f32, Error> {
+        f64::read_json(p).map(|x| x as f32)
+    }
+
     fn from_value(value: &Value) -> Result<f32, Error> {
         f64::from_value(value).map(|x| x as f32)
     }
@@ -373,6 +547,10 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
+    fn read_json(p: &mut Parser<'_>) -> Result<String, Error> {
+        p.string("a string").map(std::borrow::Cow::into_owned)
+    }
+
     fn from_value(value: &Value) -> Result<String, Error> {
         match value {
             Value::Str(s) => Ok(s.clone()),
@@ -393,12 +571,27 @@ impl Serialize for char {
     }
 }
 
+fn one_char(s: &str) -> Option<char> {
+    let mut chars = s.chars();
+    let c = chars.next()?;
+    chars.next().is_none().then_some(c)
+}
+
 impl Deserialize for char {
+    fn read_json(p: &mut Parser<'_>) -> Result<char, Error> {
+        let at = p.offset();
+        let s = p.string("a single-character string")?;
+        one_char(&s).ok_or_else(|| {
+            Error::custom(format!("expected a single-character string, found {s:?}")).at(at)
+        })
+    }
+
     fn from_value(value: &Value) -> Result<char, Error> {
         match value {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::expected("single-character string", other)),
+            Value::Str(s) => one_char(s),
+            _ => None,
         }
+        .ok_or_else(|| Error::expected("single-character string", value))
     }
 }
 
@@ -419,6 +612,10 @@ impl<T: Serialize> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
+    fn read_json(p: &mut Parser<'_>) -> Result<Box<T>, Error> {
+        T::read_json(p).map(Box::new)
+    }
+
     fn from_value(value: &Value) -> Result<Box<T>, Error> {
         T::from_value(value).map(Box::new)
     }
@@ -434,6 +631,13 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
+    fn read_json(p: &mut Parser<'_>) -> Result<Option<T>, Error> {
+        if p.null()? {
+            return Ok(None);
+        }
+        T::read_json(p).map(Some)
+    }
+
     fn from_value(value: &Value) -> Result<Option<T>, Error> {
         match value {
             Value::Null => Ok(None),
@@ -449,6 +653,16 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
+    fn read_json(p: &mut Parser<'_>) -> Result<Vec<T>, Error> {
+        let mut items = Vec::new();
+        let mut more = p.begin_array("an array")?;
+        while more {
+            items.push(T::read_json(p).map_err(|e| e.in_index(items.len()))?);
+            more = p.next_element()?;
+        }
+        Ok(items)
+    }
+
     fn from_value(value: &Value) -> Result<Vec<T>, Error> {
         match value {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
@@ -470,6 +684,17 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn read_json(p: &mut Parser<'_>) -> Result<[T; N], Error> {
+        let mut items = Vec::with_capacity(N);
+        for i in 0..N {
+            items.push(p.element("a fixed-size array", N, i)?);
+        }
+        p.end_elements("a fixed-size array", N)?;
+        items
+            .try_into()
+            .map_err(|_| Error::custom("array length mismatch"))
+    }
+
     fn from_value(value: &Value) -> Result<[T; N], Error> {
         let items = expect_array(value, "fixed-size array", N)?;
         let parsed: Vec<T> = items.iter().map(T::from_value).collect::<Result<_, _>>()?;
@@ -491,6 +716,13 @@ macro_rules! impl_serde_tuple {
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
+            fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+                const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
+                let tuple = ($(p.element::<$name>("a tuple", LEN, $idx)?,)+);
+                p.end_elements("a tuple", LEN)?;
+                Ok(tuple)
+            }
+
             fn from_value(value: &Value) -> Result<Self, Error> {
                 const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
                 let items = expect_array(value, "tuple", LEN)?;
@@ -516,6 +748,25 @@ mod tests {
         let mut out = String::new();
         value.write_json(&mut out);
         out
+    }
+
+    #[test]
+    fn an_error_names_its_path_and_byte() {
+        let err = Error::custom("expected an integer, found a string")
+            .at(48)
+            .at(7)
+            .in_index(12)
+            .in_field("selected")
+            .in_index(7)
+            .in_index(3)
+            .in_field("replicas");
+        assert_eq!(err.path(), "replicas[3][7].selected[12]");
+        assert_eq!(err.byte(), Some(48));
+        assert_eq!(
+            err.to_string(),
+            "replicas[3][7].selected[12]: expected an integer, found a string at byte 48"
+        );
+        assert_eq!(Error::custom("bare").to_string(), "bare");
     }
 
     #[test]

@@ -4,14 +4,26 @@
 //!
 //! The macros only need the *shape* of an item — its name, its field
 //! names, and its variants — because the companion `serde` shim resolves
-//! field types through inference (`Deserialize::from_value(...)` in a
-//! struct literal, `Serialize::write_json(&self.field, ..)`). Type tokens
-//! are therefore skipped, not parsed.
+//! field types through inference (`Deserialize::read_json(..)` assigned
+//! to a slot that a struct literal later moves into its field,
+//! `Serialize::write_json(&self.field, ..)`). Type tokens are therefore
+//! skipped, not parsed.
 //!
 //! `Serialize` expands to straight-line code that appends compact JSON to
 //! a `String`: the punctuation and field names of the shape are string
 //! literals joined at expansion time (`{"a":`, `,"b":`, `}`), with one
 //! `write_json` call per field between them.
+//!
+//! `Deserialize` expands to its dual, `read_json`, which reads off the
+//! `serde` shim's parser. A named-field struct keeps one `Option` slot per
+//! field and matches each key as it streams past: the first occurrence of
+//! a field's key fills its slot, any other key (unknown, or a later
+//! duplicate) is skipped — validated, not built — and an empty slot reads
+//! as `null` (so `None` for an `Option`) or takes its `#[serde(default)]`.
+//! Each step wraps its errors with the key or index it was reading, so an
+//! error names the path to the value that failed. The expansion also
+//! holds `from_value`, which decodes a parsed `Value` tree: the reference
+//! the differential tests compare `read_json` with.
 //!
 //! Supported shapes (everything the workspace derives): unit structs,
 //! tuple structs, named-field structs, and enums whose variants are
@@ -466,9 +478,161 @@ fn gen_deserialize(item: &Item) -> String {
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
+         fn read_json(__p: &mut ::serde::Parser<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         {}\n\
+         }}\n\
          fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
          {body}\n\
          }}\n\
+         }}",
+        gen_read_json(item)
+    )
+}
+
+// ---- read_json: decoding straight off the parser --------------------------
+
+const R: &str = "::serde::Deserialize::read_json";
+
+/// The body of `read_json`. Every shape reads exactly the JSON its
+/// `write_json` writes, and consumes every byte of the value it stands on
+/// (a unit struct skips whatever is there, as `from_value` ignores it).
+fn gen_read_json(item: &Item) -> String {
+    let name = &item.name;
+    match &item.kind {
+        Kind::UnitStruct => format!("__p.skip()?; ::std::result::Result::Ok({name})"),
+        Kind::TupleStruct { arity: 1 } => {
+            format!("::std::result::Result::Ok({name}({R}(__p)?))")
+        }
+        Kind::TupleStruct { arity } => read_tuple(name, &format!("an array ({name})"), *arity),
+        Kind::NamedStruct { fields } => read_named(name, &format!("an object ({name})"), fields),
+        Kind::Enum { variants } => read_enum(name, variants),
+    }
+}
+
+/// Reads `[a,b,…]` of exactly `arity` elements into `ctor(a, b, …)`.
+fn read_tuple(ctor: &str, what: &str, arity: usize) -> String {
+    let items: Vec<String> = (0..arity)
+        .map(|i| format!("__p.element({what:?}, {arity}, {i})?"))
+        .collect();
+    format!(
+        "let __value = {ctor}({});\n\
+         __p.end_elements({what:?}, {arity})?;\n\
+         ::std::result::Result::Ok(__value)",
+        items.join(", ")
+    )
+}
+
+/// Reads `{"a":…,"b":…}` into `ctor { a, b }`, matching each key as it
+/// streams past: the first occurrence of a field's key is decoded, any
+/// other key (unknown, or a field's later duplicate) is validated and
+/// dropped, and a field whose key never came reads as `null` or takes its
+/// `#[serde(default)]`.
+fn read_named(ctor: &str, what: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        slots.push_str(&format!("let mut __f{i} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "{name:?} if __f{i}.is_none() => {{\n\
+             __f{i} = ::std::option::Option::Some({R}(__p).map_err(|__e| __e.in_field({name:?}))?);\n\
+             }}\n"
+        ));
+        let fallback = match &f.default {
+            None => format!("::serde::missing_field({name:?}, __at)?"),
+            Some(None) => "::std::default::Default::default()".to_string(),
+            Some(Some(path)) => format!("{path}()"),
+        };
+        inits.push_str(&format!(
+            "{name}: match __f{i} {{\n\
+             ::std::option::Option::Some(__x) => __x,\n\
+             ::std::option::Option::None => {fallback},\n\
+             }},\n"
+        ));
+    }
+    format!(
+        "let __at = __p.offset();\n\
+         {slots}\
+         let mut __key = __p.begin_object({what:?})?;\n\
+         while let ::std::option::Option::Some(__k) = __key {{\n\
+         match &*__k {{\n\
+         {arms}\
+         _ => __p.skip().map_err(|__e| __e.in_field(&__k))?,\n\
+         }}\n\
+         __key = __p.next_key()?;\n\
+         }}\n\
+         ::std::result::Result::Ok({ctor} {{ {inits} }})"
+    )
+}
+
+/// Reads an externally tagged enum: `"Unit"` for a unit variant, an
+/// object of exactly one key for a data variant. Each data variant reads
+/// its payload in a nested function, so its errors carry the tag in their
+/// path.
+fn read_enum(name: &str, variants: &[Variant]) -> String {
+    let mut units = String::new();
+    let mut tags = String::new();
+    let mut readers = String::new();
+    for (i, v) in variants.iter().enumerate() {
+        let vname = &v.name;
+        let ctor = format!("{name}::{vname}");
+        let body = match &v.shape {
+            Shape::Unit => {
+                units.push_str(&format!(
+                    "{vname:?} => ::std::result::Result::Ok({ctor}),\n"
+                ));
+                continue;
+            }
+            Shape::Tuple(1) => format!("::std::result::Result::Ok({ctor}({R}(__p)?))"),
+            Shape::Tuple(arity) => read_tuple(&ctor, &format!("an array ({ctor})"), *arity),
+            Shape::Named(fields) => read_named(&ctor, &format!("an object ({ctor})"), fields),
+        };
+        readers.push_str(&format!(
+            "fn __read_variant_{i}(__p: &mut ::serde::Parser<'_>) \
+             -> ::std::result::Result<{name}, ::serde::Error> {{\n{body}\n}}\n"
+        ));
+        tags.push_str(&format!(
+            "{vname:?} => __read_variant_{i}(__p).map_err(|__e| __e.in_field({vname:?}))?,\n"
+        ));
+    }
+    let what = format!("a variant of {name}");
+    let mut arms = String::new();
+    if !units.is_empty() {
+        arms.push_str(&format!(
+            "::std::option::Option::Some(b'\"') => {{\n\
+             let __at = __p.offset();\n\
+             let __tag = __p.string({what:?})?;\n\
+             match &*__tag {{\n\
+             {units}\
+             __other => ::std::result::Result::Err(::serde::unknown_variant({name:?}, __other).at(__at)),\n\
+             }}\n\
+             }}\n"
+        ));
+    }
+    if !tags.is_empty() {
+        arms.push_str(&format!(
+            "::std::option::Option::Some(b'{{') => {{\n\
+             {readers}\
+             let __at = __p.offset();\n\
+             let ::std::option::Option::Some(__tag) = __p.begin_object({what:?})? else {{\n\
+             return ::std::result::Result::Err(::serde::Error::custom(\"expected {what}, found an empty object\").at(__at));\n\
+             }};\n\
+             let __value = match &*__tag {{\n\
+             {tags}\
+             __other => return ::std::result::Result::Err(::serde::unknown_variant({name:?}, __other).at(__at)),\n\
+             }};\n\
+             if __p.next_key()?.is_some() {{\n\
+             return ::std::result::Result::Err(::serde::Error::custom(\"expected {what}, found an object with more than one key\").at(__at));\n\
+             }}\n\
+             ::std::result::Result::Ok(__value)\n\
+             }}\n"
+        ));
+    }
+    format!(
+        "match __p.peek() {{\n\
+         {arms}\
+         _ => ::std::result::Result::Err(__p.unexpected({what:?})),\n\
          }}"
     )
 }

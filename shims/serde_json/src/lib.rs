@@ -1,52 +1,27 @@
 //! Offline shim for the subset of `serde_json` used by this workspace:
 //! [`to_string`], [`from_str`] and [`from_str_value`].
 //!
-//! Writing is the `serde` shim's [`Serialize`], which appends compact JSON
-//! to a `String` directly (its crate docs give the number and string
-//! formatting); this crate owns the other direction. The parser walks the
-//! input's bytes by index and builds a [`Value`] tree — numbers are parsed
-//! where they stand, the unescaped runs of a string are copied as slices —
-//! and `from_str::<T>` lifts that tree through [`Deserialize`].
+//! Both directions live in the `serde` shim, on the text itself: its
+//! [`Serialize`] appends compact JSON to a `String` (its crate docs give
+//! the number and string formatting), and its byte-indexed [`Parser`]
+//! walks the input by index — numbers are classified where they stand,
+//! the unescaped runs of a string are borrowed or copied as slices. This
+//! crate holds the entry points. [`from_str`] decodes a type straight off
+//! the parser through [`Deserialize::read_json`]; no [`Value`] tree is
+//! built. [`from_str_value`] builds that tree, for readers that have no
+//! type to decode into.
 //!
 //! Input is untrusted (ingest lines, history payloads, event files):
-//! every malformed document is an [`Error`] naming the byte position, and
-//! arrays and objects may nest at most [`MAX_DEPTH`] deep, so no input can
-//! exhaust the stack.
+//! every malformed document is an [`Error`] naming the byte position (and,
+//! for a typed decode, the path of keys and indices to the failing value),
+//! and arrays and objects may nest at most [`MAX_DEPTH`] deep, so no input
+//! can exhaust the stack.
 
-use serde::{Deserialize, Serialize, Value};
-use std::fmt;
+use serde::{Deserialize, Parser, Serialize, Value};
+pub use serde::{Error, MAX_DEPTH};
 
 #[cfg(test)]
 mod reference;
-
-/// Deepest accepted nesting of arrays and objects (upstream `serde_json`'s
-/// default limit). The parser recurses once per level.
-pub const MAX_DEPTH: usize = 128;
-
-/// Error produced by JSON parsing or by lifting a parsed tree into a
-/// typed structure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Error(String);
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Error {
-        Error(msg.into())
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<serde::Error> for Error {
-    fn from(err: serde::Error) -> Error {
-        Error(err.to_string())
-    }
-}
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -55,273 +30,37 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Parses a JSON document into any `Deserialize` type.
+/// Decodes a JSON document into any `Deserialize` type.
+///
+/// A document that is not JSON is reported as such, wherever its fault
+/// lies: when decoding stops early at a value of the wrong shape, the rest
+/// of the document is still checked, and its first syntax error (or
+/// nesting past [`MAX_DEPTH`]) is the error returned.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
-    let value = from_str_value(input)?;
-    T::from_value(&value).map_err(Error::from)
+    let mut parser = Parser::new(input);
+    let decoded = T::read_json(&mut parser).and_then(|value| {
+        parser.finish()?;
+        Ok(value)
+    });
+    decoded.map_err(|err| match check_syntax(input) {
+        Err(syntax) if syntax.byte() != err.byte() => syntax,
+        _ => err,
+    })
+}
+
+/// Checks that `input` is one JSON document, building nothing.
+fn check_syntax(input: &str) -> Result<(), Error> {
+    let mut parser = Parser::new(input);
+    parser.skip()?;
+    parser.finish()
 }
 
 /// Parses a JSON document into a raw [`Value`] tree.
 pub fn from_str_value(input: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        text: input,
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos < input.len() {
-        return Err(parser.error("trailing characters after JSON value"));
-    }
+    let mut parser = Parser::new(input);
+    let value = parser.value()?;
+    parser.finish()?;
     Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// Parser: recursive descent over bytes, at most `MAX_DEPTH` frames deep.
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    text: &'a str,
-    /// Index of the next unread byte.
-    pos: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, what: impl fmt::Display) -> Error {
-        Error::new(format!("{what} at byte {}", self.pos))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    /// What stands at `pos`, for error messages: the whole character, not
-    /// its first byte (`pos` is always on a character boundary here).
-    fn found(&self) -> String {
-        match self
-            .text
-            .get(self.pos..)
-            .and_then(|rest| rest.chars().next())
-        {
-            Some(c) => format!("`{c}`"),
-            None => "end of input".to_string(),
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), Error> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            return Ok(());
-        }
-        Err(self.error(format_args!(
-            "expected `{}`, found {}",
-            char::from(want),
-            self.found()
-        )))
-    }
-
-    fn expect_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            return Ok(value);
-        }
-        Err(self.error("invalid literal"))
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') => self.expect_keyword("null", Value::Null),
-            Some(b't') => self.expect_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.expect_keyword("false", Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.nested(Parser::parse_array),
-            Some(b'{') => self.nested(Parser::parse_object),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(_) => Err(self.error(format_args!("unexpected character {}", self.found()))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    /// Runs `parse` one nesting level down, refusing to pass [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.error(format_args!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            if self.closes(b']', "array")? {
-                return Ok(Value::Array(items));
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            if self.closes(b'}', "object")? {
-                return Ok(Value::Object(fields));
-            }
-        }
-    }
-
-    /// Steps over what follows an item of a container: `close` ends it
-    /// (`true`), `,` announces another item.
-    fn closes(&mut self, close: u8, container: &str) -> Result<bool, Error> {
-        let closed = match self.peek() {
-            Some(b',') => false,
-            Some(b) if b == close => true,
-            _ => {
-                return Err(self.error(format_args!(
-                    "expected `,` or `{}` in {container}, found {}",
-                    char::from(close),
-                    self.found()
-                )))
-            }
-        };
-        self.pos += 1;
-        Ok(closed)
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            // `"` and `\` are ASCII, so a run between two of them starts
-            // and ends on a character boundary.
-            let run = self.pos;
-            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                self.pos += 1;
-            }
-            s.push_str(&self.text[run..self.pos]);
-            let Some(stop) = self.peek() else {
-                return Err(self.error("unterminated string"));
-            };
-            self.pos += 1;
-            if stop == b'"' {
-                return Ok(s);
-            }
-            s.push(self.parse_escape()?);
-        }
-    }
-
-    /// The character an escape stands for; `pos` is just past the `\`.
-    fn parse_escape(&mut self) -> Result<char, Error> {
-        let c = match self.peek() {
-            Some(b'"') => '"',
-            Some(b'\\') => '\\',
-            Some(b'/') => '/',
-            Some(b'b') => '\u{08}',
-            Some(b'f') => '\u{0c}',
-            Some(b'n') => '\n',
-            Some(b'r') => '\r',
-            Some(b't') => '\t',
-            Some(b'u') => {
-                self.pos += 1;
-                let hi = self.parse_hex4()?;
-                let code = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair: expect a trailing \uXXXX.
-                    self.expect(b'\\')?;
-                    self.expect(b'u')?;
-                    let lo = self.parse_hex4()?;
-                    if !(0xDC00..0xE000).contains(&lo) {
-                        return Err(self.error("invalid low surrogate"));
-                    }
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                } else {
-                    hi
-                };
-                return char::from_u32(code).ok_or_else(|| self.error("invalid unicode escape"));
-            }
-            _ => return Err(self.error(format_args!("invalid escape {}", self.found()))),
-        };
-        self.pos += 1;
-        Ok(c)
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            let digit = self
-                .peek()
-                .and_then(|b| char::from(b).to_digit(16))
-                .ok_or_else(|| self.error("invalid \\u escape"))?;
-            self.pos += 1;
-            code = code * 16 + digit;
-        }
-        Ok(code)
-    }
-
-    /// A number token is the longest run of `0-9 . e E + -` after an
-    /// optional leading `-`; what it means is `str::parse`'s call. Without
-    /// a float character it is a `u64` if that fits, else an `i64`, else
-    /// (too large for either) an `f64` like every other token.
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' | b'+' | b'-' => is_float = true,
-                _ => break,
-            }
-            self.pos += 1;
-        }
-        let token = &self.text[start..self.pos];
-        if !is_float {
-            if let Ok(u) = token.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-            if let Ok(i) = token.parse::<i64>() {
-                return Ok(Value::I64(i));
-            }
-        }
-        token
-            .parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number `{token}` at byte {start}")))
-    }
 }
 
 #[cfg(test)]

@@ -95,7 +95,7 @@ pub(crate) fn parse(input: &str) -> Result<Value, Error> {
     let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.chars.peek().is_some() {
-        return Err(Error::new(format!(
+        return Err(Error::custom(format!(
             "trailing characters after JSON value at position {}",
             parser.pos
         )));
@@ -121,11 +121,13 @@ impl Parser<'_> {
     fn expect(&mut self, want: char) -> Result<(), Error> {
         match self.bump() {
             Some(c) if c == want => Ok(()),
-            Some(c) => Err(Error::new(format!(
+            Some(c) => Err(Error::custom(format!(
                 "expected `{want}` at position {}, found `{c}`",
                 self.pos
             ))),
-            None => Err(Error::new(format!("expected `{want}`, found end of input"))),
+            None => Err(Error::custom(format!(
+                "expected `{want}`, found end of input"
+            ))),
         }
     }
 
@@ -134,7 +136,7 @@ impl Parser<'_> {
             match self.bump() {
                 Some(c) if c == want => {}
                 _ => {
-                    return Err(Error::new(format!(
+                    return Err(Error::custom(format!(
                         "invalid literal near position {}",
                         self.pos
                     )))
@@ -162,11 +164,11 @@ impl Parser<'_> {
             Some('[') => self.parse_array(),
             Some('{') => self.parse_object(),
             Some(c) if *c == '-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(Error::new(format!(
+            Some(c) => Err(Error::custom(format!(
                 "unexpected character `{c}` at position {}",
                 self.pos
             ))),
-            None => Err(Error::new("unexpected end of input")),
+            None => Err(Error::custom("unexpected end of input")),
         }
     }
 
@@ -186,7 +188,7 @@ impl Parser<'_> {
                 Some(',') => {}
                 Some(']') => return Ok(Value::Array(items)),
                 _ => {
-                    return Err(Error::new(format!(
+                    return Err(Error::custom(format!(
                         "expected `,` or `]` in array at position {}",
                         self.pos
                     )));
@@ -216,7 +218,7 @@ impl Parser<'_> {
                 Some(',') => {}
                 Some('}') => return Ok(Value::Object(fields)),
                 _ => {
-                    return Err(Error::new(format!(
+                    return Err(Error::custom(format!(
                         "expected `,` or `}}` in object at position {}",
                         self.pos
                     )));
@@ -230,7 +232,7 @@ impl Parser<'_> {
         let mut s = String::new();
         loop {
             match self.bump() {
-                None => return Err(Error::new("unterminated string")),
+                None => return Err(Error::custom("unterminated string")),
                 Some('"') => return Ok(s),
                 Some('\\') => match self.bump() {
                     Some('"') => s.push('"'),
@@ -249,7 +251,7 @@ impl Parser<'_> {
                             self.expect('u')?;
                             let lo = self.parse_hex4()?;
                             if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(Error::new("invalid low surrogate"));
+                                return Err(Error::custom("invalid low surrogate"));
                             }
                             0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                         } else {
@@ -257,11 +259,11 @@ impl Parser<'_> {
                         };
                         match char::from_u32(code) {
                             Some(c) => s.push(c),
-                            None => return Err(Error::new("invalid unicode escape")),
+                            None => return Err(Error::custom("invalid unicode escape")),
                         }
                     }
                     other => {
-                        return Err(Error::new(format!("invalid escape `{other:?}`")));
+                        return Err(Error::custom(format!("invalid escape `{other:?}`")));
                     }
                 },
                 Some(c) => s.push(c),
@@ -275,7 +277,7 @@ impl Parser<'_> {
             let digit = self
                 .bump()
                 .and_then(|c| c.to_digit(16))
-                .ok_or_else(|| Error::new("invalid \\u escape"))?;
+                .ok_or_else(|| Error::custom("invalid \\u escape"))?;
             code = code * 16 + digit;
         }
         Ok(code)
@@ -312,6 +314,6 @@ impl Parser<'_> {
         }
         text.parse::<f64>()
             .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
+            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
     }
 }
