@@ -21,7 +21,7 @@ impl SeEngine {
             seed: self.config.seed,
             iteration: self.iteration,
             vtime: self.vtime,
-            best_selected: self.best_solution.iter_selected().collect(),
+            best_selected: selected_indices(&self.best_solution),
             best_utility: self.best_utility,
             replicas: self
                 .replicas
@@ -31,7 +31,7 @@ impl SeEngine {
                         .iter()
                         .map(|c| ChainSnapshot {
                             cardinality: c.cardinality(),
-                            selected: c.solution().iter_selected().collect(),
+                            selected: selected_indices(c.solution()),
                         })
                         .collect()
                 })
@@ -94,6 +94,15 @@ impl SeEngine {
         engine.reseed();
         Ok(engine)
     }
+}
+
+/// `solution`'s selected indices in increasing order, in a `Vec` sized to
+/// its cardinality before the bitset is read: a checkpoint copies one per
+/// chain.
+fn selected_indices(solution: &Solution) -> Vec<usize> {
+    let mut indices = Vec::with_capacity(solution.selected_count());
+    indices.extend(solution.iter_selected());
+    indices
 }
 
 #[cfg(test)]

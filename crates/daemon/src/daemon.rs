@@ -308,7 +308,7 @@ impl Daemon {
             };
             if let Some(epoch) = last_epoch {
                 let ckpt = &epoch.checkpoint;
-                clock = ckpt.clock;
+                clock = clock.restore(ckpt.clock, ckpt.total_epochs)?;
                 totals = Totals {
                     epochs: ckpt.total_epochs,
                     reports: ckpt.total_reports,

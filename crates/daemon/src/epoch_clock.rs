@@ -59,6 +59,46 @@ impl EpochClock {
         })
     }
 
+    /// The clock a checkpoint saved, taken up in place of `self` (the fresh
+    /// clock the configuration builds) only in the state `close_epoch`
+    /// leaves it: the open epoch empty and numbered `closed_epochs`, the
+    /// configured quota and interval, and room in `batches` for a whole
+    /// epoch of batches (at most one per report).
+    ///
+    /// # Errors
+    ///
+    /// [`DaemonError::History`] naming the first field that fails.
+    pub fn restore(&self, saved: EpochClock, closed_epochs: u64) -> Result<EpochClock> {
+        let refuse = |field: &str, found: &dyn std::fmt::Display, wanted: String| {
+            Err(DaemonError::history(format!(
+                "checkpoint clock `{field}` is {found}, expected {wanted}; refusing to resume"
+            )))
+        };
+        if saved.in_epoch != 0 {
+            return refuse("in_epoch", &saved.in_epoch, "0 at an epoch's close".into());
+        }
+        if saved.reports_per_epoch != self.reports_per_epoch {
+            let wanted = format!("the header's {}", self.reports_per_epoch);
+            return refuse("reports_per_epoch", &saved.reports_per_epoch, wanted);
+        }
+        if saved.batch_interval_s.to_bits() != self.batch_interval_s.to_bits() {
+            let wanted = format!("the header's {}", self.batch_interval_s);
+            return refuse("batch_interval_s", &saved.batch_interval_s, wanted);
+        }
+        if saved.epoch != closed_epochs {
+            let wanted = format!("{closed_epochs}, the epochs closed");
+            return refuse("epoch", &saved.epoch, wanted);
+        }
+        if saved.batches.checked_add(self.reports_per_epoch).is_none() {
+            let wanted = format!(
+                "at most {} to fit another epoch",
+                u64::MAX - self.reports_per_epoch
+            );
+            return refuse("batches", &saved.batches, wanted);
+        }
+        Ok(saved)
+    }
+
     /// The current logical time: `batches · batch_interval_s` seconds.
     pub fn now(&self) -> f64 {
         self.batches as f64 * self.batch_interval_s

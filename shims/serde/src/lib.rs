@@ -54,6 +54,14 @@
 //!   simulated latencies (a real sentinel in this codebase) round-trippable.
 //! - Strings escape `"`, `\\` and the control characters below U+0020;
 //!   everything else, multi-byte UTF-8 included, is copied through.
+//!
+//! Arrays: `Vec<T>`, `[T]` and `[T; N]` write through the provided hook
+//! [`Serialize::write_json_seq`], whose default writes element by element.
+//! It has one override, shared by every integer type: the whole array
+//! renders into a 4 KB stack chunk — two digits per division off a table,
+//! `-` before a negative — and each chunk is appended with one `push_str`,
+//! so a checkpoint's index lists (most of a history record) cost no call
+//! per element.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -200,6 +208,16 @@ impl std::error::Error for Error {}
 /// Appends `self` to `out` as compact JSON.
 pub trait Serialize {
     fn write_json(&self, out: &mut String);
+
+    /// Appends `items` as a JSON array: the hook `Vec<T>`, `[T]` and
+    /// `[T; N]` write through. The default writes element by element; the
+    /// integer types override it with one chunked writer.
+    fn write_json_seq(items: &[Self], out: &mut String)
+    where
+        Self: Sized,
+    {
+        write_seq(items, out);
+    }
 }
 
 /// Decodes `Self` from JSON: the dual of [`Serialize::write_json`].
@@ -270,20 +288,51 @@ pub fn unknown_variant(ty: &str, tag: &str) -> Error {
 // Scalar writers.
 // ---------------------------------------------------------------------------
 
+/// `00`, `01`, …, `99`: an integer renders two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// How many decimal digits `x` has: compares for the short ones (a
+/// checkpoint's shard indices), where they beat the logarithm.
+fn digit_count(x: u64) -> usize {
+    match x {
+        0..=9 => 1,
+        10..=99 => 2,
+        100..=999 => 3,
+        1_000..=9_999 => 4,
+        _ => x.ilog10() as usize + 1,
+    }
+}
+
+/// Writes the decimal digits of `x` into `dst`, which is exactly
+/// [`digit_count`]`(x)` bytes long, from the last pair to the first.
+fn put_digits(mut x: u64, dst: &mut [u8]) {
+    let mut end = dst.len();
+    while x >= 100 {
+        let pair = (x % 100) as usize * 2;
+        x /= 100;
+        end -= 2;
+        dst[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if x >= 10 {
+        let pair = x as usize * 2;
+        dst[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        dst[0] = b'0' + x as u8;
+    }
+}
+
 /// Appends the decimal digits of `x`.
-fn write_u64(mut x: u64, out: &mut String) {
+fn write_u64(x: u64, out: &mut String) {
     // u64::MAX has 20 digits.
     let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (x % 10) as u8;
-        x /= 10;
-        if x == 0 {
-            break;
-        }
-    }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+    let len = digit_count(x);
+    put_digits(x, &mut digits[..len]);
+    flush_ascii(&digits[..len], out);
 }
 
 fn write_i64(x: i64, out: &mut String) {
@@ -339,15 +388,59 @@ fn write_str(s: &str, out: &mut String) {
 }
 
 /// Appends `[a,b,…]`.
-fn write_seq<'a, T: Serialize + 'a>(items: impl IntoIterator<Item = &'a T>, out: &mut String) {
+fn write_seq<T: Serialize>(items: &[T], out: &mut String) {
     out.push('[');
-    for (i, item) in items.into_iter().enumerate() {
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         item.write_json(out);
     }
     out.push(']');
+}
+
+/// Bytes an integer sequence renders on the stack before one `push_str`.
+const SEQ_CHUNK: usize = 4096;
+
+/// The longest integer element with its comma: `,-9223372036854775808`
+/// and `,18446744073709551615` are both 21 bytes.
+const MAX_INT_ELEMENT: usize = 21;
+
+/// Appends `[a,b,…]` for integers given as (negative, magnitude). Elements
+/// render into a stack chunk, and each chunk of at most [`SEQ_CHUNK`]
+/// bytes is appended with one `push_str`; a flush may fall anywhere
+/// between two elements.
+fn write_int_seq(items: impl Iterator<Item = (bool, u64)>, out: &mut String) {
+    let mut chunk = [0u8; SEQ_CHUNK];
+    chunk[0] = b'[';
+    let mut len = 1;
+    for (i, (negative, magnitude)) in items.enumerate() {
+        // Room for this element and, after the last, the closing `]`.
+        if len + MAX_INT_ELEMENT >= SEQ_CHUNK {
+            flush_ascii(&chunk[..len], out);
+            len = 0;
+        }
+        if i > 0 {
+            chunk[len] = b',';
+            len += 1;
+        }
+        if negative {
+            chunk[len] = b'-';
+            len += 1;
+        }
+        let digits = digit_count(magnitude);
+        put_digits(magnitude, &mut chunk[len..len + digits]);
+        len += digits;
+    }
+    chunk[len] = b']';
+    flush_ascii(&chunk[..=len], out);
+}
+
+/// Appends rendered digits and punctuation. Every byte is ASCII, so the
+/// check, on `str::from_utf8`'s word-at-a-time ASCII path, always passes
+/// and the default is never taken.
+fn flush_ascii(bytes: &[u8], out: &mut String) {
+    out.push_str(std::str::from_utf8(bytes).unwrap_or_default());
 }
 
 impl Serialize for Value {
@@ -480,11 +573,27 @@ fn to_f64(n: Number) -> Result<f64, Error> {
     })
 }
 
+/// An unsigned integer as the sequence writer takes it.
+#[inline]
+fn unsigned(x: u64) -> (bool, u64) {
+    (false, x)
+}
+
+/// A signed integer as the sequence writer takes it.
+#[inline]
+fn signed(x: i64) -> (bool, u64) {
+    (x < 0, x.unsigned_abs())
+}
+
 macro_rules! impl_serde_int {
-    ($write:ident, $wide:ident, $read:ident: $($t:ty),* $(,)?) => {$(
+    ($write:ident, $wide:ident, $split:ident, $read:ident: $($t:ty),* $(,)?) => {$(
         impl Serialize for $t {
             fn write_json(&self, out: &mut String) {
                 $write(*self as $wide, out);
+            }
+
+            fn write_json_seq(items: &[$t], out: &mut String) {
+                write_int_seq(items.iter().map(|&x| $split(x as $wide)), out);
             }
         }
         impl Deserialize for $t {
@@ -504,8 +613,8 @@ macro_rules! impl_serde_int {
     )*};
 }
 
-impl_serde_int!(write_u64, u64, to_u64: u8, u16, u32, u64, usize);
-impl_serde_int!(write_i64, i64, to_i64: i8, i16, i32, i64, isize);
+impl_serde_int!(write_u64, u64, unsigned, to_u64: u8, u16, u32, u64, usize);
+impl_serde_int!(write_i64, i64, signed, to_i64: i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn write_json(&self, out: &mut String) {
@@ -648,7 +757,7 @@ impl<T: Deserialize> Deserialize for Option<T> {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn write_json(&self, out: &mut String) {
-        write_seq(self, out);
+        T::write_json_seq(self, out);
     }
 }
 
@@ -673,13 +782,13 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 
 impl<T: Serialize> Serialize for [T] {
     fn write_json(&self, out: &mut String) {
-        write_seq(self, out);
+        T::write_json_seq(self, out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn write_json(&self, out: &mut String) {
-        write_seq(self, out);
+        T::write_json_seq(self, out);
     }
 }
 

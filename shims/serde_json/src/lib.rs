@@ -194,6 +194,15 @@ mod tests {
         seven: u8,
     }
 
+    /// The integer-array shapes a checkpoint is made of.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Indices {
+        replicas: Vec<Vec<usize>>,
+        triple: [i32; 3],
+        bytes: Option<Vec<u8>>,
+        absent: Option<Vec<u8>>,
+    }
+
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
     enum Shape {
         Dot,
@@ -207,6 +216,18 @@ mod tests {
 
     fn u(x: u64) -> Value {
         Value::U64(x)
+    }
+
+    /// The tree the reference writer renders an integer array from.
+    fn ints<T: Copy>(items: &[T]) -> Value
+    where
+        i128: TryFrom<T>,
+    {
+        let item = |x: T| match i128::try_from(x).ok().unwrap() {
+            x if x >= 0 => u(u64::try_from(x).unwrap()),
+            x => Value::I64(i64::try_from(x).unwrap()),
+        };
+        Value::Array(items.iter().map(|&x| item(x)).collect())
     }
 
     fn s(x: &str) -> Value {
@@ -323,6 +344,79 @@ mod tests {
             &vec![Some(Shape::Dot), None],
             Value::Array(vec![s("Dot"), Value::Null]),
         );
+
+        // Integer arrays inside other shapes go through the chunked writer.
+        let long: Vec<usize> = (0..2_500).map(|i| i * 7_919).collect();
+        let replicas = vec![vec![], vec![0, usize::MAX], long.clone()];
+        let replicas_tree = Value::Array(vec![ints::<usize>(&[]), ints(&replicas[1]), ints(&long)]);
+        same_bytes(&replicas, replicas_tree.clone());
+        let triple = [i32::MIN, -1, i32::MAX];
+        assert_eq!(
+            same_bytes(&triple, ints(&triple)),
+            "[-2147483648,-1,2147483647]"
+        );
+        same_bytes(&Some(vec![0u8, 9, 10, 255]), ints(&[0u8, 9, 10, 255]));
+        same_bytes(&None::<Vec<u8>>, Value::Null);
+        let indices = Indices {
+            replicas,
+            triple,
+            bytes: Some(vec![7, 0, 255]),
+            absent: None,
+        };
+        same_bytes(
+            &indices,
+            object(&[
+                ("replicas", replicas_tree),
+                ("triple", ints(&triple)),
+                ("bytes", ints(&[7u8, 0, 255])),
+                ("absent", Value::Null),
+            ]),
+        );
+    }
+
+    /// Every integer that sits on an edge of some width: zero, ±1, each
+    /// width's `MIN` and `MAX`, and both sides of every digit-count
+    /// boundary up to 10¹⁹, negated too.
+    fn integer_edges() -> Vec<i128> {
+        let mut edges = vec![0, 1, -1];
+        for k in 1..=19 {
+            let power = 10i128.pow(k);
+            edges.extend([power - 1, power, 1 - power, -power]);
+        }
+        for (min, max) in [
+            (i128::from(i8::MIN), i128::from(u8::MAX)),
+            (i128::from(i16::MIN), i128::from(u16::MAX)),
+            (i128::from(i32::MIN), i128::from(u32::MAX)),
+            (i128::from(i64::MIN), i128::from(u64::MAX)),
+        ] {
+            edges.extend([min, min + 1, max / 2, max / 2 + 1, max - 1, max]);
+        }
+        edges
+    }
+
+    /// Sequences of one integer width against the reference bytes: empty,
+    /// each edge alone, all edges in one array, and a run long enough
+    /// that several chunk flushes fall mid-array.
+    fn integer_sequences_write_the_reference_bytes<T>()
+    where
+        T: Copy + TryFrom<i128> + Serialize + Deserialize + PartialEq + Debug,
+        i128: TryFrom<T>,
+    {
+        let edges: Vec<T> = integer_edges()
+            .into_iter()
+            .filter_map(|x| T::try_from(x).ok())
+            .collect();
+        assert_eq!(same_bytes(&Vec::<T>::new(), ints::<T>(&[])), "[]");
+        for &x in &edges {
+            let one = same_bytes(&vec![x], ints(&[x]));
+            assert_eq!(one, format!("[{}]", to_string(&x).unwrap()));
+        }
+        same_bytes(&edges, ints(&edges));
+        let long: Vec<T> = edges.iter().copied().cycle().take(4_001).collect();
+        let json = same_bytes(&long, ints(&long));
+        assert!(json.len() > 2 * 4_096, "{} bytes", json.len());
+        // A slice writes as the `Vec` it was cut from.
+        assert_eq!(to_string(&long[..]).unwrap(), json);
     }
 
     #[test]
@@ -398,6 +492,17 @@ mod tests {
         assert_eq!(reference, "null");
         same_bytes(&true, Value::Bool(true));
         same_bytes(&false, Value::Bool(false));
+
+        integer_sequences_write_the_reference_bytes::<u8>();
+        integer_sequences_write_the_reference_bytes::<u16>();
+        integer_sequences_write_the_reference_bytes::<u32>();
+        integer_sequences_write_the_reference_bytes::<u64>();
+        integer_sequences_write_the_reference_bytes::<usize>();
+        integer_sequences_write_the_reference_bytes::<i8>();
+        integer_sequences_write_the_reference_bytes::<i16>();
+        integer_sequences_write_the_reference_bytes::<i32>();
+        integer_sequences_write_the_reference_bytes::<i64>();
+        integer_sequences_write_the_reference_bytes::<isize>();
     }
 
     #[test]

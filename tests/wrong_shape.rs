@@ -6,7 +6,8 @@
 //! rewritten — opened by `Daemon::open(resume = true)`. Each hostile case
 //! ends in a named `DaemonError`, never in a panic; the edits the decoding
 //! rules tolerate (unknown keys, a later duplicate, an escaped key) resume
-//! as the untouched log does.
+//! as the untouched log does. A clock that decodes but does not stand
+//! where an epoch's close left it is refused too, naming its field.
 
 #![expect(
     clippy::unwrap_used,
@@ -132,6 +133,7 @@ fn object<'a>(root: &'a mut Value, path: &[&str]) -> &'a mut Vec<(String, Value)
 const CHECKPOINT: &[&str] = &["Epoch", "checkpoint"];
 const SE: &[&str] = &["Epoch", "checkpoint", "se"];
 const DEFENSE: &[&str] = &["Epoch", "checkpoint", "defense"];
+const CLOCK: &[&str] = &["Epoch", "checkpoint", "clock"];
 
 fn set(root: &mut Value, at: &[&str], key: &str, value: Value) {
     let fields = object(root, at);
@@ -322,6 +324,56 @@ fn every_wrong_shape_is_a_named_history_error() {
             Ok(_) => panic!("{}: resumed", case.name),
         }
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_clock_not_at_an_epoch_close_is_refused_by_name() {
+    let (header, epoch) = reference("clock");
+    let dir = scratch("clock");
+    // The run closed three epochs of four reports at 0.25 s per batch.
+    let cases = [
+        (
+            "reports_per_epoch",
+            "0",
+            "`reports_per_epoch` is 0, expected the header's 4",
+        ),
+        (
+            "batch_interval_s",
+            "0.0",
+            "`batch_interval_s` is 0, expected the header's 0.25",
+        ),
+        (
+            "batch_interval_s",
+            "-1.0",
+            "`batch_interval_s` is -1, expected the header's 0.25",
+        ),
+        (
+            "in_epoch",
+            "2",
+            "`in_epoch` is 2, expected 0 at an epoch's close",
+        ),
+        (
+            "batches",
+            "18446744073709551615",
+            "`batches` is 18446744073709551615, expected at most",
+        ),
+        ("epoch", "2", "`epoch` is 2, expected 3, the epochs closed"),
+        ("epoch", "4", "`epoch` is 4, expected 3, the epochs closed"),
+    ];
+    for (field, value, says) in cases {
+        let mut doc = epoch.clone();
+        set(&mut doc, CLOCK, field, raw(value));
+        match resume(&dir, &header, &serde_json::to_string(&doc).unwrap()) {
+            Err(DaemonError::History(msg)) => assert!(msg.contains(says), "{field}: {msg}"),
+            Err(other) => panic!("{field} = {value}: {other}"),
+            Ok(_) => panic!("{field} = {value}: resumed"),
+        }
+    }
+    // Exactly room for one more epoch of (at most) four batches.
+    let mut doc = epoch.clone();
+    set(&mut doc, CLOCK, "batches", raw("18446744073709551611"));
+    resume(&dir, &header, &serde_json::to_string(&doc).unwrap()).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
