@@ -24,12 +24,12 @@
 
 use std::collections::BTreeSet;
 
-use mvcom_core::admission::{Admission, Capacity, EpochPolicy};
-use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
+use mvcom_core::admission::{Capacity, EpochPolicy, FinalCommittee};
+use mvcom_core::defense::{DefenseConfig, DefenseEngine};
 use mvcom_core::se::SeConfig;
 use mvcom_dataset::StrategicPopulation;
 use mvcom_dataset::{build_adversary, Adversary, AdversaryConfig, CommitteeReport};
-use mvcom_obs::{Obs, ObsLevel, Value};
+use mvcom_obs::{obs_event, Obs, ObsLevel};
 use mvcom_types::{CommitteeId, Result};
 
 use crate::experiments::Figure;
@@ -148,82 +148,54 @@ fn run_arm(
     defense: bool,
     epochs: u64,
     se_base: SeConfig,
-    obs: Option<Obs>,
+    obs: &Obs,
 ) -> Result<ArmOutcome> {
-    let obs_handle = obs.unwrap_or_else(Obs::off);
-    let policy = EpochPolicy {
-        alpha: ALPHA,
-        capacity: Capacity::PerCommittee(CAPACITY_PER_COMMITTEE),
-        ..EpochPolicy::paper()
-    };
-    let mut engine = if defense {
-        Some(DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs_handle.clone()))
+    let defense = if defense {
+        Some(DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs.clone()))
     } else {
         None
+    };
+    // The SE runs stay untraced: the figure's event artifact holds the
+    // adversary and defense events only.
+    let mut committee = FinalCommittee {
+        policy: EpochPolicy {
+            alpha: ALPHA,
+            capacity: Capacity::PerCommittee(CAPACITY_PER_COMMITTEE),
+            ..EpochPolicy::paper()
+        },
+        defense,
+        obs: Obs::off(),
     };
     let mut honest_utility = 0.0;
     let mut starved_epochs = 0;
     let mut adv_admitted_total = 0usize;
     for epoch in 0..epochs {
         let reports = population.epoch_reports(epoch, adversary);
-        for r in &reports {
-            if r.adversarial {
-                obs_handle.emit(
-                    "adversary_act",
-                    epoch as f64,
-                    &[
-                        ("committee", Value::U64(u64::from(r.committee().value()))),
-                        ("epoch", Value::U64(epoch)),
-                        ("strategy", Value::from(adversary.name())),
-                        ("ds", Value::F64(r.ds())),
-                        ("dl", Value::F64(r.dl())),
-                    ],
-                );
-            }
+        for r in reports.iter().filter(|r| r.adversarial) {
+            obs_event!(
+                obs, "adversary_act", epoch as f64,
+                "committee" => u64::from(r.committee().value()),
+                "epoch" => epoch,
+                "strategy" => adversary.name(),
+                "ds" => r.ds(),
+                "dl" => r.dl(),
+            );
         }
         let honest_total = reports.iter().filter(|r| !r.adversarial).count();
         let reported: Vec<_> = reports.iter().map(|r| r.reported).collect();
-        // Both constraints scale with the whole population, screened or
-        // not; `N_min` is the floor of half of it.
-        let n_min = reported.len() / 2;
-        let capacity = policy.capacity.of(&reported);
-        let candidates = match &mut engine {
-            Some(engine) => engine.admissible(epoch, &reported, n_min),
-            None => reported,
-        };
-        let se = SeConfig {
-            seed: se_base.seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..se_base
-        };
-        // The SE run itself stays untraced: the figure's event artifact
-        // holds the adversary and defense events only.
-        let mut admission = Admission::open(
-            &policy,
-            &candidates,
-            candidates.clone(),
-            n_min.min(candidates.len()),
-            capacity,
-            se,
-            Obs::off(),
-        )?;
-        admission.advance(se.max_iterations);
-        let admitted: BTreeSet<CommitteeId> = admission.finish().admitted.into_iter().collect();
+        // `Ĉ` scales with the whole population, screened or not.
+        let capacity = committee.policy.capacity.of(&reported);
+        let se = se_base.for_epoch(epoch);
+        let admission = committee.decide(epoch, &reported, Some(capacity), None, se)?;
+        let decision = admission.finish();
+        let admitted: BTreeSet<CommitteeId> = decision.admitted.iter().copied().collect();
         let (utility, honest_admitted, adv_admitted) = settle_epoch(&reports, &admitted);
         honest_utility += utility;
         adv_admitted_total += adv_admitted;
         if honest_admitted * 2 < honest_total {
             starved_epochs += 1;
         }
-        if let Some(engine) = &mut engine {
-            let observations: Vec<DefenseObservation> = reports
-                .iter()
-                .map(|r| {
-                    let admitted = admitted.contains(&r.committee());
-                    DefenseObservation::settled(&r.reported, &r.truth, admitted)
-                })
-                .collect();
-            engine.end_epoch(epoch, &observations);
-        }
+        committee.settle(epoch, &reports, &decision);
     }
     Ok(ArmOutcome {
         honest_utility,
@@ -263,16 +235,11 @@ fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
         // its telemetry as the figure's event artifact.
         let keep_events = strategy == "starver" && fraction >= 0.33;
         let buffer = keep_events.then(|| Obs::memory(ObsLevel::Events));
-        let reference = run_arm(&population, none.as_ref(), false, epochs, se, None)?;
-        let on = run_arm(
-            &population,
-            adversary.as_ref(),
-            true,
-            epochs,
-            se,
-            buffer.as_ref().map(|(obs, _)| obs.clone()),
-        )?;
-        let off = run_arm(&population, adversary.as_ref(), false, epochs, se, None)?;
+        let off_obs = Obs::off();
+        let on_obs = buffer.as_ref().map_or(&off_obs, |(obs, _)| obs);
+        let reference = run_arm(&population, none.as_ref(), false, epochs, se, &off_obs)?;
+        let on = run_arm(&population, adversary.as_ref(), true, epochs, se, on_obs)?;
+        let off = run_arm(&population, adversary.as_ref(), false, epochs, se, &off_obs)?;
         let events = buffer.map(|(obs, buf)| {
             obs.flush();
             downsample_events_jsonl(&buf.contents(), MAX_EVENT_LINES)

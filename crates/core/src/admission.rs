@@ -1,29 +1,28 @@
 //! The final committee's per-epoch procedure (Alg. 1 lines 22–30), once.
 //!
-//! Stop listening at `N_max`, require `N_min`, cap the block at `Ĉ`, run
-//! SE, admit the converged set — and when the epoch is degenerate (fewer
-//! than two shards, or no selection satisfies the constraints) admit
-//! everything that arrived, like vanilla Elastico. An epoch that cannot
-//! be posed at all (a repeated committee, an infinite latency) or an SE
-//! configuration the engine refuses is an error, never degenerate. The
-//! Elastico selectors of the `mvcom` facade, the daemon's epoch close,
-//! the `fig_adv` arms and [`EpochChain`](crate::epoch_chain::EpochChain)
-//! all run this module (DESIGN.md "One final committee").
-//!
-//! What differs between those callers is *data*, passed in: which count
-//! `N_min` is a fraction of, which shards `Ĉ` scales with, the per-epoch
-//! SE seed, the iteration budget, the telemetry handle. Nothing here asks
-//! who is calling.
+//! [`FinalCommittee::decide`] screens the reports, stops listening at
+//! `N_max`, requires `N_min`, caps the block at `Ĉ`, runs SE and admits the
+//! converged set — or, for a degenerate epoch (fewer than two shards, or
+//! no selection satisfies the constraints), everything that arrived, like
+//! vanilla Elastico. An epoch that cannot be posed (a repeated committee,
+//! an infinite latency) or an SE configuration the engine refuses is an
+//! error. [`FinalCommittee::settle`] lets the defense learn from how the
+//! epoch settled. The facade's `SeSelector`, the daemon, the `fig_adv`
+//! arms and [`EpochChain`](crate::epoch_chain::EpochChain) all run it; what
+//! differs between them is data passed in (DESIGN.md §6d).
 //!
 //! [`EpochPolicy`] poses an epoch; [`Admission`] is a posed epoch being
 //! solved — the object a caller keeps while committees fail (or, for a
 //! warm-started service, join) and settles with [`Admission::finish`].
 
+use std::collections::BTreeSet;
+
 use serde::{Deserialize, Serialize};
 
 use mvcom_obs::Obs;
-use mvcom_types::{CommitteeId, Error, Result, ShardInfo, SimTime};
+use mvcom_types::{CommitteeId, CommitteeReport, Error, Result, ShardInfo, SimTime};
 
+use crate::defense::{DefenseEngine, DefenseObservation};
 use crate::dynamics::DynamicsPolicy;
 use crate::problem::{DdlPolicy, Instance, InstanceBuilder};
 use crate::se::{SeCheckpoint, SeConfig, SeEngine};
@@ -138,15 +137,21 @@ pub fn cutoff(shards: &[ShardInfo], n_max_fraction: f64) -> Vec<ShardInfo> {
     by_arrival
 }
 
-/// What a settled epoch admits.
+/// What the final committee decided for one epoch.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Admitted {
+pub struct Decision {
     /// The committees whose shards enter the final block.
     pub admitted: Vec<CommitteeId>,
     /// The utility of that selection.
     pub utility: f64,
     /// The epoch deadline `t_j`.
     pub ddl: SimTime,
+    /// The `N_min` the epoch was posed under.
+    pub n_min: usize,
+    /// The capacity `Ĉ` the epoch was posed under.
+    pub capacity: u64,
+    /// The reports the defense quarantined, in report order.
+    pub quarantined: Vec<CommitteeId>,
 }
 
 /// A posed epoch being solved: a live [`SeEngine`], or — for a degenerate
@@ -154,6 +159,9 @@ pub struct Admitted {
 #[derive(Debug)]
 pub struct Admission {
     alpha: f64,
+    n_min: usize,
+    capacity: u64,
+    quarantined: Vec<CommitteeId>,
     obs: Obs,
     state: State,
 }
@@ -199,6 +207,9 @@ impl Admission {
         };
         Ok(Admission {
             alpha: policy.alpha,
+            n_min,
+            capacity,
+            quarantined: Vec::new(),
             obs,
             state,
         })
@@ -262,15 +273,12 @@ impl Admission {
     /// Settles the epoch: the engine's finalized best selection (Alg. 1
     /// lines 22–27), or everything that arrived with the MaxArrival
     /// objective of that full selection.
-    pub fn finish(self) -> Admitted {
-        match self.state {
+    pub fn finish(self) -> Decision {
+        let (admitted, utility, ddl) = match self.state {
             State::Solving(engine) => {
                 let (instance, outcome) = engine.settle();
-                Admitted {
-                    admitted: instance.committees(&outcome.best_solution).collect(),
-                    utility: outcome.best_utility,
-                    ddl: instance.ddl(),
-                }
+                let admitted = instance.committees(&outcome.best_solution).collect();
+                (admitted, outcome.best_utility, instance.ddl())
             }
             State::AdmitAll(shards) => {
                 let secs = |s: &ShardInfo| s.two_phase_latency().as_secs();
@@ -279,19 +287,139 @@ impl Admission {
                     .iter()
                     .map(|s| self.alpha * s.tx_count() as f64 - (ddl_s - secs(s)))
                     .sum();
-                Admitted {
-                    admitted: shards.iter().map(ShardInfo::committee).collect(),
-                    utility,
-                    ddl: SimTime::from_secs(ddl_s),
-                }
+                let admitted = shards.iter().map(ShardInfo::committee).collect();
+                (admitted, utility, SimTime::from_secs(ddl_s))
+            }
+        };
+        Decision {
+            admitted,
+            utility,
+            ddl,
+            n_min: self.n_min,
+            capacity: self.capacity,
+            quarantined: self.quarantined,
+        }
+    }
+}
+
+/// How one epoch's reports settled beyond its [`Decision`]: each report
+/// is admitted, quarantined or refused, and the `*_txs` fields sum true
+/// sizes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Reports neither admitted nor quarantined.
+    pub refused: u64,
+    /// True transactions of the admitted reports.
+    pub admitted_txs: u64,
+    /// True transactions of the refused reports.
+    pub refused_txs: u64,
+    /// True transactions of the quarantined reports.
+    pub quarantined_txs: u64,
+}
+
+/// The final committee of the [module docs](self).
+#[derive(Debug)]
+pub struct FinalCommittee {
+    /// How each epoch is posed.
+    pub policy: EpochPolicy,
+    /// Screens reports and learns from each settled epoch, if on.
+    pub defense: Option<DefenseEngine>,
+    /// What the SE engines emit to (a defense keeps its own handle).
+    pub obs: Obs,
+}
+
+impl FinalCommittee {
+    /// Decides epoch `epoch`, solved to the budget of the caller-seeded
+    /// `se`; [`Admission::finish`] yields the [`Decision`]. The defense
+    /// screens `reported` at `policy.n_min(reported)`; a cutoff `n_max`
+    /// poses only the earliest screened arrivals ([`cutoff`]). `N_min` is
+    /// `policy.n_min` of the reports heard, at most the posed count; `Ĉ` is
+    /// `capacity`, or `policy.capacity` over the posed shards. A
+    /// degenerate epoch admits every screened report.
+    ///
+    /// # Errors
+    ///
+    /// [`Admission::open`]'s.
+    pub fn decide(
+        &mut self,
+        epoch: u64,
+        reported: &[ShardInfo],
+        capacity: Option<u64>,
+        n_max: Option<f64>,
+        se: SeConfig,
+    ) -> Result<Admission> {
+        let screened = match &mut self.defense {
+            Some(defense) => defense.admissible(epoch, reported, self.policy.n_min(reported.len())),
+            None => reported.to_vec(),
+        };
+        let posed = match n_max {
+            Some(fraction) => cutoff(&screened, fraction),
+            None => screened.clone(),
+        };
+        // `N_min` counts the reports heard: all, or those the cutoff kept.
+        let heard = n_max.map_or(reported.len(), |_| posed.len());
+        let n_min = self.policy.n_min(heard).min(posed.len());
+        let capacity = capacity.unwrap_or_else(|| self.policy.capacity.of(&posed));
+        let obs = self.obs.clone();
+        let mut admission =
+            Admission::open(&self.policy, &screened, posed, n_min, capacity, se, obs)?;
+        if screened.len() < reported.len() {
+            let kept: BTreeSet<CommitteeId> = screened.iter().map(ShardInfo::committee).collect();
+            let ids = reported.iter().map(ShardInfo::committee);
+            admission.quarantined = ids.filter(|c| !kept.contains(c)).collect();
+        }
+        admission.advance(se.max_iterations);
+        Ok(admission)
+    }
+
+    /// Settles epoch `epoch` on the committees' `reports`: a defense learns
+    /// every true latency and the true sizes of admitted shards. Debug
+    /// builds check that the tally conserves reports and transactions.
+    pub fn settle(
+        &mut self,
+        epoch: u64,
+        reports: &[CommitteeReport],
+        decision: &Decision,
+    ) -> Tally {
+        let admitted: BTreeSet<CommitteeId> = decision.admitted.iter().copied().collect();
+        let quarantined: BTreeSet<CommitteeId> = decision.quarantined.iter().copied().collect();
+        let mut tally = Tally::default();
+        let mut offered_txs = 0;
+        for r in reports {
+            let txs = r.truth.tx_count();
+            offered_txs += txs;
+            if admitted.contains(&r.committee()) {
+                tally.admitted_txs += txs;
+            } else if quarantined.contains(&r.committee()) {
+                tally.quarantined_txs += txs;
+            } else {
+                tally.refused += 1;
+                tally.refused_txs += txs;
             }
         }
+        let decided = decision.admitted.len() + decision.quarantined.len();
+        let committees = decided as u64 + tally.refused;
+        debug_assert_eq!(committees, reports.len() as u64, "reports not conserved");
+        let txs = tally.admitted_txs + tally.refused_txs + tally.quarantined_txs;
+        debug_assert_eq!(txs, offered_txs, "offered transactions not conserved");
+        if let Some(defense) = &mut self.defense {
+            let observations: Vec<DefenseObservation> = reports
+                .iter()
+                .map(|r| {
+                    let admitted = admitted.contains(&r.committee());
+                    DefenseObservation::settled(&r.reported, &r.truth, admitted)
+                })
+                .collect();
+            defense.end_epoch(epoch, &observations);
+        }
+        tally
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defense::{CommitteeRecord, DefenseCheckpoint, DefenseConfig};
     use mvcom_types::TwoPhaseLatency;
 
     fn shard(id: u32, txs: u64, latency: f64) -> ShardInfo {
@@ -327,6 +455,119 @@ mod tests {
         let capacity = policy.capacity.of(shards);
         let posed = shards.to_vec();
         Admission::open(policy, shards, posed, n_min, capacity, se, Obs::off()).unwrap()
+    }
+
+    /// A final committee whose defense has committee 7 quarantined until
+    /// epoch 5.
+    fn committee_with_one_quarantine(policy: EpochPolicy) -> FinalCommittee {
+        let record = CommitteeRecord {
+            trust: 0.5,
+            size_ratios: Vec::new(),
+            latency_ratios: Vec::new(),
+            residuals: Vec::new(),
+            streak: 0,
+            offenses: 1,
+            quarantined_until: Some(5),
+        };
+        let checkpoint = DefenseCheckpoint {
+            epoch: 1,
+            config: DefenseConfig::paper(),
+            records: vec![(CommitteeId(7), record)],
+        };
+        FinalCommittee {
+            policy,
+            defense: Some(DefenseEngine::from_checkpoint(&checkpoint).unwrap()),
+            obs: Obs::off(),
+        }
+    }
+
+    /// DESIGN.md §6d's argument table, over 41 reports of which the
+    /// defense quarantines one.
+    #[test]
+    fn each_callers_arguments_pose_the_epoch_by_the_documented_formulas() {
+        let policy = EpochPolicy::paper();
+        let reported: Vec<ShardInfo> = (0..41)
+            .map(|i| shard(i, 700 + 37 * u64::from(i % 13), 500.0 + 61.0 * f64::from(i)))
+            .collect();
+        let decide = |capacity: Option<u64>, n_max: Option<f64>| {
+            let mut committee = committee_with_one_quarantine(policy);
+            let se = SeConfig::fast_test(3).for_epoch(1);
+            committee
+                .decide(1, &reported, capacity, n_max, se)
+                .unwrap()
+                .finish()
+        };
+
+        // The daemon and `EpochChain`: N_min = round(41 · 0.5) = 21, at
+        // most the 40 screened; Ĉ = 1000 · 40 screened.
+        let daemon = decide(None, None);
+        assert_eq!(daemon.quarantined, [CommitteeId(7)]);
+        assert_eq!((daemon.n_min, daemon.capacity), (21, 40_000));
+        assert!(!daemon.admitted.contains(&CommitteeId(7)));
+
+        // `fig_adv`: the same N_min, Ĉ over the whole population. At 41 it
+        // is the rounded 21; the ⌊41/2⌋ = 20 `fig_adv` used to take agreed
+        // only at the even populations it runs.
+        let population = policy.capacity.of(&reported);
+        let fig_adv = decide(Some(population), None);
+        assert_eq!((fig_adv.n_min, fig_adv.capacity), (21, 41_000));
+        assert_eq!(fig_adv.quarantined, [CommitteeId(7)]);
+
+        // `SeSelector::select`: the cutoff keeps round(0.8 · 40) = 32
+        // earliest screened arrivals, and N_min and Ĉ scale with them.
+        let selector = decide(None, Some(0.8));
+        assert_eq!((selector.n_min, selector.capacity), (16, 32_000));
+        assert!(
+            selector.admitted.iter().all(|c| c.0 <= 32 && c.0 != 7),
+            "{:?}",
+            selector.admitted
+        );
+    }
+
+    #[test]
+    fn settle_tallies_every_report_once_and_teaches_the_defense() {
+        let policy = EpochPolicy::paper();
+        let reports: Vec<CommitteeReport> = (0..10)
+            .map(|i| CommitteeReport::honest(shard(i, 100 * u64::from(i + 1), 600.0)))
+            .collect();
+        let decision = Decision {
+            admitted: vec![CommitteeId(2), CommitteeId(5), CommitteeId(9)],
+            utility: 0.0,
+            ddl: SimTime::from_secs(600.0),
+            n_min: 3,
+            capacity: 2_000,
+            quarantined: vec![CommitteeId(7)],
+        };
+        let mut committee = committee_with_one_quarantine(policy);
+        let tally = committee.settle(1, &reports, &decision);
+        assert_eq!(
+            tally,
+            Tally {
+                refused: 6,
+                admitted_txs: 300 + 600 + 1_000,
+                refused_txs: 100 + 200 + 400 + 500 + 700 + 900,
+                quarantined_txs: 800,
+            }
+        );
+        // An admitted shard's size was observed; a refused one's was not.
+        let defense = committee.defense.as_ref().unwrap().checkpoint();
+        let sizes = |id| {
+            let (_, record) = defense
+                .records
+                .iter()
+                .find(|(c, _)| *c == CommitteeId(id))
+                .unwrap();
+            record.size_ratios.len()
+        };
+        assert_eq!((sizes(2), sizes(3)), (1, 0));
+
+        // Without a defense only the tally is left.
+        let mut bare = FinalCommittee {
+            policy,
+            defense: None,
+            obs: Obs::off(),
+        };
+        assert_eq!(bare.settle(1, &reports, &decision), tally);
     }
 
     #[test]
@@ -383,10 +624,13 @@ mod tests {
             shard(2, 300, 20.0),
         ];
         // t = 30; U = 2·600 − (20 + 0 + 10).
-        let all_three = Admitted {
+        let all_three = Decision {
             admitted: vec![CommitteeId(0), CommitteeId(1), CommitteeId(2)],
             utility: 1_170.0,
             ddl: SimTime::from_secs(30.0),
+            n_min: 2,
+            capacity: 150,
+            quarantined: Vec::new(),
         };
         let se = SeConfig::fast_test(1);
 
@@ -411,7 +655,15 @@ mod tests {
         // is everything that arrived, in arrival-list order.
         let posed = three[..1].to_vec();
         let narrowed = Admission::open(&policy, &three, posed, 1, 1_000, se, Obs::off()).unwrap();
-        assert_eq!(narrowed.finish(), all_three);
+        let (n_min, capacity) = (1, 1_000);
+        assert_eq!(
+            narrowed.finish(),
+            Decision {
+                n_min,
+                capacity,
+                ..all_three
+            }
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! [`EpochChain`] implements exactly that bookkeeping: each epoch merges
 //! freshly arrived shards with the carried-over refusals (latencies
-//! reduced by the previous deadline, clamped at zero), schedules the epoch
-//! through the final committee's [`Admission`], and queues this epoch's
+//! reduced by the previous deadline, clamped at zero), has the
+//! [`FinalCommittee`] decide the epoch, and queues this epoch's
 //! refusals for the next. The per-epoch [`EpochOutcome`]s accumulate the
 //! paper's two performance quantities — admitted throughput and
 //! cumulative age.
@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use mvcom_obs::Obs;
 use mvcom_types::{EpochId, Result, ShardInfo, SimTime};
 
-use crate::admission::{Admission, EpochPolicy};
+use crate::admission::{EpochPolicy, FinalCommittee};
 use crate::problem::DdlPolicy;
 use crate::se::SeConfig;
 
@@ -148,7 +148,8 @@ impl EpochChain {
     }
 
     /// Schedules one epoch: merges `fresh` shards with the carried-over
-    /// refusals, solves it through [`Admission`], and queues this epoch's
+    /// refusals, has a [`FinalCommittee`] without a defense decide it (no
+    /// cutoff; `Ĉ` scales with every merged shard), and queues this epoch's
     /// refusals (with their latencies reduced by the epoch deadline, per
     /// Fig. 3).
     ///
@@ -159,8 +160,8 @@ impl EpochChain {
     ///
     /// # Errors
     ///
-    /// [`Admission::open`]'s: a committee repeated within `fresh`, a shard
-    /// of infinite latency.
+    /// [`FinalCommittee::decide`]'s: a committee repeated within `fresh`,
+    /// a shard of infinite latency.
     pub fn run_epoch(&mut self, fresh: Vec<ShardInfo>) -> Result<EpochOutcome> {
         let mut shards = fresh;
         let fresh_ids: BTreeSet<_> = shards.iter().map(|s| s.committee()).collect();
@@ -173,27 +174,27 @@ impl EpochChain {
         shards.extend(carried.iter().map(|c| c.shard));
 
         let n = shards.len();
-        let policy = &self.config.policy;
-        let n_min = policy.n_min(n).min(n);
-        let capacity = policy.capacity.of(&shards);
+        let policy = self.config.policy;
         let se = SeConfig {
             seed: self.config.se.seed ^ self.epoch.value().wrapping_mul(0x9E37_79B9),
             ..self.config.se
         };
-        let posed = shards.clone();
-        let mut admission =
-            Admission::open(policy, &shards, posed, n_min, capacity, se, Obs::off())?;
-        admission.advance(se.max_iterations);
-        let settled = admission.finish();
+        let mut committee = FinalCommittee {
+            policy,
+            defense: None,
+            obs: Obs::off(),
+        };
+        let admission = committee.decide(self.epoch.value(), &shards, None, None, se)?;
+        let decision = admission.finish();
 
-        let admitted_ids: BTreeSet<_> = settled.admitted.into_iter().collect();
+        let admitted_ids: BTreeSet<_> = decision.admitted.into_iter().collect();
         let (admitted, refused): (Vec<ShardInfo>, Vec<ShardInfo>) = shards
             .into_iter()
             .partition(|s| admitted_ids.contains(&s.committee()));
         // The posed instance's cumulative age: its deadline, in shard order.
         let secs = |s: &ShardInfo| s.two_phase_latency().as_secs();
         let t = match policy.ddl_policy {
-            DdlPolicy::MaxArrival => settled.ddl.as_secs(),
+            DdlPolicy::MaxArrival => decision.ddl.as_secs(),
             DdlPolicy::MaxSelected => admitted.iter().map(secs).fold(0.0, f64::max),
         };
         let cumulative_age = admitted.iter().map(|s| (t - secs(s)).max(0.0)).sum();
@@ -209,7 +210,7 @@ impl EpochChain {
             .into_iter()
             .map(|s| CarriedShard {
                 refusals: refusal_count(s.committee()) + 1,
-                shard: s.carried_over(settled.ddl),
+                shard: s.carried_over(decision.ddl),
             })
             .filter(|c| c.refusals <= self.config.max_carry_epochs)
             .collect();
@@ -218,11 +219,11 @@ impl EpochChain {
             epoch: self.epoch,
             arrived: n,
             carried_in,
-            ddl: settled.ddl,
+            ddl: decision.ddl,
             admitted_txs: admitted.iter().map(|s| s.tx_count()).sum(),
             cumulative_age,
             carried_out: self.pending.len(),
-            utility: settled.utility,
+            utility: decision.utility,
             admitted,
         };
         self.epoch = self.epoch.next();

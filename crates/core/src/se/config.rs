@@ -97,6 +97,14 @@ impl SeConfig {
         self
     }
 
+    /// The configuration of epoch `epoch` of a run: the seed mixed with the
+    /// epoch index times the 64-bit golden ratio.
+    #[must_use]
+    pub fn for_epoch(mut self, epoch: u64) -> SeConfig {
+        self.seed ^= epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self
+    }
+
     /// Validates all parameter domains.
     ///
     /// # Errors

@@ -20,16 +20,15 @@
 //! uninterrupted run would have written. The recovery integration tests
 //! assert that equality literally, with `assert_eq!` over file bytes.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::Duration;
 
-use mvcom_core::admission::{Admission, Capacity, EpochPolicy};
-use mvcom_core::defense::{DefenseConfig, DefenseEngine, DefenseObservation};
+use mvcom_core::admission::{Capacity, EpochPolicy, FinalCommittee};
+use mvcom_core::defense::{DefenseConfig, DefenseEngine};
 use mvcom_core::se::{SeConfig, SeEngine};
 use mvcom_dataset::adversary::{build_adversary, Adversary, AdversaryConfig, CommitteeReport};
 use mvcom_obs::{obs_event, MetricsRegistry, Obs};
-use mvcom_types::{CommitteeId, ShardInfo};
+use mvcom_types::ShardInfo;
 
 use crate::alerts::AlertEngine;
 use crate::epoch_clock::EpochClock;
@@ -202,10 +201,9 @@ struct Totals {
 /// The long-running scheduling service. See the [module docs](self).
 pub struct Daemon {
     config: DaemonConfig,
-    policy: EpochPolicy,
     source: Box<dyn IngestSource>,
     clock: EpochClock,
-    defense: Option<DefenseEngine>,
+    committee: FinalCommittee,
     adversary: Option<Box<dyn Adversary>>,
     history: HistoryWriter,
     alerts: AlertEngine,
@@ -227,9 +225,6 @@ impl std::fmt::Debug for Daemon {
     }
 }
 
-/// Golden-ratio mixer for per-epoch SE seeds.
-const EPOCH_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-
 impl Daemon {
     /// Opens the daemon against `history_path`.
     ///
@@ -247,15 +242,16 @@ impl Daemon {
     /// ([`DaemonError::History`]), header/config mismatches, and I/O.
     pub fn open(
         config: DaemonConfig,
-        source: Box<dyn IngestSource>,
+        mut source: Box<dyn IngestSource>,
         history_path: &Path,
         resume: bool,
         obs: Obs,
         alerts: AlertEngine,
     ) -> Result<Daemon> {
         config.validate()?;
-        let clock = EpochClock::new(u64::from(config.reports_per_epoch), config.batch_interval_s)?;
-        let defense = if config.defense {
+        let mut clock =
+            EpochClock::new(u64::from(config.reports_per_epoch), config.batch_interval_s)?;
+        let mut defense = if config.defense {
             Some(DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs.clone()))
         } else {
             None
@@ -273,9 +269,6 @@ impl Daemon {
             "daemon.epoch_admitted_txs",
             &[100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0],
         );
-        let mut source = source;
-        let mut clock = clock;
-        let mut defense = defense;
         let mut totals = Totals::default();
         let mut startup = Startup::Fresh;
         let resuming = resume
@@ -347,16 +340,19 @@ impl Daemon {
             writer
         };
         let daemon = Daemon {
-            policy: EpochPolicy {
-                alpha: config.alpha,
-                capacity: Capacity::PerCommittee(config.capacity_per_committee),
-                n_min_fraction: config.n_min_fraction,
-                ..EpochPolicy::paper()
+            committee: FinalCommittee {
+                policy: EpochPolicy {
+                    alpha: config.alpha,
+                    capacity: Capacity::PerCommittee(config.capacity_per_committee),
+                    n_min_fraction: config.n_min_fraction,
+                    ..EpochPolicy::paper()
+                },
+                defense,
+                obs: obs.clone(),
             },
             config,
             source,
             clock,
-            defense,
             adversary,
             history,
             alerts,
@@ -491,80 +487,48 @@ impl Daemon {
         };
         let adversarial = reports.iter().filter(|r| r.adversarial).count() as u64;
         let reported: Vec<ShardInfo> = reports.iter().map(|r| r.reported).collect();
-        // 2. The defense screens what the scheduler is allowed to see.
-        let n_min = self.policy.n_min(reported.len());
-        let screened: Vec<ShardInfo> = match &mut self.defense {
-            Some(d) => d.admissible(epoch, &reported, n_min),
-            None => reported.clone(),
-        };
-        let quarantined = (reported.len() - screened.len()) as u64;
-        // 3. SE schedules over the screened reports (DESIGN.md "One final
-        // committee"); a degenerate epoch admits all of them, and a
-        // committee that reported twice ends the run.
-        let n_min = n_min.min(screened.len());
-        let capacity = self.policy.capacity.of(&screened);
-        let mut se_config = SeConfig::paper(self.config.seed ^ epoch.wrapping_mul(EPOCH_SEED_MIX));
+        // 2. The final committee screens, poses and solves the epoch
+        // (DESIGN.md §6d); a committee that reported twice ends the run.
+        let mut se_config = SeConfig::paper(self.config.seed).for_epoch(epoch);
         if self.config.se_iterations > 0 {
             se_config = se_config.with_max_iterations(self.config.se_iterations);
         }
-        let mut admission = Admission::open(
-            &self.policy,
-            &screened,
-            screened.clone(),
-            n_min,
-            capacity,
-            se_config,
-            self.obs.clone(),
-        )?;
-        admission.advance(se_config.max_iterations);
+        let admission = self
+            .committee
+            .decide(epoch, &reported, None, None, se_config)?;
         // The checkpoint captures the solver state *before* finalization:
         // `SeEngine::from_checkpoint(…)` + `finish()` reproduces the
-        // outcome below exactly (pinned by an integration test).
+        // decision below exactly (pinned by an integration test).
         let se = admission.engine().map(SeEngine::checkpoint);
-        let outcome = admission.finish();
-        let admitted_set: BTreeSet<CommitteeId> = outcome.admitted.iter().copied().collect();
-        // 4. Stage-4 settlement: the defense sees realized behaviour —
-        // true latency for every committee, true size only for admitted
-        // shards (an unadmitted shard's contents are never observed).
-        if let Some(defense) = &mut self.defense {
-            let observations: Vec<DefenseObservation> = reports
-                .iter()
-                .map(|r| {
-                    let admitted = admitted_set.contains(&r.committee());
-                    DefenseObservation::settled(&r.reported, &r.truth, admitted)
-                })
-                .collect();
-            defense.end_epoch(epoch, &observations);
-        }
-        // 5. Summarize, alert, persist — one record, one append.
+        let decision = admission.finish();
+        // 3. Stage-4 settlement on the committees' true behaviour.
+        let tally = self.committee.settle(epoch, &reports, &decision);
+        // 4. Summarize, alert, persist — one record, one append.
         self.clock.close_epoch();
         let offered_txs: u64 = truth.iter().map(ShardInfo::tx_count).sum();
-        let admitted_txs: u64 = truth
-            .iter()
-            .filter(|s| admitted_set.contains(&s.committee()))
-            .map(ShardInfo::tx_count)
-            .sum();
         self.totals.epochs += 1;
         self.totals.reports += truth.len() as u64;
-        self.totals.admitted_txs += admitted_txs;
-        let mut id_bytes = Vec::with_capacity(admitted_set.len() * 4);
-        for id in &admitted_set {
-            id_bytes.extend_from_slice(&id.value().to_le_bytes());
-        }
+        self.totals.admitted_txs += tally.admitted_txs;
+        let mut admitted = decision.admitted.clone();
+        admitted.sort_unstable();
+        let id_bytes: Vec<u8> = admitted
+            .iter()
+            .flat_map(|c| c.value().to_le_bytes())
+            .collect();
         let summary = EpochSummary {
             epoch,
             t_open,
             t_close,
             reports: truth.len() as u64,
             offered_txs,
-            quarantined,
+            quarantined: decision.quarantined.len() as u64,
             adversarial,
-            admitted: admitted_set.len() as u64,
-            admitted_txs,
-            utility: outcome.utility,
-            ddl_s: outcome.ddl.as_secs(),
-            capacity,
-            n_min: n_min as u64,
+            admitted: decision.admitted.len() as u64,
+            admitted_txs: tally.admitted_txs,
+            utility: decision.utility,
+            ddl_s: decision.ddl.as_secs(),
+            capacity: decision.capacity,
+            n_min: decision.n_min as u64,
             schedule_crc: crc32(&id_bytes),
         };
         let alerts = self.alerts.evaluate(&summary);
@@ -587,13 +551,14 @@ impl Daemon {
                 "observed" => alert.observed,
             );
         }
+        let defense = self.committee.defense.as_ref();
         let record = HistoryRecord::Epoch(Box::new(EpochRecord {
             summary: summary.clone(),
             alerts: alerts.clone(),
             checkpoint: DaemonCheckpoint {
                 cursor: self.source.cursor(),
                 clock: self.clock,
-                defense: self.defense.as_ref().map(DefenseEngine::checkpoint),
+                defense: defense.map(DefenseEngine::checkpoint),
                 total_epochs: self.totals.epochs,
                 total_reports: self.totals.reports,
                 total_admitted_txs: self.totals.admitted_txs,
@@ -606,10 +571,16 @@ impl Daemon {
             "record" => record.kind(),
             "bytes" => bytes,
         );
-        // 6. Metrics and the endpoint snapshot.
+        // 5. Metrics and the endpoint snapshot; with ingest's two counters
+        // they conserve reports and txs (OPERATIONS.md).
         self.metrics.incr("daemon.epochs");
-        self.metrics.add("daemon.admitted_txs", admitted_txs);
-        self.metrics.add("daemon.quarantined", quarantined);
+        self.metrics.add("daemon.admitted", summary.admitted);
+        self.metrics.add("daemon.refused", tally.refused);
+        self.metrics.add("daemon.quarantined", summary.quarantined);
+        self.metrics.add("daemon.admitted_txs", tally.admitted_txs);
+        self.metrics.add("daemon.refused_txs", tally.refused_txs);
+        self.metrics
+            .add("daemon.quarantined_txs", tally.quarantined_txs);
         self.metrics.add("daemon.alerts", alerts.len() as u64);
         self.metrics
             .set_gauge("daemon.epoch", self.clock.epoch() as f64);
@@ -620,7 +591,7 @@ impl Daemon {
         self.metrics
             .set_gauge("daemon.history_bytes", self.history.bytes() as f64);
         self.metrics
-            .observe("daemon.epoch_admitted_txs", admitted_txs as f64);
+            .observe("daemon.epoch_admitted_txs", tally.admitted_txs as f64);
         self.render_snapshot();
         Ok(summary)
     }

@@ -43,5 +43,5 @@ pub use hash::Hash32;
 pub use id::{BlockId, CommitteeId, EpochId, NodeId, ShardId, TxId};
 pub use latency::TwoPhaseLatency;
 pub use latency::{approx_eq, max_by_f64, min_by_f64, sort_by_f64, sort_by_f64_desc};
-pub use shard::ShardInfo;
+pub use shard::{CommitteeReport, ShardInfo};
 pub use time::SimTime;

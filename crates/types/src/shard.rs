@@ -98,6 +98,48 @@ impl fmt::Display for ShardInfo {
     }
 }
 
+/// What one committee told the final committee versus what it actually
+/// delivered in one epoch. The adversaries of `mvcom-dataset` file it; the
+/// final committee of `mvcom-core` schedules on `reported` and settles on
+/// `truth`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitteeReport {
+    /// Ground truth: the features the committee actually realizes.
+    pub truth: ShardInfo,
+    /// The features the committee *claims* at formation time — what the
+    /// scheduler sees.
+    pub reported: ShardInfo,
+    /// Whether this committee is controlled by the adversary.
+    pub adversarial: bool,
+}
+
+impl CommitteeReport {
+    /// An honest committee: report equals truth.
+    pub fn honest(shard: ShardInfo) -> CommitteeReport {
+        CommitteeReport {
+            truth: shard,
+            reported: shard,
+            adversarial: false,
+        }
+    }
+
+    /// The committee this report belongs to.
+    pub fn committee(&self) -> CommitteeId {
+        self.truth.committee()
+    }
+
+    /// Relative size misreport: `reported_s / true_s − 1`.
+    pub fn ds(&self) -> f64 {
+        self.reported.tx_count() as f64 / (self.truth.tx_count().max(1)) as f64 - 1.0
+    }
+
+    /// Relative latency misreport: `reported_l / true_l − 1`.
+    pub fn dl(&self) -> f64 {
+        let truth = self.truth.two_phase_latency().as_secs().max(f64::EPSILON);
+        self.reported.two_phase_latency().as_secs() / truth - 1.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -599,7 +599,6 @@ fn simulate(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let obs = obs_from_flags(&flags, "mvcom simulate", seed)?;
     let mut sim =
         ElasticoSim::new(ElasticoConfig::with_nodes(nodes, 12), seed)?.with_obs(obs.clone());
-    let mut se_selector = SeSelector::adaptive(seed, 0.6).with_obs(obs.clone());
     let recovery = {
         let mut chaos = ChaosConfig::lossy(chaos_drop);
         chaos.crashes = crashes;
@@ -623,26 +622,23 @@ fn simulate(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     } else {
         None
     };
-    let mut defended = if adversarial && defense_on && scheduler == "se" {
-        Some(DefendedSeSelector::new(
-            SeSelector::adaptive(seed, 0.6).with_obs(obs.clone()),
-            DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs.clone()),
-        ))
-    } else {
-        None
-    };
+    let mut se_selector = SeSelector::adaptive(seed, 0.6).with_obs(obs.clone());
+    if adversarial && defense_on && scheduler == "se" {
+        let defense = DefenseEngine::new(DefenseConfig::paper())?.with_obs(obs.clone());
+        se_selector = se_selector.with_defense(defense);
+    }
     let env = EpochEnv {
         adversary: adversary.as_deref(),
         recovery: fault_tolerant.then_some(&recovery),
     };
     let mut robustness_reports = Vec::new();
     for _ in 0..epochs {
-        // Re-borrowed each epoch: the adversary line reads `defended` after
-        // the call.
-        let selector: &mut dyn ShardSelector = match &mut defended {
-            Some(defended) => defended,
-            None if scheduler == "se" => &mut se_selector,
-            None => &mut WaitForAll,
+        // Re-borrowed each epoch: the adversary line reads the defense
+        // after the call.
+        let selector: &mut dyn ShardSelector = if scheduler == "se" {
+            &mut se_selector
+        } else {
+            &mut WaitForAll
         };
         let (report, adversary_reports) = sim.run_epoch_in(selector, &env)?;
         let start = report
@@ -669,14 +665,11 @@ fn simulate(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
                 .iter()
                 .filter(|r| report.final_block.included.contains(&r.committee()))
                 .count();
-            let quarantined = defended.as_ref().map_or(0, |defended| {
+            let defense = se_selector.committee.defense.as_ref();
+            let quarantined = defense.map_or(0, |defense| {
                 adversary_reports
                     .iter()
-                    .filter(|r| {
-                        defended
-                            .defense
-                            .is_quarantined(r.committee(), report.epoch.value())
-                    })
+                    .filter(|r| defense.is_quarantined(r.committee(), report.epoch.value()))
                     .count()
             });
             writeln!(
@@ -686,7 +679,7 @@ fn simulate(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
                 liars.len(),
                 adversary.name(),
                 admitted_liars,
-                if defended.is_some() { "on" } else { "off" },
+                if defense.is_some() { "on" } else { "off" },
                 quarantined,
             )?;
         }

@@ -73,10 +73,8 @@ fn adaptive_selector_admits_the_pinned_sets() {
 fn defended_selector_admits_the_pinned_sets_against_a_starver() {
     let mut sim = sim(240);
     let adversary = Starver::new(AdversaryConfig::new(0.33, SEED).unwrap());
-    let mut defended = DefendedSeSelector::new(
-        SeSelector::adaptive(SEED, 0.6),
-        DefenseEngine::new(DefenseConfig::paper()).unwrap(),
-    );
+    let mut defended = SeSelector::adaptive(SEED, 0.6)
+        .with_defense(DefenseEngine::new(DefenseConfig::paper()).unwrap());
     let env = EpochEnv {
         adversary: Some(&adversary),
         ..EpochEnv::default()
@@ -202,10 +200,8 @@ fn defended_selector_admits_the_pinned_sets_against_a_starver_under_faults() {
         recovery: Some(&recovery),
     };
     let mut sim = sim(240);
-    let mut defended = DefendedSeSelector::new(
-        SeSelector::adaptive(SEED, 0.6),
-        DefenseEngine::new(DefenseConfig::paper()).unwrap(),
-    );
+    let mut defended = SeSelector::adaptive(SEED, 0.6)
+        .with_defense(DefenseEngine::new(DefenseConfig::paper()).unwrap());
     let (reports, committee_reports): (Vec<_>, Vec<_>) = (0..EPOCHS)
         .map(|_| sim.run_epoch_in(&mut defended, &env).unwrap())
         .unzip();
@@ -234,6 +230,7 @@ fn defended_selector_admits_the_pinned_sets_against_a_starver_under_faults() {
             0x3b23_0b3e_c30e_36b2
         ]
     );
-    let defense = serde_json::to_string(&defended.defense.checkpoint()).unwrap();
+    let defense = defended.committee.defense.as_ref().unwrap().checkpoint();
+    let defense = serde_json::to_string(&defense).unwrap();
     assert_eq!(fnv(&defense), 0x3557_491e_7a30_f65a);
 }
