@@ -38,6 +38,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod engine;
 
-pub use checkpoint::{ChainSnapshot, SeCheckpoint};
+pub use checkpoint::{selected_indices, ChainSnapshot, SeCheckpoint};
 pub use config::SeConfig;
 pub use engine::{SeEngine, SeOutcome, Trajectory, TrajectoryPoint};

@@ -11,6 +11,12 @@
 //! deterministic RNG streams keyed by the checkpoint version, so a resumed
 //! run is reproducible without serializing RNG internals.
 //!
+//! A selection is stored as the words of a bitset: bit `i % 64` of word
+//! `⌊i/64⌋` marks shard `i`, in `⌈|I|/64⌉` words ([`selected_indices`]
+//! reads them back). The daemon's history format embeds that layout, so it
+//! is defined here rather than borrowed from
+//! [`Solution`](crate::solution::Solution)'s internals.
+//!
 //! Checkpoints are *version-stamped* with the iteration they were taken
 //! at; a recovery manager holding several can always prefer the newest and
 //! discard stale ones, mirroring the versioned RESET signals of the
@@ -48,19 +54,19 @@
 //! # }
 //! ```
 
-use std::collections::BTreeSet;
-
 use serde::{Deserialize, Serialize};
 
 use mvcom_types::{Error, Result};
 
-/// One chain's position in the solution space: the selected shard indices.
+/// One chain's position in the solution space: its selection as bitset
+/// words (the layout of [`selected_indices`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChainSnapshot {
-    /// The chain's cardinality (must equal `selected.len()`).
+    /// The chain's cardinality (must equal the number of bits set).
     pub cardinality: usize,
-    /// Indices of the selected shards, in the instance's shard order.
-    pub selected: Vec<usize>,
+    /// The selected shards: bit `i % 64` of word `i / 64` marks shard `i`
+    /// of the instance's shard order, in `⌈|I|/64⌉` words.
+    pub words: Vec<u64>,
 }
 
 /// A full snapshot of a running [`SeEngine`](crate::se::SeEngine).
@@ -76,12 +82,26 @@ pub struct SeCheckpoint {
     pub iteration: u64,
     /// Accumulated virtual time.
     pub vtime: f64,
-    /// Selected indices of the best feasible solution so far.
-    pub best_selected: Vec<usize>,
+    /// The best feasible solution so far, as bitset words (the layout of
+    /// [`ChainSnapshot::words`]).
+    pub best_words: Vec<u64>,
     /// Utility of that best solution.
     pub best_utility: f64,
     /// Per replica, per chain: the current solution.
     pub replicas: Vec<Vec<ChainSnapshot>>,
+}
+
+/// The shards a selection's `words` mark, in increasing order: bit
+/// `i % 64` of word `i / 64` is shard `i`.
+pub fn selected_indices(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (bit < 64).then_some(w * 64 + bit)
+        })
+    })
 }
 
 impl SeCheckpoint {
@@ -91,42 +111,36 @@ impl SeCheckpoint {
     }
 
     /// Checks internal consistency against an instance of `instance_len`
-    /// shards: indices in range and duplicate-free, cardinalities honest.
+    /// shards: every selection holds exactly `⌈instance_len/64⌉` words
+    /// and no bit at or past `instance_len`, and each chain sets as many
+    /// bits as its cardinality says. The reason names the failing field's
+    /// path, e.g. `replicas[0][3].words[1]: …`.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] describing the corruption.
     pub fn validate(&self, instance_len: usize) -> Result<()> {
-        let check = |name: &'static str, selected: &[usize]| -> Result<()> {
-            let mut seen = BTreeSet::new();
-            for &i in selected {
-                if i >= instance_len {
-                    return Err(Error::invalid_config(
-                        name,
-                        format!("shard index {i} out of range for {instance_len} shards"),
-                    ));
-                }
-                if !seen.insert(i) {
-                    return Err(Error::invalid_config(
-                        name,
-                        format!("shard index {i} selected twice"),
-                    ));
-                }
-            }
-            Ok(())
-        };
-        check("best_selected", &self.best_selected)?;
-        for chains in &self.replicas {
-            for snap in chains {
-                check("replicas", &snap.selected)?;
-                if snap.cardinality != snap.selected.len() {
+        if let Some(why) = misfit(&self.best_words, instance_len) {
+            return Err(Error::invalid_config(
+                "best_words",
+                format!("best_words{why}"),
+            ));
+        }
+        for (r, chains) in self.replicas.iter().enumerate() {
+            for (c, snap) in chains.iter().enumerate() {
+                let set: usize = snap.words.iter().map(|w| w.count_ones() as usize).sum();
+                let why = misfit(&snap.words, instance_len).or_else(|| {
+                    (set != snap.cardinality).then(|| {
+                        format!(
+                            ": {set} bits set, but the cardinality is {}",
+                            snap.cardinality
+                        )
+                    })
+                });
+                if let Some(why) = why {
                     return Err(Error::invalid_config(
                         "replicas",
-                        format!(
-                            "chain claims cardinality {} but selects {} shards",
-                            snap.cardinality,
-                            snap.selected.len()
-                        ),
+                        format!("replicas[{r}][{c}].words{why}"),
                     ));
                 }
             }
@@ -134,11 +148,33 @@ impl SeCheckpoint {
         if !self.vtime.is_finite() || self.vtime < 0.0 {
             return Err(Error::invalid_config(
                 "vtime",
-                format!("must be finite and non-negative, got {}", self.vtime),
+                format!("vtime: must be finite and non-negative, got {}", self.vtime),
             ));
         }
         Ok(())
     }
+}
+
+/// Why `words` is not a selection over `len` shards — not `⌈len/64⌉`
+/// words, or a bit at or past `len` — as the rest of an error that starts
+/// with the field's path.
+fn misfit(words: &[u64], len: usize) -> Option<String> {
+    let expected = len.div_ceil(64);
+    if words.len() != expected {
+        return Some(format!(
+            ": {} words, expected {expected} for {len} shards",
+            words.len()
+        ));
+    }
+    // Only the last word can hold a bit past `len`.
+    let used = len % 64;
+    let stray = words
+        .last()
+        .map_or(0, |&w| if used == 0 { 0 } else { w >> used });
+    (stray != 0).then(|| {
+        let shard = (expected - 1) * 64 + used + stray.trailing_zeros() as usize;
+        format!("[{}]: shard {shard} is past the {len} shards", expected - 1)
+    })
 }
 
 #[cfg(test)]
@@ -151,18 +187,25 @@ mod tests {
             seed: 7,
             iteration: 120,
             vtime: 3.5,
-            best_selected: vec![0, 2, 5],
+            best_words: vec![0b10_0101],
             best_utility: 123.4,
             replicas: vec![vec![
                 ChainSnapshot {
                     cardinality: 2,
-                    selected: vec![1, 3],
+                    words: vec![0b1010],
                 },
                 ChainSnapshot {
                     cardinality: 3,
-                    selected: vec![0, 2, 5],
+                    words: vec![0b10_0101],
                 },
             ]],
+        }
+    }
+
+    fn reason(ckpt: &SeCheckpoint, len: usize) -> String {
+        match ckpt.validate(len) {
+            Err(Error::InvalidConfig { reason, .. }) => reason,
+            other => panic!("{other:?}"),
         }
     }
 
@@ -171,18 +214,53 @@ mod tests {
         let ckpt = checkpoint();
         assert!(ckpt.validate(6).is_ok());
         assert_eq!(ckpt.chain_count(), 2);
+        let indices: Vec<usize> = selected_indices(&ckpt.best_words).collect();
+        assert_eq!(indices, [0, 2, 5]);
     }
 
     #[test]
-    fn out_of_range_duplicate_and_dishonest_cardinality_are_rejected() {
+    fn the_layout_is_bit_i_mod_64_of_word_i_div_64() {
+        let words = [1 << 63 | 1, 0, 1 << 5];
+        let indices: Vec<usize> = selected_indices(&words).collect();
+        assert_eq!(indices, [0, 63, 133]);
+        assert_eq!(selected_indices(&[]).count(), 0);
+        assert_eq!(selected_indices(&[u64::MAX]).count(), 64);
+    }
+
+    #[test]
+    fn wrong_word_count_stray_bit_dishonest_cardinality_are_rejected_by_path() {
         let ckpt = checkpoint();
-        assert!(ckpt.validate(4).is_err(), "index 5 out of range for 4");
+        assert_eq!(
+            reason(&ckpt, 4),
+            "best_words[0]: shard 5 is past the 4 shards"
+        );
+        assert_eq!(
+            reason(&ckpt, 65),
+            "best_words: 1 words, expected 2 for 65 shards"
+        );
+        // Every bit of a full last word is in range.
         let mut ckpt = checkpoint();
-        ckpt.best_selected = vec![1, 1];
-        assert!(ckpt.validate(6).is_err());
+        ckpt.best_words = vec![u64::MAX];
+        ckpt.replicas.clear();
+        assert!(ckpt.validate(64).is_ok());
+        let mut ckpt = checkpoint();
+        ckpt.replicas[0][1].words = vec![0b10_0101, 0];
+        assert_eq!(
+            reason(&ckpt, 6),
+            "replicas[0][1].words: 2 words, expected 1 for 6 shards"
+        );
+        let mut ckpt = checkpoint();
+        ckpt.replicas[0][0].words = vec![0b100_1010];
+        assert_eq!(
+            reason(&ckpt, 6),
+            "replicas[0][0].words[0]: shard 6 is past the 6 shards"
+        );
         let mut ckpt = checkpoint();
         ckpt.replicas[0][0].cardinality = 9;
-        assert!(ckpt.validate(6).is_err());
+        assert_eq!(
+            reason(&ckpt, 6),
+            "replicas[0][0].words: 2 bits set, but the cardinality is 9"
+        );
         let mut ckpt = checkpoint();
         ckpt.vtime = f64::NAN;
         assert!(ckpt.validate(6).is_err());

@@ -9,6 +9,7 @@ use mvcom_obs::Obs;
 use mvcom_simnet::rng;
 use mvcom_types::{Error, Result};
 
+use super::restore::restore_solution;
 use super::{Replica, SeEngine, Trajectory};
 use crate::eval::ShardColumns;
 use crate::problem::Instance;
@@ -38,8 +39,8 @@ enum ChainSeed<'a> {
     Fresh(usize),
     /// A solution carried across a join/leave.
     Warm(&'a Solution),
-    /// The selected indices a checkpoint recorded.
-    Restored(&'a [usize]),
+    /// The selection a checkpoint recorded, as its bitset words.
+    Restored(&'a [u64]),
 }
 
 /// The feasible cardinality range for chains,
@@ -123,7 +124,7 @@ pub(super) fn build_replicas(
             let recorded = ckpt.replicas.iter().map(|chains| {
                 chains
                     .iter()
-                    .map(|snap| ChainSeed::Restored(&snap.selected))
+                    .map(|snap| ChainSeed::Restored(&snap.words))
                     .collect()
             });
             (ckpt.version, "-restored", recorded.collect())
@@ -144,11 +145,9 @@ pub(super) fn build_replicas(
                     Err(e) => return Err(e),
                 },
                 ChainSeed::Warm(solution) => Chain::attach(&columns, instance, solution.clone()),
-                ChainSeed::Restored(selected) => Chain::attach(
-                    &columns,
-                    instance,
-                    Solution::from_indices(instance.len(), selected.iter().copied(), instance),
-                ),
+                ChainSeed::Restored(words) => {
+                    Chain::attach(&columns, instance, restore_solution(instance, words))
+                }
             });
         }
         replicas.push(Replica { chains, rng });

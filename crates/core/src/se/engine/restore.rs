@@ -7,7 +7,7 @@ use mvcom_types::{Error, Result};
 use super::build::{build_replicas, Origin};
 use super::SeEngine;
 use crate::problem::Instance;
-use crate::se::checkpoint::{ChainSnapshot, SeCheckpoint};
+use crate::se::checkpoint::{selected_indices, ChainSnapshot, SeCheckpoint};
 use crate::se::config::SeConfig;
 use crate::solution::Solution;
 
@@ -21,7 +21,7 @@ impl SeEngine {
             seed: self.config.seed,
             iteration: self.iteration,
             vtime: self.vtime,
-            best_selected: selected_indices(&self.best_solution),
+            best_words: self.best_solution.words().to_vec(),
             best_utility: self.best_utility,
             replicas: self
                 .replicas
@@ -31,7 +31,7 @@ impl SeEngine {
                         .iter()
                         .map(|c| ChainSnapshot {
                             cardinality: c.cardinality(),
-                            selected: selected_indices(c.solution()),
+                            words: c.solution().words().to_vec(),
                         })
                         .collect()
                 })
@@ -88,21 +88,18 @@ impl SeEngine {
         engine.iteration = ckpt.iteration;
         engine.vtime = ckpt.vtime;
         engine.best_utility = ckpt.best_utility;
-        engine.best_solution =
-            Solution::from_indices(instance.len(), ckpt.best_selected.iter().copied(), instance);
+        engine.best_solution = restore_solution(instance, &ckpt.best_words);
         engine.restored_chains = ckpt.chain_count();
         engine.reseed();
         Ok(engine)
     }
 }
 
-/// `solution`'s selected indices in increasing order, in a `Vec` sized to
-/// its cardinality before the bitset is read: a checkpoint copies one per
-/// chain.
-fn selected_indices(solution: &Solution) -> Vec<usize> {
-    let mut indices = Vec::with_capacity(solution.selected_count());
-    indices.extend(solution.iter_selected());
-    indices
+/// The solution a checkpoint's (validated) `words` record, inserted in
+/// increasing index order — the order the aggregates `tx_total` and
+/// `lat_total` were always summed in, so they come back bit for bit.
+pub(super) fn restore_solution(instance: &Instance, words: &[u64]) -> Solution {
+    Solution::from_indices(instance.len(), selected_indices(words), instance)
 }
 
 #[cfg(test)]
@@ -157,10 +154,22 @@ mod tests {
         let ckpt = engine.checkpoint();
         // Wrong seed.
         assert!(SeEngine::from_checkpoint(&inst, SeConfig::fast_test(33), &ckpt).is_err());
-        // Corrupt indices (point past the instance).
-        let mut bad = ckpt.clone();
-        bad.best_selected = vec![inst.len() + 5];
-        assert!(SeEngine::from_checkpoint(&inst, SeConfig::fast_test(32), &bad).is_err());
+        // Whatever `validate` refuses, the restore refuses with it: a
+        // shard past the instance, a word too many, a cardinality the
+        // bits do not have.
+        let corruptions: [fn(&mut SeCheckpoint); 4] = [
+            |c| c.best_words[0] |= 1 << 17,
+            |c| c.replicas[0][0].words[0] |= 1 << 40,
+            |c| c.replicas[1][0].words.push(0),
+            |c| c.replicas[0][1].cardinality += 1,
+        ];
+        for corrupt in corruptions {
+            let mut bad = ckpt.clone();
+            corrupt(&mut bad);
+            let refused = bad.validate(inst.len()).unwrap_err();
+            let restored = SeEngine::from_checkpoint(&inst, SeConfig::fast_test(32), &bad);
+            assert_eq!(restored.err(), Some(refused));
+        }
         // A smaller instance cannot host the snapshot.
         let small = instance(6);
         assert!(SeEngine::from_checkpoint(&small, SeConfig::fast_test(32), &ckpt).is_err());

@@ -104,6 +104,12 @@ impl Solution {
         self.selected == 0
     }
 
+    /// The bitset: bit `i % 64` of word `i / 64` is `x_i`, in
+    /// `⌈len/64⌉` words, and no bit at or past `len()` is set.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of selected shards, `Σ x_i`.
     pub fn selected_count(&self) -> usize {
         self.selected

@@ -8,7 +8,10 @@
 //! They hold the shared [`mvcom_core::eval::ShardColumns`] path to the
 //! same RNG stream, the same `lat_total` accumulation order and the same
 //! stable by-size fallback selection — bit for bit, under both deadline
-//! policies, through a checkpoint → JSON → restore round trip.
+//! policies, through a checkpoint → JSON → restore round trip. A
+//! checkpoint is hashed in the index-list rendering it was captured in
+//! (`checkpoint_digest`), so the pins hold its content, whatever layout
+//! the checkpoint itself stores selections in.
 //!
 //! The dynamics leg (constants captured at bce9c14, when `SeEngine::new`,
 //! `from_checkpoint` and join/leave each assembled the replica family by
@@ -24,8 +27,9 @@
 )]
 use mvcom_core::dynamics::DynamicsPolicy;
 use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder};
-use mvcom_core::se::{SeCheckpoint, SeConfig, SeEngine, SeOutcome};
+use mvcom_core::se::{selected_indices, SeCheckpoint, SeConfig, SeEngine, SeOutcome};
 use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
+use serde::Serialize;
 
 const SHARDS: usize = 48;
 /// The capacity admits exactly the `TOP` smallest shards (plus 3 txs of
@@ -86,6 +90,52 @@ fn fnv(text: &str) -> u64 {
     })
 }
 
+/// A checkpoint as the goldens were captured: selections as index lists,
+/// fields in their order of the time.
+#[derive(Serialize)]
+struct IndexCheckpoint {
+    version: u64,
+    seed: u64,
+    iteration: u64,
+    vtime: f64,
+    best_selected: Vec<usize>,
+    best_utility: f64,
+    replicas: Vec<Vec<IndexChain>>,
+}
+
+#[derive(Serialize)]
+struct IndexChain {
+    cardinality: usize,
+    selected: Vec<usize>,
+}
+
+/// FNV-1a of `ckpt` rendered with index lists, so the pins keep holding
+/// the checkpoint's content whatever layout the format stores it in.
+fn checkpoint_digest(ckpt: &SeCheckpoint) -> u64 {
+    let indexed = IndexCheckpoint {
+        version: ckpt.version,
+        seed: ckpt.seed,
+        iteration: ckpt.iteration,
+        vtime: ckpt.vtime,
+        best_selected: selected_indices(&ckpt.best_words).collect(),
+        best_utility: ckpt.best_utility,
+        replicas: ckpt
+            .replicas
+            .iter()
+            .map(|chains| {
+                chains
+                    .iter()
+                    .map(|c| IndexChain {
+                        cardinality: c.cardinality,
+                        selected: selected_indices(&c.words).collect(),
+                    })
+                    .collect()
+            })
+            .collect(),
+    };
+    fnv(&serde_json::to_string(&indexed).unwrap())
+}
+
 fn outcome_digest(outcome: &SeOutcome) -> (u64, u64, u64) {
     let selected: Vec<usize> = outcome.best_solution.iter_selected().collect();
     let trajectory: Vec<(u64, u64, u64, u64)> = outcome
@@ -113,17 +163,18 @@ fn outcome_digest(outcome: &SeOutcome) -> (u64, u64, u64) {
 struct Golden {
     /// `(cardinality, utility bits)` of every chain of a fresh engine.
     chain_utilities: u64,
-    /// The fresh engine's checkpoint (every initial selection) as JSON.
+    /// The fresh engine's checkpoint (every initial selection), rendered
+    /// with index lists.
     init_checkpoint: u64,
     /// `(best utility bits, best selection, trajectory)` of `run()`.
     run: (u64, u64, u64),
-    /// The checkpoint taken after 60 steps, as JSON.
+    /// The checkpoint taken after 60 steps, after a JSON round trip.
     mid_checkpoint: u64,
     /// Chain utilities of the engine restored from that JSON.
     restored_chain_utilities: u64,
     /// The restored engine stepped to the budget and finished.
     restored_run: (u64, u64, u64),
-    /// Its checkpoint just before finishing, as JSON.
+    /// Its checkpoint just before finishing.
     final_checkpoint: u64,
 }
 
@@ -147,10 +198,11 @@ fn observe(policy: DdlPolicy) -> Golden {
     for replica in &init.replicas {
         let top = replica.last().unwrap();
         assert_eq!(top.cardinality, TOP);
-        assert_eq!(top.selected, smallest(TOP));
+        let selected: Vec<usize> = selected_indices(&top.words).collect();
+        assert_eq!(selected, smallest(TOP));
     }
     let chain_utilities = chain_utilities_digest(&fresh);
-    let init_checkpoint = fnv(&serde_json::to_string(&init).unwrap());
+    let init_checkpoint = checkpoint_digest(&init);
     let run = outcome_digest(&fresh.run());
 
     let mut engine = SeEngine::new(&inst, config()).unwrap();
@@ -158,14 +210,14 @@ fn observe(policy: DdlPolicy) -> Golden {
         engine.step();
     }
     let json = serde_json::to_string(&engine.checkpoint()).unwrap();
-    let mid_checkpoint = fnv(&json);
     let ckpt: SeCheckpoint = serde_json::from_str(&json).unwrap();
+    let mid_checkpoint = checkpoint_digest(&ckpt);
     let mut restored = SeEngine::from_checkpoint(&inst, config(), &ckpt).unwrap();
     let restored_chain_utilities = chain_utilities_digest(&restored);
     while restored.iteration() < config().max_iterations {
         restored.step();
     }
-    let final_checkpoint = fnv(&serde_json::to_string(&restored.checkpoint()).unwrap());
+    let final_checkpoint = checkpoint_digest(&restored.checkpoint());
     let restored_run = outcome_digest(&restored.finish());
 
     Golden {

@@ -174,6 +174,33 @@ impl DaemonConfig {
     }
 }
 
+/// Refuses an epoch record whose SE checkpoint does not fit the epoch it
+/// closed: the instance was posed over the reports the defense did not
+/// quarantine, and every selection must be one over that many shards
+/// ([`SeCheckpoint::validate`](mvcom_core::se::SeCheckpoint::validate)).
+fn check_se(epoch: &EpochRecord) -> Result<()> {
+    let Some(se) = &epoch.checkpoint.se else {
+        return Ok(());
+    };
+    let summary = &epoch.summary;
+    let shards = summary
+        .reports
+        .checked_sub(summary.quarantined)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| {
+            DaemonError::history(format!(
+                "Epoch.summary: {} quarantined of {} reports",
+                summary.quarantined, summary.reports
+            ))
+        })?;
+    se.validate(shards).map_err(|e| match e {
+        mvcom_types::Error::InvalidConfig { reason, .. } => {
+            DaemonError::history(format!("Epoch.checkpoint.se.{reason}"))
+        }
+        other => other.into(),
+    })
+}
+
 /// How [`Daemon::open`] started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Startup {
@@ -283,6 +310,12 @@ impl Daemon {
                 ));
             };
             let expected = config.header();
+            if header.version != expected.version {
+                return Err(DaemonError::history(format!(
+                    "history format version {} on disk, this build reads {}",
+                    header.version, expected.version
+                )));
+            }
             if *header != expected {
                 return Err(DaemonError::history(format!(
                     "history header does not match the daemon configuration \
@@ -300,6 +333,7 @@ impl Daemon {
                 }
             };
             if let Some(epoch) = last_epoch {
+                check_se(epoch)?;
                 let ckpt = &epoch.checkpoint;
                 clock = clock.restore(ckpt.clock, ckpt.total_epochs)?;
                 totals = Totals {
@@ -498,7 +532,9 @@ impl Daemon {
             .decide(epoch, &reported, None, None, se_config)?;
         // The checkpoint captures the solver state *before* finalization:
         // `SeEngine::from_checkpoint(…)` + `finish()` reproduces the
-        // decision below exactly (pinned by an integration test).
+        // admitted set below and its utility to within an ulp or two of
+        // incremental drift, since the restore re-prices every chain
+        // (pinned by the `se_restore` integration test).
         let se = admission.engine().map(SeEngine::checkpoint);
         let decision = admission.finish();
         // 3. Stage-4 settlement on the committees' true behaviour.

@@ -47,8 +47,10 @@ use crate::epoch_clock::EpochClock;
 use crate::error::{DaemonError, Result};
 
 /// Version stamp carried by the [`RunHeader`]; bump on any incompatible
-/// change to the framing or a record's JSON shape.
-pub const HISTORY_VERSION: u32 = 1;
+/// change to the framing or a record's JSON shape. Version 2 records each
+/// SE selection as bitset words (see [`SeCheckpoint`]); version 1 logs,
+/// which recorded index lists, are refused by version.
+pub const HISTORY_VERSION: u32 = 2;
 
 /// Upper bound on a single record's payload length. A complete frame
 /// header announcing more than this is treated as corruption, not as a
@@ -181,7 +183,8 @@ pub struct DaemonCheckpoint {
     /// The SE engine's state at the end of this epoch's solve (absent for
     /// degenerate epochs solved without SE). Recovery does not need it —
     /// epochs re-solve deterministically — but it lets an operator rebuild
-    /// the solver via `SeEngine::from_checkpoint` for inspection.
+    /// the solver via `SeEngine::from_checkpoint` for inspection, and a
+    /// resume refuses one that does not fit the epoch's screened shards.
     pub se: Option<SeCheckpoint>,
 }
 

@@ -1,8 +1,10 @@
 //! What decoding an epoch record costs in memory. A history payload decodes
-//! straight into its types: the peak it adds is the typed record, 2.3× the
-//! payload's length for this checkpoint of index arrays (1.3× for the
-//! indices, the rest `Vec` growth slack). Lifting it through a parsed
-//! `Value` tree first adds 10×, which the bound below refuses.
+//! straight into its types: the peak it adds is the typed record, 1.0× the
+//! payload's length for this checkpoint of bitset words (8 bytes for a word
+//! spelled in 1 to 20 digits, plus `Vec` growth slack). Lifting it through
+//! a parsed `Value` tree first reads 5.1×, which the bound below refuses.
+//! Dense words only (20 digits each) would let that path pass at 3.0×;
+//! the sparse ones keep the bound's teeth.
 //!
 //! `VmHWM` is per process, so this file holds one test: nothing else runs
 //! in its process while it measures.
@@ -22,8 +24,11 @@ fn high_water_mark() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// An epoch record whose SE checkpoint holds 4 replicas of 600 chains of
-/// 300 selected indices: ≥ 4 MB of JSON.
+/// Words per selection: one over 11,520 shards.
+const WORDS: u64 = 180;
+
+/// An epoch record whose SE checkpoint holds 4 replicas of 600 chains, each
+/// a selection of [`WORDS`] words: ≥ 4 MB of JSON.
 fn big_epoch_record() -> String {
     let record = HistoryRecord::Epoch(Box::new(EpochRecord {
         summary: EpochSummary {
@@ -55,7 +60,7 @@ fn big_epoch_record() -> String {
                 seed: 7,
                 iteration: 2,
                 vtime: 0.5,
-                best_selected: vec![1, 2, 3],
+                best_words: vec![0b1110; WORDS as usize],
                 best_utility: 812.25,
                 replicas: Vec::new(),
             }),
@@ -74,15 +79,17 @@ fn big_epoch_record() -> String {
             if chain > 0 {
                 json.push(',');
             }
-            json.push_str("{\"cardinality\":300,\"selected\":[");
-            for k in 0..300u32 {
-                if k > 0 {
-                    json.push(',');
-                }
-                let index = 10_000 + (chain * 7_919 + k * 104_729) % 90_000;
-                json.push_str(&index.to_string());
-            }
-            json.push_str("]}");
+            // Sparse words spell short numbers: shifting by `w % 64`
+            // spreads the lengths over 1 to 20 digits.
+            let words: Vec<u64> = (0..WORDS)
+                .map(|w| {
+                    (u64::from(chain) << 32 | w).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (w % 64)
+                })
+                .collect();
+            let cardinality: u32 = words.iter().map(|w| w.count_ones()).sum();
+            json.push_str(&format!("{{\"cardinality\":{cardinality},\"words\":"));
+            json.push_str(&serde_json::to_string(&words).unwrap());
+            json.push('}');
         }
         json.push(']');
     }

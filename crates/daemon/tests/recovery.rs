@@ -23,8 +23,8 @@
 use std::path::{Path, PathBuf};
 
 use mvcom_daemon::{
-    read_history, AlertConfig, AlertEngine, Daemon, DaemonConfig, HistoryRecord, JsonlSource,
-    SeededSource, Startup,
+    read_history, AlertConfig, AlertEngine, Daemon, DaemonConfig, DaemonError, HistoryRecord,
+    HistoryWriter, JsonlSource, RunHeader, SeededSource, Startup, HISTORY_VERSION,
 };
 use mvcom_obs::Obs;
 
@@ -231,6 +231,40 @@ fn header_mismatch_is_rejected() {
         err.to_string().contains("does not match"),
         "unexpected error: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_version_1_log_is_refused_by_its_version() {
+    // Version 1 recorded SE selections as index lists; this build reads
+    // bitset words, and says so rather than printing two headers.
+    let dir = scratch("version-1");
+    let path = dir.join("v1.log");
+    let header = RunHeader {
+        version: 1,
+        ..config().header()
+    };
+    let mut writer = HistoryWriter::create(&path).unwrap();
+    writer.append(&HistoryRecord::Header(header)).unwrap();
+    drop(writer);
+    let source = SeededSource::new(config().seed, config().population).unwrap();
+    let opened = Daemon::open(
+        config(),
+        Box::new(source),
+        &path,
+        true,
+        Obs::off(),
+        AlertEngine::new(AlertConfig::default()),
+    );
+    match opened {
+        Err(DaemonError::History(msg)) => assert_eq!(
+            msg,
+            format!("history format version 1 on disk, this build reads {HISTORY_VERSION}")
+        ),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("a version-1 log resumed"),
+    }
+    assert_eq!(HISTORY_VERSION, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -31,7 +31,7 @@
 //!   document root, skipped values included.
 //!
 //! A decode error names the field path and the byte it failed at, e.g.
-//! `Epoch.checkpoint.se.replicas[3][7].selected[12]: expected an integer,
+//! `Epoch.checkpoint.se.replicas[3][7].words[12]: expected an integer,
 //! found a string at byte 48213`.
 //!
 //! Encoding conventions match serde + serde_json defaults for the shapes
@@ -60,7 +60,7 @@
 //! It has one override, shared by every integer type: the whole array
 //! renders into a 4 KB stack chunk — two digits per division off a table,
 //! `-` before a negative — and each chunk is appended with one `push_str`,
-//! so a checkpoint's index lists (most of a history record) cost no call
+//! so a checkpoint's bitset words (most of a history record) cost no call
 //! per element.
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -865,15 +865,15 @@ mod tests {
             .at(48)
             .at(7)
             .in_index(12)
-            .in_field("selected")
+            .in_field("words")
             .in_index(7)
             .in_index(3)
             .in_field("replicas");
-        assert_eq!(err.path(), "replicas[3][7].selected[12]");
+        assert_eq!(err.path(), "replicas[3][7].words[12]");
         assert_eq!(err.byte(), Some(48));
         assert_eq!(
             err.to_string(),
-            "replicas[3][7].selected[12]: expected an integer, found a string at byte 48"
+            "replicas[3][7].words[12]: expected an integer, found a string at byte 48"
         );
         assert_eq!(Error::custom("bare").to_string(), "bare");
     }

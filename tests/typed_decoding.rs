@@ -646,12 +646,12 @@ fn a_decode_error_names_the_path_and_the_byte() {
     let doc = root.render();
     let err = serde_json::from_str::<HistoryRecord>(&doc).unwrap_err();
     let at = doc.find("\"twelve\"").unwrap();
-    assert_eq!(err.path(), "Epoch.checkpoint.se.replicas[0][0].selected[1]");
+    assert_eq!(err.path(), "Epoch.checkpoint.se.replicas[0][0].words[1]");
     assert_eq!(err.byte(), Some(at));
     assert_eq!(
         err.to_string(),
         format!(
-            "Epoch.checkpoint.se.replicas[0][0].selected[1]: \
+            "Epoch.checkpoint.se.replicas[0][0].words[1]: \
              expected an integer, found a string at byte {at}"
         )
     );

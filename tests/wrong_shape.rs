@@ -7,7 +7,8 @@
 //! ends in a named `DaemonError`, never in a panic; the edits the decoding
 //! rules tolerate (unknown keys, a later duplicate, an escaped key) resume
 //! as the untouched log does. A clock that decodes but does not stand
-//! where an epoch's close left it is refused too, naming its field.
+//! where an epoch's close left it is refused too, naming its field, and so
+//! is an SE selection whose bitset words do not fit the epoch's shards.
 
 #![expect(
     clippy::unwrap_used,
@@ -227,17 +228,34 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "a chain without its cardinality",
-        edit: |r| set(r, SE, "replicas", raw("[[{\"selected\":[1]}]]")),
+        edit: |r| set(r, SE, "replicas", raw("[[{\"words\":[1]}]]")),
         says: "Epoch.checkpoint.se.replicas[0][0]: missing field `cardinality`",
     },
     Case {
-        name: "a selected index past u64::MAX",
+        name: "a word past u64::MAX",
         edit: |r| {
-            let chain = "{\"cardinality\":1,\"selected\":[18446744073709551616]}";
+            let chain = "{\"cardinality\":1,\"words\":[18446744073709551616]}";
             set(r, SE, "replicas", raw(&format!("[[],[{chain}]]")));
         },
-        says: "Epoch.checkpoint.se.replicas[1][0].selected[0]: integer 18446744073709552000 \
+        says: "Epoch.checkpoint.se.replicas[1][0].words[0]: integer 18446744073709552000 \
                out of range",
+    },
+    Case {
+        name: "a string where a chain's words belong",
+        edit: |r| {
+            set(
+                r,
+                SE,
+                "replicas",
+                raw("[[{\"cardinality\":1,\"words\":\"1\"}]]"),
+            )
+        },
+        says: "Epoch.checkpoint.se.replicas[0][0].words: expected an array, found a string",
+    },
+    Case {
+        name: "a string where the best words belong",
+        edit: |r| set(r, SE, "best_words", raw("\"0x1f\"")),
+        says: "Epoch.checkpoint.se.best_words: expected an array, found a string",
     },
     Case {
         name: "best utility as a string",
@@ -378,35 +396,107 @@ fn a_clock_not_at_an_epoch_close_is_refused_by_name() {
 }
 
 #[test]
-fn a_million_element_selected_array_fails_at_its_last_element() {
+fn a_million_element_words_array_fails_at_its_last_element() {
     let (header, mut epoch) = reference("million");
     let dir = scratch("million");
     set(
         &mut epoch,
         SE,
         "replicas",
-        raw("[[{\"cardinality\":1,\"selected\":\"here\"}]]"),
+        raw("[[{\"cardinality\":1,\"words\":\"here\"}]]"),
     );
-    let mut selected = "[".to_string();
-    for i in 0..999_999 {
-        selected.push_str(&i.to_string());
-        selected.push(',');
+    let mut words = "[".to_string();
+    for i in 0..999_999u64 {
+        words.push_str(&(i << 40 | i).to_string());
+        words.push(',');
     }
-    selected.push_str("\"last\"]");
+    words.push_str("\"last\"]");
     let doc = serde_json::to_string(&epoch)
         .unwrap()
-        .replacen("\"here\"", &selected, 1);
+        .replacen("\"here\"", &words, 1);
     let err = resume(&dir, &header, &doc).err().unwrap();
     let DaemonError::History(msg) = &err else {
         panic!("{err}")
     };
     assert!(
         msg.contains(
-            "Epoch.checkpoint.se.replicas[0][0].selected[999999]: \
+            "Epoch.checkpoint.se.replicas[0][0].words[999999]: \
              expected an integer, found a string at byte"
         ),
         "{msg}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// SE selections that decode but do not fit the reference run's epochs,
+/// each of which poses at most 4 shards: one word.
+const MISFITS: &[Case] = &[
+    Case {
+        name: "a word too many",
+        edit: |r| {
+            set(
+                r,
+                SE,
+                "replicas",
+                raw("[[{\"cardinality\":1,\"words\":[1,0]}]]"),
+            )
+        },
+        says: "Epoch.checkpoint.se.replicas[0][0].words: 2 words, expected 1 for",
+    },
+    Case {
+        name: "no words",
+        edit: |r| {
+            set(
+                r,
+                SE,
+                "replicas",
+                raw("[[],[{\"cardinality\":0,\"words\":[]}]]"),
+            )
+        },
+        says: "Epoch.checkpoint.se.replicas[1][0].words: 0 words, expected 1 for",
+    },
+    Case {
+        name: "a bit past the shards",
+        edit: |r| {
+            let chain = "{\"cardinality\":1,\"words\":[9223372036854775808]}";
+            set(r, SE, "replicas", raw(&format!("[[{chain}]]")));
+        },
+        says: "Epoch.checkpoint.se.replicas[0][0].words[0]: shard 63 is past the",
+    },
+    Case {
+        name: "a cardinality the bits do not have",
+        edit: |r| {
+            set(
+                r,
+                SE,
+                "replicas",
+                raw("[[{\"cardinality\":3,\"words\":[1]}]]"),
+            )
+        },
+        says: "Epoch.checkpoint.se.replicas[0][0].words: 1 bits set, but the cardinality is 3",
+    },
+    Case {
+        name: "best words too many",
+        edit: |r| set(r, SE, "best_words", raw("[1,1]")),
+        says: "Epoch.checkpoint.se.best_words: 2 words, expected 1 for",
+    },
+];
+
+#[test]
+fn a_selection_that_does_not_fit_the_epoch_is_refused_by_path() {
+    let (header, epoch) = reference("misfit");
+    let dir = scratch("misfit");
+    for case in MISFITS {
+        let mut doc = epoch.clone();
+        (case.edit)(&mut doc);
+        match resume(&dir, &header, &serde_json::to_string(&doc).unwrap()) {
+            Err(DaemonError::History(msg)) => {
+                assert!(msg.contains(case.says), "{}: {msg}", case.name);
+            }
+            Err(other) => panic!("{}: {other}", case.name),
+            Ok(_) => panic!("{}: resumed", case.name),
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
