@@ -47,7 +47,6 @@ pub mod woa;
 
 use mvcom_core::{Instance, Solution};
 use mvcom_types::Result;
-use serde::{Deserialize, Serialize};
 
 pub use dp::DpSolver;
 pub use exhaustive::ExhaustiveSolver;
@@ -57,7 +56,7 @@ pub use sparse_dp::SparseDpSolver;
 pub use woa::WoaSolver;
 
 /// The result of one solver run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverOutcome {
     /// Short machine-readable solver name (`"sa"`, `"dp"`, ...).
     pub solver: String,

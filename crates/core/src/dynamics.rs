@@ -81,7 +81,7 @@ pub struct EventRecord {
 
 /// Outcome of an online run: the final schedule plus per-event
 /// perturbations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineOutcome {
     /// The final converged outcome over whatever the epoch looked like
     /// after the last event.

@@ -26,19 +26,15 @@
 //! ```
 //!
 //! with no allocation and no pass over the selection. MaxArrival deltas
-//! read no order statistic, so a MaxArrival cache has no rank tree at all.
-//! The per-shard inputs (`l_i`, `s_i`, and the MaxArrival marginals) are
-//! held as dense struct-of-arrays columns copied bit-for-bit out of the
-//! instance, so at 10⁴–10⁵ committees the delta loop walks 8-byte strides
-//! instead of cache-missing across interleaved `ShardInfo` records.
+//! read no order statistic, so a MaxArrival cache holds no per-chain state
+//! at all. The per-shard inputs (`l_i`, `s_i`, and the MaxArrival
+//! marginals) are held as dense struct-of-arrays columns copied
+//! bit-for-bit out of the instance, so at 10⁴–10⁵ committees the delta
+//! loop walks 8-byte strides instead of cache-missing across interleaved
+//! `ShardInfo` records.
 //!
-//! Membership is a bitset, one bit per shard, with one `u32` count of
-//! selected shards per 512-shard block (eight words, one cache line). The
-//! `k`-th selected (or unselected) shard *in index order* — what the SE
-//! sampler's rejection-loop fallback resolves
-//! ([`EvalCache::random_selected`]/[`EvalCache::random_unselected`]) —
-//! is a walk over the block counts, then a select within at most eight
-//! words.
+//! Membership lives in the [`Solution`] alone — its counted bitset and its
+//! sampler; every query here takes the solution it prices.
 //!
 //! # Instance half, chain half
 //!
@@ -48,41 +44,42 @@
 //! order of the initialization fallback and, under MaxSelected, the
 //! latency-rank permutation and `lat_by_rank` — lives in one immutable
 //! [`ShardColumns`], built once per engine build and held by every cache
-//! behind an [`Arc`]. What a chain owns is what its walk mutates: the
-//! counted bitset and the selected count, plus the rank tree and the
-//! memoized deadline under MaxSelected. [`EvalCache::new`] is "build
-//! columns, then [`EvalCache::attach`]"; there is no other construction
-//! path.
+//! behind an [`Arc`]. What a chain's cache owns is the rank tree, its
+//! selected count and the memoized deadline, under MaxSelected only.
+//! [`EvalCache::new`] is "build columns, then [`EvalCache::attach`]";
+//! there is no other construction path.
 //!
 //! Per-op complexity, over `N = |I|` shards with `n` selected:
 //!
 //! | operation                       | naive            | MaxArrival | MaxSelected |
 //! |---------------------------------|------------------|------------|-------------|
 //! | `utility`                       | `O(n)`           | `O(1)`     | `O(1)`      |
-//! | `selected_ddl`                  | `O(n)`           | `O(N)`, off the hot path | `O(1)` |
+//! | `selected_ddl`                  | `O(n)`           | —          | `O(1)`      |
 //! | `swap/insert/remove_delta`      | `O(n)` + 2 allocs| `O(1)`     | `O(log N)`  |
-//! | commit (`insert`/`remove`/`swap`)| `O(1)`          | `O(1)`     | `O(log N)`  |
-//! | `random_selected/unselected` fallback | `O(N)`     | `O(N/512)` | `O(N/512)`  |
+//! | commit (`insert`/`remove`/`swap`)| `O(1)`          | nothing    | `O(log N)`  |
 //! | columns, once per instance      | —                | `O(N log N)`, 36 B/shard | `O(N log N)`, 48 B/shard |
-//! | cache, per chain                | —                | `O(N/64 + n)`, ≈0.13 B/shard | `O(N)`, ≈4.13 B/shard |
+//! | cache, per chain                | —                | none       | `O(N)`, 4 B/shard |
 //!
 //! The cache is *not* serialized: a checkpointed solver records only the
-//! selected indices ([`crate::se::SeCheckpoint`]) and every restore path
-//! rebuilds the columns from the instance and each cache from
+//! selection's bitset words ([`crate::se::SeCheckpoint`]) and every
+//! restore path rebuilds the columns from the instance and each cache from
 //! `(columns, solution)`, so snapshots stay small, version-stable, and
 //! immune to drift in the cached statistics.
 //!
 //! # Consistency contract
 //!
-//! An `EvalCache` mirrors exactly one [`Solution`] against one
+//! An `EvalCache` indexes exactly one [`Solution`] against one
 //! [`Instance`]. The owner must apply every mutation to both (see
-//! [`crate::se::chain::Chain::apply`]); the delta queries `assert!` the
-//! preconditions — in release builds too — and cheap sync invariants, so a
-//! desynchronized cache panics instead of silently returning garbage.
-//! Likewise [`EvalCache::attach`] `assert!`s that the columns were built
-//! from the instance it is handed, deadline policy included, so columns
-//! from before a committee join/leave can never price a chain of the
-//! changed epoch.
+//! [`crate::se::chain::Chain::apply`]); the delta queries `assert!` their
+//! membership preconditions on the solution — in release builds too — and,
+//! under MaxSelected, that the rank tree counts as many shards as the
+//! solution holds, while the tree's own `insert`/`remove` refuse a shard
+//! whose rank is already (or not) counted. So a desynchronized cache
+//! panics instead of silently returning garbage. Likewise
+//! [`EvalCache::attach`] `assert!`s that the columns were built from the
+//! instance it is handed, deadline policy included, so columns from
+//! before a committee join/leave can never price a chain of the changed
+//! epoch.
 
 use std::sync::Arc;
 
@@ -91,12 +88,6 @@ use rand::Rng;
 
 use crate::problem::{DdlPolicy, Instance};
 use crate::solution::Solution;
-
-/// Words per counted block of an [`EvalCache`]'s bitset: 512 shards, one
-/// 64-byte cache line.
-const BLOCK_WORDS: usize = 8;
-/// Shards per counted block.
-const BLOCK: usize = 64 * BLOCK_WORDS;
 
 /// The instance half of the evaluator: every per-shard quantity the SE
 /// chains read but never write, derived from one [`Instance`] and shared —
@@ -127,7 +118,7 @@ const BLOCK: usize = 64 * BLOCK_WORDS;
 /// // Any number of caches attach to the one set of columns.
 /// let a = EvalCache::attach(columns.clone(), &instance, &Solution::empty(4));
 /// let b = EvalCache::attach(columns, &instance, &Solution::full(&instance));
-/// assert_eq!((a.selected_count(), b.selected_count()), (0, 4));
+/// assert!(Arc::ptr_eq(a.columns(), b.columns()));
 /// ```
 #[derive(Debug)]
 pub struct ShardColumns {
@@ -269,7 +260,7 @@ impl ShardColumns {
     }
 }
 
-/// Incremental evaluator: the selection as a counted bitset, plus — under
+/// Incremental evaluator over the shared [`ShardColumns`], plus — under
 /// [`DdlPolicy::MaxSelected`] — latency order statistics of the selected
 /// shards, maintained as a Fenwick tree over latency ranks.
 ///
@@ -306,12 +297,6 @@ impl ShardColumns {
 pub struct EvalCache {
     /// The instance half, shared with every other cache of the epoch.
     columns: Arc<ShardColumns>,
-    /// The selection, one bit per shard in [`Solution`]'s layout.
-    words: Vec<u64>,
-    /// Selected shards per [`BLOCK`]-shard block of `words`.
-    counts: Vec<u32>,
-    /// Mirror of the selected count, for O(1) sync checks.
-    selected: usize,
     /// The latency-rank tree: present iff the columns were built under
     /// [`DdlPolicy::MaxSelected`], the one policy whose deltas read it.
     ranked: Option<RankTree>,
@@ -323,6 +308,9 @@ pub struct EvalCache {
 struct RankTree {
     /// Fenwick tree (1-based) over latency ranks; counts selected shards.
     tree: Vec<u32>,
+    /// Shards the tree counts, for the `O(1)` sync check against the
+    /// solution.
+    selected: usize,
     /// Memoized max selected latency (`0` when empty): `O(1)` reads of the
     /// induced deadline; refreshed in `O(log n)` when a removal evicts it.
     ddl: f64,
@@ -343,10 +331,14 @@ impl RankTree {
                 tree[parent] += tree[pos];
             }
         }
-        let mut ranked = RankTree { tree, ddl: 0.0 };
-        let selected = solution.selected_count() as u32;
+        let selected = solution.selected_count();
+        let mut ranked = RankTree {
+            tree,
+            selected,
+            ddl: 0.0,
+        };
         if selected > 0 {
-            ranked.ddl = columns.lat_by_rank[ranked.kth(selected)];
+            ranked.ddl = columns.lat_by_rank[ranked.kth(selected as u32)];
         }
         ranked
     }
@@ -357,6 +349,19 @@ impl RankTree {
             self.tree[pos] = (self.tree[pos] as i64 + delta as i64) as u32;
             pos += pos & pos.wrapping_neg();
         }
+    }
+
+    /// Whether the 1-based position `pos` is counted: its node's total
+    /// minus the subtrees it covers below it. `O(log n)`.
+    fn counted(&self, pos: usize) -> bool {
+        let mut count = self.tree[pos];
+        let stop = pos - (pos & pos.wrapping_neg());
+        let mut below = pos - 1;
+        while below != stop {
+            count -= self.tree[below];
+            below -= below & below.wrapping_neg();
+        }
+        count == 1
     }
 
     /// The 0-based rank of the `k`-th smallest selected latency
@@ -398,8 +403,8 @@ impl EvalCache {
     }
 
     /// Builds the chain half of the cache for `solution` over columns
-    /// already derived from `instance`: `O(|I|/64 + n)` for the bitset,
-    /// plus `O(|I|)` for the rank tree under MaxSelected.
+    /// already derived from `instance`: nothing under MaxArrival, `O(|I|)`
+    /// for the rank tree under MaxSelected.
     ///
     /// # Panics
     ///
@@ -417,26 +422,11 @@ impl EvalCache {
             instance.len(),
             "solution is over a different shard set than the instance"
         );
-        let n = instance.len();
-        let mut words = vec![0u64; n.div_ceil(64)];
-        let mut counts = vec![0u32; n.div_ceil(BLOCK)];
-        let mut selected = 0;
-        for i in solution.iter_selected() {
-            words[i / 64] |= 1 << (i % 64);
-            counts[i / BLOCK] += 1;
-            selected += 1;
-        }
         let ranked = match columns.policy {
             DdlPolicy::MaxArrival => None,
             DdlPolicy::MaxSelected => Some(RankTree::new(&columns, solution)),
         };
-        EvalCache {
-            columns,
-            words,
-            counts,
-            selected,
-            ranked,
-        }
+        EvalCache { columns, ranked }
     }
 
     /// The instance half this cache reads — the same allocation for every
@@ -445,50 +435,17 @@ impl EvalCache {
         &self.columns
     }
 
-    /// Number of shard slots.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// `true` iff the epoch has no shards.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
-    /// Number of selected shards mirrored by this cache.
-    pub fn selected_count(&self) -> usize {
-        self.selected
-    }
-
-    /// Whether the cache's bitset marks shard `i` selected.
+    /// The maximum selected latency, `0` for the empty selection: the
+    /// deadline the indexed selection induces under
+    /// [`DdlPolicy::MaxSelected`], memoized across mutations and `O(1)`.
+    /// ([`Instance::selected_ddl`] computes it for any selection.)
     ///
     /// # Panics
     ///
-    /// Panics if `i >= len()`.
-    pub fn contains(&self, i: usize) -> bool {
-        assert!(
-            i < self.len(),
-            "shard index {i} out of range {}",
-            self.len()
-        );
-        self.words[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// The maximum selected latency, `0` for the empty selection: the
-    /// deadline the mirrored selection induces under
-    /// [`DdlPolicy::MaxSelected`], where it is memoized across mutations
-    /// and `O(1)`. Under [`DdlPolicy::MaxArrival`] it is computed on
-    /// demand by a scan of the bitset, `O(|I|)`: nothing on the hot path
-    /// reads it there, because [`EvalCache::utility`] prices that policy
-    /// with the instance deadline.
+    /// Panics if the cache was attached under MaxArrival, whose utility
+    /// is priced with the instance deadline and which keeps no rank tree.
     pub fn selected_ddl(&self) -> f64 {
-        match &self.ranked {
-            Some(ranked) => ranked.ddl,
-            None => (0..self.len())
-                .filter(|&i| self.contains(i))
-                .map(|i| self.columns.lat[i])
-                .fold(0.0, f64::max),
-        }
+        self.ranked().ddl
     }
 
     /// The rank tree a MaxSelected delta reads.
@@ -503,29 +460,29 @@ impl EvalCache {
         }
     }
 
-    /// The maximum selected latency with shard `i` excluded (`0` when `i`
-    /// is the only selected shard). `O(log n)`, MaxSelected only.
+    /// The maximum selected latency with the selected shard `i` excluded
+    /// (`0` when `i` is the only selected shard). `O(log n)`, MaxSelected
+    /// only; the callers have checked that `i` is selected.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not selected or the cache has no rank tree.
+    /// Panics if the cache has no rank tree.
     fn max_excluding(&self, i: usize) -> f64 {
-        assert!(self.contains(i), "shard {i} not selected in the eval cache");
         let ranked = self.ranked();
-        let top = ranked.kth(self.selected as u32);
+        let top = ranked.kth(ranked.selected as u32);
         if top != self.columns.rank[i] as usize {
             return self.columns.lat_by_rank[top];
         }
-        if self.selected == 1 {
+        if ranked.selected == 1 {
             return 0.0;
         }
-        self.columns.lat_by_rank[ranked.kth(self.selected as u32 - 1)]
+        self.columns.lat_by_rank[ranked.kth(ranked.selected as u32 - 1)]
     }
 
-    /// The objective value `U(f)` of the mirrored selection — `O(1)`
-    /// under either deadline policy, using the closed form
-    /// `α·Σs − (k·t − Σl)` (valid because `t ≥ l_i` for every term in the
-    /// sum, so no age clamps at zero).
+    /// The objective value `U(f)` of `solution` — `O(1)` under either
+    /// deadline policy, using the closed form `α·Σs − (k·t − Σl)` (valid
+    /// because `t ≥ l_i` for every term in the sum, so no age clamps at
+    /// zero).
     pub fn utility(&self, instance: &Instance, solution: &Solution) -> f64 {
         self.assert_sync(solution);
         if solution.is_empty() {
@@ -565,7 +522,7 @@ impl EvalCache {
                 let (l_out, l_inc) = (self.columns.lat[out], self.columns.lat[inc]);
                 let t = self.ranked().ddl;
                 let t_new = self.max_excluding(out).max(l_inc);
-                let k = self.selected as f64;
+                let k = solution.selected_count() as f64;
                 instance.alpha() * (self.columns.tx[inc] - self.columns.tx[out]) + (l_inc - l_out)
                     - k * (t_new - t)
             }
@@ -591,7 +548,7 @@ impl EvalCache {
                 let l_i = self.columns.lat[i];
                 let t = self.ranked().ddl;
                 let t_new = t.max(l_i);
-                let k = self.selected as f64;
+                let k = solution.selected_count() as f64;
                 // U' − U = α·s_i + l_i − (k+1)·t' + k·t.
                 instance.alpha() * self.columns.tx[i] + l_i - (k + 1.0) * t_new + k * t
             }
@@ -617,54 +574,57 @@ impl EvalCache {
                 let l_i = self.columns.lat[i];
                 let t = self.ranked().ddl;
                 let t_new = self.max_excluding(i);
-                let k = self.selected as f64;
+                let k = solution.selected_count() as f64;
                 // U' − U = −α·s_i − l_i − (k−1)·t' + k·t.
                 -instance.alpha() * self.columns.tx[i] - l_i - (k - 1.0) * t_new + k * t
             }
         }
     }
 
-    /// Marks shard `i` selected — the cache-side half of
-    /// [`Solution::insert`]. `O(1)` under MaxArrival, `O(log n)` under
+    /// Counts shard `i` selected — the cache-side half of
+    /// [`Solution::insert`]. Nothing under MaxArrival, `O(log n)` under
     /// MaxSelected.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range or already marked selected.
+    /// Panics — in release builds too — under MaxSelected if `i` is out of
+    /// range or its rank is already counted.
     pub fn insert(&mut self, i: usize) {
-        assert!(
-            !self.contains(i),
-            "shard {i} already selected in the eval cache"
-        );
-        self.words[i / 64] |= 1 << (i % 64);
-        self.counts[i / BLOCK] += 1;
-        self.selected += 1;
         if let Some(ranked) = &mut self.ranked {
-            ranked.bump(self.columns.rank[i] as usize + 1, 1);
+            let pos = self.columns.rank[i] as usize + 1;
+            assert!(
+                !ranked.counted(pos),
+                "shard {i} already selected in the eval cache"
+            );
+            ranked.bump(pos, 1);
+            ranked.selected += 1;
             ranked.ddl = ranked.ddl.max(self.columns.lat[i]);
         }
     }
 
-    /// Marks shard `i` unselected — the cache-side half of
-    /// [`Solution::remove`]. `O(1)` under MaxArrival, `O(log n)` under
+    /// Counts shard `i` unselected — the cache-side half of
+    /// [`Solution::remove`]. Nothing under MaxArrival, `O(log n)` under
     /// MaxSelected.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range or not marked selected.
+    /// Panics — in release builds too — under MaxSelected if `i` is out of
+    /// range or its rank is not counted.
     pub fn remove(&mut self, i: usize) {
-        assert!(self.contains(i), "shard {i} not selected in the eval cache");
-        self.words[i / 64] &= !(1 << (i % 64));
-        self.counts[i / BLOCK] -= 1;
-        self.selected -= 1;
         if let Some(ranked) = &mut self.ranked {
-            ranked.bump(self.columns.rank[i] as usize + 1, -1);
-            if self.selected == 0 {
+            let pos = self.columns.rank[i] as usize + 1;
+            assert!(
+                ranked.counted(pos),
+                "shard {i} not selected in the eval cache"
+            );
+            ranked.bump(pos, -1);
+            ranked.selected -= 1;
+            if ranked.selected == 0 {
                 ranked.ddl = 0.0;
             } else if self.columns.lat[i] >= ranked.ddl {
                 // The evicted shard may have pinned the deadline; re-query
                 // the max selected rank (O(log n)).
-                ranked.ddl = self.columns.lat_by_rank[ranked.kth(self.selected as u32)];
+                ranked.ddl = self.columns.lat_by_rank[ranked.kth(ranked.selected as u32)];
             }
         }
     }
@@ -675,149 +635,39 @@ impl EvalCache {
         self.insert(inc);
     }
 
-    /// O(1) desync tripwire: the mirrored count must match the solution's.
-    /// (Full membership equality is checked per-index by the `assert!`
-    /// preconditions of the delta functions.)
+    /// O(1) desync tripwire: under MaxSelected the tree must count as many
+    /// shards as the solution holds. (Membership itself is checked
+    /// per-index, on the solution, by the delta preconditions.)
     fn assert_sync(&self, solution: &Solution) {
-        assert_eq!(
-            self.selected,
-            solution.selected_count(),
-            "eval cache out of sync with its solution (was a mutation applied to only one?)"
-        );
-    }
-
-    /// The shard index of the `k`-th selected shard in increasing index
-    /// order (0-indexed `k`) — `solution.iter_selected().nth(k)` in
-    /// `O(|I|/512)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) when `k >= selected_count()`.
-    pub fn select_kth_selected(&self, k: usize) -> usize {
-        debug_assert!(k < self.selected);
-        self.select::<true>(k)
-    }
-
-    /// The shard index of the `k`-th *unselected* shard in increasing
-    /// index order (0-indexed `k`) — `solution.iter_unselected().nth(k)`
-    /// in `O(|I|/512)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) when `k >= len() − selected_count()`.
-    pub fn select_kth_unselected(&self, k: usize) -> usize {
-        debug_assert!(k < self.len() - self.selected);
-        self.select::<false>(k)
-    }
-
-    /// The one select: the index of the `k`-th (0-indexed) selected shard,
-    /// or with `ONES` false the `k`-th unselected one. Walks the block
-    /// counts to the block holding it, then that block's words; `ONES` is
-    /// resolved at compile time.
-    #[inline]
-    fn select<const ONES: bool>(&self, mut k: usize) -> usize {
-        let len = self.len();
-        let mut block = 0;
-        loop {
-            let ones = self.counts[block] as usize;
-            let hits = if ONES {
-                ones
-            } else {
-                (len - block * BLOCK).min(BLOCK) - ones
-            };
-            if k < hits {
-                break;
-            }
-            k -= hits;
-            block += 1;
-        }
-        let mut w = block * BLOCK_WORDS;
-        loop {
-            let word = if ONES {
-                self.words[w]
-            } else {
-                // Bits past `len` are never set: mask them out of the
-                // complement of the last word.
-                let tail = len - w * 64;
-                !self.words[w] & if tail < 64 { (1 << tail) - 1 } else { u64::MAX }
-            };
-            let hits = word.count_ones() as usize;
-            if k < hits {
-                return w * 64 + select_in_word(word, k as u32) as usize;
-            }
-            k -= hits;
-            w += 1;
+        if let Some(ranked) = &self.ranked {
+            assert_eq!(
+                ranked.selected,
+                solution.selected_count(),
+                "eval cache out of sync with its solution (was a mutation applied to only one?)"
+            );
         }
     }
 
-    /// A uniformly random selected index, or `None` if empty — a drop-in
-    /// fast path for [`Solution::random_selected`]. The RNG draw sequence
-    /// is *identical* (64 rejection draws over `0..len`, then one
-    /// fallback draw over `0..selected`) and the fallback resolves the
-    /// same order statistic, so for any RNG state this returns the same
-    /// index as the `Solution` method bit for bit — only the fallback's
-    /// `O(|I|)` bit-by-bit scan becomes a walk over the block counts. At
-    /// the sparse densities of a 10⁴–10⁵-committee sweep (n ≪ |I|) the
-    /// rejection loop fails ≈`(1−n/|I|)⁶⁴` of the time, so this fallback
-    /// *is* the hot path.
+    /// [`Solution::random_selected`], kept as a method of the cache only
+    /// because the `benchmark/` probe calls this signature; the cache
+    /// holds no membership to sample.
     pub fn random_selected<R: Rng + ?Sized>(
         &self,
         solution: &Solution,
         rng: &mut R,
     ) -> Option<usize> {
-        self.sample::<true, R>(solution, rng)
+        solution.random_selected(rng)
     }
 
-    /// A uniformly random unselected index, or `None` if full — the fast
-    /// path for [`Solution::random_unselected`], with the same bit-exact
-    /// RNG-sequence contract as [`EvalCache::random_selected`].
+    /// [`Solution::random_unselected`], kept for the same caller as
+    /// [`EvalCache::random_selected`].
     pub fn random_unselected<R: Rng + ?Sized>(
         &self,
         solution: &Solution,
         rng: &mut R,
     ) -> Option<usize> {
-        self.sample::<false, R>(solution, rng)
+        solution.random_unselected(rng)
     }
-
-    /// The one sampler body: 64 rejection draws against the solution's
-    /// bitset (`O(1)` membership), then one draw resolved by
-    /// [`EvalCache::select`]. `SELECTED` picks the side at compile time.
-    #[inline]
-    fn sample<const SELECTED: bool, R: Rng + ?Sized>(
-        &self,
-        solution: &Solution,
-        rng: &mut R,
-    ) -> Option<usize> {
-        self.assert_sync(solution);
-        let len = self.len();
-        let pool = if SELECTED {
-            self.selected
-        } else {
-            len - self.selected
-        };
-        if pool == 0 {
-            return None;
-        }
-        for _ in 0..64 {
-            let i = rng.gen_range(0..len);
-            if solution.contains(i) == SELECTED {
-                return Some(i);
-            }
-        }
-        let target = rng.gen_range(0..pool);
-        Some(self.select::<SELECTED>(target))
-    }
-}
-
-/// The bit position of the `k`-th (0-indexed) one of `word`, which must
-/// hold more than `k` ones. The fallback fires only when its side of the
-/// selection is sparse, so `k` is small there.
-#[inline]
-fn select_in_word(mut word: u64, k: u32) -> u32 {
-    for _ in 0..k {
-        word &= word - 1;
-    }
-    word.trailing_zeros()
 }
 
 #[cfg(test)]
@@ -1063,16 +913,13 @@ mod tests {
 
     #[test]
     fn only_a_max_selected_cache_holds_a_rank_tree() {
-        // 600 shards: two counted blocks, the second one partial.
         let inst = instance(600, DdlPolicy::MaxArrival);
         let sol = Solution::from_indices(600, (0..600).step_by(7), &inst);
         let cache = EvalCache::new(&inst, &sol);
         assert!(cache.ranked.is_none());
         assert!(cache.columns().rank.is_empty() && cache.columns().lat_by_rank.is_empty());
-        assert_eq!((cache.words.len(), cache.counts.len()), (10, 2));
-        assert_eq!(cache.counts, [74, 12]);
-        // The on-demand deadline is the naive one, bit for bit.
-        assert_eq!(cache.selected_ddl(), inst.selected_ddl(&sol));
+        // No rank tree, no induced deadline to read.
+        assert!(std::panic::catch_unwind(|| cache.selected_ddl()).is_err());
 
         let inst = instance(600, DdlPolicy::MaxSelected);
         let sol = Solution::from_indices(600, (0..600).step_by(7), &inst);
@@ -1081,6 +928,7 @@ mod tests {
         assert_eq!(ranked.tree.len(), 601);
         assert_eq!(cache.columns().rank.len(), 600);
         assert_eq!(ranked.ddl, inst.selected_ddl(&sol));
+        assert_eq!(ranked.selected, sol.selected_count());
     }
 
     #[test]
@@ -1115,7 +963,7 @@ mod tests {
         // The clone shares the immutable columns and owns its walk state.
         assert!(Arc::ptr_eq(cache.columns(), copy.columns()));
         copy.insert(9);
-        assert_eq!(cache.selected_count(), 2);
-        assert_eq!(copy.selected_count(), 3);
+        assert_eq!(cache.ranked().selected, 2);
+        assert_eq!(copy.ranked().selected, 3);
     }
 }

@@ -37,13 +37,14 @@ pub struct Proposal {
 
 /// One Markov chain: a candidate solution with fixed cardinality `n`.
 ///
-/// Besides the solution and its cached utility, the chain owns an
-/// [`EvalCache`] mirroring the solution, so every [`Chain::propose`] call
-/// prices its swap without cloning the solution — `O(1)` under
-/// `MaxArrival`, `O(log n)` under `MaxSelected` — the hot
+/// The solution is the chain's one membership store: [`Chain::propose`]
+/// samples its swap pair from it. Beside it the chain owns an
+/// [`EvalCache`] that prices the swap without cloning the solution —
+/// `O(1)` under `MaxArrival`, `O(log n)` under `MaxSelected` — the hot
 /// path of Algorithm 1. The cache is rebuilt (never serialized) whenever
 /// the chain is constructed from scratch, restored from a checkpoint, or
-/// the instance itself changes — only its chain half, though: the
+/// the instance itself changes — only its chain half, though (the
+/// `MaxSelected` rank tree; under `MaxArrival` it has none): the
 /// instance's [`ShardColumns`] are built once per engine build and every
 /// chain of the family holds the same allocation.
 #[derive(Debug, Clone)]
@@ -203,8 +204,8 @@ impl Chain {
             return None;
         }
         for _ in 0..SWAP_ATTEMPTS {
-            let out = self.cache.random_selected(&self.solution, rng)?;
-            let inc = self.cache.random_unselected(&self.solution, rng)?;
+            let out = self.solution.random_selected(rng)?;
+            let inc = self.solution.random_unselected(rng)?;
             let size = |i| self.cache.columns().size(i);
             let new_total = self.solution.tx_total() - size(out) + size(inc);
             if new_total > instance.capacity() {

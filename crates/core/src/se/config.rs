@@ -33,10 +33,10 @@ pub struct SeConfig {
     pub proposal_fanout: usize,
     /// Upper bound on the chains per replica. Algorithm 2 spawns one
     /// chain per feasible cardinality; at `|I| = 10⁴–10⁵` that range is
-    /// `O(|I|)` wide and every chain carries an `O(|I|)` bitset plus the
-    /// counted bitset of its evaluation cache (≈0.13 bytes per shard, and
-    /// a 4-byte-per-shard rank tree under `DdlPolicy::MaxSelected`; the
-    /// per-shard columns are one [`ShardColumns`](crate::eval::ShardColumns)
+    /// `O(|I|)` wide and every chain carries a counted `O(|I|)` bitset
+    /// (≈0.13 bytes per shard, and a 4-byte-per-shard rank tree under
+    /// `DdlPolicy::MaxSelected`; the per-shard columns are one
+    /// [`ShardColumns`](crate::eval::ShardColumns)
     /// shared by the whole family) and pays an `O(|I|)` shuffle per
     /// initialization attempt, so the scale regime strides the range down
     /// to at most this many evenly spaced cardinalities (endpoints always

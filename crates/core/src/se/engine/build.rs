@@ -202,9 +202,10 @@ impl SeEngine {
         }
     }
 
-    /// After any build: raises the best-so-far tracker to the best of the
-    /// new chains (to the full selection when there are none), restarts
-    /// the convergence window and records a trajectory point.
+    /// After a fresh or join/leave build (a restore keeps its recorded
+    /// best): raises the best-so-far tracker to the best of the new chains
+    /// (to the full selection when there are none), restarts the
+    /// convergence window and records a trajectory point.
     pub(super) fn reseed(&mut self) {
         for chain in self.replicas.iter().flat_map(|r| &r.chains) {
             if chain.utility() > self.best_utility {

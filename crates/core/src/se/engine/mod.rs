@@ -51,7 +51,7 @@ impl Trajectory {
 }
 
 /// The result of a completed run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeOutcome {
     /// The best feasible solution found (Alg. 1 line 26).
     pub best_solution: Solution,

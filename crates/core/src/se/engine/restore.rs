@@ -60,7 +60,10 @@ impl SeEngine {
     /// chain, in [`Chain::attach`](crate::se::chain::Chain::attach)) by
     /// the same builder a fresh engine uses, rather than serialized, so
     /// checkpoints stay small and restored chains never inherit
-    /// incremental drift.
+    /// incremental drift. The recorded best selection and utility are kept
+    /// verbatim — a chain's fresh re-pricing never replaces them — so a
+    /// restored engine finishes on the recorded utility bit for bit; the
+    /// restore only restarts the convergence window and records a point.
     ///
     /// # Errors
     ///
@@ -90,7 +93,8 @@ impl SeEngine {
         engine.best_utility = ckpt.best_utility;
         engine.best_solution = restore_solution(instance, &ckpt.best_words);
         engine.restored_chains = ckpt.chain_count();
-        engine.reseed();
+        engine.last_improvement = engine.iteration;
+        engine.record_point();
         Ok(engine)
     }
 }

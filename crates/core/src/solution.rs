@@ -1,14 +1,26 @@
 //! The selection vector `x ∈ {0,1}^|I|`.
 //!
 //! [`Solution`] is a compact bitset over the shard indices of one
-//! [`Instance`], with cached aggregates
-//! (selected count, selected TX total) so the SE sampler's inner loop is
-//! allocation-free and `O(1)` per mutation.
+//! [`Instance`], with cached aggregates (selected count, selected TX and
+//! latency totals) so the SE sampler's inner loop is allocation-free and
+//! `O(1)` per mutation. It is the one membership store of a chain: the
+//! [`crate::eval::EvalCache`] beside it holds no copy of the selection.
+//!
+//! The bitset is counted: one `u32` of selected shards per 512-shard block
+//! (eight words, one cache line). The `k`-th selected (or unselected) shard
+//! *in index order* — what the samplers' rejection-loop fallback resolves —
+//! is a walk over the block counts, then a select within at most eight
+//! words, `O(|I|/512)` rather than a bit-by-bit scan.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::problem::Instance;
+
+/// Words per counted block of the bitset: 512 shards, one 64-byte cache
+/// line.
+const BLOCK_WORDS: usize = 8;
+/// Shards per counted block.
+const BLOCK: usize = 64 * BLOCK_WORDS;
 
 /// A candidate selection of shards (a state `f ∈ F` of the Markov chain).
 ///
@@ -34,9 +46,11 @@ use crate::problem::Instance;
 /// assert_eq!(sol.selected_count(), 1);
 /// assert_eq!(sol.tx_total(), 10);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Solution {
     words: Vec<u64>,
+    /// Selected shards per [`BLOCK`]-shard block of `words`.
+    counts: Vec<u32>,
     len: usize,
     selected: usize,
     tx_total: u64,
@@ -45,13 +59,12 @@ pub struct Solution {
     /// induced deadline to evaluate `U(f)` without iterating the selection.
     /// Tracked as an f64 running sum; insert/remove pairs cancel exactly in
     /// practice, and consumers treat it as correct to ~1e-9 relative.
-    #[serde(default)]
     lat_total: f64,
 }
 
-/// Equality is equality of the *selection*: the cached aggregates are a
-/// function of `(words, instance)` and `lat_total` is a float running sum,
-/// so comparing the bitset alone keeps `Eq` lawful.
+/// Equality is equality of the *selection*: the block counts and cached
+/// aggregates are a function of `(words, instance)` and `lat_total` is a
+/// float running sum, so comparing the bitset alone keeps `Eq` lawful.
 impl PartialEq for Solution {
     fn eq(&self, other: &Solution) -> bool {
         self.len == other.len && self.words == other.words
@@ -65,6 +78,7 @@ impl Solution {
     pub fn empty(len: usize) -> Solution {
         Solution {
             words: vec![0; len.div_ceil(64)],
+            counts: vec![0; len.div_ceil(BLOCK)],
             len,
             selected: 0,
             tx_total: 0,
@@ -145,6 +159,7 @@ impl Solution {
     pub fn insert(&mut self, i: usize, instance: &Instance) {
         assert!(!self.contains(i), "shard {i} already selected");
         self.words[i / 64] |= 1 << (i % 64);
+        self.counts[i / BLOCK] += 1;
         self.selected += 1;
         self.tx_total += instance.shards()[i].tx_count();
         self.lat_total += instance.shards()[i].two_phase_latency().as_secs();
@@ -158,6 +173,7 @@ impl Solution {
     pub fn remove(&mut self, i: usize, instance: &Instance) {
         assert!(self.contains(i), "shard {i} not selected");
         self.words[i / 64] &= !(1 << (i % 64));
+        self.counts[i / BLOCK] -= 1;
         self.selected -= 1;
         self.tx_total -= instance.shards()[i].tx_count();
         self.lat_total -= instance.shards()[i].two_phase_latency().as_secs();
@@ -189,42 +205,107 @@ impl Solution {
         (0..self.len).filter(move |&i| !self.contains(i))
     }
 
+    /// The shard index of the `k`-th selected shard in increasing index
+    /// order (0-indexed `k`) — `iter_selected().nth(k)` in `O(|I|/512)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) when `k >= selected_count()`.
+    pub fn select_kth_selected(&self, k: usize) -> usize {
+        debug_assert!(k < self.selected);
+        self.select::<true>(k)
+    }
+
+    /// The shard index of the `k`-th *unselected* shard in increasing
+    /// index order (0-indexed `k`) — `iter_unselected().nth(k)` in
+    /// `O(|I|/512)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) when `k >= len() − selected_count()`.
+    pub fn select_kth_unselected(&self, k: usize) -> usize {
+        debug_assert!(k < self.len - self.selected);
+        self.select::<false>(k)
+    }
+
+    /// The one select: the index of the `k`-th (0-indexed) selected shard,
+    /// or with `ONES` false the `k`-th unselected one. Walks the block
+    /// counts to the block holding it, then that block's words; `ONES` is
+    /// resolved at compile time.
+    #[inline]
+    fn select<const ONES: bool>(&self, mut k: usize) -> usize {
+        let len = self.len;
+        let mut block = 0;
+        loop {
+            let ones = self.counts[block] as usize;
+            let hits = if ONES {
+                ones
+            } else {
+                (len - block * BLOCK).min(BLOCK) - ones
+            };
+            if k < hits {
+                break;
+            }
+            k -= hits;
+            block += 1;
+        }
+        let mut w = block * BLOCK_WORDS;
+        loop {
+            let word = if ONES {
+                self.words[w]
+            } else {
+                // Bits past `len` are never set: mask them out of the
+                // complement of the last word.
+                let tail = len - w * 64;
+                !self.words[w] & if tail < 64 { (1 << tail) - 1 } else { u64::MAX }
+            };
+            let hits = word.count_ones() as usize;
+            if k < hits {
+                return w * 64 + select_in_word(word, k as u32) as usize;
+            }
+            k -= hits;
+            w += 1;
+        }
+    }
+
     /// A uniformly random selected index, or `None` if empty.
     ///
-    /// Uses rejection sampling (expected `len/selected` draws — `O(1)` for
-    /// the densities the SE sampler works at) with an exact `O(n)`
-    /// fallback for pathological densities, so the distribution stays
-    /// exactly uniform.
+    /// 64 rejection draws over `0..len` (expected `len/selected` draws —
+    /// `O(1)` at the densities the SE sampler works at), then one draw over
+    /// `0..selected` resolved by the block walk, so the distribution stays
+    /// exactly uniform. At the sparse densities of a 10⁴–10⁵-committee
+    /// sweep the rejection loop fails ≈`(1−n/|I|)⁶⁴` of the time, so the
+    /// walk *is* the hot path there.
     pub fn random_selected<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        if self.selected == 0 {
-            return None;
-        }
-        for _ in 0..64 {
-            let i = rng.gen_range(0..self.len);
-            if self.contains(i) {
-                return Some(i);
-            }
-        }
-        let target = rng.gen_range(0..self.selected);
-        self.iter_selected().nth(target)
+        self.sample::<true, R>(rng)
     }
 
     /// A uniformly random unselected index, or `None` if full.
     ///
     /// Same sampling strategy as [`Solution::random_selected`].
     pub fn random_unselected<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        let unselected = self.len - self.selected;
-        if unselected == 0 {
+        self.sample::<false, R>(rng)
+    }
+
+    /// The one sampler body; `SELECTED` picks the side at compile time.
+    #[inline]
+    fn sample<const SELECTED: bool, R: Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
+        let pool = if SELECTED {
+            self.selected
+        } else {
+            self.len - self.selected
+        };
+        if pool == 0 {
             return None;
         }
         for _ in 0..64 {
             let i = rng.gen_range(0..self.len);
-            if !self.contains(i) {
+            if self.contains(i) == SELECTED {
                 return Some(i);
             }
         }
-        let target = rng.gen_range(0..unselected);
-        self.iter_unselected().nth(target)
+        let target = rng.gen_range(0..pool);
+        Some(self.select::<SELECTED>(target))
     }
 
     /// The symmetric-difference size `|f ∪ f'| − |f ∩ f'|` between two
@@ -253,6 +334,17 @@ impl Solution {
         }
         out
     }
+}
+
+/// The bit position of the `k`-th (0-indexed) one of `word`, which must
+/// hold more than `k` ones. The fallback fires only when its side of the
+/// selection is sparse, so `k` is small there.
+#[inline]
+fn select_in_word(mut word: u64, k: u32) -> u32 {
+    for _ in 0..k {
+        word &= word - 1;
+    }
+    word.trailing_zeros()
 }
 
 struct BitIter {
@@ -456,30 +548,27 @@ mod tests {
         assert_eq!(a.distance(&a), 0);
     }
 
-    /// Satellite invariant check: after any random insert/remove/swap
-    /// sequence, every cached aggregate (`selected_count`, `tx_total`,
-    /// `lat_total`) and the eval-cache order statistics must match a
+    /// After any random insert/remove/swap sequence, every cached
+    /// aggregate (`selected_count`, `tx_total`, `lat_total`) and every
+    /// block count (three blocks, the last partial) must match a
     /// from-scratch recount over the bitset.
     #[test]
     fn cached_aggregates_match_recount_after_random_ops() {
-        let n = 130;
+        let n = 1100;
         let inst = instance(n);
         for seed in 0..8u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut sol = Solution::empty(n);
-            let mut cache = crate::eval::EvalCache::new(&inst, &sol);
             for _ in 0..400 {
                 match rng.gen_range(0..3) {
                     0 => {
                         if let Some(i) = sol.random_unselected(&mut rng) {
                             sol.insert(i, &inst);
-                            cache.insert(i);
                         }
                     }
                     1 => {
                         if let Some(i) = sol.random_selected(&mut rng) {
                             sol.remove(i, &inst);
-                            cache.remove(i);
                         }
                     }
                     _ => {
@@ -489,7 +578,6 @@ mod tests {
                         );
                         if let (Some(out), Some(inc)) = (out, inc) {
                             sol.swap(out, inc, &inst);
-                            cache.swap(out, inc);
                         }
                     }
                 }
@@ -503,10 +591,8 @@ mod tests {
                     .iter_selected()
                     .map(|i| inst.shards()[i].two_phase_latency().as_secs())
                     .sum();
-                let max_lat = sol
-                    .iter_selected()
-                    .map(|i| inst.shards()[i].two_phase_latency().as_secs())
-                    .fold(0.0, f64::max);
+                let mut blocks = vec![0u32; n.div_ceil(BLOCK)];
+                sol.iter_selected().for_each(|i| blocks[i / BLOCK] += 1);
                 assert_eq!(sol.selected_count(), count);
                 assert_eq!(sol.tx_total(), txs);
                 assert!(
@@ -514,8 +600,7 @@ mod tests {
                     "lat_total {} vs recount {lats}",
                     sol.lat_total()
                 );
-                assert_eq!(cache.selected_count(), count);
-                assert_eq!(cache.selected_ddl(), max_lat);
+                assert_eq!(sol.counts, blocks);
             }
         }
     }

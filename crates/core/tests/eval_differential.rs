@@ -1,11 +1,11 @@
 //! Differential testing: the incremental [`EvalCache`] against the naive
 //! clone-and-recompute paths of [`Instance`], under both deadline policies.
 //!
-//! The cache answers the same questions as `Instance::{utility, selected_ddl,
-//! swap_delta, insert_delta, remove_delta}` via closed forms — over the
-//! instance's marginals under `MaxArrival`, where `selected_ddl` is a scan
-//! of the cache's own bitset, and over Fenwick order statistics of the
-//! latency ranks under `MaxSelected`. These properties drive both
+//! The cache answers the same questions as `Instance::{utility, swap_delta,
+//! insert_delta, remove_delta}` via closed forms — over the instance's
+//! marginals under `MaxArrival`, and over Fenwick order statistics of the
+//! latency ranks under `MaxSelected`, where it also memoizes
+//! `Instance::selected_ddl`. These properties drive both
 //! implementations through random instances and random operation
 //! sequences and require agreement to 1e-9 relative at every step. Caches attached to one shared
 //! [`ShardColumns`] must additionally agree *bit for bit* with a cache built
@@ -83,10 +83,10 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 /// Applies `op` (when legal on `sol`) to the solution and to every cache
-/// mirroring it. Before the commit the first cache's delta must match the
+/// indexing it. Before the commit the first cache's delta must match the
 /// naive clone-and-recompute and every other cache's delta must equal it
-/// bit for bit; after it, each cache must agree with the naive utility and
-/// induced deadline.
+/// bit for bit; after it, each cache must agree with the naive utility and,
+/// under `MaxSelected`, the induced deadline.
 fn drive(
     inst: &Instance,
     sol: &mut Solution,
@@ -148,13 +148,14 @@ fn drive(
             caches.iter_mut().for_each(|c| c.remove(i));
         }
     }
-    // State-level agreement after each committed op: utility and induced
-    // deadline.
+    // State-level agreement after each committed op: utility and, under
+    // MaxSelected, the induced deadline.
     let fast = caches.iter().map(|c| c.utility(inst, sol)).collect();
     agree("utility", inst.utility(sol), fast)?;
-    for cache in caches.iter() {
-        prop_assert_eq!(cache.selected_ddl(), inst.selected_ddl(sol));
-        prop_assert_eq!(cache.selected_count(), sol.selected_count());
+    if inst.ddl_policy() == DdlPolicy::MaxSelected {
+        for cache in caches.iter() {
+            prop_assert_eq!(cache.selected_ddl(), inst.selected_ddl(sol));
+        }
     }
     Ok(())
 }
@@ -206,12 +207,9 @@ proptest! {
                 }
             }
         }
-        for (sol, [attached, alone]) in &family {
+        for (_, [attached, alone]) in &family {
             prop_assert!(Arc::ptr_eq(attached.columns(), &columns));
             prop_assert!(!Arc::ptr_eq(alone.columns(), &columns));
-            for i in 0..n {
-                prop_assert_eq!(attached.contains(i), sol.contains(i));
-            }
         }
     }
 
@@ -250,11 +248,8 @@ proptest! {
             }
         }
         let rebuilt = EvalCache::new(&inst, &sol);
-        prop_assert_eq!(rebuilt.selected_count(), cache.selected_count());
-        prop_assert_eq!(rebuilt.selected_ddl(), cache.selected_ddl());
-        for i in 0..n {
-            prop_assert_eq!(rebuilt.contains(i), sol.contains(i));
-            prop_assert_eq!(cache.contains(i), sol.contains(i));
+        if inst.ddl_policy() == DdlPolicy::MaxSelected {
+            prop_assert_eq!(rebuilt.selected_ddl(), cache.selected_ddl());
         }
         prop_assert_eq!(
             rebuilt.utility(&inst, &sol).to_bits(),

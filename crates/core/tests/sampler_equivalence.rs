@@ -1,19 +1,18 @@
-//! The SE sampler against its naive reference (DESIGN.md §14).
+//! The SE/SA sampler against its naive reference (DESIGN.md §14).
 //!
-//! [`EvalCache::random_selected`]/[`EvalCache::random_unselected`] promise
-//! a *bit-identical* contract with [`Solution::random_selected`]/
-//! [`Solution::random_unselected`]: the same RNG draw sequence (64
-//! rejection draws, then one fallback draw) and the same returned index,
-//! with only the fallback's bit-by-bit scan replaced by a walk over the
-//! cache's per-512-shard block counts and a select within one block.
-//! These tests pin that contract three ways: the order statistics
-//! themselves (select-kth-one/zero and membership vs `iter_*().nth(k)` on
-//! arbitrary bitsets, within one block and across several, at block and
-//! word boundaries), the sampler outputs under shared seeds across
-//! density regimes (dense, sparse, empty-adjacent, full-adjacent — the
-//! sparse regimes are where the fallback actually fires), and whole
-//! seeded [`SeEngine`] runs against pinned outcomes of the scan sampler
-//! and across thread counts.
+//! [`Solution::random_selected`]/[`Solution::random_unselected`] promise a
+//! *bit-identical* contract with the scan sampler kept below as
+//! [`scan_random`]: the same RNG draw sequence (64 rejection draws, then
+//! one fallback draw) and the same returned index, with only the
+//! fallback's bit-by-bit scan replaced by a walk over the solution's
+//! per-512-shard block counts and a select within one block. These tests
+//! pin that contract three ways: the order statistics themselves
+//! (select-kth-one/zero vs `iter_*().nth(k)` on arbitrary bitsets, within
+//! one block and across several, at block and word boundaries), the
+//! sampler outputs under shared seeds across density regimes (dense,
+//! sparse, empty-adjacent, full-adjacent — the sparse regimes are where
+//! the fallback actually fires), and whole seeded [`SeEngine`] runs
+//! against pinned outcomes of the scan sampler and across thread counts.
 
 #![expect(
     clippy::unwrap_used,
@@ -82,16 +81,15 @@ proptest! {
     fn select_kth_matches_nth((len, picks) in arb_bitset()) {
         let inst = instance(len);
         let sol = Solution::from_indices(len, picks.iter().copied(), &inst);
-        let cache = EvalCache::new(&inst, &sol);
         for k in 0..sol.selected_count() {
             prop_assert_eq!(
-                cache.select_kth_selected(k),
+                sol.select_kth_selected(k),
                 sol.iter_selected().nth(k).unwrap()
             );
         }
         for k in 0..(len - sol.selected_count()) {
             prop_assert_eq!(
-                cache.select_kth_unselected(k),
+                sol.select_kth_unselected(k),
                 sol.iter_unselected().nth(k).unwrap()
             );
         }
@@ -106,23 +104,21 @@ proptest! {
     ) {
         let inst = instance(len);
         let mut sol = Solution::from_indices(len, picks.iter().copied(), &inst);
-        let mut cache = EvalCache::new(&inst, &sol);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..40 {
             let (out, inc) = (sol.random_selected(&mut rng), sol.random_unselected(&mut rng));
             if let (Some(out), Some(inc)) = (out, inc) {
                 sol.swap(out, inc, &inst);
-                cache.swap(out, inc);
             }
             for k in 0..sol.selected_count() {
                 prop_assert_eq!(
-                    cache.select_kth_selected(k),
+                    sol.select_kth_selected(k),
                     sol.iter_selected().nth(k).unwrap()
                 );
             }
             for k in 0..(len - sol.selected_count()) {
                 prop_assert_eq!(
-                    cache.select_kth_unselected(k),
+                    sol.select_kth_unselected(k),
                     sol.iter_unselected().nth(k).unwrap()
                 );
             }
@@ -131,49 +127,41 @@ proptest! {
 
     /// The block walk through inserts, removes and swaps across block
     /// boundaries: after every mutation, select-kth-one/zero equal
-    /// `iter_*().nth(k)` (collected once per state) for every valid `k`,
-    /// and `contains` equals the solution's membership for every shard.
+    /// `iter_*().nth(k)` (collected once per state) for every valid `k`.
     #[test]
-    fn select_kth_and_contains_match_nth_across_blocks_after_mutations(
+    fn select_kth_matches_nth_across_blocks_after_mutations(
         (len, picks) in arb_multi_block_bitset(),
         seed in 0u64..32,
     ) {
         let inst = instance(len);
         let mut sol = Solution::from_indices(len, picks.iter().copied(), &inst);
-        let mut cache = EvalCache::new(&inst, &sol);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..24 {
             match rng.gen_range(0..3) {
                 0 => {
                     if let Some(i) = sol.random_unselected(&mut rng) {
                         sol.insert(i, &inst);
-                        cache.insert(i);
                     }
                 }
                 1 => {
                     if let Some(i) = sol.random_selected(&mut rng) {
                         sol.remove(i, &inst);
-                        cache.remove(i);
                     }
                 }
                 _ => {
                     let (out, inc) = (sol.random_selected(&mut rng), sol.random_unselected(&mut rng));
                     if let (Some(out), Some(inc)) = (out, inc) {
                         sol.swap(out, inc, &inst);
-                        cache.swap(out, inc);
                     }
                 }
             }
             let selected: Vec<usize> = sol.iter_selected().collect();
             let unselected: Vec<usize> = sol.iter_unselected().collect();
             for (k, &i) in selected.iter().enumerate() {
-                prop_assert_eq!(cache.select_kth_selected(k), i);
+                prop_assert_eq!(sol.select_kth_selected(k), i);
             }
             for (k, &i) in unselected.iter().enumerate() {
-                prop_assert_eq!(cache.select_kth_unselected(k), i);
-            }
-            for i in 0..len {
-                prop_assert_eq!(cache.contains(i), sol.contains(i));
+                prop_assert_eq!(sol.select_kth_unselected(k), i);
             }
         }
     }
@@ -202,13 +190,12 @@ fn select_kth_matches_nth_at_power_of_two_boundaries_and_full_or_empty_trees() {
         ];
         for picks in shapes {
             let sol = Solution::from_indices(len, picks.iter().copied(), &inst);
-            let cache = EvalCache::new(&inst, &sol);
             let selected: Vec<usize> = (0..picks.len())
-                .map(|k| cache.select_kth_selected(k))
+                .map(|k| sol.select_kth_selected(k))
                 .collect();
             assert_eq!(selected, picks, "len {len}");
             let unselected: Vec<usize> = (0..len - picks.len())
-                .map(|k| cache.select_kth_unselected(k))
+                .map(|k| sol.select_kth_unselected(k))
                 .collect();
             assert_eq!(
                 unselected,
@@ -220,25 +207,50 @@ fn select_kth_matches_nth_at_power_of_two_boundaries_and_full_or_empty_trees() {
     }
 }
 
+/// The scan sampler the block walk replaced, kept as the reference: 64
+/// rejection draws over `0..len`, then one draw over the pool resolved by
+/// a bit-by-bit scan.
+fn scan_random(sol: &Solution, selected: bool, rng: &mut ChaCha8Rng) -> Option<usize> {
+    let pool = if selected {
+        sol.selected_count()
+    } else {
+        sol.len() - sol.selected_count()
+    };
+    if pool == 0 {
+        return None;
+    }
+    for _ in 0..64 {
+        let i = rng.gen_range(0..sol.len());
+        if sol.contains(i) == selected {
+            return Some(i);
+        }
+    }
+    let target = rng.gen_range(0..pool);
+    if selected {
+        sol.iter_selected().nth(target)
+    } else {
+        sol.iter_unselected().nth(target)
+    }
+}
+
 /// Drives both samplers from identically seeded RNGs over one solution
 /// shape and asserts index-sequence equality *and* RNG-state equality
 /// (the draw counts must match too, or downstream draws would diverge).
 fn assert_samplers_agree(len: usize, picks: &[usize], seed: u64, draws: usize) {
     let inst = instance(len);
     let sol = Solution::from_indices(len, picks.iter().copied(), &inst);
-    let cache = EvalCache::new(&inst, &sol);
     let mut slow_rng = ChaCha8Rng::seed_from_u64(seed);
     let mut fast_rng = ChaCha8Rng::seed_from_u64(seed);
     for step in 0..draws {
         assert_eq!(
-            sol.random_selected(&mut slow_rng),
-            cache.random_selected(&sol, &mut fast_rng),
+            scan_random(&sol, true, &mut slow_rng),
+            sol.random_selected(&mut fast_rng),
             "selected draw diverged at step {step} (len={len}, |sel|={})",
             sol.selected_count()
         );
         assert_eq!(
-            sol.random_unselected(&mut slow_rng),
-            cache.random_unselected(&sol, &mut fast_rng),
+            scan_random(&sol, false, &mut slow_rng),
+            sol.random_unselected(&mut fast_rng),
             "unselected draw diverged at step {step} (len={len}, |sel|={})",
             sol.selected_count()
         );
@@ -347,9 +359,8 @@ const GOLDEN_SELECTED: [usize; 15] = [5, 6, 7, 12, 13, 14, 19, 20, 21, 26, 27, 2
 
 /// Produced at the parent of the commit that deleted the sampler knob
 /// (10040b4), by the *deleted* rejection-then-scan sampler arm — chains
-/// drawing through `Solution::random_*` with its `O(|I|)` scan fallback.
-/// The surviving `EvalCache::random_*` path must reproduce them bit for
-/// bit; this replaces the old run-both-and-compare test.
+/// drawing with the `O(|I|)` scan fallback that [`scan_random`] keeps.
+/// The block-walk sampler must reproduce them bit for bit.
 const GOLDEN: [Golden; 2] = [
     Golden {
         seed: 3,

@@ -532,9 +532,9 @@ impl Daemon {
             .decide(epoch, &reported, None, None, se_config)?;
         // The checkpoint captures the solver state *before* finalization:
         // `SeEngine::from_checkpoint(…)` + `finish()` reproduces the
-        // admitted set below and its utility to within an ulp or two of
-        // incremental drift, since the restore re-prices every chain
-        // (pinned by the `se_restore` integration test).
+        // admitted set below and its utility bit for bit, since the
+        // restore keeps the recorded best verbatim (pinned by the
+        // `se_restore` integration test).
         let se = admission.engine().map(SeEngine::checkpoint);
         let decision = admission.finish();
         // 3. Stage-4 settlement on the committees' true behaviour.

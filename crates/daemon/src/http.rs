@@ -31,10 +31,15 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cap on the request bytes read before answering (headers only).
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// The time one connection gets to deliver its whole request head. The
+/// one accept thread serves connections in turn, so this bounds how long
+/// any client, however slowly it sends, holds the endpoint from the next.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// The shared snapshot string: the daemon writes, the server reads.
 #[derive(Debug, Clone, Default)]
@@ -113,11 +118,17 @@ impl Drop for MetricsServer {
 }
 
 /// Handles one connection: read the request head, route, respond, close.
+/// A head not complete by [`REQUEST_DEADLINE`] drops the connection
+/// unanswered.
 fn serve_one(mut stream: TcpStream, cell: &SnapshotCell) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut request = Vec::new();
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -203,5 +214,32 @@ mod tests {
         let (status, _) = get(addr, "/nope");
         assert!(status.contains("404"), "{status}");
         drop(server); // joins the accept thread
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint() {
+        let server = MetricsServer::start("127.0.0.1:0", SnapshotCell::new()).unwrap();
+        let addr = server.addr();
+        // One byte every 100 ms never completes a head before the 8 KB cap
+        // (≈ 14 minutes); the trickler stops when the server drops it, or
+        // after 10 s.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        let trickler = std::thread::spawn(move || {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_secs(10) && slow.write_all(b"G").is_ok() {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        // Accepted connections queue in connect order: the server takes
+        // the trickler first, and this client waits behind it.
+        let start = Instant::now();
+        let (status, body) = get(addr, "/healthz");
+        let waited = start.elapsed();
+        assert!(status.contains("200") && body == "ok\n", "{status}: {body}");
+        assert!(
+            waited < REQUEST_DEADLINE + Duration::from_secs(1),
+            "answered after {waited:?}"
+        );
+        trickler.join().unwrap();
     }
 }

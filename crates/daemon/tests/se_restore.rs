@@ -106,13 +106,11 @@ fn a_restored_epoch_checkpoint_finishes_to_the_recorded_decision() {
             .flat_map(|c| c.value().to_le_bytes())
             .collect();
         let summary = &record.summary;
-        // The restore re-prices every chain from scratch, and `reseed`
-        // takes a chain whose fresh sum beats the recorded best by an ulp
-        // or two of incremental drift: the same selection, a utility equal
-        // to ~1e-12 relative, not bit for bit.
-        let drift = (decision.utility - summary.utility).abs();
-        assert!(
-            drift <= 1e-12 * summary.utility.abs(),
+        // The restore keeps the recorded best verbatim, so the finished
+        // epoch carries the recorded utility bit for bit.
+        assert_eq!(
+            decision.utility.to_bits(),
+            summary.utility.to_bits(),
             "epoch {epoch}: utility {} vs recorded {}",
             decision.utility,
             summary.utility
