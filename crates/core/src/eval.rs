@@ -145,6 +145,9 @@ pub struct ShardColumns {
     /// candidate subset against `Ĉ` with an integer sum over this column,
     /// and Algorithm 3 a candidate swap.
     size: Vec<u64>,
+    /// `Σ s_i` over every shard — exact, because the instance builder
+    /// refuses sizes that sum past `u64::MAX`.
+    size_total: u64,
     /// Shard indices under a *stable* sort by size (ties by index) — the
     /// order whose first `n` entries are Algorithm 2's fallback selection.
     by_size: Vec<u32>,
@@ -185,6 +188,7 @@ impl ShardColumns {
         let mut by_size: Vec<u32> = (0..n as u32).collect();
         by_size.sort_by_key(|&i| size[i as usize]);
         ShardColumns {
+            size_total: size.iter().sum(),
             lat_by_rank,
             rank,
             tx: size.iter().map(|&s| s as f64).collect(),
@@ -218,11 +222,58 @@ impl ShardColumns {
         self.size[i]
     }
 
-    /// `Σ s_i` over `indices`, accumulated in slice order — the value (and
-    /// the overflow behaviour) of [`Solution::tx_total`] after inserting
-    /// the same indices in the same order, without building the solution.
+    /// `Σ s_i` over `indices` — the value of [`Solution::tx_total`] after
+    /// inserting the same indices, without building the solution. Exact:
+    /// no subset of a built instance's sizes sums past `u64::MAX`.
     pub fn tx_total(&self, indices: &[usize]) -> u64 {
         indices.iter().map(|&i| self.size[i]).sum()
+    }
+
+    /// `Σ s_i` over the first `n` entries of `shuffled`, a permutation of
+    /// every shard index, summing the smaller side of the split: when
+    /// `2n > |I|` it is `Σ_all − Σ_tail`, the same exact integer.
+    /// Algorithm 2's failing attempts sit at the top cardinalities, where
+    /// the tail is a few percent of the epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > shuffled.len()`.
+    pub(crate) fn head_total(&self, shuffled: &[usize], n: usize) -> u64 {
+        debug_assert_eq!(shuffled.len(), self.len());
+        let (head, tail) = shuffled.split_at(n);
+        if 2 * n > shuffled.len() {
+            self.size_total - self.tx_total(tail)
+        } else {
+            self.tx_total(head)
+        }
+    }
+
+    /// The selection of `indices`, inserted in iteration order from the
+    /// dense columns: [`Solution::from_indices`] over the instance these
+    /// columns were built from, with the same `lat_total` bits (the same
+    /// values, added in the same order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range or repeated.
+    pub(crate) fn solution(&self, indices: impl IntoIterator<Item = usize>) -> Solution {
+        let mut solution = Solution::empty(self.len());
+        for i in indices {
+            solution.insert_sized(i, self.size[i], self.lat[i]);
+        }
+        solution
+    }
+
+    /// [`Instance::utility`] of `solution` over the instance these columns
+    /// were built from, bit for bit. Under MaxArrival it sums the
+    /// `marginal` column over ascending indices — the same values in the
+    /// same order as the instance's sum over its shard records; under
+    /// MaxSelected it is the instance's own pass.
+    pub(crate) fn utility(&self, instance: &Instance, solution: &Solution) -> f64 {
+        match self.policy {
+            DdlPolicy::MaxArrival => solution.iter_selected().map(|i| self.marginal[i]).sum(),
+            DdlPolicy::MaxSelected => instance.utility(solution),
+        }
     }
 
     /// The `n` smallest shards, ascending by size with ties by index —
@@ -877,6 +928,26 @@ mod tests {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(violation)).is_err(),
                 "precondition violation did not panic"
             );
+        }
+    }
+
+    #[test]
+    fn head_total_is_the_head_sum_at_every_split() {
+        use rand::seq::SliceRandom;
+        let inst = instance(101, DdlPolicy::MaxArrival);
+        let columns = ShardColumns::new(&inst);
+        assert_eq!(columns.size_total, inst.total_txs());
+        let mut shuffled: Vec<usize> = (0..101).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        for _ in 0..4 {
+            shuffled.shuffle(&mut rng);
+            for n in 0..=101 {
+                let head: u64 = shuffled[..n]
+                    .iter()
+                    .map(|&i| inst.shards()[i].tx_count())
+                    .sum();
+                assert_eq!(columns.head_total(&shuffled, n), head, "n = {n}");
+            }
         }
     }
 

@@ -325,7 +325,10 @@ impl Instance {
         n
     }
 
-    /// Sum of all shard sizes, `Σ_i s_i`.
+    /// Sum of all shard sizes, `Σ_i s_i` — exact: the builder refuses an
+    /// epoch whose sizes sum past `u64::MAX`, so no sum of a subset of
+    /// them (a [`Solution`]'s `tx_total`, the SE init's capacity test)
+    /// can wrap either.
     pub fn total_txs(&self) -> u64 {
         self.shards.iter().map(|s| s.tx_count()).sum()
     }
@@ -466,8 +469,9 @@ impl InstanceBuilder {
     /// # Errors
     ///
     /// * [`Error::InvalidInstance`] — no shards, non-positive/non-finite
-    ///   `α`, zero capacity, duplicate committee ids, or a shard with an
-    ///   infinite latency.
+    ///   `α`, zero capacity, duplicate committee ids, a shard with an
+    ///   infinite latency, or shard sizes that sum past `u64::MAX` (the
+    ///   error names the shard that crosses it).
     /// * [`Error::Infeasible`] — no selection can satisfy both constraints:
     ///   `N_min > |I|`, or the `N_min` smallest shards already exceed `Ĉ`.
     pub fn build(self) -> Result<Instance> {
@@ -486,7 +490,16 @@ impl InstanceBuilder {
             ));
         }
         let mut seen = std::collections::BTreeSet::new();
+        let mut total_txs = 0u64;
         for s in &self.shards {
+            let Some(total) = total_txs.checked_add(s.tx_count()) else {
+                return Err(Error::invalid_instance(format!(
+                    "{}'s {} transactions push the epoch's total past u64::MAX",
+                    s.committee(),
+                    s.tx_count()
+                )));
+            };
+            total_txs = total;
             if !seen.insert(s.committee()) {
                 return Err(Error::invalid_instance(format!(
                     "duplicate shard for {}",
@@ -775,6 +788,27 @@ mod tests {
             .shard(dead)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn sizes_summing_past_u64_max_are_refused_by_shard() {
+        // Each size alone is legal and the capacity admits either shard;
+        // only the epoch's total cannot be represented.
+        let half = u64::MAX / 2 + 1;
+        let build = |shards| {
+            InstanceBuilder::new()
+                .capacity(u64::MAX)
+                .shards(shards)
+                .build()
+        };
+        let err = build(vec![shard(0, half, 1.0), shard(7, half, 2.0)]).unwrap_err();
+        assert!(matches!(err, Error::InvalidInstance { .. }), "{err}");
+        assert!(err.to_string().contains("committee-7"), "{err}");
+        let fits = build(vec![shard(0, half, 1.0), shard(7, half - 1, 2.0)]).unwrap();
+        assert_eq!(fits.total_txs(), u64::MAX);
+        // A join goes through the same check.
+        let err = fits.with_joined(shard(9, 1, 3.0)).unwrap_err();
+        assert!(err.to_string().contains("committee-9"), "{err}");
     }
 
     #[test]

@@ -66,10 +66,11 @@ impl Chain {
     /// back to the `n` smallest shards (which fit whenever any `n`-subset
     /// does).
     ///
-    /// Derives the instance's [`ShardColumns`] for this one chain; a
-    /// family of chains shares them through [`Chain::init_on`]. Nothing
-    /// here reads `_config` any more (the attempt budget is a constant);
-    /// the parameter stays because `benchmark/` calls this signature.
+    /// Derives the instance's [`ShardColumns`] and an index buffer for
+    /// this one chain; a family of chains shares both through
+    /// [`Chain::init_on`]. Nothing here reads `_config` any more (the
+    /// attempt budget is a constant); the parameter stays because
+    /// `benchmark/` calls this signature.
     ///
     /// # Errors
     ///
@@ -82,17 +83,19 @@ impl Chain {
         rng: &mut R,
     ) -> Result<Chain> {
         let columns = Arc::new(ShardColumns::new(instance));
-        Chain::init_on(&columns, instance, cardinality, rng)
+        Chain::init_on(&columns, instance, cardinality, &mut Vec::new(), rng)
     }
 
-    /// [`Chain::init`] over columns already derived from `instance`.
+    /// [`Chain::init`] over columns already derived from `instance`,
+    /// shuffling in `indices`, which is reset to `0..|I|` first (its
+    /// contents on entry do not matter; a family reuses one buffer).
     ///
-    /// Each shuffled candidate is tested against `Ĉ` with an integer sum
-    /// over the dense size column, in the order `Solution::from_indices`
-    /// would have accumulated it; the [`Solution`] is built only for the
-    /// candidate that fits. Every shuffle still runs and consumes the
-    /// same draws, so the RNG stream — and with it every downstream
-    /// output — is what it was when each attempt built a solution.
+    /// Every shuffle runs and consumes its draws, so the RNG stream — and
+    /// with it every downstream output — does not depend on how an attempt
+    /// is tested. Each shuffled candidate is tested against `Ĉ` by an exact
+    /// integer sum over the smaller side of the split
+    /// (`ShardColumns::head_total`), and only the candidate that fits is
+    /// built, from the columns, in shuffled order.
     ///
     /// # Errors
     ///
@@ -105,6 +108,7 @@ impl Chain {
         columns: &Arc<ShardColumns>,
         instance: &Instance,
         cardinality: usize,
+        indices: &mut Vec<usize>,
         rng: &mut R,
     ) -> Result<Chain> {
         let len = instance.len();
@@ -113,17 +117,17 @@ impl Chain {
                 "cardinality {cardinality} out of range for {len} shards"
             )));
         }
-        let mut indices: Vec<usize> = (0..len).collect();
+        indices.clear();
+        indices.extend(0..len);
         for _ in 0..INIT_ATTEMPTS {
             indices.shuffle(rng);
-            let picked = &indices[..cardinality];
-            if columns.tx_total(picked) <= instance.capacity() {
-                let solution = Solution::from_indices(len, picked.iter().copied(), instance);
+            if columns.head_total(indices, cardinality) <= instance.capacity() {
+                let solution = columns.solution(indices[..cardinality].iter().copied());
                 return Ok(Chain::attach(columns, instance, solution));
             }
         }
         // Deterministic fallback: the n smallest shards.
-        let solution = Solution::from_indices(len, columns.smallest(cardinality), instance);
+        let solution = columns.solution(columns.smallest(cardinality));
         if instance.within_capacity(&solution) {
             Ok(Chain::attach(columns, instance, solution))
         } else {
@@ -136,7 +140,8 @@ impl Chain {
 
     /// Wraps an existing solution as a chain over columns already derived
     /// from `instance` (used by warm starts after dynamic events and by
-    /// checkpoint restores). The utility is recomputed from scratch and
+    /// checkpoint restores). The utility is recomputed from scratch (from
+    /// the columns: `ShardColumns::utility`, the instance's bits) and
     /// the eval cache rebuilt, so restored chains never inherit
     /// incremental drift.
     ///
@@ -144,8 +149,8 @@ impl Chain {
     ///
     /// Panics if `columns` were not built from `instance`.
     pub fn attach(columns: &Arc<ShardColumns>, instance: &Instance, solution: Solution) -> Chain {
-        let utility = instance.utility(&solution);
         let cache = EvalCache::attach(Arc::clone(columns), instance, &solution);
+        let utility = columns.utility(instance, &solution);
         Chain {
             ln_pool: Self::ln_pool(instance.len(), solution.selected_count()),
             solution,

@@ -132,18 +132,22 @@ pub(super) fn build_replicas(
     };
     let mut master = rng::master(config.seed ^ stamp);
     let columns = Arc::new(ShardColumns::new(instance));
+    // Algorithm 2's shuffle buffer, reset by every fresh chain.
+    let mut indices = Vec::with_capacity(instance.len());
     let mut replicas = Vec::with_capacity(families.len());
     for (g, family) in families.into_iter().enumerate() {
         let mut rng = rng::fork(&mut master, &format!("replica-{g}{label}"));
         let mut chains = Vec::with_capacity(family.len());
         for seed in family {
             chains.push(match seed {
-                ChainSeed::Fresh(n) => match Chain::init_on(&columns, instance, n, &mut rng) {
-                    Ok(chain) => chain,
-                    // No n-subset fits the capacity: skip this cardinality.
-                    Err(Error::Infeasible { .. }) => continue,
-                    Err(e) => return Err(e),
-                },
+                ChainSeed::Fresh(n) => {
+                    match Chain::init_on(&columns, instance, n, &mut indices, &mut rng) {
+                        Ok(chain) => chain,
+                        // No n-subset fits the capacity: skip this cardinality.
+                        Err(Error::Infeasible { .. }) => continue,
+                        Err(e) => return Err(e),
+                    }
+                }
                 ChainSeed::Warm(solution) => Chain::attach(&columns, instance, solution.clone()),
                 ChainSeed::Restored(words) => {
                     Chain::attach(&columns, instance, restore_solution(instance, words))

@@ -46,16 +46,25 @@ impl SimTime {
 
     /// Creates a time value from seconds.
     ///
+    /// `-0.0` is accepted and stored as `0.0`. This is the one constructor
+    /// that can receive `-0.0` — `from_millis`, `* f64`, `/ f64` and
+    /// deserialization all end here — and it canonicalises on its zero
+    /// branch only; a positive value is stored as it is. `+`, `-` and
+    /// [`SimTime::saturating_sub`] cannot make `-0.0` from two values
+    /// that are not `-0.0`: `x - x` and `0.0 + 0.0` are `+0.0`.
+    ///
     /// # Panics
     ///
     /// Panics if `secs` is NaN or negative; simulated time is a monotone
-    /// non-negative axis. `-0.0` is accepted and stored as `0.0`.
+    /// non-negative axis.
     #[inline]
     pub fn from_secs(secs: f64) -> SimTime {
+        if secs > 0.0 {
+            return SimTime(secs);
+        }
         assert!(!secs.is_nan(), "SimTime cannot be NaN");
         assert!(secs >= 0.0, "SimTime cannot be negative (got {secs})");
-        // `-0.0 + 0.0` is `+0.0`; every other admitted value is unchanged.
-        SimTime(secs + 0.0)
+        SimTime::ZERO
     }
 
     /// Creates a time value from milliseconds.
@@ -315,13 +324,39 @@ mod tests {
     }
 
     #[test]
-    fn negative_zero_is_stored_as_zero() {
-        let z = SimTime::from_secs(-0.0);
-        assert_eq!(z.as_secs().to_bits(), 0.0f64.to_bits());
-        assert_eq!(z.cmp(&SimTime::ZERO), std::cmp::Ordering::Equal);
-        assert_eq!(SimTime::ZERO.min(z).as_secs().to_bits(), 0);
-        assert_eq!((SimTime::ZERO * -0.0).as_secs().to_bits(), 0);
-        assert_eq!(SimTime::from_millis(-0.0).as_secs().to_bits(), 0);
+    fn every_public_constructor_stores_negative_zero_as_zero() {
+        let zero = |t: SimTime| {
+            assert_eq!(t.as_secs().to_bits(), 0, "{t:?}");
+            assert_eq!(t.cmp(&SimTime::ZERO), std::cmp::Ordering::Equal);
+        };
+        // Each constructor that can be handed a negative zero.
+        zero(SimTime::from_secs(-0.0));
+        zero(SimTime::from_millis(-0.0));
+        zero(SimTime::ZERO * -0.0);
+        zero(SimTime::ZERO * -1.0);
+        zero(SimTime::ZERO / -1.0);
+        zero(serde_json::from_str("-0.0").unwrap());
+        zero(serde_json::from_str("-0").unwrap());
+        zero(SimTime::from_value(&serde::Value::F64(-0.0)).unwrap());
+        // Those built from two times: none yields `-0.0`.
+        let t = SimTime::from_secs(2.5);
+        zero(t - t);
+        zero(t.saturating_sub(t));
+        zero(SimTime::ZERO.saturating_sub(t));
+        zero(SimTime::ZERO + SimTime::ZERO);
+        zero([SimTime::ZERO; 3].into_iter().sum());
+        let mut acc = t;
+        acc -= t;
+        zero(acc);
+        acc += SimTime::ZERO;
+        zero(acc);
+        zero(SimTime::ZERO.min(SimTime::from_secs(-0.0)));
+        zero(SimTime::default());
+        zero(SimTime::ZERO);
+        // A positive value is stored as it is.
+        for secs in [5e-324, f64::MIN_POSITIVE, 1.0, f64::MAX] {
+            assert_eq!(SimTime::from_secs(secs).as_secs().to_bits(), secs.to_bits());
+        }
     }
 
     #[test]

@@ -44,10 +44,11 @@
 //!   as `{"Name": ...}`.
 //!
 //! Number and string formatting:
-//! - Floats print via Rust's shortest-round-trip `{:?}` formatting, so
+//! - Floats print as Rust's shortest-round-trip `{:?}` formatting does, so
 //!   every finite `f64` survives a serialize/parse round trip exactly
 //!   (integral floats render with a trailing `.0`, which the parser maps
-//!   back to `F64`).
+//!   back to `F64`; below 10¹⁶ they render on the integer writer, not
+//!   through `core::fmt`).
 //! - Non-finite floats have no JSON representation; they render as the
 //!   out-of-range literals `1e999` / `-1e999`, which `str::parse::<f64>`
 //!   reads back as `±inf`. `NaN` renders as `null`. This keeps infinite
@@ -57,11 +58,12 @@
 //!
 //! Arrays: `Vec<T>`, `[T]` and `[T; N]` write through the provided hook
 //! [`Serialize::write_json_seq`], whose default writes element by element.
-//! It has one override, shared by every integer type: the whole array
-//! renders into a 4 KB stack chunk — two digits per division off a table,
-//! `-` before a negative — and each chunk is appended with one `push_str`,
-//! so a checkpoint's bitset words (most of a history record) cost no call
-//! per element.
+//! The integer types and `f64` override it with one chunked writer: the
+//! whole array renders into a 4 KB stack chunk — two digits per division
+//! off a table, `-` before a negative, an integral float's digits then
+//! `.0` — and each chunk is appended with one `push_str`, so a
+//! checkpoint's bitset words and a record's `1.0`s and `0.0`s (most of a
+//! history record) cost no call per element.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -343,17 +345,65 @@ fn write_i64(x: i64, out: &mut String) {
 }
 
 fn write_f64(x: f64, out: &mut String) {
-    if x.is_nan() {
-        out.push_str("null");
+    let mut bytes = [0u8; MAX_FLOAT];
+    let len = put_f64(x, &mut bytes);
+    flush_ascii(&bytes[..len], out);
+}
+
+/// The longest float [`put_f64`] renders: `{:?}` of a finite `f64` is at
+/// most 24 bytes (`-2.2250738585072014e-308`); the slot leaves room.
+const MAX_FLOAT: usize = 32;
+
+/// Renders `x` into the front of `dst` ([`MAX_FLOAT`] bytes) and returns
+/// its length. Finite floats print as `{:?}` does — shortest round trip,
+/// always with a `.0` or an exponent, so the number reads back as a float.
+/// An integral `|x| < 10¹⁶` is exactly what `{:?}` prints for it, its
+/// integer digits and `.0`, so it takes the integer writer instead of
+/// `core::fmt`. Non-finite floats have no JSON form: `null` for NaN,
+/// `±1e999` (which parse back as `±∞`) for the infinities.
+fn put_f64(x: f64, dst: &mut [u8]) -> usize {
+    let magnitude = x.abs();
+    if magnitude < 1e16 {
+        // `as` truncates, and every integer below 10¹⁶ converts back
+        // exactly, so the round trip holds exactly for integral values.
+        let whole = magnitude as u64;
+        if (whole as f64).to_bits() == magnitude.to_bits() {
+            let len = put_int((x.is_sign_negative(), whole), dst);
+            dst[len..len + 2].copy_from_slice(b".0");
+            return len + 2;
+        }
+    }
+    let literal: &[u8] = if x.is_nan() {
+        b"null"
     } else if x == f64::INFINITY {
-        out.push_str("1e999");
+        b"1e999"
     } else if x == f64::NEG_INFINITY {
-        out.push_str("-1e999");
+        b"-1e999"
     } else {
-        // `{:?}` is shortest-round-trip and always includes `.0` or an
-        // exponent, keeping the number recognizably float-typed. Writing
-        // to a `String` cannot fail.
-        let _ = write!(out, "{x:?}");
+        let mut slot = Slot { dst, len: 0 };
+        // A finite float fits the slot, so this write cannot fail.
+        let _ = write!(slot, "{x:?}");
+        return slot.len;
+    };
+    dst[..literal.len()].copy_from_slice(literal);
+    literal.len()
+}
+
+/// A `fmt::Write` over a byte slot; a write past its end fails.
+struct Slot<'a> {
+    dst: &'a mut [u8],
+    len: usize,
+}
+
+impl fmt::Write for Slot<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.dst
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -399,24 +449,29 @@ fn write_seq<T: Serialize>(items: &[T], out: &mut String) {
     out.push(']');
 }
 
-/// Bytes an integer sequence renders on the stack before one `push_str`.
+/// Bytes a number sequence renders on the stack before one `push_str`.
 const SEQ_CHUNK: usize = 4096;
 
 /// The longest integer element with its comma: `,-9223372036854775808`
 /// and `,18446744073709551615` are both 21 bytes.
 const MAX_INT_ELEMENT: usize = 21;
 
-/// Appends `[a,b,…]` for integers given as (negative, magnitude). Elements
-/// render into a stack chunk, and each chunk of at most [`SEQ_CHUNK`]
-/// bytes is appended with one `push_str`; a flush may fall anywhere
-/// between two elements.
-fn write_int_seq(items: impl Iterator<Item = (bool, u64)>, out: &mut String) {
+/// Appends `[a,b,…]`, each element rendered by `put` into a stack chunk
+/// slot of `max_element − 1` bytes (after its comma), returning the bytes
+/// it wrote. Each chunk of at most [`SEQ_CHUNK`] bytes is appended with
+/// one `push_str`; a flush may fall anywhere between two elements.
+fn write_chunked_seq<T: Copy>(
+    items: &[T],
+    max_element: usize,
+    put: impl Fn(T, &mut [u8]) -> usize,
+    out: &mut String,
+) {
     let mut chunk = [0u8; SEQ_CHUNK];
     chunk[0] = b'[';
     let mut len = 1;
-    for (i, (negative, magnitude)) in items.enumerate() {
+    for (i, &item) in items.iter().enumerate() {
         // Room for this element and, after the last, the closing `]`.
-        if len + MAX_INT_ELEMENT >= SEQ_CHUNK {
+        if len + max_element >= SEQ_CHUNK {
             flush_ascii(&chunk[..len], out);
             len = 0;
         }
@@ -424,16 +479,21 @@ fn write_int_seq(items: impl Iterator<Item = (bool, u64)>, out: &mut String) {
             chunk[len] = b',';
             len += 1;
         }
-        if negative {
-            chunk[len] = b'-';
-            len += 1;
-        }
-        let digits = digit_count(magnitude);
-        put_digits(magnitude, &mut chunk[len..len + digits]);
-        len += digits;
+        len += put(item, &mut chunk[len..len + max_element - 1]);
     }
     chunk[len] = b']';
     flush_ascii(&chunk[..=len], out);
+}
+
+/// Renders an integer given as (negative, magnitude) into the front of
+/// `dst` and returns its length.
+#[inline]
+fn put_int((negative, magnitude): (bool, u64), dst: &mut [u8]) -> usize {
+    let sign = usize::from(negative);
+    dst[0] = b'-';
+    let digits = digit_count(magnitude);
+    put_digits(magnitude, &mut dst[sign..sign + digits]);
+    sign + digits
 }
 
 /// Appends rendered digits and punctuation. Every byte is ASCII, so the
@@ -593,7 +653,7 @@ macro_rules! impl_serde_int {
             }
 
             fn write_json_seq(items: &[$t], out: &mut String) {
-                write_int_seq(items.iter().map(|&x| $split(x as $wide)), out);
+                write_chunked_seq(items, MAX_INT_ELEMENT, |x, dst| put_int($split(x as $wide), dst), out);
             }
         }
         impl Deserialize for $t {
@@ -619,6 +679,10 @@ impl_serde_int!(write_i64, i64, signed, to_i64: i8, i16, i32, i64, isize);
 impl Serialize for f64 {
     fn write_json(&self, out: &mut String) {
         write_f64(*self, out);
+    }
+
+    fn write_json_seq(items: &[f64], out: &mut String) {
+        write_chunked_seq(items, 1 + MAX_FLOAT, put_f64, out);
     }
 }
 
@@ -909,6 +973,100 @@ mod tests {
         assert_eq!(json(&i64::MIN), "-9223372036854775808");
         assert_eq!(i64::from_value(&Value::U64(5)).unwrap(), 5);
         assert_eq!(i64::from_value(&Value::I64(-5)).unwrap(), -5);
+    }
+
+    /// What `write_f64` must print: `{:?}` for a finite float, the
+    /// documented literals for the rest.
+    fn debug_json(x: f64) -> String {
+        if x.is_nan() {
+            "null".to_string()
+        } else if x.is_infinite() {
+            if x > 0.0 { "1e999" } else { "-1e999" }.to_string()
+        } else {
+            format!("{x:?}")
+        }
+    }
+
+    /// The float writer, scalar and chunked sequence, against `{:?}` and
+    /// the element-by-element writer: every edge of the integral fast
+    /// path, then 100k random bit patterns and 100k random integral
+    /// floats, in sequences whose rendering crosses the 4 KB flush many
+    /// times.
+    #[test]
+    fn float_writer_matches_debug_formatting() {
+        let two_53 = 9_007_199_254_740_992.0f64;
+        let mut floats = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e15,
+            -1e15,
+            9_999_999_999_999_998.0,
+            -9_999_999_999_999_998.0,
+            1e16,
+            -1e16,
+            10_000_000_000_000_002.0,
+            two_53 - 1.0,
+            two_53,
+            // 2⁵³ + 1 rounds to 2⁵³; the next float is 2⁵³ + 2.
+            f64::from_bits(two_53.to_bits() + 1),
+            -(two_53 - 1.0),
+            -two_53,
+            TWO_POW_63,
+            TWO_POW_64,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 7.0,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            -2.225_073_858_507_201_4e-308,
+        ];
+        // xorshift64*: a fixed stream of bit patterns, then of integral
+        // floats below and around 10¹⁶ of either sign.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for _ in 0..100_000 {
+            floats.push(f64::from_bits(next()));
+        }
+        for _ in 0..100_000 {
+            let bits = next();
+            let whole = ((bits >> 8) % 20_000_000_000_000_000) >> (bits % 64);
+            let x = whole as f64;
+            floats.push(if bits & 0x80 == 0 { x } else { -x });
+        }
+        for &x in &floats {
+            assert_eq!(json(&x), debug_json(x), "bits {:#x}", x.to_bits());
+        }
+        for len in [0, 1, 2, 170, 171, 1_000] {
+            for items in floats.chunks(len.max(1)).take(50) {
+                let items = &items[..len.min(items.len())];
+                let mut by_element = String::new();
+                write_seq(items, &mut by_element);
+                let chunked = json(items);
+                assert_eq!(chunked, by_element);
+                let reference: Vec<String> = items.iter().map(|&x| debug_json(x)).collect();
+                assert_eq!(chunked, format!("[{}]", reference.join(",")));
+            }
+        }
+        let all = json(&floats[..]);
+        assert!(all.len() > 100 * SEQ_CHUNK, "{} bytes", all.len());
+        let mut by_element = String::new();
+        write_seq(&floats, &mut by_element);
+        assert_eq!(all, by_element);
     }
 
     #[test]
