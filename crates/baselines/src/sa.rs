@@ -119,14 +119,9 @@ impl Solver for SaSolver {
         let mut rng = mvcom_simnet::rng::master(self.config.seed);
         let n = instance.len();
 
-        // Initial state: greedy-ish random — N_min smallest shards plus
-        // whatever random extras fit.
-        let mut by_size: Vec<usize> = (0..n).collect();
-        by_size.sort_by_key(|&i| instance.shards()[i].tx_count());
-        let mut current = Solution::empty(n);
-        for &i in by_size.iter().take(instance.n_min().max(1).min(n)) {
-            current.insert(i, instance);
-        }
+        // Initial state: the N_min smallest shards (at least one).
+        let smallest = instance.smallest(instance.n_min().max(1).min(n));
+        let mut current = Solution::from_indices(n, smallest, instance);
         if !instance.is_feasible(&current) {
             return Err(Error::infeasible(
                 "no initial SA state satisfies the constraints",
@@ -193,20 +188,18 @@ fn propose_move<R: Rng + ?Sized>(
     instance: &Instance,
     rng: &mut R,
 ) -> Option<Move> {
-    let n = instance.len();
     match rng.gen_range(0..3) {
         0 => {
             // Swap: preserves cardinality; must respect capacity.
             let out = current.random_selected(rng)?;
             let inc = current.random_unselected(rng)?;
-            let new_total = current.tx_total() - instance.shards()[out].tx_count()
-                + instance.shards()[inc].tx_count();
+            let new_total = current.tx_total() - instance.size(out) + instance.size(inc);
             (new_total <= instance.capacity()).then_some(Move::Swap(out, inc))
         }
         1 => {
             // Insert: must respect capacity.
             let inc = current.random_unselected(rng)?;
-            (current.tx_total() + instance.shards()[inc].tx_count() <= instance.capacity())
+            (current.tx_total() + instance.size(inc) <= instance.capacity())
                 .then_some(Move::Insert(inc))
         }
         _ => {
@@ -214,9 +207,7 @@ fn propose_move<R: Rng + ?Sized>(
             if current.selected_count() <= instance.n_min() || current.selected_count() <= 1 {
                 return None;
             }
-            let out = current.random_selected(rng)?;
-            let _ = n;
-            Some(Move::Remove(out))
+            current.random_selected(rng).map(Move::Remove)
         }
     }
 }

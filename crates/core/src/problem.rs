@@ -4,7 +4,11 @@
 //! `(s_i, l_i)`, the throughput weight `α`, the final-block capacity `Ĉ`,
 //! the minimum committee count `N_min`, and the deadline semantics
 //! ([`DdlPolicy`]). All solvers — the SE engine and every baseline — consume
-//! this type, so their utilities are comparable by construction.
+//! this type, so their utilities are comparable by construction. The
+//! builder derives the epoch's [`ShardColumns`] once, and every reader of
+//! a per-shard number reads them.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -32,8 +36,10 @@ pub enum DdlPolicy {
 ///
 /// Create instances through [`InstanceBuilder`]; the builder validates that
 /// the constraint set is non-empty (there exists a selection with at least
-/// `N_min` shards within capacity `Ĉ`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `N_min` shards within capacity `Ĉ`) and derives the [`ShardColumns`].
+/// A clone shares the columns: it copies the shard records and bumps one
+/// reference count.
+#[derive(Debug, Clone)]
 pub struct Instance {
     shards: Vec<ShardInfo>,
     alpha: f64,
@@ -42,6 +48,117 @@ pub struct Instance {
     ddl_policy: DdlPolicy,
     /// Cached `max_i l_i` (the MaxArrival deadline).
     ddl: SimTime,
+    columns: Arc<ShardColumns>,
+}
+
+/// The epoch's per-shard numbers as dense columns, derived once by
+/// [`InstanceBuilder::build`] and shared, immutable, by every clone of the
+/// [`Instance`] and every [`EvalCache`](crate::eval::EvalCache) over it.
+///
+/// The `ShardInfo` records interleave the committee id and both latency
+/// phases with the numbers the solvers read, so at 10⁴–10⁵ committees a
+/// pass over the records misses the cache once per shard; the columns keep
+/// utility, marginal, feasibility and delta loops on 8-byte strides. Each
+/// value is the record's, bit for bit: `lat` is
+/// `two_phase_latency().as_secs()`, `size` is `tx_count()` and `tx` is
+/// `size as f64`. 36 bytes per shard; 48 under [`DdlPolicy::MaxSelected`],
+/// which adds the latency ranks.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use mvcom_core::eval::EvalCache;
+/// use mvcom_core::problem::InstanceBuilder;
+/// use mvcom_core::solution::Solution;
+/// use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
+///
+/// let instance = InstanceBuilder::new()
+///     .capacity(1_000)
+///     .shards((0..4).map(|i| ShardInfo::new(
+///         CommitteeId(i),
+///         100 * (4 - u64::from(i)),
+///         TwoPhaseLatency::from_total(SimTime::from_secs(10.0 + f64::from(i))),
+///     )).collect())
+///     .build()
+///     .unwrap();
+/// assert_eq!(instance.size(1), 300);
+/// assert_eq!(instance.total_txs(), 1_000);
+/// assert_eq!(instance.smallest(2).collect::<Vec<_>>(), [3, 2]);
+/// // A clone of the instance, and every cache over either, read one store.
+/// let copy = instance.clone();
+/// let a = EvalCache::new(&instance, &Solution::empty(4));
+/// let b = EvalCache::new(&copy, &Solution::full(&copy));
+/// assert!(Arc::ptr_eq(a.columns(), instance.columns()));
+/// assert!(Arc::ptr_eq(b.columns(), instance.columns()));
+/// ```
+#[derive(Debug)]
+pub struct ShardColumns {
+    /// Latency `l_i` in seconds, by shard index.
+    pub(crate) lat: Vec<f64>,
+    /// Size `s_i` as a float, by shard index.
+    pub(crate) tx: Vec<f64>,
+    /// The MaxArrival marginal utility `α·s_i − Π_i`, by shard index.
+    pub(crate) marginal: Vec<f64>,
+    /// Exact size `s_i`, by shard index.
+    pub(crate) size: Vec<u64>,
+    /// `Σ s_i` over every shard — exact, because the builder refuses sizes
+    /// that sum past `u64::MAX`.
+    pub(crate) size_total: u64,
+    /// Shard indices under a stable sort by size (ties by index): the first
+    /// `n` are the `n` smallest shards.
+    pub(crate) by_size: Vec<u32>,
+    /// Shard index → rank in latency order (ties by index). Empty under
+    /// [`DdlPolicy::MaxArrival`], whose deltas read no order statistic.
+    pub(crate) rank: Vec<u32>,
+    /// Rank → latency in seconds (ascending). Empty under MaxArrival.
+    pub(crate) lat_by_rank: Vec<f64>,
+}
+
+impl ShardColumns {
+    /// Derives the columns of an epoch whose deadline is `ddl` —
+    /// `O(n log n)`, once per [`Instance`].
+    fn new(shards: &[ShardInfo], alpha: f64, ddl: SimTime, policy: DdlPolicy) -> ShardColumns {
+        let n = shards.len();
+        let lat: Vec<f64> = shards
+            .iter()
+            .map(|s| s.two_phase_latency().as_secs())
+            .collect();
+        let size: Vec<u64> = shards.iter().map(ShardInfo::tx_count).collect();
+        let tx: Vec<f64> = size.iter().map(|&s| s as f64).collect();
+        // α·s_i − Π_i with Π_i = max(t − l_i, 0): `Instance::age`'s
+        // expression, evaluated once per shard.
+        let marginal = tx
+            .iter()
+            .zip(&lat)
+            .map(|(&t, &l)| alpha * t - (ddl.as_secs() - l).max(0.0))
+            .collect();
+        let mut by_size: Vec<u32> = (0..n as u32).collect();
+        by_size.sort_by_key(|&i| size[i as usize]);
+        let (rank, lat_by_rank) = match policy {
+            DdlPolicy::MaxArrival => (Vec::new(), Vec::new()),
+            DdlPolicy::MaxSelected => {
+                // `SimTime`'s order is `total_cmp` on these same seconds.
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.sort_by(|&a, &b| lat[a as usize].total_cmp(&lat[b as usize]).then(a.cmp(&b)));
+                let mut rank = vec![0u32; n];
+                for (r, &i) in order.iter().enumerate() {
+                    rank[i as usize] = r as u32;
+                }
+                (rank, order.iter().map(|&i| lat[i as usize]).collect())
+            }
+        };
+        ShardColumns {
+            size_total: size.iter().sum(),
+            lat,
+            tx,
+            marginal,
+            size,
+            by_size,
+            rank,
+            lat_by_rank,
+        }
+    }
 }
 
 impl Instance {
@@ -86,6 +203,52 @@ impl Instance {
         self.ddl
     }
 
+    /// The epoch's per-shard columns: one allocation, shared by every clone
+    /// of this instance and every cache over it.
+    pub fn columns(&self) -> &Arc<ShardColumns> {
+        &self.columns
+    }
+
+    /// The exact size `s_i` of shard `i`, read from the size column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn size(&self, i: usize) -> u64 {
+        self.columns.size[i]
+    }
+
+    /// The `n` smallest shards, ascending by size with ties by index —
+    /// the subset that fits `Ĉ` whenever any `n`-subset does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > len()`.
+    pub fn smallest(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        self.columns.by_size[..n].iter().map(|&i| i as usize)
+    }
+
+    /// `Σ s_i` over the first `n` entries of `shuffled`, a permutation of
+    /// every shard index, summing the smaller side of the split: when
+    /// `2n > |I|` it is `Σ_all − Σ_tail`, the same exact integer.
+    /// Algorithm 2's failing attempts sit at the top cardinalities, where
+    /// the tail is a few percent of the epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > shuffled.len()`.
+    pub(crate) fn head_total(&self, shuffled: &[usize], n: usize) -> u64 {
+        debug_assert_eq!(shuffled.len(), self.len());
+        let (head, tail) = shuffled.split_at(n);
+        let size = &self.columns.size;
+        let sum = |side: &[usize]| side.iter().map(|&i| size[i]).sum::<u64>();
+        if 2 * n > shuffled.len() {
+            self.columns.size_total - sum(tail)
+        } else {
+            sum(head)
+        }
+    }
+
     /// The committees whose shards `solution` admits, in shard order.
     pub fn committees<'a>(
         &'a self,
@@ -102,25 +265,23 @@ impl Instance {
     /// The cumulative age `Π_i = t_j − l_i` a selected shard `i` would
     /// incur under the MaxArrival deadline. Always non-negative.
     pub fn age(&self, i: usize) -> f64 {
-        (self.ddl.as_secs() - self.shards[i].two_phase_latency().as_secs()).max(0.0)
+        (self.ddl.as_secs() - self.columns.lat[i]).max(0.0)
     }
 
     /// The marginal utility `α·s_i − Π_i` of selecting shard `i` under
     /// [`DdlPolicy::MaxArrival`]. May be negative: a small shard that
     /// arrived very early costs more age than it contributes throughput.
     pub fn marginal_utility(&self, i: usize) -> f64 {
-        self.alpha * self.shards[i].tx_count() as f64 - self.age(i)
+        self.columns.marginal[i]
     }
 
     /// The objective value `U(f)` of a solution under this instance's
     /// [`DdlPolicy`]. Does **not** check feasibility; see
     /// [`Instance::is_feasible`].
     pub fn utility(&self, solution: &Solution) -> f64 {
+        let c = &*self.columns;
         match self.ddl_policy {
-            DdlPolicy::MaxArrival => solution
-                .iter_selected()
-                .map(|i| self.marginal_utility(i))
-                .sum(),
+            DdlPolicy::MaxArrival => solution.iter_selected().map(|i| c.marginal[i]).sum(),
             DdlPolicy::MaxSelected => {
                 let t = self.selected_ddl(solution);
                 // No clamp on the age term: `t` is a pure `f64::max` fold
@@ -131,10 +292,7 @@ impl Instance {
                 // identities.
                 solution
                     .iter_selected()
-                    .map(|i| {
-                        self.alpha * self.shards[i].tx_count() as f64
-                            - (t - self.shards[i].two_phase_latency().as_secs())
-                    })
+                    .map(|i| self.alpha * c.tx[i] - (t - c.lat[i]))
                     .sum()
             }
         }
@@ -145,7 +303,7 @@ impl Instance {
     pub fn selected_ddl(&self, solution: &Solution) -> f64 {
         solution
             .iter_selected()
-            .map(|i| self.shards[i].two_phase_latency().as_secs())
+            .map(|i| self.columns.lat[i])
             .fold(0.0, f64::max)
     }
 
@@ -272,7 +430,7 @@ impl Instance {
         };
         solution
             .iter_selected()
-            .map(|i| (t - self.shards[i].two_phase_latency().as_secs()).max(0.0))
+            .map(|i| (t - self.columns.lat[i]).max(0.0))
             .sum()
     }
 
@@ -289,10 +447,7 @@ impl Instance {
         };
         solution
             .iter_selected()
-            .map(|i| {
-                let age = (t - self.shards[i].two_phase_latency().as_secs()).max(1.0);
-                self.shards[i].tx_count() as f64 / age
-            })
+            .map(|i| self.columns.tx[i] / (t - self.columns.lat[i]).max(1.0))
             .sum()
     }
 
@@ -309,20 +464,16 @@ impl Instance {
     }
 
     /// The largest cardinality `n` for which a capacity-feasible selection
-    /// of `n` shards exists (take the `n` smallest shards).
+    /// of `n` shards exists: the longest prefix of the stored by-size order
+    /// within `Ĉ` (exact — no prefix sums past `u64::MAX`).
     pub fn max_feasible_cardinality(&self) -> usize {
-        let mut sizes: Vec<u64> = self.shards.iter().map(|s| s.tx_count()).collect();
-        sizes.sort_unstable();
         let mut total = 0u64;
-        let mut n = 0usize;
-        for s in sizes {
-            total = total.saturating_add(s);
-            if total > self.capacity {
-                break;
-            }
-            n += 1;
-        }
-        n
+        self.smallest(self.len())
+            .take_while(|&i| {
+                total += self.size(i);
+                total <= self.capacity
+            })
+            .count()
     }
 
     /// Sum of all shard sizes, `Σ_i s_i` — exact: the builder refuses an
@@ -330,7 +481,7 @@ impl Instance {
     /// them (a [`Solution`]'s `tx_total`, the SE init's capacity test)
     /// can wrap either.
     pub fn total_txs(&self) -> u64 {
-        self.shards.iter().map(|s| s.tx_count()).sum()
+        self.columns.size_total
     }
 
     /// Builds a trimmed copy of the instance with `committee`'s shard
@@ -520,6 +671,7 @@ impl InstanceBuilder {
                 self.shards.len()
             )));
         }
+        let columns = ShardColumns::new(&self.shards, self.alpha, ddl, self.ddl_policy);
         let instance = Instance {
             shards: self.shards,
             alpha: self.alpha,
@@ -527,6 +679,7 @@ impl InstanceBuilder {
             n_min: self.n_min,
             ddl_policy: self.ddl_policy,
             ddl,
+            columns: Arc::new(columns),
         };
         if instance.max_feasible_cardinality() < instance.n_min {
             return Err(Error::infeasible(format!(
@@ -740,6 +893,33 @@ mod tests {
         let inst = example();
         // Sorted sizes: 900, 1000, 1100, 1400 → prefix sums 900, 1900, 3000, 4400.
         assert_eq!(inst.max_feasible_cardinality(), 3);
+    }
+
+    #[test]
+    fn head_total_is_the_head_sum_at_every_split() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let inst = InstanceBuilder::new()
+            .capacity(u64::MAX / 2)
+            .shards(
+                (0..101)
+                    .map(|i| shard(i, 50 + (u64::from(i) * 37) % 500, 10.0 + f64::from(i)))
+                    .collect(),
+            )
+            .build()
+            .unwrap();
+        let mut shuffled: Vec<usize> = (0..101).collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        for _ in 0..4 {
+            shuffled.shuffle(&mut rng);
+            for n in 0..=101 {
+                let head: u64 = shuffled[..n]
+                    .iter()
+                    .map(|&i| inst.shards()[i].tx_count())
+                    .sum();
+                assert_eq!(inst.head_total(&shuffled, n), head, "n = {n}");
+            }
+        }
     }
 
     #[test]

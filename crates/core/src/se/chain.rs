@@ -1,13 +1,11 @@
 //! One candidate solution `f_n` and its timer mechanics (Algorithms 2 & 3).
 
-use std::sync::Arc;
-
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use mvcom_types::{Error, Result};
 
-use crate::eval::{EvalCache, ShardColumns};
+use crate::eval::EvalCache;
 use crate::problem::Instance;
 use crate::se::config::SeConfig;
 use crate::solution::Solution;
@@ -44,9 +42,9 @@ pub struct Proposal {
 /// path of Algorithm 1. The cache is rebuilt (never serialized) whenever
 /// the chain is constructed from scratch, restored from a checkpoint, or
 /// the instance itself changes — only its chain half, though (the
-/// `MaxSelected` rank tree; under `MaxArrival` it has none): the
-/// instance's [`ShardColumns`] are built once per engine build and every
-/// chain of the family holds the same allocation.
+/// `MaxSelected` rank tree; under `MaxArrival` it has none): every chain
+/// reads the instance's one
+/// [`ShardColumns`](crate::problem::ShardColumns).
 #[derive(Debug, Clone)]
 pub struct Chain {
     solution: Solution,
@@ -66,11 +64,10 @@ impl Chain {
     /// back to the `n` smallest shards (which fit whenever any `n`-subset
     /// does).
     ///
-    /// Derives the instance's [`ShardColumns`] and an index buffer for
-    /// this one chain; a family of chains shares both through
-    /// [`Chain::init_on`]. Nothing here reads `_config` any more (the
-    /// attempt budget is a constant); the parameter stays because
-    /// `benchmark/` calls this signature.
+    /// Allocates an index buffer for this one chain; a family of chains
+    /// shares one through [`Chain::init_on`]. Nothing here reads `_config`
+    /// any more (the attempt budget is a constant); the parameter stays
+    /// because `benchmark/` calls this signature.
     ///
     /// # Errors
     ///
@@ -82,30 +79,24 @@ impl Chain {
         _config: &SeConfig,
         rng: &mut R,
     ) -> Result<Chain> {
-        let columns = Arc::new(ShardColumns::new(instance));
-        Chain::init_on(&columns, instance, cardinality, &mut Vec::new(), rng)
+        Chain::init_on(instance, cardinality, &mut Vec::new(), rng)
     }
 
-    /// [`Chain::init`] over columns already derived from `instance`,
-    /// shuffling in `indices`, which is reset to `0..|I|` first (its
-    /// contents on entry do not matter; a family reuses one buffer).
+    /// [`Chain::init`], shuffling in `indices`, which is reset to `0..|I|`
+    /// first (its contents on entry do not matter; a family reuses one
+    /// buffer).
     ///
     /// Every shuffle runs and consumes its draws, so the RNG stream — and
     /// with it every downstream output — does not depend on how an attempt
     /// is tested. Each shuffled candidate is tested against `Ĉ` by an exact
     /// integer sum over the smaller side of the split
-    /// (`ShardColumns::head_total`), and only the candidate that fits is
-    /// built, from the columns, in shuffled order.
+    /// (`Instance::head_total`), and only the candidate that fits is
+    /// built, in shuffled order.
     ///
     /// # Errors
     ///
     /// As [`Chain::init`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `columns` were not built from `instance`.
     pub fn init_on<R: Rng + ?Sized>(
-        columns: &Arc<ShardColumns>,
         instance: &Instance,
         cardinality: usize,
         indices: &mut Vec<usize>,
@@ -121,15 +112,16 @@ impl Chain {
         indices.extend(0..len);
         for _ in 0..INIT_ATTEMPTS {
             indices.shuffle(rng);
-            if columns.head_total(indices, cardinality) <= instance.capacity() {
-                let solution = columns.solution(indices[..cardinality].iter().copied());
-                return Ok(Chain::attach(columns, instance, solution));
+            if instance.head_total(indices, cardinality) <= instance.capacity() {
+                let picked = indices[..cardinality].iter().copied();
+                let solution = Solution::from_indices(len, picked, instance);
+                return Ok(Chain::attach(instance, solution));
             }
         }
         // Deterministic fallback: the n smallest shards.
-        let solution = columns.solution(columns.smallest(cardinality));
+        let solution = Solution::from_indices(len, instance.smallest(cardinality), instance);
         if instance.within_capacity(&solution) {
-            Ok(Chain::attach(columns, instance, solution))
+            Ok(Chain::attach(instance, solution))
         } else {
             Err(Error::infeasible(format!(
                 "no {cardinality}-subset fits within capacity {}",
@@ -138,30 +130,22 @@ impl Chain {
         }
     }
 
-    /// Wraps an existing solution as a chain over columns already derived
-    /// from `instance` (used by warm starts after dynamic events and by
-    /// checkpoint restores). The utility is recomputed from scratch (from
-    /// the columns: `ShardColumns::utility`, the instance's bits) and
-    /// the eval cache rebuilt, so restored chains never inherit
-    /// incremental drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `columns` were not built from `instance`.
-    pub fn attach(columns: &Arc<ShardColumns>, instance: &Instance, solution: Solution) -> Chain {
-        let cache = EvalCache::attach(Arc::clone(columns), instance, &solution);
-        let utility = columns.utility(instance, &solution);
+    /// Wraps an existing solution as a chain over `instance` (used by warm
+    /// starts after dynamic events and by checkpoint restores). The utility
+    /// is recomputed from scratch and the eval cache rebuilt, so restored
+    /// chains never inherit incremental drift.
+    pub fn attach(instance: &Instance, solution: Solution) -> Chain {
         Chain {
             ln_pool: Self::ln_pool(instance.len(), solution.selected_count()),
+            cache: EvalCache::new(instance, &solution),
+            utility: instance.utility(&solution),
             solution,
-            utility,
-            cache,
         }
     }
 
     /// The instance columns this chain's cache reads.
     #[cfg(test)]
-    pub(crate) fn columns(&self) -> &Arc<ShardColumns> {
+    pub(crate) fn columns(&self) -> &std::sync::Arc<crate::problem::ShardColumns> {
         self.cache.columns()
     }
 
@@ -211,8 +195,7 @@ impl Chain {
         for _ in 0..SWAP_ATTEMPTS {
             let out = self.solution.random_selected(rng)?;
             let inc = self.solution.random_unselected(rng)?;
-            let size = |i| self.cache.columns().size(i);
-            let new_total = self.solution.tx_total() - size(out) + size(inc);
+            let new_total = self.solution.tx_total() - instance.size(out) + instance.size(inc);
             if new_total > instance.capacity() {
                 continue;
             }
@@ -281,11 +264,6 @@ mod tests {
     use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    /// A lone chain over its own columns.
-    fn attach(instance: &Instance, solution: Solution) -> Chain {
-        Chain::attach(&Arc::new(ShardColumns::new(instance)), instance, solution)
-    }
 
     fn instance(n: usize, capacity: u64) -> Instance {
         InstanceBuilder::new()
@@ -458,7 +436,7 @@ mod tests {
             .build()
             .unwrap();
         let solution = Solution::from_indices(3, [0], &inst);
-        let chain = attach(&inst, solution);
+        let chain = Chain::attach(&inst, solution);
         let cfg = SeConfig::fast_test(0);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         assert_eq!(chain.propose(&inst, &cfg, &mut rng), None);
@@ -467,7 +445,7 @@ mod tests {
     #[test]
     fn attach_tracks_instance_changes() {
         let inst = instance(10, 10_000);
-        let chain = attach(&inst, Solution::from_indices(10, [0, 1, 2], &inst));
+        let chain = Chain::attach(&inst, Solution::from_indices(10, [0, 1, 2], &inst));
         let grown = inst
             .with_joined(ShardInfo::new(
                 CommitteeId(99),
@@ -478,7 +456,7 @@ mod tests {
         // The new straggler pushes the DDL out; ages of selected shards grow
         // and the same selection, wrapped over the grown instance (what a
         // join's warm start does), must come out with a lower utility.
-        let moved = attach(&grown, Solution::from_indices(11, [0, 1, 2], &grown));
+        let moved = Chain::attach(&grown, Solution::from_indices(11, [0, 1, 2], &grown));
         assert!(moved.utility() < chain.utility());
     }
 }

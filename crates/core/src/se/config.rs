@@ -35,9 +35,10 @@ pub struct SeConfig {
     /// chain per feasible cardinality; at `|I| = 10⁴–10⁵` that range is
     /// `O(|I|)` wide and every chain carries a counted `O(|I|)` bitset
     /// (≈0.13 bytes per shard, and a 4-byte-per-shard rank tree under
-    /// `DdlPolicy::MaxSelected`; the per-shard columns are one
-    /// [`ShardColumns`](crate::eval::ShardColumns)
-    /// shared by the whole family) and pays an `O(|I|)` shuffle per
+    /// `DdlPolicy::MaxSelected`; the per-shard columns, ≈36–48 bytes per
+    /// shard, are the instance's one
+    /// [`ShardColumns`](crate::problem::ShardColumns), read by the whole
+    /// family) and pays an `O(|I|)` shuffle per
     /// initialization attempt, so the scale regime strides the range down
     /// to at most this many evenly spaced cardinalities (endpoints always
     /// kept).

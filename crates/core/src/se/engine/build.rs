@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
-use std::sync::Arc;
 
 use mvcom_obs::Obs;
 use mvcom_simnet::rng;
@@ -11,7 +10,6 @@ use mvcom_types::{Error, Result};
 
 use super::restore::restore_solution;
 use super::{Replica, SeEngine, Trajectory};
-use crate::eval::ShardColumns;
 use crate::problem::Instance;
 use crate::se::chain::Chain;
 use crate::se::checkpoint::SeCheckpoint;
@@ -98,9 +96,10 @@ pub(super) fn warm_pool(
 }
 
 /// Builds every chain of every replica — the only place a [`Replica`] is
-/// constructed. Every chain attaches to one set of [`ShardColumns`]
-/// derived here, and each replica's RNG is forked off a master keyed by
-/// `seed ^ stamp`, so any family is reproducible from its origin alone.
+/// constructed. Every chain reads the instance's one
+/// [`ShardColumns`](crate::problem::ShardColumns), and each replica's RNG
+/// is forked off a master keyed by `seed ^ stamp`, so any family is
+/// reproducible from its origin alone.
 ///
 /// # Errors
 ///
@@ -131,7 +130,6 @@ pub(super) fn build_replicas(
         }
     };
     let mut master = rng::master(config.seed ^ stamp);
-    let columns = Arc::new(ShardColumns::new(instance));
     // Algorithm 2's shuffle buffer, reset by every fresh chain.
     let mut indices = Vec::with_capacity(instance.len());
     let mut replicas = Vec::with_capacity(families.len());
@@ -141,16 +139,16 @@ pub(super) fn build_replicas(
         for seed in family {
             chains.push(match seed {
                 ChainSeed::Fresh(n) => {
-                    match Chain::init_on(&columns, instance, n, &mut indices, &mut rng) {
+                    match Chain::init_on(instance, n, &mut indices, &mut rng) {
                         Ok(chain) => chain,
                         // No n-subset fits the capacity: skip this cardinality.
                         Err(Error::Infeasible { .. }) => continue,
                         Err(e) => return Err(e),
                     }
                 }
-                ChainSeed::Warm(solution) => Chain::attach(&columns, instance, solution.clone()),
+                ChainSeed::Warm(solution) => Chain::attach(instance, solution.clone()),
                 ChainSeed::Restored(words) => {
-                    Chain::attach(&columns, instance, restore_solution(instance, words))
+                    Chain::attach(instance, restore_solution(instance, words))
                 }
             });
         }
@@ -306,54 +304,45 @@ mod tests {
     }
 
     #[test]
-    fn every_chain_of_an_engine_build_shares_one_set_of_columns() {
-        /// The one allocation every chain of `engine` reads.
-        fn shared(engine: &SeEngine) -> Arc<ShardColumns> {
-            let mut chains = engine.chains();
-            let first = Arc::clone(chains.next().unwrap().columns());
-            assert!(chains.all(|c| Arc::ptr_eq(c.columns(), &first)));
-            assert_eq!(first.len(), engine.instance().len());
-            first
+    fn every_chain_cache_shares_the_instance_store() {
+        use crate::eval::EvalCache;
+        use std::sync::Arc;
+        /// Every chain cache of `engine`, and a fresh cache over its
+        /// instance, read the instance's one store.
+        fn shares(engine: &SeEngine) {
+            let store = engine.instance().columns();
+            assert!(engine.chains().all(|c| Arc::ptr_eq(c.columns(), store)));
+            let cache = EvalCache::new(engine.instance(), &Solution::full(engine.instance()));
+            assert!(Arc::ptr_eq(cache.columns(), store));
         }
         let inst = instance(20);
         let mut engine = SeEngine::new(&inst, SeConfig::fast_test(36)).unwrap();
-        let fresh = shared(&engine);
+        shares(&engine);
+        // The engine's copy of the instance is a clone: the same store.
+        assert!(Arc::ptr_eq(engine.instance().columns(), inst.columns()));
         for _ in 0..30 {
             engine.step();
         }
         let restored =
             SeEngine::from_checkpoint(&inst, SeConfig::fast_test(36), &engine.checkpoint())
                 .unwrap();
-        assert!(!Arc::ptr_eq(&shared(&restored), &fresh));
+        shares(&restored);
+        assert!(Arc::ptr_eq(restored.instance().columns(), inst.columns()));
 
-        // A join, then a leave: each rebuild derives columns from the new
-        // epoch shape and drops the old ones — only this test still holds
-        // them.
+        // A join, then a leave: each changed epoch is a new instance with
+        // its own store, and the rebuilt family reads that one.
         engine
             .handle_join(shard(100, 90, 950.0), DynamicsPolicy::Trim)
             .unwrap();
-        let joined = shared(&engine);
-        assert_eq!(Arc::strong_count(&fresh), 1);
+        shares(&engine);
+        let joined = Arc::clone(engine.instance().columns());
+        assert!(!Arc::ptr_eq(&joined, inst.columns()));
         engine
             .handle_leave(CommitteeId(3), DynamicsPolicy::Reinitialize)
             .unwrap();
-        let left = shared(&engine);
+        shares(&engine);
+        // The joined epoch's store is dropped with it: only this test
+        // still holds it.
         assert_eq!(Arc::strong_count(&joined), 1);
-
-        // Stale columns refuse the changed epoch, in release builds too:
-        // `joined` by its length, `fresh` — 20 shards again — by the
-        // deadline the joined straggler moved.
-        let now = engine.instance();
-        assert_eq!(fresh.len(), now.len());
-        for stale in [&fresh, &joined] {
-            let attach = || {
-                crate::eval::EvalCache::attach(Arc::clone(stale), now, &Solution::empty(now.len()))
-            };
-            assert!(
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(attach)).is_err(),
-                "stale columns attached to a changed instance"
-            );
-        }
-        let _ = crate::eval::EvalCache::attach(left, now, &Solution::empty(now.len()));
     }
 }

@@ -44,8 +44,8 @@ impl SeEngine {
         })
     }
 
-    /// Swaps in the changed epoch and rebuilds the family over it: fresh
-    /// columns, every chain constructed against them. Under `Trim` every
+    /// Swaps in the changed epoch and rebuilds the family over it, every
+    /// chain reading the new instance's columns. Under `Trim` every
     /// current chain's solution, carried onto `new_instance` by `carry`,
     /// is offered to the builder as a warm start, in (replica, chain)
     /// order; under `Reinitialize` the pool is empty.

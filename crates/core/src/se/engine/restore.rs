@@ -54,13 +54,12 @@ impl SeEngine {
     /// resume from the recorded values, and fresh deterministic RNG
     /// streams are derived from `seed ^ version` (so a restored run is
     /// reproducible without serializing RNG internals). Derived state —
-    /// the instance's [`ShardColumns`](crate::eval::ShardColumns), each
-    /// chain's utility and its incremental [`crate::eval::EvalCache`] — is
-    /// recomputed from the instance (once) and `(columns, solution)` (per
-    /// chain, in [`Chain::attach`](crate::se::chain::Chain::attach)) by
-    /// the same builder a fresh engine uses, rather than serialized, so
-    /// checkpoints stay small and restored chains never inherit
-    /// incremental drift. The recorded best selection and utility are kept
+    /// each chain's utility and its incremental [`crate::eval::EvalCache`]
+    /// over the instance's columns — is recomputed from
+    /// `(instance, solution)` in
+    /// [`Chain::attach`](crate::se::chain::Chain::attach) by the same
+    /// builder a fresh engine uses, rather than serialized, so checkpoints
+    /// stay small and restored chains never inherit incremental drift. The recorded best selection and utility are kept
     /// verbatim — a chain's fresh re-pricing never replaces them — so a
     /// restored engine finishes on the recorded utility bit for bit; the
     /// restore only restarts the convergence window and records a point.

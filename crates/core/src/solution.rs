@@ -151,30 +151,19 @@ impl Solution {
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
-    /// Selects shard `i`, updating the cached aggregates from `instance`.
+    /// Selects shard `i`, updating the cached aggregates from `instance`'s
+    /// size and latency columns.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range or already selected.
     pub fn insert(&mut self, i: usize, instance: &Instance) {
-        let shard = &instance.shards()[i];
-        self.insert_sized(i, shard.tx_count(), shard.two_phase_latency().as_secs());
-    }
-
-    /// [`Solution::insert`] with shard `i`'s size and latency already read
-    /// — from the dense columns of `ShardColumns::solution`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or already selected.
-    #[inline]
-    pub(crate) fn insert_sized(&mut self, i: usize, size: u64, lat: f64) {
         assert!(!self.contains(i), "shard {i} already selected");
         self.words[i / 64] |= 1 << (i % 64);
         self.counts[i / BLOCK] += 1;
         self.selected += 1;
-        self.tx_total += size;
-        self.lat_total += lat;
+        self.tx_total += instance.size(i);
+        self.lat_total += instance.columns().lat[i];
     }
 
     /// Deselects shard `i`.
@@ -187,8 +176,8 @@ impl Solution {
         self.words[i / 64] &= !(1 << (i % 64));
         self.counts[i / BLOCK] -= 1;
         self.selected -= 1;
-        self.tx_total -= instance.shards()[i].tx_count();
-        self.lat_total -= instance.shards()[i].two_phase_latency().as_secs();
+        self.tx_total -= instance.size(i);
+        self.lat_total -= instance.columns().lat[i];
         if self.selected == 0 {
             // An empty selection has latency sum exactly zero; resetting
             // here keeps float cancellation error from surviving a drain.

@@ -7,9 +7,10 @@
 //! latency ranks under `MaxSelected`, where it also memoizes
 //! `Instance::selected_ddl`. These properties drive both
 //! implementations through random instances and random operation
-//! sequences and require agreement to 1e-9 relative at every step. Caches attached to one shared
-//! [`ShardColumns`] must additionally agree *bit for bit* with a cache built
-//! alone through [`EvalCache::new`], however their walks interleave.
+//! sequences and require agreement to 1e-9 relative at every step. Caches
+//! sharing one instance's [`ShardColumns`] must additionally agree *bit for
+//! bit* with a cache over a second instance built from the same records,
+//! however their walks interleave.
 
 #![expect(
     clippy::expect_used,
@@ -18,8 +19,8 @@
 #![expect(clippy::float_cmp, reason = "asserts bit-identical floats")]
 use std::sync::Arc;
 
-use mvcom_core::eval::{EvalCache, ShardColumns};
-use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder};
+use mvcom_core::eval::EvalCache;
+use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder, ShardColumns};
 use mvcom_core::Solution;
 use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
 use proptest::prelude::*;
@@ -177,26 +178,34 @@ proptest! {
         }
     }
 
-    /// A family of caches attached to *one* `ShardColumns` — what an SE
-    /// engine builds — walks independently: each agrees, op for op and bit
-    /// for bit, with a cache built alone via `EvalCache::new`, and with
-    /// the naive deltas. The walks are interleaved round-robin, so a
-    /// write that leaked into shared state would corrupt a sibling's very
-    /// next check.
+    /// A family of caches over *one* instance's `ShardColumns` — what an
+    /// SE engine builds — walks independently: each agrees, op for op and
+    /// bit for bit, with a cache over a twin instance built from the same
+    /// records (its own columns), and with the naive deltas. The walks are
+    /// interleaved round-robin, so a write that leaked into shared state
+    /// would corrupt a sibling's very next check.
     #[test]
     fn caches_sharing_columns_walk_independently(
         inst in arb_instance(),
         walks in proptest::collection::vec((1usize..4, arb_ops()), 2..5),
     ) {
         let n = inst.len();
-        let columns = Arc::new(ShardColumns::new(&inst));
+        let columns: Arc<ShardColumns> = Arc::clone(inst.columns());
+        let twin = InstanceBuilder::new()
+            .alpha(inst.alpha())
+            .capacity(inst.capacity())
+            .n_min(inst.n_min())
+            .ddl_policy(inst.ddl_policy())
+            .shards(inst.shards().to_vec())
+            .build()
+            .expect("the same records build the same instance");
         let mut family: Vec<(Solution, [EvalCache; 2])> = walks
             .iter()
             .map(|&(stride, _)| {
                 let sol = Solution::from_indices(n, (0..n).step_by(stride), &inst);
-                let attached = EvalCache::attach(Arc::clone(&columns), &inst, &sol);
-                let alone = EvalCache::new(&inst, &sol);
-                (sol, [attached, alone])
+                let shared = EvalCache::new(&inst, &sol);
+                let alone = EvalCache::new(&twin, &sol);
+                (sol, [shared, alone])
             })
             .collect();
         let longest = walks.iter().map(|(_, ops)| ops.len()).max().unwrap_or(0);
@@ -207,8 +216,8 @@ proptest! {
                 }
             }
         }
-        for (_, [attached, alone]) in &family {
-            prop_assert!(Arc::ptr_eq(attached.columns(), &columns));
+        for (_, [shared, alone]) in &family {
+            prop_assert!(Arc::ptr_eq(shared.columns(), &columns));
             prop_assert!(!Arc::ptr_eq(alone.columns(), &columns));
         }
     }

@@ -5,10 +5,11 @@
 //! The constants were captured at 02332d9, when every chain built its own
 //! latency sort and SoA columns, `Chain::init` materialised a `Solution`
 //! per shuffled candidate and the fallback re-sorted the shards by size.
-//! They hold the shared [`mvcom_core::eval::ShardColumns`] path to the
-//! same RNG stream, the same `lat_total` accumulation order and the same
-//! stable by-size fallback selection — bit for bit, under both deadline
-//! policies, through a checkpoint → JSON → restore round trip. A
+//! They hold the instance's one [`mvcom_core::problem::ShardColumns`],
+//! derived at build and read by every chain, to the same RNG stream, the
+//! same `lat_total` accumulation order and the same stable by-size
+//! fallback selection — bit for bit, under both deadline policies, through
+//! a checkpoint → JSON → restore round trip. A
 //! checkpoint is hashed in the index-list rendering it was captured in
 //! (`checkpoint_digest`), so the pins hold its content, whatever layout
 //! the checkpoint itself stores selections in.
