@@ -200,7 +200,6 @@ impl SeEngine {
             trajectory: Trajectory::default(),
             restored_chains: 0,
             obs: Obs::off(),
-            threads: 1,
         }
     }
 

@@ -111,12 +111,6 @@ pub struct SeEngine {
     trajectory: Trajectory,
     restored_chains: usize,
     obs: Obs,
-    /// Worker count for the replica fan-out in [`SeEngine::step`]. An
-    /// *execution* knob like [`SeEngine::with_obs`] — deliberately not a
-    /// [`SeConfig`] field, so it can never leak into config serialization,
-    /// checkpoint identity, or daemon history headers. Output is
-    /// byte-identical at any value.
-    threads: usize,
 }
 
 impl SeEngine {
@@ -145,14 +139,11 @@ impl SeEngine {
         self
     }
 
-    /// Sets the worker count for the replica fan-out in
-    /// [`SeEngine::step`] (clamped to ≥ 1). Replicas race on
-    /// [`ordered_map`](mvcom_simnet::ordered_map) workers and their commits are merged in replica
-    /// order, so the output is byte-identical to the serial run at any
-    /// count — this knob only trades wall clock.
+    /// Returns the engine unchanged: [`SeEngine::step`] runs every round
+    /// as one loop on the caller's thread, so there is no worker count to
+    /// set. The method stays because `benchmark/` calls this signature.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> SeEngine {
-        self.threads = threads.max(1);
+    pub fn with_threads(self, _threads: usize) -> SeEngine {
         self
     }
 

@@ -1,13 +1,9 @@
-//! One round of Algorithm 1: the (possibly parallel) replica race and the
-//! serial merge that replays its commits.
+//! One round of Algorithm 1: every chain of every replica races, commits
+//! and is accounted for in one (replica, chain) loop.
 
 use mvcom_obs::{ObsLevel, Value};
-use mvcom_simnet::ordered_map;
 
-use super::{Replica, SeEngine};
-use crate::problem::Instance;
-use crate::se::chain::Proposal;
-use crate::se::config::SeConfig;
+use super::SeEngine;
 
 /// Minimum improvement of the best-so-far utility that counts as progress
 /// (and restarts the convergence window).
@@ -23,31 +19,31 @@ impl SeEngine {
     /// The paper's solution threads execute in parallel (Fig. 5), so in
     /// real time each thread's local timer expires about once between two
     /// RESET broadcasts; firing every chain once per round is the
-    /// virtual-time image of that concurrency.
-    ///
-    /// Internally the round runs in two phases (DESIGN.md §14): a
-    /// (possibly parallel, see [`SeEngine::with_threads`]) *race* phase
-    /// where every replica races and commits its chains using only
-    /// replica-local state, and a serial *merge* phase that replays the
-    /// commits in (replica, chain) order — telemetry, best-tracking, and
-    /// the virtual-time fold all happen here, so the observable output is
-    /// byte-identical to the single-loop formulation at any thread count.
+    /// virtual-time image of that concurrency (DESIGN.md §14). The round
+    /// is one loop in (replica, chain) order: each chain races on its
+    /// replica's RNG stream, applies its winner, and is then accounted for
+    /// — Trace-level `se_propose`/`se_commit`, best-so-far tracking and
+    /// the virtual-time fold — before the next chain races.
     pub fn step(&mut self) {
         self.iteration += 1;
-        let commits = self.race_replicas();
         let trace = self.obs.enabled(ObsLevel::Trace);
         let mut min_ln_timer = f64::INFINITY;
         let mut improved: Option<(usize, usize)> = None;
-        for (r_idx, replica_commits) in commits.iter().enumerate() {
-            for commit in replica_commits {
-                let proposal = &commit.proposal;
+        for (r_idx, replica) in self.replicas.iter_mut().enumerate() {
+            for (c_idx, chain) in replica.chains.iter_mut().enumerate() {
+                let Some(proposal) = chain.race(&self.instance, &self.config, &mut replica.rng)
+                else {
+                    continue;
+                };
+                chain.apply(&proposal, &self.instance);
+                let utility = chain.utility();
                 if trace {
                     self.obs.emit(
                         "se_propose",
                         self.vtime,
                         &[
                             ("replica", Value::from(r_idx)),
-                            ("chain", Value::from(commit.chain)),
+                            ("chain", Value::from(c_idx)),
                             ("iter", Value::U64(self.iteration)),
                             ("out", Value::from(proposal.out)),
                             ("inc", Value::from(proposal.inc)),
@@ -60,15 +56,15 @@ impl SeEngine {
                         self.vtime,
                         &[
                             ("replica", Value::from(r_idx)),
-                            ("chain", Value::from(commit.chain)),
+                            ("chain", Value::from(c_idx)),
                             ("iter", Value::U64(self.iteration)),
-                            ("utility", Value::F64(commit.utility)),
+                            ("utility", Value::F64(utility)),
                         ],
                     );
                 }
-                if commit.utility > self.best_utility + CONVERGENCE_TOL {
-                    self.best_utility = commit.utility;
-                    improved = Some((r_idx, commit.chain));
+                if utility > self.best_utility + CONVERGENCE_TOL {
+                    self.best_utility = utility;
+                    improved = Some((r_idx, c_idx));
                     self.last_improvement = self.iteration;
                 }
                 min_ln_timer = min_ln_timer.min(proposal.ln_timer);
@@ -102,57 +98,12 @@ impl SeEngine {
             self.emit_chain_points();
         }
     }
-
-    /// Phase 1 of [`SeEngine::step`]: every chain of every replica races
-    /// its timers and commits the winning proposal, one replica per item
-    /// of [`ordered_map`] across [`SeEngine::with_threads`] workers.
-    /// [`race_replica`] touches only its replica — never telemetry or
-    /// engine-level state — and the commits come back in replica order,
-    /// so the merge phase observes identical commit sequences at any
-    /// thread count.
-    fn race_replicas(&mut self) -> Vec<Vec<ChainCommit>> {
-        ordered_map(
-            self.threads,
-            self.replicas.iter_mut().collect(),
-            |replica| race_replica(replica, &self.instance, &self.config),
-        )
-    }
-}
-
-/// One committed proposal from the race phase of [`SeEngine::step`]:
-/// which chain won, the winning proposal, and the chain's utility after
-/// the commit was applied. Collected per replica in chain order so the
-/// serial merge replays exactly the single-loop sequence.
-#[derive(Debug, Clone, Copy)]
-struct ChainCommit {
-    chain: usize,
-    proposal: Proposal,
-    utility: f64,
-}
-
-/// Races and commits every chain of one replica. Touches only
-/// replica-local state (the replica's chains and its own RNG stream) —
-/// no telemetry, no engine fields — which is what makes the fan-out in
-/// [`SeEngine::step`] safe to run from [`ordered_map`] workers.
-fn race_replica(replica: &mut Replica, instance: &Instance, config: &SeConfig) -> Vec<ChainCommit> {
-    let mut commits = Vec::new();
-    for c_idx in 0..replica.chains.len() {
-        let Some(proposal) = replica.chains[c_idx].race(instance, config, &mut replica.rng) else {
-            continue;
-        };
-        replica.chains[c_idx].apply(&proposal, instance);
-        commits.push(ChainCommit {
-            chain: c_idx,
-            proposal,
-            utility: replica.chains[c_idx].utility(),
-        });
-    }
-    commits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::se::config::SeConfig;
     use crate::se::engine::tests::instance;
 
     #[test]

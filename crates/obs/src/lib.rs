@@ -54,7 +54,7 @@
 //! An [`Obs`] is `Rc` + `RefCell` inside, so it is neither `Send` nor
 //! `Sync`: no worker can reach the thread that orders the lines, and
 //! nothing is emitted inside a fan-out. Workers return values; the caller
-//! emits after the join, in task order — SE's replica merge:
+//! emits after the join, in task order — as a `repro` figure sweep does:
 //!
 //! ```
 //! use mvcom_obs::{obs_event, Obs, ObsLevel};

@@ -22,8 +22,8 @@
 //!
 //! `--obs-out FILE` streams the structured telemetry documented in
 //! OBSERVABILITY.md as JSON Lines; `--obs-level` picks the verbosity. The
-//! event file is byte-identical across same-seed runs and, for `solve`,
-//! across `--threads` values. A line that cannot be written fails the run.
+//! event file is byte-identical across same-seed runs. A line that cannot
+//! be written fails the run.
 //!
 //! A reader that hangs up (`mvcom simulate | head -1`) ends `dataset`,
 //! `solve` and `simulate` quietly with exit 1: no panic, no stderr line.
@@ -115,7 +115,6 @@ const SOLVE_FLAGS: &[FlagSpec] = &[
     FlagSpec::new("--solver", "se|sa|dp|woa|greedy", "se", "scheduling algorithm"),
     FlagSpec::new("--seed", "S", "0", "trace, epoch and solver seed"),
     FlagSpec::new("--trace", "FILE", "", "JSON or CSV trace to sample the epoch from (default: generated)"),
-    FlagSpec::new("--threads", "T", "1", "fan-out workers; same bytes at any count"),
     OBS_OUT, OBS_LEVEL,
 ];
 
@@ -341,20 +340,6 @@ impl Flags {
         parse_as(key, self.value(key))
     }
 
-    /// `--threads`, the `ordered_map` worker count. Output is
-    /// byte-identical to the serial run at any count, so 0 is a hard
-    /// error, not "auto".
-    fn threads(&self) -> Result<usize> {
-        let threads: usize = self.num("threads")?;
-        if threads == 0 {
-            return Err(Error::invalid_config(
-                "threads",
-                "--threads must be >= 1 (use 1 for a serial run), got `0`",
-            ));
-        }
-        Ok(threads)
-    }
-
     /// A probability/fraction-valued flag: parsed as `f64` and validated
     /// to lie in `[0, 1]`, so a typo'd `--chaos-drop 20` fails here with a
     /// clear message instead of producing nonsense downstream.
@@ -474,8 +459,6 @@ fn solve(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let capacity: u64 = flags.opt("capacity")?.unwrap_or(1_000 * committees as u64);
     let n_min: usize = flags.opt("n-min")?.unwrap_or(committees / 2);
     let solver = flags.value("solver");
-    // SE replica fan-out (DESIGN.md §14).
-    let threads = flags.threads()?;
 
     let trace = match flags.get("trace") {
         None => Trace::generate(TraceConfig::jan_2016(), seed),
@@ -496,7 +479,6 @@ fn solve(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     // clock: the last trajectory point, 0 for one-shot solvers.
     let (name, solution, t_end) = if solver == "se" {
         let outcome = SeEngine::new(&instance, SeConfig::paper(seed))?
-            .with_threads(threads)
             .with_obs(obs.clone())
             .run();
         let t_end = outcome.iterations as f64;

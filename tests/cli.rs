@@ -14,9 +14,9 @@ fn mvcom(args: &[&str]) -> std::process::Output {
 }
 
 /// Retired solver names must be rejected like any other unknown solver,
-/// not silently mapped to a survivor: parallel SE (`--solver se` with
-/// `--threads` is the one execution path) and the node-budgeted exact
-/// search (exhaustive enumeration is the one exact oracle).
+/// not silently mapped to a survivor: parallel SE (`--solver se` is the
+/// one SE, a single loop per round) and the node-budgeted exact search
+/// (exhaustive enumeration is the one exact oracle).
 #[test]
 fn retired_parallel_se_and_exact_search_solvers_are_rejected_as_unknown() {
     // Spelled in pieces so a tree-wide grep for the retired names stays
@@ -418,27 +418,22 @@ fn out_of_domain_operands_are_config_errors_not_panics() {
     }
 }
 
-/// `simulate` runs one thread per epoch; `--threads` is `solve`'s alone.
+/// `solve` (one SE loop per round) and `simulate` (committees in order)
+/// take no worker count: both refuse `--threads` by name.
 #[test]
-fn threads_is_a_solve_flag_only() {
-    let out = mvcom(&[
-        "simulate",
-        "--nodes",
-        "60",
-        "--epochs",
-        "1",
-        "--threads",
-        "2",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown flag `--threads` for `mvcom simulate`"),
-        "stderr: {stderr}"
-    );
-    let out = mvcom(&["solve", "--committees", "20", "--threads", "2"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {stderr}");
+fn threads_is_refused_by_solve_and_simulate() {
+    for (sub, size_flag, size) in [
+        ("solve", "--committees", "20"),
+        ("simulate", "--nodes", "60"),
+    ] {
+        let out = mvcom(&[sub, size_flag, size, "--threads", "2"]);
+        assert_eq!(out.status.code(), Some(1), "{sub}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `--threads` for `mvcom {sub}`")),
+            "stderr: {stderr}"
+        );
+    }
 }
 
 /// Telemetry that cannot be written used to be dropped with exit 0: every

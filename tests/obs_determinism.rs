@@ -24,14 +24,13 @@ fn instance(seed: u64) -> Instance {
         .unwrap()
 }
 
-fn engine_jsonl(instance_seed: u64, se_seed: u64, threads: usize) -> String {
+fn engine_jsonl(instance_seed: u64, se_seed: u64) -> String {
     let (obs, buf) = Obs::memory(ObsLevel::Trace);
     SeEngine::new(
         &instance(instance_seed),
         SeConfig::fast_test(se_seed).with_gamma(4),
     )
     .unwrap()
-    .with_threads(threads)
     .with_obs(obs.clone())
     .run();
     obs.flush_metrics(0.0);
@@ -40,22 +39,42 @@ fn engine_jsonl(instance_seed: u64, se_seed: u64, threads: usize) -> String {
     buf.contents()
 }
 
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
-fn engine_telemetry_is_byte_identical_for_the_same_seed_at_any_thread_count() {
-    let a = engine_jsonl(7, 3, 1);
-    let b = engine_jsonl(7, 3, 1);
+fn engine_telemetry_is_byte_identical_for_the_same_seed() {
+    let a = engine_jsonl(7, 3);
+    let b = engine_jsonl(7, 3);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same seed must replay the identical event stream");
     // A different SE seed must change the stream (the telemetry actually
     // reflects the exploration path rather than being canned output).
-    let c = engine_jsonl(7, 4, 1);
+    let c = engine_jsonl(7, 4);
     assert_ne!(a, c);
-    // The replica fan-out races on worker threads but replays telemetry
-    // in (replica, chain) order: the stream, not just the outcome, is the
-    // same at any thread count.
-    let fanned = engine_jsonl(7, 3, 4);
-    assert_eq!(a, fanned, "thread count must not change the event stream");
 }
+
+/// The Trace-level SE stream — every `se_propose`/`se_commit` pair in
+/// (replica, chain) order, between the Events-level kinds that
+/// `results/fig8.events.jsonl` pins — held to a digest captured at
+/// f2bb079, when the round still raced every replica before replaying its
+/// commits.
+#[test]
+fn engine_trace_stream_matches_the_pinned_digest() {
+    let stream = engine_jsonl(7, 3);
+    assert!(stream.contains("\"se_propose\"") && stream.contains("\"se_commit\""));
+    assert_eq!(
+        fnv(&stream),
+        TRACE_DIGEST,
+        "{} lines",
+        stream.lines().count()
+    );
+}
+
+const TRACE_DIGEST: u64 = 0x3467_53e3_7f4d_b6c8;
 
 #[test]
 fn full_pipeline_telemetry_is_byte_identical_for_the_same_seed() {
