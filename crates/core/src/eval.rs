@@ -139,11 +139,23 @@ struct RankTree {
 }
 
 impl RankTree {
-    /// The tree of `solution`'s latency ranks — `O(n)`: leaf counts, then
-    /// one propagation pass.
+    /// The tree of `solution`'s latency ranks — `O(n)`.
     fn new(columns: &ShardColumns, solution: &Solution) -> RankTree {
-        let n = columns.rank.len();
-        let mut tree = vec![0u32; n + 1];
+        let mut ranked = RankTree {
+            tree: vec![0; columns.rank.len() + 1],
+            selected: 0,
+            ddl: 0.0,
+        };
+        ranked.refill(columns, solution);
+        ranked
+    }
+
+    /// Re-derives the tree for `solution` in place — `O(n)`: leaf counts,
+    /// then one propagation pass.
+    fn refill(&mut self, columns: &ShardColumns, solution: &Solution) {
+        let tree = &mut self.tree;
+        let n = tree.len() - 1;
+        tree.fill(0);
         for i in solution.iter_selected() {
             tree[columns.rank[i] as usize + 1] = 1;
         }
@@ -153,16 +165,12 @@ impl RankTree {
                 tree[parent] += tree[pos];
             }
         }
-        let selected = solution.selected_count();
-        let mut ranked = RankTree {
-            tree,
-            selected,
-            ddl: 0.0,
+        self.selected = solution.selected_count();
+        self.ddl = if self.selected > 0 {
+            columns.lat_by_rank[self.kth(self.selected as u32)]
+        } else {
+            0.0
         };
-        if selected > 0 {
-            ranked.ddl = columns.lat_by_rank[ranked.kth(selected as u32)];
-        }
-        ranked
     }
 
     fn bump(&mut self, mut pos: usize, delta: i32) {
@@ -230,6 +238,24 @@ impl EvalCache {
             DdlPolicy::MaxSelected => Some(RankTree::new(&columns, solution)),
         };
         EvalCache { columns, ranked }
+    }
+
+    /// Re-derives the cache for `solution` over the same instance in
+    /// place: under MaxSelected the rank tree is refilled in its own
+    /// allocation; under MaxArrival there is nothing to derive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the solution's length does not match the cache's instance.
+    pub(crate) fn reset(&mut self, solution: &Solution) {
+        assert_eq!(
+            solution.len(),
+            self.columns.lat.len(),
+            "solution is over a different shard set than the cache"
+        );
+        if let Some(ranked) = &mut self.ranked {
+            ranked.refill(&self.columns, solution);
+        }
     }
 
     /// The instance columns this cache reads — the instance's own

@@ -161,6 +161,35 @@ impl ShardColumns {
     }
 }
 
+/// A shard index as Algorithm 2's shuffle buffer holds it: `u32` in an
+/// engine build, which [`InstanceBuilder::build`]'s shard-count limit
+/// makes lossless, and `usize` through
+/// [`Chain::init_on`](crate::se::chain::Chain::init_on).
+pub(crate) trait ShardPos: Copy {
+    /// The position of shard `i < |I|`.
+    fn from_index(i: usize) -> Self;
+    /// The shard index this position holds.
+    fn index(self) -> usize;
+}
+
+impl ShardPos for u32 {
+    fn from_index(i: usize) -> u32 {
+        i as u32
+    }
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl ShardPos for usize {
+    fn from_index(i: usize) -> usize {
+        i
+    }
+    fn index(self) -> usize {
+        self
+    }
+}
+
 impl Instance {
     /// The shards of this epoch, indexed `0..len()`.
     pub fn shards(&self) -> &[ShardInfo] {
@@ -237,11 +266,11 @@ impl Instance {
     /// # Panics
     ///
     /// Panics if `n > shuffled.len()`.
-    pub(crate) fn head_total(&self, shuffled: &[usize], n: usize) -> u64 {
+    pub(crate) fn head_total<P: ShardPos>(&self, shuffled: &[P], n: usize) -> u64 {
         debug_assert_eq!(shuffled.len(), self.len());
         let (head, tail) = shuffled.split_at(n);
         let size = &self.columns.size;
-        let sum = |side: &[usize]| side.iter().map(|&i| size[i]).sum::<u64>();
+        let sum = |side: &[P]| side.iter().map(|&i| size[i.index()]).sum::<u64>();
         if 2 * n > shuffled.len() {
             self.columns.size_total - sum(tail)
         } else {
@@ -621,14 +650,16 @@ impl InstanceBuilder {
     ///
     /// * [`Error::InvalidInstance`] — no shards, non-positive/non-finite
     ///   `α`, zero capacity, duplicate committee ids, a shard with an
-    ///   infinite latency, or shard sizes that sum past `u64::MAX` (the
-    ///   error names the shard that crosses it).
+    ///   infinite latency, shard sizes that sum past `u64::MAX` (the
+    ///   error names the shard that crosses it), or more than `u32::MAX`
+    ///   shards (the error names the count).
     /// * [`Error::Infeasible`] — no selection can satisfy both constraints:
     ///   `N_min > |I|`, or the `N_min` smallest shards already exceed `Ĉ`.
     pub fn build(self) -> Result<Instance> {
         let Some(ddl) = self.shards.iter().map(|s| s.two_phase_latency()).max() else {
             return Err(Error::invalid_instance("an epoch needs at least one shard"));
         };
+        shard_count_fits(self.shards.len())?;
         if !self.alpha.is_finite() || self.alpha <= 0.0 {
             return Err(Error::invalid_instance(format!(
                 "alpha must be positive and finite, got {}",
@@ -688,6 +719,19 @@ impl InstanceBuilder {
             )));
         }
         Ok(instance)
+    }
+}
+
+/// Refuses an epoch of more than `u32::MAX` shards, naming the count: the
+/// by-size and rank columns and Algorithm 2's shuffle buffer index shards
+/// as `u32`.
+fn shard_count_fits(len: usize) -> Result<()> {
+    match u32::try_from(len) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(Error::invalid_instance(format!(
+            "{len} shards exceed the {} an epoch can index",
+            u32::MAX
+        ))),
     }
 }
 
@@ -918,7 +962,18 @@ mod tests {
                     .map(|&i| inst.shards()[i].tx_count())
                     .sum();
                 assert_eq!(inst.head_total(&shuffled, n), head, "n = {n}");
+                let narrow: Vec<u32> = shuffled.iter().map(|&i| i as u32).collect();
+                assert_eq!(inst.head_total(&narrow, n), head, "u32, n = {n}");
             }
+        }
+    }
+
+    #[test]
+    fn an_epoch_past_u32_max_shards_is_refused_by_its_count() {
+        assert!(shard_count_fits(u32::MAX as usize).is_ok());
+        if let Some(past) = (u32::MAX as usize).checked_add(1) {
+            let err = shard_count_fits(past).unwrap_err().to_string();
+            assert!(err.contains(&past.to_string()), "{err}");
         }
     }
 

@@ -6,7 +6,7 @@ use rand::Rng;
 use mvcom_types::{Error, Result};
 
 use crate::eval::EvalCache;
-use crate::problem::Instance;
+use crate::problem::{Instance, ShardPos};
 use crate::se::config::SeConfig;
 use crate::solution::Solution;
 
@@ -64,10 +64,11 @@ impl Chain {
     /// back to the `n` smallest shards (which fit whenever any `n`-subset
     /// does).
     ///
-    /// Allocates an index buffer for this one chain; a family of chains
-    /// shares one through [`Chain::init_on`]. Nothing here reads `_config`
-    /// any more (the attempt budget is a constant); the parameter stays
-    /// because `benchmark/` calls this signature.
+    /// Allocates an index buffer for this one chain; [`Chain::init_on`]
+    /// takes one to reuse. An engine build allocates its chains up front
+    /// and draws into them in place, on `u32` positions. Nothing here reads
+    /// `_config` any more (the attempt budget is a constant); the parameter
+    /// stays because `benchmark/` calls this signature.
     ///
     /// # Errors
     ///
@@ -83,8 +84,8 @@ impl Chain {
     }
 
     /// [`Chain::init`], shuffling in `indices`, which is reset to `0..|I|`
-    /// first (its contents on entry do not matter; a family reuses one
-    /// buffer).
+    /// first (its contents on entry do not matter, so one buffer serves a
+    /// run of chains).
     ///
     /// Every shuffle runs and consumes its draws, so the RNG stream — and
     /// with it every downstream output — does not depend on how an attempt
@@ -102,6 +103,27 @@ impl Chain {
         indices: &mut Vec<usize>,
         rng: &mut R,
     ) -> Result<Chain> {
+        let mut chain = Chain::attach(instance, Solution::empty(instance.len()));
+        chain.draw(instance, cardinality, indices, rng)?;
+        Ok(chain)
+    }
+
+    /// Algorithm 2 in place: the body of [`Chain::init_on`], drawing into
+    /// this chain's own allocations — the engine build's placeholders,
+    /// which the calling thread allocated — with positions of either width
+    /// in `indices`. The draws and the permutation do not depend on the
+    /// width. On an error the chain holds no meaningful selection.
+    ///
+    /// # Errors
+    ///
+    /// As [`Chain::init`].
+    pub(crate) fn draw<P: ShardPos, R: Rng + ?Sized>(
+        &mut self,
+        instance: &Instance,
+        cardinality: usize,
+        indices: &mut Vec<P>,
+        rng: &mut R,
+    ) -> Result<()> {
         let len = instance.len();
         if cardinality == 0 || cardinality > len {
             return Err(Error::infeasible(format!(
@@ -109,25 +131,43 @@ impl Chain {
             )));
         }
         indices.clear();
-        indices.extend(0..len);
+        indices.extend((0..len).map(P::from_index));
         for _ in 0..INIT_ATTEMPTS {
             indices.shuffle(rng);
             if instance.head_total(indices, cardinality) <= instance.capacity() {
-                let picked = indices[..cardinality].iter().copied();
-                let solution = Solution::from_indices(len, picked, instance);
-                return Ok(Chain::attach(instance, solution));
+                let picked = indices[..cardinality].iter().map(|&i| i.index());
+                self.refill(instance, picked);
+                return Ok(());
             }
         }
         // Deterministic fallback: the n smallest shards.
-        let solution = Solution::from_indices(len, instance.smallest(cardinality), instance);
-        if instance.within_capacity(&solution) {
-            Ok(Chain::attach(instance, solution))
+        self.refill(instance, instance.smallest(cardinality));
+        if instance.within_capacity(&self.solution) {
+            Ok(())
         } else {
             Err(Error::infeasible(format!(
                 "no {cardinality}-subset fits within capacity {}",
                 instance.capacity()
             )))
         }
+    }
+
+    /// Rewrites the chain to the selection `picked`, inserted in this
+    /// order (which fixes the `lat_total` running sum), in its own
+    /// allocations: what [`Chain::attach`] of
+    /// `Solution::from_indices(|I|, picked)` builds.
+    fn refill(&mut self, instance: &Instance, picked: impl Iterator<Item = usize>) {
+        debug_assert!(std::sync::Arc::ptr_eq(
+            self.cache.columns(),
+            instance.columns()
+        ));
+        self.solution.clear();
+        for i in picked {
+            self.solution.insert(i, instance);
+        }
+        self.cache.reset(&self.solution);
+        self.utility = instance.utility(&self.solution);
+        self.ln_pool = Self::ln_pool(instance.len(), self.solution.selected_count());
     }
 
     /// Wraps an existing solution as a chain over `instance` (used by warm

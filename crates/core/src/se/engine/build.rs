@@ -2,10 +2,11 @@
 //! its stride, and the one function that turns chain seeds into replicas.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 use std::ops::RangeInclusive;
 
 use mvcom_obs::Obs;
-use mvcom_simnet::rng;
+use mvcom_simnet::{ordered_map, rng, SimRng};
 use mvcom_types::{Error, Result};
 
 use super::restore::restore_solution;
@@ -22,6 +23,7 @@ pub(super) type WarmPool = BTreeMap<usize, Solution>;
 
 /// Where a family of replicas comes from: decides the master-RNG stamp,
 /// the fork labels and every chain's [`ChainSeed`].
+#[derive(Clone, Copy)]
 pub(super) enum Origin<'a> {
     /// Γ replicas of Algorithm 2 over the strided feasible cardinalities,
     /// built at `iteration`; a cardinality in `warm` resumes from it.
@@ -95,11 +97,67 @@ pub(super) fn warm_pool(
     pool
 }
 
+/// The fewest Algorithm 2 draws — fresh chains × |I|, each chain's first
+/// shuffle — at which a build runs its replicas on the host's cores. Below
+/// it a helper's spawn costs more than the build saves: at the
+/// `daemon-steady` shape (≈180 chains × 48 shards) a prototype fan-out read
+/// up to 5.5 % slower end to end, 2 vCPU.
+const FANOUT_MIN_DRAWS: usize = 1 << 16;
+
+/// What a worker does at one chain slot of a [`Draft`].
+#[derive(Clone, Copy, PartialEq)]
+enum Slot {
+    /// The chain is built (a warm start or a restore).
+    Built,
+    /// The chain is a placeholder for Algorithm 2 at this cardinality.
+    Draw(usize),
+    /// No subset of that cardinality fits: the chain is dropped.
+    Infeasible,
+}
+
+/// One replica as the calling thread hands it to a worker: its forked RNG
+/// and every chain, already allocated.
+struct Draft {
+    slots: Vec<Slot>,
+    chains: Vec<Chain>,
+    rng: SimRng,
+}
+
+impl Draft {
+    /// Runs Algorithm 2 at every [`Slot::Draw`], in chain order on the
+    /// replica's stream, into the placeholder chain in place.
+    fn draw(mut self, instance: &Instance) -> Result<Draft> {
+        // Algorithm 2's shuffle buffer, reset by every fresh chain: one per
+        // replica, so one per worker at a time.
+        let mut indices: Vec<u32> = Vec::new();
+        for (slot, chain) in self.slots.iter_mut().zip(&mut self.chains) {
+            let Slot::Draw(n) = *slot else { continue };
+            match chain.draw(instance, n, &mut indices, &mut self.rng) {
+                Ok(()) => {}
+                Err(Error::Infeasible { .. }) => *slot = Slot::Infeasible,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(self)
+    }
+}
+
+/// The worker count for a build of `draws` minimum Algorithm 2 draws: one
+/// below [`FANOUT_MIN_DRAWS`], otherwise the host's available parallelism,
+/// which honours affinity masks and cgroup quotas. It is read only past the
+/// threshold, because it reads cgroup files.
+fn host_workers(draws: usize) -> usize {
+    if draws < FANOUT_MIN_DRAWS {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// Builds every chain of every replica — the only place a [`Replica`] is
-/// constructed. Every chain reads the instance's one
+/// constructed — on [`host_workers`]. Every chain reads the instance's one
 /// [`ShardColumns`](crate::problem::ShardColumns), and each replica's RNG
 /// is forked off a master keyed by `seed ^ stamp`, so any family is
-/// reproducible from its origin alone.
+/// reproducible from its origin alone, at any worker count.
 ///
 /// # Errors
 ///
@@ -109,6 +167,26 @@ pub(super) fn build_replicas(
     instance: &Instance,
     config: &SeConfig,
     origin: Origin<'_>,
+) -> Result<Vec<Replica>> {
+    build_replicas_on(instance, config, origin, host_workers)
+}
+
+/// [`build_replicas`] on `workers(draws)` workers, `draws` being the
+/// build's minimum Algorithm 2 draw count. The calling thread forks every
+/// replica's RNG in replica order and allocates every chain: chains a
+/// helper thread allocated would sit in its own malloc arena and raise
+/// the peak RSS. Each replica's draws are one [`ordered_map`] item; the
+/// results merge in replica order, and the first error in that order is
+/// returned.
+///
+/// # Errors
+///
+/// As [`build_replicas`].
+pub(super) fn build_replicas_on(
+    instance: &Instance,
+    config: &SeConfig,
+    origin: Origin<'_>,
+    workers: impl FnOnce(usize) -> usize,
 ) -> Result<Vec<Replica>> {
     let (stamp, label, families): (u64, &str, Vec<Vec<ChainSeed<'_>>>) = match origin {
         Origin::Initialized { iteration, warm } => {
@@ -130,28 +208,47 @@ pub(super) fn build_replicas(
         }
     };
     let mut master = rng::master(config.seed ^ stamp);
-    // Algorithm 2's shuffle buffer, reset by every fresh chain.
-    let mut indices = Vec::with_capacity(instance.len());
-    let mut replicas = Vec::with_capacity(families.len());
-    for (g, family) in families.into_iter().enumerate() {
-        let mut rng = rng::fork(&mut master, &format!("replica-{g}{label}"));
-        let mut chains = Vec::with_capacity(family.len());
-        for seed in family {
-            chains.push(match seed {
-                ChainSeed::Fresh(n) => {
-                    match Chain::init_on(instance, n, &mut indices, &mut rng) {
-                        Ok(chain) => chain,
-                        // No n-subset fits the capacity: skip this cardinality.
-                        Err(Error::Infeasible { .. }) => continue,
-                        Err(e) => return Err(e),
+    let drafts: Vec<Draft> = families
+        .into_iter()
+        .enumerate()
+        .map(|(g, family)| {
+            let rng = rng::fork(&mut master, &format!("replica-{g}{label}"));
+            let (slots, chains) = family
+                .into_iter()
+                .map(|seed| match seed {
+                    ChainSeed::Fresh(n) => (
+                        Slot::Draw(n),
+                        Chain::attach(instance, Solution::empty(instance.len())),
+                    ),
+                    ChainSeed::Warm(solution) => {
+                        (Slot::Built, Chain::attach(instance, solution.clone()))
                     }
-                }
-                ChainSeed::Warm(solution) => Chain::attach(instance, solution.clone()),
-                ChainSeed::Restored(words) => {
-                    Chain::attach(instance, restore_solution(instance, words))
-                }
-            });
-        }
+                    ChainSeed::Restored(words) => (
+                        Slot::Built,
+                        Chain::attach(instance, restore_solution(instance, words)),
+                    ),
+                })
+                .unzip();
+            Draft { slots, chains, rng }
+        })
+        .collect();
+    let fresh = drafts
+        .iter()
+        .flat_map(|draft| &draft.slots)
+        .filter(|slot| matches!(slot, Slot::Draw(_)))
+        .count();
+    let drawn = ordered_map(workers(fresh * instance.len()), drafts, |draft| {
+        draft.draw(instance)
+    });
+    let mut replicas = Vec::with_capacity(drawn.len());
+    for draft in drawn {
+        let Draft {
+            slots,
+            mut chains,
+            rng,
+        } = draft?;
+        let mut slots = slots.into_iter();
+        chains.retain(|_| slots.next() != Some(Slot::Infeasible));
         replicas.push(Replica { chains, rng });
     }
     let any_chain = replicas.iter().any(|r| !r.chains.is_empty());
@@ -299,6 +396,104 @@ mod tests {
         for &n in &cards {
             assert!(n >= lo);
             assert!(n <= inst.max_feasible_cardinality());
+        }
+    }
+
+    /// A replica's chains as (bitset words, utility bits), and the next
+    /// `u64` of its stream.
+    type Fingerprint = (Vec<(Vec<u64>, u64)>, u64);
+
+    /// Every replica's [`Fingerprint`], its stream drawn from a clone.
+    fn fingerprint(replicas: &[Replica]) -> Vec<Fingerprint> {
+        use rand::RngCore;
+        replicas
+            .iter()
+            .map(|r| {
+                let chains = r.chains.iter();
+                let chains = chains.map(|c| (c.solution().words().to_vec(), c.utility().to_bits()));
+                (chains.collect(), r.rng.clone().next_u64())
+            })
+            .collect()
+    }
+
+    /// `expected`, the public entry's family for `origin`, rebuilt at every
+    /// forced worker count: the same replicas, and — swapped into an
+    /// engine that `make` builds afresh holding `expected` — the same run.
+    fn same_at_any_worker_count(
+        inst: &Instance,
+        config: &SeConfig,
+        origin: Origin<'_>,
+        make: impl Fn() -> SeEngine,
+    ) {
+        let expected = fingerprint(&make().replicas);
+        let outcome = make().run();
+        for workers in [1, 2, 3, 16] {
+            let built = build_replicas_on(inst, config, origin, |_| workers).unwrap();
+            assert_eq!(fingerprint(&built), expected, "{workers} workers");
+            let mut engine = make();
+            engine.replicas = built;
+            assert_eq!(engine.run(), outcome, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn the_build_is_identical_at_any_worker_count() {
+        let small = SeConfig::fast_test(5);
+        let large = SeConfig {
+            gamma: 4,
+            max_chains: 55,
+            max_iterations: 40,
+            ..SeConfig::fast_test(6)
+        };
+        let cold = WarmPool::new();
+        for (inst, config, past_threshold) in
+            [(instance(30), small, false), (instance(300), large, true)]
+        {
+            // A fresh build, on the public entry's side of the threshold.
+            let origin = Origin::Initialized {
+                iteration: 0,
+                warm: &cold,
+            };
+            let mut draws = 0;
+            build_replicas_on(&inst, &config, origin, |d| {
+                draws = d;
+                host_workers(d)
+            })
+            .unwrap();
+            assert_eq!(draws >= FANOUT_MIN_DRAWS, past_threshold, "{draws} draws");
+            let fresh = || SeEngine::new(&inst, config).unwrap();
+            same_at_any_worker_count(&inst, &config, origin, fresh);
+
+            // A join's Trim rebuild, warm-starting from the stepped chains.
+            let stepped = || {
+                let mut engine = fresh();
+                for _ in 0..20 {
+                    engine.step();
+                }
+                engine
+            };
+            let joiner = shard(10_000, 90, 950.0);
+            let before = stepped();
+            let grown = inst.with_joined(joiner).unwrap();
+            let carried = before
+                .chains()
+                .map(|c| Solution::from_indices(grown.len(), c.solution().iter_selected(), &grown));
+            let warm = warm_pool(&grown, carried);
+            let joined = || {
+                let mut engine = stepped();
+                engine.handle_join(joiner, DynamicsPolicy::Trim).unwrap();
+                engine
+            };
+            let origin = Origin::Initialized {
+                iteration: 20,
+                warm: &warm,
+            };
+            same_at_any_worker_count(&grown, &config, origin, joined);
+
+            // A restore.
+            let ckpt = before.checkpoint();
+            let restored = || SeEngine::from_checkpoint(&inst, config, &ckpt).unwrap();
+            same_at_any_worker_count(&inst, &config, Origin::Restored(&ckpt), restored);
         }
     }
 

@@ -140,8 +140,10 @@ impl SeEngine {
     }
 
     /// Returns the engine unchanged: [`SeEngine::step`] runs every round
-    /// as one loop on the caller's thread, so there is no worker count to
-    /// set. The method stays because `benchmark/` calls this signature.
+    /// as one loop on the caller's thread, and a build takes its worker
+    /// count from the host (a large one runs its replicas on every
+    /// available core, the same bytes at any count), so there is nothing
+    /// to set. The method stays because `benchmark/` calls this signature.
     #[must_use]
     pub fn with_threads(self, _threads: usize) -> SeEngine {
         self

@@ -86,6 +86,16 @@ impl Solution {
         }
     }
 
+    /// Deselects every shard in place, keeping the allocation: the state
+    /// [`Solution::empty`] builds.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+        self.counts.fill(0);
+        self.selected = 0;
+        self.tx_total = 0;
+        self.lat_total = 0.0;
+    }
+
     /// A selection with exactly the given indices set.
     ///
     /// # Panics

@@ -1,22 +1,23 @@
 //! The workspace's one deterministic fan-out: [`ordered_map`].
 //!
-//! Every threaded path — the Γ solution replicas of an SE round, the
-//! parameter points of a figure experiment — is the same shape: independent items whose seeds
-//! were forked ([`crate::rng::fork`]) *before* the fan-out, in item
-//! order, so an item's result depends on its index and never on which
-//! worker ran it or when. `ordered_map` is the only thing a `--threads`
-//! value reaches; its output is the serial `map` at any count.
+//! Every threaded path — the Γ replicas of an SE engine build, the
+//! parameter points of a figure experiment — is the same shape:
+//! independent items whose seeds were forked ([`crate::rng::fork`])
+//! *before* the fan-out, in item order, so an item's result depends on
+//! its index and never on which worker ran it or when. Its output is the
+//! serial `map` at any worker count.
 //!
-//! Protocol: a worker *claims* the next `(index, item)` off one shared
+//! Protocol: the caller is the first worker and spawns `threads − 1`
+//! helpers. A worker *claims* the next `(index, item)` off one shared
 //! queue — a single locked step — runs `f` with no lock held, and keeps
-//! `(index, result)` in a `Vec` of its own, which it returns through its
-//! join handle. The caller concatenates the workers' pairs, sorts them by
-//! index and drops the indices. The claim queue is the only shared state:
-//! each index is claimed once, so each result comes back once, and
-//! completion order never shows. The tests below are the whole contract:
-//! five force skew, a panic and the serial path; one forces every
-//! completion order of three items on three workers, and one forces a
-//! worker to return non-adjacent items.
+//! `(index, result)` in a `Vec` of its own; a helper returns its `Vec`
+//! through its join handle. The caller concatenates the workers' pairs,
+//! sorts them by index and drops the indices. The claim queue is the only
+//! shared state: each index is claimed once, so each result comes back
+//! once, and completion order never shows. The tests below are the whole
+//! contract: five force skew, panics on the caller and on a helper, and
+//! the serial path; one forces every completion order of three items on
+//! three workers, and one forces a worker to return non-adjacent items.
 
 #![expect(
     clippy::disallowed_types,
@@ -31,8 +32,9 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// With `threads <= 1`, or at most one item, this is exactly
 /// `items.into_iter().map(f).collect()` on the caller's thread: no
-/// thread is spawned and nothing is locked. A panic in `f` reaches the
-/// caller with its original payload on both paths (threaded: after the
+/// thread is spawned and nothing is locked. Otherwise the caller works
+/// too, beside `threads − 1` spawned helpers. A panic in `f` reaches the
+/// caller with its original payload on every path (threaded: after the
 /// remaining workers have drained the queue and joined).
 ///
 /// # What a task may touch
@@ -111,34 +113,33 @@ where
         return items.into_iter().map(f).collect();
     }
     let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            // The guard is a temporary dropped at the end of the claim
+            // statement, before `f` runs, so the lock is never held across
+            // code that can panic and is never poisoned; `into_inner` says
+            // so without a panic path.
+            let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((index, item)) = claimed else {
+                return mine;
+            };
+            mine.push((index, f(item)));
+        }
+    };
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        // The guard is a temporary dropped at the end of
-                        // the claim statement, before `f` runs, so the lock
-                        // is never held across code that can panic and is
-                        // never poisoned; `into_inner` says so without a
-                        // panic path.
-                        let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                        let Some((index, item)) = claimed else {
-                            return mine;
-                        };
-                        mine.push((index, f(item)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| {
-                handle
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        // The caller is the first worker. A panic in its share unwinds out
+        // of the scope, which joins the helpers first.
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
                     .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        done
     });
     done.sort_unstable_by_key(|&(index, _)| index);
     done.into_iter().map(|(_, result)| result).collect()
@@ -197,15 +198,21 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_or_one_item_runs_inline_on_the_caller() {
+    fn one_thread_or_one_item_runs_inline_and_a_threaded_caller_works_too() {
         let caller = thread::current().id();
         let ids = ordered_map(1, vec![(); 6], |()| thread::current().id());
         assert!(ids.iter().all(|id| *id == caller), "threads=1 spawned");
         let ids = ordered_map(8, vec![()], |()| thread::current().id());
         assert_eq!(ids, vec![caller], "a single item spawned");
-        // And the threaded path really leaves the caller's thread.
-        let ids = ordered_map(2, vec![(); 6], |()| thread::current().id());
-        assert!(ids.iter().all(|id| *id != caller));
+        // Two items that cannot finish before both have started run on
+        // two workers at once: the caller and its one helper.
+        let both_started = Barrier::new(2);
+        let ids = ordered_map(2, vec![(); 2], |()| {
+            both_started.wait();
+            thread::current().id()
+        });
+        assert!(ids.contains(&caller), "the caller ran no item: {ids:?}");
+        assert!(ids.iter().any(|id| *id != caller), "no helper ran: {ids:?}");
     }
 
     #[test]
@@ -226,6 +233,27 @@ mod tests {
                 caught.downcast_ref::<Payload>(),
                 Some(&Payload(7)),
                 "threads={threads}"
+            );
+        }
+        // Forced placement: two items on two workers at once, and the
+        // one that panics is the caller's share, then a helper's.
+        let caller = thread::current().id();
+        for on_caller in [true, false] {
+            let both_started = Barrier::new(2);
+            let caught = std::panic::catch_unwind(|| {
+                ordered_map(2, vec![0u32, 1], |i| {
+                    both_started.wait();
+                    if (thread::current().id() == caller) == on_caller {
+                        std::panic::panic_any(Payload(i + 10));
+                    }
+                    i
+                })
+            })
+            .expect_err("the panic must not be swallowed");
+            let payload = caught.downcast_ref::<Payload>();
+            assert!(
+                matches!(payload, Some(Payload(10 | 11))),
+                "on_caller={on_caller}: {payload:?}"
             );
         }
     }

@@ -21,9 +21,9 @@
 //!   model, so every protocol above it can be chaos-wrapped without code
 //!   changes.
 //! * [`fanout`] — [`fanout::ordered_map`], the workspace's one
-//!   deterministic fan-out and the only thing `repro --threads` reaches;
-//!   it lives beside the [`rng::fork`] seed-per-task helper it is always
-//!   used with.
+//!   deterministic fan-out: `repro --threads` reaches it, and the SE engine
+//!   build runs its replicas on it; it lives beside the [`rng::fork`]
+//!   seed-per-task helper it is always used with.
 //! * [`stats`] — streaming summary statistics and empirical CDFs used by
 //!   the measurement figures.
 //!
