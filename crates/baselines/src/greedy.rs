@@ -1,16 +1,17 @@
 //! Density-greedy reference solver.
 
 use mvcom_core::{Instance, Solution};
-use mvcom_types::{Error, Result};
+use mvcom_types::Result;
 
+use crate::dp::repair_n_min;
 use crate::{Solver, SolverOutcome};
 
 /// Greedy selection by marginal-utility density.
 ///
 /// Sorts shards by `(α·s_i − Π_i) / s_i` descending, admits every shard
 /// with positive marginal utility that fits in the remaining capacity,
-/// then — if fewer than `N_min` were admitted — tops up with the least-bad
-/// remaining shards that fit.
+/// then restores `N_min` through the DP's [`repair_n_min`], which refills
+/// in this density order if it has to restart.
 ///
 /// This is the classical knapsack density heuristic; it gives a fast,
 /// deterministic lower bar that the stochastic solvers should beat or match.
@@ -35,73 +36,21 @@ impl Solver for GreedySolver {
         let n = instance.len();
         let mut order: Vec<usize> = (0..n).collect();
         mvcom_types::sort_by_f64_desc(&mut order, |&i| {
-            instance.marginal_utility(i) / instance.shards()[i].tx_count().max(1) as f64
+            instance.marginal_utility(i) / instance.size(i).max(1) as f64
         });
 
+        // Density and marginal share a sign (s_i ≥ 0), so every paying
+        // shard comes before the first non-positive one.
         let mut solution = Solution::empty(n);
         for &i in &order {
             if instance.marginal_utility(i) <= 0.0 {
-                break; // order is by density; positives can still follow,
-                       // so re-scan below for safety.
+                break;
             }
-            if solution.tx_total() + instance.shards()[i].tx_count() <= instance.capacity() {
+            if solution.tx_total() + instance.size(i) <= instance.capacity() {
                 solution.insert(i, instance);
             }
         }
-        // A positive-marginal shard can hide behind a negative-density one
-        // only if densities and marginals disagree in sign, which they
-        // cannot (s_i > 0) — but a second pass costs nothing and keeps the
-        // invariant obvious.
-        for &i in &order {
-            if instance.marginal_utility(i) > 0.0
-                && !solution.contains(i)
-                && solution.tx_total() + instance.shards()[i].tx_count() <= instance.capacity()
-            {
-                solution.insert(i, instance);
-            }
-        }
-        // Repair pass for N_min: admit the least-bad remaining shards.
-        if solution.selected_count() < instance.n_min() {
-            let mut rest: Vec<usize> = (0..n).filter(|&i| !solution.contains(i)).collect();
-            mvcom_types::sort_by_f64_desc(&mut rest, |&i| instance.marginal_utility(i));
-            for i in rest {
-                if solution.selected_count() >= instance.n_min() {
-                    break;
-                }
-                if solution.tx_total() + instance.shards()[i].tx_count() <= instance.capacity() {
-                    solution.insert(i, instance);
-                }
-            }
-        }
-        // The additive repair can dead-end: large positive-density shards
-        // may fill the capacity before N_min is reached, leaving no room
-        // for the shards that would satisfy the floor. Rebuild
-        // feasibility-first in that case: admit the N_min lightest shards
-        // (the minimum-weight way to satisfy the cardinality floor), then
-        // density-fill whatever capacity remains.
-        if !instance.is_feasible(&solution) {
-            let mut by_weight: Vec<usize> = (0..n).collect();
-            by_weight.sort_by_key(|&i| instance.shards()[i].tx_count());
-            solution = Solution::empty(n);
-            for &i in by_weight.iter().take(instance.n_min()) {
-                if solution.tx_total() + instance.shards()[i].tx_count() <= instance.capacity() {
-                    solution.insert(i, instance);
-                }
-            }
-            for &i in &order {
-                if !solution.contains(i)
-                    && instance.marginal_utility(i) > 0.0
-                    && solution.tx_total() + instance.shards()[i].tx_count() <= instance.capacity()
-                {
-                    solution.insert(i, instance);
-                }
-            }
-            if !instance.is_feasible(&solution) {
-                return Err(Error::infeasible(
-                    "greedy repair could not satisfy N_min within the capacity",
-                ));
-            }
-        }
+        let solution = repair_n_min(instance, solution, &order)?;
         let best_utility = instance.utility(&solution);
         Ok(SolverOutcome {
             solver: self.name().to_string(),

@@ -8,20 +8,18 @@
 //! * [`sa`] — **Simulated Annealing**: Metropolis acceptance over the same
 //!   swap/insert/remove neighborhood, geometric cooling.
 //! * [`dp`] — **Dynamic Programming**: the classical 0/1-knapsack DP over
-//!   bucketed capacity; exact on the separable relaxation but blind to the
-//!   `N_min` constraint until a repair pass, and quantized by the bucket
-//!   granularity — which is exactly why the paper observes it trailing SE.
-//! * [`sparse_dp`] — the same knapsack relaxation with dominant-state
-//!   (Pareto-frontier) pruning and a bit-packed reconstruction table; the
-//!   drop-in replacement for the dense `O(|I|·Ĉ)` table at
-//!   `|I| = 10⁴–10⁵`, differentially tested against [`dp`].
+//!   bucketed capacity, run as a Pareto frontier of dominant states; exact
+//!   on the separable relaxation but blind to the `N_min` constraint until
+//!   a repair pass, and quantized by the bucket granularity — which is
+//!   exactly why the paper observes it trailing SE.
 //! * [`woa`] — **Whale Optimization Algorithm** (Mirjalili & Lewis 2016):
 //!   a binary variant using a sigmoid transfer function, with feasibility
 //!   repair.
 //!
 //! Two reference solvers support testing and calibration:
 //!
-//! * [`greedy`] — density-greedy selection, the natural lower bar.
+//! * [`greedy`] — density-greedy selection, the natural lower bar; it
+//!   restores `N_min` through the DP's [`dp::repair_n_min`].
 //! * [`exhaustive`] — exact optimum by enumeration (≤ 26 shards), the
 //!   ground truth for property tests.
 //!
@@ -42,7 +40,6 @@ pub mod dp;
 pub mod exhaustive;
 pub mod greedy;
 pub mod sa;
-pub mod sparse_dp;
 pub mod woa;
 
 use mvcom_core::{Instance, Solution};
@@ -52,8 +49,12 @@ pub use dp::DpSolver;
 pub use exhaustive::ExhaustiveSolver;
 pub use greedy::GreedySolver;
 pub use sa::SaSolver;
-pub use sparse_dp::SparseDpSolver;
 pub use woa::WoaSolver;
+
+/// The former name of the frontier DP, which is now [`DpSolver`] itself.
+/// Kept because `benchmark/src/workloads/{mod.rs, solve.rs}` call it; it
+/// goes when the benchmark is next rebuilt (ROADMAP item 1(f)).
+pub type SparseDpSolver = DpSolver;
 
 /// The result of one solver run.
 #[derive(Debug, Clone, PartialEq)]

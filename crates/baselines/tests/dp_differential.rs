@@ -1,25 +1,74 @@
-//! Differential testing: the sparse (dominant-state) knapsack DP against
-//! the dense-table DP it replaces at scale, plus the pruning invariant
-//! that makes the sparse solver trustworthy — the Pareto frontier never
-//! drops a dominant state.
+//! Differential testing: the frontier knapsack DP against the dense
+//! `|I| × buckets` recurrence it replaced, plus the pruning invariant that
+//! makes the frontier trustworthy — it never drops a dominant state.
 //!
-//! Solutions may legitimately differ between the two solvers when several
-//! selections achieve the optimal value (reconstruction walks different
-//! but equal-value paths), so agreement is asserted on utility and
-//! feasibility, not on the selection bitset.
+//! The dense recurrence lives on here as a test-only reference. Solutions
+//! may legitimately differ between the two when several selections achieve
+//! the optimal value (reconstruction walks different but equal-value
+//! paths), so agreement is asserted on utility and feasibility, not on the
+//! selection bitset.
 
 #![expect(
     clippy::expect_used,
     reason = "helpers outside #[test] fns panic like their callers"
 )]
-use mvcom_baselines::dp::DpConfig;
-use mvcom_baselines::sparse_dp::{pareto_frontier, SparseDpSolver};
-use mvcom_baselines::{check_outcome, DpSolver, Solver};
+use mvcom_baselines::dp::{pareto_frontier, repair_n_min, DpConfig};
+use mvcom_baselines::{check_outcome, DpSolver, Solver, SolverOutcome};
 use mvcom_core::problem::{DdlPolicy, Instance, InstanceBuilder};
-use mvcom_types::{CommitteeId, ShardInfo, SimTime, TwoPhaseLatency};
+use mvcom_core::Solution;
+use mvcom_types::{CommitteeId, Error, ShardInfo, SimTime, TwoPhaseLatency};
 use proptest::prelude::*;
 
-/// A random instance at the satellite's |I| ≤ 500 differential scale:
+/// The dense 0/1-knapsack recurrence over the same bucketed weights: one
+/// value row, one take/skip row per shard, reconstruction from
+/// `dp[buckets]`, then the shared `N_min` repair.
+fn dense_dp(inst: &Instance, max_buckets: usize) -> mvcom_types::Result<SolverOutcome> {
+    if inst.ddl_policy() != DdlPolicy::MaxArrival {
+        return Err(Error::invalid_instance(
+            "the DP baseline requires the separable MaxArrival objective",
+        ));
+    }
+    let n = inst.len();
+    let granularity = inst.capacity().div_ceil(max_buckets as u64).max(1);
+    let buckets = (inst.capacity() / granularity) as usize;
+    let weights: Vec<usize> = (0..n)
+        .map(|i| inst.size(i).div_ceil(granularity) as usize)
+        .collect();
+    let mut dp = vec![0.0f64; buckets + 1];
+    let mut keep = vec![vec![false; buckets + 1]; n];
+    for i in 0..n {
+        let value = inst.marginal_utility(i);
+        if value <= 0.0 || weights[i] > buckets {
+            continue;
+        }
+        for w in (weights[i]..=buckets).rev() {
+            if dp[w - weights[i]] + value > dp[w] {
+                dp[w] = dp[w - weights[i]] + value;
+                keep[i][w] = true;
+            }
+        }
+    }
+    let mut solution = Solution::empty(n);
+    let mut w = buckets;
+    for i in (0..n).rev() {
+        if keep[i][w] {
+            solution.insert(i, inst);
+            w -= weights[i];
+        }
+    }
+    let mut by_value: Vec<usize> = (0..n).collect();
+    mvcom_types::sort_by_f64_desc(&mut by_value, |&i| inst.marginal_utility(i));
+    let solution = repair_n_min(inst, solution, &by_value)?;
+    let best_utility = inst.utility(&solution);
+    Ok(SolverOutcome {
+        solver: "dense-dp".to_string(),
+        best_solution: solution,
+        best_utility,
+        trajectory: vec![(0, best_utility)],
+    })
+}
+
+/// A random instance with |I| ≤ 500:
 /// tight-ish capacity so the knapsack actually binds, either deadline
 /// policy so the MaxSelected rejection path is exercised too.
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -69,36 +118,35 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
 }
 
 proptest! {
-    /// Sparse and dense DP agree on every instance — same optimal value
-    /// (to float-reassociation tolerance), both feasible, or the *same*
-    /// rejection/infeasibility verdict.
+    /// The frontier and the dense recurrence agree on every instance —
+    /// same optimal value (to float-reassociation tolerance), both
+    /// feasible, or the *same* rejection/infeasibility verdict.
     #[test]
-    fn sparse_and_dense_dp_agree(
+    fn frontier_and_dense_dp_agree(
         inst in arb_instance(),
         max_buckets in prop_oneof![Just(16usize), Just(128), Just(512), Just(4096)],
     ) {
-        let config = DpConfig { max_buckets };
-        let dense = DpSolver::new(config).solve(&inst);
-        let sparse = SparseDpSolver::new(config).solve(&inst);
-        match (dense, sparse) {
-            (Ok(dense), Ok(sparse)) => {
+        let dense = dense_dp(&inst, max_buckets);
+        let frontier = DpSolver::new(DpConfig { max_buckets }).solve(&inst);
+        match (dense, frontier) {
+            (Ok(dense), Ok(frontier)) => {
                 check_outcome(&inst, &dense).unwrap();
-                check_outcome(&inst, &sparse).unwrap();
+                check_outcome(&inst, &frontier).unwrap();
                 let tol = 1e-9 * (1.0 + dense.best_utility.abs());
                 prop_assert!(
-                    (dense.best_utility - sparse.best_utility).abs() < tol,
-                    "dense {} vs sparse {}", dense.best_utility, sparse.best_utility
+                    (dense.best_utility - frontier.best_utility).abs() < tol,
+                    "dense {} vs frontier {}", dense.best_utility, frontier.best_utility
                 );
             }
-            (Err(dense), Err(sparse)) => {
+            (Err(dense), Err(frontier)) => {
                 // Same failure class: MaxSelected rejection or repair
                 // infeasibility — never one succeeding where the other
                 // fails.
-                prop_assert_eq!(dense.to_string(), sparse.to_string());
+                prop_assert_eq!(dense.to_string(), frontier.to_string());
             }
-            (dense, sparse) => {
+            (dense, frontier) => {
                 return Err(TestCaseError::fail(format!(
-                    "solvers disagree on solvability: dense {dense:?} vs sparse {sparse:?}"
+                    "solvers disagree on solvability: dense {dense:?} vs frontier {frontier:?}"
                 )));
             }
         }

@@ -1,24 +1,24 @@
 //! fig-scale — the fig11-shaped sweep extended to the 10⁴–10⁵ committee
-//! regime (DESIGN.md §11): SE against the sparse DP and greedy
+//! regime (DESIGN.md §11): SE against the DP and greedy
 //! baselines over [`streamed_instance`]s.
 //!
 //! SA and WOA are deliberately absent: their per-iteration cost is
 //! `O(population·|I|)`, which at `|I| = 10⁵` is minutes per point without
 //! adding information — the near-exact one-shot baselines already anchor
-//! the achievable utility. The sparse DP runs with a wider bucket budget
+//! the achievable utility. The DP runs with a wider bucket budget
 //! than the small-|I| figures (`max_buckets = 4096`): at `Ĉ = 1000·|I|`
 //! the paper's 512 buckets would quantize every ~1089-TX shard up to a
 //! full bucket, capping the pre-repair selection at 512 shards.
 
 use mvcom_baselines::dp::DpConfig;
-use mvcom_baselines::{GreedySolver, Solver, SparseDpSolver};
+use mvcom_baselines::{DpSolver, GreedySolver, Solver};
 use mvcom_core::se::{SeConfig, SeEngine};
 use mvcom_types::Result;
 
 use crate::experiments::Figure;
 use crate::harness::{runs_as_events, streamed_instance, AlgoRun, FigureReport, Scale};
 
-/// Sparse-DP bucket budget for the scale regime (see module docs).
+/// DP bucket budget for the scale regime (see module docs).
 const SCALE_BUCKETS: usize = 4_096;
 
 const CSV: &str = "fig_scale.csv";
@@ -27,7 +27,7 @@ const EVENTS: &str = "fig_scale.events.jsonl";
 /// `fig_scale`.
 pub const FIGURE: Figure = Figure {
     name: "fig_scale",
-    shows: "*(extra)* the Fig. 11 sweep at |I| ∈ {10⁴, 5·10⁴, 10⁵}: SE vs sparse DP and greedy on streamed instances",
+    shows: "*(extra)* the Fig. 11 sweep at |I| ∈ {10⁴, 5·10⁴, 10⁵}: SE vs DP and greedy on streamed instances",
     params: "Ĉ=1000·|I|, α=1.5, Γ=10, 4 chains per replica, 4096 DP buckets",
     files: &[EVENTS, CSV],
     plots: &[],
@@ -37,7 +37,7 @@ pub const FIGURE: Figure = Figure {
 /// One |I| point's products, merged into the report in sweep order.
 struct SizePoint {
     n: usize,
-    /// SE, sparse DP, greedy — the plotted order.
+    /// SE, DP, greedy — the plotted order.
     runs: [AlgoRun; 3],
     feasible: bool,
 }
@@ -67,7 +67,7 @@ fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
                 ..SeConfig::paper(21_100 + i as u64)
             };
             let se = SeEngine::new(&instance, se_config)?.run();
-            let sdp = SparseDpSolver::new(DpConfig {
+            let sdp = DpSolver::new(DpConfig {
                 max_buckets: SCALE_BUCKETS,
             })
             .solve(&instance)?;
@@ -119,7 +119,7 @@ fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
     // at every size, (b) SE improves on its initialization everywhere,
     // and (c) the one-shot baselines scale: greedy — asymptotically
     // optimal for this dense-small-items knapsack — never collapses
-    // below the bucket-quantized sparse DP.
+    // below the bucket-quantized DP.
     report.check(
         "every solver returns a capacity-feasible selection at every |I|",
         points.iter().all(|point| point.feasible),
@@ -132,7 +132,7 @@ fn run(scale: Scale, threads: usize) -> Result<FigureReport> {
         }),
     );
     report.check(
-        "greedy stays at or above the bucket-quantized sparse DP at scale",
+        "greedy stays at or above the bucket-quantized DP at scale",
         points.iter().all(|point| {
             let [_, sdp, greedy] = &point.runs;
             greedy.utility >= sdp.utility - 1e-9

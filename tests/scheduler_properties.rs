@@ -11,7 +11,7 @@
     clippy::expect_used,
     reason = "helpers outside #[test] fns panic like their callers"
 )]
-use mvcom::baselines::{check_outcome, sa::SaConfig, woa::WoaConfig, SparseDpSolver};
+use mvcom::baselines::{check_outcome, sa::SaConfig, woa::WoaConfig};
 use mvcom::prelude::*;
 use proptest::prelude::*;
 
@@ -107,10 +107,9 @@ proptest! {
         let exact = ExhaustiveSolver::new().solve(&instance).unwrap();
         let se = SeEngine::new(&instance, SeConfig::fast_test(seed)).unwrap().run();
         prop_assert!(se.best_utility <= exact.best_utility + 1e-6);
-        let roster: [Box<dyn Solver>; 5] = [
+        let roster: [Box<dyn Solver>; 4] = [
             Box::new(GreedySolver::new()),
             Box::new(DpSolver::default()),
-            Box::new(SparseDpSolver::default()),
             Box::new(SaSolver::new(SaConfig::paper(seed))),
             Box::new(WoaSolver::new(WoaConfig::paper(seed))),
         ];
