@@ -19,15 +19,13 @@
 //! `(item, weight)` cell from a single flat allocation (~6.4 MB at
 //! `|I| = 10⁵`, 512 buckets), which is what makes `|I| = 10⁵` tractable.
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_core::{DdlPolicy, Instance, Solution};
 use mvcom_types::{Error, Result};
 
 use crate::{Solver, SolverOutcome};
 
 /// Dynamic-programming parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DpConfig {
     /// Maximum number of capacity buckets. The effective weight
     /// granularity is `⌈Ĉ / max_buckets⌉`.
@@ -74,7 +72,7 @@ impl Default for DpConfig {
 /// One dominant DP state: `weight` is the exact bucketed weight of its
 /// item set, `value` the summed marginal utility. Public so property
 /// tests can assert the pruning invariant on [`pareto_frontier`] output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpState {
     /// Exact total bucketed weight of the state's item set.
     pub weight: u32,

@@ -1,7 +1,6 @@
 //! Simulated Annealing baseline (paper §VI-B, ref. \[22\]).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mvcom_core::{EvalCache, Instance, Solution};
 use mvcom_types::{Error, Result};
@@ -9,7 +8,7 @@ use mvcom_types::{Error, Result};
 use crate::{Solver, SolverOutcome};
 
 /// Simulated-annealing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaConfig {
     /// Initial temperature. Accept probability of a move with `ΔU < 0` is
     /// `exp(ΔU / T)`, so `T` is measured in utility units.

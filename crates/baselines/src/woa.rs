@@ -12,7 +12,6 @@
 //! neighborhood.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mvcom_core::{Instance, Solution};
 use mvcom_types::{Error, Result};
@@ -20,7 +19,7 @@ use mvcom_types::{Error, Result};
 use crate::{Solver, SolverOutcome};
 
 /// WOA parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WoaConfig {
     /// Population size (number of whales).
     pub population: usize,

@@ -17,8 +17,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_obs::Obs;
 use mvcom_types::{CommitteeId, CommitteeReport, Error, Result, ShardInfo, SimTime};
 
@@ -33,12 +31,10 @@ use crate::se::{SeCheckpoint, SeConfig, SeEngine};
 /// ~1000 TXs per shard; real epochs have shard sizes set by the workload,
 /// so a fraction-of-load rule keeps the knapsack meaningfully tight at any
 /// scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Capacity {
     /// `Ĉ = per_committee · |I_j|` — the paper's rule.
     PerCommittee(u64),
-    /// A fixed absolute capacity per epoch.
-    Absolute(u64),
     /// `Ĉ = fraction · Σ_i s_i`; the fraction is clamped to `(0, 1]`.
     FractionOfLoad(f64),
 }
@@ -50,7 +46,6 @@ impl Capacity {
     pub fn of(&self, shards: &[ShardInfo]) -> u64 {
         match *self {
             Capacity::PerCommittee(per) => per.saturating_mul(shards.len() as u64),
-            Capacity::Absolute(c) => c,
             Capacity::FractionOfLoad(fraction) => {
                 let total: u64 = shards.iter().map(|s| s.tx_count()).sum();
                 let f = fraction.clamp(f64::EPSILON, 1.0);
@@ -61,7 +56,7 @@ impl Capacity {
 }
 
 /// The knobs of one epoch's MVCom instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochPolicy {
     /// The throughput weight `α`.
     pub alpha: f64,
@@ -571,12 +566,10 @@ mod tests {
     }
 
     #[test]
-    fn the_three_capacity_rules_against_hand_numbers() {
+    fn the_two_capacity_rules_against_hand_numbers() {
         let shards = [shard(0, 100, 10.0), shard(1, 250, 20.0), shard(2, 1, 30.0)];
         assert_eq!(Capacity::PerCommittee(1_000).of(&shards), 3_000);
         assert_eq!(Capacity::PerCommittee(u64::MAX).of(&shards), u64::MAX);
-        assert_eq!(Capacity::Absolute(77).of(&shards), 77);
-        assert_eq!(Capacity::Absolute(77).of(&[]), 77);
         // 0.6 · 351 = 210.6 → 211; the fraction is clamped into (0, 1] and
         // the result never reaches zero.
         assert_eq!(Capacity::FractionOfLoad(0.6).of(&shards), 211);

@@ -397,13 +397,14 @@ impl DefenseEngine {
                             ("trust", Value::F64(record.trust)),
                         ],
                     );
-                    let shift = (record.offenses - 1).min(63) as u32;
-                    let span = self
-                        .config
-                        .quarantine_base
-                        .saturating_shl(shift)
+                    // base · 2^(offenses − 1), saturating: a span past
+                    // `u64` is past the cap, and so is its release epoch.
+                    let span = 2u64
+                        .checked_pow((record.offenses - 1).min(64) as u32)
+                        .and_then(|doubling| self.config.quarantine_base.checked_mul(doubling))
+                        .unwrap_or(u64::MAX)
                         .min(self.config.quarantine_max);
-                    let until = epoch + 1 + span;
+                    let until = (epoch + 1).saturating_add(span);
                     record.quarantined_until = Some(until);
                     self.obs.emit(
                         "quarantine",
@@ -448,18 +449,6 @@ impl DefenseEngine {
             epoch: ckpt.epoch,
             obs: Obs::off(),
         })
-    }
-}
-
-/// `u64::checked_shl` with saturation — quarantine spans cap at
-/// `quarantine_max` anyway, so overflow just means "the cap".
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> u64;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
     }
 }
 
@@ -583,6 +572,45 @@ mod tests {
             engine.screen(epoch, &[shard(5, 2000, 600.0)]);
         }
         assert_eq!(spans, vec![2, 4, 8, 8]);
+    }
+
+    #[test]
+    fn quarantine_backoff_stays_at_its_cap_past_64_offenses() {
+        // `2 << 63` wraps to 0 in a plain shift: a persistent liar's 64th
+        // offense must still cost `quarantine_max`, not zero epochs.
+        let config = DefenseConfig::paper();
+        let mut engine = DefenseEngine::new(config).unwrap();
+        let liar = CommitteeId(5);
+        let mut spans = Vec::new();
+        let mut epoch = 0;
+        for offense in 1..=66 {
+            // `flag_streak` suspicious epochs make the next offense.
+            for _ in 0..config.flag_streak {
+                engine.end_epoch(epoch, &[ob(5, 2000, 600.0, Some(1000), 600.0)]);
+                epoch += 1;
+            }
+            let record = &engine.records[&liar];
+            assert_eq!(record.offenses, offense);
+            let until = record.quarantined_until.unwrap();
+            spans.push(until - epoch);
+            epoch = epoch.max(until);
+            engine.screen(epoch, &[shard(5, 2000, 600.0)]);
+        }
+        assert_eq!(spans[..6], [2, 4, 8, 16, 32, 32]);
+        assert!(spans[6..].iter().all(|&span| span == config.quarantine_max));
+
+        // A cap at `u64::MAX` (a checkpoint may carry one) saturates the
+        // release epoch instead of overflowing it.
+        let config = DefenseConfig {
+            quarantine_base: u64::MAX,
+            quarantine_max: u64::MAX,
+            ..DefenseConfig::paper()
+        };
+        let mut engine = DefenseEngine::new(config).unwrap();
+        for epoch in 0..config.flag_streak {
+            engine.end_epoch(epoch, &[ob(5, 2000, 600.0, Some(1000), 600.0)]);
+        }
+        assert_eq!(engine.records[&liar].quarantined_until, Some(u64::MAX));
     }
 
     #[test]

@@ -7,15 +7,13 @@
 //! the utility perturbation around each event recorded — exactly what the
 //! paper's dynamic-event figures plot.
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_types::{CommitteeId, Result, ShardInfo};
 
 use crate::se::{SeConfig, SeEngine, SeOutcome};
 use crate::Instance;
 
 /// How the solution family reacts to a dynamic event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DynamicsPolicy {
     /// Algorithm 1 lines 9–12 taken literally: on any join/leave, rebuild
     /// the instance and re-run `Initialization()` for every chain.
@@ -29,7 +27,7 @@ pub enum DynamicsPolicy {
 }
 
 /// One scripted dynamic event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// A new committee submits its shard mid-epoch.
     Join(ShardInfo),
@@ -39,7 +37,7 @@ pub enum EventKind {
 }
 
 /// An event bound to the engine iteration at which it strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedEvent {
     /// Iteration at which the event is applied.
     pub at_iteration: u64,
@@ -66,7 +64,7 @@ impl TimedEvent {
 }
 
 /// The utility perturbation recorded around one applied event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventRecord {
     /// Iteration at which the event was applied.
     pub at_iteration: u64,

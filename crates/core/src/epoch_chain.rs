@@ -17,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mvcom_obs::Obs;
 use mvcom_types::{EpochId, Result, ShardInfo, SimTime};
@@ -27,7 +27,7 @@ use crate::problem::DdlPolicy;
 use crate::se::SeConfig;
 
 /// Configuration of a multi-epoch scheduling run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochChainConfig {
     /// How each epoch is posed; `N_min` and `Ĉ` scale with everything
     /// that entered the epoch, fresh and carried.
@@ -63,7 +63,7 @@ impl EpochChainConfig {
 }
 
 /// A refused shard waiting to re-enter, with its age bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct CarriedShard {
     shard: ShardInfo,
     /// Epochs this shard has been refused so far.
@@ -71,7 +71,7 @@ struct CarriedShard {
 }
 
 /// What one epoch produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EpochOutcome {
     /// The epoch index.
     pub epoch: EpochId,
@@ -430,8 +430,9 @@ mod tests {
         chain.run_epoch(epoch(0, 16)).unwrap();
         let carried = chain.pending();
         assert!(carried > 0);
-        // Ĉ below the smallest shard: no selection of N_min shards fits.
-        chain.config.policy.capacity = Capacity::Absolute(100);
+        // Ĉ = |I| txs, below the smallest shard (800 txs): no selection of
+        // N_min shards fits.
+        chain.config.policy.capacity = Capacity::PerCommittee(1);
         let fresh = epoch(100, 6);
         let outcome = chain.run_epoch(fresh).unwrap();
         assert_eq!(outcome.arrived, 6 + carried);

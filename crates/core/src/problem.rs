@@ -10,15 +10,13 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_types::{CommitteeId, Error, Result, ShardInfo, SimTime};
 
 use crate::solution::Solution;
 
 /// How the epoch deadline `t_j` entering the age term `Π_i = t_j − l_i` is
 /// determined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DdlPolicy {
     /// `t_j = max_{k ∈ I_j} l_k` over **all arrived** shards — the paper's
     /// eq. (1). The deadline is a constant of the instance, so per-shard

@@ -1,13 +1,11 @@
 //! Configuration of the Stochastic-Exploration engine.
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_types::{Error, Result};
 
 /// Tuning parameters of [`SeEngine`](crate::se::SeEngine).
 ///
 /// The defaults are the paper's §VI-A settings: `β = 2`, `τ = 0`, `Γ = 10`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeConfig {
     /// Γ — the number of independent parallel execution replicas of the
     /// solution family (paper §IV-D / Fig. 8). Each iteration advances every
@@ -43,19 +41,12 @@ pub struct SeConfig {
     /// to at most this many evenly spaced cardinalities (endpoints always
     /// kept).
     /// `usize::MAX` — the default and the paper setting — keeps every
-    /// cardinality. Absent from pre-scale checkpoints, so it
-    /// deserializes to the default.
-    #[serde(default = "default_max_chains")]
+    /// cardinality.
     pub max_chains: usize,
     /// Record a trajectory point every this many iterations (≥ 1).
     pub record_every: u64,
     /// Master seed for all of the engine's randomness.
     pub seed: u64,
-}
-
-/// Serde default for [`SeConfig::max_chains`] (the paper setting).
-fn default_max_chains() -> usize {
-    usize::MAX
 }
 
 impl SeConfig {
@@ -68,7 +59,7 @@ impl SeConfig {
             max_iterations: 3_000,
             convergence_window: 500,
             proposal_fanout: 16,
-            max_chains: default_max_chains(),
+            max_chains: usize::MAX,
             record_every: 1,
             seed,
         }
@@ -204,23 +195,5 @@ mod tests {
         for (i, c) in cases.iter().enumerate() {
             assert!(c.validate().is_err(), "case {i} should be rejected");
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = SeConfig::paper(3);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: SeConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn pre_scale_checkpoints_deserialize_with_default_max_chains() {
-        let json = serde_json::to_string(&SeConfig::paper(3)).unwrap();
-        let needle = format!("\"max_chains\":{},", usize::MAX);
-        let legacy = json.replace(&needle, "");
-        assert_ne!(legacy, json, "expected {needle} in {json}");
-        let back: SeConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.max_chains, usize::MAX);
     }
 }

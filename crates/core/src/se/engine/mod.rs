@@ -9,8 +9,6 @@ mod dynamics;
 mod restore;
 mod step;
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_obs::{Obs, ObsLevel, Value};
 
 use crate::problem::Instance;
@@ -19,7 +17,7 @@ use crate::se::config::SeConfig;
 use crate::solution::Solution;
 
 /// One sampled point of the convergence trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
     /// Iteration (timer races per replica) at which the point was taken.
     pub iteration: u64,
@@ -33,7 +31,7 @@ pub struct TrajectoryPoint {
 }
 
 /// The recorded convergence trajectory of one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trajectory {
     points: Vec<TrajectoryPoint>,
 }

@@ -22,7 +22,6 @@
 //! anything else that outgrows the materialized path.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mvcom_types::{CommitteeId, Error, Result, ShardInfo};
 
@@ -30,7 +29,7 @@ use crate::epoch::LatencyConfig;
 use crate::trace::Trace;
 
 /// Shape of a streamed instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Total number of shards (committees) the stream yields.
     pub shards: usize,

@@ -6,7 +6,7 @@
 //! the phi-accrual style (Hayashibara et al.): instead of a binary timeout,
 //! each committee accrues a *suspicion level* φ that grows with the time
 //! since its last successful heartbeat, normalized by the inter-arrival
-//! statistics observed while it was healthy. Crossing `phi_threshold`
+//! statistics observed while it was healthy. Crossing [`PHI_THRESHOLD`]
 //! classifies the committee as **failed**; a committee that answers but
 //! with round-trips far above the population median is a **straggler**
 //! (the slow committees of paper Fig. 1 that MVCom's scheduler leaves out).
@@ -20,37 +20,34 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_types::{CommitteeId, Error, Result, SimTime};
 
+/// Suspicion level at which a committee is declared failed. With
+/// exponential inter-arrival tails, φ grows by `log10(e) ≈ 0.434` per mean
+/// interval of silence, so 2.0 tolerates roughly four to five consecutive
+/// missed heartbeats.
+pub const PHI_THRESHOLD: f64 = 2.0;
+
+/// A committee whose mean round-trip exceeds this multiple of the
+/// population median is classified as a straggler.
+pub const STRAGGLER_FACTOR: f64 = 3.0;
+
+/// Heartbeat observations required before φ is trusted; until then a
+/// silent committee is only *suspected* once `2 × interval` elapses.
+pub const MIN_SAMPLES: u32 = 3;
+
 /// Tunables of the heartbeat failure detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeartbeatConfig {
     /// Ping period.
     pub interval: SimTime,
-    /// Suspicion level at which a committee is declared failed. With
-    /// exponential inter-arrival tails, φ grows by `log10(e) ≈ 0.434` per
-    /// mean interval of silence, so a threshold of 2.0 tolerates roughly
-    /// four to five consecutive missed heartbeats.
-    pub phi_threshold: f64,
-    /// A committee whose mean round-trip exceeds this multiple of the
-    /// population median is classified as a straggler.
-    pub straggler_factor: f64,
-    /// Heartbeat observations required before φ is trusted; until then a
-    /// silent committee is only *suspected* once `2 × interval` elapses.
-    pub min_samples: u32,
 }
 
 impl HeartbeatConfig {
-    /// Defaults sized for epoch timescales: 30 s pings, φ ≥ 2, 3× median
-    /// round-trip flags a straggler.
+    /// Pings sized for epoch timescales: every 30 s.
     pub fn paper() -> HeartbeatConfig {
         HeartbeatConfig {
             interval: SimTime::from_secs(30.0),
-            phi_threshold: 2.0,
-            straggler_factor: 3.0,
-            min_samples: 3,
         }
     }
 
@@ -69,47 +66,31 @@ impl HeartbeatConfig {
                 ),
             ));
         }
-        if self.phi_threshold <= 0.0 || !self.phi_threshold.is_finite() {
-            return Err(Error::invalid_config(
-                "phi_threshold",
-                format!("must be positive and finite, got {}", self.phi_threshold),
-            ));
-        }
-        if self.straggler_factor <= 1.0 || !self.straggler_factor.is_finite() {
-            return Err(Error::invalid_config(
-                "straggler_factor",
-                format!("must exceed 1, got {}", self.straggler_factor),
-            ));
-        }
         Ok(())
     }
 }
 
 /// What the detector currently believes about one committee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitteeHealth {
     /// Answering pings with unremarkable latency.
     Healthy,
-    /// Answering, but with round-trips `straggler_factor`× above the
+    /// Answering, but with round-trips [`STRAGGLER_FACTOR`]× above the
     /// population median — the Fig. 1 straggler the scheduler should not
     /// wait for.
     Straggler,
-    /// Suspicion crossed `phi_threshold`: treated as crashed (§V-A
+    /// Suspicion crossed [`PHI_THRESHOLD`]: treated as crashed (§V-A
     /// infinite ping latency).
     Failed,
 }
 
 /// Aggregate detector counters, surfaced through the CLI.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectorStats {
     /// Heartbeats sent (pongs received + missed).
     pub heartbeats_sent: u64,
     /// Heartbeats that went unanswered.
     pub heartbeats_missed: u64,
-    /// Committees currently classified as failed.
-    pub failures_detected: u64,
-    /// Committees currently classified as stragglers.
-    pub stragglers_detected: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -149,11 +130,6 @@ impl HeartbeatMonitor {
             sent: 0,
             missed: 0,
         })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HeartbeatConfig {
-        &self.config
     }
 
     /// Starts monitoring `committee`, treating `now` as its last-heard
@@ -204,7 +180,7 @@ impl HeartbeatMonitor {
             return f64::INFINITY;
         };
         let silence = (now - state.last_heard).as_secs().max(0.0);
-        let mean = if state.gap_samples >= self.config.min_samples {
+        let mean = if state.gap_samples >= MIN_SAMPLES {
             state.gap_mean_secs
         } else {
             // Too few samples to trust the estimate: fall back to twice
@@ -222,13 +198,13 @@ impl HeartbeatMonitor {
         let Some(state) = self.members.get_mut(&committee) else {
             return CommitteeHealth::Failed;
         };
-        if state.failed || phi >= self.config.phi_threshold {
+        if state.failed || phi >= PHI_THRESHOLD {
             state.failed = true;
             return CommitteeHealth::Failed;
         }
-        if state.rtt_samples >= self.config.min_samples
+        if state.rtt_samples >= MIN_SAMPLES
             && median_rtt > 0.0
-            && state.rtt_mean_secs > self.config.straggler_factor * median_rtt
+            && state.rtt_mean_secs > STRAGGLER_FACTOR * median_rtt
         {
             return CommitteeHealth::Straggler;
         }
@@ -243,21 +219,11 @@ impl HeartbeatMonitor {
             .collect()
     }
 
-    /// Aggregate counters at time `now` (failure/straggler counts reflect
-    /// the classification at that instant).
-    pub fn stats(&mut self, now: SimTime) -> DetectorStats {
-        let classified = self.classify(now);
+    /// Aggregate heartbeat counters.
+    pub fn stats(&self) -> DetectorStats {
         DetectorStats {
             heartbeats_sent: self.sent,
             heartbeats_missed: self.missed,
-            failures_detected: classified
-                .iter()
-                .filter(|(_, h)| *h == CommitteeHealth::Failed)
-                .count() as u64,
-            stragglers_detected: classified
-                .iter()
-                .filter(|(_, h)| *h == CommitteeHealth::Straggler)
-                .count() as u64,
         }
     }
 
@@ -283,7 +249,6 @@ mod tests {
     fn monitor() -> HeartbeatMonitor {
         let config = HeartbeatConfig {
             interval: SimTime::from_secs(10.0),
-            ..HeartbeatConfig::paper()
         };
         HeartbeatMonitor::new(config).unwrap()
     }
@@ -297,11 +262,7 @@ mod tests {
         let mut c = HeartbeatConfig::paper();
         c.interval = SimTime::ZERO;
         assert!(c.validate().is_err());
-        let mut c = HeartbeatConfig::paper();
-        c.phi_threshold = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = HeartbeatConfig::paper();
-        c.straggler_factor = 1.0;
+        c.interval = SimTime::INFINITY;
         assert!(c.validate().is_err());
         assert!(HeartbeatConfig::paper().validate().is_ok());
     }
@@ -316,10 +277,9 @@ mod tests {
             m.observe(c, secs(0.2), now);
             assert_eq!(m.health(c, now), CommitteeHealth::Healthy, "tick {k}");
         }
-        let stats = m.stats(secs(200.0));
+        let stats = m.stats();
         assert_eq!(stats.heartbeats_sent, 20);
         assert_eq!(stats.heartbeats_missed, 0);
-        assert_eq!(stats.failures_detected, 0);
     }
 
     #[test]
@@ -346,9 +306,7 @@ mod tests {
         assert!(detected_at.as_secs() > 60.0 && detected_at.as_secs() <= 110.0);
         // Failed state is sticky while silence continues.
         assert_eq!(m.health(c, secs(1_000.0)), CommitteeHealth::Failed);
-        let stats = m.stats(secs(1_000.0));
-        assert_eq!(stats.failures_detected, 1);
-        assert!(stats.heartbeats_missed > 0);
+        assert!(m.stats().heartbeats_missed > 0);
     }
 
     #[test]
@@ -387,13 +345,16 @@ mod tests {
             m.health(CommitteeId(9), secs(60.0)),
             CommitteeHealth::Straggler
         );
-        assert_eq!(
-            m.health(CommitteeId(0), secs(60.0)),
-            CommitteeHealth::Healthy
-        );
-        let stats = m.stats(secs(60.0));
-        assert_eq!(stats.stragglers_detected, 1);
-        assert_eq!(stats.failures_detected, 0);
+        let classified = m.classify(secs(60.0));
+        let stragglers: Vec<CommitteeId> = classified
+            .iter()
+            .filter(|(_, h)| *h == CommitteeHealth::Straggler)
+            .map(|(c, _)| *c)
+            .collect();
+        assert_eq!(stragglers, vec![CommitteeId(9)]);
+        assert!(classified
+            .iter()
+            .all(|(_, h)| *h != CommitteeHealth::Failed));
     }
 
     #[test]
@@ -413,7 +374,7 @@ mod tests {
         m.register(c, secs(0.0));
         // No samples yet: 20 s of silence over the 2×interval fallback is
         // φ ≈ 0.43 — suspected but not failed.
-        assert!(m.phi(c, secs(20.0)) < m.config().phi_threshold);
+        assert!(m.phi(c, secs(20.0)) < PHI_THRESHOLD);
         assert_eq!(m.health(c, secs(20.0)), CommitteeHealth::Healthy);
     }
 }

@@ -1,7 +1,7 @@
 //! The five-stage Elastico epoch runner.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mvcom_dataset::{Adversary, CommitteeReport, ShardSampler, Trace, TraceConfig};
 use mvcom_obs::{Obs, Value};
@@ -91,7 +91,7 @@ pub struct EpochEnv<'a> {
 pub const MAX_NODES: u32 = 1 << 20;
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElasticoConfig {
     /// Number of nodes running PoW at each epoch.
     pub n_nodes: u32,
@@ -208,7 +208,7 @@ impl ElasticoConfig {
 }
 
 /// The final block assembled by the final committee (stage 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FinalBlock {
     /// The epoch this block closes.
     pub epoch: EpochId,
@@ -225,7 +225,7 @@ pub struct FinalBlock {
 }
 
 /// Everything one epoch produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EpochReport {
     /// Which epoch this is.
     pub epoch: EpochId,
@@ -242,8 +242,7 @@ pub struct EpochReport {
     pub next_randomness: Hash32,
     /// Fault-tolerance telemetry, present when the epoch's shards reached
     /// the final committee over the chaos network ([`EpochEnv::recovery`]).
-    /// `None` under direct delivery (and when deserializing reports written
-    /// before this field existed).
+    /// `None` under direct delivery.
     pub robustness: Option<RobustnessReport>,
 }
 

@@ -8,14 +8,14 @@
 //! size while the consensus latency stays flat.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mvcom_types::{CommitteeId, NodeId, Result, SimTime};
 
 use crate::pow::{PowConfig, PowSolution};
 
 /// Overlay-configuration cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlayConfig {
     /// Fixed setup cost per committee (directory round-trips), seconds.
     pub base_secs: f64,
@@ -55,7 +55,7 @@ impl Default for OverlayConfig {
 }
 
 /// One formed committee: its members and the latency of stages 1–2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FormedCommittee {
     /// The committee id (from the PoW digest bits).
     pub id: CommitteeId,

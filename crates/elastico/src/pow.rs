@@ -8,13 +8,12 @@
 //! digest assign the node to a committee, exactly as in Elastico.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mvcom_simnet::LatencyModel;
 use mvcom_types::{CommitteeId, Error, Hash32, NodeId, Result, SimTime};
 
 /// PoW parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowConfig {
     /// Mean puzzle-solving time in seconds (paper: 600 s).
     pub mean_solve_secs: f64,
@@ -65,7 +64,7 @@ impl PowConfig {
 }
 
 /// One node's solved PoW identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowSolution {
     /// The solving node.
     pub node: NodeId,

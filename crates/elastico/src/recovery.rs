@@ -31,13 +31,13 @@
 //! the *i*-th surviving shard of the epoch to [`submission_node`]`(i)`;
 //! [`ChaosConfig`] crash schedules address those node ids.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mvcom_obs::Value;
 use mvcom_simnet::{ChaosConfig, ChaosInjector, ChaosStats, Network, NetworkConfig};
 use mvcom_types::{CommitteeId, Error, NodeId, Result, ShardInfo, SimTime};
 
-use crate::detector::{CommitteeHealth, HeartbeatConfig, HeartbeatMonitor};
+use crate::detector::{CommitteeHealth, HeartbeatConfig, HeartbeatMonitor, PHI_THRESHOLD};
 use crate::epoch::{ElasticoSim, ShardSelector};
 
 /// The final committee's node id on the submission network.
@@ -56,35 +56,33 @@ pub fn submission_node(shard_index: usize) -> NodeId {
     NodeId(shard_index as u32 + 1)
 }
 
+/// Maximum resubmission attempts per shard after the first send.
+pub const MAX_SUBMISSION_RETRIES: u32 = 8;
+
+/// First retry delay, s; later retries double it.
+pub const BACKOFF_BASE_SECS: f64 = 5.0;
+
+/// Upper bound on any single retry delay, s.
+pub const BACKOFF_CAP_SECS: f64 = 300.0;
+
+/// Solver iterations granted to the [`ShardSelector`] per heartbeat round.
+pub const SOLVER_ITERATIONS_PER_ROUND: u64 = 50;
+
 /// Tunables of the fault-tolerant epoch runner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Fault model installed on the submission network.
     pub chaos: ChaosConfig,
     /// Heartbeat failure-detector parameters.
     pub heartbeat: HeartbeatConfig,
-    /// Maximum resubmission attempts per shard after the first send.
-    pub max_submission_retries: u32,
-    /// First retry delay; later retries double it.
-    pub backoff_base: SimTime,
-    /// Upper bound on any single retry delay.
-    pub backoff_cap: SimTime,
-    /// Solver iterations granted to the [`ShardSelector`] per heartbeat
-    /// round.
-    pub solver_iterations_per_round: u64,
 }
 
 impl RecoveryConfig {
-    /// Fault-free defaults: no chaos, 30 s heartbeats, 8 retries backing
-    /// off from 5 s to a 300 s cap, 50 solver iterations per round.
+    /// Fault-free defaults: no chaos, 30 s heartbeats.
     pub fn paper() -> RecoveryConfig {
         RecoveryConfig {
             chaos: ChaosConfig::none(),
             heartbeat: HeartbeatConfig::paper(),
-            max_submission_retries: 8,
-            backoff_base: SimTime::from_secs(5.0),
-            backoff_cap: SimTime::from_secs(300.0),
-            solver_iterations_per_round: 50,
         }
     }
 
@@ -95,29 +93,13 @@ impl RecoveryConfig {
     /// [`Error::InvalidConfig`] naming the offending parameter.
     pub fn validate(&self) -> Result<()> {
         self.chaos.validate()?;
-        self.heartbeat.validate()?;
-        if self.backoff_base.as_secs() <= 0.0 || self.backoff_base.is_infinite() {
-            return Err(Error::invalid_config(
-                "backoff_base",
-                format!("must be positive and finite, got {}", self.backoff_base),
-            ));
-        }
-        if self.backoff_cap < self.backoff_base {
-            return Err(Error::invalid_config(
-                "backoff_cap",
-                format!(
-                    "cap {} is below the base delay {}",
-                    self.backoff_cap, self.backoff_base
-                ),
-            ));
-        }
-        Ok(())
+        self.heartbeat.validate()
     }
 }
 
 /// Fault-tolerance telemetry of one epoch under chaos delivery, embedded in
 /// [`EpochReport::robustness`](crate::epoch::EpochReport::robustness).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RobustnessReport {
     /// Heartbeat pings sent by the final committee.
     pub heartbeats_sent: u64,
@@ -211,7 +193,7 @@ impl ElasticoSim {
             let payload = shard.tx_count() as usize * bytes_per_tx;
             let mut at = shard.two_phase_latency();
             let mut arrival = None;
-            for attempt in 0..=recovery.max_submission_retries {
+            for attempt in 0..=MAX_SUBMISSION_RETRIES {
                 if at > deadline {
                     break;
                 }
@@ -234,9 +216,9 @@ impl ElasticoSim {
                     arrival = Some(t);
                     break;
                 }
-                let backoff = (recovery.backoff_base * f64::from(1u32 << attempt.min(16)))
-                    .min(recovery.backoff_cap);
-                at += backoff;
+                let backoff =
+                    (BACKOFF_BASE_SECS * f64::from(1u32 << attempt)).min(BACKOFF_CAP_SECS);
+                at += SimTime::from_secs(backoff);
             }
             match arrival {
                 Some(t) if t <= deadline => submitted.push((*claim, from, t)),
@@ -278,7 +260,7 @@ impl ElasticoSim {
                 // Sample the suspicion trajectory once it becomes
                 // interesting (half the declaration threshold); healthy
                 // committees with φ ≈ 0 stay silent in the event stream.
-                if phi >= recovery.heartbeat.phi_threshold / 2.0 {
+                if phi >= PHI_THRESHOLD / 2.0 {
                     obs.emit(
                         "suspicion",
                         now.as_secs(),
@@ -302,7 +284,7 @@ impl ElasticoSim {
                     selector.on_failure(committee)?;
                 }
             }
-            selector.advance(recovery.solver_iterations_per_round);
+            selector.advance(SOLVER_ITERATIONS_PER_ROUND);
             now += recovery.heartbeat.interval;
         }
 
@@ -334,7 +316,7 @@ impl ElasticoSim {
             .filter(|(_, h)| *h == CommitteeHealth::Straggler)
             .map(|(c, _)| c)
             .collect();
-        let detector_stats = monitor.stats(now);
+        let detector_stats = monitor.stats();
         let robustness = RobustnessReport {
             heartbeats_sent: detector_stats.heartbeats_sent,
             heartbeats_missed: detector_stats.heartbeats_missed,
@@ -469,10 +451,7 @@ mod tests {
     #[test]
     fn config_validation_rejects_degenerates() {
         let mut r = RecoveryConfig::paper();
-        r.backoff_base = SimTime::ZERO;
-        assert!(r.validate().is_err());
-        let mut r = RecoveryConfig::paper();
-        r.backoff_cap = SimTime::from_secs(1.0);
+        r.heartbeat.interval = SimTime::ZERO;
         assert!(r.validate().is_err());
         let mut r = RecoveryConfig::paper();
         r.chaos.drop_prob = 2.0;

@@ -1,11 +1,9 @@
 //! The PBFT wire protocol.
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_types::Hash32;
 
 /// The protocol phase a message belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// Leader's proposal carrying the block digest (phase 1).
     PrePrepare,
@@ -24,7 +22,7 @@ pub enum MessageKind {
 ///
 /// Replica indices are committee-local (`0..n`), not global node ids; the
 /// runner maps them onto network nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Message {
     /// Protocol phase.
     pub kind: MessageKind,
@@ -66,18 +64,5 @@ mod tests {
         };
         assert_eq!(pre.wire_size(1_000), 1_096);
         assert_eq!(prep.wire_size(1_000), 96);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let msg = Message {
-            kind: MessageKind::Commit,
-            view: 3,
-            digest: Hash32::digest(b"y"),
-            from: 2,
-        };
-        let json = serde_json::to_string(&msg).unwrap();
-        let back: Message = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, msg);
     }
 }

@@ -13,14 +13,12 @@
 //! checks the two machines agree message-for-message on randomized
 //! schedules.
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_types::Hash32;
 
 use crate::message::{Message, MessageKind};
 
 /// How a replica behaves — the failure-injection surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Behavior {
     /// Follows the protocol.
     #[default]

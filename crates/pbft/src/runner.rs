@@ -1,6 +1,6 @@
 //! Driving a PBFT committee over the simulated network.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mvcom_obs::{Obs, Value};
 use mvcom_simnet::event::Scheduler;
@@ -11,7 +11,7 @@ use crate::message::Message;
 use crate::replica::{Behavior, Outbound, Replica, Target};
 
 /// Configuration of one PBFT consensus run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PbftConfig {
     /// Committee size `n` (must be ≥ 4; tolerates `f = ⌊(n−1)/3⌋`).
     pub n: u32,
@@ -91,7 +91,7 @@ impl PbftConfig {
 }
 
 /// The outcome of one consensus run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ConsensusResult {
     /// Whether `2f+1` replicas committed before the deadline.
     pub committed: bool,

@@ -20,7 +20,7 @@
 //!   latency).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use mvcom_types::{Error, NodeId, Result, SimTime};
 
@@ -28,7 +28,7 @@ use crate::latency::LatencyModel;
 use crate::rng::SimRng;
 
 /// One scheduled node outage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashEvent {
     /// The node that fails.
     pub node: NodeId,
@@ -64,7 +64,7 @@ impl CrashEvent {
 }
 
 /// The full fault model of one chaos run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Probability that an otherwise-deliverable message is dropped.
     pub drop_prob: f64,
@@ -136,7 +136,7 @@ impl ChaosConfig {
 }
 
 /// Counters describing every fault the injector introduced.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ChaosStats {
     /// Messages dropped by the lossy-link model.
     pub dropped: u64,

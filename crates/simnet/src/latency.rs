@@ -2,12 +2,11 @@
 //!
 //! Every random delay in the simulator — PoW solve times, link latency,
 //! transaction-verification cost — is described by a [`LatencyModel`] so
-//! experiment configurations are plain data (serializable, printable) rather
+//! experiment configurations are plain data (printable, comparable) rather
 //! than closures.
 
 use rand::Rng;
 use rand_distr::{Distribution, Exp1, StandardNormal, Uniform};
-use serde::{Deserialize, Serialize};
 
 use mvcom_types::{Error, Result, SimTime};
 
@@ -24,7 +23,7 @@ use mvcom_types::{Error, Result, SimTime};
 /// assert!(sample.as_secs() >= 0.0);
 /// assert!((model.mean() - 600.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum LatencyModel {
     /// Always exactly `secs`.
@@ -300,14 +299,6 @@ mod tests {
         assert!(LatencyModel::exponential(-5.0).is_err());
         assert!(LatencyModel::log_normal(0.0, 1.0).is_err());
         assert!(LatencyModel::log_normal(1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = LatencyModel::exponential(600.0).unwrap();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: LatencyModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, m);
     }
 
     /// `LatencyModel::sample` as it was before the parameters were worked

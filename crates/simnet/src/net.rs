@@ -9,15 +9,13 @@
 //! the final committee "perceives a failed member committee by using the
 //! ping network protocol".
 
-use serde::{Deserialize, Serialize};
-
 use mvcom_types::{Error, NodeId, Result, SimTime};
 
 use crate::chaos::{ChaosInjector, ChaosStats};
 use crate::latency::{LatencyModel, Sampler};
 
 /// Static configuration of a simulated network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Number of nodes, identified `0..nodes`.
     pub nodes: u32,

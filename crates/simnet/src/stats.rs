@@ -5,8 +5,6 @@
 //! need percentile summaries of converged utilities. [`Summary`] accumulates
 //! moments online (Welford), and [`Ecdf`] materializes an empirical CDF.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance accumulator (Welford's algorithm) with min/max.
 ///
 /// # Example
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), 1.0);
 /// assert_eq!(s.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -145,7 +143,7 @@ impl FromIterator<f64> for Summary {
 /// assert_eq!(cdf.eval(2.5), 0.5);
 /// assert_eq!(cdf.quantile(0.5), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

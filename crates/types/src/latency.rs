@@ -5,7 +5,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::SimTime;
 
@@ -31,7 +31,7 @@ use crate::time::SimTime;
 /// let l = TwoPhaseLatency::new(SimTime::from_secs(600.0), SimTime::from_secs(54.5));
 /// assert_eq!(l.total().as_secs(), 654.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Default)]
 pub struct TwoPhaseLatency {
     formation: SimTime,
     consensus: SimTime,

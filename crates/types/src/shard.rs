@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::id::CommitteeId;
 use crate::latency::TwoPhaseLatency;
@@ -31,7 +31,7 @@ use crate::time::SimTime;
 /// assert_eq!(shard.tx_count(), 1_000);
 /// assert_eq!(shard.two_phase_latency().as_secs(), 760.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ShardInfo {
     committee: CommitteeId,
     tx_count: u64,
@@ -185,10 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let s = shard(7, 33.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: ShardInfo = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
+    fn serializes_the_three_features_by_name() {
+        assert_eq!(
+            serde_json::to_string(&shard(7, 33.0)).unwrap(),
+            r#"{"committee":1,"tx_count":7,"latency":{"formation":33.0,"consensus":0.0}}"#
+        );
     }
 }

@@ -588,9 +588,7 @@ fn simulate(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
             chaos,
             heartbeat: HeartbeatConfig {
                 interval: seconds("heartbeat", flags.value("heartbeat"))?,
-                ..HeartbeatConfig::paper()
             },
-            ..RecoveryConfig::paper()
         }
     };
     // Adversarial mode keeps one adversary alive across epochs, and with

@@ -6,10 +6,9 @@
 use mvcom_core::epoch_chain::EpochOutcome;
 use mvcom_core::{Instance, Solution};
 use mvcom_elastico::recovery::RobustnessReport;
-use serde::{Deserialize, Serialize};
 
 /// Metrics of one epoch's schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleMetrics {
     /// Committees admitted.
     pub admitted: usize,
@@ -60,7 +59,7 @@ impl ScheduleMetrics {
 }
 
 /// Aggregate metrics over a multi-epoch run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChainMetrics {
     /// Epochs aggregated.
     pub epochs: usize,
@@ -101,7 +100,7 @@ impl ChainMetrics {
 
 /// Flattened fault-tolerance counters of one or more recovering epochs,
 /// ready for the CLI and experiment tables.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RobustnessMetrics {
     /// Epochs that carried robustness telemetry.
     pub epochs: usize,
