@@ -7,32 +7,32 @@ use mvcom_types::{Error, Result};
 
 use crate::{Solver, SolverOutcome};
 
-/// Simulated-annealing parameters.
+/// Initial temperature, calibrated to the paper's utility scales (a few
+/// thousand — the magnitude of one shard's marginal utility). The accept
+/// probability of a move with `ΔU < 0` is `exp(ΔU / T)`, so `T` is measured
+/// in utility units.
+const T0: f64 = 2_000.0;
+/// Geometric cooling factor per iteration, `T ← COOLING·T`.
+const COOLING: f64 = 0.995;
+/// Temperature floor; cooling stops here so late iterations still escape
+/// plateaus occasionally.
+const T_MIN: f64 = 1.0;
+
+/// Simulated-annealing parameters. The temperature schedule is fixed:
+/// `T₀ = 2000`, cooled by `0.995` per iteration down to a floor of `1`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaConfig {
-    /// Initial temperature. Accept probability of a move with `ΔU < 0` is
-    /// `exp(ΔU / T)`, so `T` is measured in utility units.
-    pub t0: f64,
-    /// Geometric cooling factor per iteration, `T ← cooling·T`.
-    pub cooling: f64,
     /// Iteration budget.
     pub iterations: u64,
-    /// Temperature floor; cooling stops here so late iterations still
-    /// escape plateaus occasionally.
-    pub t_min: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl SaConfig {
-    /// Defaults calibrated to the paper's utility scales (`T₀` of a few
-    /// thousand — the magnitude of one shard's marginal utility).
+    /// The paper-scale budget: 3,000 iterations.
     pub fn paper(seed: u64) -> SaConfig {
         SaConfig {
-            t0: 2_000.0,
-            cooling: 0.995,
             iterations: 3_000,
-            t_min: 1.0,
             seed,
         }
     }
@@ -43,20 +43,8 @@ impl SaConfig {
     ///
     /// [`Error::InvalidConfig`] naming the offending parameter.
     pub fn validate(&self) -> Result<()> {
-        if !(self.t0.is_finite() && self.t0 > 0.0) {
-            return Err(Error::invalid_config("t0", "must be positive"));
-        }
-        if !(0.0 < self.cooling && self.cooling < 1.0) {
-            return Err(Error::invalid_config("cooling", "must be in (0, 1)"));
-        }
         if self.iterations == 0 {
             return Err(Error::invalid_config("iterations", "must be positive"));
-        }
-        if !(self.t_min.is_finite() && self.t_min > 0.0 && self.t_min <= self.t0) {
-            return Err(Error::invalid_config(
-                "t_min",
-                "must satisfy 0 < t_min <= t0",
-            ));
         }
         Ok(())
     }
@@ -133,7 +121,7 @@ impl Solver for SaSolver {
         let mut best = current.clone();
         let mut best_u = current_u;
         let mut trajectory = vec![(0u64, best_u)];
-        let mut temperature = self.config.t0;
+        let mut temperature = T0;
 
         for iter in 1..=self.config.iterations {
             let mv = propose_move(&current, instance, &mut rng);
@@ -166,7 +154,7 @@ impl Solver for SaSolver {
                     }
                 }
             }
-            temperature = (temperature * self.config.cooling).max(self.config.t_min);
+            temperature = (temperature * COOLING).max(T_MIN);
             trajectory.push((iter, best_u));
         }
         // Exact re-evaluation guards against drift of the incremental sum.
@@ -271,37 +259,7 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(SaConfig {
-            t0: 0.0,
-            ..SaConfig::paper(0)
-        }
-        .validate()
-        .is_err());
-        assert!(SaConfig {
-            cooling: 1.0,
-            ..SaConfig::paper(0)
-        }
-        .validate()
-        .is_err());
-        assert!(SaConfig {
-            cooling: 0.0,
-            ..SaConfig::paper(0)
-        }
-        .validate()
-        .is_err());
-        assert!(SaConfig {
             iterations: 0,
-            ..SaConfig::paper(0)
-        }
-        .validate()
-        .is_err());
-        assert!(SaConfig {
-            t_min: 0.0,
-            ..SaConfig::paper(0)
-        }
-        .validate()
-        .is_err());
-        assert!(SaConfig {
-            t_min: 1e9,
             ..SaConfig::paper(0)
         }
         .validate()

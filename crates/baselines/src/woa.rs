@@ -18,26 +18,26 @@ use mvcom_types::{Error, Result};
 
 use crate::{Solver, SolverOutcome};
 
-/// WOA parameters.
+/// Population size (number of whales), as in common WOA settings.
+const POPULATION: usize = 30;
+/// Spiral shape constant `b` in `e^{bl}·cos(2πl)`.
+const SPIRAL_B: f64 = 1.0;
+
+/// WOA parameters. The swarm is fixed: 30 whales on a spiral of shape
+/// constant `b = 1`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WoaConfig {
-    /// Population size (number of whales).
-    pub population: usize,
     /// Iteration budget.
     pub iterations: u64,
-    /// Spiral shape constant `b` in `e^{bl}·cos(2πl)`.
-    pub spiral_b: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl WoaConfig {
-    /// Defaults comparable to common WOA settings (30 whales).
+    /// The paper-scale budget: 3,000 iterations.
     pub fn paper(seed: u64) -> WoaConfig {
         WoaConfig {
-            population: 30,
             iterations: 3_000,
-            spiral_b: 1.0,
             seed,
         }
     }
@@ -48,17 +48,8 @@ impl WoaConfig {
     ///
     /// [`Error::InvalidConfig`] naming the offending parameter.
     pub fn validate(&self) -> Result<()> {
-        if self.population < 2 {
-            return Err(Error::invalid_config(
-                "population",
-                "need at least two whales",
-            ));
-        }
         if self.iterations == 0 {
             return Err(Error::invalid_config("iterations", "must be positive"));
-        }
-        if !self.spiral_b.is_finite() || self.spiral_b <= 0.0 {
-            return Err(Error::invalid_config("spiral_b", "must be positive"));
         }
         Ok(())
     }
@@ -153,7 +144,7 @@ impl Solver for WoaSolver {
         self.config.validate()?;
         let mut rng = mvcom_simnet::rng::master(self.config.seed);
         let n = instance.len();
-        let pop = self.config.population;
+        let pop = POPULATION;
 
         // Initialize whale positions in [-1, 1]^n.
         let mut whales: Vec<Vec<f64>> = (0..pop)
@@ -226,8 +217,7 @@ impl Solver for WoaSolver {
                     (0..n)
                         .map(|d| {
                             let dist = (best_position[d] - whales[w][d]).abs();
-                            dist * (self.config.spiral_b * l).exp()
-                                * (2.0 * std::f64::consts::PI * l).cos()
+                            dist * (SPIRAL_B * l).exp() * (2.0 * std::f64::consts::PI * l).cos()
                                 + best_position[d]
                         })
                         .collect()
@@ -310,19 +300,7 @@ mod tests {
     #[test]
     fn config_validation() {
         assert!(WoaConfig {
-            population: 1,
-            ..WoaConfig::paper(0)
-        }
-        .validate()
-        .is_err());
-        assert!(WoaConfig {
             iterations: 0,
-            ..WoaConfig::paper(0)
-        }
-        .validate()
-        .is_err());
-        assert!(WoaConfig {
-            spiral_b: 0.0,
             ..WoaConfig::paper(0)
         }
         .validate()

@@ -26,7 +26,12 @@ use crate::admission::{EpochPolicy, FinalCommittee};
 use crate::problem::DdlPolicy;
 use crate::se::SeConfig;
 
-/// Configuration of a multi-epoch scheduling run.
+/// Refusals older than this many epochs are dropped (their clients are
+/// assumed to re-submit).
+const MAX_CARRY_EPOCHS: u32 = 4;
+
+/// Configuration of a multi-epoch scheduling run; refusals are carried up
+/// to 4 epochs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochChainConfig {
     /// How each epoch is posed; `N_min` and `Ĉ` scale with everything
@@ -34,19 +39,15 @@ pub struct EpochChainConfig {
     pub policy: EpochPolicy,
     /// SE engine settings (the seed is advanced per epoch).
     pub se: SeConfig,
-    /// Refusals older than this many epochs are dropped (their clients are
-    /// assumed to re-submit); `0` disables carry-over entirely.
-    pub max_carry_epochs: u32,
 }
 
 impl EpochChainConfig {
     /// The paper's defaults: `α = 1.5`, `Ĉ = 1000·|I|`, `N_min = 50 %`,
-    /// MaxArrival deadline, refusals carried up to 4 epochs.
+    /// MaxArrival deadline.
     pub fn paper(seed: u64) -> EpochChainConfig {
         EpochChainConfig {
             policy: EpochPolicy::paper(),
             se: SeConfig::paper(seed),
-            max_carry_epochs: 4,
         }
     }
 
@@ -212,7 +213,7 @@ impl EpochChain {
                 refusals: refusal_count(s.committee()) + 1,
                 shard: s.carried_over(decision.ddl),
             })
-            .filter(|c| c.refusals <= self.config.max_carry_epochs)
+            .filter(|c| c.refusals <= MAX_CARRY_EPOCHS)
             .collect();
 
         let report = EpochOutcome {
@@ -312,15 +313,19 @@ mod tests {
 
     #[test]
     fn old_refusals_are_eventually_dropped() {
-        let mut cfg = config(4);
-        cfg.max_carry_epochs = 1;
-        let mut chain = EpochChain::new(cfg).unwrap();
+        let mut chain = EpochChain::new(config(4)).unwrap();
         chain.run_epoch(epoch(0, 16)).unwrap();
-        // After two more epochs, nothing from epoch 0 may remain pending.
-        chain.run_epoch(epoch(100, 12)).unwrap();
-        chain.run_epoch(epoch(200, 12)).unwrap();
+        // Epoch `e` submits committees `100·e ..`; after `MAX_CARRY_EPOCHS`
+        // more epochs, nothing from epoch 0 may remain pending.
+        for e in 1..=MAX_CARRY_EPOCHS {
+            chain.run_epoch(epoch(100 * e, 12)).unwrap();
+            for c in &chain.pending {
+                assert!(c.refusals <= MAX_CARRY_EPOCHS);
+                // Submitted at epoch `c.committee / 100`, refused every epoch since.
+                assert_eq!(c.refusals, e - c.shard.committee().0 / 100 + 1);
+            }
+        }
         for c in &chain.pending {
-            assert!(c.refusals <= 1);
             assert!(c.shard.committee().0 >= 100);
         }
     }

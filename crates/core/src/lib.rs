@@ -25,9 +25,10 @@
 //! solutions (one Markov chain per admitted-shard cardinality `n`), each
 //! repeatedly proposing a random swap of one admitted shard for one excluded
 //! shard and arming an exponential timer with mean
-//! `exp(τ − ½β(U_f' − U_f)) / (|I| − n)`. The first timer to expire commits
-//! its swap and broadcasts RESET; the race between timers realizes a
-//! time-reversible Markov chain whose stationary distribution is
+//! `exp(−½β(U_f' − U_f)) / (|I| − n)` (eq. (7)'s τ is 0). The first timer
+//! to expire commits its swap and broadcasts RESET; the race between
+//! timers realizes a time-reversible Markov chain whose stationary
+//! distribution is
 //! `p*_f ∝ exp(β·U_f)` — so the process concentrates on near-optimal
 //! solutions. Committee joins, leaves and failures are handled online
 //! ([`dynamics`]).

@@ -9,7 +9,7 @@
 //!   initialized per Algorithm 2 ([`chain::Chain::init`]).
 //! * **Timers.** Following Algorithm 3, a chain draws pairs `(ĩ, ï)` —
 //!   one admitted shard to drop, one excluded shard to admit — and arms an
-//!   exponential timer with mean `exp(τ − ½β(U_f' − U_f)) / (|I_j| − n)`
+//!   exponential timer with mean `exp(−½β(U_f' − U_f)) / (|I_j| − n)`
 //!   per pair. Timers are compared in log-space so utility differences in
 //!   the thousands cannot overflow.
 //! * **State transit & RESET.** The paper's solution threads execute
@@ -18,7 +18,7 @@
 //!   virtual-time engine images that as a *round*: per iteration, every
 //!   chain races the timers of `proposal_fanout` sampled pairs and commits
 //!   the winner — a sampled jump of the designed CTMC, whose winning
-//!   neighbor is distributed ∝ its transition rate `exp(½β·ΔU − τ)` —
+//!   neighbor is distributed ∝ its transition rate `exp(½β·ΔU)` —
 //!   then all timers are RESET (Alg. 1 lines 14–20).
 //! * **Γ parallel execution threads.** Following §IV-D ("each runs a set of
 //!   feasible solutions {f_n}"), the engine hosts Γ independent *replicas*

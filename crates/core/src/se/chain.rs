@@ -216,7 +216,7 @@ impl Chain {
 
     /// Algorithm 3 (`Set-timer`): draws a random capacity-feasible swap
     /// pair and arms an exponential timer with mean
-    /// `exp(τ − ½β(U_f' − U_f)) / (|I_j| − n)`.
+    /// `exp(−½β(U_f' − U_f)) / (|I_j| − n)`.
     ///
     /// Returns `None` when the chain cannot act this race: the solution is
     /// full/empty, or 16 random pairs in a row violated the capacity
@@ -242,12 +242,12 @@ impl Chain {
             // O(log n), allocation-free — replaces the naive
             // clone-and-recompute `Instance::swap_delta` on the hot path.
             let delta = self.cache.swap_delta(instance, &self.solution, out, inc);
-            // ln T = ln Exp(1) + τ − ½β·Δ − ln(|I| − n): log-space keeps
+            // ln T = ln Exp(1) − ½β·Δ − ln(|I| − n): log-space keeps
             // |βΔ| in the thousands finite. `ln(|I| − n)` is the hoisted
             // per-chain constant `self.ln_pool`.
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
             let exp1 = -u.ln();
-            let ln_timer = exp1.ln() + config.tau - 0.5 * config.beta * delta - self.ln_pool;
+            let ln_timer = exp1.ln() - 0.5 * config.beta * delta - self.ln_pool;
             return Some(Proposal {
                 out,
                 inc,
@@ -263,7 +263,7 @@ impl Chain {
     /// returns the one whose exponential timer expires first.
     ///
     /// Racing `k` sampled neighbors, each with timer rate
-    /// `exp(½β·ΔU − τ)`, is a sampled jump of the designed CTMC: the
+    /// `exp(½β·ΔU)`, is a sampled jump of the designed CTMC: the
     /// winning neighbor is distributed ∝ its transition rate among the
     /// sample. Returns `None` when no feasible pair could be sampled.
     pub fn race<R: Rng + ?Sized>(

@@ -4,7 +4,9 @@ use mvcom_types::{Error, Result};
 
 /// Tuning parameters of [`SeEngine`](crate::se::SeEngine).
 ///
-/// The defaults are the paper's §VI-A settings: `β = 2`, `τ = 0`, `Γ = 10`.
+/// The defaults are the paper's §VI-A settings: `β = 2`, `Γ = 10`. Eq. (7)'s
+/// conditional constant τ is `0`, as in all of the paper's experiments, and
+/// drops out of the transition rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeConfig {
     /// Γ — the number of independent parallel execution replicas of the
@@ -15,9 +17,6 @@ pub struct SeConfig {
     /// the stationary distribution on better solutions (approximation loss
     /// `(1/β)·log|F|` shrinks) at the cost of slower mixing (Theorem 1).
     pub beta: f64,
-    /// τ — the conditional constant guarding `exp(·)` in the transition
-    /// rate (paper eq. (7)); `0` in all the paper's experiments.
-    pub tau: f64,
     /// Hard iteration budget.
     pub max_iterations: u64,
     /// Stop early when the best-so-far utility has not improved (by more
@@ -25,7 +24,7 @@ pub struct SeConfig {
     pub convergence_window: u64,
     /// How many candidate pairs each chain's local timer race samples per
     /// round. The chain commits the pair whose exponential timer (rate
-    /// `exp(½β·ΔU − τ)`) expires first — a sampled jump of the designed
+    /// `exp(½β·ΔU)`) expires first — a sampled jump of the designed
     /// CTMC. Larger values approximate the full transition-rate matrix
     /// more closely at linear cost.
     pub proposal_fanout: usize,
@@ -50,12 +49,11 @@ pub struct SeConfig {
 }
 
 impl SeConfig {
-    /// The paper's default parameterization (β=2, τ=0, Γ=10).
+    /// The paper's default parameterization (β=2, Γ=10).
     pub fn paper(seed: u64) -> SeConfig {
         SeConfig {
             gamma: 10,
             beta: 2.0,
-            tau: 0.0,
             max_iterations: 3_000,
             convergence_window: 500,
             proposal_fanout: 16,
@@ -112,9 +110,6 @@ impl SeConfig {
                 format!("must be positive and finite, got {}", self.beta),
             ));
         }
-        if !self.tau.is_finite() {
-            return Err(Error::invalid_config("tau", "must be finite"));
-        }
         if self.max_iterations == 0 {
             return Err(Error::invalid_config("max_iterations", "must be positive"));
         }
@@ -149,7 +144,6 @@ mod tests {
         let c = SeConfig::paper(7);
         assert_eq!(c.gamma, 10);
         assert_eq!(c.beta, 2.0);
-        assert_eq!(c.tau, 0.0);
         assert_eq!(c.seed, 7);
         assert!(c.validate().is_ok());
     }
@@ -169,10 +163,6 @@ mod tests {
             SeConfig { beta: 0.0, ..base },
             SeConfig {
                 beta: f64::NAN,
-                ..base
-            },
-            SeConfig {
-                tau: f64::INFINITY,
                 ..base
             },
             SeConfig {

@@ -12,6 +12,9 @@
 //!   space, used to verify empirically that the time-averaged occupancy
 //!   converges to the stationary distribution `p*_f ∝ exp(β·U_f)` of
 //!   eq. (6).
+//!
+//! Every result here takes eq. (7)'s conditional constant τ as `0`, its
+//! value in all of the paper's experiments and in the SE engine.
 
 use std::collections::BTreeMap;
 
@@ -36,62 +39,34 @@ pub fn approximation_loss(beta: f64, n: usize) -> f64 {
 /// Theorem 1 lower bound on the mixing time:
 ///
 /// ```text
-/// t_mix(ε) ≥ exp[τ − ½β(U_max − U_min)] / (|I|² − |I|) · ln(1/(2ε))
+/// t_mix(ε) ≥ exp[−½β(U_max − U_min)] / (|I|² − |I|) · ln(1/(2ε))
 /// ```
-pub fn mixing_time_lower(
-    epsilon: f64,
-    n: usize,
-    u_max: f64,
-    u_min: f64,
-    beta: f64,
-    tau: f64,
-) -> f64 {
-    ln_mixing_time_lower(epsilon, n, u_max, u_min, beta, tau).exp()
+pub fn mixing_time_lower(epsilon: f64, n: usize, u_max: f64, u_min: f64, beta: f64) -> f64 {
+    ln_mixing_time_lower(epsilon, n, u_max, u_min, beta).exp()
 }
 
 /// `ln` of [`mixing_time_lower`] — usable when the bound itself overflows.
-pub fn ln_mixing_time_lower(
-    epsilon: f64,
-    n: usize,
-    u_max: f64,
-    u_min: f64,
-    beta: f64,
-    tau: f64,
-) -> f64 {
+pub fn ln_mixing_time_lower(epsilon: f64, n: usize, u_max: f64, u_min: f64, beta: f64) -> f64 {
     assert!(epsilon > 0.0 && epsilon < 0.5, "need 0 < ε < ½");
     assert!(n >= 2, "need at least two shards");
     let spread = u_max - u_min;
     // ε < ½ guarantees ln(1/(2ε)) > 0, so its own ln below is finite.
-    tau - 0.5 * beta * spread - ((n * n - n) as f64).ln() + (1.0 / (2.0 * epsilon)).ln().ln()
+    -0.5 * beta * spread - ((n * n - n) as f64).ln() + (1.0 / (2.0 * epsilon)).ln().ln()
 }
 
 /// Theorem 1 upper bound on the mixing time:
 ///
 /// ```text
-/// t_mix(ε) ≤ 4|I|(|I|² − |I|) · exp[(3/2)β(U_max − U_min) + τ]
+/// t_mix(ε) ≤ 4|I|(|I|² − |I|) · exp[(3/2)β(U_max − U_min)]
 ///            · [ln(1/(2ε)) + ½|I|·ln2 + ½β(U_max − U_min)]
 /// ```
-pub fn mixing_time_upper(
-    epsilon: f64,
-    n: usize,
-    u_max: f64,
-    u_min: f64,
-    beta: f64,
-    tau: f64,
-) -> f64 {
-    ln_mixing_time_upper(epsilon, n, u_max, u_min, beta, tau).exp()
+pub fn mixing_time_upper(epsilon: f64, n: usize, u_max: f64, u_min: f64, beta: f64) -> f64 {
+    ln_mixing_time_upper(epsilon, n, u_max, u_min, beta).exp()
 }
 
 /// `ln` of [`mixing_time_upper`]. With β·(U_max − U_min) routinely in the
 /// thousands, the plain bound exceeds `f64::MAX`; the log form stays exact.
-pub fn ln_mixing_time_upper(
-    epsilon: f64,
-    n: usize,
-    u_max: f64,
-    u_min: f64,
-    beta: f64,
-    tau: f64,
-) -> f64 {
+pub fn ln_mixing_time_upper(epsilon: f64, n: usize, u_max: f64, u_min: f64, beta: f64) -> f64 {
     assert!(epsilon > 0.0 && epsilon < 0.5, "need 0 < ε < ½");
     assert!(n >= 2, "need at least two shards");
     let spread = u_max - u_min;
@@ -99,7 +74,7 @@ pub fn ln_mixing_time_upper(
     let bracket = (1.0 / (2.0 * epsilon)).ln()
         + 0.5 * (n as f64) * std::f64::consts::LN_2
         + 0.5 * beta * spread;
-    poly.ln() + 1.5 * beta * spread + tau + bracket.ln()
+    poly.ln() + 1.5 * beta * spread + bracket.ln()
 }
 
 /// Lemma 4: when one committee fails, the total-variation distance between
@@ -225,7 +200,7 @@ pub fn trimmed_tv_distance(
 
 /// Builds the exact transition-rate matrix `Q` of the designed Markov
 /// chain over the given states: for adjacent states (one admitted/excluded
-/// pair swapped), `q_{f,f'} = exp(½β(U_{f'} − U_f) − τ)` (paper eq. (10));
+/// pair swapped), `q_{f,f'} = exp(½β(U_{f'} − U_f))` (paper eq. (10));
 /// diagonals make rows sum to zero. Rates use a utility shift so `exp`
 /// stays finite for moderate `β·ΔU`.
 ///
@@ -235,7 +210,6 @@ pub fn trimmed_tv_distance(
 pub fn transition_rate_matrix(
     instance: &Instance,
     beta: f64,
-    tau: f64,
     states: &[Solution],
 ) -> Vec<Vec<f64>> {
     assert!(!states.is_empty(), "need at least one state");
@@ -247,7 +221,7 @@ pub fn transition_rate_matrix(
             if i == j || states[i].distance(&states[j]) != 2 {
                 continue;
             }
-            q[i][j] = (0.5 * beta * (utilities[j] - utilities[i]) - tau).exp();
+            q[i][j] = (0.5 * beta * (utilities[j] - utilities[i])).exp();
         }
         let row_sum: f64 = q[i].iter().sum();
         q[i][i] = -row_sum;
@@ -264,10 +238,10 @@ pub fn transition_rate_matrix(
 /// # Panics
 ///
 /// Panics if `states` has fewer than two elements.
-pub fn spectral_gap(instance: &Instance, beta: f64, tau: f64, states: &[Solution]) -> f64 {
+pub fn spectral_gap(instance: &Instance, beta: f64, states: &[Solution]) -> f64 {
     assert!(states.len() >= 2, "spectral gap needs at least two states");
     let n = states.len();
-    let q = transition_rate_matrix(instance, beta, tau, states);
+    let q = transition_rate_matrix(instance, beta, states);
     let pi = stationary_distribution(instance, beta, states);
     // Symmetrize: S = D^{1/2} Q D^{-1/2}, reversibility makes S symmetric
     // with the same (real, non-positive) spectrum as Q.
@@ -323,7 +297,7 @@ pub fn spectral_gap(instance: &Instance, beta: f64, tau: f64, states: &[Solution
 /// An exact continuous-time realization of the designed Markov chain over
 /// one cardinality slice: from state `f`, every neighbor `f'` (one
 /// admitted/excluded pair swapped, capacity-feasible) carries rate
-/// `q_{f,f'} = exp(½β(U_{f'} − U_f) − τ)` (paper eq. (10)); the jump
+/// `q_{f,f'} = exp(½β(U_{f'} − U_f))` (paper eq. (10)); the jump
 /// target is drawn ∝ rate and the holding time is `Exp(Σ rates)`.
 ///
 /// Time-averaged occupancy converges to eq. (6)'s `p*` — the property the
@@ -332,7 +306,6 @@ pub fn spectral_gap(instance: &Instance, beta: f64, tau: f64, states: &[Solution
 pub struct CtmcSimulator<'a> {
     instance: &'a Instance,
     beta: f64,
-    tau: f64,
     state: Solution,
 }
 
@@ -342,12 +315,7 @@ impl<'a> CtmcSimulator<'a> {
     /// # Panics
     ///
     /// Panics if `initial` violates the capacity constraint.
-    pub fn new(
-        instance: &'a Instance,
-        beta: f64,
-        tau: f64,
-        initial: Solution,
-    ) -> CtmcSimulator<'a> {
+    pub fn new(instance: &'a Instance, beta: f64, initial: Solution) -> CtmcSimulator<'a> {
         assert!(
             instance.within_capacity(&initial),
             "initial state violates capacity"
@@ -355,7 +323,6 @@ impl<'a> CtmcSimulator<'a> {
         CtmcSimulator {
             instance,
             beta,
-            tau,
             state: initial,
         }
     }
@@ -382,7 +349,7 @@ impl<'a> CtmcSimulator<'a> {
             let exponents: Vec<f64> = neighbors
                 .iter()
                 .map(|&(out, inc)| {
-                    0.5 * self.beta * (self.instance.swap_delta(&self.state, out, inc)) - self.tau
+                    0.5 * self.beta * self.instance.swap_delta(&self.state, out, inc)
                 })
                 .collect();
             let max_e = exponents.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -477,35 +444,35 @@ mod tests {
 
     #[test]
     fn mixing_bounds_are_ordered_and_monotone() {
-        let (n, umax, umin, beta, tau) = (10usize, 30.0, 0.0, 0.1, 0.0);
-        let lower = mixing_time_lower(0.01, n, umax, umin, beta, tau);
-        let upper = mixing_time_upper(0.01, n, umax, umin, beta, tau);
+        let (n, umax, umin, beta) = (10usize, 30.0, 0.0, 0.1);
+        let lower = mixing_time_lower(0.01, n, umax, umin, beta);
+        let upper = mixing_time_upper(0.01, n, umax, umin, beta);
         assert!(lower > 0.0);
         assert!(upper > lower, "upper {upper} <= lower {lower}");
         // Tighter ε demands more mixing time on both sides.
-        assert!(mixing_time_upper(0.001, n, umax, umin, beta, tau) > upper);
-        assert!(mixing_time_lower(0.001, n, umax, umin, beta, tau) > lower);
+        assert!(mixing_time_upper(0.001, n, umax, umin, beta) > upper);
+        assert!(mixing_time_lower(0.001, n, umax, umin, beta) > lower);
         // Larger β slows the upper bound (Remark 2).
-        assert!(mixing_time_upper(0.01, n, umax, umin, 1.0, tau) > upper);
+        assert!(mixing_time_upper(0.01, n, umax, umin, 1.0) > upper);
     }
 
     #[test]
     fn ln_bounds_match_plain_bounds_when_finite() {
-        let (n, umax, umin, beta, tau) = (8usize, 12.0, 2.0, 0.5, 0.0);
-        let plain = mixing_time_upper(0.05, n, umax, umin, beta, tau);
-        let ln = ln_mixing_time_upper(0.05, n, umax, umin, beta, tau);
+        let (n, umax, umin, beta) = (8usize, 12.0, 2.0, 0.5);
+        let plain = mixing_time_upper(0.05, n, umax, umin, beta);
+        let ln = ln_mixing_time_upper(0.05, n, umax, umin, beta);
         assert!((plain.ln() - ln).abs() < 1e-9);
-        let plain_l = mixing_time_lower(0.05, n, umax, umin, beta, tau);
-        let ln_l = ln_mixing_time_lower(0.05, n, umax, umin, beta, tau);
+        let plain_l = mixing_time_lower(0.05, n, umax, umin, beta);
+        let ln_l = ln_mixing_time_lower(0.05, n, umax, umin, beta);
         assert!((plain_l.ln() - ln_l).abs() < 1e-9);
     }
 
     #[test]
     fn ln_bound_survives_paper_scale_utilities() {
         // β(Umax−Umin) ~ 2·10⁶ would overflow exp(); the ln form must not.
-        let ln = ln_mixing_time_upper(0.01, 500, 1.0e6, 0.0, 2.0, 0.0);
+        let ln = ln_mixing_time_upper(0.01, 500, 1.0e6, 0.0, 2.0);
         assert!(ln.is_finite());
-        assert!(mixing_time_upper(0.01, 500, 1.0e6, 0.0, 2.0, 0.0).is_infinite());
+        assert!(mixing_time_upper(0.01, 500, 1.0e6, 0.0, 2.0).is_infinite());
     }
 
     #[test]
@@ -605,7 +572,7 @@ mod tests {
         let inst = small_instance();
         let beta = 0.01;
         let states = enumerate_states(&inst, 3).unwrap();
-        let q = transition_rate_matrix(&inst, beta, 0.0, &states);
+        let q = transition_rate_matrix(&inst, beta, &states);
         let pi = stationary_distribution(&inst, beta, &states);
         for (i, row) in q.iter().enumerate() {
             // Rows sum to zero; off-diagonals non-negative.
@@ -627,8 +594,8 @@ mod tests {
     fn spectral_gap_is_positive_and_beta_slows_mixing() {
         let inst = small_instance();
         let states = enumerate_states(&inst, 3).unwrap();
-        let gap_soft = spectral_gap(&inst, 0.001, 0.0, &states);
-        let gap_sharp = spectral_gap(&inst, 0.02, 0.0, &states);
+        let gap_soft = spectral_gap(&inst, 0.001, &states);
+        let gap_sharp = spectral_gap(&inst, 0.02, &states);
         assert!(gap_soft > 0.0);
         assert!(gap_sharp > 0.0);
         // Remark 2: larger β concentrates the chain and slows mixing, so
@@ -653,11 +620,11 @@ mod tests {
         let u_min = utilities.iter().copied().fold(f64::MAX, f64::min);
         let pi = stationary_distribution(&inst, beta, &states);
         let pi_min = pi.iter().copied().fold(f64::MAX, f64::min);
-        let t_rel = 1.0 / spectral_gap(&inst, beta, 0.0, &states);
+        let t_rel = 1.0 / spectral_gap(&inst, beta, &states);
         let spectral_upper = t_rel * (1.0 / (epsilon * pi_min)).ln();
         let spectral_lower = (t_rel - 1.0).max(0.0) * (1.0 / (2.0 * epsilon)).ln();
-        let thm_lower = mixing_time_lower(epsilon, inst.len(), u_max, u_min, beta, 0.0);
-        let thm_upper = mixing_time_upper(epsilon, inst.len(), u_max, u_min, beta, 0.0);
+        let thm_lower = mixing_time_lower(epsilon, inst.len(), u_max, u_min, beta);
+        let thm_upper = mixing_time_upper(epsilon, inst.len(), u_max, u_min, beta);
         assert!(
             thm_lower <= spectral_upper,
             "Theorem 1 lower bound {thm_lower} exceeds the spectral upper bound {spectral_upper}"
@@ -678,7 +645,7 @@ mod tests {
         let p_star = stationary_distribution(&inst, beta, &states);
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         let initial = states[0].clone();
-        let mut sim = CtmcSimulator::new(&inst, beta, 0.0, initial);
+        let mut sim = CtmcSimulator::new(&inst, beta, initial);
         let occupancy = sim.occupancy(60_000, &mut rng);
         let total: f64 = occupancy.values().sum();
         let empirical: Vec<f64> = states

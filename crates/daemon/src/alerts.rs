@@ -2,11 +2,12 @@
 //!
 //! An operator arms thresholds at startup (`--alert-*` flags); after
 //! every epoch closes, the [`AlertEngine`] compares the epoch's
-//! [`EpochSummary`] against them. Each
-//! breach fires every registered hook (the CLI prints to stderr; tests
-//! capture into a buffer), is emitted as `alert_fired` telemetry by the
-//! daemon loop, and is persisted in the epoch's history record — so an
-//! alert survives the process that raised it.
+//! [`EpochSummary`] against them. Each breach becomes one
+//! [`AlertRecord`]: the daemon loop emits it as `alert_fired` telemetry,
+//! persists it in the epoch's history record — so an alert survives the
+//! process that raised it — and hands it with the epoch's summary to
+//! [`Daemon::run`](crate::Daemon::run)'s callback (the CLI prints it to
+//! stderr).
 //!
 //! Alerts are level-triggered per epoch: an epoch below a threshold
 //! fires once, and the next epoch below it fires again. There is no
@@ -58,19 +59,6 @@ impl AlertKind {
     }
 }
 
-/// One fired alert, as passed to hooks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Alert {
-    /// The epoch whose summary breached the threshold.
-    pub epoch: u64,
-    /// Which condition fired.
-    pub kind: AlertKind,
-    /// The armed threshold.
-    pub threshold: f64,
-    /// The observed value that breached it.
-    pub observed: f64,
-}
-
 /// One fired alert, as persisted in the epoch's history record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlertRecord {
@@ -82,100 +70,66 @@ pub struct AlertRecord {
     pub observed: f64,
 }
 
-/// A registered alert callback.
-pub type AlertHook = Box<dyn FnMut(&Alert) + Send>;
-
-/// Evaluates epoch summaries against the armed thresholds and dispatches
-/// to hooks.
-pub struct AlertEngine {
-    config: AlertConfig,
-    hooks: Vec<AlertHook>,
+impl AlertRecord {
+    fn new(kind: AlertKind, threshold: f64, observed: f64) -> AlertRecord {
+        AlertRecord {
+            kind: kind.name().to_string(),
+            threshold,
+            observed,
+        }
+    }
 }
 
-impl std::fmt::Debug for AlertEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlertEngine")
-            .field("config", &self.config)
-            .field("hooks", &self.hooks.len())
-            .finish()
-    }
+/// Evaluates epoch summaries against the armed thresholds.
+#[derive(Debug)]
+pub struct AlertEngine {
+    config: AlertConfig,
 }
 
 impl AlertEngine {
-    /// An engine with the given thresholds and no hooks.
+    /// An engine with the given thresholds.
     pub fn new(config: AlertConfig) -> AlertEngine {
-        AlertEngine {
-            config,
-            hooks: Vec::new(),
-        }
+        AlertEngine { config }
     }
 
-    /// The armed thresholds.
-    pub fn config(&self) -> &AlertConfig {
-        &self.config
-    }
-
-    /// Registers a hook invoked once per fired alert, in registration
-    /// order.
-    pub fn on_alert(&mut self, hook: impl FnMut(&Alert) + Send + 'static) {
-        self.hooks.push(Box::new(hook));
-    }
-
-    /// Evaluates one epoch summary: fires hooks for each breach and
-    /// returns the records to persist (deterministic order: utility,
-    /// admission, quarantine).
-    pub fn evaluate(&mut self, summary: &EpochSummary) -> Vec<AlertRecord> {
+    /// Evaluates one epoch summary, returning a record per breach
+    /// (deterministic order: utility, admission, quarantine).
+    pub fn evaluate(&self, summary: &EpochSummary) -> Vec<AlertRecord> {
         let mut fired = Vec::new();
         if let Some(min) = self.config.min_utility {
             if summary.utility < min {
-                fired.push(Alert {
-                    epoch: summary.epoch,
-                    kind: AlertKind::LowUtility,
-                    threshold: min,
-                    observed: summary.utility,
-                });
+                fired.push(AlertRecord::new(
+                    AlertKind::LowUtility,
+                    min,
+                    summary.utility,
+                ));
             }
         }
         if let Some(min) = self.config.min_admitted {
             if summary.admitted < min {
-                fired.push(Alert {
-                    epoch: summary.epoch,
-                    kind: AlertKind::LowAdmission,
-                    threshold: min as f64,
-                    observed: summary.admitted as f64,
-                });
+                fired.push(AlertRecord::new(
+                    AlertKind::LowAdmission,
+                    min as f64,
+                    summary.admitted as f64,
+                ));
             }
         }
         if let Some(max) = self.config.max_quarantined {
             if summary.quarantined > max {
-                fired.push(Alert {
-                    epoch: summary.epoch,
-                    kind: AlertKind::HighQuarantine,
-                    threshold: max as f64,
-                    observed: summary.quarantined as f64,
-                });
-            }
-        }
-        for alert in &fired {
-            for hook in &mut self.hooks {
-                hook(alert);
+                fired.push(AlertRecord::new(
+                    AlertKind::HighQuarantine,
+                    max as f64,
+                    summary.quarantined as f64,
+                ));
             }
         }
         fired
-            .iter()
-            .map(|a| AlertRecord {
-                kind: a.kind.name().to_string(),
-                threshold: a.threshold,
-                observed: a.observed,
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
     fn summary(utility: f64, admitted: u64, quarantined: u64) -> EpochSummary {
         EpochSummary {
@@ -198,13 +152,13 @@ mod tests {
 
     #[test]
     fn disarmed_thresholds_never_fire() {
-        let mut engine = AlertEngine::new(AlertConfig::default());
+        let engine = AlertEngine::new(AlertConfig::default());
         assert!(engine.evaluate(&summary(-1e9, 0, 999)).is_empty());
     }
 
     #[test]
     fn each_condition_fires_with_its_wire_name() {
-        let mut engine = AlertEngine::new(AlertConfig {
+        let engine = AlertEngine::new(AlertConfig {
             min_utility: Some(100.0),
             min_admitted: Some(20),
             max_quarantined: Some(2),
@@ -216,25 +170,6 @@ mod tests {
         assert_eq!(records[0].observed, 50.0);
         // A healthy epoch fires nothing.
         assert!(engine.evaluate(&summary(200.0, 25, 0)).is_empty());
-    }
-
-    #[test]
-    fn hooks_see_every_fired_alert() {
-        let seen: Arc<Mutex<Vec<(u64, &'static str)>>> = Arc::default();
-        let sink = Arc::clone(&seen);
-        let mut engine = AlertEngine::new(AlertConfig {
-            min_utility: Some(100.0),
-            min_admitted: Some(20),
-            max_quarantined: None,
-        });
-        engine.on_alert(move |a| {
-            sink.lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push((a.epoch, a.kind.name()));
-        });
-        engine.evaluate(&summary(50.0, 10, 0));
-        let seen = seen.lock().unwrap_or_else(|p| p.into_inner());
-        assert_eq!(*seen, [(3, "low_utility"), (3, "low_admission")]);
     }
 
     #[test]

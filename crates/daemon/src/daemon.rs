@@ -30,7 +30,7 @@ use mvcom_dataset::adversary::{build_adversary, Adversary, AdversaryConfig, Comm
 use mvcom_obs::{obs_event, MetricsRegistry, Obs};
 use mvcom_types::ShardInfo;
 
-use crate::alerts::AlertEngine;
+use crate::alerts::{AlertEngine, AlertRecord};
 use crate::epoch_clock::EpochClock;
 use crate::error::{DaemonError, Result};
 use crate::history::{
@@ -431,11 +431,6 @@ impl Daemon {
         &self.metrics
     }
 
-    /// Registers an alert hook (see [`AlertEngine::on_alert`]).
-    pub fn on_alert(&mut self, hook: impl FnMut(&crate::alerts::Alert) + Send + 'static) {
-        self.alerts.on_alert(hook);
-    }
-
     /// Ingests and closes one epoch; `None` when the source drained
     /// before the epoch filled (the partial epoch is discarded — it was
     /// never scheduled, so it is not history).
@@ -444,6 +439,11 @@ impl Daemon {
     ///
     /// Ingest failures, scheduling failures, history I/O.
     pub fn step_epoch(&mut self) -> Result<Option<EpochSummary>> {
+        Ok(self.step()?.map(|(summary, _)| summary))
+    }
+
+    /// [`Daemon::step_epoch`], also returning the alerts the epoch fired.
+    fn step(&mut self) -> Result<Option<(EpochSummary, Vec<AlertRecord>)>> {
         let epoch = self.clock.epoch();
         let t_open = self.clock.now();
         obs_event!(
@@ -480,23 +480,22 @@ impl Daemon {
                 std::thread::sleep(Duration::from_millis(self.config.throttle_ms));
             }
         }
-        let summary = self.close_epoch(epoch, t_open, &truth)?;
-        Ok(Some(summary))
+        self.close_epoch(epoch, t_open, &truth).map(Some)
     }
 
     /// Runs epochs until the configured bound or source exhaustion,
-    /// invoking `on_epoch` after each close; returns the epochs closed by
-    /// this call.
+    /// invoking `on_epoch` with each closed epoch's summary and the alerts
+    /// it fired; returns the epochs closed by this call.
     ///
     /// # Errors
     ///
     /// Propagates the first [`Daemon::step_epoch`] failure.
-    pub fn run(&mut self, mut on_epoch: impl FnMut(&EpochSummary)) -> Result<u64> {
+    pub fn run(&mut self, mut on_epoch: impl FnMut(&EpochSummary, &[AlertRecord])) -> Result<u64> {
         let mut closed = 0u64;
         while self.config.max_epochs == 0 || self.totals.epochs < self.config.max_epochs {
-            match self.step_epoch()? {
-                Some(summary) => {
-                    on_epoch(&summary);
+            match self.step()? {
+                Some((summary, alerts)) => {
+                    on_epoch(&summary, &alerts);
                     closed += 1;
                 }
                 None => break,
@@ -512,7 +511,7 @@ impl Daemon {
         epoch: u64,
         t_open: f64,
         truth: &[ShardInfo],
-    ) -> Result<EpochSummary> {
+    ) -> Result<(EpochSummary, Vec<AlertRecord>)> {
         let t_close = self.clock.now();
         // 1. Strategic committees file their (possibly perturbed) reports.
         let reports: Vec<CommitteeReport> = match &self.adversary {
@@ -629,7 +628,7 @@ impl Daemon {
         self.metrics
             .observe("daemon.epoch_admitted_txs", tally.admitted_txs as f64);
         self.render_snapshot();
-        Ok(summary)
+        Ok((summary, alerts))
     }
 
     /// Renders the registry into the endpoint cell.

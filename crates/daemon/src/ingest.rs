@@ -386,6 +386,30 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_literal_is_named_not_typed() {
+        // Each of these once read as a value of some kind ("found a bool",
+        // "found null", "found a number") because its first byte could
+        // start one.
+        for (line, says) in [
+            ("tru", "malformed report: invalid literal `tru` at byte 0"),
+            ("nope", "malformed report: invalid literal `nope` at byte 0"),
+            ("-", "malformed report: invalid number `-` at byte 0"),
+            ("1e", "malformed report: invalid number `1e` at byte 0"),
+            (
+                r#"{"committee":tru,"txs":5,"latency_s":700.0}"#,
+                "malformed report: committee: invalid literal `tru` at byte 13",
+            ),
+        ] {
+            let feed = format!("{line}\n");
+            let err = JsonlSource::new(feed.as_bytes())
+                .next_batch(&mut Vec::new(), 1)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(err, format!("ingest error: line 1: {says}"), "{line}");
+        }
+    }
+
+    #[test]
     fn jsonl_fast_forward_skips_and_detects_short_feeds() {
         let feed = "{\"committee\":0,\"txs\":10,\"latency_s\":1.0}\n\
                     {\"committee\":1,\"txs\":20,\"latency_s\":2.0}\n\

@@ -48,8 +48,9 @@
 //!     mvcom_obs::Obs::off(),
 //!     AlertEngine::new(AlertConfig::default()),
 //! )?;
-//! let closed = daemon.run(|summary| {
+//! let closed = daemon.run(|summary, alerts| {
 //!     assert!(summary.admitted > 0);
+//!     assert!(alerts.is_empty()); // no threshold is armed
 //! })?;
 //! assert_eq!(closed, 3);
 //! std::fs::remove_dir_all(&dir)?;
@@ -73,7 +74,7 @@ pub mod history;
 pub mod http;
 pub mod ingest;
 
-pub use alerts::{Alert, AlertConfig, AlertEngine, AlertKind, AlertRecord};
+pub use alerts::{AlertConfig, AlertEngine, AlertKind, AlertRecord};
 pub use daemon::{Daemon, DaemonConfig, Startup};
 pub use epoch_clock::EpochClock;
 pub use error::{DaemonError, Result};

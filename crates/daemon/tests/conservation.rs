@@ -60,7 +60,7 @@ fn six_defended_epochs_conserve_reports_and_txs_on_the_snapshot() {
     let cell = daemon.snapshot_cell();
     let mut closed = 0;
     daemon
-        .run(|_| {
+        .run(|_, _| {
             closed += 1;
             let snapshot = serde_json::from_str_value(&cell.get()).unwrap();
             let count = |name| counter(&snapshot, name);

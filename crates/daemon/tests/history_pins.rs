@@ -148,7 +148,7 @@ fn run(tag: &str, capacity_per_committee: u64) -> Run {
         AlertEngine::new(AlertConfig::default()),
     )
     .unwrap();
-    assert_eq!(daemon.run(|_| {}).unwrap(), EPOCHS);
+    assert_eq!(daemon.run(|_, _| {}).unwrap(), EPOCHS);
     drop(daemon);
     let digest = fnv(&std::fs::read(&path).unwrap());
     let records = read_history(&path).unwrap().records;

@@ -79,7 +79,7 @@ fn open(history: &Path, max_epochs: u64, resume: bool) -> Daemon {
 fn reference_history(dir: &Path, epochs: u64) -> Vec<u8> {
     let path = dir.join("reference.log");
     let mut daemon = open(&path, epochs, false);
-    assert_eq!(daemon.run(|_| {}).unwrap(), epochs);
+    assert_eq!(daemon.run(|_, _| {}).unwrap(), epochs);
     std::fs::read(&path).unwrap()
 }
 
@@ -95,7 +95,7 @@ fn kill_resume_and_compare(dir: &Path, reference: &[u8], len: usize, epochs: u64
         "expected a resume, got {:?}",
         daemon.startup()
     );
-    daemon.run(|_| {}).unwrap();
+    daemon.run(|_, _| {}).unwrap();
     drop(daemon);
     let resumed = std::fs::read(&path).unwrap();
     assert_eq!(
@@ -150,7 +150,7 @@ fn live_kill_mid_epoch_resumes_byte_identically() {
     let reference = reference_history(&dir, EPOCHS);
     let path = dir.join("killed-live.log");
     let mut first = open(&path, 2, false);
-    assert_eq!(first.run(|_| {}).unwrap(), 2);
+    assert_eq!(first.run(|_, _| {}).unwrap(), 2);
     drop(first); // the "kill": epoch 2's ingest state is lost with the process
     let mut resumed = open(&path, EPOCHS, true);
     assert!(matches!(
@@ -161,7 +161,7 @@ fn live_kill_mid_epoch_resumes_byte_identically() {
             ..
         }
     ));
-    assert_eq!(resumed.run(|_| {}).unwrap(), 3);
+    assert_eq!(resumed.run(|_, _| {}).unwrap(), 3);
     drop(resumed);
     assert_eq!(std::fs::read(&path).unwrap(), reference);
     let _ = std::fs::remove_dir_all(&dir);
@@ -210,7 +210,7 @@ fn header_mismatch_is_rejected() {
     let dir = scratch("header");
     let path = dir.join("seed11.log");
     let mut daemon = open(&path, 2, false);
-    daemon.run(|_| {}).unwrap();
+    daemon.run(|_, _| {}).unwrap();
     drop(daemon);
     let cfg = DaemonConfig {
         seed: 12, // differs from the on-disk header
@@ -276,7 +276,7 @@ fn history_records_are_well_formed_and_summaries_match_callbacks() {
     let path = dir.join("run.log");
     let mut daemon = open(&path, 4, false);
     let mut seen = Vec::new();
-    daemon.run(|s| seen.push(s.clone())).unwrap();
+    daemon.run(|s, _| seen.push(s.clone())).unwrap();
     drop(daemon);
 
     let loaded = read_history(&path).unwrap();
@@ -326,7 +326,7 @@ fn a_committee_reporting_twice_ends_the_run_before_its_epoch_is_written() {
         AlertEngine::new(AlertConfig::default()),
     )
     .unwrap();
-    let err = daemon.run(|_| {}).unwrap_err().to_string();
+    let err = daemon.run(|_, _| {}).unwrap_err().to_string();
     assert!(err.contains("duplicate shard for committee-1"), "{err}");
     drop(daemon);
     let records = read_history(&path).unwrap().records;

@@ -67,7 +67,7 @@ fn a_restored_epoch_checkpoint_finishes_to_the_recorded_decision() {
         AlertEngine::new(AlertConfig::default()),
     )
     .unwrap();
-    assert_eq!(daemon.run(|_| {}).unwrap(), EPOCHS);
+    assert_eq!(daemon.run(|_, _| {}).unwrap(), EPOCHS);
     drop(daemon);
     let records = read_history(&path).unwrap().records;
     std::fs::remove_dir_all(&dir).unwrap();

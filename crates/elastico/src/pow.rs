@@ -12,28 +12,27 @@ use rand::Rng;
 use mvcom_simnet::LatencyModel;
 use mvcom_types::{CommitteeId, Error, Hash32, NodeId, Result, SimTime};
 
-/// PoW parameters.
+/// Mean puzzle-solving time in seconds of a node of unit hash power
+/// (paper §VI-A: 600 s).
+const MEAN_SOLVE_SECS: f64 = 600.0;
+/// Relative hash-power spread across nodes: each node's mean solve time is
+/// `MEAN_SOLVE_SECS / power`, with `power` drawn uniformly from
+/// `[1 − POWER_SPREAD, 1 + POWER_SPREAD]` — moderate heterogeneity.
+const POWER_SPREAD: f64 = 0.3;
+
+/// PoW parameters. The solve-time model is fixed: a node of hash power
+/// `P ~ U[0.7, 1.3]` solves in `Exp(600 s / P)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowConfig {
-    /// Mean puzzle-solving time in seconds (paper: 600 s).
-    pub mean_solve_secs: f64,
     /// Number of committee-assignment bits: `2^committee_bits` committees.
     pub committee_bits: u32,
-    /// Relative hash-power spread across nodes: each node's mean solve
-    /// time is `mean_solve_secs / power`, with `power` drawn uniformly
-    /// from `[1 − spread, 1 + spread]`. `0.0` makes all nodes equal.
-    pub power_spread: f64,
 }
 
 impl PowConfig {
-    /// The paper's §VI-A parameterization: Exp(600 s) solves, moderate
-    /// hash-power heterogeneity.
+    /// The paper's §VI-A parameterization with `2^committee_bits`
+    /// committees.
     pub fn paper(committee_bits: u32) -> PowConfig {
-        PowConfig {
-            mean_solve_secs: 600.0,
-            committee_bits,
-            power_spread: 0.3,
-        }
+        PowConfig { committee_bits }
     }
 
     /// Number of committees this configuration produces.
@@ -47,17 +46,11 @@ impl PowConfig {
     ///
     /// [`Error::InvalidConfig`] naming the offending parameter.
     pub fn validate(&self) -> Result<()> {
-        if !(self.mean_solve_secs.is_finite() && self.mean_solve_secs > 0.0) {
-            return Err(Error::invalid_config("mean_solve_secs", "must be positive"));
-        }
         if self.committee_bits == 0 || self.committee_bits > 16 {
             return Err(Error::invalid_config(
                 "committee_bits",
                 "must be in 1..=16 (2 to 65536 committees)",
             ));
-        }
-        if !(0.0..1.0).contains(&self.power_spread) {
-            return Err(Error::invalid_config("power_spread", "must be in [0, 1)"));
         }
         Ok(())
     }
@@ -95,9 +88,9 @@ pub fn run_lottery<R: Rng + ?Sized>(
     let mask = (1u64 << config.committee_bits) - 1;
     let mut solutions: Vec<PowSolution> = (0..n_nodes)
         .map(|i| {
-            let power = 1.0 + config.power_spread * (rng.gen::<f64>() * 2.0 - 1.0);
+            let power = 1.0 + POWER_SPREAD * (rng.gen::<f64>() * 2.0 - 1.0);
             let model = LatencyModel::Exponential {
-                mean_secs: config.mean_solve_secs / power,
+                mean_secs: MEAN_SOLVE_SECS / power,
             };
             let solved_at = model.sample(rng);
             let nonce: u64 = rng.gen();
@@ -141,14 +134,18 @@ mod tests {
 
     #[test]
     fn solve_times_have_the_configured_mean() {
+        // A node of power P ~ U[1 − s, 1 + s] solves in Exp(600/P), so the
+        // lottery's mean is 600·E[1/P] = 600·ln((1 + s)/(1 − s))/(2s).
+        let expected = MEAN_SOLVE_SECS * ((1.0 + POWER_SPREAD) / (1.0 - POWER_SPREAD)).ln()
+            / (2.0 * POWER_SPREAD);
+        assert!((expected - 619.04).abs() < 0.01, "analytic mean {expected}");
         let mut r = rng::master(2);
-        let config = PowConfig {
-            power_spread: 0.0,
-            ..PowConfig::paper(2)
-        };
-        let sols = run_lottery(&config, 20_000, Hash32::digest(b"s"), &mut r).unwrap();
+        let sols = run_lottery(&PowConfig::paper(2), 20_000, Hash32::digest(b"s"), &mut r).unwrap();
         let mean: f64 = sols.iter().map(|s| s.solved_at.as_secs()).sum::<f64>() / sols.len() as f64;
-        assert!((mean - 600.0).abs() / 600.0 < 0.05, "mean solve {mean}");
+        assert!(
+            (mean - expected).abs() / expected < 0.05,
+            "mean solve {mean}"
+        );
     }
 
     #[test]
@@ -184,30 +181,8 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        assert!(PowConfig {
-            mean_solve_secs: 0.0,
-            ..PowConfig::paper(2)
-        }
-        .validate()
-        .is_err());
-        assert!(PowConfig {
-            committee_bits: 0,
-            ..PowConfig::paper(2)
-        }
-        .validate()
-        .is_err());
-        assert!(PowConfig {
-            committee_bits: 20,
-            ..PowConfig::paper(2)
-        }
-        .validate()
-        .is_err());
-        assert!(PowConfig {
-            power_spread: 1.0,
-            ..PowConfig::paper(2)
-        }
-        .validate()
-        .is_err());
+        assert!(PowConfig::paper(0).validate().is_err());
+        assert!(PowConfig::paper(20).validate().is_err());
         let mut r = rng::master(0);
         assert!(run_lottery(&PowConfig::paper(2), 0, Hash32::ZERO, &mut r).is_err());
     }

@@ -248,14 +248,9 @@ impl Replica {
     /// An [`Behavior::Equivocate`] leader emits *per-recipient* conflicting
     /// digests (recipient-parity flip), a [`Behavior::Silent`] leader emits
     /// nothing.
-    pub fn propose(&mut self, digest: Hash32) -> Vec<Outbound> {
-        let mut out = Vec::new();
-        self.propose_into(digest, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Replica::propose`]: appends to `out` instead of
-    /// returning a fresh vector. Hot loops pass a reused buffer.
+    ///
+    /// Appends to `out` instead of returning a fresh vector: hot loops pass
+    /// a reused buffer.
     pub fn propose_into(&mut self, digest: Hash32, out: &mut Vec<Outbound>) {
         if !self.is_leader() {
             return;
@@ -293,14 +288,8 @@ impl Replica {
         }
     }
 
-    /// Local timeout: vote to depose the current leader.
-    pub fn on_timeout(&mut self) -> Vec<Outbound> {
-        let mut out = Vec::new();
-        self.on_timeout_into(&mut out);
-        out
-    }
-
-    /// Allocation-free [`Replica::on_timeout`]: appends to `out`.
+    /// Local timeout: vote to depose the current leader, appending the vote
+    /// to `out`.
     pub fn on_timeout_into(&mut self, out: &mut Vec<Outbound>) {
         if self.committed.is_some() || self.behavior != Behavior::Honest {
             return;
@@ -320,20 +309,13 @@ impl Replica {
         });
     }
 
-    /// Feeds one delivered message into the state machine, returning any
-    /// outbound messages it triggers.
-    pub fn on_message(&mut self, msg: Message) -> Vec<Outbound> {
-        let mut out = Vec::new();
-        self.on_message_into(msg, &mut out);
-        out
-    }
-
-    /// Allocation-free [`Replica::on_message`]: appends any triggered
-    /// messages to `out` (which is *not* cleared — callers reuse buffers).
+    /// Feeds one delivered message into the state machine, appending any
+    /// outbound messages it triggers to `out` (which is *not* cleared —
+    /// callers reuse buffers).
     pub fn on_message_into(&mut self, msg: Message, out: &mut Vec<Outbound>) {
         if self.behavior != Behavior::Honest || self.committed.is_some() {
             // Silent and equivocating replicas never *respond*; the
-            // equivocator only misbehaves when leading (see `propose`).
+            // equivocator only misbehaves when leading (see `propose_into`).
             return;
         }
         if msg.from >= self.n {
@@ -432,11 +414,29 @@ mod tests {
         Hash32::digest(b"block")
     }
 
+    fn propose(replica: &mut Replica, digest: Hash32) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        replica.propose_into(digest, &mut out);
+        out
+    }
+
+    fn on_timeout(replica: &mut Replica) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        replica.on_timeout_into(&mut out);
+        out
+    }
+
+    fn on_message(replica: &mut Replica, msg: Message) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        replica.on_message_into(msg, &mut out);
+        out
+    }
+
     /// Delivers `msg` to every replica, collecting the responses.
     fn deliver_all(replicas: &mut [Replica], msg: Message) -> Vec<Outbound> {
         replicas
             .iter_mut()
-            .flat_map(|r| r.on_message(msg))
+            .flat_map(|r| on_message(r, msg))
             .collect()
     }
 
@@ -451,7 +451,9 @@ mod tests {
             for out in queue.drain(..) {
                 match out.target {
                     Target::All => next.extend(deliver_all(replicas, out.message)),
-                    Target::One(idx) => next.extend(replicas[idx as usize].on_message(out.message)),
+                    Target::One(idx) => {
+                        next.extend(on_message(&mut replicas[idx as usize], out.message))
+                    }
                 }
             }
             queue = next;
@@ -490,7 +492,7 @@ mod tests {
     #[test]
     fn all_honest_replicas_commit_same_digest() {
         let mut replicas = committee(4, &[]);
-        let proposal = replicas[0].propose(digest());
+        let proposal = propose(&mut replicas[0], digest());
         run_to_quiescence(&mut replicas, proposal);
         for r in &replicas {
             assert_eq!(r.committed(), Some(digest()), "replica {}", r.index());
@@ -501,7 +503,7 @@ mod tests {
     fn commits_with_f_silent_replicas() {
         // n=7, f=2: two silent followers must not block commitment.
         let mut replicas = committee(7, &[(5, Behavior::Silent), (6, Behavior::Silent)]);
-        let proposal = replicas[0].propose(digest());
+        let proposal = propose(&mut replicas[0], digest());
         run_to_quiescence(&mut replicas, proposal);
         let committed = replicas
             .iter()
@@ -515,7 +517,7 @@ mod tests {
         // n=4, f=1, but TWO silent replicas: quorum 2f+1 = 3 commits is
         // unreachable with only 2 honest participants.
         let mut replicas = committee(4, &[(2, Behavior::Silent), (3, Behavior::Silent)]);
-        let proposal = replicas[0].propose(digest());
+        let proposal = propose(&mut replicas[0], digest());
         run_to_quiescence(&mut replicas, proposal);
         assert!(replicas.iter().all(|r| r.committed().is_none()));
     }
@@ -525,7 +527,7 @@ mod tests {
         // n=4 with an equivocating leader: safety demands no two honest
         // replicas commit different digests.
         let mut replicas = committee(4, &[(0, Behavior::Equivocate)]);
-        let proposal = replicas[0].propose(digest());
+        let proposal = propose(&mut replicas[0], digest());
         run_to_quiescence(&mut replicas, proposal);
         let committed: Vec<Hash32> = replicas
             .iter()
@@ -545,7 +547,7 @@ mod tests {
         // Leader 0 is silent; every honest replica times out.
         let mut msgs: Vec<Outbound> = Vec::new();
         for r in replicas.iter_mut() {
-            msgs.extend(r.on_timeout());
+            msgs.extend(on_timeout(r));
         }
         assert_eq!(msgs.len(), 3); // replicas 1..3 vote
         run_to_quiescence(&mut replicas, msgs);
@@ -553,7 +555,7 @@ mod tests {
             assert_eq!(r.view(), 1, "replica {} stuck in view 0", r.index());
         }
         // New leader (replica 1) proposes and the protocol completes.
-        let proposal = replicas[1].propose(digest());
+        let proposal = propose(&mut replicas[1], digest());
         assert!(!proposal.is_empty());
         run_to_quiescence(&mut replicas, proposal);
         for r in replicas.iter().filter(|r| r.behavior() == Behavior::Honest) {
@@ -564,9 +566,9 @@ mod tests {
     #[test]
     fn timeout_after_commit_is_a_no_op() {
         let mut replicas = committee(4, &[]);
-        let proposal = replicas[0].propose(digest());
+        let proposal = propose(&mut replicas[0], digest());
         run_to_quiescence(&mut replicas, proposal);
-        assert!(replicas[1].on_timeout().is_empty());
+        assert!(on_timeout(&mut replicas[1]).is_empty());
     }
 
     #[test]
@@ -578,7 +580,7 @@ mod tests {
             digest: digest(),
             from: 1,
         };
-        assert!(r.on_message(stale).is_empty());
+        assert!(on_message(&mut r, stale).is_empty());
         assert_eq!(r.committed(), None);
     }
 
@@ -591,7 +593,7 @@ mod tests {
             digest: digest(),
             from: 2, // leader of view 0 is replica 0
         };
-        assert!(r.on_message(forged).is_empty());
+        assert!(on_message(&mut r, forged).is_empty());
     }
 
     #[test]
@@ -607,9 +609,9 @@ mod tests {
             digest: Hash32::digest(b"other"),
             ..first
         };
-        let out1 = r.on_message(first);
+        let out1 = on_message(&mut r, first);
         assert!(!out1.is_empty());
-        let out2 = r.on_message(second);
+        let out2 = on_message(&mut r, second);
         assert!(out2.is_empty());
     }
 
@@ -623,7 +625,7 @@ mod tests {
             digest: digest(),
             from: 0,
         };
-        assert!(!r.on_message(pre).is_empty());
+        assert!(!on_message(&mut r, pre).is_empty());
         // Two forged prepares from indices outside 0..4 must not count
         // toward the 2f = 2 prepare quorum (a commit would be emitted).
         for forged_from in [4, 200] {
@@ -633,7 +635,7 @@ mod tests {
                 digest: digest(),
                 from: forged_from,
             };
-            assert!(r.on_message(forged).is_empty());
+            assert!(on_message(&mut r, forged).is_empty());
         }
     }
 
@@ -641,7 +643,7 @@ mod tests {
     fn large_committee_uses_word_fallback_and_commits() {
         // n = 130 > 128 exercises VoterMask::Large end to end.
         let mut replicas = committee(130, &[]);
-        let proposal = replicas[0].propose(digest());
+        let proposal = propose(&mut replicas[0], digest());
         run_to_quiescence(&mut replicas, proposal);
         for r in &replicas {
             assert_eq!(r.committed(), Some(digest()), "replica {}", r.index());

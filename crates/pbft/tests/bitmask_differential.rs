@@ -69,19 +69,20 @@ impl Pair {
 
     /// Applies one action to both machines and asserts identical output.
     fn step(&mut self, who: usize, action: &Action, ctx: &str) -> Vec<Outbound> {
-        let (out_fast, out_ref) = match *action {
-            Action::Propose(digest) => (
-                self.fast[who].propose(digest),
-                self.reference[who].propose(digest),
-            ),
-            Action::Timeout => (
-                self.fast[who].on_timeout(),
-                self.reference[who].on_timeout(),
-            ),
-            Action::Deliver(msg) => (
-                self.fast[who].on_message(msg),
-                self.reference[who].on_message(msg),
-            ),
+        let mut out_fast = Vec::new();
+        let out_ref = match *action {
+            Action::Propose(digest) => {
+                self.fast[who].propose_into(digest, &mut out_fast);
+                self.reference[who].propose(digest)
+            }
+            Action::Timeout => {
+                self.fast[who].on_timeout_into(&mut out_fast);
+                self.reference[who].on_timeout()
+            }
+            Action::Deliver(msg) => {
+                self.fast[who].on_message_into(msg, &mut out_fast);
+                self.reference[who].on_message(msg)
+            }
         };
         assert_eq!(out_fast, out_ref, "outputs diverged at {ctx}");
         out_fast

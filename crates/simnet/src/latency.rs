@@ -6,7 +6,7 @@
 //! than closures.
 
 use rand::Rng;
-use rand_distr::{Distribution, Exp1, StandardNormal, Uniform};
+use rand_distr::{Distribution, Exp1, StandardNormal};
 
 use mvcom_types::{Error, Result, SimTime};
 
@@ -30,13 +30,6 @@ pub enum LatencyModel {
     Constant {
         /// The fixed delay in seconds.
         secs: f64,
-    },
-    /// Uniform on `[low, high)` seconds.
-    Uniform {
-        /// Inclusive lower bound in seconds.
-        low: f64,
-        /// Exclusive upper bound in seconds.
-        high: f64,
     },
     /// Exponential with the given mean (e.g. PoW solve time, mean 600 s in
     /// the paper's setup).
@@ -73,17 +66,6 @@ impl LatencyModel {
             ));
         }
         Ok(LatencyModel::Constant { secs })
-    }
-
-    /// A uniform delay on `[low, high)`.
-    pub fn uniform(low: f64, high: f64) -> Result<LatencyModel> {
-        if !(low.is_finite() && high.is_finite()) || low < 0.0 || high <= low {
-            return Err(Error::invalid_config(
-                "uniform",
-                format!("need 0 <= low < high, got [{low}, {high})"),
-            ));
-        }
-        Ok(LatencyModel::Uniform { low, high })
     }
 
     /// An exponential delay with the given mean.
@@ -137,7 +119,6 @@ impl LatencyModel {
     pub(crate) fn sampler(&self) -> Sampler {
         match *self {
             LatencyModel::Constant { secs } => Sampler::Constant { secs },
-            LatencyModel::Uniform { low, high } => Sampler::Uniform(Uniform::new(low, high)),
             LatencyModel::Exponential { mean_secs } => Sampler::Exponential {
                 rate: 1.0 / mean_secs,
             },
@@ -179,7 +160,6 @@ impl LatencyModel {
     pub fn mean(&self) -> f64 {
         match *self {
             LatencyModel::Constant { secs } => secs,
-            LatencyModel::Uniform { low, high } => (low + high) / 2.0,
             LatencyModel::Exponential { mean_secs } => mean_secs,
             LatencyModel::LogNormal { mean_secs, .. } => mean_secs,
             LatencyModel::ShiftedExponential {
@@ -197,7 +177,6 @@ impl LatencyModel {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Sampler {
     Constant { secs: f64 },
-    Uniform(Uniform),
     Exponential { rate: f64 },
     LogNormal { mu: f64, sigma: f64 },
     ShiftedExponential { offset_secs: f64, rate: f64 },
@@ -209,7 +188,6 @@ impl Sampler {
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
         SimTime::from_secs(match *self {
             Sampler::Constant { secs } => secs,
-            Sampler::Uniform(uniform) => uniform.sample(rng),
             Sampler::Exponential { rate } => Exp1.sample(rng) / rate,
             Sampler::LogNormal { mu, sigma } => (mu + sigma * StandardNormal.sample(rng)).exp(),
             Sampler::ShiftedExponential { offset_secs, rate } => {
@@ -237,17 +215,6 @@ mod tests {
             assert_eq!(m.sample(&mut r).as_secs(), 3.5);
         }
         assert_eq!(m.mean(), 3.5);
-    }
-
-    #[test]
-    fn uniform_within_bounds_and_mean() {
-        let m = LatencyModel::uniform(2.0, 4.0).unwrap();
-        let mut r = rng::master(1);
-        for _ in 0..1000 {
-            let s = m.sample(&mut r).as_secs();
-            assert!((2.0..4.0).contains(&s));
-        }
-        assert!((sample_mean(&m, 20_000, 2) - 3.0).abs() < 0.05);
     }
 
     #[test]
@@ -293,8 +260,6 @@ mod tests {
         assert!(LatencyModel::shifted_exponential(1.0, 0.0).is_err());
         assert!(LatencyModel::constant(-1.0).is_err());
         assert!(LatencyModel::constant(f64::NAN).is_err());
-        assert!(LatencyModel::uniform(3.0, 2.0).is_err());
-        assert!(LatencyModel::uniform(-1.0, 2.0).is_err());
         assert!(LatencyModel::exponential(0.0).is_err());
         assert!(LatencyModel::exponential(-5.0).is_err());
         assert!(LatencyModel::log_normal(0.0, 1.0).is_err());
@@ -307,7 +272,6 @@ mod tests {
         use rand_distr::{Exp, LogNormal};
         match *model {
             LatencyModel::Constant { secs } => secs,
-            LatencyModel::Uniform { low, high } => Uniform::new(low, high).sample(rng),
             LatencyModel::Exponential { mean_secs } => {
                 Exp::new(1.0 / mean_secs).unwrap().sample(rng)
             }
@@ -331,12 +295,11 @@ mod tests {
     fn prepared_sampler_draws_the_same_bits_as_the_per_call_distributions() {
         let models = [
             LatencyModel::constant(3.5).unwrap(),
-            LatencyModel::uniform(0.5, 2.0).unwrap(),
             LatencyModel::exponential(70.0).unwrap(),
             LatencyModel::log_normal(54.5, 15.0).unwrap(),
             LatencyModel::shifted_exponential(0.030, 0.020).unwrap(),
         ];
-        // One stream shared by all five arms, so a draw count that drifted
+        // One stream shared by all four arms, so a draw count that drifted
         // in one arm would shift every later one.
         let (mut old, mut per_call, mut prepared) =
             (rng::master(9), rng::master(9), rng::master(9));

@@ -86,7 +86,7 @@ proptest! {
     fn latency_models_sample_non_negative(seed in 0u64..1_000, pick in 0usize..4) {
         let model = match pick {
             0 => LatencyModel::constant(1.5).unwrap(),
-            1 => LatencyModel::uniform(0.5, 2.0).unwrap(),
+            1 => LatencyModel::shifted_exponential(0.030, 0.020).unwrap(),
             2 => LatencyModel::exponential(600.0).unwrap(),
             _ => LatencyModel::log_normal(54.5, 15.0).unwrap(),
         };

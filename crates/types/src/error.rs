@@ -50,12 +50,6 @@ pub enum Error {
         /// Human-readable description.
         reason: String,
     },
-    /// A solver ran out of its iteration budget before reaching a feasible
-    /// or converged solution.
-    NotConverged {
-        /// Iterations actually spent.
-        iterations: u64,
-    },
 }
 
 impl fmt::Display for Error {
@@ -71,9 +65,6 @@ impl fmt::Display for Error {
                 write!(f, "invalid dynamic event for {committee}: {reason}")
             }
             Error::Simulation { reason } => write!(f, "simulation error: {reason}"),
-            Error::NotConverged { iterations } => {
-                write!(f, "solver did not converge within {iterations} iterations")
-            }
         }
     }
 }
@@ -134,7 +125,6 @@ mod tests {
                 reason: "already live".into(),
             },
             Error::simulation("event scheduled in the past"),
-            Error::NotConverged { iterations: 100 },
         ];
         for err in cases {
             let msg = err.to_string();
@@ -149,7 +139,7 @@ mod tests {
 
     #[test]
     fn implements_std_error() {
-        let err: Box<dyn std::error::Error> = Box::new(Error::NotConverged { iterations: 5 });
+        let err: Box<dyn std::error::Error> = Box::new(Error::UnknownCommittee(CommitteeId(5)));
         assert!(err.to_string().contains('5'));
     }
 }

@@ -27,7 +27,6 @@ fn main() -> Result<()> {
             ..EpochPolicy::paper()
         },
         se: SeConfig::paper(SEED),
-        ..EpochChainConfig::paper(SEED)
     };
     let mut chain = EpochChain::new(config)?;
 

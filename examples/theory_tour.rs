@@ -59,7 +59,7 @@ fn main() -> Result<()> {
     let states = theory::enumerate_states(&instance, 3)?;
     let p_star = theory::stationary_distribution(&instance, beta, &states);
     let mut rng = mvcom::simnet::rng::master(7);
-    let mut sim = theory::CtmcSimulator::new(&instance, beta, 0.0, states[0].clone());
+    let mut sim = theory::CtmcSimulator::new(&instance, beta, states[0].clone());
     let occupancy = sim.occupancy(50_000, &mut rng);
     let total: f64 = occupancy.values().sum();
     let empirical: Vec<f64> = states
@@ -92,14 +92,14 @@ fn main() -> Result<()> {
     for epsilon in [0.1, 0.01] {
         println!(
             "  ε = {epsilon}: {:.3} ≤ t_mix ≤ {:.1}",
-            theory::mixing_time_lower(epsilon, instance.len(), u_max, u_min, beta, 0.0),
-            theory::mixing_time_upper(epsilon, instance.len(), u_max, u_min, beta, 0.0),
+            theory::mixing_time_lower(epsilon, instance.len(), u_max, u_min, beta),
+            theory::mixing_time_upper(epsilon, instance.len(), u_max, u_min, beta),
         );
     }
     println!(
         "  at paper scale (|I|=500, β=2, ΔU≈10⁶) the upper bound is only\n\
          \x20 representable in log form: ln t_mix ≤ {:.3e}",
-        theory::ln_mixing_time_upper(0.01, 500, 1.0e6, 0.0, 2.0, 0.0)
+        theory::ln_mixing_time_upper(0.01, 500, 1.0e6, 0.0, 2.0)
     );
 
     println!("\n== Lemma 4 / Theorem 2: committee failure ==");

@@ -146,7 +146,8 @@ impl<'a> Parser<'a> {
     }
 
     /// The error for a value that is not `what`: names the kind of value
-    /// that stands here, or the syntax error if none can start here.
+    /// that stands here if it scans, or else its syntax error — `tru` is
+    /// an invalid literal, not a bool.
     pub fn unexpected(&self, what: &str) -> Error {
         let found = match self.peek() {
             Some(b'n') => "null",
@@ -158,6 +159,14 @@ impl<'a> Parser<'a> {
             Some(_) => return self.error(format_args!("unexpected character {}", self.found())),
             None => return self.error("unexpected end of input"),
         };
+        let mut probe = Parser {
+            text: self.text,
+            pos: self.pos,
+            depth: self.depth,
+        };
+        if let Err(syntax) = probe.skip() {
+            return syntax;
+        }
         self.error(format_args!("expected {what}, found {found}"))
     }
 
@@ -174,11 +183,20 @@ impl<'a> Parser<'a> {
     }
 
     fn keyword(&mut self, word: &str) -> Result<(), Error> {
-        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             return Ok(());
         }
-        Err(self.error("invalid literal"))
+        // Names what stands here: its first 32 letters and digits (ASCII,
+        // so the slice ends on a character boundary).
+        let len = rest
+            .iter()
+            .take(32)
+            .take_while(|b| b.is_ascii_alphanumeric())
+            .count();
+        let literal = &self.text[self.pos..self.pos + len];
+        Err(self.error(format_args!("invalid literal `{literal}`")))
     }
 
     // ---- the three readers ----------------------------------------------

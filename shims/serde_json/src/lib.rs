@@ -129,7 +129,7 @@ mod tests {
         assert_eq!(err("[é]"), "unexpected character `é` at byte 1");
         assert_eq!(err("\"\\x\""), "invalid escape `x` at byte 2");
         assert_eq!(err("[1, -]"), "invalid number `-` at byte 4");
-        assert_eq!(err("nul"), "invalid literal at byte 0");
+        assert_eq!(err("nul"), "invalid literal `nul` at byte 0");
         assert_eq!(err("\"abc"), "unterminated string at byte 4");
         assert_eq!(err(""), "unexpected end of input at byte 0");
         assert_eq!(err("1 1"), "trailing characters after JSON value at byte 2");

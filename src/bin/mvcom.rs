@@ -40,6 +40,9 @@ use mvcom::prelude::*;
 enum Failure {
     /// The run itself failed; reported with the usage on stderr.
     Run(Error),
+    /// The daemon failed past its flags (ingest, history, I/O, a
+    /// scheduling error); reported without the usage.
+    Daemon(mvcom::daemon::DaemonError),
     /// Stdout could not be written.
     Stdout(io::Error),
 }
@@ -69,7 +72,7 @@ fn main() -> ExitCode {
         Some("dataset") => dataset(&args[1..], &mut out),
         Some("solve" | "schedule") => solve(&args[1..], &mut out),
         Some("simulate") => simulate(&args[1..], &mut out),
-        Some("daemon") => daemon(&args[1..]).map_err(Failure::from),
+        Some("daemon") => daemon(&args[1..]),
         Some("--help" | "-h") | None => write!(out, "{}", usage()).map_err(Failure::from),
         Some(other) => Err(Failure::Run(Error::invalid_config(
             "subcommand",
@@ -86,6 +89,10 @@ fn main() -> ExitCode {
         Err(Failure::Run(e)) => {
             eprintln!("error: {e}");
             eprint!("{}", usage());
+            ExitCode::FAILURE
+        }
+        Err(Failure::Daemon(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -753,9 +760,16 @@ fn simulate(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Maps a daemon-crate error into the CLI's error type.
-fn daemon_err(e: mvcom::daemon::DaemonError) -> Error {
-    Error::invalid_config("daemon", e.to_string())
+/// Maps a daemon-crate error into the CLI's: a parameter out of its
+/// domain is a flag error, anything else a failure of the run.
+fn daemon_err(e: mvcom::daemon::DaemonError) -> Failure {
+    use mvcom::daemon::DaemonError;
+    match e {
+        DaemonError::Config { .. } | DaemonError::Core(Error::InvalidConfig { .. }) => {
+            Failure::Run(Error::invalid_config("daemon", e.to_string()))
+        }
+        e => Failure::Daemon(e),
+    }
 }
 
 /// The determinism-relevant configuration `mvcom daemon` runs under;
@@ -782,7 +796,7 @@ fn daemon_config(flags: &Flags) -> Result<mvcom::daemon::DaemonConfig> {
 /// The `mvcom daemon` subcommand: the long-running scheduling service.
 /// Flags are defined by [`DAEMON_FLAGS`]; semantics are documented in
 /// OPERATIONS.md.
-fn daemon(args: &[String]) -> Result<()> {
+fn daemon(args: &[String]) -> Result<(), Failure> {
     use mvcom::daemon::{
         AlertConfig, AlertEngine, Daemon, IngestSource, JsonlSource, MetricsServer, SeededSource,
         Startup,
@@ -800,7 +814,8 @@ fn daemon(args: &[String]) -> Result<()> {
                          seeded stream: an epoch would contain duplicate committees",
                         config.reports_per_epoch, config.population
                     ),
-                ));
+                )
+                .into());
             }
             Box::new(SeededSource::new(config.seed, config.population).map_err(daemon_err)?)
         }
@@ -809,7 +824,8 @@ fn daemon(args: &[String]) -> Result<()> {
             return Err(Error::invalid_config(
                 "source",
                 format!("--source takes seeded|stdin, got `{other}`"),
-            ))
+            )
+            .into())
         }
     };
     // No utility compares below `nan`: the alert would be armed and mute.
@@ -819,21 +835,13 @@ fn daemon(args: &[String]) -> Result<()> {
         return Err(Error::invalid_config(
             "alert-min-utility",
             format!("--alert-min-utility takes a finite number, got `{raw}`"),
-        ));
+        )
+        .into());
     }
-    let mut alerts = AlertEngine::new(AlertConfig {
+    let alerts = AlertEngine::new(AlertConfig {
         min_utility,
         min_admitted: flags.opt("alert-min-admitted")?,
         max_quarantined: flags.opt("alert-max-quarantined")?,
-    });
-    alerts.on_alert(|a| {
-        eprintln!(
-            "ALERT epoch={} kind={} threshold={} observed={}",
-            a.epoch,
-            a.kind.name(),
-            a.threshold,
-            a.observed,
-        );
     });
     let obs = obs_from_flags(&flags, "daemon", config.seed)?;
     let history_path = flags.value("history").to_string();
@@ -871,7 +879,13 @@ fn daemon(args: &[String]) -> Result<()> {
         }
     };
     let closed = daemon
-        .run(|s| {
+        .run(|s, alerts| {
+            for a in alerts {
+                eprintln!(
+                    "ALERT epoch={} kind={} threshold={} observed={}",
+                    s.epoch, a.kind, a.threshold, a.observed,
+                );
+            }
             println!(
                 "epoch {}: {} reports ({} adversarial, {} quarantined), \
                  {} admitted / {} offered txs, utility {:.2}",

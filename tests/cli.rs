@@ -470,3 +470,51 @@ fn unwritable_telemetry_fails_the_run() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A daemon that fails past its flags — a malformed feed line, a corrupt
+/// history — names the failing layer and prints no usage: the flags were
+/// fine. It used to read `error: invalid configuration `daemon`: …`
+/// followed by the whole usage.
+#[test]
+fn daemon_run_time_failures_are_not_configuration_errors() {
+    use std::io::Write;
+    let dir = std::env::temp_dir().join(format!("mvcom-cli-runtime-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("history.log");
+    let history = path.to_str().expect("utf-8 temp path");
+    let daemon = |source: &str, resume: &str, feed: &str| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mvcom"))
+            .args(["daemon", "--source", source, "--epochs", "1"])
+            .args(["--resume", resume, "--history", history])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("mvcom binary runs");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(feed.as_bytes()).expect("feed written");
+        drop(stdin);
+        child.wait_with_output().expect("mvcom exits")
+    };
+    let feed = "{\"committee\":tru,\"txs\":900,\"latency_s\":700.5}\n";
+    let malformed = daemon("stdin", "off", feed);
+    std::fs::write(&path, "not a history log").expect("corrupt history");
+    let corrupt = daemon("seeded", "on", "");
+    for (out, says) in [
+        (
+            malformed,
+            "error: ingest error: line 1: malformed report: committee: invalid literal `tru`",
+        ),
+        (corrupt, "error: history log error: "),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(stderr.starts_with(says), "stderr: {stderr}");
+        assert!(!stderr.contains("usage:"), "stderr: {stderr}");
+        assert!(
+            !stderr.contains("invalid configuration"),
+            "stderr: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -17,7 +17,10 @@ fn epoch_generation_is_reproducible() {
     let mut g1 = EpochGenerator::new(&trace, LatencyConfig::paper(), 3);
     let mut g2 = EpochGenerator::new(&trace, LatencyConfig::paper(), 3);
     for _ in 0..3 {
-        assert_eq!(g1.next_epoch(20).unwrap(), g2.next_epoch(20).unwrap());
+        assert_eq!(
+            g1.next_epoch_with_replacement(20, 1).unwrap(),
+            g2.next_epoch_with_replacement(20, 1).unwrap()
+        );
     }
 }
 

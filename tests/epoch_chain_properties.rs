@@ -30,7 +30,6 @@ fn config(seed: u64) -> EpochChainConfig {
             ..EpochPolicy::paper()
         },
         se: SeConfig::fast_test(seed),
-        ..EpochChainConfig::paper(seed)
     }
 }
 

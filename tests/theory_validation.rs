@@ -45,7 +45,7 @@ fn stationary_distribution_matches_eq_6_empirically() {
     let states = theory::enumerate_states(&instance, 3).unwrap();
     let p_star = theory::stationary_distribution(&instance, beta, &states);
     let mut rng = mvcom::simnet::rng::master(123);
-    let mut sim = theory::CtmcSimulator::new(&instance, beta, 0.0, states[0].clone());
+    let mut sim = theory::CtmcSimulator::new(&instance, beta, states[0].clone());
     let occupancy = sim.occupancy(80_000, &mut rng);
     let total: f64 = occupancy.values().sum();
     let empirical: Vec<f64> = states
@@ -90,11 +90,11 @@ fn mixing_time_bounds_bracket_observed_convergence() {
     let u_max = utilities.iter().copied().fold(f64::MIN, f64::max);
     let u_min = utilities.iter().copied().fold(f64::MAX, f64::min);
     let beta = 0.01;
-    let lower = theory::mixing_time_lower(0.05, instance.len(), u_max, u_min, beta, 0.0);
-    let upper = theory::mixing_time_upper(0.05, instance.len(), u_max, u_min, beta, 0.0);
+    let lower = theory::mixing_time_lower(0.05, instance.len(), u_max, u_min, beta);
+    let upper = theory::mixing_time_upper(0.05, instance.len(), u_max, u_min, beta);
     assert!(lower > 0.0 && upper > lower);
     // ln-forms stay finite at paper scale where the plain forms overflow.
-    assert!(theory::ln_mixing_time_upper(0.01, 1000, 1e6, -1e6, 2.0, 0.0).is_finite());
+    assert!(theory::ln_mixing_time_upper(0.01, 1000, 1e6, -1e6, 2.0).is_finite());
 }
 
 #[test]
